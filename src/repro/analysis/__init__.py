@@ -8,7 +8,7 @@ instantiated):
   :func:`repro.core.classify.is_bound_widening` marks as widening must be
   monotone on the percentage interval over a systematic grid plus a
   randomized corpus of abstract states, and the scalar
-  (:mod:`repro.core.rules`) and vectorized (:mod:`repro.core.rules_vec`)
+  (:mod:`repro.core.rules`) and columnar (:mod:`repro.core.optable`)
   kernels must agree byte-identically on every state.
 * :mod:`repro.analysis.catalog_lint` — static checks over an
   :class:`~repro.editing.sequence.EditSequence` catalog: dangling

@@ -60,6 +60,9 @@ from repro.errors import RuleError
 from repro.images.geometry import Rect, transform_rect_bbox
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    import numpy as np
+
+    from repro.core.bounds import BoundsEngine
     from repro.db.database import MultimediaDatabase
     from repro.shard.sharded import ShardedCatalog
 
@@ -473,18 +476,39 @@ def _dependency_finding(location: str, message: str, details: Dict) -> Finding:
 # ----------------------------------------------------------------------
 # DB006 — vacuous bounds (prune power)
 # ----------------------------------------------------------------------
+def _walkable_fraction_bounds(
+    engine: "BoundsEngine", ordered_ids: List[str]
+) -> List[Tuple[str, Tuple["np.ndarray", "np.ndarray"]]]:
+    """``(image_id, (lo, hi))`` fraction bounds of every walkable image.
+
+    One columnar sweep covers the whole catalog.  A walk-breaking defect
+    anywhere fails the batch; only then is each image tried on its own,
+    skipping the broken ones (they carry their own findings).
+    """
+    try:
+        return list(
+            zip(ordered_ids, engine.fraction_bounds_all_bins_batch(ordered_ids))
+        )
+    except RuleError:
+        pass
+    walkable: List[Tuple[str, Tuple[np.ndarray, np.ndarray]]] = []
+    for image_id in ordered_ids:
+        try:
+            walkable.append((image_id, engine.fraction_bounds_all_bins(image_id)))
+        except RuleError:
+            continue
+    return walkable
+
+
 def _check_prune_power(
     database: "MultimediaDatabase",
     edited_ids: Set[str],
     vacuous_bin_fraction: float,
     report: AnalysisReport,
 ) -> None:
-    engine = database.engine
-    for image_id in sorted(edited_ids):
-        try:
-            lo, hi = engine.fraction_bounds_all_bins(image_id)
-        except RuleError:
-            continue  # walk-breaking defects carry their own findings
+    for image_id, (lo, hi) in _walkable_fraction_bounds(
+        database.engine, sorted(edited_ids)
+    ):
         vacuous = int(((lo <= 0.0) & (hi >= 1.0)).sum())
         if vacuous >= vacuous_bin_fraction * lo.shape[0]:
             report.add(

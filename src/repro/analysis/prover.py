@@ -11,30 +11,27 @@ module checks it mechanically with an interval abstract interpreter:
    corpus of abstract states and verify, with exact integer
    cross-multiplication (no float tolerance), that the post-rule
    percentage interval contains the pre-rule interval.
-2. **Kernel parity** — for every rule case (widening or not), apply the
-   vectorized kernel (:mod:`repro.core.rules_vec`) to heterogeneous
-   all-bins states and the scalar kernel to each bin independently, and
-   verify the results are byte-identical: same counts, same dimensions,
-   same Defined Region, and the same :class:`~repro.errors.RuleError`
-   on the same inputs.
-3. **Columnar sweep parity** — stack heterogeneous per-bin states into
-   one multi-row :class:`~repro.core.optable.BatchRuleState`, apply the
-   columnar kernel (:func:`repro.core.optable.apply_rule_batched`) to
-   every row at once, and verify each row is byte-identical to the
-   scalar oracle — including which rows fail with a
+2. **Columnar sweep parity** — for every rule case (widening or not),
+   stack heterogeneous all-bins states into one multi-row
+   :class:`~repro.core.optable.BatchRuleState`, apply the columnar
+   kernel (:func:`repro.core.optable.apply_rule_batched`, the only
+   production all-bins kernel) to every row at once and the scalar
+   kernel to each bin of each row independently, and verify the results
+   are byte-identical: same counts, same dimensions, same Defined
+   Region, and the same rows failing with a
    :class:`~repro.errors.RuleError`.
 
 Any violation is reported as a :class:`~repro.analysis.findings.Finding`
-(``RS001`` non-monotone widening rule, ``RS002`` scalar/vec divergence,
-``RS003`` scalar/columnar divergence) carrying a *minimal* reproducing
-state: the prover greedily shrinks the failing state (dimensions,
-counts, Defined Region) until no smaller state still fails.
+(``RS001`` non-monotone widening rule, ``RS003`` scalar/columnar
+divergence) carrying a *minimal* reproducing state: the prover greedily
+shrinks the failing state (dimensions, counts, Defined Region) until no
+smaller state still fails.
 
 The prover is pure computation over abstract states — no catalog, no
 raster, no instantiation — so it runs in CI's fast mode in about a
 second.  Tests inject deliberately broken rules or classifiers through
-the ``apply_scalar`` / ``classify_fn`` hooks to prove the prover itself
-catches violations.
+the ``apply_scalar`` / ``apply_batched`` / ``classify_fn`` hooks to prove
+the prover itself catches violations.
 """
 
 from __future__ import annotations
@@ -47,9 +44,12 @@ import numpy as np
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.color.quantization import UniformQuantizer
 from repro.core.classify import is_bound_widening
-from repro.core.optable import BatchRuleState, apply_rule_batched
+from repro.core.optable import (
+    BatchRuleContext,
+    BatchRuleState,
+    apply_rule_batched,
+)
 from repro.core.rules import RuleContext, RuleState, apply_rule
-from repro.core.rules_vec import VecRuleContext, VecRuleState, apply_rule_vec
 from repro.editing.operations import (
     Combine,
     Define,
@@ -63,11 +63,9 @@ from repro.images.geometry import AffineMatrix, Rect
 
 #: Signature of the scalar rule applier (injectable for fixture tests).
 ScalarApply = Callable[[RuleState, Operation, RuleContext], RuleState]
-#: Signature of the vectorized rule applier.
-VecApply = Callable[[VecRuleState, Operation, VecRuleContext], VecRuleState]
 #: Signature of the columnar (multi-row) rule applier.
 BatchedApply = Callable[
-    [BatchRuleState, np.ndarray, Operation, VecRuleContext],
+    [BatchRuleState, np.ndarray, Operation, BatchRuleContext],
     Dict[int, RuleError],
 ]
 #: Signature of the static classifier under test.
@@ -363,21 +361,9 @@ def minimize_state(
     return current
 
 
-def _vec_state_from(
-    lo: np.ndarray, hi: np.ndarray, template: RuleState
-) -> VecRuleState:
-    return VecRuleState(
-        lo=np.array(lo, dtype=np.int64),
-        hi=np.array(hi, dtype=np.int64),
-        height=template.height,
-        width=template.width,
-        dr=template.dr,
-    )
-
-
 @dataclass
 class _TargetFixture:
-    """A synthetic Merge target shared by the scalar and vec kernels."""
+    """A synthetic Merge target shared by the scalar and columnar kernels."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -394,7 +380,7 @@ class _TargetFixture:
             )
         return resolve
 
-    def vec_resolver(
+    def all_bins_resolver(
         self,
     ) -> Callable[[str], Tuple[np.ndarray, np.ndarray, int, int]]:
         def resolve(target_id: str) -> Tuple[np.ndarray, np.ndarray, int, int]:
@@ -435,12 +421,8 @@ class RuleVerdict:
     #: ``True`` = proved monotone on the corpus; ``False`` = refuted;
     #: ``None`` = not claimed widening, so monotonicity is not required.
     monotone: Optional[bool]
-    #: Scalar and vectorized kernels agreed byte-identically.
-    parity_ok: bool
     #: (state, bin) pairs the monotonicity check covered.
     states_checked: int
-    #: All-bins states the parity check covered.
-    parity_states_checked: int
     #: Minimal reproducing state for the first violation, if any.
     counterexample: Optional[Dict[str, Any]] = None
     #: Columnar multi-row kernel agreed with the scalar oracle per row.
@@ -451,11 +433,7 @@ class RuleVerdict:
     @property
     def verified(self) -> bool:
         """Machine-verified sound: monotone when claimed, kernels agree."""
-        return (
-            self.parity_ok
-            and self.batched_parity_ok
-            and self.monotone is not False
-        )
+        return self.batched_parity_ok and self.monotone is not False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -463,9 +441,7 @@ class RuleVerdict:
             "operation": self.operation,
             "classified_widening": self.classified_widening,
             "monotone": self.monotone,
-            "parity_ok": self.parity_ok,
             "states_checked": self.states_checked,
-            "parity_states_checked": self.parity_states_checked,
             "batched_parity_ok": self.batched_parity_ok,
             "batched_states_checked": self.batched_states_checked,
             "counterexample": self.counterexample,
@@ -499,7 +475,6 @@ class ProverReport:
             for v in self.verdicts
             if v.classified_widening
             and v.monotone is True
-            and v.parity_ok
             and v.batched_parity_ok
         ]
 
@@ -509,7 +484,6 @@ class ProverReport:
             "rule case",
             "classified widening",
             "monotone proved",
-            "scalar==vec",
             "scalar==batched",
             "states",
         )
@@ -520,10 +494,8 @@ class ProverReport:
                     v.case,
                     "yes" if v.classified_widening else "no",
                     {True: "yes", False: "REFUTED", None: "n/a"}[v.monotone],
-                    "yes" if v.parity_ok else "DIVERGED",
                     "yes" if v.batched_parity_ok else "DIVERGED",
-                    f"{v.states_checked}+{v.parity_states_checked}"
-                    f"+{v.batched_states_checked}",
+                    f"{v.states_checked}+{v.batched_states_checked}",
                 )
             )
         widths = [
@@ -558,7 +530,6 @@ def prove_rules(
     cases: Optional[Sequence[RuleCase]] = None,
     classify_fn: ClassifyFn = is_bound_widening,
     apply_scalar: ScalarApply = apply_rule,
-    apply_vec: VecApply = apply_rule_vec,
     apply_batched: BatchedApply = apply_rule_batched,
 ) -> ProverReport:
     """Prove (or refute) the bound-widening claims on an abstract corpus.
@@ -566,9 +537,9 @@ def prove_rules(
     ``mode`` is ``"fast"`` (the CI gate: grid corpus + a small random
     corpus) or ``"full"`` (a larger random corpus and more random
     operation variants per case).  The ``classify_fn`` / ``apply_scalar``
-    / ``apply_vec`` / ``apply_batched`` hooks exist so tests can seed a
-    deliberately broken rule and assert the prover reports it with a
-    minimal counterexample.
+    / ``apply_batched`` hooks exist so tests can seed a deliberately
+    broken rule and assert the prover reports it with a minimal
+    counterexample.
     """
     if mode not in ("fast", "full"):
         raise ValueError(f"unknown prover mode {mode!r}")
@@ -577,7 +548,6 @@ def prove_rules(
     cases = tuple(cases) if cases is not None else default_rule_cases()
     random_state_count = 40 if mode == "fast" else 200
     random_op_count = 2 if mode == "fast" else 6
-    batched_row_cap = 48 if mode == "fast" else 10_000
 
     corpus = grid_states() + random_states(rng, random_state_count)
     prover = ProverReport()
@@ -597,17 +567,11 @@ def prove_rules(
             rng,
             classify_fn,
             apply_scalar,
-            apply_vec,
             apply_batched,
-            batched_row_cap,
             prover.report,
         )
         prover.verdicts.append(verdict)
-        subjects += (
-            verdict.states_checked
-            + verdict.parity_states_checked
-            + verdict.batched_states_checked
-        )
+        subjects += verdict.states_checked + verdict.batched_states_checked
     prover.report.subjects_examined = subjects
     return prover
 
@@ -620,23 +584,18 @@ def _prove_case(
     rng: np.random.Generator,
     classify_fn: ClassifyFn,
     apply_scalar: ScalarApply,
-    apply_vec: VecApply,
     apply_batched: BatchedApply,
-    batched_row_cap: int,
     report: AnalysisReport,
 ) -> RuleVerdict:
     bin_count = quantizer.bin_count
     classified = all(classify_fn(op) for op in operations)
     monotone: Optional[bool] = True if classified else None
-    parity_ok = True
     batched_ok = True
     states_checked = 0
-    parity_checked = 0
     batched_checked = 0
     # First counterexample of each kind, reported independently so an
     # early parity divergence cannot mask a monotonicity refutation.
     mono_counterexample: Optional[Dict[str, Any]] = None
-    parity_counterexample: Optional[Dict[str, Any]] = None
     batched_counterexample: Optional[Dict[str, Any]] = None
     adapted_corpus = [
         adapted
@@ -649,13 +608,9 @@ def _prove_case(
         bins = _bins_of_interest(op, quantizer)
         target = _make_target(rng, bin_count) if case.needs_target else None
 
-        for state in corpus:
-            adapted = _adapt_state(state, case)
-            if adapted is None:
-                continue
-
-            # ---- monotonicity on the claimed-widening rules ----------
-            if op_classified:
+        # ---- monotonicity on the claimed-widening rules --------------
+        if op_classified:
+            for adapted in adapted_corpus:
                 for bin_index in bins:
                     ctx = _scalar_ctx(quantizer, bin_index, target)
                     try:
@@ -671,37 +626,10 @@ def _prove_case(
                                 quantizer, target, apply_scalar, report,
                             )
 
-            # ---- scalar/vec parity over heterogeneous vectors --------
-            divergence = _check_parity(
-                adapted, op, quantizer, rng, target, apply_scalar, apply_vec
-            )
-            parity_checked += 1
-            if divergence is not None:
-                parity_ok = False
-                if parity_counterexample is None:
-                    parity_counterexample = divergence
-                    report.add(
-                        Finding(
-                            code="RS002",
-                            severity=Severity.ERROR,
-                            location=case.name,
-                            message=(
-                                f"scalar and vectorized kernels diverge for "
-                                f"{op!r}: {divergence['reason']}"
-                            ),
-                            fix_hint=(
-                                "make repro.core.rules_vec mirror the scalar "
-                                "branch exactly (same clamps, same errors)"
-                            ),
-                            details=divergence,
-                        )
-                    )
-
         # ---- scalar/columnar parity over one heterogeneous batch -----
-        batch_states = adapted_corpus[:batched_row_cap]
-        batched_checked += len(batch_states)
+        batched_checked += len(adapted_corpus)
         batched_divergence = _check_batched_parity(
-            batch_states, op, quantizer, rng, target, apply_scalar, apply_batched
+            adapted_corpus, op, quantizer, rng, target, apply_scalar, apply_batched
         )
         if batched_divergence is not None:
             batched_ok = False
@@ -730,19 +658,13 @@ def _prove_case(
         operation=repr(operations[0]),
         classified_widening=classified,
         monotone=monotone if classified else None,
-        parity_ok=parity_ok,
         states_checked=states_checked,
-        parity_states_checked=parity_checked,
         batched_parity_ok=batched_ok,
         batched_states_checked=batched_checked,
         counterexample=(
             mono_counterexample
             if mono_counterexample is not None
-            else (
-                parity_counterexample
-                if parity_counterexample is not None
-                else batched_counterexample
-            )
+            else batched_counterexample
         ),
     )
 
@@ -822,90 +744,6 @@ def _report_monotonicity_violation(
     return details
 
 
-def _check_parity(
-    state: RuleState,
-    op: Operation,
-    quantizer: UniformQuantizer,
-    rng: np.random.Generator,
-    target: Optional[_TargetFixture],
-    apply_scalar: ScalarApply,
-    apply_vec: VecApply,
-) -> Optional[Dict[str, Any]]:
-    """One all-bins state through both kernels; ``None`` when identical."""
-    bin_count = quantizer.bin_count
-    total = state.total
-    # Heterogeneous per-bin intervals seeded from the scalar state.
-    lo = rng.integers(0, total + 1, bin_count).astype(np.int64)
-    hi = (lo + rng.integers(0, total + 1, bin_count)).clip(max=total).astype(np.int64)
-    lo[0], hi[0] = state.lo, state.hi
-
-    vec_ctx = VecRuleContext(
-        quantizer=quantizer,
-        fill_color=(0, 0, 0),
-        resolve_target=target.vec_resolver() if target is not None else None,
-    )
-    vec_error: Optional[str] = None
-    vec_result: Optional[VecRuleState] = None
-    try:
-        vec_result = apply_vec(_vec_state_from(lo, hi, state), op, vec_ctx)
-    except RuleError as exc:
-        vec_error = type(exc).__name__
-
-    scalar_results: List[Optional[RuleState]] = []
-    scalar_error: Optional[str] = None
-    for bin_index in range(bin_count):
-        ctx = _scalar_ctx(quantizer, bin_index, target)
-        scalar_state = RuleState(
-            lo=int(lo[bin_index]),
-            hi=int(hi[bin_index]),
-            height=state.height,
-            width=state.width,
-            dr=state.dr,
-        )
-        try:
-            scalar_results.append(apply_scalar(scalar_state, op, ctx))
-        except RuleError as exc:
-            scalar_error = type(exc).__name__
-            scalar_results.append(None)
-
-    def payload(reason: str, bin_index: Optional[int] = None) -> Dict[str, Any]:
-        return {
-            "reason": reason,
-            "operation": repr(op),
-            "bin_index": bin_index,
-            "state": _state_payload(state),
-            "lo_vector": [int(v) for v in lo],
-            "hi_vector": [int(v) for v in hi],
-        }
-
-    if (vec_error is None) != (scalar_error is None):
-        return payload(
-            f"error mismatch: vec={vec_error or 'ok'} scalar={scalar_error or 'ok'}"
-        )
-    if vec_error is not None:
-        return None  # both raised: identical refusal
-    assert vec_result is not None
-    for bin_index, scalar_post in enumerate(scalar_results):
-        if scalar_post is None:
-            return payload("scalar raised on one bin only", bin_index)
-        if (
-            int(vec_result.lo[bin_index]) != scalar_post.lo
-            or int(vec_result.hi[bin_index]) != scalar_post.hi
-            or vec_result.height != scalar_post.height
-            or vec_result.width != scalar_post.width
-            or vec_result.dr != scalar_post.dr
-        ):
-            return payload(
-                f"bin {bin_index}: vec [{int(vec_result.lo[bin_index])}, "
-                f"{int(vec_result.hi[bin_index])}] "
-                f"({vec_result.height}x{vec_result.width}) != scalar "
-                f"[{scalar_post.lo}, {scalar_post.hi}] "
-                f"({scalar_post.height}x{scalar_post.width})",
-                bin_index,
-            )
-    return None
-
-
 def _batched_row_divergence(
     states: Sequence[RuleState],
     op: Operation,
@@ -937,13 +775,13 @@ def _batched_row_divergence(
         stacked.append((lo, hi, state.height, state.width, state.dr))
         vectors.append((lo, hi))
     batch = BatchRuleState.stack(stacked)
-    vec_ctx = VecRuleContext(
+    batch_ctx = BatchRuleContext(
         quantizer=quantizer,
         fill_color=(0, 0, 0),
-        resolve_target=target.vec_resolver() if target is not None else None,
+        resolve_target=target.all_bins_resolver() if target is not None else None,
     )
     rows = np.arange(len(states), dtype=np.int64)
-    errors = apply_batched(batch, rows, op, vec_ctx)
+    errors = apply_batched(batch, rows, op, batch_ctx)
 
     for row, state in enumerate(states):
         lo, hi = vectors[row]

@@ -47,7 +47,7 @@ Subcommands mirror the workflow of the paper's prototype:
 ``events``    dump or follow the structured wide-event log
               (``events.jsonl``) of a sharded root
 ``prove-rules`` prove every classified bound-widening rule monotone on
-              the percentage interval and scalar/vectorized kernels
+              the percentage interval and the scalar/columnar kernels
               byte-identical (``--mode full`` for the larger corpus)
 
 Exit codes are uniform across the integrity-facing commands (``check``,
@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prove = commands.add_parser(
         "prove-rules",
         help="prove the Table 1 bound-widening rules monotone and the "
-        "scalar/vectorized kernels identical",
+        "scalar/columnar kernels identical",
     )
     prove.add_argument("--mode", choices=("fast", "full"), default="fast",
                        help="corpus size (full adds more random states and "

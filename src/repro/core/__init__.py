@@ -9,6 +9,7 @@ from repro.core.classify import (
 )
 from repro.core.batch import BatchBWMProcessor, BatchRBMProcessor
 from repro.core.optable import (
+    BatchRuleContext,
     BatchRuleState,
     CatalogOpTable,
     OpTableManager,
@@ -31,12 +32,6 @@ from repro.core.rules import (
     describe_rule,
     initial_state,
 )
-from repro.core.rules_vec import (
-    VecRuleContext,
-    VecRuleState,
-    apply_rule_vec,
-    initial_vec_state,
-)
 
 __all__ = [
     "AllBinsBounds",
@@ -45,6 +40,7 @@ __all__ = [
     "BoundsEngine",
     "BatchBWMProcessor",
     "BatchRBMProcessor",
+    "BatchRuleContext",
     "BatchRuleState",
     "BoundsStore",
     "CatalogOpTable",
@@ -60,16 +56,12 @@ __all__ = [
     "RangeQuery",
     "RuleContext",
     "RuleState",
-    "VecRuleContext",
-    "VecRuleState",
     "apply_rule",
     "apply_rule_batched",
-    "apply_rule_vec",
     "sweep_table",
     "describe_rule",
     "first_non_widening",
     "initial_state",
-    "initial_vec_state",
     "is_bound_widening",
     "sequence_is_bound_widening",
 ]

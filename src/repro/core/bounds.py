@@ -12,13 +12,16 @@ themselves edited images are handled by recursing (with cycle detection
 and a depth limit) — an extension beyond the paper, which assumed binary
 targets.
 
-Two walk flavors share the engine:
+Table 1 is encoded twice, each copy with its own job:
 
 * :meth:`BoundsEngine.bounds` — the paper's per-``(image, bin)`` scalar
-  walk over :mod:`repro.core.rules`; kept as the correctness oracle.
-* :meth:`BoundsEngine.bounds_all_bins` — one vectorized walk over
-  :mod:`repro.core.rules_vec` yielding the full interval matrix; this is
-  what the similarity, batch, and index-building hot paths use.
+  walk over :mod:`repro.core.rules`; the measured RBM/BWM path and the
+  correctness oracle every all-bins result is tested against.
+* :meth:`BoundsEngine.bounds_all_bins_batch` — the columnar op-table
+  sweep of :mod:`repro.core.optable` yielding full interval matrices for
+  many images at once; the similarity, batch, and index-building hot
+  paths use it, and :meth:`BoundsEngine.bounds_all_bins` is its one-id
+  convenience form.
 
 When ``cache_enabled``, results memoize per image with *dependency-aware*
 invalidation: the engine records, while walking, which image each walk
@@ -47,9 +50,13 @@ import numpy as np
 
 from repro.color.histogram import ColorHistogram
 from repro.color.quantization import UniformQuantizer
-from repro.core.optable import OpTableManager
+from repro.core.optable import (
+    BatchRuleContext,
+    BatchRuleState,
+    OpTableManager,
+    apply_rule_batched,
+)
 from repro.core.rules import RuleContext, RuleState, apply_rule
-from repro.core.rules_vec import VecRuleContext, VecRuleState, apply_rule_vec
 from repro.editing.sequence import EditSequence
 from repro.errors import ReproError, RuleError, UnknownObjectError
 from repro.images.geometry import Rect
@@ -156,7 +163,7 @@ class BoundsEngine:
         self._max_depth = max_depth
         #: Count of rule applications since construction; the performance
         #: evaluation reports this as the work metric alongside wall time.
-        #: A vectorized rule covering every bin counts once, matching the
+        #: A swept rule covering every bin counts once, matching the
         #: scalar walk's per-bin count for single-bin workloads.
         self.rules_applied = 0
         self.cache_enabled = cache_enabled
@@ -179,10 +186,13 @@ class BoundsEngine:
         #: (result cache, planner, index manager) subscribes here so one
         #: catalog mutation propagates to every derived structure.
         self._invalidation_listeners: List[Callable[[Optional[str]], None]] = []
-        #: Lazily built columnar op table driving the batched sweep; it
-        #: subscribes to the invalidation feed on first use so rows stay
-        #: incrementally reconciled with the catalog.
-        self._optable: Optional[OpTableManager] = None
+        #: Columnar op table driving the all-bins sweep.  Built and
+        #: subscribed to the invalidation feed here, not on first use, so
+        #: concurrent first sweeps cannot each create (and leak) one; it
+        #: compiles rows lazily, so an engine that never sweeps pays only
+        #: for an empty table.
+        self._optable = OpTableManager(store, quantizer)
+        self.add_invalidation_listener(self._optable.on_invalidation)
 
     @property
     def quantizer(self) -> UniformQuantizer:
@@ -229,33 +239,19 @@ class BoundsEngine:
         return (result.fraction_lo, result.fraction_hi)
 
     # ------------------------------------------------------------------
-    # Vectorized walk (all bins in one pass)
+    # All bins of one image (one-id form of the columnar sweep)
     # ------------------------------------------------------------------
     def bounds_all_bins(self, image_id: str) -> AllBinsBounds:
-        """The full BOUNDS matrix of a stored image in one sequence walk.
+        """The full BOUNDS matrix of a stored image.
 
         Returns read-only int64 vectors ``(lo, hi)`` of length
         ``quantizer.bin_count`` plus the exact dimensions.  Bin ``b`` of
         the vectors equals :meth:`bounds`\\ ``(image_id, b)`` exactly
-        (property-tested), but the whole matrix costs one walk instead of
-        ``bin_count``.
+        (property-tested).  This is :meth:`bounds_all_bins_batch` for a
+        single id — same sweep, same memo cache, same errors — so loops
+        over many images should pass them to the batch form in one call.
         """
-        if not self.cache_enabled:
-            return self._all_bins_inner(image_id, frozenset(), self._max_depth)
-        cached = self._vec_cache.get(image_id)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        result = self._all_bins_inner(image_id, frozenset(), self._max_depth)
-        self._vec_cache[image_id] = result
-        return result
-
-    def sequence_bounds_all_bins(self, sequence: EditSequence) -> AllBinsBounds:
-        """All-bins BOUNDS for an ad-hoc sequence (bases/targets in store)."""
-        return self._sequence_all_bins_inner(
-            sequence, frozenset(), self._max_depth
-        )
+        return self.bounds_all_bins_batch((image_id,))[0]
 
     def walk_states(
         self, image_id: str
@@ -282,29 +278,20 @@ class BoundsEngine:
             raise RuleError(
                 f"walk_states needs an edited image; {image_id!r} is binary"
             )
-        base_lo, base_hi, base_height, base_width = self.bounds_all_bins(
-            record.base_id
-        )
-        state = VecRuleState(
-            lo=np.array(base_lo, dtype=np.int64),
-            hi=np.array(base_hi, dtype=np.int64),
-            height=base_height,
-            width=base_width,
-            dr=Rect(0, 0, base_height, base_width),
-        )
-        states: List[AllBinsBounds] = [
-            (state.lo.copy(), state.hi.copy(), state.height, state.width)
-        ]
-        ctx = VecRuleContext(
+        base = self.bounds_all_bins(record.base_id)
+        state = BatchRuleState.stack([(*base, Rect(0, 0, base[2], base[3]))])
+        row = np.zeros(1, dtype=np.int64)
+        ctx = BatchRuleContext(
             quantizer=self._quantizer,
             fill_color=self._fill_color,
             resolve_target=self.bounds_all_bins,
         )
+        states: List[AllBinsBounds] = [state.row_state(0)[:4]]
         for op in record.operations:
-            state = apply_rule_vec(state, op, ctx)
-            states.append(
-                (state.lo.copy(), state.hi.copy(), state.height, state.width)
-            )
+            errors = apply_rule_batched(state, row, op, ctx)
+            if errors:
+                raise errors[0]
+            states.append(state.row_state(0)[:4])
         return record, states
 
     def fraction_bounds_all_bins(
@@ -316,9 +303,7 @@ class BoundsEngine:
         ``fraction_hi`` bit for bit, so pruning decisions built on these
         vectors are identical to the scalar path's.
         """
-        lo, hi, height, width = self.bounds_all_bins(image_id)
-        total = float(height * width)
-        return (lo / total, hi / total)
+        return self.fraction_bounds_all_bins_batch((image_id,))[0]
 
     def seed_bounds(self, image_id: str, bounds: AllBinsBounds) -> None:
         """Install a precomputed all-bins matrix into the memo cache.
@@ -378,14 +363,11 @@ class BoundsEngine:
         return image_id in self._vec_cache
 
     # ------------------------------------------------------------------
-    # Batched walk (all images x all bins in one columnar sweep)
+    # Columnar sweep (all images x all bins)
     # ------------------------------------------------------------------
     @property
     def optable_manager(self) -> OpTableManager:
-        """The columnar op-table manager (created and subscribed lazily)."""
-        if self._optable is None:
-            self._optable = OpTableManager(self._store, self._quantizer)
-            self.add_invalidation_listener(self._optable.on_invalidation)
+        """The columnar op-table manager, subscribed to the change feed."""
         return self._optable
 
     def bounds_all_bins_batch(
@@ -393,18 +375,19 @@ class BoundsEngine:
     ) -> List[AllBinsBounds]:
         """All-bins BOUNDS for many images in one structure-of-arrays sweep.
 
-        Element ``i`` equals :meth:`bounds_all_bins`\\ ``(image_ids[i])``
-        byte for byte — including raising the same error for the first
-        (in input order) failing id — but edited images are computed
-        together by :func:`repro.core.optable.sweep_table`: one masked,
-        vectorized Table-1 rule application per op rank across the whole
-        batch instead of a Python walk per image.  Shared references
+        Bin ``b`` of element ``i`` equals :meth:`bounds`\\
+        ``(image_ids[i], b)`` exactly, and the first (in input order)
+        failing id raises the error — type and message — the scalar walk
+        raises for it.  Edited images are computed together by
+        :func:`repro.core.optable.sweep_table`: one masked, vectorized
+        Table-1 rule application per op rank across the whole batch
+        instead of a Python walk per image and bin.  Shared references
         (chained bases, Merge targets) are computed once per sweep, so
-        :attr:`rules_applied` grows by at most — usually fewer than — the
-        sum of the per-image walks.  The memo cache layers on top
-        exactly as in the per-image path: requested ids are served from
-        and seeded into the vector cache, and dependency edges register
-        for targeted invalidation.
+        :attr:`rules_applied` grows by at most the summed sequence
+        lengths of the images swept.  With the memo cache on, requested
+        ids are served from and seeded into the vector cache, and
+        dependency edges register for everything swept so a targeted
+        :meth:`invalidate` drops exactly the affected entries.
         """
         results: Dict[str, AllBinsBounds] = {}
         errors: Dict[str, ReproError] = {}
@@ -454,7 +437,7 @@ class BoundsEngine:
                     errors[image_id] = failure
                     continue
                 result = outcome.results[image_id]
-                # Top-level requested ids only, matching bounds_all_bins.
+                # Only requested ids are memoized, not swept references.
                 if self.cache_enabled:
                     self._vec_cache[image_id] = result
                 results[image_id] = result
@@ -659,65 +642,3 @@ class BoundsEngine:
             self.rules_applied += 1
         state.validate()
         return PixelBounds(state.lo, state.hi, state.height, state.width)
-
-    # ------------------------------------------------------------------
-    # Vectorized internals
-    # ------------------------------------------------------------------
-    def _all_bins_inner(
-        self,
-        image_id: str,
-        visiting: FrozenSet[str],
-        depth: int,
-    ) -> AllBinsBounds:
-        if image_id in visiting:
-            raise RuleError(f"cyclic Merge reference through {image_id!r}")
-        if depth <= 0:
-            raise RuleError(
-                f"Merge recursion deeper than {self._max_depth} at {image_id!r}"
-            )
-        record = self._store.lookup_for_bounds(image_id)
-        if isinstance(record, tuple):
-            histogram, height, width = record
-            # Histogram count arrays are already read-only int64; exact
-            # bounds share one vector for lo and hi.
-            return (histogram.counts, histogram.counts, height, width)
-        if isinstance(record, EditSequence):
-            if self.cache_enabled:
-                self._register_dependencies(image_id, record)
-            return self._sequence_all_bins_inner(
-                record, visiting | {image_id}, depth
-            )
-        raise UnknownObjectError(f"unexpected store record for {image_id!r}")
-
-    def _sequence_all_bins_inner(
-        self,
-        sequence: EditSequence,
-        visiting: FrozenSet[str],
-        depth: int,
-    ) -> AllBinsBounds:
-        base_lo, base_hi, base_height, base_width = self._all_bins_inner(
-            sequence.base_id, visiting, depth - 1
-        )
-        state = VecRuleState(
-            lo=np.array(base_lo, dtype=np.int64),
-            hi=np.array(base_hi, dtype=np.int64),
-            height=base_height,
-            width=base_width,
-            dr=Rect(0, 0, base_height, base_width),
-        )
-
-        def resolve(target_id: str) -> AllBinsBounds:
-            return self._all_bins_inner(target_id, visiting, depth - 1)
-
-        ctx = VecRuleContext(
-            quantizer=self._quantizer,
-            fill_color=self._fill_color,
-            resolve_target=resolve,
-        )
-        for op in sequence.operations:
-            state = apply_rule_vec(state, op, ctx)
-            self.rules_applied += 1
-        state.validate()
-        state.lo.setflags(write=False)
-        state.hi.setflags(write=False)
-        return (state.lo, state.hi, state.height, state.width)

@@ -1,9 +1,15 @@
 """Columnar op table: one structure-of-arrays sweep over the whole catalog.
 
-The vectorized BOUNDS kernel (:mod:`repro.core.rules_vec`) removed the
-per-*bin* loop but kept the per-*image* one: a full-catalog range query is
-still N independent Python walks, each paying interpreter dispatch per
-operation.  This module removes the per-image loop too.
+The paper's BOUNDS walk (:mod:`repro.core.rules`) is defined per
+``(edit sequence, bin)`` pair, but everything a Table 1 rule consults
+besides the counts — the Defined Region, the image dimensions, the Mutate
+matrix classification, the Merge canvas formula — is bin-independent, and
+the per-bin arithmetic is elementwise.  This module is the one production
+all-bins kernel built on that: it removes the per-*bin* loop (``lo``/``hi``
+are int64 rows over every bin; only Modify and the Merge fill border touch
+individual elements) and the per-*image* loop (every sequence of the
+catalog advances together), so a full-catalog query is a handful of numpy
+dispatches per op rank instead of N × bins Python walks.
 
 The catalog's edit sequences compile into a fixed-width structure of
 arrays — one contiguous column per operation attribute, with CSR-style
@@ -29,11 +35,11 @@ are grouped into dependency strata (by referenced-subtree height, so a
 chained base or Merge target is always finished before its dependents
 start), and within a stratum each rank applies one masked, vectorized
 Table-1 rule per op code to every active row at once.  The arithmetic
-reproduces :mod:`repro.core.rules_vec` branch for branch — including IEEE
-evaluation order for Mutate corner transforms — so the resulting
-``(images x bins)`` interval matrix is byte-identical to the per-image
-walk, which remains the oracle (property-tested, and machine-checked by
-the RS003 prover pass in :mod:`repro.analysis.prover`).
+reproduces :mod:`repro.core.rules` branch for branch — including IEEE
+evaluation order for Mutate corner transforms — so bin ``b`` of the
+resulting ``(images x bins)`` interval matrix is byte-identical to the
+scalar walk for ``b``, which remains the oracle (property-tested, and
+machine-checked by the RS003 prover pass in :mod:`repro.analysis.prover`).
 
 :class:`OpTableManager` keeps the table fresh incrementally off the
 :meth:`repro.core.bounds.BoundsEngine.add_invalidation_listener` change
@@ -64,7 +70,6 @@ import numpy as np
 
 from repro.color.histogram import ColorHistogram
 from repro.color.quantization import UniformQuantizer
-from repro.core.rules_vec import VecRuleContext
 from repro.editing.operations import (
     Combine,
     Define,
@@ -79,9 +84,9 @@ from repro.images.geometry import Rect
 from repro.images.raster import ColorTuple
 
 #: Op codes of the ``codes`` column.  Mutate pre-classifies into the three
-#: branches of :func:`repro.core.rules_vec.apply_mutate_vec` and Merge
-#: splits on crop-vs-target, so the sweep dispatches without re-deriving
-#: geometry classifications per call.
+#: branches of :func:`repro.core.rules.apply_mutate` and Merge splits on
+#: crop-vs-target, so the sweep dispatches without re-deriving geometry
+#: classifications per call.
 OP_DEFINE = 0
 OP_COMBINE = 1
 OP_MODIFY = 2
@@ -118,13 +123,35 @@ BatchTargetResolver = Callable[
     Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
 
-_CYCLE_MSG = "cyclic Merge reference through {image_id!r}"
+#: Returns ``(lo, hi, height, width)`` for a Merge target over all bins
+#: at once: conservative count vectors plus exact dimensions.
+AllBinsTargetResolver = Callable[[str], Tuple[np.ndarray, np.ndarray, int, int]]
+
+
+@dataclass(frozen=True)
+class BatchRuleContext:
+    """Bin-independent inputs of :func:`apply_rule_batched`.
+
+    Unlike the scalar :class:`repro.core.rules.RuleContext` there is no
+    ``bin_index``: the kernels cover every bin.  ``resolve_target`` yields
+    a Merge target's full interval matrix (may be ``None`` when the
+    operations contain no non-NULL Merge).
+    """
+
+    quantizer: UniformQuantizer
+    fill_color: ColorTuple = (0, 0, 0)
+    resolve_target: Optional[AllBinsTargetResolver] = None
+
+    @property
+    def fill_bin(self) -> int:
+        """The bin the executor's fill color maps to."""
+        return self.quantizer.bin_of(self.fill_color)
 
 
 @dataclass
 class BatchRuleState:
     """Interval-walk state for many images at once (SoA mirror of
-    :class:`repro.core.rules_vec.VecRuleState`).
+    :class:`repro.core.rules.RuleState` over every bin).
 
     ``lo``/``hi`` are ``(rows, bins)`` int64 matrices; ``heights``,
     ``widths`` are ``(rows,)`` int64 vectors; ``dr`` is ``(rows, 4)``
@@ -198,7 +225,7 @@ def _totals(state: BatchRuleState, rows: np.ndarray) -> np.ndarray:
 def _validate_rows(
     state: BatchRuleState, rows: np.ndarray, fail: FailCallback
 ) -> np.ndarray:
-    """Batched :meth:`VecRuleState.validate`; returns the surviving rows."""
+    """``0 <= lo <= hi <= total`` per bin, per row; returns the survivors."""
     if rows.size == 0:
         return rows
     lo = state.lo[rows]
@@ -214,7 +241,7 @@ def _validate_rows(
         fail(
             row_i,
             RuleError(
-                f"inconsistent vec rule state "
+                f"inconsistent batched rule state "
                 f"(total={int(state.heights[row_i] * state.widths[row_i])}): "
                 f"lo range [{int(state.lo[row_i].min())}, "
                 f"{int(state.lo[row_i].max())}], "
@@ -229,9 +256,9 @@ def _validate_rows(
 # Masked batched Table-1 kernels
 #
 # Each kernel mutates `state` in place for `rows` (global row indices)
-# with per-row parameter columns, reproducing the matching apply_*_vec
-# branch arithmetic exactly — same clip bounds, same int64 promotion,
-# same IEEE float evaluation order.
+# with per-row parameter columns, reproducing the matching scalar rule's
+# branch arithmetic exactly for every bin — same clip bounds, same int64
+# promotion, same IEEE float evaluation order.
 # ----------------------------------------------------------------------
 def _kernel_define(
     state: BatchRuleState, rows: np.ndarray, rect4: np.ndarray
@@ -476,18 +503,18 @@ def apply_rule_batched(
     state: BatchRuleState,
     rows: np.ndarray,
     op: Operation,
-    ctx: VecRuleContext,
+    ctx: BatchRuleContext,
 ) -> Dict[int, RuleError]:
     """Apply one operation's batched kernel to ``rows`` of ``state``.
 
-    This is the single-op entry the rule-soundness prover exercises
-    (RS003): it compiles ``op`` exactly as :class:`CatalogOpTable` does
-    and dispatches to the same private kernels the full-catalog sweep
-    uses, so a parity proof over this function covers the shipped sweep
-    arithmetic.  Returns per-row :class:`RuleError` failures keyed by row
-    index (empty when every row applied cleanly); failed rows' state is
-    unspecified, matching the scalar walk where a raise abandons the
-    image.
+    This is the single-op entry the rule-soundness prover (RS003) and
+    :meth:`repro.core.bounds.BoundsEngine.walk_states` use: it compiles
+    ``op`` exactly as :class:`CatalogOpTable` does and dispatches to the
+    same private kernels the full-catalog sweep uses, so a parity proof
+    over this function covers the shipped sweep arithmetic.  Returns
+    per-row :class:`RuleError` failures keyed by row index (empty when
+    every row applied cleanly); failed rows' state is unspecified,
+    matching the scalar walk where a raise abandons the image.
     """
     errors: Dict[int, RuleError] = {}
 
@@ -1019,10 +1046,10 @@ class _Sweep:
     ) -> Optional[ReproError]:
         """Replay the scalar walk's structural checks from ``image_id``.
 
-        Mirrors ``_all_bins_inner``'s order — cyclic check, then depth,
-        then store lookup, then base-first/targets-in-op-order recursion —
-        so cycle, depth, and unknown-id failures surface with the exact
-        message the per-image walk raises.  Returns None when the walk is
+        Mirrors ``BoundsEngine._bounds_inner``'s order — cyclic check,
+        then depth, then store lookup, then base-first/targets-in-op-order
+        recursion — so cycle, depth, and unknown-id failures surface with
+        the exact message the scalar walk raises.  Returns None when the walk is
         structurally sound (any remaining failure is a rule error owned
         by some referenced row).
         """

@@ -1,4 +1,4 @@
-"""Index builders over catalog contents, fed by the vectorized kernel.
+"""Index builders over catalog contents, fed by the columnar sweep.
 
 Two families:
 
@@ -7,8 +7,8 @@ Two families:
   VA-file, or the linear baseline).
 * :func:`build_edited_bounds_index` — an *interval* index over edited
   images: each image contributes the box
-  ``[fraction_lo, fraction_hi]^bins`` from one vectorized BOUNDS walk
-  (:meth:`repro.core.bounds.BoundsEngine.fraction_bounds_all_bins`).
+  ``[fraction_lo, fraction_hi]^bins`` from one all-bins BOUNDS sweep
+  (:meth:`repro.core.bounds.BoundsEngine.fraction_bounds_all_bins_batch`).
   Searching it with a query slab returns exactly the edited images RBM
   would accept for that range — the pruning test becomes a spatial
   lookup.  VA-files approximate points only, so interval indexes support

@@ -23,7 +23,7 @@ work metric: one histogram check = 1, one scalar rule application = 1.
 Estimates come from :class:`repro.db.statistics.DatabaseStatistics`
 selectivity (how often a cluster base matches → BWM's short-circuit
 rate), catalog cardinalities and operation counts (rule-walk volume),
-and the live engine's memo occupancy (how much of the vectorized path
+and the live engine's memo occupancy (how much of the all-bins sweep
 is already paid for).
 
 The chosen plan is inspectable: :class:`ExplainedPlan` carries the
@@ -259,8 +259,11 @@ class CostBasedPlanner:
     #: One scalar (single-bin) Table 1 rule application.
     COST_RULE = 1.0
     #: One op advanced by the columnar batched sweep, all bins at once.
-    #: Measured by bench_bounds_kernel on the 10k-image 64-bin corpus:
-    #: warm-table sweep ~2.5us/op against ~17.8us per scalar rule.
+    #: Calibrated in PR 7 from bench_bounds_kernel's 10k-image 64-bin
+    #: corpus — warm-table sweep ~2.5us/op against ~17.8us per scalar
+    #: (single-bin) rule — and unchanged since; the current run of that
+    #: bench (results/bounds_kernel.json) gives ~1.5us/op against
+    #: ~10.7us per scalar rule, the same ratio.
     COST_BATCHED_RULE = 0.15
     #: Fixed per-sweep overhead (state allocation, plan lookup, output
     #: packing) paid once per batch regardless of catalog size; measured

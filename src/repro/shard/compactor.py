@@ -13,8 +13,8 @@ the invalidation feed so planners and result caches drop stale state,
 and is rollbackable (``decompact``).
 
 Materialization never changes results: the engine's vector cache is
-consulted transparently by both the scalar and vectorized query paths,
-and the matrix seeded is the exact one a cold walk would compute — the
+consulted transparently by both the scalar and all-bins query paths,
+and the matrix seeded is the exact one a cold sweep would compute — the
 parity tests in ``tests/shard/test_compactor.py`` assert byte-identical
 query results with the compactor on and off.
 
@@ -321,8 +321,9 @@ class Compactor:
     def _materialize(self, candidate: _Candidate, expected_version: int) -> bool:
         """Compute off-path, re-check the version, commit under lock."""
         shard = self.catalog._shards[candidate.shard_index]
-        # Scratch engine: exact, uncached walk against the live catalog,
-        # under the read lock so no mutation shifts the ground mid-walk.
+        # Scratch engine: exact, uncached one-id sweep against the live
+        # catalog, under the read lock so no mutation shifts the ground
+        # mid-sweep (and the shard engine's own op table stays untouched).
         with shard.lock.read_locked():
             if shard.version != expected_version:
                 return False

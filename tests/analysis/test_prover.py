@@ -14,9 +14,9 @@ from repro.analysis.prover import (
     minimize_state,
     random_states,
 )
+from repro.core.optable import apply_rule_batched
 from repro.core.rules import RuleState, apply_rule
-from repro.core.rules_vec import apply_rule_vec
-from repro.editing.operations import Combine, Define, Mutate
+from repro.editing.operations import Combine, Define, Merge, Mutate
 from repro.images.geometry import Rect
 
 
@@ -52,8 +52,8 @@ class TestShippedRules:
             assert not verdict.classified_widening
             assert verdict.monotone is None
             # Parity is still enforced even without a widening claim.
-            assert verdict.parity_ok
-            assert verdict.parity_states_checked > 0
+            assert verdict.batched_parity_ok
+            assert verdict.batched_states_checked > 0
 
     def test_verdict_table_mentions_every_case(self, fast_report):
         table = fast_report.verdict_table()
@@ -135,21 +135,40 @@ class TestBrokenRuleDetection:
         state = verdict.counterexample["state"]
         assert state["height"] * state["width"] <= 4
 
-    def test_divergent_vec_kernel_reported_as_rs002(self):
-        def broken_vec(state, op, ctx):
-            post = apply_rule_vec(state, op, ctx)
+    def test_divergent_columnar_kernel_reported_as_rs003(self):
+        def broken_batched(state, rows, op, ctx):
+            errors = apply_rule_batched(state, rows, op, ctx)
             if isinstance(op, Define):
-                post.hi = post.hi + 1  # off-by-one vs the scalar kernel
-            return post
+                state.hi[rows] += 1  # off-by-one vs the scalar kernel
+            return errors
 
         report = prove_rules(
             mode="fast",
             cases=[RuleCase("define", (Define.of(0, 0, 2, 2),), True)],
-            apply_vec=broken_vec,
+            apply_batched=broken_batched,
         )
         assert not report.ok
-        assert not report.verdict_for("define").parity_ok
-        assert report.report.by_code("RS002")
+        verdict = report.verdict_for("define")
+        assert not verdict.batched_parity_ok
+        assert verdict.monotone is True  # the scalar rule itself is sound
+        findings = report.report.by_code("RS003")
+        assert findings
+        # The failing row is shrunk before it is reported.
+        state = findings[0].details["state"]
+        assert state["height"] * state["width"] <= 4
+
+    def test_columnar_kernel_that_drops_an_error_is_rs003(self):
+        def forgiving_batched(state, rows, op, ctx):
+            apply_rule_batched(state, rows, op, ctx)
+            return {}  # swallows the empty-DR Merge refusals
+
+        report = prove_rules(
+            mode="fast",
+            cases=[RuleCase("merge-null", (Merge(None),), True)],
+            apply_batched=forgiving_batched,
+        )
+        assert not report.verdict_for("merge-null").batched_parity_ok
+        assert "error mismatch" in report.report.by_code("RS003")[0].message
 
 
 class TestMinimizeState:

@@ -162,3 +162,157 @@ class TestMergeResolution:
     def test_bad_max_depth_rejected(self, store):
         with pytest.raises(RuleError):
             BoundsEngine(store, Q2, max_depth=0)
+
+
+class TestOneIdAllBins:
+    """``bounds_all_bins`` / ``fraction_bounds_all_bins`` against the
+    scalar walk (more corpora in ``tests/core/test_optable.py``)."""
+
+    def test_merge_onto_edited_target_matches_scalar(self, engine, store):
+        store.add_edited("mid", EditSequence("target", (Combine.box(),)))
+        store.add_edited("top", EditSequence("base", (Merge("mid", 0, 10),)))
+        lo, hi, height, width = engine.bounds_all_bins("top")
+        for bin_index in range(Q2.bin_count):
+            scalar = engine.bounds("top", bin_index)
+            assert (scalar.lo, scalar.hi, scalar.height, scalar.width) == (
+                int(lo[bin_index]), int(hi[bin_index]), height, width
+            )
+
+    def test_fractions_divide_like_pixel_bounds(self, engine, store):
+        store.add_edited(
+            "e1", EditSequence("base", (Define(Rect(0, 0, 2, 3)), Combine.box()))
+        )
+        lower, upper = engine.fraction_bounds_all_bins("e1")
+        for bin_index in range(Q2.bin_count):
+            scalar = engine.bounds("e1", bin_index)
+            assert lower[bin_index] == scalar.fraction_lo  # bitwise, not approx
+            assert upper[bin_index] == scalar.fraction_hi
+
+    def test_outputs_are_read_only_cached_or_not(self, store):
+        store.add_edited("e1", EditSequence("base", (Combine.box(),)))
+        for cache_enabled in (False, True):
+            engine = BoundsEngine(store, Q2, cache_enabled=cache_enabled)
+            for image_id in ("base", "e1", "e1"):
+                lo, hi, _, _ = engine.bounds_all_bins(image_id)
+                with pytest.raises(ValueError):
+                    lo[0] = 1
+                with pytest.raises(ValueError):
+                    hi[0] = 1
+
+
+class TestWalkStates:
+    """The per-operation replay behind prune attribution."""
+
+    @pytest.fixture
+    def chained(self, store):
+        store.add_edited(
+            "mid", EditSequence("target", (Define(Rect(0, 0, 2, 2)), Combine.box()))
+        )
+        store.add_edited(
+            "top",
+            EditSequence(
+                "mid",
+                (
+                    Define(Rect(0, 0, 2, 3)),
+                    Combine.box(),
+                    Merge("mid", 1, 1),
+                    Define(Rect(1, 1, 3, 3)),
+                    Merge(None),
+                ),
+            ),
+        )
+        return store
+
+    @pytest.mark.parametrize("cache_enabled", [False, True])
+    def test_last_state_is_bounds_all_bins(self, chained, cache_enabled):
+        engine = BoundsEngine(chained, Q2, cache_enabled=cache_enabled)
+        sequence, states = engine.walk_states("top")
+        assert len(states) == len(sequence.operations) + 1
+        lo, hi, height, width = engine.bounds_all_bins("top")
+        assert states[-1][0].tobytes() == lo.tobytes()
+        assert states[-1][1].tobytes() == hi.tobytes()
+        assert states[-1][2:] == (height, width)
+
+    def test_every_state_matches_a_scalar_prefix_walk(self, chained):
+        engine = BoundsEngine(chained, Q2)
+        sequence, states = engine.walk_states("top")
+        for applied, (lo, hi, height, width) in enumerate(states):
+            prefix = EditSequence(sequence.base_id, sequence.operations[:applied])
+            for bin_index in range(Q2.bin_count):
+                scalar = engine.sequence_bounds(prefix, bin_index)
+                assert (scalar.lo, scalar.hi, scalar.height, scalar.width) == (
+                    int(lo[bin_index]), int(hi[bin_index]), height, width
+                ), (applied, bin_index)
+
+    def test_replay_adds_nothing_to_rules_applied(self, chained, store):
+        # Binary base, no edited target: nothing but the replay runs.
+        store.add_edited("flat", EditSequence("base", (Combine.box(),) * 3))
+        engine = BoundsEngine(chained, Q2)
+        engine.walk_states("flat")
+        assert engine.rules_applied == 0
+        # Edited base and target: resolving them is real, memoizable work
+        # (counted once); the replay of the outer sequence is not.
+        cached = BoundsEngine(chained, Q2, cache_enabled=True)
+        cached.bounds_all_bins("mid")
+        before = cached.rules_applied
+        assert before == 2
+        cached.walk_states("top")
+        assert cached.rules_applied == before
+
+    def test_rule_errors_surface_like_the_scalar_walk(self, store):
+        store.add_edited(
+            "bad", EditSequence("base", (Define(Rect(9, 9, 12, 12)), Merge(None)))
+        )
+        engine = BoundsEngine(store, Q2)
+        with pytest.raises(RuleError) as scalar_err:
+            engine.bounds("bad", 0)
+        with pytest.raises(RuleError) as replay_err:
+            engine.walk_states("bad")
+        assert str(replay_err.value) == str(scalar_err.value)
+
+    def test_binary_image_rejected(self, engine):
+        with pytest.raises(RuleError, match="binary"):
+            engine.walk_states("base")
+
+
+class TestOpTableManagerLifecycle:
+    """One manager, one invalidation listener, however sweeps race."""
+
+    def test_concurrent_first_sweeps_share_one_manager(self, store, monkeypatch):
+        import threading
+        import time
+
+        import repro.core.bounds as bounds_module
+
+        built = []
+
+        class SlowManager(bounds_module.OpTableManager):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                time.sleep(0.05)  # widen any check-then-create window
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "OpTableManager", SlowManager)
+        store.add_edited("e1", EditSequence("base", (Combine.box(),)))
+        engine = BoundsEngine(store, Q2)
+        barrier = threading.Barrier(2, timeout=5)
+        seen = []
+
+        def first_sweep():
+            barrier.wait()
+            engine.bounds_all_bins_batch(["e1"])
+            seen.append(engine.optable_manager)
+
+        threads = [threading.Thread(target=first_sweep) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert len(built) == 1
+        listeners = [
+            callback
+            for callback in engine._invalidation_listeners
+            if getattr(callback, "__self__", None) in built
+        ]
+        assert listeners == [engine.optable_manager.on_invalidation]

@@ -2,11 +2,14 @@
 
 The load-bearing claim of :mod:`repro.core.optable` is byte-identity:
 one structure-of-arrays sweep over the whole catalog must return, for
-every image, exactly what the per-image walk returns — same interval
-matrices, same dimensions, and the same error (type AND message) for
-every failing image.  The suite checks that on random corpora with
-chained bases and Merge targets, on a hand-built matrix of structural
-error cases, and across insert/delete/resave churn where the table is
+every image and every bin, exactly what the paper's scalar walk
+(``BoundsEngine.bounds(id, bin)``) returns — same counts, same
+dimensions, and the same error (type AND message) for every failing
+image.  The scalar walk is the only reference used here: the one-id
+``bounds_all_bins`` is itself the sweep, so comparing against it would
+prove nothing.  The suite checks parity on random corpora with chained
+bases and Merge targets, on a hand-built matrix of structural error
+cases, and across insert/delete/resave churn where the table is
 maintained incrementally off the invalidation feed.
 """
 
@@ -19,8 +22,8 @@ from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
 from repro.core.bounds import BoundsEngine
-from repro.core.optable import BatchRuleState, apply_rule_batched
-from repro.core.rules_vec import VecRuleContext, apply_rule_vec, initial_vec_state
+from repro.core.optable import BatchRuleContext, BatchRuleState, apply_rule_batched
+from repro.core.rules import RuleContext, RuleState, apply_rule
 from repro.db.database import MultimediaDatabase
 from repro.editing.operations import Combine, Define, Merge, Modify, Mutate
 from repro.editing.random_edits import random_sequence
@@ -68,7 +71,7 @@ def _random_corpus(rng, quantizer, count, length=5):
                 length=length, merge_targets={"target": (6, 7)},
             )
             try:
-                probe.bounds_all_bins(image_id)
+                probe.bounds(image_id, 0)
                 break
             except ReproError:
                 continue
@@ -76,16 +79,35 @@ def _random_corpus(rng, quantizer, count, length=5):
     return store, ids
 
 
-def _assert_identical(batched, per_image):
-    lo_b, hi_b, h_b, w_b = batched
-    lo_s, hi_s, h_s, w_s = per_image
-    assert np.array_equal(lo_b, lo_s)
-    assert np.array_equal(hi_b, hi_s)
-    assert (h_b, w_b) == (h_s, w_s)
+def _scalar_engine(engine):
+    """A fresh uncached engine over ``engine``'s store: its ``bounds``
+    is the oracle."""
+    return BoundsEngine(engine._store, engine.quantizer)
+
+
+def _assert_matches_scalar(swept, scalar_engine, image_id):
+    """Every bin of a swept matrix equals the scalar walk for that bin."""
+    lo, hi, height, width = swept
+    assert lo.dtype == np.int64 and hi.dtype == np.int64
+    assert lo.shape == hi.shape == (scalar_engine.quantizer.bin_count,)
+    for bin_index in range(scalar_engine.quantizer.bin_count):
+        scalar = scalar_engine.bounds(image_id, bin_index)
+        assert (scalar.lo, scalar.hi, scalar.height, scalar.width) == (
+            int(lo[bin_index]), int(hi[bin_index]), height, width
+        ), f"{image_id} bin {bin_index}"
+
+
+def _scalar_error(scalar_engine, image_id):
+    """The error the scalar walk raises for ``image_id``, or None."""
+    try:
+        scalar_engine.bounds(image_id, 0)
+    except ReproError as exc:
+        return exc
+    return None
 
 
 class TestSweepParity:
-    """Batched sweep == per-image walk, byte for byte."""
+    """Batched sweep == scalar walk, bin by bin, byte for byte."""
 
     def test_random_corpus_identical(self, quantizer):
         rng = np.random.default_rng(42)
@@ -94,7 +116,7 @@ class TestSweepParity:
         batch_engine = BoundsEngine(store, quantizer)
         batched = batch_engine.bounds_all_bins_batch(ids)
         for image_id, result in zip(ids, batched):
-            _assert_identical(result, scalar_engine.bounds_all_bins(image_id))
+            _assert_matches_scalar(result, scalar_engine, image_id)
 
     def test_edited_merge_targets_identical(self, quantizer):
         """Sequences merging onto *edited* targets go down the slow
@@ -105,7 +127,6 @@ class TestSweepParity:
         extra = []
         for index in range(10):
             target_id = ids[int(rng.integers(len(ids)))]
-            _, _, height, width = scalar_engine.bounds_all_bins(target_id)
             image_id = f"m{index}"
             store.records[image_id] = EditSequence(
                 "base",
@@ -118,16 +139,36 @@ class TestSweepParity:
         batch_engine = BoundsEngine(store, quantizer)
         batched = batch_engine.bounds_all_bins_batch(ids + extra)
         for image_id, result in zip(ids + extra, batched):
-            _assert_identical(result, scalar_engine.bounds_all_bins(image_id))
+            _assert_matches_scalar(result, scalar_engine, image_id)
+
+    def test_one_id_form_is_the_batch_of_one(self, quantizer):
+        """``bounds_all_bins(id)`` == ``bounds_all_bins_batch([id])[0]``
+        byte for byte, with the memo cache off and on."""
+        rng = np.random.default_rng(19)
+        store, ids = _random_corpus(rng, quantizer, 24)
+        ids = ids + ["base"]
+        for cache_enabled in (False, True):
+            single = BoundsEngine(store, quantizer, cache_enabled=cache_enabled)
+            batch = BoundsEngine(store, quantizer, cache_enabled=cache_enabled)
+            for image_id in ids:
+                one = single.bounds_all_bins(image_id)
+                of_one = batch.bounds_all_bins_batch([image_id])[0]
+                assert one[0].tobytes() == of_one[0].tobytes()
+                assert one[1].tobytes() == of_one[1].tobytes()
+                assert one[2:] == of_one[2:]
+            assert single.rules_applied == batch.rules_applied
+            assert single.cache_stats() == batch.cache_stats()
+            assert single.dependency_edges() == batch.dependency_edges()
 
     def test_batched_never_applies_more_rules(self, quantizer):
         """Shared references are computed once per sweep, so the batched
-        work metric is bounded by the sum of per-image walks."""
+        work metric is bounded by the sum of per-image scalar walks (of
+        one bin each)."""
         rng = np.random.default_rng(3)
         store, ids = _random_corpus(rng, quantizer, 60)
         scalar_engine = BoundsEngine(store, quantizer)
         for image_id in ids:
-            scalar_engine.bounds_all_bins(image_id)
+            scalar_engine.bounds(image_id, 0)
         batch_engine = BoundsEngine(store, quantizer)
         batch_engine.bounds_all_bins_batch(ids)
         assert 0 < batch_engine.rules_applied <= scalar_engine.rules_applied
@@ -230,7 +271,7 @@ def _error_stores(quantizer):
     store.records["b"] = EditSequence("a", (Combine.box(),))
     cases.append(("inherited-base-failure", store, ["a", "b"]))
 
-    # Validate failures surface with the exact vec-state message.
+    # A crop followed by a Merge onto a binary target (no failure).
     store = fresh()
     store.records["a"] = EditSequence(
         "bin",
@@ -258,26 +299,43 @@ class TestErrorParity:
         quantizer = UniformQuantizer(2, "rgb")
         scalar_engine = BoundsEngine(store, quantizer)
         batch_engine = BoundsEngine(store, quantizer)
+        # The batch and its one-id form must both behave like the scalar
+        # walk, whatever an earlier id left in the op table.
+        sweeps = (
+            lambda image_id: batch_engine.bounds_all_bins_batch([image_id])[0],
+            batch_engine.bounds_all_bins,
+        )
         for image_id in ids:
-            scalar_error = None
-            scalar_result = None
-            try:
-                scalar_result = scalar_engine.bounds_all_bins(image_id)
-            except ReproError as exc:
-                scalar_error = exc
-            batched_error = None
-            batched_result = None
-            try:
-                batched_result = batch_engine.bounds_all_bins_batch([image_id])[0]
-            except ReproError as exc:
-                batched_error = exc
-            if scalar_error is None:
-                assert batched_error is None, (name, image_id, batched_error)
-                _assert_identical(batched_result, scalar_result)
+            scalar_error = _scalar_error(scalar_engine, image_id)
+            for sweep in sweeps:
+                batched_error = None
+                batched_result = None
+                try:
+                    batched_result = sweep(image_id)
+                except ReproError as exc:
+                    batched_error = exc
+                if scalar_error is None:
+                    assert batched_error is None, (name, image_id, batched_error)
+                    _assert_matches_scalar(batched_result, scalar_engine, image_id)
+                else:
+                    assert batched_error is not None, (name, image_id)
+                    assert type(batched_error) is type(scalar_error), (name, image_id)
+                    assert str(batched_error) == str(scalar_error), (name, image_id)
+
+    def test_failing_cases_are_still_failing(self):
+        """Guard the matrix itself: the structural cases must raise (so
+        the parity test above compares errors, not two successes)."""
+        quantizer = UniformQuantizer(2, "rgb")
+        expected_ok = {"deep-ok", "deep-limit", "crop-then-target"}
+        for name, store, ids in _error_stores(quantizer):
+            errors = [
+                _scalar_error(BoundsEngine(store, quantizer), image_id)
+                for image_id in ids
+            ]
+            if name in expected_ok:
+                assert errors == [None] * len(ids), name
             else:
-                assert batched_error is not None, (name, image_id)
-                assert type(batched_error) is type(scalar_error), (name, image_id)
-                assert str(batched_error) == str(scalar_error), (name, image_id)
+                assert all(error is not None for error in errors), name
 
     def test_first_error_in_input_order_wins(self, quantizer):
         store = _DictStore()
@@ -286,24 +344,25 @@ class TestErrorParity:
         store.records["bad1"] = EditSequence("ghost1", ())
         store.records["bad2"] = EditSequence("ghost2", ())
         engine = BoundsEngine(store, quantizer)
-        with pytest.raises(UnknownObjectError, match="ghost2"):
+        scalar_error = _scalar_error(BoundsEngine(store, quantizer), "bad2")
+        with pytest.raises(UnknownObjectError, match="ghost2") as raised:
             engine.bounds_all_bins_batch(["bad2", "bad1"])
+        assert type(raised.value) is type(scalar_error)
+        assert str(raised.value) == str(scalar_error)
 
 
 class TestIncrementalMaintenance:
-    """Churned tables answer exactly like a from-scratch recompile."""
+    """Churned tables answer exactly like the scalar walk on the live
+    catalog (which knows nothing of rows, tombstones or compaction)."""
 
     def _assert_matches_fresh(self, database):
         edited_ids = list(database.catalog.edited_ids())
         if not edited_ids:
             return
         live = database.engine.bounds_all_bins_batch(edited_ids)
-        fresh_engine = BoundsEngine(
-            database.engine._store, database.quantizer
-        )
-        fresh = fresh_engine.bounds_all_bins_batch(edited_ids)
-        for image_id, a, b in zip(edited_ids, live, fresh):
-            _assert_identical(a, b)
+        scalar_engine = _scalar_engine(database.engine)
+        for image_id, swept in zip(edited_ids, live):
+            _assert_matches_scalar(swept, scalar_engine, image_id)
 
     def test_insert_delete_resave_churn(self, rng):
         """The flip-flop churn: random mutations interleaved with batch
@@ -378,8 +437,8 @@ class TestIncrementalMaintenance:
         result = database.engine.bounds_all_bins_batch(edited_ids)
         assert manager.table.compiled_rows == before + 1
         assert manager.recompiled >= 1
-        fresh = BoundsEngine(database.engine._store, database.quantizer)
-        _assert_identical(result[0], fresh.bounds_all_bins(victim))
+        scalar_engine = _scalar_engine(database.engine)
+        _assert_matches_scalar(result[0], scalar_engine, victim)
 
     def test_tombstones_trigger_compaction(self, rng):
         database = MultimediaDatabase()
@@ -416,8 +475,9 @@ class TestCacheLayering:
         again = engine.bounds_all_bins_batch(edited_ids)
         assert engine.rules_applied == rules_before
         assert engine.cache_hits == hits_before + len(edited_ids)
+        scalar_engine = _scalar_engine(engine)
         for image_id, result in zip(edited_ids, again):
-            _assert_identical(result, engine.bounds_all_bins(image_id))
+            _assert_matches_scalar(result, scalar_engine, image_id)
 
     def test_batch_seeds_the_per_image_cache(self, rng):
         database = MultimediaDatabase(bounds_cache=True)
@@ -446,9 +506,9 @@ class TestCacheLayering:
         rules_before = engine.rules_applied
         results = engine.bounds_all_bins_batch(edited_ids)
         assert engine.rules_applied > rules_before
-        fresh = BoundsEngine(engine._store, database.quantizer)
+        scalar_engine = _scalar_engine(engine)
         for image_id, result in zip(edited_ids, results):
-            _assert_identical(result, fresh.bounds_all_bins(image_id))
+            _assert_matches_scalar(result, scalar_engine, image_id)
 
 
 class TestBatchRuleState:
@@ -479,31 +539,37 @@ class TestBatchRuleState:
         ids=lambda op: type(op).__name__,
     )
     def test_apply_rule_batched_matches_vec(self, op, quantizer):
-        """One heterogeneous batch vs apply_rule_vec row by row."""
+        """One heterogeneous batch vs the scalar rule applied to every
+        bin of every row (the test id predates the removal of the
+        per-image vector kernel it used to compare against)."""
         rng = np.random.default_rng(13)
-        ctx = VecRuleContext(quantizer=quantizer, fill_color=(0, 0, 0))
+        ctx = BatchRuleContext(quantizer=quantizer, fill_color=(0, 0, 0))
         rows = []
-        vec_states = []
         for _ in range(6):
             height, width = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             image = random_palette_image(rng, height, width, FLAG_PALETTE)
             counts = ColorHistogram.of_image(image, quantizer).counts
-            vec = initial_vec_state(counts, counts, height, width)
-            rows.append((vec.lo, vec.hi, vec.height, vec.width, vec.dr))
-            vec_states.append(vec)
+            rows.append((counts, counts, height, width, Rect(0, 0, height, width)))
         batch = BatchRuleState.stack(rows)
         errors = apply_rule_batched(
             batch, np.arange(len(rows), dtype=np.int64), op, ctx
         )
-        for row, vec in enumerate(vec_states):
-            try:
-                expected = apply_rule_vec(vec, op, ctx)
-            except ReproError as exc:
-                assert row in errors
-                assert str(errors[row]) == str(exc)
-                continue
-            assert row not in errors
-            lo, hi, height, width, _ = batch.row_state(row)
-            assert np.array_equal(lo, expected.lo)
-            assert np.array_equal(hi, expected.hi)
-            assert (height, width) == (expected.height, expected.width)
+        for row, (counts, _, height, width, dr) in enumerate(rows):
+            lo, hi, out_height, out_width, out_dr = batch.row_state(row)
+            for bin_index in range(quantizer.bin_count):
+                state = RuleState(
+                    int(counts[bin_index]), int(counts[bin_index]), height, width, dr
+                )
+                try:
+                    expected = apply_rule(
+                        state, op, RuleContext(quantizer, bin_index, (0, 0, 0))
+                    )
+                except ReproError as exc:
+                    assert str(errors[row]) == str(exc)
+                    continue
+                assert row not in errors
+                assert (int(lo[bin_index]), int(hi[bin_index])) == (
+                    expected.lo, expected.hi
+                )
+                assert (out_height, out_width) == (expected.height, expected.width)
+                assert out_dr == expected.dr

@@ -1,4 +1,12 @@
-"""Vectorized all-bins kernel vs the scalar oracle, bin by bin."""
+"""The one-id all-bins surface (``BoundsEngine.bounds_all_bins``) vs the
+scalar oracle, bin by bin.
+
+``bounds_all_bins(id)`` is the columnar sweep for a single id; every
+check here holds it to the paper's scalar walk ``bounds(id, bin)`` —
+counts, dimensions, fractions, error type and message.  (The module and
+test names date from the per-image vector kernel this surface used to
+run on; they are kept because the test-floor list pins these ids.)
+"""
 
 import numpy as np
 import pytest
@@ -37,7 +45,7 @@ class DictStore:
 
 
 def assert_all_bins_match_scalar(engine, image_id):
-    """Every bin of the vectorized matrix equals the scalar walk exactly."""
+    """Every bin of the all-bins matrix equals the scalar walk exactly."""
     lo, hi, height, width = engine.bounds_all_bins(image_id)
     assert lo.dtype == np.int64 and hi.dtype == np.int64
     for bin_index in range(engine.quantizer.bin_count):
@@ -85,8 +93,8 @@ class TestRandomSequenceParity:
         store.add_edited(
             "e1", random_sequence(rng, "base", 8, 8, colors, merge_targets={"t": (4, 4)})
         )
-        engine_probe = BoundsEngine(store, quantizer)
-        _, _, e1_h, e1_w = engine_probe.bounds_all_bins("e1")
+        e1 = BoundsEngine(store, quantizer).bounds("e1", 0)
+        e1_h, e1_w = e1.height, e1.width
         store.add_edited(
             "e2",
             EditSequence(
@@ -146,8 +154,11 @@ class TestErrorParity:
 
     def test_unknown_image_raises(self):
         engine, _ = self._engines_store()
-        with pytest.raises(UnknownObjectError):
+        with pytest.raises(UnknownObjectError) as scalar_err:
+            engine.bounds("nope", 0)
+        with pytest.raises(UnknownObjectError) as swept_err:
             engine.bounds_all_bins("nope")
+        assert str(scalar_err.value) == str(swept_err.value)
 
 
 class TestEngineSurface:
@@ -173,19 +184,6 @@ class TestEngineSurface:
         engine = BoundsEngine(store, quantizer)
         engine.bounds_all_bins("e")
         assert engine.rules_applied == 2
-
-    def test_sequence_bounds_all_bins_matches_per_bin(self, rng):
-        quantizer = UniformQuantizer(2, "rgb")
-        store = DictStore(quantizer)
-        store.add_binary("base", random_palette_image(rng, 6, 8, FLAG_PALETTE))
-        colors = [tuple(int(v) for v in c) for c in FLAG_PALETTE]
-        sequence = random_sequence(rng, "base", 6, 8, colors)
-        engine = BoundsEngine(store, quantizer)
-        lo, hi, height, width = engine.sequence_bounds_all_bins(sequence)
-        for bin_index in range(quantizer.bin_count):
-            scalar = engine.sequence_bounds(sequence, bin_index)
-            assert (scalar.lo, scalar.hi) == (int(lo[bin_index]), int(hi[bin_index]))
-            assert (scalar.height, scalar.width) == (height, width)
 
     def test_fraction_bounds_all_bins_bitwise_matches_scalar(self, rng):
         quantizer = UniformQuantizer(2, "rgb")
