@@ -6,18 +6,18 @@ rules the test suite cannot check dynamically because they are about
 
 ``AL001`` raw-lock (ERROR) — scope ``repro/service/``
     ``threading.Lock()`` / ``threading.RLock()`` constructed inside the
-    service layer, where the writer-preferring ``_ReadWriteLock`` is the
-    mandated discipline.  The handful of legitimate short-critical-
-    section locks (metrics counters, cache bookkeeping, admission gate)
-    carry an inline ``# repro-lint: disable=AL001`` pragma explaining
-    themselves.
+    service layer, where the writer-preferring
+    :class:`repro.rwlock.ReadWriteLock` is the mandated discipline.  The
+    handful of legitimate short-critical-section locks (cache
+    bookkeeping, admission gate, lazy index builds) carry an inline
+    ``# repro-lint: disable=AL001`` pragma explaining themselves.
 ``AL002`` unlocked-mutation (ERROR) — scopes ``repro/service/``,
-    ``repro/shard/sharded.py``, ``repro/shard/compactor.py``
+    ``repro/shard/sharded.py``, ``repro/shard/records.py``,
+    ``repro/shard/compactor.py``
     A call to a database/catalog mutator (``insert_image``,
     ``delete_edited``, ...) on a database-like receiver — or to the
-    sharded catalog's materialization committers
-    (``_commit_materialization`` / ``_rollback_materialization``) —
-    that is not lexically inside a ``with ...write_locked():`` block.
+    sharded catalog's one mutation committer (``_commit``) — that is
+    not lexically inside a ``with ...write_locked():`` block.
     Mutating the catalog while readers hold bounds walks is the exact
     race the RW lock exists to prevent.
 ``AL003`` mutation-without-invalidate (ERROR) — scope ``repro/db/database.py``
@@ -31,12 +31,17 @@ rules the test suite cannot check dynamically because they are about
     use exact integer cross-multiplication or explicit tolerances;
     float equality on derived ratios is how off-by-one-ULP pruning bugs
     are born.
+``AL005`` upward-import (ERROR) — every module under a ``repro/`` package
+    An import — module-scope or function-local — of a ``repro`` package
+    that sits *above* the importing one in :data:`PACKAGE_ORDER`
+    (``shard`` and ``db`` may not reach into ``service``; nothing but
+    the CLI into ``testing``).  ``if TYPE_CHECKING:`` imports are exempt.
 
 Suppression: append ``# repro-lint: disable=AL001`` (comma-separate for
 several codes) to the offending physical line.  ``disable=all`` silences
 every rule on that line.  A pragma on a ``def`` line suppresses those
 codes for the whole function body — for functions whose contract is
-"caller holds the lock" (the WAL replayer's per-entry appliers), where
+"caller holds the lock" (the record-kind table's appliers), where
 per-line pragmas would just repeat the same justification.
 """
 
@@ -68,12 +73,9 @@ CATALOG_MUTATORS: Set[str] = {
     "remove_edited",
 }
 
-#: Sharded-tier mutators: the compaction committers swap a shard's
-#: engine state and must run under that shard's write lock.
-SHARD_MUTATORS: Set[str] = {
-    "_commit_materialization",
-    "_rollback_materialization",
-}
+#: Sharded-tier mutator: ``ShardedCatalog._commit`` journals and applies
+#: one record to a shard and must run under that shard's write lock.
+SHARD_MUTATORS: Set[str] = {"_commit"}
 
 #: Receiver names that look like they hold the shared database/catalog.
 _DATABASE_RECEIVERS: Set[str] = {
@@ -87,6 +89,22 @@ _DATABASE_RECEIVERS: Set[str] = {
 
 #: Attributes holding percentage-bound values (float-derived ratios).
 _BOUND_ATTRS: Set[str] = {"fraction_lo", "fraction_hi", "pct_min", "pct_max"}
+
+#: The package order, low → high; names in one tuple share a level.  A
+#: module may import its own level and below.  Two pairs are knots by
+#: design and sit on one level each: ``images.generators`` builds demo
+#: edit sequences while ``editing`` rasterizes images, and
+#: ``index.builders`` walks a database that owns its indexes.
+PACKAGE_ORDER: Tuple[Tuple[str, ...], ...] = (
+    ("errors",), ("rwlock",), ("images", "editing"), ("color", "features"),
+    ("core",), ("querylang",), ("obs",), ("db", "index"), ("shard",),
+    ("service",), ("workloads",), ("bench",), ("analysis",), ("testing",),
+    ("cli",), ("__init__", "__main__"),
+)
+
+_PACKAGE_LEVEL: Dict[str, int] = {
+    name: level for level, names in enumerate(PACKAGE_ORDER) for name in names
+}
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -115,7 +133,7 @@ LINT_RULES: Dict[str, LintRule] = {
             summary="raw threading.Lock/RLock in the service layer",
             path_scope="repro/service/",
             fix_hint=(
-                "use the executor's _ReadWriteLock (read_locked()/"
+                "use repro.rwlock.ReadWriteLock (read_locked()/"
                 "write_locked()); if a plain mutex is genuinely right, "
                 "say why on the line and add # repro-lint: disable=AL001"
             ),
@@ -125,7 +143,7 @@ LINT_RULES: Dict[str, LintRule] = {
             summary="database/catalog mutation outside write_locked()",
             path_scope=(
                 "repro/service/|repro/shard/sharded.py|"
-                "repro/shard/compactor.py"
+                "repro/shard/records.py|repro/shard/compactor.py"
             ),
             fix_hint=(
                 "wrap the mutator call in `with self._rwlock."
@@ -151,6 +169,15 @@ LINT_RULES: Dict[str, LintRule] = {
                 "compare the underlying integer counts with exact "
                 "cross-multiplication (post.lo * pre.total <= pre.lo * "
                 "post.total), or use an explicit tolerance"
+            ),
+        ),
+        LintRule(
+            code="AL005",
+            summary="import of a package above the importer in PACKAGE_ORDER",
+            path_scope="repro/",
+            fix_hint=(
+                "move the shared primitive down to a package both sides "
+                "may import (PACKAGE_ORDER), or pass it in from above"
             ),
         ),
     )
@@ -186,6 +213,29 @@ def _receiver_tail(func: ast.AST) -> Optional[str]:
     return None
 
 
+def _package_of(path: str) -> Optional[str]:
+    """The top-level ``repro`` package (or module) a source file is in."""
+    _, found, below = _as_posix(path).rpartition("repro/")
+    return below.split("/")[0].removesuffix(".py") if found else None
+
+
+def _imported_packages(node: ast.AST) -> List[str]:
+    """The names an import reaches for right below ``repro``.
+
+    ``from repro import X`` counts as ``repro.X`` (a re-export is no
+    package and ranks above all); a bare ``import repro`` names nothing.
+    """
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module or ""]
+        if node.module == "repro":
+            modules = [f"repro.{alias.name}" for alias in node.names]
+    else:
+        return []
+    return [m.split(".")[1] for m in modules if m.startswith("repro.")]
+
+
 def _is_write_locked_with(node: ast.With) -> bool:
     """True when any item of the ``with`` is a ``*.write_locked()`` call."""
     for item in node.items:
@@ -209,9 +259,35 @@ class _RawFinding:
 class _Visitor(ast.NodeVisitor):
     """Single-pass collector for every rule (scoping applied afterwards)."""
 
-    def __init__(self) -> None:
+    def __init__(self, package: Optional[str] = None) -> None:
         self.raw: List[_RawFinding] = []
         self._write_locked_depth = 0
+        self._package = package
+        self._level = _PACKAGE_LEVEL.get(package) if package else None
+
+    # -- AL005 ---------------------------------------------------------
+    def visit_If(self, node: ast.If) -> None:
+        if _dotted_name(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            for child in node.orelse:
+                self.visit(child)
+        else:
+            self.generic_visit(node)
+
+    def _check_import(self, node: ast.stmt) -> None:
+        if self._level is None:
+            return
+        for target in _imported_packages(node):
+            if _PACKAGE_LEVEL.get(target, len(PACKAGE_ORDER)) > self._level:
+                self.raw.append(
+                    _RawFinding(
+                        "AL005",
+                        node.lineno,
+                        f"repro.{self._package} imports repro.{target}, "
+                        f"which is above it in the package order",
+                    )
+                )
+
+    visit_Import = visit_ImportFrom = _check_import
 
     # -- AL001 / AL002 -------------------------------------------------
     def visit_With(self, node: ast.With) -> None:
@@ -243,8 +319,8 @@ class _Visitor(ast.NodeVisitor):
                 attr in (DATABASE_MUTATORS | CATALOG_MUTATORS)
                 and receiver in _DATABASE_RECEIVERS
             )
-            # The materialization committers are methods of the sharded
-            # catalog itself, so self-calls count too.
+            # ``_commit`` is a method of the sharded catalog itself, so
+            # self-calls count too.
             is_shard_mutation = attr in SHARD_MUTATORS and (
                 receiver in _DATABASE_RECEIVERS or receiver == "self"
             )
@@ -358,7 +434,7 @@ def lint_source(
     path scope matches ``path``).  Pragma suppressions are honoured.
     """
     tree = ast.parse(source, filename=path)
-    visitor = _Visitor()
+    visitor = _Visitor(_package_of(path))
     visitor.visit(tree)
     suppressed = _suppressions(source)
     function_spans = _function_suppressions(tree, suppressed)

@@ -1,7 +1,7 @@
 """Interprocedural lock-order analysis over ``src/repro/`` itself.
 
 The repo's concurrency discipline spans four lock families — the
-writer-preferring :class:`~repro.service.executor.ReadWriteLock` in the
+writer-preferring :class:`~repro.rwlock.ReadWriteLock` in the
 service tier, one ``ReadWriteLock`` per shard, the
 :class:`~repro.shard.wal.ShardWAL`'s reentrant record lock, and the
 per-root commit lock of :func:`repro.db.persistence.root_lock` — plus a

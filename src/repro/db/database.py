@@ -37,6 +37,7 @@ from repro.index.linear import LinearIndex
 from repro.index.mbr import MBR
 from repro.index.rtree import RTree
 from repro.index.vafile import VAFile
+from repro.querylang.parser import parse_constraints
 
 #: Supported range-query processing methods.
 RANGE_METHODS = ("bwm", "rbm", "instantiate")
@@ -376,13 +377,7 @@ class MultimediaDatabase:
         Conjunctions are supported: "at least 20% red and at most 10%
         blue" intersects the constraints (no false negatives preserved).
         """
-        from repro.querylang.parser import parse_conjunctive_query
-
-        parsed_constraints = parse_conjunctive_query(text)
-        constraints = tuple(
-            RangeQuery(self.quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
-            for p in parsed_constraints
-        )
+        constraints = parse_constraints(text, self.quantizer)
         if len(constraints) == 1:
             return self.range_query(
                 constraints[0], method=method, expand_to_bases=expand_to_bases

@@ -6,10 +6,10 @@ take them.  This module is the machinery that makes format changes
 *rolling*: a :class:`Migrator` rewrites a catalog's records into v3
 segments (:mod:`repro.db.versioning`) **in small batches**, committing
 each batch through a durable, checksummed journal, while an attached
-:class:`~repro.service.QueryService` keeps serving — the migrator takes
-the service's writer-preferring lock only for the per-batch *pointer
-swap* (an atomic manifest rename), so query p95 degrades by a bounded
-amount instead of the service going dark.
+``QueryService`` keeps serving — the migrator takes the service's
+writer-preferring lock only for the per-batch *pointer swap* (an atomic
+manifest rename), so query p95 degrades by a bounded amount instead of
+the service going dark.
 
 Journal state machine
 ---------------------
@@ -34,13 +34,13 @@ what makes ``rollback`` loss-free; after ``complete``, rollback is
 refused.
 
 Observability: progress flows through a
-:class:`~repro.service.metrics.MetricsRegistry` (``migration.*``
+:class:`~repro.obs.metrics.MetricsRegistry` (``migration.*``
 counters, a ``migration.phase`` gauge) that the service's Prometheus
 exposition renders, and :meth:`Migrator.status` backs
 ``repro migrate --status``.
 
 Every durable side effect goes through a fault plan
-(:mod:`repro.testing.faults`); ``tests/db/test_migration.py`` sweeps a
+(:mod:`repro.db.durable`); ``tests/db/test_migration.py`` sweeps a
 kill point over each one and asserts load + oracle parity + resume.
 """
 
@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.db.durable import NoFaults
 from repro.db.persistence import (
     _read_manifest,
     manifest_checksum,
@@ -68,8 +69,7 @@ from repro.db.versioning import (
     sha256_hex,
 )
 from repro.errors import CorruptionError, MigrationError
-from repro.service.metrics import MetricsRegistry
-from repro.testing.faults import NoFaults
+from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -286,8 +286,8 @@ class Migrator:
         Fault plan for every durable side effect (tests inject crashes
         and I/O errors here).
     service:
-        A live :class:`~repro.service.QueryService` serving this
-        catalog.  When given, each pointer swap runs under the service's
+        A live ``QueryService`` serving this catalog.  When given,
+        each pointer swap runs under the service's
         write lock, the bounds-engine change feed is fired afterward
         (dropping the result cache and staling indexes, the same
         contract as any catalog mutation), and progress lands in the

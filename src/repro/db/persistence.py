@@ -34,7 +34,7 @@ steady state while :mod:`repro.db.migration` rewrites segments in the
 background) all load through the same code path.
 
 Every durable side effect is routed through a fault plan
-(:mod:`repro.testing.faults`), so the kill-point sweeps in
+(:mod:`repro.db.durable`), so the kill-point sweeps in
 ``tests/db/test_faults.py`` and ``tests/db/test_migration.py`` can
 crash the protocols at every boundary.  An injected *I/O error*
 (``ENOSPC``/``EIO``) instead of a crash is handled, not propagated raw:
@@ -69,12 +69,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
+from repro.db.durable import NoFaults
 from repro.db.versioning import (
     DEFAULT_SAVE_VERSION,
     SUPPORTED_VERSIONS,
     RecordPointer,
     encode_segment,
-    ordered_pointers,
     pointers_from_v2_manifest,
     pointers_from_v3_manifest,
     read_record,
@@ -90,7 +90,6 @@ from repro.errors import (
     SalvageError,
 )
 from repro.images.ppm import read_ppm, write_ppm
-from repro.testing.faults import NoFaults
 
 logger = logging.getLogger(__name__)
 

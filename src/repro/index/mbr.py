@@ -73,11 +73,13 @@ class MBR:
 
     def union(self, other: "MBR") -> "MBR":
         """Smallest box covering both operands."""
-        return MBR(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
+        box = MBR.__new__(MBR)  # valid operands, valid box: no re-check
+        box.lo, box.hi = np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
+        return box
 
     def margin_volume(self) -> float:
         """Product of side lengths (the R-tree 'area' heuristic)."""
-        return float(np.prod(self.hi - self.lo))
+        return float(np.multiply.reduce(self.hi - self.lo))  # == np.prod
 
     def enlargement(self, other: "MBR") -> float:
         """Volume growth needed to absorb ``other`` (Guttman's criterion)."""

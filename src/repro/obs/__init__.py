@@ -14,6 +14,8 @@ makes the production stack answer the same question about itself:
   candidate image's outcome (``pruned | must-check | exact``), the rule
   kinds applied, and which operation last widened ``[HB_min, HB_max]``
   past the query range.
+* :mod:`repro.obs.metrics` — the lock-safe counter / gauge / latency-
+  histogram registry every serving tier records into.
 * :mod:`repro.obs.prometheus` — text-exposition rendering of the
   service metrics snapshot (plus a promtool-style validator and
   :func:`merge_snapshots` for fleet-wide rollups).
@@ -31,10 +33,9 @@ makes the production stack answer the same question about itself:
 Quick start::
 
     from repro.obs import tracing
-    from repro.service import QueryService
 
     with tracing():
-        outcome = service.execute("at least 25% blue")
+        outcome = service.execute("at least 25% blue")  # a QueryService
     print(outcome.trace.to_dict())           # the span tree
     print(service.prometheus_metrics())      # scrapeable exposition
 """

@@ -338,12 +338,12 @@ class EventLog:
         self._sink_handle.flush()
 
     def _preload_sink(self) -> None:
-        events = read_events_jsonl(self._sink_path)
-        for event in events[-self.capacity:]:
-            self._ring.append(event)
+        # Parse the ring's worth only: the sink keeps every event of the
+        # root's life, numbered from 1 without gaps (last seq == count).
+        events = read_events_jsonl(self._sink_path, limit=self.capacity)
+        self._ring.extend(events)
         if events:
-            self._seq = events[-1].seq
-            self._emitted = len(events)
+            self._seq = self._emitted = events[-1].seq
 
 
 def read_events_jsonl(
@@ -354,7 +354,7 @@ def read_events_jsonl(
     A damaged *final* line (torn concurrent append) is tolerated and
     dropped; damage anywhere else raises — same discipline as the WAL,
     for the same reason: mid-file damage means something other than an
-    interrupted writer happened.
+    interrupted writer happened.  Lines older than ``limit`` are skipped.
     """
     path = Path(path)
     if not path.is_file():
@@ -365,9 +365,11 @@ def read_events_jsonl(
         raise ObservabilityError(f"unreadable event log {path}: {exc}") from exc
     lines = [line for line in raw.split("\n") if line.strip()]
     events: List[Event] = []
-    for index, line in enumerate(lines):
+    # A limit bounds the parsing too; one line to spare for a torn tail.
+    first = 0 if limit is None or limit < 0 else max(0, len(lines) - limit - 1)
+    for index in range(first, len(lines)):
         try:
-            payload = json.loads(line)
+            payload = json.loads(lines[index])
             event = Event.from_dict(payload)
         except (json.JSONDecodeError, ObservabilityError) as exc:
             if index == len(lines) - 1:
@@ -376,8 +378,8 @@ def read_events_jsonl(
                 f"{path}: damaged event line {index + 1} of {len(lines)}: {exc}"
             ) from exc
         events.append(event)
-    if limit is not None and limit >= 0:
-        events = events[-limit:]
+    if limit is not None and 0 <= limit < len(events):
+        events = events[len(events) - limit:]
     return events
 
 

@@ -1,7 +1,7 @@
 """Prometheus text-exposition rendering of the service's metrics.
 
 Takes the nested snapshot dict produced by
-:meth:`repro.service.QueryService.metrics_snapshot` — registry counters,
+``QueryService.metrics_snapshot`` — registry counters,
 latency histograms, result-cache / bounds-cache counters, service
 gauges, plus the trace-derived and prune-attribution counters the
 observability layer feeds in — and renders the Prometheus text
@@ -129,7 +129,7 @@ def render_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
     ``snapshot`` is the dict shape of ``QueryService.metrics_snapshot``
     (``counters`` / ``histograms`` required, the cache and service
     sub-dicts optional), so the renderer also works over a bare
-    :meth:`repro.service.MetricsRegistry.snapshot`.
+    :meth:`repro.obs.metrics.MetricsRegistry.snapshot`.
     """
     out = _Renderer(prefix)
 

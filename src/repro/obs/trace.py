@@ -5,8 +5,8 @@ not just wall time), and the serving stack accumulated enough moving
 parts — parser, planner, admission queue, readers-writer lock, four
 execution strategies, result cache — that an aggregate latency histogram
 can no longer answer "why was this query slow?".  This module provides
-the span primitive the :class:`repro.service.QueryService` threads
-through its query path:
+the span primitive the query service and the shard router thread
+through their query paths:
 
 * :class:`Span` — one named, timed phase with attributes, children, and
   a parent link; ``duration`` is wall time, ``self_time`` subtracts the

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.color.names import color_by_name
+from repro.color.quantization import UniformQuantizer
+from repro.core.query import RangeQuery
 from repro.errors import ParseError
 
 _PREAMBLE = re.compile(
@@ -119,6 +121,17 @@ def parse_conjunctive_query(text: str) -> Tuple[ParsedQuery, ...]:
     constraints = tuple(_parse_constraint(part.strip(), text) for part in parts)
     _reject_empty_ranges(constraints, text)
     return constraints
+
+
+def parse_constraints(
+    text: str, quantizer: UniformQuantizer
+) -> Tuple[RangeQuery, ...]:
+    """Parse ``text`` and bind each color to its histogram bin — the
+    one text → constraints binding every front end shares."""
+    return tuple(
+        RangeQuery(quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
+        for p in parse_conjunctive_query(text)
+    )
 
 
 def _reject_empty_ranges(constraints, original: str) -> None:

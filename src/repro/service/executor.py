@@ -2,7 +2,7 @@
 
 One service object owns a :class:`~repro.service.planner.CostBasedPlanner`,
 a :class:`~repro.service.cache.ResultCache`, a
-:class:`~repro.service.metrics.MetricsRegistry`, and a bounded thread
+:class:`~repro.obs.metrics.MetricsRegistry`, and a bounded thread
 pool, and turns the library's single-threaded query machinery into a
 serving layer:
 
@@ -43,7 +43,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from repro.core.query import QueryResult, QueryStats, RangeQuery
 from repro.db.records import EditedImageRecord
 from repro.errors import (
-    LockTimeoutError,
     QueryTimeoutError,
     ServiceError,
     ServiceOverloadedError,
@@ -57,11 +56,13 @@ from repro.index.builders import (
 from repro.index.mbr import MBR
 from repro.obs.attribution import AttributionReport, attribute_query
 from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Span, Tracer, maybe_tracer
+from repro.querylang.parser import parse_constraints
+from repro.rwlock import ReadWriteLock
 from repro.service.cache import ResultCache, cache_key
-from repro.service.metrics import MetricsRegistry
 from repro.service.planner import (
     CostBasedPlanner,
     ExplainedPlan,
@@ -74,113 +75,6 @@ logger = logging.getLogger(__name__)
 #: What callers may pass as a query: a parsed constraint, several
 #: AND-composed constraints, or querylang text.
 QueryLike = Union[RangeQuery, Sequence[RangeQuery], str]
-
-
-class ReadWriteLock:
-    """A writer-preferring readers-writer lock.
-
-    Queries share the read side; catalog mutations take the write side.
-    Writer preference keeps a steady query stream from starving
-    mutations (the regime the concurrency stress test exercises).
-    Public because the sharded catalog (:mod:`repro.shard`) guards each
-    shard with one of these — scatter-gather queries take the read side
-    per shard, WAL-journaled mutations and compaction swaps the write
-    side.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-        self._writer_thread: Optional[int] = None
-        #: Opt-in racecheck instrumentation
-        #: (:mod:`repro.testing.racecheck` sets both); ``None`` in
-        #: production, so the hot path pays one attribute load.
-        self._monitor: Optional[object] = None
-        self._monitor_id: str = "rwlock"
-
-    def write_held_by_current_thread(self) -> bool:
-        """Whether the calling thread is the active writer.
-
-        The lock is not reentrant, so code that may run either under an
-        already-held write lock or standalone (the sharded catalog's
-        invalidation listener) uses this to decide whether acquiring
-        :meth:`write_locked` would self-deadlock.
-        """
-        return self._writer_thread == threading.get_ident()
-
-    def _wait(self, deadline: Optional[float], side: str) -> None:
-        """One condition wait, bounded by ``deadline`` (monotonic)."""
-        if deadline is None:
-            self._cond.wait()
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise LockTimeoutError(
-                f"{side} lock not acquired before timeout; abandoning"
-            )
-        self._cond.wait(remaining)
-
-    @contextmanager
-    def read_locked(self, timeout: Optional[float] = None):
-        """Hold the read side.  ``timeout`` (seconds) bounds the wait;
-        a timed-out attempt raises
-        :class:`~repro.errors.LockTimeoutError` having changed
-        nothing."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._wait(deadline, "read")
-            self._readers += 1
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.on_acquire(self._monitor_id, "read")  # type: ignore[attr-defined]
-        try:
-            yield
-        finally:
-            if monitor is not None:
-                monitor.on_release(self._monitor_id, "read")  # type: ignore[attr-defined]
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write_locked(self, timeout: Optional[float] = None):
-        """Hold the write side.  A timed-out attempt withdraws its
-        waiting claim and wakes blocked readers before raising
-        :class:`~repro.errors.LockTimeoutError` — writer preference
-        must not outlive an abandoned writer."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._wait(deadline, "write")
-            except BaseException:
-                self._writers_waiting -= 1
-                self._cond.notify_all()
-                raise
-            self._writers_waiting -= 1
-            self._writer_active = True
-            self._writer_thread = threading.get_ident()
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.on_acquire(self._monitor_id, "write")  # type: ignore[attr-defined]
-        try:
-            yield
-        finally:
-            if monitor is not None:
-                monitor.on_release(self._monitor_id, "write")  # type: ignore[attr-defined]
-            with self._cond:
-                self._writer_active = False
-                self._writer_thread = None
-                self._cond.notify_all()
-
-
-#: Backwards-compatible alias (the lock predates its public name).
-_ReadWriteLock = ReadWriteLock
 
 
 @dataclass(frozen=True)
@@ -514,13 +408,7 @@ class QueryService:
     # ------------------------------------------------------------------
     def _normalize(self, query: QueryLike) -> Tuple[RangeQuery, ...]:
         if isinstance(query, str):
-            from repro.querylang.parser import parse_conjunctive_query
-
-            quantizer = self._database.quantizer
-            return tuple(
-                RangeQuery(quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
-                for p in parse_conjunctive_query(query)
-            )
+            return parse_constraints(query, self._database.quantizer)
         if isinstance(query, RangeQuery):
             constraints: Tuple[RangeQuery, ...] = (query,)
         else:

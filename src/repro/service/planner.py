@@ -352,18 +352,12 @@ class CostBasedPlanner:
         self,
         query: RangeQuery,
         index_fresh: bool = False,
-        strategies: Optional[Tuple[Strategy, ...]] = None,
     ) -> ExplainedPlan:
         """Cost every strategy for ``query`` and pick the cheapest.
 
         ``index_fresh`` tells the planner whether the serving layer holds
         point + interval indexes built since the last catalog mutation;
         without them INDEX_ASSISTED is charged its full rebuild.
-
-        ``strategies`` restricts the candidate set — the sharded query
-        router plans per shard with the strategies its executor can
-        dispatch (no per-shard spatial indexes yet, so it excludes
-        INDEX_ASSISTED).  ``None`` considers everything.
         """
         self._database.quantizer.validate_bin(query.bin_index)
         profile = self.profile()
@@ -374,15 +368,6 @@ class CostBasedPlanner:
             self._cost_vectorized(profile),
             self._cost_index_assisted(profile, s, index_fresh),
         )
-        if strategies is not None:
-            allowed = frozenset(strategies)
-            if not allowed:
-                raise QueryError("strategies filter must not be empty")
-            candidates = tuple(
-                candidate
-                for candidate in candidates
-                if candidate.strategy in allowed
-            )
         ordered = tuple(
             sorted(
                 candidates,

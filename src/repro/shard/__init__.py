@@ -5,8 +5,9 @@ MultimediaDatabase` behind one RW lock is the scale bottleneck; this
 package splits the catalog into N shards hashed by base-image cluster
 (so Merge/BWM dependency chains never straddle shards), makes every
 mutation durable through a write-ahead log *before* it is applied
-(:mod:`repro.shard.wal` — the PR 6 journal style, and the replication
-feed ROADMAP item 3 will consume), fans queries out across shards
+(:mod:`repro.shard.wal` — the PR 6 journal style; the record kinds and
+their appliers are one table, :mod:`repro.shard.records`), fans queries
+out across shards
 merging k-best results (:class:`ShardedCatalog`), and runs a
 cost-aware background :class:`Compactor` that materializes the BOUNDS
 matrices of hot/long edit sequences — trading the paper's storage
@@ -20,7 +21,6 @@ from repro.shard.compactor import (
     Compactor,
 )
 from repro.shard.sharded import (
-    ROUTER_STRATEGIES,
     SHARD_MANIFEST_NAME,
     ShardedCatalog,
     hash_shard,
@@ -32,7 +32,6 @@ __all__ = [
     "CompactionPolicy",
     "CompactionReport",
     "Compactor",
-    "ROUTER_STRATEGIES",
     "SHARD_MANIFEST_NAME",
     "ShardWAL",
     "ShardedCatalog",

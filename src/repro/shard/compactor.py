@@ -36,15 +36,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bounds import BoundsEngine
 from repro.db.records import EditedImageRecord
 from repro.db.statistics import DatabaseStatistics
 from repro.errors import QueryError, ShardError
 from repro.obs.trace import maybe_tracer
-from repro.service.planner import CostBasedPlanner
 from repro.shard.sharded import ShardedCatalog, _Shard
+
+#: §5 cost of one Table 1 rule application, in work units.
+COST_RULE = 1.0
 
 #: Weight floor so sparse color regions still compact eventually.
 _WEIGHT_FLOOR = 0.25
@@ -241,7 +243,23 @@ class Compactor:
 
     def rollback(self, image_id: str) -> bool:
         """Retract one materialization; True if it existed."""
-        return self.catalog.rollback_materialization(image_id)
+        shard = self.catalog._owning_shard(image_id)
+        with shard.lock.write_locked():
+            if image_id not in shard.materialized:
+                return False
+            lsn = self.catalog._commit(shard, "decompact", image_id)
+            self._note(
+                "compaction.rolled_back",
+                shard=shard.index,
+                image_id=image_id,
+                lsn=lsn,
+            )
+        return True
+
+    def _note(self, kind: str, **fields: Any) -> None:
+        """Count and emit one committed swap or retraction."""
+        self.catalog.metrics.increment(kind)
+        self.catalog.events.emit(kind, subsystem="compactor", **fields)
 
     def status(self) -> Dict[str, object]:
         """Cycle counters plus the last report, for the CLI."""
@@ -281,9 +299,7 @@ class Compactor:
                     if ops < self.policy.min_ops:
                         continue
                     weight = self._demand_weight(shard, record, statistics)
-                    score = (
-                        hotness * ops * CostBasedPlanner.COST_RULE * weight
-                    )
+                    score = hotness * ops * COST_RULE * weight
                     if score < self.policy.min_score:
                         continue
                     candidates.append(
@@ -340,7 +356,14 @@ class Compactor:
                 # the matrix may describe a history that no longer
                 # exists.  Drop it — the next cycle re-scores.
                 return False
-            self.catalog._commit_materialization(
-                shard, candidate.image_id, bounds, candidate.score
+            lsn = self.catalog._commit(
+                shard, "compact", candidate.image_id, (bounds, candidate.score)
+            )
+            self._note(
+                "compaction.materialized",
+                shard=shard.index,
+                image_id=candidate.image_id,
+                lsn=lsn,
+                projected_saving=float(candidate.score),
             )
         return True

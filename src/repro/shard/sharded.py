@@ -13,13 +13,19 @@ Durability
 ----------
 Every mutation appends to the WAL (:class:`~repro.shard.wal.ShardWAL`)
 **before** it is applied to the owning shard, under that shard's write
-lock.  The bounds engine's invalidation change feed is the ingestion
-spine: the sharded wrapper registers each mutation's ``(image_id,
-version)`` key before applying, and the per-shard feed listener dedupes
-the echo — so one logical mutation writes exactly one WAL record even
-though the feed also observes it.  Out-of-band mutations (someone
-poking a shard's database directly) reach the listener with no
-registered key and are captured as payload-free ``change`` records.
+lock.  What a mutation *is* is written once, in the record-kind table
+of :mod:`repro.shard.records`: the five public mutators and the
+compactor's two commits go through :meth:`ShardedCatalog._commit`
+(journal → apply → settle → bump the shard version), and replay runs
+the *same* appliers and the same :meth:`ShardedCatalog._settle`, so it
+cannot drift from the live path.  The bounds engine's invalidation
+change feed is the ingestion spine: ``_commit`` registers each
+mutation's ``(image_id, version)`` key before applying, and the
+per-shard feed listener dedupes the echo — so one logical mutation
+writes exactly one WAL record even though the feed also observes it.
+Out-of-band mutations (someone poking a shard's database directly)
+reach the listener with no registered key and are captured as
+payload-free ``change`` records.
 :meth:`ShardedCatalog.save` checkpoints every shard into its own
 segment root (one atomic v2/v3 save each) and truncates the WAL;
 :meth:`ShardedCatalog.open` loads the shard roots and replays whatever
@@ -29,19 +35,17 @@ the no-crash state (swept by ``tests/shard/test_wal_replay_faults.py``).
 
 Queries
 -------
-Scatter-gather: each query fans out across shards under their read
-locks (a small thread pool), and the per-shard results merge —
+Scatter-gather, through one skeleton (:meth:`ShardedCatalog._query`):
+each query fans out across shards under their read locks (a small
+thread pool), and the per-shard results merge —
 set-union for range/conjunctive results, an ordered ``heapq.merge`` of
 the per-shard k-best lists for kNN (each shard's list is exact and
 sorted, so the first k of the merge are the global k-best, byte for
 byte what the single-catalog oracle returns).
-:meth:`planned_range_query` is the router-aware planner path: each
-shard plans independently over the strategies the router can dispatch.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import logging
@@ -54,6 +58,7 @@ from heapq import merge as heap_merge
 from itertools import islice
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -66,13 +71,11 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.color.histogram import ColorHistogram
 from repro.color.quantization import UniformQuantizer
-from repro.core.bounds import AllBinsBounds
 from repro.core.query import ConjunctiveQuery, QueryResult, QueryStats, RangeQuery
 from repro.db.database import MultimediaDatabase
+from repro.db.durable import NoFaults
 from repro.db.persistence import (
     SHARD_MANIFEST_NAME,
     has_committed_state,
@@ -91,36 +94,26 @@ from repro.errors import (
     ShardError,
     UnknownObjectError,
 )
-from repro.images.ppm import read_ppm, write_ppm
 from repro.images.raster import ColorTuple, Image, validate_color
 from repro.obs.events import EVENTS_NAME, EventLog
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import (
-    NULL_TRACER,
     Span,
     current_trace_id,
     maybe_tracer,
     new_trace_id,
     tracing_enabled,
 )
-from repro.service.executor import ReadWriteLock
-from repro.service.metrics import MetricsRegistry
-from repro.service.planner import CostBasedPlanner, Strategy
+from repro.querylang.parser import parse_constraints
+from repro.rwlock import ReadWriteLock
+from repro.shard.records import ENTERS, LEAVES, RECORD_KINDS
 from repro.shard.wal import ShardWAL
-from repro.testing.faults import NoFaults
 
 logger = logging.getLogger(__name__)
 
-#: Strategies the scatter-gather router can dispatch per shard.  The
-#: spatial-index strategy needs serving-layer index builds the router
-#: does not maintain per shard, so the planner is restricted to these.
-ROUTER_STRATEGIES: Tuple[Strategy, ...] = (
-    Strategy.LINEAR_RBM,
-    Strategy.BWM,
-    Strategy.VECTORIZED_BATCH,
-)
-
 _T = TypeVar("_T")
+_M = TypeVar("_M")
 
 
 def hash_shard(image_id: str, shard_count: int) -> int:
@@ -148,7 +141,6 @@ class _Shard:
         "lock",
         "version",
         "journaled",
-        "planner",
         "queries_served",
         "stats_lock",
         "materialized",
@@ -167,7 +159,6 @@ class _Shard:
         #: consumed by the feed listener so the WAL never records the
         #: same mutation twice (the dedupe satellite).
         self.journaled: Set[Tuple[str, int]] = set()
-        self.planner: Optional[CostBasedPlanner] = None
         #: Queries this shard served (the compactor's hotness signal).
         #: Incremented under :attr:`stats_lock`, not the shard lock:
         #: queries hold only the *read* side, so concurrent readers
@@ -207,9 +198,6 @@ class ShardedCatalog:
     faults:
         Fault plan routing the WAL's and checkpoint's durable writes
         (swappable afterwards via :attr:`faults` for kill-point sweeps).
-    scatter_workers:
-        Thread-pool width for scatter-gather (default: ``shard_count``
-        capped at 8).
     """
 
     def __init__(
@@ -221,7 +209,6 @@ class ShardedCatalog:
         fill_color: Sequence[int] = (0, 0, 0),
         index_kind: str = "rtree",
         faults: Optional[NoFaults] = None,
-        scatter_workers: Optional[int] = None,
     ) -> None:
         if shard_count < 1:
             raise ShardError(f"shard_count must be >= 1, got {shard_count}")
@@ -252,12 +239,7 @@ class ShardedCatalog:
             self._make_shard(index) for index in range(shard_count)
         ]
         self._pool = ThreadPoolExecutor(
-            max_workers=(
-                scatter_workers
-                if scatter_workers is not None
-                else min(shard_count, 8)
-            ),
-            thread_name_prefix="shard-query",
+            max_workers=min(shard_count, 8), thread_name_prefix="shard-query"
         )
         self._wal: Optional[ShardWAL] = None
         if self.root is not None:
@@ -281,12 +263,11 @@ class ShardedCatalog:
         return shard
 
     def _attach(self, shard: _Shard) -> None:
-        """Subscribe the ingestion listener and planner to a shard's db."""
+        """Subscribe the ingestion listener to a shard's database."""
         shard.database.engine.cache_enabled = True
         shard.database.engine.add_invalidation_listener(
             self._listener_for(shard)
         )
-        shard.planner = CostBasedPlanner(shard.database)
 
     def _listener_for(self, shard: _Shard) -> Callable[[Optional[str]], None]:
         def _on_invalidation(image_id: Optional[str]) -> None:
@@ -405,9 +386,6 @@ class ShardedCatalog:
         """Direct access to one shard's database (verifier / tests)."""
         return self._shards[index].database
 
-    def _route_new_binary(self, image_id: str) -> _Shard:
-        return self._shards[hash_shard(image_id, len(self._shards))]
-
     def _route_sequence(self, sequence: EditSequence) -> _Shard:
         """The single shard every referenced image lives on."""
         located: Dict[str, int] = {}
@@ -457,17 +435,17 @@ class ShardedCatalog:
         op: str,
         image_id: str,
         version: int,
-        **payload: object,
-    ) -> Optional[int]:
-        """Journal one mutation; returns its LSN (None when ephemeral).
+        payload: Dict[str, object],
+    ) -> Tuple[Optional[int], Optional[str]]:
+        """Journal one mutation; returns ``(lsn, trace_id)``.
 
-        The record is stamped with the enclosing trace's id (if any) —
-        that is the WAL half of lineage: given a slow query's trace id,
-        ``grep`` of the WAL finds every record it wrote, and given a
-        suspicious WAL record, the trace that produced it.  With tracing
-        on but no enclosing span, a fresh id is minted so the record is
-        still attributable.  One wide event is emitted per journaled
-        mutation.
+        ``lsn`` is None when ephemeral.  The record is stamped with the
+        enclosing trace's id (if any) — that is the WAL half of lineage:
+        given a slow query's trace id, ``grep`` of the WAL finds every
+        record it wrote, and given a suspicious WAL record, the trace
+        that produced it.  With tracing on but no enclosing span, a
+        fresh id is minted so the record is still attributable.  One
+        wide event is emitted per journaled mutation.
         """
         self._ensure_open()
         shard.journaled.add((image_id, version))
@@ -476,16 +454,15 @@ class ShardedCatalog:
         if trace_id is None and tracing_enabled():
             trace_id = new_trace_id()
         if self._wal is not None:
-            extra = dict(payload)
             if trace_id is not None:
-                extra["trace_id"] = trace_id
+                payload = {**payload, "trace_id": trace_id}
             entry = self._wal.append(
                 self.faults,
                 op,
                 shard=shard.index,
                 image_id=image_id,
                 version=version,
-                **extra,
+                **payload,
             )
             lsn = int(entry["lsn"])  # type: ignore[arg-type]
             shard.last_lsn = lsn
@@ -500,237 +477,123 @@ class ShardedCatalog:
             op=op,
             version=version,
         )
-        return lsn
+        return lsn, trace_id
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise ShardError("sharded catalog is closed")
 
-    @staticmethod
-    def _apply(
-        shard: _Shard,
-        image_id: str,
-        version: int,
-        apply: Callable[[], object],
-    ) -> None:
-        """Run a journaled mutation's apply step.
+    def _commit(
+        self, shard: _Shard, op: str, image_id: str, subject: object = None
+    ) -> Optional[int]:
+        """Commit one mutation of a table kind (shard write lock held).
 
-        On failure, the dedupe key :meth:`_journal` registered is
-        retired so the next mutation at the same version number is not
-        silently swallowed by the feed listener.  The WAL record stays:
-        replay re-attempts the apply and, when it fails the same way,
-        skips the record — converging with the live outcome.
+        Journal → apply → settle → bump the shard version; returns the
+        record's LSN.  When the applier fails, the dedupe key
+        :meth:`_journal` registered is retired so the next mutation at
+        the same version number is not silently swallowed by the feed
+        listener.  The WAL record stays: replay re-attempts the apply
+        and, when it fails the same way, skips the record — converging
+        with the live outcome.
         """
+        kind = RECORD_KINDS[op]
+        version = shard.version + 1
+        lsn, trace_id = self._journal(
+            shard, op, image_id, version, kind.encode(subject)
+        )
         try:
-            apply()
+            kind.apply(shard, image_id, subject)
         except BaseException:
             shard.journaled.discard((image_id, version))
             raise
+        self._settle(shard, op, image_id, lsn, trace_id)
+        shard.version = version
+        return lsn
 
-    @staticmethod
-    def _prune_materialized(shard: _Shard) -> None:
-        """Retire ledger entries whose matrices invalidation just dropped.
+    def _settle(
+        self,
+        shard: _Shard,
+        op: str,
+        image_id: str,
+        lsn: Optional[int],
+        trace_id: object,
+    ) -> None:
+        """Book-keeping after a record's applier ran (write lock held).
 
-        A mutation's transitive invalidation can evict materialized
-        matrices of *other* images (dependents of the mutated one); the
-        ledger must follow, or the compactor would consider them
-        materialized forever and never re-warm them.
+        Shared by the live commit and replay, so the two cannot disagree
+        about what a committed record leaves behind.  The placement map
+        and the id counters follow the kind's ``placement``.  The
+        materialization ledger stays a subset of the engine's cached
+        matrices: an applier's transitive invalidation can evict the
+        matrices of *other* images (dependents of the mutated one, or of
+        a base the compactor just swapped in), and a ledger that kept
+        them would have the compactor consider them warm for ever.  A
+        ``compact`` records the shard's compaction lineage, and the
+        ``compaction.materialized_images`` gauge follows the ledger.
         """
-        if shard.materialized:
-            engine = shard.database.engine
-            stale = [
-                image_id
-                for image_id in shard.materialized
-                if not engine.has_cached_bounds(image_id)
-            ]
-            for image_id in stale:
-                shard.materialized.pop(image_id, None)
+        placement = RECORD_KINDS[op].placement
+        if placement == ENTERS:
+            self._placement[image_id] = shard.index
+            self._note_allocated(image_id)
+        elif placement == LEAVES:
+            self._placement.pop(image_id, None)
+        engine = shard.database.engine
+        for each in list(shard.materialized):
+            if not engine.has_cached_bounds(each):
+                del shard.materialized[each]
+        if op == "compact":
+            shard.last_compaction = {
+                "image_id": image_id,
+                "lsn": lsn,
+                "trace_id": trace_id,
+            }
+        total = sum(len(each.materialized) for each in self._shards)
+        self.metrics.set_gauge("compaction.materialized_images", total)
 
-    def insert_image(self, image: Image, image_id: Optional[str] = None) -> str:
-        """Insert a binary image on its hash shard (WAL first)."""
+    def _mutate(
+        self, shard: _Shard, op: str, image_id: str, subject: object = None
+    ) -> None:
+        """One public mutation: :meth:`_commit` under the shard write lock."""
+        with shard.lock.write_locked():
+            self._commit(shard, op, image_id, subject)
+        self.metrics.increment("shard.mutations")
+
+    def _new_id(self, image_id: Optional[str], prefix: str) -> str:
+        """The caller's id, or a fresh ``prefix-N``; never a stored one."""
         self._ensure_open()
-        assigned = image_id if image_id is not None else self._allocate("img")
+        assigned = image_id if image_id is not None else self._allocate(prefix)
         if assigned in self._placement:
             raise DuplicateObjectError(
                 f"image id {assigned!r} already stored in shard "
                 f"{self._placement[assigned]}"
             )
-        shard = self._route_new_binary(assigned)
-        with shard.lock.write_locked():
-            version = shard.version + 1
-            ppm = base64.b64encode(write_ppm(image)).decode("ascii")
-            self._journal(shard, "insert_image", assigned, version, ppm=ppm)
-            self._apply(
-                shard,
-                assigned,
-                version,
-                lambda: shard.database.insert_image(image, assigned),
-            )
-            shard.version = version
-            self._placement[assigned] = shard.index
-        self._note_allocated(assigned)
-        self.metrics.increment("shard.mutations")
+        return assigned
+
+    def insert_image(self, image: Image, image_id: Optional[str] = None) -> str:
+        """Insert a binary image on its hash shard (WAL first)."""
+        assigned = self._new_id(image_id, "img")
+        shard = self._shards[hash_shard(assigned, len(self._shards))]
+        self._mutate(shard, "insert_image", assigned, image)
         return assigned
 
     def insert_edited(
         self, sequence: EditSequence, image_id: Optional[str] = None
     ) -> str:
         """Insert an edited image on its references' shard (WAL first)."""
-        self._ensure_open()
-        assigned = image_id if image_id is not None else self._allocate("edit")
-        if assigned in self._placement:
-            raise DuplicateObjectError(
-                f"image id {assigned!r} already stored in shard "
-                f"{self._placement[assigned]}"
-            )
+        assigned = self._new_id(image_id, "edit")
         shard = self._route_sequence(sequence)
-        with shard.lock.write_locked():
-            version = shard.version + 1
-            self._journal(
-                shard,
-                "insert_edited",
-                assigned,
-                version,
-                sequence=sequence.serialize(),
-            )
-            self._apply(
-                shard,
-                assigned,
-                version,
-                lambda: shard.database.insert_edited(sequence, assigned),
-            )
-            self._prune_materialized(shard)
-            shard.version = version
-            self._placement[assigned] = shard.index
-        self._note_allocated(assigned)
-        self.metrics.increment("shard.mutations")
+        self._mutate(shard, "insert_edited", assigned, sequence)
         return assigned
 
     def delete_edited(self, image_id: str) -> None:
-        shard = self._owning_shard(image_id)
-        with shard.lock.write_locked():
-            version = shard.version + 1
-            self._journal(shard, "delete_edited", image_id, version)
-            self._apply(
-                shard,
-                image_id,
-                version,
-                lambda: shard.database.delete_edited(image_id),
-            )
-            self._prune_materialized(shard)
-            shard.version = version
-            shard.materialized.pop(image_id, None)
-            self._placement.pop(image_id, None)
-        self.metrics.increment("shard.mutations")
+        self._mutate(self._owning_shard(image_id), "delete_edited", image_id)
 
     def delete_image(self, image_id: str) -> None:
-        shard = self._owning_shard(image_id)
-        with shard.lock.write_locked():
-            version = shard.version + 1
-            self._journal(shard, "delete_image", image_id, version)
-            self._apply(
-                shard,
-                image_id,
-                version,
-                lambda: shard.database.delete_image(image_id),
-            )
-            self._prune_materialized(shard)
-            shard.version = version
-            self._placement.pop(image_id, None)
-        self.metrics.increment("shard.mutations")
+        self._mutate(self._owning_shard(image_id), "delete_image", image_id)
 
     def update_image(self, image_id: str, image: Image) -> None:
         shard = self._owning_shard(image_id)
-        with shard.lock.write_locked():
-            version = shard.version + 1
-            ppm = base64.b64encode(write_ppm(image)).decode("ascii")
-            self._journal(shard, "update_image", image_id, version, ppm=ppm)
-            self._apply(
-                shard,
-                image_id,
-                version,
-                lambda: shard.database.update_image(image_id, image),
-            )
-            self._prune_materialized(shard)
-            shard.version = version
-        self.metrics.increment("shard.mutations")
-
-    # ------------------------------------------------------------------
-    # Compaction commits (called by the Compactor under the write lock)
-    # ------------------------------------------------------------------
-    def _commit_materialization(
-        self,
-        shard: _Shard,
-        image_id: str,
-        bounds: AllBinsBounds,
-        projected_saving: float,
-    ) -> None:
-        """Swap a materialized BOUNDS matrix in (write lock held).
-
-        The swap is journaled, fires the invalidation feed (dropping
-        the image's stale memo entries and notifying result caches and
-        planners), and only then seeds the engine's vector cache — so a
-        query racing the commit either sees the old walk-on-demand
-        state or the fully seeded one, never a half-applied mix.
-        """
-        lo, hi, height, width = bounds
-        version = shard.version + 1
-        lsn = self._journal(
-            shard,
-            "compact",
-            image_id,
-            version,
-            lo=[int(value) for value in lo],
-            hi=[int(value) for value in hi],
-            height=int(height),
-            width=int(width),
-        )
-        shard.database.engine.invalidate(image_id)
-        shard.database.engine.seed_bounds(image_id, bounds)
-        shard.version = version
-        shard.materialized[image_id] = float(projected_saving)
-        shard.last_compaction = {
-            "image_id": image_id,
-            "lsn": lsn,
-            "trace_id": current_trace_id(),
-        }
-        self.metrics.increment("compaction.materialized")
-        self._refresh_materialized_gauge()
-        self.events.emit(
-            "compaction.materialized",
-            subsystem="compactor",
-            shard=shard.index,
-            image_id=image_id,
-            lsn=lsn,
-            projected_saving=float(projected_saving),
-        )
-
-    def _rollback_materialization(self, shard: _Shard, image_id: str) -> None:
-        """Retract a materialized matrix (write lock held)."""
-        version = shard.version + 1
-        lsn = self._journal(shard, "decompact", image_id, version)
-        shard.database.engine.invalidate(image_id)
-        shard.version = version
-        shard.materialized.pop(image_id, None)
-        self.metrics.increment("compaction.rolled_back")
-        self._refresh_materialized_gauge()
-        self.events.emit(
-            "compaction.rolled_back",
-            subsystem="compactor",
-            shard=shard.index,
-            image_id=image_id,
-            lsn=lsn,
-        )
-
-    def rollback_materialization(self, image_id: str) -> bool:
-        """Public retraction of one materialized image; True if it was."""
-        self._ensure_open()
-        shard = self._owning_shard(image_id)
-        with shard.lock.write_locked():
-            if image_id not in shard.materialized:
-                return False
-            self._rollback_materialization(shard, image_id)
-        return True
+        self._mutate(shard, "update_image", image_id, image)
 
     def materialized_images(self) -> Dict[str, float]:
         """Every materialized image id and its projected per-query saving."""
@@ -739,17 +602,13 @@ class ShardedCatalog:
             combined.update(shard.materialized)
         return combined
 
-    def _refresh_materialized_gauge(self) -> None:
-        total = sum(len(shard.materialized) for shard in self._shards)
-        self.metrics.set_gauge("compaction.materialized_images", total)
-
     # ------------------------------------------------------------------
     # Scatter-gather queries
     # ------------------------------------------------------------------
     def _scatter(
         self,
         task: Callable[[_Shard], _T],
-        tracer=NULL_TRACER,
+        tracer: Any,
     ) -> Tuple[List[_T], List[Tuple[int, float, float]]]:
         """Run ``task`` on every shard under its read lock; shard order.
 
@@ -840,40 +699,49 @@ class ShardedCatalog:
             result.stats.histograms_checked + result.stats.rules_applied
         )
 
-    def _finish_query(
+    def _query(
         self,
-        tracer,
         kind: str,
-        started: float,
-        timings: Sequence[Tuple[int, float, float]],
-        per_shard_work: Sequence[float],
-        matches: int,
-    ) -> None:
-        """Close one scatter-gather query's telemetry.
+        task: Callable[[_Shard], _T],
+        merge: Callable[[List[_T]], _M],
+        work: Callable[[_T], float],
+        size: Callable[[_M], int],
+    ) -> _M:
+        """The one scatter-gather skeleton every read goes through.
 
-        Observes per-shard work-unit histograms and the router latency,
-        folds the trace (when live) into span counters, records the
-        query in the recent ring, and emits one wide ``query`` event —
-        the joinable record that ties the query's trace id to its cost.
+        ``task`` runs on each shard under its read lock and ``merge``
+        folds the shard-ordered results into the answer.  ``work`` (one
+        shard result's §5 work units) and ``size`` (the answer's match
+        count) feed the telemetry closed here: work-unit and latency
+        histograms, span counters from the trace (when live), the
+        recent-query ring, and one wide ``query`` event — the joinable
+        record that ties the query's trace id to its cost.
         """
+        started = time.perf_counter()
+        tracer = maybe_tracer("sharded_query")
+        tracer.root.set("kind", kind)
+        with tracer.span("fanout", shards=len(self._shards)):
+            results, timings = self._scatter(task, tracer)
+        with tracer.span("merge"):
+            merged = merge(results)
+        per_shard_work = [work(result) for result in results]
+        work_units = float(sum(per_shard_work))
+        matches = size(merged)
         elapsed = time.perf_counter() - started
-        for (index, _lock_wait, _total), work in zip(timings, per_shard_work):
-            self.metrics.observe(f"shard_work_units.s{index:02d}", work)
+        for (index, _lock_wait, _total), units in zip(timings, per_shard_work):
+            self.metrics.observe(f"shard_work_units.s{index:02d}", units)
         self.metrics.increment("shard.queries")
         self.metrics.observe("sharded_query_seconds", elapsed)
         trace_id = tracer.trace_id
         if tracer:
-            root = tracer.finish()
-            for span in root.iter_spans():
+            for span in tracer.finish().iter_spans():
                 self.metrics.increment(f"spans.{span.name}")
-        slowest = (
-            max(timings, key=lambda timing: timing[2])[0] if timings else None
-        )
+        slowest = max(timings, key=lambda timing: timing[2])[0]
         entry: Dict[str, object] = {
             "ts": time.time(),
             "kind": kind,
             "seconds": elapsed,
-            "work_units": float(sum(per_shard_work)),
+            "work_units": work_units,
             "matches": matches,
             "trace_id": trace_id,
             "slowest_shard": slowest,
@@ -891,9 +759,10 @@ class ShardedCatalog:
             trace_id=trace_id,
             query_kind=kind,
             seconds=round(elapsed, 6),
-            work_units=float(sum(per_shard_work)),
+            work_units=work_units,
             matches=matches,
         )
+        return merged
 
     def range_query(
         self,
@@ -902,61 +771,31 @@ class ShardedCatalog:
         expand_to_bases: bool = False,
     ) -> QueryResult:
         """Fan a range query across shards; union of shard results."""
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "range_query")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.range_query(
-                    query, method=method, expand_to_bases=expand_to_bases
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            merged = self._merge_results(results)
-        self._finish_query(
-            tracer,
+        return self._query(
             "range_query",
-            started,
-            timings,
-            [self._result_work_units(result) for result in results],
-            len(merged.matches),
+            lambda shard: shard.database.range_query(
+                query, method=method, expand_to_bases=expand_to_bases
+            ),
+            self._merge_results,
+            self._result_work_units,
+            len,
         )
-        return merged
 
     def range_query_batch(
         self, queries: Sequence[RangeQuery], method: str = "bwm"
     ) -> List[QueryResult]:
         """Fan a query batch across shards; element-wise union."""
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "range_query_batch")
-        with tracer.span("fanout", shards=len(self._shards)):
-            per_shard, timings = self._scatter(
-                lambda shard: shard.database.range_query_batch(
-                    queries, method=method
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            merged = [
-                self._merge_results(
-                    [shard_results[i] for shard_results in per_shard]
-                )
-                for i in range(len(queries))
-            ]
-        self._finish_query(
-            tracer,
+        return self._query(
             "range_query_batch",
-            started,
-            timings,
-            [
-                sum(self._result_work_units(result) for result in shard_results)
-                for shard_results in per_shard
+            lambda shard: shard.database.range_query_batch(
+                queries, method=method
+            ),
+            lambda per_shard: [
+                self._merge_results(column) for column in zip(*per_shard)
             ],
-            sum(len(result.matches) for result in merged),
+            lambda results: sum(map(self._result_work_units, results)),
+            lambda merged: sum(map(len, merged)),
         )
-        return merged
 
     def conjunctive_query(
         self,
@@ -969,27 +808,15 @@ class ShardedCatalog:
         Correct because shards partition the id space: the global
         intersection distributes over the disjoint per-shard unions.
         """
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "conjunctive_query")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.conjunctive_query(
-                    query, method=method, expand_to_bases=expand_to_bases
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            merged = self._merge_results(results)
-        self._finish_query(
-            tracer,
+        return self._query(
             "conjunctive_query",
-            started,
-            timings,
-            [self._result_work_units(result) for result in results],
-            len(merged.matches),
+            lambda shard: shard.database.conjunctive_query(
+                query, method=method, expand_to_bases=expand_to_bases
+            ),
+            self._merge_results,
+            self._result_work_units,
+            len,
         )
-        return merged
 
     def text_query(
         self,
@@ -998,13 +825,7 @@ class ShardedCatalog:
         expand_to_bases: bool = False,
     ) -> QueryResult:
         """Parse once at the router, then fan out like the database does."""
-        from repro.querylang.parser import parse_conjunctive_query
-
-        parsed = parse_conjunctive_query(text)
-        constraints = tuple(
-            RangeQuery(self.quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
-            for p in parsed
-        )
+        constraints = parse_constraints(text, self.quantizer)
         if len(constraints) == 1:
             return self.range_query(
                 constraints[0], method=method, expand_to_bases=expand_to_bases
@@ -1015,130 +836,76 @@ class ShardedCatalog:
             expand_to_bases=expand_to_bases,
         )
 
+    def _similarity(
+        self,
+        kind: str,
+        query: Union[Image, ColorHistogram],
+        task: Callable[[MultimediaDatabase, ColorHistogram], KNNResult],
+        limit: Optional[int],
+    ) -> KNNResult:
+        """kNN / similarity-range: ordered merge of the shard lists.
+
+        Each shard returns its exact local list ascending by
+        ``(distance, id)``; the first ``limit`` of their ordered merge
+        (all of it when ``None``) is the global answer — identical to
+        the single-catalog result because no excluded local candidate
+        can outrank an included one.
+        """
+        histogram = (
+            ColorHistogram.of_image(query, self.quantizer)
+            if isinstance(query, Image)
+            else query
+        )
+        if histogram.quantizer != self.quantizer:
+            raise QueryError("query histogram uses a different quantizer")
+
+        def merge(results: List[KNNResult]) -> KNNResult:
+            stats = KNNStats()
+            for result in results:
+                stats.candidates_considered += result.stats.candidates_considered
+                stats.edited_pruned += result.stats.edited_pruned
+                stats.edited_instantiated += result.stats.edited_instantiated
+            ordered = heap_merge(*(result.neighbors for result in results))
+            return KNNResult(tuple(islice(ordered, limit)), stats)
+
+        return self._query(
+            kind,
+            lambda shard: task(shard.database, histogram),
+            merge,
+            lambda result: float(result.stats.candidates_considered),
+            lambda merged: len(merged.neighbors),
+        )
+
     def knn(
         self,
         query: Union[Image, ColorHistogram],
         k: int,
         method: str = "bounded",
     ) -> KNNResult:
-        """Global k nearest neighbors: ordered merge of shard k-bests.
-
-        Each shard returns its exact local k-best ascending by
-        ``(distance, id)``; the global k-best is the first k of their
-        ordered merge — identical to the single-catalog result because
-        no excluded local candidate can outrank an included one.
-        """
+        """Global k nearest neighbors: ordered merge of shard k-bests."""
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
-        histogram = (
-            ColorHistogram.of_image(query, self.quantizer)
-            if isinstance(query, Image)
-            else query
-        )
-        if histogram.quantizer != self.quantizer:
-            raise QueryError("query histogram uses a different quantizer")
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "knn")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.knn(histogram, k, method=method),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            neighbors = tuple(
-                islice(heap_merge(*(result.neighbors for result in results)), k)
-            )
-            stats = KNNStats()
-            for result in results:
-                stats.candidates_considered += result.stats.candidates_considered
-                stats.edited_pruned += result.stats.edited_pruned
-                stats.edited_instantiated += result.stats.edited_instantiated
-        self._finish_query(
-            tracer,
+        return self._similarity(
             "knn",
-            started,
-            timings,
-            [float(result.stats.candidates_considered) for result in results],
-            len(neighbors),
+            query,
+            lambda database, histogram: database.knn(
+                histogram, k, method=method
+            ),
+            k,
         )
-        return KNNResult(neighbors, stats)
 
     def similarity_range(
         self, query: Union[Image, ColorHistogram], epsilon: float
     ) -> KNNResult:
         """All images within L1 distance ``epsilon``: ordered shard merge."""
-        histogram = (
-            ColorHistogram.of_image(query, self.quantizer)
-            if isinstance(query, Image)
-            else query
-        )
-        if histogram.quantizer != self.quantizer:
-            raise QueryError("query histogram uses a different quantizer")
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "similarity_range")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.similarity_range(
-                    histogram, epsilon
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            neighbors = tuple(
-                heap_merge(*(result.neighbors for result in results))
-            )
-            stats = KNNStats()
-            for result in results:
-                stats.candidates_considered += result.stats.candidates_considered
-                stats.edited_pruned += result.stats.edited_pruned
-                stats.edited_instantiated += result.stats.edited_instantiated
-        self._finish_query(
-            tracer,
+        return self._similarity(
             "similarity_range",
-            started,
-            timings,
-            [float(result.stats.candidates_considered) for result in results],
-            len(neighbors),
+            query,
+            lambda database, histogram: database.similarity_range(
+                histogram, epsilon
+            ),
+            None,
         )
-        return KNNResult(neighbors, stats)
-
-    def planned_range_query(self, query: RangeQuery) -> QueryResult:
-        """Router-aware planning: each shard picks its own strategy.
-
-        Shards are independently sized and independently warm, so a hot
-        small shard may serve from its memoized vectorized path while a
-        cold large one still prefers BWM — the planner decides per
-        shard over :data:`ROUTER_STRATEGIES`.
-        """
-
-        def run(shard: _Shard) -> QueryResult:
-            planner = shard.planner
-            assert planner is not None
-            plan = planner.plan(query, strategies=ROUTER_STRATEGIES)
-            self.metrics.increment(f"plans.{plan.strategy.value}")
-            if plan.strategy is Strategy.VECTORIZED_BATCH:
-                return shard.database.range_query_batch([query], method="rbm")[0]
-            method = "rbm" if plan.strategy is Strategy.LINEAR_RBM else "bwm"
-            return shard.database.range_query(query, method=method)
-
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "planned_range_query")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(run, tracer=tracer)
-        with tracer.span("merge"):
-            merged = self._merge_results(results)
-        self._finish_query(
-            tracer,
-            "planned_range_query",
-            started,
-            timings,
-            [self._result_work_units(result) for result in results],
-            len(merged.matches),
-        )
-        return merged
 
     # ------------------------------------------------------------------
     # Object access
@@ -1217,7 +984,6 @@ class ShardedCatalog:
         root: Union[str, Path],
         *,
         faults: Optional[NoFaults] = None,
-        scatter_workers: Optional[int] = None,
     ) -> "ShardedCatalog":
         """Load a sharded root: shard segment roots plus WAL replay."""
         base = Path(root)
@@ -1240,7 +1006,6 @@ class ShardedCatalog:
             fill_color=tuple(manifest["fill_color"]),  # type: ignore[arg-type]
             index_kind=str(manifest["index_kind"]),
             faults=faults,
-            scatter_workers=scatter_workers,
         )
         for shard in catalog._shards:
             shard_root = base / shard_dirname(shard.index)
@@ -1284,14 +1049,11 @@ class ShardedCatalog:
         try:
             for entry in entries:
                 shard = self._shards[int(entry["shard"])]  # type: ignore[arg-type]
-                image_id = str(entry["image_id"])
-                version = int(entry["version"])  # type: ignore[arg-type]
-                lsn = entry.get("lsn")
+                op, image_id = str(entry["op"]), str(entry["image_id"])
+                lsn = int(entry["lsn"])  # type: ignore[arg-type]
                 with shard.lock.write_locked():
                     try:
-                        applied = self._replay_entry(
-                            shard, str(entry["op"]), image_id, entry
-                        )
+                        applied = self._replay_entry(shard, op, image_id, lsn, entry)
                     except DatabaseError as exc:
                         failed += 1
                         shard.replay_failures += 1
@@ -1300,7 +1062,7 @@ class ShardedCatalog:
                             "apply (%s); skipping — the live apply was "
                             "rejected the same way",
                             lsn,
-                            entry["op"],
+                            op,
                             image_id,
                             exc,
                         )
@@ -1313,9 +1075,9 @@ class ShardedCatalog:
                             subsystem="wal",
                             shard=shard.index,
                             image_id=image_id,
-                            lsn=int(lsn) if lsn is not None else None,  # type: ignore[arg-type]
+                            lsn=lsn,
                             trace_id=entry.get("trace_id"),  # type: ignore[arg-type]
-                            op=str(entry["op"]),
+                            op=op,
                             error=str(exc),
                         )
                     else:
@@ -1323,9 +1085,8 @@ class ShardedCatalog:
                             replayed += 1
                         else:
                             skipped += 1
-                    shard.version = max(shard.version, version)
-                    if lsn is not None:
-                        shard.last_lsn = int(lsn)  # type: ignore[arg-type]
+                    shard.version = max(shard.version, int(entry["version"]))  # type: ignore[arg-type]
+                    shard.last_lsn = lsn
         finally:
             self._replaying = False
         self.metrics.increment("wal.replayed", replayed)
@@ -1346,86 +1107,21 @@ class ShardedCatalog:
             failed,
         )
 
-    # Replay's caller (_replay) holds the shard write lock around every
-    # per-entry call; the appliers below are lock-free by contract.
-    def _replay_entry(  # repro-lint: disable=AL002
+    def _replay_entry(
         self,
         shard: _Shard,
         op: str,
         image_id: str,
+        lsn: int,
         entry: Dict[str, object],
     ) -> bool:
         """Apply one WAL record to its shard; False when a no-op.
 
         Must only be called with ``shard.lock``'s write side held (the
-        replayer's loop does this), which is why the mutator calls in
-        the body carry a function-level AL002 pragma instead of taking
-        the lock themselves.
+        replayer's loop does this).  A table kind whose effect is
+        already present is skipped; otherwise the record goes through
+        the same applier and the same :meth:`_settle` as its live commit.
         """
-        catalog = shard.database.catalog
-        present = catalog.contains(image_id)
-        if op == "insert_image":
-            if present:
-                return False
-            shard.database.insert_image(_decode_ppm(entry), image_id)
-            self._placement[image_id] = shard.index
-            self._note_allocated(image_id)
-            return True
-        if op == "insert_edited":
-            if present:
-                return False
-            sequence = EditSequence.parse(str(entry["sequence"]))
-            shard.database.insert_edited(sequence, image_id)
-            self._placement[image_id] = shard.index
-            self._note_allocated(image_id)
-            return True
-        if op == "delete_edited":
-            if not present:
-                return False
-            shard.database.delete_edited(image_id)
-            shard.materialized.pop(image_id, None)
-            self._placement.pop(image_id, None)
-            return True
-        if op == "delete_image":
-            if not present:
-                return False
-            shard.database.delete_image(image_id)
-            self._placement.pop(image_id, None)
-            return True
-        if op == "update_image":
-            if not present:
-                return False
-            shard.database.update_image(image_id, _decode_ppm(entry))
-            return True
-        if op == "compact":
-            if not present:
-                return False
-            lo = np.array(entry["lo"], dtype=np.int64)
-            hi = np.array(entry["hi"], dtype=np.int64)
-            bounds: AllBinsBounds = (
-                lo,
-                hi,
-                int(entry["height"]),  # type: ignore[arg-type]
-                int(entry["width"]),  # type: ignore[arg-type]
-            )
-            shard.database.engine.invalidate(image_id)
-            shard.database.engine.seed_bounds(image_id, bounds)
-            shard.materialized[image_id] = 0.0
-            lsn = entry.get("lsn")
-            shard.last_compaction = {
-                "image_id": image_id,
-                "lsn": int(lsn) if lsn is not None else None,  # type: ignore[arg-type]
-                "trace_id": entry.get("trace_id"),
-            }
-            self._refresh_materialized_gauge()
-            return True
-        if op == "decompact":
-            if image_id not in shard.materialized:
-                return False
-            shard.database.engine.invalidate(image_id)
-            shard.materialized.pop(image_id, None)
-            self._refresh_materialized_gauge()
-            return True
         if op == "change":
             # Out-of-band capture: nothing to re-apply (no payload), but
             # surface it — the change itself was lost with the process.
@@ -1438,7 +1134,14 @@ class ShardedCatalog:
                 shard.index,
             )
             return False
-        raise ShardError(f"unknown WAL record kind {op!r} during replay")
+        kind = RECORD_KINDS.get(op)
+        if kind is None:
+            raise ShardError(f"unknown WAL record kind {op!r} during replay")
+        if kind.done(shard, image_id):
+            return False
+        kind.apply(shard, image_id, kind.decode(entry))
+        self._settle(shard, op, image_id, lsn, entry.get("trace_id"))
+        return True
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -1549,13 +1252,10 @@ class ShardedCatalog:
         return render_prometheus(self.metrics_snapshot())
 
     def close(self) -> None:
-        """Detach listeners/planners and stop the scatter pool."""
+        """Silence the ingestion listeners and stop the scatter pool."""
         if self._closed:
             return
         self._closed = True
-        for shard in self._shards:
-            if shard.planner is not None:
-                shard.planner.close()
         self._pool.shutdown(wait=True)
         self.events.close()
 
@@ -1569,10 +1269,6 @@ class ShardedCatalog:
 # ----------------------------------------------------------------------
 # Module helpers
 # ----------------------------------------------------------------------
-def _decode_ppm(entry: Dict[str, object]) -> Image:
-    return read_ppm(base64.b64decode(str(entry["ppm"])))
-
-
 def _read_shard_manifest(path: Path) -> Dict[str, object]:
     """Read and checksum-verify the shard layout manifest."""
     try:

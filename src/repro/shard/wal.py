@@ -16,29 +16,23 @@ Record shape
 Every record carries::
 
     lsn        log sequence number (1-based, monotonically increasing)
-    op         one of the kinds below
+    op         one of :func:`wal_record_kinds`
     shard      owning shard index
     image_id   the mutated id
     version    the shard-local version the mutation commits
 
-plus an op-specific payload:
+plus an op-specific payload.  The kinds, their payloads and how each is
+applied and replayed are specified once, by the table in
+:mod:`repro.shard.records`: ``insert_image`` / ``update_image`` carry
+``ppm`` (base64 of the binary PPM), ``insert_edited`` carries
+``sequence`` (its text serialization), ``compact`` carries ``lo`` /
+``hi`` int lists plus ``height`` / ``width``, the deletes and
+``decompact`` carry nothing.  The one kind outside the table is
+``change``: an out-of-band catalog change observed through the bounds
+engine's invalidation feed — recorded so replicas learn to drop caches,
+but carrying no payload to re-apply.
 
-``insert_image`` / ``update_image``
-    ``ppm``: the raster as base64 of its binary PPM encoding.
-``insert_edited``
-    ``sequence``: the edit sequence in its text serialization.
-``delete_image`` / ``delete_edited``
-    no payload.
-``compact`` / ``decompact``
-    the compactor's materialized all-bins matrix (``lo``/``hi`` int
-    lists plus ``height``/``width``) or its retraction.
-``change``
-    an out-of-band catalog change observed through the bounds engine's
-    invalidation feed that did not come through the sharded wrapper —
-    recorded so replicas learn to drop caches, but carrying no payload
-    to re-apply.
-
-Appends go through a fault plan (:mod:`repro.testing.faults`): append
+Appends go through a fault plan (:mod:`repro.db.durable`): append
 and fsync are separate kill points, and ``tests/shard/
 test_wal_replay_faults.py`` sweeps a crash over every one.
 """
@@ -52,30 +46,19 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.db.durable import NoFaults
 from repro.db.versioning import sha256_hex
 from repro.errors import CorruptionError
-from repro.testing.faults import NoFaults
+from repro.shard.records import RECORD_KINDS
 
 logger = logging.getLogger(__name__)
 
 WAL_NAME = "shard.wal"
 
-#: Every record kind the replayer understands, in no particular order.
-_RECORD_KINDS: Tuple[str, ...] = (
-    "insert_image",
-    "insert_edited",
-    "delete_image",
-    "delete_edited",
-    "update_image",
-    "compact",
-    "decompact",
-    "change",
-)
-
 
 def wal_record_kinds() -> Tuple[str, ...]:
     """The record kinds a WAL consumer must handle (for replicas)."""
-    return _RECORD_KINDS
+    return (*RECORD_KINDS, "change")
 
 
 class ShardWAL:
@@ -117,7 +100,7 @@ class ShardWAL:
         **payload: object,
     ) -> Dict[str, object]:
         """Durably append one mutation record; returns the full entry."""
-        if op not in _RECORD_KINDS:
+        if op not in RECORD_KINDS and op != "change":
             raise CorruptionError(f"unknown WAL record kind {op!r}")
         with self._lock:
             self._truncate_torn_tail()
@@ -233,6 +216,3 @@ class ShardWAL:
         if recorded != sha256_hex(canonical.encode("utf-8")):
             return None
         return entry
-
-    def remove(self) -> None:
-        self.path.unlink(missing_ok=True)

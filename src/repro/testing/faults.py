@@ -6,8 +6,8 @@ and checking what a subsequent load makes of the wreckage.  This module
 provides the seam: :func:`repro.db.persistence.save_database` and the
 online migrator (:mod:`repro.db.migration`) route every durable side
 effect — file writes, journal appends, fsyncs, and commit renames —
-through a *fault plan*, and test plans turn chosen boundaries into
-simulated crashes or injected I/O errors.
+through a *fault plan* (:class:`repro.db.durable.NoFaults` in production),
+and test plans turn chosen boundaries into simulated crashes or I/O errors.
 
 Three failure modes cover the interesting crash shapes:
 
@@ -46,10 +46,11 @@ Typical kill-point sweep::
 from __future__ import annotations
 
 import errno as _errno
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
+
+from repro.db.durable import NoFaults
 
 #: Supported failure modes for :class:`FaultPlan`.
 FAIL_MODES = ("before", "torn", "after")
@@ -70,42 +71,6 @@ class WriteEvent:
     kind: str  # one of BOUNDARY_KINDS
     path: Path
     size: int
-
-
-class NoFaults:
-    """The production plan: every side effect succeeds.
-
-    ``fsync`` is deliberately a real fsync: the migration journal's
-    durability claims rest on it.  Plans that cannot fsync a path (e.g.
-    a directory on a filesystem that refuses it) degrade silently, which
-    matches what production code does with best-effort directory syncs.
-    """
-
-    def write_bytes(self, path: Path, payload: bytes) -> None:
-        """Write ``payload`` to ``path`` (one durable boundary)."""
-        path.write_bytes(payload)
-
-    def append_bytes(self, path: Path, payload: bytes) -> None:
-        """Append ``payload`` to ``path`` (one durable boundary)."""
-        with open(path, "ab") as handle:
-            handle.write(payload)
-
-    def fsync(self, path: Path) -> None:
-        """Flush ``path`` (file or directory) to stable storage."""
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def rename(self, source: Path, target: Path) -> None:
-        """Rename ``source`` over ``target`` (one durable boundary)."""
-        source.replace(target)
 
 
 class CountingFaults(NoFaults):

@@ -28,7 +28,7 @@ Refinements over plain Eraser:
   repo's discipline anyway.
 * Read accesses intersect against *all* held locks; write accesses only
   against write-held ones — reading under the read side of a
-  :class:`~repro.service.executor.ReadWriteLock` is synchronized with
+  :class:`~repro.rwlock.ReadWriteLock` is synchronized with
   writers, but writing under the read side is not.
 
 Races are reported as ``CC004`` findings (ERROR) through the shared
@@ -57,7 +57,6 @@ from typing import (
     MutableMapping,
     Optional,
     Set,
-    Tuple,
 )
 
 from repro.analysis.findings import AnalysisReport, Finding, Severity
@@ -566,7 +565,7 @@ def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
 # ----------------------------------------------------------------------
 def _scenario_metrics(monitor: RaceMonitor) -> None:
     """Concurrent counters/gauges/histograms on one registry."""
-    from repro.service.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
     instrument_metrics(registry, monitor)

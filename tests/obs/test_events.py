@@ -169,6 +169,21 @@ class TestSink:
                 log.emit("query", subsystem="router")
         assert [e.seq for e in read_events_jsonl(sink, limit=2)] == [4, 5]
 
+    def test_preload_parses_only_the_ring_tail(self, tmp_path):
+        sink = tmp_path / "events.jsonl"
+        with EventLog(sink=sink) as log:
+            for _ in range(10):
+                log.emit("query", subsystem="router")
+        # Damage above the tail is skipped, not parsed: opening a root
+        # costs the ring's worth whatever the sink's length.
+        lines = sink.read_text().splitlines()
+        sink.write_text("\n".join(["{broken}"] + lines[1:]) + "\n")
+        with EventLog(capacity=4, sink=sink) as log:
+            assert [e.seq for e in log.snapshot()] == [7, 8, 9, 10]
+            assert log.stats()["emitted"] == 10
+            assert log.emit("query", subsystem="router").seq == 11
+        assert read_events_jsonl(sink, limit=0) == []
+
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_events_jsonl(tmp_path / "nope.jsonl") == []
 

@@ -1,0 +1,267 @@
+"""The record-kind table: live apply = replay.
+
+Every WAL record kind is encoded once (:mod:`repro.shard.records`); the
+live commit and the replayer share its appliers and one ``_settle``.
+These tests pin what that buys: a reopened catalog is indistinguishable
+from the live one it replays — ledger included — for hand-built
+scenarios that used to drift, for random interleavings of every kind,
+and for a WAL written from the documented payloads alone.
+"""
+
+from __future__ import annotations
+
+import base64
+import hashlib
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.shard
+from repro.core.query import RangeQuery
+from repro.db.database import MultimediaDatabase
+from repro.editing.operations import Combine, Define, Modify
+from repro.editing.sequence import EditSequence
+from repro.errors import DatabaseError
+from repro.images.ppm import write_ppm
+from repro.shard import (
+    WAL_NAME,
+    CompactionPolicy,
+    Compactor,
+    ShardedCatalog,
+    wal_record_kinds,
+)
+from repro.shard.records import RECORD_KINDS
+
+from tests.shard.conftest import random_image, random_sequence
+
+EAGER = CompactionPolicy(min_ops=1, max_per_cycle=32, min_score=0.0,
+                         require_demand=False)
+
+RED, WHITE, BLUE = (255, 0, 0), (255, 255, 255), (0, 0, 255)
+
+
+def _ops(count):
+    """``count`` cheap ops (the compactor scores by sequence length)."""
+    cycle = (Define.of(1, 1, 4, 5), Combine.box(), Modify(RED, BLUE))
+    return tuple(cycle[i % len(cycle)] for i in range(count))
+
+
+def _assert_ledger_is_cached(catalog):
+    """The invariant ``_settle`` maintains: ledger ⊆ cached matrices."""
+    for shard in catalog._shards:
+        engine = shard.database.engine
+        for image_id in shard.materialized:
+            assert engine.has_cached_bounds(image_id), image_id
+
+
+def test_table_is_the_whole_vocabulary():
+    assert set(wal_record_kinds()) == set(RECORD_KINDS) | {"change"}
+    # One journal site for the table kinds, one for the out-of-band
+    # ``change``: nobody else writes the log.
+    appends = [
+        path.name
+        for path in sorted(Path(repro.shard.__file__).parent.glob("*.py"))
+        for _ in re.finditer(r"_wal\.append\(", path.read_text("utf-8"))
+    ]
+    assert appends == ["sharded.py", "sharded.py"]
+
+
+def test_ledger_after_replay_matches_live(rng, tmp_path):
+    """An update evicts a dependent's matrix; replay must prune it too."""
+    live = ShardedCatalog(2, root=tmp_path)
+    try:
+        live.insert_image(random_image(rng), "b")
+        live.insert_image(random_image(rng), "other")
+        live.insert_edited(EditSequence("b", _ops(3)), "x")
+        live.insert_edited(EditSequence("other", _ops(2)), "kept")
+        assert set(Compactor(live, EAGER).run_once().materialized) == {"x", "kept"}
+        live.update_image("b", random_image(rng))
+        expected = sorted(live.materialized_images())
+        assert expected == ["kept"]  # x's matrix went with its base
+    finally:
+        live.close()  # no save: everything replays from the WAL
+    reopened = ShardedCatalog.open(tmp_path)
+    try:
+        assert sorted(reopened.materialized_images()) == expected
+        _assert_ledger_is_cached(reopened)
+        backlog = {s["shard"]: s["backlog"] for s in reopened.health_signals()}
+        assert sum(backlog.values()) == 1  # x is waiting to be re-warmed
+    finally:
+        reopened.close()
+
+
+def test_ledger_after_chained_compaction(rng):
+    """Committing a base's matrix evicts its dependent's, ledger and all."""
+    catalog = ShardedCatalog(1)
+    try:
+        catalog.insert_image(random_image(rng), "b")
+        catalog.insert_edited(EditSequence("b", _ops(2)), "x")
+        catalog.insert_edited(EditSequence("x", _ops(4)), "y")
+        compactor = Compactor(catalog, EAGER)
+        # y (longer, scored first) commits, then x — whose invalidation
+        # drops y's fresh matrix.
+        assert compactor.run_once().materialized == ("y", "x")
+        _assert_ledger_is_cached(catalog)
+        assert sorted(catalog.materialized_images()) == ["x"]
+        assert compactor.run_once().materialized == ("y",)
+        _assert_ledger_is_cached(catalog)
+        assert sorted(catalog.materialized_images()) == ["x", "y"]
+    finally:
+        catalog.close()
+
+
+# ----------------------------------------------------------------------
+# Differential: random interleavings of all seven table kinds
+# ----------------------------------------------------------------------
+def _leaves(catalog, edited):
+    """Edited ids nothing else derives from.
+
+    (``MultimediaDatabase.delete_edited`` does not refuse an edit that
+    other edits build on — a database-layer gap outside this tier — so
+    the walk only deletes leaves.)
+    """
+    referenced = set()
+    for image_id in edited:
+        database = catalog.shard_database(catalog.shard_of(image_id))
+        sequence = database.catalog.edited_record(image_id).sequence
+        referenced.update(sequence.referenced_ids())
+    return [image_id for image_id in edited if image_id not in referenced]
+
+
+def _random_step(rng, catalog, compactor):
+    """One random mutation; rejected ones stay in the WAL, as live."""
+    binary = [i for i in catalog.ids() if i.startswith("img")]
+    edited = [i for i in catalog.ids() if i.startswith("edit")]
+    roll = int(rng.integers(0, 8))
+    try:
+        if roll == 0 or not binary:
+            catalog.insert_image(random_image(rng, 6, 7))
+        elif roll in (1, 2):
+            bases = binary + edited
+            base = bases[int(rng.integers(0, len(bases)))]
+            catalog.insert_edited(random_sequence(rng, base, 1, 3))
+        elif roll == 3:
+            target = binary[int(rng.integers(0, len(binary)))]
+            catalog.update_image(target, random_image(rng, 6, 7))
+        elif roll == 4 and edited:
+            leaves = _leaves(catalog, edited)
+            catalog.delete_edited(leaves[int(rng.integers(0, len(leaves)))])
+        elif roll == 5:
+            catalog.delete_image(binary[int(rng.integers(0, len(binary)))])
+        elif roll == 6:
+            compactor.run_once()
+        else:
+            warm = sorted(catalog.materialized_images())
+            if warm:
+                compactor.rollback(warm[int(rng.integers(0, len(warm)))])
+    except DatabaseError:
+        pass  # e.g. deleting an image that still has derived edits
+
+
+def _observable(catalog, queries, probe):
+    """What a reopened catalog must reproduce, replay-only fields aside."""
+    answers = [catalog.range_query(query).matches for query in queries]
+    neighbors = catalog.knn(probe, 3).neighbors if len(catalog) else ()
+    shards = [
+        {key: value for key, value in shard.items() if key != "replay_failures"}
+        for shard in catalog.status()["shards"]
+    ]
+    return (
+        catalog.placement(),
+        sorted(catalog.materialized_images()),
+        shards,
+        answers,
+        neighbors,
+    )
+
+
+@pytest.mark.parametrize("shard_count", [1, 3])
+def test_reopened_catalog_equals_live_one(shard_count, tmp_path):
+    rng = np.random.default_rng(1606 + shard_count)
+    live = ShardedCatalog(shard_count, root=tmp_path)
+    try:
+        compactor = Compactor(
+            live,
+            CompactionPolicy(min_ops=1, max_per_cycle=2, min_score=0.0,
+                             require_demand=False),
+        )
+        for _ in range(60):
+            _random_step(rng, live, compactor)
+            _assert_ledger_is_cached(live)
+        kinds = {entry["op"] for entry in live._wal.entries()}
+        assert kinds == set(RECORD_KINDS), "the walk missed a record kind"
+        queries = [
+            RangeQuery(int(rng.integers(0, live.quantizer.bin_count)), 0.0, 0.5)
+            for _ in range(6)
+        ]
+        probe = random_image(rng, 6, 7)
+        expected = _observable(live, queries, probe)
+    finally:
+        live.close()  # no save
+    reopened = ShardedCatalog.open(tmp_path)
+    try:
+        _assert_ledger_is_cached(reopened)
+        assert _observable(reopened, queries, probe) == expected
+    finally:
+        reopened.close()
+
+
+# ----------------------------------------------------------------------
+# Wire compatibility: a WAL built from the documented payloads
+# ----------------------------------------------------------------------
+def _wal_line(lsn, op, image_id, version, **payload):
+    """One WAL line as docs/sharding.md specifies it, no encoder involved."""
+    entry = {"lsn": lsn, "op": op, "shard": 0, "image_id": image_id,
+             "version": version, **payload}
+    canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    entry["line_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+
+
+def test_replays_a_wal_built_from_the_documented_payloads(rng, tmp_path):
+    ShardedCatalog(1, root=tmp_path).close()  # manifest only
+    first, second, doomed = (random_image(rng, 6, 7) for _ in range(3))
+    warm = EditSequence("b", _ops(3))
+    cold = EditSequence("b", (Modify(WHITE, RED),))
+    oracle = MultimediaDatabase()
+    oracle.insert_image(second, "b")
+    oracle.insert_edited(warm, "warm")
+    oracle.insert_edited(cold, "cold")
+    matrices = {}
+    for image_id in ("warm", "cold"):
+        lo, hi, height, width = oracle.engine.bounds_all_bins(image_id)
+        matrices[image_id] = {"lo": [int(v) for v in lo], "hi": [int(v) for v in hi],
+                              "height": int(height), "width": int(width)}
+
+    def ppm(image):
+        return base64.b64encode(write_ppm(image)).decode("ascii")
+
+    lines = [
+        _wal_line(1, "insert_image", "b", 1, ppm=ppm(first)),
+        _wal_line(2, "insert_image", "doomed", 2, ppm=ppm(doomed)),
+        _wal_line(3, "insert_edited", "warm", 3, sequence=warm.serialize()),
+        _wal_line(4, "insert_edited", "gone", 4, sequence=cold.serialize()),
+        _wal_line(5, "update_image", "b", 5, ppm=ppm(second)),
+        _wal_line(6, "insert_edited", "cold", 6, sequence=cold.serialize()),
+        _wal_line(7, "compact", "warm", 7, **matrices["warm"]),
+        _wal_line(8, "compact", "cold", 8, **matrices["cold"]),
+        _wal_line(9, "decompact", "cold", 9),
+        _wal_line(10, "delete_edited", "gone", 10),
+        _wal_line(11, "delete_image", "doomed", 11),
+    ]
+    (tmp_path / WAL_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    catalog = ShardedCatalog.open(tmp_path)
+    try:
+        assert catalog.metrics.counter("wal.replayed") == len(lines)
+        assert catalog.placement() == {"b": 0, "warm": 0, "cold": 0}
+        assert catalog.status()["shards"][0]["version"] == 11
+        assert sorted(catalog.materialized_images()) == ["warm"]
+        _assert_ledger_is_cached(catalog)
+        for bin_index in range(0, catalog.quantizer.bin_count, 7):
+            query = RangeQuery(bin_index, 0.0, 0.4)
+            assert catalog.range_query(query).matches == oracle.range_query(query).matches
+    finally:
+        catalog.close()

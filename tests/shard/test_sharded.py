@@ -46,10 +46,6 @@ def _assert_full_parity(sharded, oracle, rng):
                 sharded.range_query(query, method=method).matches
                 == oracle.range_query(query, method=method).matches
             )
-        assert (
-            sharded.planned_range_query(query).matches
-            == oracle.range_query(query, method="bwm").matches
-        )
     for method in ("rbm", "bwm"):
         batched = sharded.range_query_batch(queries, method=method)
         expected = oracle.range_query_batch(queries, method=method)
