@@ -30,6 +30,10 @@ class Catalog:
         self._binary: Dict[str, BinaryImageRecord] = {}
         self._edited: Dict[str, EditedImageRecord] = {}
         self._children: Dict[str, List[str]] = {}
+        #: Merge target id -> edited images whose sequence merges it in
+        #: (the other half of "who references this image", beside
+        #: ``_children``); lets the removal guards answer in O(1).
+        self._merge_users: Dict[str, List[str]] = {}
         self._counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -62,35 +66,46 @@ class Catalog:
                 )
         self._edited[record.image_id] = record
         self._children.setdefault(record.base_id, []).append(record.image_id)
+        for target in set(record.sequence.merge_targets()):
+            self._merge_users.setdefault(target, []).append(record.image_id)
 
     def remove_edited(self, image_id: str) -> EditedImageRecord:
-        """Drop an edited image, returning its record."""
-        record = self._edited.pop(image_id, None)
-        if record is None:
-            raise UnknownObjectError(f"edited image {image_id!r} not in catalog")
+        """Drop an edited image; fails while other edits reference it."""
+        record = self.edited_record(image_id)
+        self._release(image_id, "edited")
+        del self._edited[image_id]
         self._children[record.base_id].remove(image_id)
+        for target in set(record.sequence.merge_targets()):
+            self._merge_users[target].remove(image_id)
         return record
 
     def remove_binary(self, image_id: str) -> BinaryImageRecord:
-        """Drop a binary image; fails while derived images reference it."""
-        if image_id not in self._binary:
-            raise UnknownObjectError(f"binary image {image_id!r} not in catalog")
-        if self._children.get(image_id):
-            raise DatabaseError(
-                f"binary image {image_id!r} still has "
-                f"{len(self._children[image_id])} derived images"
+        """Drop a binary image; fails while edited images reference it."""
+        record = self.binary_record(image_id)
+        self._release(image_id, "binary")
+        del self._binary[image_id]
+        return record
+
+    def referrers(self, image_id: str) -> Tuple[str, ...]:
+        """Edited images that use ``image_id`` as base or as Merge target."""
+        return tuple(
+            dict.fromkeys(
+                self._children.get(image_id, [])
+                + self._merge_users.get(image_id, [])
             )
-        referencing = [
-            edited_id
-            for edited_id, record in self._edited.items()
-            if image_id in record.sequence.referenced_ids()
-        ]
-        if referencing:
+        )
+
+    def _release(self, image_id: str, kind: str) -> None:
+        """The removal guard: raise while edits reference ``image_id``,
+        else drop its (by now empty) referrer lists."""
+        referrers = self.referrers(image_id)
+        if referrers:
             raise DatabaseError(
-                f"binary image {image_id!r} is a Merge target of {referencing}"
+                f"{kind} image {image_id!r} is still the base or a Merge "
+                f"target of {len(referrers)} edited image(s): {list(referrers)}"
             )
         self._children.pop(image_id, None)
-        return self._binary.pop(image_id)
+        self._merge_users.pop(image_id, None)
 
     def _require_fresh(self, image_id: str) -> None:
         if self.contains(image_id):

@@ -1,10 +1,14 @@
 """`MultimediaDatabase` — the MMDBMS facade tying every subsystem together.
 
 One object owns the catalog, the histogram quantizer, the edit executor,
-the bounds engine, the BWM structure (maintained incrementally on every
-insert, per Figure 1), and the conventional multidimensional index over
-binary-image histograms.  Everything the examples and benchmarks do goes
-through this API.
+the bounds engine and the BWM structure (maintained incrementally on
+every insert, per Figure 1).  Everything the examples and benchmarks do
+goes through this API.
+
+The conventional §3.1 access method over binary-image histograms is not
+kept here: it is a front-end structure, built from ``database.catalog``
+by :mod:`repro.index.builders` for whoever searches it (``QueryService``
+does, for its ``INDEX_ASSISTED`` strategy).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.db.processors import (
     InstantiateProcessor,
     KNNResult,
     SimilaritySearch,
+    and_merge,
 )
 from repro.db.records import BinaryImageRecord, EditedImageRecord
 from repro.db.storage import StorageReport, measure_storage
@@ -33,10 +38,6 @@ from repro.editing.executor import EditExecutor
 from repro.editing.sequence import EditSequence
 from repro.errors import QueryError
 from repro.images.raster import ColorTuple, Image, validate_color
-from repro.index.linear import LinearIndex
-from repro.index.mbr import MBR
-from repro.index.rtree import RTree
-from repro.index.vafile import VAFile
 from repro.querylang.parser import parse_constraints
 
 #: Supported range-query processing methods.
@@ -56,9 +57,6 @@ class MultimediaDatabase:
         paper-scale RGB quantizer with 4 divisions per channel (64 bins).
     fill_color:
         Fill used by Mutate/Merge semantics (executor *and* rules).
-    index_kind:
-        ``"rtree"`` (default), ``"vafile"``, or ``"linear"`` — the
-        conventional access method over binary-image histograms.
     bounds_cache:
         Memoize BOUNDS intervals per image with dependency-aware
         invalidation: a catalog change drops only entries reachable from
@@ -70,7 +68,6 @@ class MultimediaDatabase:
         self,
         quantizer: Optional[UniformQuantizer] = None,
         fill_color: Sequence[int] = (0, 0, 0),
-        index_kind: str = "rtree",
         bounds_cache: bool = False,
     ) -> None:
         self.quantizer = quantizer if quantizer is not None else UniformQuantizer(4, "rgb")
@@ -84,17 +81,6 @@ class MultimediaDatabase:
             cache_enabled=bounds_cache,
         )
         self.bwm_structure = BWMStructure()
-        if index_kind == "rtree":
-            self.histogram_index: Union[RTree, LinearIndex, VAFile] = RTree(
-                max_entries=8
-            )
-        elif index_kind == "vafile":
-            self.histogram_index = VAFile(bits=4)
-        elif index_kind == "linear":
-            self.histogram_index = LinearIndex()
-        else:
-            raise QueryError(f"unknown index kind {index_kind!r}")
-
         self._rbm = RBMProcessor(self.catalog, self.engine)
         self._bwm = BWMProcessor(self.bwm_structure, self.catalog, self.engine)
         self._instantiate_processor = InstantiateProcessor(
@@ -108,10 +94,10 @@ class MultimediaDatabase:
     # Insertion
     # ------------------------------------------------------------------
     def insert_image(self, image: Image, image_id: Optional[str] = None) -> str:
-        """Store a binary image: extract features, index, open a BWM cluster.
+        """Store a binary image: extract features, open a BWM cluster.
 
-        Exception-safe: a failure at any step rolls back the earlier
-        steps, so the catalog, BWM structure, and histogram index never
+        Exception-safe: if opening the cluster fails the catalog insert
+        is rolled back, so the catalog and the BWM structure never
         diverge on a failed insert.
         """
         assigned = image_id if image_id is not None else self.catalog.allocate_id("img")
@@ -120,12 +106,6 @@ class MultimediaDatabase:
         try:
             self.bwm_structure.insert_binary(assigned)
         except BaseException:
-            self.catalog.remove_binary(assigned)
-            raise
-        try:
-            self.histogram_index.insert_point(histogram.fractions(), assigned)
-        except BaseException:
-            self.bwm_structure.remove_binary(assigned)
             self.catalog.remove_binary(assigned)
             raise
         # A fresh id has no cached entries to drop, but the invalidation
@@ -153,7 +133,11 @@ class MultimediaDatabase:
         return assigned
 
     def delete_edited(self, image_id: str) -> None:
-        """Remove an edited image from the catalog and BWM structure."""
+        """Remove an edited image from the catalog and BWM structure.
+
+        Fails (leaving everything intact) while other edited images use
+        it as their base or as a Merge target — delete those first.
+        """
         record = self.catalog.remove_edited(image_id)
         try:
             self.bwm_structure.remove_edited(image_id)
@@ -167,22 +151,12 @@ class MultimediaDatabase:
 
         Fails (leaving everything intact) while derived images or Merge
         targets still reference it — delete those first.  Exception-safe:
-        a failure in the BWM or index removal restores the catalog
-        record.
+        a failure in the BWM removal restores the catalog record.
         """
-        record = self.catalog.binary_record(image_id)
-        self.catalog.remove_binary(image_id)
+        record = self.catalog.remove_binary(image_id)
         try:
             self.bwm_structure.remove_binary(image_id)
         except BaseException:
-            self.catalog.add_binary(record)
-            raise
-        try:
-            self.histogram_index.delete(
-                MBR.point(record.histogram.fractions()), image_id
-            )
-        except BaseException:
-            self.bwm_structure.insert_binary(image_id)
             self.catalog.add_binary(record)
             raise
         self.engine.invalidate(image_id)
@@ -190,24 +164,15 @@ class MultimediaDatabase:
     def update_image(self, image_id: str, image: Image) -> None:
         """Replace a binary image's raster in place.
 
-        Features are re-extracted, the histogram index entry is moved,
-        and cached bounds are invalidated; derived edit sequences keep
-        referencing the id and now instantiate against the new raster
-        (the §2 links are by identity, not content).  Exception-safe:
-        the index entry and the record mutate together or not at all.
+        Features are re-extracted and cached bounds are invalidated;
+        derived edit sequences keep referencing the id and now
+        instantiate against the new raster (the §2 links are by
+        identity, not content).  Exception-safe: the new histogram and
+        raster copy exist before the record is touched.
         """
-        old = self.catalog.binary_record(image_id)
+        record = self.catalog.binary_record(image_id)
         histogram = ColorHistogram.of_image(image, self.quantizer)
-        old_point = MBR.point(old.histogram.fractions())
-
-        self.histogram_index.delete(old_point, image_id)
-        try:
-            self.histogram_index.insert_point(histogram.fractions(), image_id)
-        except BaseException:
-            self.histogram_index.insert(old_point, image_id)
-            raise
-        old.image = image.copy()
-        old.histogram = histogram
+        record.image, record.histogram = image.copy(), histogram
         self.engine.invalidate(image_id)
 
     def augment(
@@ -286,12 +251,7 @@ class MultimediaDatabase:
         result = processor.process(query)
         if not expand_to_bases:
             return result
-        expanded = set(result.matches)
-        for image_id in result.matches:
-            record = self.catalog.record(image_id)
-            if isinstance(record, EditedImageRecord):
-                expanded.add(record.base_id)
-        return QueryResult(frozenset(expanded), result.stats)
+        return and_merge(self.catalog, [result], expand_to_bases=True)
 
     def range_query_color(
         self,
@@ -341,8 +301,9 @@ class MultimediaDatabase:
         """Process a conjunction of range constraints (AND semantics).
 
         Conservative composition: the per-constraint conservative result
-        sets are intersected, which preserves the no-false-negative
-        guarantee (see :class:`repro.core.query.ConjunctiveQuery`).
+        sets are intersected (:func:`repro.db.processors.and_merge`),
+        which preserves the no-false-negative guarantee, and the
+        reported work is the sum over the constraints.
         """
         if method in ("bwm", "rbm"):
             results = self.range_query_batch(list(query.constraints), method=method)
@@ -351,19 +312,7 @@ class MultimediaDatabase:
                 self.range_query(constraint, method=method)
                 for constraint in query.constraints
             ]
-        matches = set(results[0].matches)
-        stats = results[0].stats
-        for result in results[1:]:
-            matches &= result.matches
-        combined = QueryResult(frozenset(matches), stats)
-        if not expand_to_bases:
-            return combined
-        expanded = set(combined.matches)
-        for image_id in combined.matches:
-            record = self.catalog.record(image_id)
-            if isinstance(record, EditedImageRecord):
-                expanded.add(record.base_id)
-        return QueryResult(frozenset(expanded), stats)
+        return and_merge(self.catalog, results, expand_to_bases)
 
     def text_query(
         self,
@@ -387,25 +336,6 @@ class MultimediaDatabase:
             method=method,
             expand_to_bases=expand_to_bases,
         )
-
-    def indexed_binary_range_query(
-        self, query: RangeQuery
-    ) -> List[str]:
-        """Conventional path: binary images only, via the histogram index.
-
-        A single-bin range query is a slab in histogram space (§3.1's
-        "sections of the multidimensional data space").
-        """
-        self.quantizer.validate_bin(query.bin_index)
-        slab = MBR.slab(
-            self.quantizer.bin_count,
-            query.bin_index,
-            query.pct_min,
-            query.pct_max,
-            domain_lo=0.0,
-            domain_hi=1.0,
-        )
-        return sorted(self.histogram_index.search(slab))  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Similarity queries (A5 extension)
@@ -464,7 +394,7 @@ class MultimediaDatabase:
         return statistics.explain(query)
 
     def verify_integrity(self, recompute_histograms: bool = True):
-        """Cross-check catalog/BWM/index/histogram consistency.
+        """Cross-check catalog/BWM/histogram consistency.
 
         Returns a list of problem descriptions (empty when healthy).
         """

@@ -1,12 +1,12 @@
 """Integrity checking and self-healing — the MMDBMS's CHECK and REPAIR
 utilities.
 
-A database is spread over four structures that must stay mutually
-consistent: the catalog (records and derivation links), the BWM
-structure (Main clusters + Unclassified), the histogram index, and the
-stored histograms themselves.  :func:`verify_integrity` cross-checks all
-of them and returns a list of human-readable problems (empty when the
-database is healthy).
+A database is spread over three structures that must stay mutually
+consistent: the catalog (records and reference links), the BWM
+structure (Main clusters + Unclassified), and the stored histograms
+themselves.  :func:`verify_integrity` cross-checks all of them and
+returns a list of human-readable problems (empty when the database is
+healthy).
 
 Checks performed:
 
@@ -15,16 +15,15 @@ Checks performed:
    binary base -> Main; anything else -> Unclassified);
 2. every BWM entry refers to a catalog record of the right format;
 3. derivation links agree with the stored sequences' base references;
-4. every referenced id (bases, Merge targets) exists, and the reference
-   graph is acyclic;
-5. the histogram index holds exactly the binary images;
-6. stored histograms match their raster (full recomputation — the
+4. every referenced id (bases, Merge targets) exists, every Merge
+   target lists the merging image among its referrers, and the
+   reference graph is acyclic;
+5. stored histograms match their raster (full recomputation — the
    expensive check, skippable).
 
 :func:`repair` fixes the reparable subset of those problems by
-reconciling the derived structures (BWM, histogram index, stored
-histograms) against the catalog; see its docstring for the action
-classes.
+reconciling the derived structures (BWM, stored histograms) against the
+catalog; see its docstring for the action classes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import List, Set
 
 from repro.color.histogram import ColorHistogram
 from repro.errors import DatabaseError
-from repro.index.mbr import MBR
 
 logger = logging.getLogger(__name__)
 
@@ -121,22 +119,23 @@ def verify_integrity(
 
     # --- 4: references exist and the graph is acyclic ------------------
     for edited_id in edited_ids:
-        for referenced in catalog.sequence_of(edited_id).referenced_ids():
+        sequence = catalog.sequence_of(edited_id)
+        for referenced in sequence.referenced_ids():
             if not catalog.contains(referenced):
                 problems.append(
                     f"edited image {edited_id!r} references missing {referenced!r}"
                 )
+            elif (
+                referenced != sequence.base_id  # base links: check 3
+                and edited_id not in catalog.referrers(referenced)
+            ):
+                problems.append(
+                    f"edited image {edited_id!r} is not listed among the "
+                    f"referrers of Merge target {referenced!r}"
+                )
     problems.extend(_find_cycles(catalog, edited_ids))
 
-    # --- 5: histogram index coverage -----------------------------------
-    index_size = len(database.histogram_index)
-    if index_size != len(binary_ids):
-        problems.append(
-            f"histogram index holds {index_size} entries for "
-            f"{len(binary_ids)} binary images"
-        )
-
-    # --- 6: histograms match rasters ------------------------------------
+    # --- 5: histograms match rasters ------------------------------------
     if recompute_histograms:
         for image_id in binary_ids:
             record = catalog.binary_record(image_id)
@@ -227,17 +226,12 @@ def repair(
 
     The catalog is treated as the source of truth (it holds the primary
     data: rasters and sequences); the derived structures — stored
-    histograms, the BWM structure, and the histogram index — are
-    reconciled against it:
+    histograms and the BWM structure — are reconciled against it:
 
-    * stale stored histograms are recomputed from their rasters (and
-      their index entries moved along);
+    * stale stored histograms are recomputed from their rasters;
     * the BWM structure is reconciled with the catalog's classification:
       dangling members evicted, missing entries inserted, misfiled or
-      duplicated entries re-filed between Main and Unclassified;
-    * the histogram index is reconciled: entries for deleted images
-      evicted, missing entries reinserted, mispositioned or duplicated
-      entries reindexed at the correct histogram point.
+      duplicated entries re-filed between Main and Unclassified.
 
     Catalog-level damage (broken derivation links, references to missing
     images, cycles) is *not* touched — inventing or deleting primary
@@ -250,7 +244,6 @@ def repair(
     if recompute_histograms:
         _repair_histograms(database, report)
     _repair_bwm_structure(database, report)
-    _repair_histogram_index(database, report)
 
     if report.actions:
         database.engine.invalidate_cache()
@@ -268,11 +261,7 @@ def _repair_histograms(database: "MultimediaDatabase", report: RepairReport) -> 
         recomputed = ColorHistogram.of_image(record.image, database.quantizer)
         if recomputed != record.histogram:
             record.histogram = recomputed
-            report.note(
-                f"recomputed stale histogram of {image_id!r}"
-            )
-            # The index entry (if any) sits at the stale point; the index
-            # reconciliation pass that follows moves it.
+            report.note(f"recomputed stale histogram of {image_id!r}")
 
 
 def _repair_bwm_structure(database: "MultimediaDatabase", report: RepairReport) -> None:  # noqa: F821
@@ -332,33 +321,3 @@ def _repair_bwm_structure(database: "MultimediaDatabase", report: RepairReport) 
         structure.insert_binary(binary_id)
     for edited_id in catalog.edited_ids():
         structure.insert_edited(edited_id, catalog.sequence_of(edited_id))
-
-
-def _repair_histogram_index(database: "MultimediaDatabase", report: RepairReport) -> None:  # noqa: F821
-    """Reconcile the histogram index with the catalog's binary images."""
-    catalog = database.catalog
-    index = database.histogram_index
-    binary_ids = set(catalog.binary_ids())
-
-    entries = list(index.items())
-    for box, payload in entries:
-        if payload not in binary_ids:
-            index.delete(box, payload)
-            report.note(
-                f"evicted histogram-index entry for unknown image {payload!r}"
-            )
-    for image_id in sorted(binary_ids):
-        correct = MBR.point(catalog.binary_record(image_id).histogram.fractions())
-        mine = [box for box, payload in entries if payload == image_id]
-        if not mine:
-            index.insert(correct, image_id)
-            report.note(
-                f"reinserted missing histogram-index entry for {image_id!r}"
-            )
-        elif len(mine) > 1 or mine[0] != correct:
-            for box in mine:
-                index.delete(box, image_id)
-            index.insert(correct, image_id)
-            report.note(
-                f"reindexed {image_id!r} at its correct histogram point"
-            )

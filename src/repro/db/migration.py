@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.db.durable import NoFaults
+from repro.db.durable import ChecksummedLineLog, NoFaults
 from repro.db.persistence import (
     _read_manifest,
     manifest_checksum,
@@ -85,86 +85,26 @@ PHASES = {"idle": 0, "migrating": 1, "rolling_back": 2, "complete": 3}
 class MigrationJournal:
     """Append-only, per-line-checksummed record of migration progress.
 
-    Lines are canonical JSON objects; each carries ``line_sha256`` over
-    its own canonical form (sans the field).  Appends go through the
-    fault plan (append + fsync are separate kill points).  Replay
-    tolerates exactly one damaged line *at the tail* — the torn-append
-    crash shape — and treats damage anywhere else as corruption.
+    A :class:`~repro.db.durable.ChecksummedLineLog` of ``{"event": ...,
+    **payload}`` records: appends go through the fault plan (append +
+    fsync are separate kill points), and replay tolerates exactly one
+    damaged line *at the tail* — the torn-append crash shape — and
+    treats damage anywhere else as corruption.
     """
 
     def __init__(self, base: Path) -> None:
-        self.path = Path(base) / JOURNAL_NAME
+        self._log = ChecksummedLineLog(Path(base) / JOURNAL_NAME, "journal")
+        self.path = self._log.path
 
     def exists(self) -> bool:
-        return self.path.is_file()
+        return self._log.exists()
 
     def append(self, plan: NoFaults, event: str, **payload: object) -> Dict[str, object]:
-        self._truncate_torn_tail()
-        entry: Dict[str, object] = {"event": event, **payload}
-        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        entry["line_sha256"] = sha256_hex(canonical.encode("utf-8"))
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        plan.append_bytes(self.path, line.encode("utf-8") + b"\n")
-        plan.fsync(self.path)
-        return entry
+        return self._log.append(plan, {"event": event, **payload})
 
     def entries(self) -> List[Dict[str, object]]:
         """Verified journal entries; a torn final line is dropped."""
-        if not self.exists():
-            return []
-        try:
-            raw_lines = self.path.read_bytes().split(b"\n")
-        except OSError as exc:
-            raise CorruptionError(f"unreadable journal {self.path}: {exc}") from exc
-        lines = [line for line in raw_lines if line.strip()]
-        entries: List[Dict[str, object]] = []
-        for index, line in enumerate(lines):
-            entry = self._verify_line(line)
-            if entry is None:
-                if index == len(lines) - 1:
-                    logger.warning(
-                        "dropping torn tail line of %s (crash mid-append)",
-                        self.path,
-                    )
-                    break
-                raise CorruptionError(
-                    f"{self.path}: damaged journal line {index + 1} of "
-                    f"{len(lines)} (not a torn tail; refusing to guess)"
-                )
-            entries.append(entry)
-        return entries
-
-    def _truncate_torn_tail(self) -> None:
-        """Cut an unterminated final line before appending a new one.
-
-        A crash mid-append leaves a newline-less prefix at the tail;
-        appending straight after it would glue two lines into one
-        garbage line *mid-file*, which replay rightly refuses.  The
-        truncation is recovery of already-damaged state, not a durable
-        protocol step, so it does not go through the fault plan.
-        """
-        if not self.path.is_file():
-            return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1
-        with open(self.path, "r+b") as handle:
-            handle.truncate(keep)
-
-    @staticmethod
-    def _verify_line(line: bytes) -> Optional[Dict[str, object]]:
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        recorded = entry.pop("line_sha256", None)
-        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        if recorded != sha256_hex(canonical.encode("utf-8")):
-            return None
-        return entry
+        return self._log.entries()
 
     def remove(self) -> None:
         self.path.unlink(missing_ok=True)

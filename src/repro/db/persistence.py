@@ -10,8 +10,11 @@ no commercial DBMS underneath)::
       segments/<id>.seg     self-verifying per-record segments — v3 records
       migration.journal     present only while an online migration is live
 
-Loading replays insertions in the recorded order, so histograms, the BWM
-structure, and the histogram index are rebuilt exactly.
+Loading replays insertions in the recorded order, so histograms and the
+BWM structure are rebuilt exactly.  Nothing else needs rebuilding: a
+point index over the binary histograms is a front-end structure, built
+from the loaded catalog by :mod:`repro.index.builders` when a front end
+wants one.
 
 Durability protocol (format versions 2 and 3)
 ---------------------------------------------

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.color.histogram import ColorHistogram
 from repro.color.similarity import l1_distance, l1_lower_bound
 from repro.core.bounds import BoundsEngine
 from repro.core.query import QueryResult, QueryStats, RangeQuery
 from repro.db.catalog import Catalog
+from repro.db.records import EditedImageRecord
 from repro.errors import QueryError
 from repro.images.raster import Image
 
@@ -113,6 +114,32 @@ class InstantiateProcessor:
                 matches.add(image_id)
 
         return QueryResult(frozenset(matches), stats)
+
+
+def and_merge(
+    catalog: Catalog, results: Sequence[QueryResult], expand_to_bases: bool = False
+) -> QueryResult:
+    """AND-combine per-constraint results, with their work counters summed.
+
+    Intersecting conservative result sets keeps the no-false-negative
+    guarantee (see :class:`repro.core.query.ConjunctiveQuery`).  A batch
+    pass hands every one of its results the same stats object; each
+    distinct object is counted once.  ``expand_to_bases`` applies the §2
+    connection: a matching edited image brings its base image along even
+    if the base's own features do not match.
+    """
+    matches = set(results[0].matches)
+    for result in results[1:]:
+        matches &= result.matches
+    stats = QueryStats()
+    for each in {id(result.stats): result.stats for result in results}.values():
+        stats.merge(each)
+    if expand_to_bases:
+        for image_id in tuple(matches):
+            record = catalog.record(image_id)
+            if isinstance(record, EditedImageRecord):
+                matches.add(record.base_id)
+    return QueryResult(frozenset(matches), stats)
 
 
 @dataclass

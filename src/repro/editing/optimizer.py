@@ -150,23 +150,41 @@ def optimize_database(database: "MultimediaDatabase") -> OptimizationReport:  # 
     """Optimize every stored edit sequence in place.
 
     Sequences are re-filed through the normal delete/insert path so the
-    BWM structure stays consistent; ids are preserved.  Returns the
-    aggregate report.
+    BWM structure stays consistent; ids are preserved.  An edited image
+    cannot be deleted while other edits build on it, so a rewritten
+    sequence takes its transitive referrers out with it (dependents
+    first) and they come back in their original insertion order — which
+    is a topological order, as every insert requires its references to
+    exist.  Returns the aggregate report.
     """
+    catalog = database.catalog
     total_original_ops = 0
     total_optimized_ops = 0
     total_original_bytes = 0
     total_optimized_bytes = 0
-    for edited_id in list(database.catalog.edited_ids()):
-        sequence = database.catalog.sequence_of(edited_id)
+    sequences = {}
+    pending = []
+    for edited_id in catalog.edited_ids():
+        sequence = catalog.sequence_of(edited_id)
         optimized, report = optimize_sequence(sequence)
+        sequences[edited_id] = optimized
         total_original_ops += report.original_ops
         total_optimized_ops += report.optimized_ops
         total_original_bytes += report.original_bytes
         total_optimized_bytes += report.optimized_bytes
         if optimized != sequence:
-            database.delete_edited(edited_id)
-            database.insert_edited(optimized, image_id=edited_id)
+            pending.append(edited_id)
+    refile = set()
+    while pending:
+        edited_id = pending.pop()
+        if edited_id not in refile:
+            refile.add(edited_id)
+            pending.extend(catalog.referrers(edited_id))
+    ordered = [edited_id for edited_id in sequences if edited_id in refile]
+    for edited_id in reversed(ordered):
+        database.delete_edited(edited_id)
+    for edited_id in ordered:
+        database.insert_edited(sequences[edited_id], image_id=edited_id)
     return OptimizationReport(
         original_ops=total_original_ops,
         optimized_ops=total_optimized_ops,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import QueryResult, QueryStats, RangeQuery
-from repro.db.records import EditedImageRecord
+from repro.db.processors import and_merge
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -541,25 +541,7 @@ class QueryService:
             self._execute_one(constraint, plan)
             for constraint, plan in zip(constraints, plans)
         ]
-        return self._merge_results(results, expand_to_bases)
-
-    def _merge_results(
-        self, results: List[QueryResult], expand_to_bases: bool
-    ) -> QueryResult:
-        """AND-combine per-constraint results (and optionally add bases)."""
-        matches = set(results[0].matches)
-        stats = QueryStats()
-        for result in results:
-            stats.merge(result.stats)
-        for result in results[1:]:
-            matches &= result.matches
-        if expand_to_bases:
-            catalog = self._database.catalog
-            for image_id in tuple(matches):
-                record = catalog.record(image_id)
-                if isinstance(record, EditedImageRecord):
-                    matches.add(record.base_id)
-        return QueryResult(frozenset(matches), stats)
+        return and_merge(self._database.catalog, results, expand_to_bases)
 
     def _execute_one(self, query: RangeQuery, plan: ExplainedPlan) -> QueryResult:
         if plan.strategy is Strategy.LINEAR_RBM:
@@ -668,7 +650,9 @@ class QueryService:
                 results.append(result)
                 reports.append(report)
             with tracer.span("merge"):
-                merged = self._merge_results(results, expand_to_bases)
+                merged = and_merge(
+                    self._database.catalog, results, expand_to_bases
+                )
         root = tracer.finish()
         self.metrics.increment("explain_analyze_total")
         return AnalyzedQuery(

@@ -192,7 +192,7 @@ class ShardedCatalog:
         Directory for the WAL, the shard manifest, and one segment root
         per shard.  ``None`` runs ephemeral (no WAL, no save) — useful
         for pure in-memory parity tests.
-    quantizer / fill_color / index_kind:
+    quantizer / fill_color:
         Forwarded to every shard's :class:`MultimediaDatabase`; all
         shards share one quantizer object.
     faults:
@@ -207,7 +207,6 @@ class ShardedCatalog:
         root: Optional[Union[str, Path]] = None,
         quantizer: Optional[UniformQuantizer] = None,
         fill_color: Sequence[int] = (0, 0, 0),
-        index_kind: str = "rtree",
         faults: Optional[NoFaults] = None,
     ) -> None:
         if shard_count < 1:
@@ -216,7 +215,6 @@ class ShardedCatalog:
             quantizer if quantizer is not None else UniformQuantizer(4, "rgb")
         )
         self.fill_color: ColorTuple = validate_color(fill_color)
-        self.index_kind = index_kind
         self.faults: NoFaults = faults if faults is not None else NoFaults()
         self.root = Path(root) if root is not None else None
         self.metrics = MetricsRegistry()
@@ -255,7 +253,6 @@ class ShardedCatalog:
         database = MultimediaDatabase(
             quantizer=self.quantizer,
             fill_color=self.fill_color,
-            index_kind=self.index_kind,
             bounds_cache=True,
         )
         shard = _Shard(index, database)
@@ -352,7 +349,6 @@ class ShardedCatalog:
                 "space": self.quantizer.space,
             },
             "fill_color": list(self.fill_color),
-            "index_kind": self.index_kind,
             "versions": [shard.version for shard in self._shards],
         }
         canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
@@ -1004,7 +1000,6 @@ class ShardedCatalog:
                 space=str(quantizer_info["space"]),
             ),
             fill_color=tuple(manifest["fill_color"]),  # type: ignore[arg-type]
-            index_kind=str(manifest["index_kind"]),
             faults=faults,
         )
         for shard in catalog._shards:

@@ -542,7 +542,7 @@ def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
             shard.journaled, f"shard[{index}].journaled", monitor
         )
         inner_catalog = shard.database.catalog
-        for attr in ("_binary", "_edited", "_children"):
+        for attr in ("_binary", "_edited", "_children", "_merge_users"):
             setattr(
                 inner_catalog,
                 attr,

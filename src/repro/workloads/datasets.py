@@ -87,7 +87,6 @@ def build_database(
     quantizer: Optional[UniformQuantizer] = None,
     bound_widening_fraction: Optional[float] = None,
     ops_per_edited: Optional[int] = None,
-    index_kind: str = "rtree",
 ) -> MultimediaDatabase:
     """Build an augmented database for one Table 2 column.
 
@@ -126,7 +125,7 @@ def build_database(
     )
     palette = recipe_palette_for(params)
 
-    database = MultimediaDatabase(quantizer=quantizer, index_kind=index_kind)
+    database = MultimediaDatabase(quantizer=quantizer)
     base_ids = [
         database.insert_image(image)
         for image in _make_base_images(params, rng, binary_count)

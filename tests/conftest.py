@@ -10,6 +10,7 @@ from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
 from repro.images.generators import random_palette_image
 from repro.images.raster import Image
+from repro.index import MBR, build_binary_histogram_index
 
 
 @pytest.fixture
@@ -54,3 +55,23 @@ def small_database(rng: np.random.Generator) -> MultimediaDatabase:
             merge_target_pool=base_ids,
         )
     return database
+
+
+@pytest.fixture
+def search_binary_index():
+    """The conventional §3.1 path, as a front end runs it: build a point
+    index over the binary histograms, search it with the query's slab."""
+
+    def search(database: MultimediaDatabase, query, kind: str = "rtree") -> set:
+        index = build_binary_histogram_index(database.catalog, kind)
+        slab = MBR.slab(
+            database.quantizer.bin_count,
+            query.bin_index,
+            query.pct_min,
+            query.pct_max,
+            domain_lo=0.0,
+            domain_hi=1.0,
+        )
+        return set(index.search(slab))
+
+    return search

@@ -120,6 +120,26 @@ class TestCatalogMutation:
         with pytest.raises(DatabaseError):
             catalog.remove_binary("b2")
 
+    def test_remove_edited_blocked_by_referrers(self):
+        catalog = Catalog()
+        catalog.add_binary(binary_record("b1"))
+        catalog.add_edited(EditedImageRecord("x", EditSequence("b1")))
+        catalog.add_edited(EditedImageRecord("y", EditSequence("x")))
+        catalog.add_edited(
+            EditedImageRecord("z", EditSequence("b1", (Merge("y", 0, 0),)))
+        )
+        assert catalog.referrers("b1") == ("x", "z")
+        assert catalog.referrers("x") == ("y",)
+        assert catalog.referrers("y") == ("z",)
+        for blocked in ("x", "y"):  # a base, and a Merge target
+            with pytest.raises(DatabaseError):
+                catalog.remove_edited(blocked)
+            assert catalog.contains(blocked)
+        for free in ("z", "y", "x"):
+            catalog.remove_edited(free)
+        assert catalog.referrers("b1") == ()
+        catalog.remove_binary("b1")
+
     def test_allocate_id_skips_taken(self):
         catalog = Catalog()
         first = catalog.allocate_id("img")

@@ -62,10 +62,10 @@ class TestNonRGBSpaces:
                 == spaced_database.range_query(query).matches
             )
 
-    def test_indexed_binary_path(self, spaced_database, rng):
+    def test_indexed_binary_path(self, spaced_database, rng, search_binary_index):
         binary_ids = set(spaced_database.catalog.binary_ids())
         for query in make_query_workload(spaced_database, rng, 5):
-            via_index = set(spaced_database.indexed_binary_range_query(query))
+            via_index = search_binary_index(spaced_database, query)
             exact = {
                 image_id
                 for image_id in binary_ids

@@ -47,7 +47,6 @@ class TestInsertion:
             "main_edited": 1,
             "unclassified": 0,
         }
-        assert len(database.histogram_index) == 1
 
     def test_delete_edited(self):
         database = MultimediaDatabase()
@@ -57,6 +56,22 @@ class TestInsertion:
         assert database.structure_summary()["edited_images"] == 0
         with pytest.raises(UnknownObjectError):
             database.delete_edited(edited)
+
+    def test_delete_edited_refused_while_edits_build_on_it(self):
+        from repro.errors import DatabaseError
+
+        database = MultimediaDatabase()
+        base = database.insert_image(Image.filled(4, 4, (0, 0, 0)))
+        middle = database.insert_edited(EditSequence(base, (Combine.box(),)))
+        leaf = database.insert_edited(EditSequence(middle))
+        with pytest.raises(DatabaseError):
+            database.delete_edited(middle)
+        assert list(database.ids()) == [base, middle, leaf]
+        assert database.verify_integrity() == []
+        assert database.instantiate(leaf) == database.instantiate(middle)
+        database.delete_edited(leaf)
+        database.delete_edited(middle)
+        assert database.verify_integrity() == []
 
     def test_len_and_ids(self):
         database = MultimediaDatabase()
@@ -141,11 +156,13 @@ class TestRangeQueries:
         result = database.text_query("retrieve all images that are at least 25% blue")
         assert result.matches == {"navy-flag"}
 
-    def test_indexed_binary_query_matches_linear_truth(self, small_database, rng):
+    def test_indexed_binary_query_matches_linear_truth(
+        self, small_database, rng, search_binary_index
+    ):
         from repro.workloads.queries import make_query_workload
 
         for query in make_query_workload(small_database, rng, 8):
-            indexed = set(small_database.indexed_binary_range_query(query))
+            indexed = search_binary_index(small_database, query)
             exact = {
                 image_id
                 for image_id in small_database.catalog.binary_ids()
@@ -153,17 +170,22 @@ class TestRangeQueries:
             }
             assert indexed == exact
 
-    def test_linear_index_kind(self, rng):
-        database = MultimediaDatabase(index_kind="linear")
+    def test_linear_index_kind(self, rng, search_binary_index):
+        database = MultimediaDatabase()
         image_id = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
         histogram = database.catalog.histogram_of(image_id)
         bin_index = histogram.dominant_bins(1)[0]
         query = RangeQuery(bin_index, 0.0, 1.0)
-        assert image_id in database.indexed_binary_range_query(query)
+        assert image_id in search_binary_index(database, query, "linear")
 
-    def test_unknown_index_kind(self):
-        with pytest.raises(QueryError):
-            MultimediaDatabase(index_kind="btree")
+    def test_unknown_index_kind(self, search_binary_index):
+        from repro.errors import IndexError_
+
+        with pytest.raises(IndexError_):
+            search_binary_index(MultimediaDatabase(), RangeQuery(0, 0.0, 1.0), "btree")
+        # The database itself no longer takes the knob.
+        with pytest.raises(TypeError):
+            MultimediaDatabase(index_kind="rtree")
 
 
 class TestKNN:
@@ -234,14 +256,14 @@ class TestStorageReport:
 
 
 class TestVAFileIndexKind:
-    def test_vafile_index_answers_range_queries(self, rng):
+    def test_vafile_index_answers_range_queries(self, rng, search_binary_index):
         from repro.workloads.queries import make_query_workload
 
-        database = MultimediaDatabase(index_kind="vafile")
+        database = MultimediaDatabase()
         for _ in range(6):
             database.insert_image(random_palette_image(rng, 10, 12, FLAG_PALETTE))
         for query in make_query_workload(database, rng, 6):
-            indexed = set(database.indexed_binary_range_query(query))
+            indexed = search_binary_index(database, query, "vafile")
             exact = {
                 image_id
                 for image_id in database.catalog.binary_ids()
@@ -257,7 +279,7 @@ class TestBinaryMaintenance:
         victim = database.insert_image(random_palette_image(rng, 8, 10, FLAG_PALETTE))
         database.delete_image(victim)
         assert not database.catalog.contains(victim)
-        assert len(database.histogram_index) == 1
+        assert list(database.ids()) == [keep]
         assert database.verify_integrity() == []
 
     def test_delete_image_blocked_by_derived(self, rng):

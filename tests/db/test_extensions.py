@@ -48,6 +48,35 @@ class TestConjunctiveQueries:
         exact = database.conjunctive_query(conjunction, method="instantiate").matches
         assert exact <= conservative
 
+    def test_work_counters_are_summed_over_constraints(self, database):
+        """One AND-merge for the database and the service: the reported
+        work is every constraint's, not the first constraint's."""
+        from repro.service import QueryService
+
+        a = RangeQuery.at_least(0, 0.1)
+        b = RangeQuery.at_most(5, 0.4)
+        parts = [database.range_query(q, method="instantiate") for q in (a, b)]
+        combined = database.conjunctive_query(
+            ConjunctiveQuery((a, b)), method="instantiate"
+        )
+        assert combined.stats.histograms_checked == sum(
+            part.stats.histograms_checked for part in parts
+        )
+        assert combined.stats.histograms_checked == 2 * len(database)
+        # A batch pass shares one stats object between its results; the
+        # pass is counted once, not once per constraint.
+        for method in ("rbm", "bwm"):
+            batch = database.range_query_batch([a, b], method=method)
+            merged = database.conjunctive_query(ConjunctiveQuery((a, b)), method=method)
+            assert merged.stats == batch[0].stats
+        # The service goes through the same merge.
+        with QueryService(database, max_workers=1) as service:
+            outcome = service.execute([a, b], strategy="linear_rbm")
+        assert outcome.result.stats.histograms_checked == sum(
+            database.range_query(q, method="rbm").stats.histograms_checked
+            for q in (a, b)
+        )
+
     def test_matches_histogram_all_semantics(self, database):
         base = next(iter(database.catalog.binary_ids()))
         histogram = database.catalog.histogram_of(base)

@@ -179,21 +179,10 @@ class TestKillPointSweep:
 
 
 class TestMutatorRollback:
-    """Failed in-memory mutations must leave all four structures aligned."""
+    """Failed in-memory mutations must leave catalog and BWM aligned."""
 
     def _boom(self, *args, **kwargs):
         raise RuntimeError("injected subsystem failure")
-
-    def test_insert_image_rolls_back_index_failure(self, monkeypatch):
-        database = _make_database(21)
-        before = _fingerprint(database)
-        monkeypatch.setattr(database.histogram_index, "insert_point", self._boom)
-        image = random_palette_image(np.random.default_rng(3), 10, 12, FLAG_PALETTE)
-        with pytest.raises(RuntimeError):
-            database.insert_image(image)
-        monkeypatch.undo()
-        assert _fingerprint(database) == before
-        assert database.verify_integrity() == []
 
     def test_insert_image_rolls_back_bwm_failure(self, monkeypatch):
         database = _make_database(22)
@@ -219,14 +208,14 @@ class TestMutatorRollback:
         assert _fingerprint(database) == before
         assert database.verify_integrity() == []
 
-    def test_delete_image_rolls_back_index_failure(self, monkeypatch):
+    def test_delete_image_rolls_back_bwm_failure(self, monkeypatch):
         database = MultimediaDatabase()
         rng = np.random.default_rng(24)
         image_id = database.insert_image(
             random_palette_image(rng, 10, 12, FLAG_PALETTE)
         )
         before = _fingerprint(database)
-        monkeypatch.setattr(database.histogram_index, "delete", self._boom)
+        monkeypatch.setattr(database.bwm_structure, "remove_binary", self._boom)
         with pytest.raises(RuntimeError):
             database.delete_image(image_id)
         monkeypatch.undo()
@@ -244,18 +233,20 @@ class TestMutatorRollback:
         assert _fingerprint(database) == before
         assert database.verify_integrity() == []
 
-    def test_update_image_rolls_back_index_failure(self, monkeypatch):
+    def test_update_image_leaves_record_intact_on_failure(self, monkeypatch):
         database = _make_database(26)
         image_id = next(iter(database.catalog.binary_ids()))
-        before_hist = database.catalog.binary_record(image_id).histogram
-        monkeypatch.setattr(database.histogram_index, "insert_point", self._boom)
+        record = database.catalog.binary_record(image_id)
+        before = (record.image, record.histogram)
         replacement = random_palette_image(
             np.random.default_rng(5), 10, 12, FLAG_PALETTE
         )
+        # Fail the last step before the record is assigned.
+        monkeypatch.setattr(type(replacement), "copy", self._boom)
         with pytest.raises(RuntimeError):
             database.update_image(image_id, replacement)
         monkeypatch.undo()
-        assert database.catalog.binary_record(image_id).histogram == before_hist
+        assert (record.image, record.histogram) == before
         assert database.verify_integrity() == []
 
 

@@ -65,13 +65,6 @@ class TestInjectedCorruption:
         problems = verify_integrity(database)
         assert any("ghost-1" in p for p in problems)
 
-    def test_index_size_mismatch_detected(self, database):
-        database.histogram_index.insert_point(
-            np.zeros(database.quantizer.bin_count), "stray"
-        )
-        problems = verify_integrity(database)
-        assert any("histogram index" in p for p in problems)
-
     def test_corrupted_raster_detected(self, database):
         base = next(iter(database.catalog.binary_ids()))
         record = database.catalog.binary_record(base)
@@ -132,41 +125,12 @@ class TestRepair:
         report = self._assert_repaired(database, "two Main clusters")
         assert any("duplicate BWM entries" in a for a in report.actions)
 
-    def test_index_entry_for_deleted_binary(self, database):
-        database.histogram_index.insert_point(
-            np.zeros(database.quantizer.bin_count), "long-gone"
-        )
-        report = self._assert_repaired(database, "histogram index")
-        assert any(
-            "evicted histogram-index entry" in a and "long-gone" in a
-            for a in report.actions
-        )
-
-    def test_missing_index_entry(self, database):
-        from repro.index.mbr import MBR
-
-        victim = next(iter(database.catalog.binary_ids()))
-        point = MBR.point(
-            database.catalog.binary_record(victim).histogram.fractions()
-        )
-        assert database.histogram_index.delete(point, victim)
-        report = self._assert_repaired(database, "histogram index")
-        assert any(
-            "reinserted missing histogram-index entry" in a for a in report.actions
-        )
-
     def test_stale_histogram_after_raster_swap(self, database):
         victim = next(iter(database.catalog.binary_ids()))
         record = database.catalog.binary_record(victim)
         record.image.pixels[:] = (record.image.pixels.astype(int) + 97) % 256
         report = self._assert_repaired(database, "does not match its raster")
         assert any("recomputed stale histogram" in a for a in report.actions)
-        assert any("reindexed" in a for a in report.actions)
-        # The index entry moved to the recomputed point.
-        from repro.index.mbr import MBR
-
-        point = MBR.point(record.histogram.fractions())
-        assert victim in database.histogram_index.search(point)
 
     def test_misfiled_main_member(self, database):
         base_id, cluster = next(

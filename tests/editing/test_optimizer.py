@@ -150,3 +150,28 @@ class TestDatabaseOptimization:
         optimize_database(small_database)
         second = optimize_database(small_database)
         assert second.ops_removed == 0
+
+    def test_optimize_database_refiles_dependents(self):
+        """A rewritten sequence that other edits build on: its dependents
+        leave and come back with it, in an order every insert accepts."""
+        from repro.db.database import MultimediaDatabase
+
+        database = MultimediaDatabase()
+        base = database.insert_image(Image.filled(6, 6, (10, 20, 30)))
+        noop = Modify((3, 3, 3), (3, 3, 3))
+        padded = database.insert_edited(EditSequence(base, (noop,)), image_id="x")
+        child = database.insert_edited(EditSequence(padded), image_id="y")
+        merger = database.insert_edited(
+            EditSequence(base, (Merge(child, 0, 0),)), image_id="z"
+        )
+        before = [database.instantiate(each) for each in (padded, child, merger)]
+
+        report = optimize_database(database)
+
+        assert report.ops_removed == 1
+        assert len(database.catalog.sequence_of(padded)) == 0
+        assert list(database.catalog.edited_ids()) == [padded, child, merger]
+        assert [
+            database.instantiate(each) for each in (padded, child, merger)
+        ] == before
+        assert database.verify_integrity() == []

@@ -132,6 +132,23 @@ class TestResultCaching:
         assert edited_id not in after.result.matches
 
 
+    def test_delete_edited_refused_while_edits_build_on_it(
+        self, service, small_database
+    ):
+        from repro.editing.sequence import EditSequence
+        from repro.errors import DatabaseError
+
+        middle = next(iter(small_database.catalog.edited_ids()))
+        leaf = service.insert_edited(EditSequence(middle))
+        with pytest.raises(DatabaseError):
+            service.delete_edited(middle)
+        assert small_database.catalog.contains(middle)
+        assert small_database.verify_integrity() == []
+        service.delete_edited(leaf)
+        service.delete_edited(middle)
+        assert small_database.verify_integrity() == []
+
+
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_error(self, small_database):
         release = threading.Event()

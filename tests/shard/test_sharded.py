@@ -395,6 +395,73 @@ class TestPersistence:
         finally:
             reopened.close()
 
+    def test_delete_edited_refused_while_edits_build_on_it(self, rng, tmp_path):
+        """``y`` from ``x`` from ``b``: deleting ``x`` is refused, live and
+        on replay (the journaled attempt is skipped, as ``_commit``
+        documents), so a crash-shaped reopen converges to the same state."""
+        sharded = ShardedCatalog(2, root=tmp_path)
+        try:
+            b = sharded.insert_image(random_image(rng))
+            x = sharded.insert_edited(random_sequence(rng, b))
+            y = sharded.insert_edited(EditSequence(x))
+            with pytest.raises(DatabaseError):
+                sharded.delete_edited(x)
+            home = sharded.shard_of(b)
+            assert sharded.placement() == {b: home, x: home, y: home}
+            assert sharded.shard_database(home).verify_integrity() == []
+            # A later, legal mutation lands at the version the refused
+            # one would have taken; it must not be swallowed as its echo.
+            z = sharded.insert_edited(EditSequence(y))
+            expected = (sharded.placement(), sharded.instantiate(z))
+            assert len(sharded._wal.entries()) == 5
+        finally:
+            sharded.close()  # crash-shaped: no save
+        reopened = ShardedCatalog.open(tmp_path)
+        try:
+            assert (reopened.placement(), reopened.instantiate(z)) == expected
+            assert reopened.shard_database(home).verify_integrity() == []
+            assert reopened.metrics.counter("wal.replayed") == 4
+            assert reopened.metrics.counter("wal.replay_failed") == 1
+        finally:
+            reopened.close()
+
+    def test_root_written_before_index_kind_was_dropped_still_opens(self, tmp_path):
+        """``data/root_pr16`` was written by the last release whose
+        ``shards.json`` carried an ``index_kind`` key: a checkpoint plus
+        two WAL-only mutations.  The key is ignored (it still counts
+        towards the manifest checksum), everything else is as recorded —
+        and a manifest written today has no such key."""
+        import json
+        import shutil
+        from pathlib import Path
+
+        from repro.images.raster import Image
+
+        root = tmp_path / "root"
+        shutil.copytree(Path(__file__).parent / "data" / "root_pr16", root)
+        assert "index_kind" in json.loads((root / SHARD_MANIFEST_NAME).read_text())
+        expected = json.loads((root / "expected.json").read_text())
+        with ShardedCatalog.open(root) as reopened:
+            assert list(reopened.ids()) == expected["ids"]
+            assert reopened.placement() == expected["placement"]
+            query = RangeQuery.at_least(expected["range_bin"], 0.5)
+            assert sorted(reopened.range_query(query).matches) == expected[
+                "range_matches"
+            ]
+            probe = Image.filled(4, 4, (0, 40, 104))
+            assert [
+                [distance, image_id]
+                for distance, image_id in reopened.knn(probe, 3).neighbors
+            ] == expected["knn"]
+            assert reopened.metrics.counter("wal.replayed") == 2
+            for index in range(reopened.shard_count):
+                assert reopened.shard_database(index).verify_integrity() == []
+            reopened.save()
+        rewritten = json.loads((root / SHARD_MANIFEST_NAME).read_text())
+        assert "index_kind" not in rewritten
+        with pytest.raises(TypeError):
+            ShardedCatalog(2, index_kind="rtree")
+
     def test_reopen_is_idempotent(self, rng, tmp_path):
         sharded, oracle, _ = build_mirrored_pair(rng, root=tmp_path)
         try:

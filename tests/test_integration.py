@@ -75,11 +75,13 @@ class TestFullLifecycle:
 
 
 class TestCrossSubsystemConsistency:
-    def test_indexed_path_agrees_with_processors_on_binaries(self, rng):
+    def test_indexed_path_agrees_with_processors_on_binaries(
+        self, rng, search_binary_index
+    ):
         database = build_database(FLAG_PARAMETERS.scaled(0.04), rng)
         binary_ids = set(database.catalog.binary_ids())
         for query in make_query_workload(database, rng, 8):
-            via_index = set(database.indexed_binary_range_query(query))
+            via_index = search_binary_index(database, query)
             via_bwm = database.range_query(query, method="bwm").matches
             assert via_index == via_bwm & binary_ids
 
