@@ -1,7 +1,8 @@
 """Static analysis over the rule system, the catalog, and the codebase.
 
-Five coordinated passes, all runnable offline (no raster is ever
-instantiated):
+Four coordinated passes, all runnable offline (no raster is ever
+instantiated).  Each takes the shipped source tree or a stored catalog
+as its input and carries no copy of the thing it checks:
 
 * :mod:`repro.analysis.prover` — an interval abstract interpreter that
   *proves* the §4 bound-widening claims: every rule
@@ -14,7 +15,9 @@ instantiated):
   :class:`~repro.editing.sequence.EditSequence` catalog: dangling
   references, Merge cycles, size underflow, BWM placement consistency,
   cache-dependency-graph agreement, and vacuous-bounds diagnostics
-  (``repro analyze-db``).
+  (``repro analyze-db``).  The first, second and fourth are rendered
+  from :func:`repro.db.integrity.scan_catalog`, the one detector
+  ``repro check`` also reports from.
 * :mod:`repro.analysis.ast_lint` — a stdlib-``ast`` linter enforcing the
   repo's concurrency and numeric discipline on ``src/repro/`` itself
   (``repro lint``).
@@ -24,15 +27,8 @@ instantiated):
   potential deadlocks (``CC001``) and locks held across ``fsync`` /
   ``rename`` as latency hazards (``CC002``); merged into ``repro
   lint``'s report.
-* :mod:`repro.analysis.protocol` — a bounded explicit-state model
-  checker for the WAL, compactor, and migration crash protocols:
-  every interleaving and crash point up to a depth bound, checking
-  that no acknowledged mutation is lost, replay is idempotent, no
-  torn state is reader-visible, and rollback restores the origin
-  exactly (``repro check-protocols``; refutations are ``CC003``
-  findings carrying a minimal schedule trace).
 
-A sixth, dynamic companion lives in :mod:`repro.testing.racecheck`
+A fifth, dynamic companion lives in :mod:`repro.testing.racecheck`
 (``repro race-check``): an Eraser-style lockset race detector over
 instrumented scenarios, reporting ``CC004`` findings through the same
 machinery.
@@ -53,36 +49,22 @@ from repro.analysis.lockgraph import (
     build_lock_graph,
     check_lock_order,
 )
-from repro.analysis.protocol import (
-    MODELS,
-    ExplorationResult,
-    ProtocolModel,
-    Violation,
-    check_protocols,
-    explore,
-)
 from repro.analysis.prover import ProverReport, RuleVerdict, prove_rules
 
 __all__ = [
     "AnalysisReport",
     "CC_RULES",
-    "ExplorationResult",
     "Finding",
     "LINT_RULES",
     "LockGraph",
     "LockSite",
-    "MODELS",
-    "ProtocolModel",
     "ProverReport",
     "RuleVerdict",
     "Severity",
-    "Violation",
     "analyze_database",
     "build_lock_graph",
     "check_lock_order",
-    "check_protocols",
     "check_shard_routing",
-    "explore",
     "lint_paths",
     "lint_source",
     "prove_rules",

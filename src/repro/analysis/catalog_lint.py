@@ -41,10 +41,12 @@ is ever instantiated.  Checks and finding codes:
     dangling-after-routing case, where every shard-local DB001 check
     passes but a scatter-gathered BOUNDS walk would still fail.
 
-The checks deliberately re-derive everything from the catalog rather
-than trusting derived structures, which is how seeded-defect fixtures
-(tests/analysis/test_catalog_lint.py) can plant each defect class and
-assert it is caught.
+``DB001``, ``DB002`` and ``DB004`` are renderings of
+:func:`repro.db.integrity.scan_catalog`, the detector ``repro check``
+reports from as well; the other checks are this module's own.  All of
+them read the catalog's records rather than trusting derived structures,
+which is how seeded-defect fixtures (tests/analysis/test_catalog_lint.py)
+can plant each defect class and assert it is caught.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import AnalysisReport, Finding, Severity
-from repro.core.classify import first_non_widening
+from repro.db.integrity import CatalogScan, scan_catalog
 from repro.editing.executor import merge_canvas_geometry
 from repro.editing.operations import Define, Merge, Mutate
 from repro.editing.sequence import EditSequence
@@ -89,10 +91,13 @@ def analyze_database(
         image_id: catalog.sequence_of(image_id) for image_id in edited_ids
     }
 
-    dangling = _check_dangling(sequences, known, report)
-    cyclic = _check_cycles(sequences, report)
+    scan = scan_catalog(database)
+    _report_dangling(scan, report)
+    _report_cycles(scan, report)
+    dangling = {image_id for image_id, _, _ in scan.dangling}
+    cyclic = {image_id for cycle in scan.cycles for image_id in cycle}
     _check_sizes(database, sequences, dangling | cyclic, report)
-    _check_bwm_placement(database, sequences, binary_ids, report)
+    _report_bwm_placement(scan, sequences, report)
     _check_dependency_graph(database, sequences, known, report)
     if with_prune_power:
         _check_prune_power(
@@ -105,86 +110,48 @@ def analyze_database(
 # ----------------------------------------------------------------------
 # DB001 — dangling references
 # ----------------------------------------------------------------------
-def _check_dangling(
-    sequences: Dict[str, EditSequence],
-    known: Set[str],
-    report: AnalysisReport,
-) -> Set[str]:
-    """Report unknown base/target references; returns the affected ids."""
-    affected: Set[str] = set()
-    for image_id, sequence in sorted(sequences.items()):
-        for referenced in sequence.referenced_ids():
-            if referenced not in known:
-                kind = "base" if referenced == sequence.base_id else "Merge target"
-                affected.add(image_id)
-                report.add(
-                    Finding(
-                        code="DB001",
-                        severity=Severity.ERROR,
-                        location=image_id,
-                        message=(
-                            f"{kind} reference {referenced!r} is not in the "
-                            f"catalog; BOUNDS walks for this image will fail"
-                        ),
-                        fix_hint=(
-                            "restore the referenced image or delete this "
-                            "edited image (repro repair reconciles derived "
-                            "structures but cannot invent lost records)"
-                        ),
-                        details={"referenced": referenced},
-                    )
-                )
-    return affected
+def _report_dangling(scan: CatalogScan, report: AnalysisReport) -> None:
+    for image_id, referenced, kind in scan.dangling:
+        report.add(
+            Finding(
+                code="DB001",
+                severity=Severity.ERROR,
+                location=image_id,
+                message=(
+                    f"{kind} reference {referenced!r} is not in the "
+                    f"catalog; BOUNDS walks for this image will fail"
+                ),
+                fix_hint=(
+                    "restore the referenced image or delete this "
+                    "edited image (repro repair reconciles derived "
+                    "structures but cannot invent lost records)"
+                ),
+                details={"referenced": referenced},
+            )
+        )
 
 
 # ----------------------------------------------------------------------
 # DB002 — Merge/base reference cycles
 # ----------------------------------------------------------------------
-def _check_cycles(
-    sequences: Dict[str, EditSequence], report: AnalysisReport
-) -> Set[str]:
-    """Detect cycles in the reference graph; returns ids on a cycle."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[str, int] = {image_id: WHITE for image_id in sequences}
-    on_cycle: Set[str] = set()
-
-    def visit(image_id: str, path: List[str]) -> None:
-        color[image_id] = GRAY
-        path.append(image_id)
-        for referenced in sequences[image_id].referenced_ids():
-            if referenced not in sequences:
-                continue  # binary or dangling: cannot extend a cycle
-            state = color[referenced]
-            if state == GRAY:
-                cycle = path[path.index(referenced):] + [referenced]
-                if not on_cycle.issuperset(cycle):
-                    on_cycle.update(cycle)
-                    report.add(
-                        Finding(
-                            code="DB002",
-                            severity=Severity.ERROR,
-                            location=referenced,
-                            message=(
-                                "reference cycle "
-                                + " -> ".join(cycle)
-                                + "; BOUNDS recursion cannot terminate"
-                            ),
-                            fix_hint=(
-                                "break the cycle by deleting or re-basing "
-                                "one image in it"
-                            ),
-                            details={"cycle": cycle},
-                        )
-                    )
-            elif state == WHITE:
-                visit(referenced, path)
-        path.pop()
-        color[image_id] = BLACK
-
-    for image_id in sorted(sequences):
-        if color[image_id] == WHITE:
-            visit(image_id, [])
-    return on_cycle
+def _report_cycles(scan: CatalogScan, report: AnalysisReport) -> None:
+    for cycle in scan.cycles:
+        report.add(
+            Finding(
+                code="DB002",
+                severity=Severity.ERROR,
+                location=cycle[0],
+                message=(
+                    "reference cycle "
+                    + " -> ".join(cycle)
+                    + "; BOUNDS recursion cannot terminate"
+                ),
+                fix_hint=(
+                    "break the cycle by deleting or re-basing one image in it"
+                ),
+                details={"cycle": cycle},
+            )
+        )
 
 
 # ----------------------------------------------------------------------
@@ -331,80 +298,49 @@ def _check_sizes(
 # ----------------------------------------------------------------------
 # DB004 — BWM placement vs. Figure 1 classification
 # ----------------------------------------------------------------------
-def _check_bwm_placement(
-    database: "MultimediaDatabase",
+def _report_bwm_placement(
+    scan: CatalogScan,
     sequences: Dict[str, EditSequence],
-    binary_ids: Set[str],
     report: AnalysisReport,
 ) -> None:
-    structure = database.bwm_structure
-    placements: Dict[str, Tuple[str, str]] = {}  # id -> (component, cluster)
-    for base_id, cluster in structure.clusters():
-        for edited_id in cluster:
-            placements[edited_id] = ("main", base_id)
-    for edited_id in structure.unclassified:
-        placements[edited_id] = ("unclassified", "")
-
-    for image_id in sorted(sequences):
-        sequence = sequences[image_id]
-        stop = first_non_widening(sequence)
-        widening = stop == -1
-        should_be_main = widening and sequence.base_id in binary_ids
-        placement = placements.pop(image_id, None)
-        if placement is None:
-            report.add(
-                _bwm_finding(
-                    image_id,
-                    "edited image is missing from the BWM structure entirely",
-                    "re-run repro repair to reconcile the BWM structure",
-                )
+    for placed in scan.placements:
+        if placed.verdict == "missing":
+            why = "edited image is missing from the BWM structure entirely"
+            hint = "re-run repro repair to reconcile the BWM structure"
+        elif placed.verdict == "orphan":
+            why = (
+                f"BWM {placed.component.lower()} component lists an id the "
+                f"catalog does not hold as an edited image"
             )
-        elif placement[0] == "main" and not should_be_main:
-            if widening:
+            hint = "remove the stale entry (repro repair does this)"
+        elif placed.verdict == "wrong-cluster":
+            why = (
+                f"filed under cluster {placed.cluster!r} but its sequence "
+                f"references base {placed.base_id!r}"
+            )
+            hint = "re-file the image under its own base's cluster"
+        elif placed.component == "Unclassified":
+            why = (
+                "all rules are bound-widening and the base is binary, "
+                "yet the image sits in Unclassified (it always pays the "
+                "full BOUNDS walk)"
+            )
+            hint = "re-file under the base's Main cluster"
+        else:
+            if placed.stop == -1:
                 why = (
-                    f"filed under Main but its base {sequence.base_id!r} is "
+                    f"filed under Main but its base {placed.base_id!r} is "
                     f"not a binary image"
                 )
             else:
+                op = sequences[placed.image_id].operations[placed.stop]
                 why = (
-                    f"filed under Main but operation {stop} "
-                    f"({type(sequence.operations[stop]).__name__}) is not "
-                    f"bound-widening — the Figure 2 cluster shortcut could "
-                    f"return a wrong result set"
+                    f"filed under Main but operation {placed.stop} "
+                    f"({type(op).__name__}) is not bound-widening — the "
+                    f"Figure 2 cluster shortcut could return a wrong result set"
                 )
-            report.add(
-                _bwm_finding(
-                    image_id, why, "move the image to the Unclassified component"
-                )
-            )
-        elif placement[0] == "main" and placement[1] != sequence.base_id:
-            report.add(
-                _bwm_finding(
-                    image_id,
-                    f"filed under cluster {placement[1]!r} but its sequence "
-                    f"references base {sequence.base_id!r}",
-                    "re-file the image under its own base's cluster",
-                )
-            )
-        elif placement[0] == "unclassified" and should_be_main:
-            report.add(
-                _bwm_finding(
-                    image_id,
-                    "all rules are bound-widening and the base is binary, "
-                    "yet the image sits in Unclassified (it always pays the "
-                    "full BOUNDS walk)",
-                    "re-file under the base's Main cluster",
-                )
-            )
-    for orphan_id, placement in sorted(placements.items()):
-        report.add(
-            _bwm_finding(
-                orphan_id,
-                f"BWM {placement[0]} component lists an id the catalog does "
-                f"not hold as an edited image",
-                "remove the stale entry (repro repair does this)",
-            )
-        )
+            hint = "move the image to the Unclassified component"
+        report.add(_bwm_finding(placed.image_id, why, hint))
 
 
 def _bwm_finding(image_id: str, message: str, hint: str) -> Finding:

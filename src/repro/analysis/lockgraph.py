@@ -59,7 +59,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.ast_lint import LintRule, _as_posix, _suppressions
+from repro.analysis.ast_lint import (
+    LintRule,
+    _as_posix,
+    _dotted_name,
+    _python_files,
+    _suppressions,
+)
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 
 #: Rules this pass owns (same shape as the AST linter's registry).
@@ -300,17 +306,6 @@ class _ScanContext:
     class_name: str = ""
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _qualify(dotted: str, ctx: _ScanContext) -> str:
     """Class- or module-qualified lock id for a mutex expression."""
     if dotted.startswith("self."):
@@ -332,7 +327,7 @@ def _classify_lock(
             "write_locked",
         ):
             mode = "read" if func.attr == "read_locked" else "write"
-            receiver = _dotted(func.value) or "<expr>"
+            receiver = _dotted_name(func.value) or "<expr>"
             tail = receiver.split(".")[-1]
             if tail in _SERVICE_RW_TAILS:
                 return ("service.rwlock", mode)
@@ -342,7 +337,7 @@ def _classify_lock(
         if isinstance(func, ast.Name) and func.id == "root_lock":
             return ("db.root_lock", "exclusive")
         return None
-    dotted = _dotted(expr)
+    dotted = _dotted_name(expr)
     if dotted is None:
         return None
     tail = dotted.split(".")[-1]
@@ -501,13 +496,13 @@ class _ModuleScanner:
         if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
             type_name = value.func.id
             if value.func.id == "RLock" or (
-                _dotted(value.func) == "threading.RLock"
+                _dotted_name(value.func) == "threading.RLock"
             ):
                 type_name = None
         elif isinstance(value, ast.Call) and isinstance(
             value.func, ast.Attribute
         ):
-            dotted = _dotted(value.func)
+            dotted = _dotted_name(value.func)
             if dotted == "threading.RLock":
                 type_name = None
         elif isinstance(value, ast.Name):
@@ -518,9 +513,9 @@ class _ModuleScanner:
                 and isinstance(target.value, ast.Name)
             ):
                 attr = target.attr
-                dotted_value = _dotted(value) if not isinstance(
+                dotted_value = _dotted_name(value) if not isinstance(
                     value, ast.Call
-                ) else (_dotted(value.func) if isinstance(
+                ) else (_dotted_name(value.func) if isinstance(
                     value, ast.Call
                 ) else None)
                 if dotted_value == "threading.RLock":
@@ -679,16 +674,6 @@ class _Program:
                 acquired |= self.acquire_set(callee)
         self._acquire_sets[qualname] = acquired
         return acquired
-
-
-def _python_files(paths: Sequence[Path]) -> List[Path]:
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        else:
-            files.append(path)
-    return files
 
 
 def build_lock_graph(

@@ -27,10 +27,6 @@ Subcommands mirror the workflow of the paper's prototype:
 ``race-check`` drive the instrumented concurrency scenarios (metrics,
               events, sharded) under the Eraser-style lockset race
               detector and report CC004 data races
-``check-protocols`` exhaustively model-check the WAL, compactor, and
-              migration crash protocols over every interleaving and
-              crash point up to ``--bound``; CC003 findings carry the
-              minimal refuting schedule
 ``analyze-db`` static soundness checks over a saved database: dangling
               references, Merge cycles, size underflow, BWM placement,
               cache-dependency agreement, vacuous-bounds diagnostics;
@@ -51,8 +47,8 @@ Subcommands mirror the workflow of the paper's prototype:
               byte-identical (``--mode full`` for the larger corpus)
 
 Exit codes are uniform across the integrity-facing commands (``check``,
-``repair``, ``salvage``, ``lint``, ``race-check``, ``check-protocols``,
-``analyze-db``, ``prove-rules``):
+``repair``, ``salvage``, ``lint``, ``race-check``, ``analyze-db``,
+``prove-rules``):
 **0** clean (or fully healed/recovered), **2** problems remain or the
 input is unrecoverably corrupt, **1** any other library or usage error.
 
@@ -251,20 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       "metrics, events, sharded)")
     race.add_argument("--json", action="store_true",
                       help="emit the findings as JSON")
-
-    protocols = commands.add_parser(
-        "check-protocols",
-        help="model-check the WAL/compactor/migration crash protocols",
-    )
-    protocols.add_argument("models", nargs="*", default=None,
-                           help="model names to check (default: all of "
-                           "wal, compactor, migration)")
-    protocols.add_argument("--bound", type=int, default=None, metavar="N",
-                           help="interleaving depth bound (default 64); "
-                           "hitting it is reported as a warning, never "
-                           "silently treated as a proof")
-    protocols.add_argument("--json", action="store_true",
-                           help="emit the findings as JSON")
 
     analyze = commands.add_parser(
         "analyze-db",
@@ -659,24 +641,6 @@ def _cmd_race_check(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_check_protocols(args: argparse.Namespace, out) -> int:
-    import json
-
-    from repro.analysis.protocol import DEFAULT_BOUND, check_protocols
-
-    bound = args.bound if args.bound is not None else DEFAULT_BOUND
-    try:
-        report = check_protocols(args.models or None, max_depth=bound)
-    except ValueError as exc:  # unknown model name: usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.describe(), file=out)
-    return 0 if report.ok else 2
-
-
 def _cmd_analyze_db(args: argparse.Namespace, out) -> int:
     import json
     from pathlib import Path
@@ -895,7 +859,6 @@ _COMMANDS = {
     "serve-stats": _cmd_serve_stats,
     "lint": _cmd_lint,
     "race-check": _cmd_race_check,
-    "check-protocols": _cmd_check_protocols,
     "analyze-db": _cmd_analyze_db,
     "prove-rules": _cmd_prove_rules,
     "shards": _cmd_shards,

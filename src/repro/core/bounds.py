@@ -218,9 +218,14 @@ class BoundsEngine:
             self.cache_hits += 1
             lo, hi, height, width = vec
             self._quantizer.validate_bin(bin_index)
-            return PixelBounds(int(lo[bin_index]), int(hi[bin_index]), height, width)
-        self.cache_misses += 1
-        result = self._bounds_inner(image_id, bin_index, frozenset(), self._max_depth)
+            # Promoted to the scalar memo, so the next read of this bin
+            # is the dict hit above, not another column read.
+            result = PixelBounds(int(lo[bin_index]), int(hi[bin_index]), height, width)
+        else:
+            self.cache_misses += 1
+            result = self._bounds_inner(
+                image_id, bin_index, frozenset(), self._max_depth
+            )
         self._cache[key] = result
         self._cached_bins.setdefault(image_id, set()).add(bin_index)
         return result

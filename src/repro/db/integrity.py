@@ -21,6 +21,13 @@ Checks performed:
 5. stored histograms match their raster (full recomputation — the
    expensive check, skippable).
 
+The placement verdicts of checks 1 and 2 (missing, misplaced, wrong
+cluster, orphan entry), the missing references and the cycles of check 4
+come from :func:`scan_catalog`, the one detector ``repro analyze-db``
+renders its ``DB004`` / ``DB001`` / ``DB002`` findings from as well; the
+rest (duplicate filings, cluster keys, derivation links, the referrer
+map, histograms) is checked here only.
+
 :func:`repair` fixes the reparable subset of those problems by
 reconciling the derived structures (BWM, stored histograms) against the
 catalog; see its docstring for the action classes.
@@ -30,12 +37,114 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 from repro.color.histogram import ColorHistogram
+from repro.core.classify import first_non_widening, sequence_is_bound_widening
 from repro.errors import DatabaseError
 
 logger = logging.getLogger(__name__)
+
+
+# ----------------------------------------------------------------------
+# The one detector behind ``repro check`` and ``repro analyze-db``
+# ----------------------------------------------------------------------
+class PlacementVerdict(NamedTuple):
+    """One BWM filing that disagrees with Figure 1, or a catalog edited
+    image with no filing at all."""
+
+    image_id: str
+    verdict: str  # "missing" | "misplaced" | "wrong-cluster" | "orphan"
+    component: str  # where it is filed: "Main" | "Unclassified" | "" (missing)
+    cluster: str  # the Main cluster key it is filed under, else ""
+    base_id: str = ""  # what its sequence references (orphans have none)
+    stop: int = -1  # index of its first non-widening operation, -1 for none
+
+
+class CatalogScan(NamedTuple):
+    """What :func:`scan_catalog` found, in sorted-id order."""
+
+    #: (edited id, the id it references that no record holds,
+    #: "base" | "Merge target")
+    dangling: List[Tuple[str, str, str]]
+    #: id paths along base + Merge-target edges, first id == last id
+    cycles: List[List[str]]
+    placements: List[PlacementVerdict]
+
+
+def scan_catalog(database: "MultimediaDatabase") -> CatalogScan:  # noqa: F821
+    """Dangling references, reference cycles and BWM placement verdicts
+    (rendered by :func:`verify_integrity` and by
+    :func:`repro.analysis.catalog_lint.analyze_database`)."""
+    catalog = database.catalog
+    binary_ids = set(catalog.binary_ids())
+    sequences = {
+        image_id: catalog.sequence_of(image_id)
+        for image_id in sorted(catalog.edited_ids())
+    }
+    scan = CatalogScan([], [], [])
+
+    for image_id, sequence in sequences.items():
+        for referenced in sequence.referenced_ids():
+            if not catalog.contains(referenced):
+                kind = "base" if referenced == sequence.base_id else "Merge target"
+                scan.dangling.append((image_id, referenced, kind))
+
+    # Every back edge of a DFS over base + Merge-target edges is a cycle.
+    WHITE, GRAY, BLACK = 0, 1, 2
+    state = {image_id: WHITE for image_id in sequences}
+
+    def visit(image_id: str, path: List[str]) -> None:
+        state[image_id] = GRAY
+        path.append(image_id)
+        for referenced in sequences[image_id].referenced_ids():
+            if referenced not in state:
+                continue  # binary or dangling: cannot extend a cycle
+            if state[referenced] == GRAY:
+                scan.cycles.append(path[path.index(referenced):] + [referenced])
+            elif state[referenced] == WHITE:
+                visit(referenced, path)
+        path.pop()
+        state[image_id] = BLACK
+
+    for image_id in sequences:
+        if state[image_id] == WHITE:
+            visit(image_id, [])
+
+    # One verdict per filing, not per image: an id the structure lists
+    # twice is judged in each place (the double filing itself is
+    # verify_integrity's to report).
+    structure = database.bwm_structure
+    # id -> every (component, cluster key) that lists it
+    filings: Dict[str, List[Tuple[str, str]]] = {}
+    for base_id, cluster in structure.clusters():
+        for edited_id in cluster:
+            filings.setdefault(edited_id, []).append(("Main", base_id))
+    for edited_id in structure.unclassified:
+        filings.setdefault(edited_id, []).append(("Unclassified", ""))
+    for image_id, sequence in sequences.items():
+        stop = first_non_widening(sequence)
+        should_be_main = stop == -1 and sequence.base_id in binary_ids
+        for component, cluster in filings.pop(image_id, [("", "")]):
+            if not component:
+                verdict = "missing"
+            elif (component == "Main") != should_be_main:
+                verdict = "misplaced"
+            elif component == "Main" and cluster != sequence.base_id:
+                verdict = "wrong-cluster"
+            else:
+                continue
+            scan.placements.append(
+                PlacementVerdict(
+                    image_id, verdict, component, cluster, sequence.base_id, stop
+                )
+            )
+    for orphan_id, listed in sorted(filings.items()):
+        for component, cluster in listed:
+            scan.placements.append(
+                PlacementVerdict(orphan_id, "orphan", component, cluster)
+            )
+    return scan
 
 
 def verify_integrity(
@@ -46,6 +155,7 @@ def verify_integrity(
     problems: List[str] = []
     catalog = database.catalog
     structure = database.bwm_structure
+    scan = scan_catalog(database)
 
     binary_ids = set(catalog.binary_ids())
     edited_ids = set(catalog.edited_ids())
@@ -59,42 +169,28 @@ def verify_integrity(
             if edited_id in main_members:
                 problems.append(f"edited image {edited_id!r} in two Main clusters")
             main_members.add(edited_id)
-            if edited_id not in edited_ids:
-                problems.append(
-                    f"BWM Main member {edited_id!r} is not a catalog edited image"
-                )
-    unclassified = set(structure.unclassified)
-    if main_members & unclassified:
-        problems.append(
-            f"images in both components: {sorted(main_members & unclassified)}"
-        )
-    placed = main_members | unclassified
-    for edited_id in edited_ids - placed:
-        problems.append(f"edited image {edited_id!r} missing from the BWM structure")
-    for edited_id in unclassified - edited_ids:
-        problems.append(
-            f"BWM Unclassified member {edited_id!r} is not a catalog edited image"
-        )
-
-    from repro.core.classify import sequence_is_bound_widening
-
-    for edited_id in edited_ids & placed:
-        sequence = catalog.sequence_of(edited_id)
-        should_be_main = (
-            sequence_is_bound_widening(sequence) and sequence.base_id in binary_ids
-        )
-        is_main = edited_id in main_members
-        if should_be_main != is_main:
-            where = "Main" if is_main else "Unclassified"
+    both = main_members.intersection(structure.unclassified)
+    if both:
+        problems.append(f"images in both components: {sorted(both)}")
+    for placed in scan.placements:
+        image_id = placed.image_id
+        if placed.verdict == "missing":
+            problems.append(f"edited image {image_id!r} missing from the BWM structure")
+        elif placed.verdict == "orphan":
             problems.append(
-                f"edited image {edited_id!r} misplaced in {where} "
-                f"(classification says {'Main' if should_be_main else 'Unclassified'})"
+                f"BWM {placed.component} member {image_id!r} is not a catalog "
+                "edited image"
             )
-        if is_main and edited_id in main_members:
-            expected_cluster = sequence.base_id
-            if edited_id not in structure.main.get(expected_cluster, []):
+        else:
+            if placed.verdict == "misplaced":
+                wanted = "Unclassified" if placed.component == "Main" else "Main"
                 problems.append(
-                    f"edited image {edited_id!r} filed under the wrong cluster"
+                    f"edited image {image_id!r} misplaced in {placed.component} "
+                    f"(classification says {wanted})"
+                )
+            if placed.component == "Main" and placed.cluster != placed.base_id:
+                problems.append(
+                    f"edited image {image_id!r} filed under the wrong cluster"
                 )
 
     # --- 3: derivation links match sequences ---------------------------
@@ -111,6 +207,8 @@ def verify_integrity(
                 )
     for edited_id in edited_ids:
         base_id = catalog.sequence_of(edited_id).base_id
+        if not catalog.contains(base_id):
+            continue  # a missing reference: check 4 reports it
         if edited_id not in catalog.derived_from(base_id):
             problems.append(
                 f"sequence of {edited_id!r} references {base_id!r} but the "
@@ -118,22 +216,24 @@ def verify_integrity(
             )
 
     # --- 4: references exist and the graph is acyclic ------------------
+    for edited_id, referenced, _ in scan.dangling:
+        problems.append(
+            f"edited image {edited_id!r} references missing {referenced!r}"
+        )
     for edited_id in edited_ids:
         sequence = catalog.sequence_of(edited_id)
-        for referenced in sequence.referenced_ids():
-            if not catalog.contains(referenced):
-                problems.append(
-                    f"edited image {edited_id!r} references missing {referenced!r}"
-                )
-            elif (
-                referenced != sequence.base_id  # base links: check 3
-                and edited_id not in catalog.referrers(referenced)
+        for target in sequence.merge_targets():
+            if (
+                target != sequence.base_id  # base links: check 3
+                and catalog.contains(target)
+                and edited_id not in catalog.referrers(target)
             ):
                 problems.append(
                     f"edited image {edited_id!r} is not listed among the "
-                    f"referrers of Merge target {referenced!r}"
+                    f"referrers of Merge target {target!r}"
                 )
-    problems.extend(_find_cycles(catalog, edited_ids))
+    for cycle in scan.cycles:
+        problems.append(f"reference cycle: {' -> '.join(cycle)}")
 
     # --- 5: histograms match rasters ------------------------------------
     if recompute_histograms:
@@ -145,29 +245,6 @@ def verify_integrity(
                     f"stored histogram of {image_id!r} does not match its raster"
                 )
 
-    return problems
-
-
-def _find_cycles(catalog, edited_ids: Set[str]) -> List[str]:
-    problems: List[str] = []
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = {image_id: WHITE for image_id in edited_ids}
-
-    def visit(image_id: str, path: List[str]) -> None:
-        state[image_id] = GRAY
-        for referenced in catalog.sequence_of(image_id).referenced_ids():
-            if referenced not in state:
-                continue  # binary images terminate every path
-            if state[referenced] == GRAY:
-                cycle = path + [image_id, referenced]
-                problems.append(f"reference cycle: {' -> '.join(cycle)}")
-            elif state[referenced] == WHITE:
-                visit(referenced, path + [image_id])
-        state[image_id] = BLACK
-
-    for image_id in edited_ids:
-        if state[image_id] == WHITE:
-            visit(image_id, [])
     return problems
 
 
@@ -266,8 +343,6 @@ def _repair_histograms(database: "MultimediaDatabase", report: RepairReport) -> 
 
 def _repair_bwm_structure(database: "MultimediaDatabase", report: RepairReport) -> None:  # noqa: F821
     """Reconcile the BWM structure with the catalog's classification."""
-    from repro.core.classify import sequence_is_bound_widening
-
     catalog = database.catalog
     structure = database.bwm_structure
     binary_ids = set(catalog.binary_ids())

@@ -15,8 +15,7 @@ Two families:
   ``"rtree"`` and ``"linear"``.
 
 Rebuild rather than maintain: these builders snapshot the catalog (e.g.
-for a read-mostly serving tier or the benchmark harness); incremental
-maintenance stays with :class:`repro.db.database.MultimediaDatabase`.
+for a read-mostly serving tier or the benchmark harness).
 """
 
 from __future__ import annotations

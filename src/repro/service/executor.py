@@ -294,6 +294,18 @@ class QueryService:
         :class:`ServiceShutdownError` *synchronously* when the query is
         not admitted at all.
         """
+        return self._admit(query, timeout, strategy, expand_to_bases, [])
+
+    def _admit(
+        self,
+        query: QueryLike,
+        timeout: Optional[float],
+        strategy: Optional[Union[Strategy, str]],
+        expand_to_bases: bool,
+        timed_out: List[bool],
+    ) -> "Future[ServiceResult]":
+        """:meth:`submit`; ``timed_out`` is the marker the query's worker
+        shares with a waiting :meth:`execute` (see :meth:`_count_timeout`)."""
         # One branch when tracing is off: NULL_TRACER's methods are
         # constant-time no-ops, so the disabled path allocates nothing.
         tracer = maybe_tracer("query")
@@ -325,7 +337,7 @@ class QueryService:
         try:
             future = self._pool.submit(
                 self._run, constraints, deadline, forced, expand_to_bases,
-                tracer, admission,
+                tracer, admission, timed_out,
             )
         except BaseException as exc:
             with self._admission:
@@ -339,6 +351,15 @@ class QueryService:
             raise
         future.add_done_callback(self._release_slot)
         return future
+
+    def _count_timeout(self, timed_out: List[bool]) -> None:
+        """Count a query in ``queries_timed_out`` once, whichever of its
+        waiter (:meth:`execute`) and its worker notices the deadline first."""
+        with self._admission:
+            first = not timed_out
+            timed_out.append(True)
+        if first:
+            self.metrics.increment("queries_timed_out")
 
     def execute(
         self,
@@ -356,19 +377,15 @@ class QueryService:
         be preempted — but its slot drains normally).
         """
         timeout = timeout if timeout is not None else self._default_timeout
-        future = self.submit(
-            query,
-            timeout=timeout,
-            strategy=strategy,
-            expand_to_bases=expand_to_bases,
-        )
+        timed_out: List[bool] = []
+        future = self._admit(query, timeout, strategy, expand_to_bases, timed_out)
         try:
             # Grace on top of the deadline so the worker-side check
             # (which fires exactly at the deadline) reports first.
             wait = timeout + 0.25 if timeout is not None else None
             return future.result(timeout=wait)
         except FutureTimeoutError:
-            self.metrics.increment("queries_timed_out")
+            self._count_timeout(timed_out)
             raise QueryTimeoutError(
                 f"query still running after its {timeout:.3f}s deadline"
             ) from None
@@ -444,16 +461,14 @@ class QueryService:
         deadline: Optional[float],
         forced: Optional[Strategy],
         expand_to_bases: bool,
-        tracer=None,
-        admission=None,
+        tracer,
+        admission,
+        timed_out: List[bool],
     ) -> ServiceResult:
-        if tracer is None:
-            tracer = maybe_tracer("query")
-            admission = tracer.start_span("admission")
         tracer.finish_span(admission)
         start = self._clock()
         if deadline is not None and start >= deadline:
-            self.metrics.increment("queries_timed_out")
+            self._count_timeout(timed_out)
             logger.warning(
                 "query timed out in the admission queue (deadline %.3f)",
                 deadline,

@@ -256,3 +256,104 @@ class TestVacuousBounds:
         )
         report = analyze_database(database, with_prune_power=False)
         assert not report.by_code("DB006")
+
+
+def _plant_dangling_base(database, base, edited):
+    operations = database.catalog.sequence_of(edited).operations
+    _replace_sequence(
+        database, edited, EditSequence(base_id="ghost", operations=operations)
+    )
+    return edited
+
+
+def _plant_dangling_merge_target(database, base, edited):
+    _replace_sequence(
+        database,
+        edited,
+        EditSequence(
+            base_id=base,
+            operations=(Define(Rect(0, 0, 4, 4)), Merge("nowhere", 0, 0)),
+        ),
+    )
+    return edited
+
+
+def _plant_two_node_cycle(database, base, edited):
+    other = database.insert_edited(
+        EditSequence(
+            base_id=base,
+            operations=(Define(Rect(0, 0, 4, 4)), Merge(edited, 0, 0)),
+        )
+    )
+    _replace_sequence(
+        database,
+        edited,
+        EditSequence(
+            base_id=base,
+            operations=(Define(Rect(0, 0, 4, 4)), Merge(other, 0, 0)),
+        ),
+    )
+    return edited
+
+
+def _plant_non_widening_in_main(database, base, edited):
+    _replace_sequence(
+        database,
+        edited,
+        EditSequence(
+            base_id=base,
+            operations=(Define(Rect(0, 0, 4, 4)), Mutate.scale(1.5)),
+        ),
+    )
+    return edited
+
+
+def _plant_widening_in_unclassified(database, base, edited):
+    database.bwm_structure.remove_edited(edited)
+    database.bwm_structure.unclassified.append(edited)
+    return edited
+
+
+def _plant_orphan_entry(database, base, edited):
+    database.bwm_structure.unclassified.append("phantom-1")
+    return "phantom-1"
+
+
+class TestAgreesWithVerifyIntegrity:
+    """``repro analyze-db`` and ``repro check`` render DB001 / DB002 /
+    DB004 and their problem strings from one scan, so a planted defect
+    shows up in both, under the same id."""
+
+    @pytest.mark.parametrize(
+        "plant, code, found_by, problem",
+        [
+            (_plant_dangling_base, "DB001", "dangling", "references missing"),
+            (_plant_dangling_merge_target, "DB001", "dangling", "references missing"),
+            (_plant_two_node_cycle, "DB002", "cycles", "reference cycle"),
+            (_plant_non_widening_in_main, "DB004", "placements", "misplaced in Main"),
+            (
+                _plant_widening_in_unclassified,
+                "DB004",
+                "placements",
+                "misplaced in Unclassified",
+            ),
+            (_plant_orphan_entry, "DB004", "placements", "not a catalog edited image"),
+        ],
+    )
+    def test_planted_defect_reported_by_both(self, db, plant, code, found_by, problem):
+        from repro.db.integrity import scan_catalog, verify_integrity
+
+        database, base, edited = db
+        planted = plant(database, base, edited)
+        scanned = getattr(scan_catalog(database), found_by)
+        # A cycle is an id path; the other two lead with the offending id.
+        assert any(
+            planted in (found if found_by == "cycles" else found[:1])
+            for found in scanned
+        )
+        findings = analyze_database(database, with_prune_power=False).by_code(code)
+        assert planted in [finding.location for finding in findings]
+        assert any(
+            problem in line and planted in line
+            for line in verify_integrity(database)
+        )

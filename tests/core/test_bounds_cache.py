@@ -138,6 +138,18 @@ class TestTargetedInvalidation:
         assert dropped >= 1
         assert engine.bounds("e2", 0) == scalar  # recomputed, same value
 
+    def test_bin_read_through_the_all_bins_memo_is_promoted(self, engine, store):
+        engine.bounds_all_bins_batch(["e2"])
+        before = engine.cache_stats()["scalar_entries"]
+        first = engine.bounds("e2", 1)
+        assert engine.bounds("e2", 1) is first
+        assert engine.cache_stats()["scalar_entries"] == before + 1
+        # Both tiers go with the base; the re-walk equals a cache-off answer.
+        engine.invalidate("b1")
+        assert engine.cache_stats()["scalar_entries"] == before
+        assert not engine.has_cached_bounds("e2")
+        assert engine.bounds("e2", 1) == BoundsEngine(store, Q2).bounds("e2", 1)
+
     def test_whole_cache_flush_still_available(self, engine):
         warm(engine)
         engine.invalidate_cache()

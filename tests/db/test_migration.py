@@ -36,6 +36,7 @@ from repro.errors import (
 from repro.service import QueryService
 from repro.service.metrics import MetricsRegistry
 from repro.testing.faults import (
+    FAIL_MODES,
     CountingFaults,
     ErrorPlan,
     FaultPlan,
@@ -222,18 +223,39 @@ class TestRollback:
     def test_rollback_restores_origin_exactly(
         self, source_database, oracle, tmp_path
     ):
-        root = _seed_root(source_database, tmp_path / "db")
-        pristine = _manifest(root)
-        with pytest.raises(InjectedCrash):
-            Migrator(root, batch_size=2,
-                     faults=FaultPlan(fail_at=25, mode="after")).run()
-        report = rollback_migration(root)
-        assert report.action == "rollback"
-        restored = _manifest(root)
-        assert restored == pristine
-        assert not (root / "segments").exists()
-        assert not (root / "migration.journal").exists()
-        assert _oracle(load_database(root)) == oracle
+        """Kill the migrator at every boundary, then abandon the run:
+        the origin comes back exactly — until ``complete`` is journaled,
+        after which rollback is refused and the v3 catalog stands."""
+        counter = CountingFaults()
+        Migrator(
+            _seed_root(source_database, tmp_path / "count"),
+            batch_size=2, faults=counter,
+        ).run()
+        outcomes = set()
+        for index in range(1, counter.writes + 1):
+            for mode in FAIL_MODES:
+                root = _seed_root(source_database, tmp_path / f"db-{index}-{mode}")
+                pristine = _manifest(root)
+                with pytest.raises(InjectedCrash):
+                    Migrator(root, batch_size=2,
+                             faults=FaultPlan(fail_at=index, mode=mode)).run()
+                finalized = any(
+                    entry.get("event") == "complete"
+                    for entry in MigrationJournal(root).entries()
+                )
+                if finalized:
+                    with pytest.raises(MigrationError, match="refused"):
+                        rollback_migration(root)
+                    outcomes.add("refused")
+                else:
+                    outcomes.add(rollback_migration(root).action)
+                    assert _manifest(root) == pristine, (index, mode)
+                    assert not (root / "segments").exists()
+                    # (a torn ``begin`` line may outlive a no-op rollback)
+                    assert not MigrationJournal(root).entries()
+                assert _oracle(load_database(root)) == oracle, (index, mode)
+        # No journal yet, mid-run, and past the point of no return.
+        assert outcomes == {"noop", "rollback", "refused"}
 
     def test_rollback_refused_after_finalize(self, source_database, tmp_path):
         root = _seed_root(source_database, tmp_path / "db")

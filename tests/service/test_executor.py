@@ -221,6 +221,35 @@ class TestDeadlines:
         finally:
             release.set()
 
+    def test_one_timed_out_query_is_counted_once(self, small_database):
+        # The waiter gives up first; the query's worker dequeues it past
+        # its deadline later.  Both notice, one query timed out.
+        release = threading.Event()
+        started = threading.Event()
+        original = small_database.range_query
+
+        def blocking_range_query(query, method="rbm"):
+            started.set()
+            release.wait(timeout=30)
+            return original(query, method=method)
+
+        small_database.range_query = blocking_range_query
+        query = blue_query(small_database)
+        try:
+            with QueryService(small_database, max_workers=1) as service:
+                blocker = service.submit(query, strategy="linear_rbm")
+                assert started.wait(timeout=10)
+                with pytest.raises(QueryTimeoutError, match="deadline"):
+                    service.execute(query, timeout=0.05, strategy="linear_rbm")
+                assert service.metrics.counter("queries_timed_out") == 1
+                release.set()
+                assert blocker.result(timeout=30)
+                service.shutdown()  # drains the queued victim's worker
+                assert service.metrics.counter("queries_timed_out") == 1
+                assert service.in_flight == 0
+        finally:
+            release.set()
+
     def test_default_timeout_applies_when_call_passes_none(self, small_database):
         clock = FakeClock()
         with QueryService(

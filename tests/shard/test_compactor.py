@@ -132,15 +132,31 @@ class TestJournaling:
 
 
 class TestStaleness:
-    def test_stale_version_commit_skipped(self, rng):
-        sharded, _, _ = build_mirrored_pair(rng, shard_count=1)
+    def test_stale_version_commit_skipped(self, rng, tmp_path):
+        sharded, oracle, _ = build_mirrored_pair(rng, shard_count=1, root=tmp_path)
         try:
             compactor = Compactor(sharded, EAGER)
             shard = sharded._shards[0]
             edited = next(iter(shard.database.catalog.edited_ids()))
+            query = RangeQuery(3, 0.0, 0.4)
+            before = (
+                shard.version,
+                sharded.wal_depth_by_shard(),
+                sharded.materialized_images(),
+                sharded.range_query(query).matches,
+            )
             stale = _Candidate(0, edited, 1.0, shard.version - 1)
             assert not compactor._materialize(stale, shard.version - 1)
             assert edited not in shard.materialized
+            # Rollback-exact: the refused commit left no trace anywhere.
+            assert not shard.database.engine.has_cached_bounds(edited)
+            assert before == (
+                shard.version,
+                sharded.wal_depth_by_shard(),
+                sharded.materialized_images(),
+                sharded.range_query(query).matches,
+            )
+            assert before[3] == oracle.range_query(query).matches
         finally:
             sharded.close()
 

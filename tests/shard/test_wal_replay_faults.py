@@ -238,5 +238,8 @@ def test_every_checkpoint_boundary_replays_to_oracle(sweep_env):
             assert _fingerprint(reopened) == oracle_fp, (
                 f"divergence at save boundary {fail_at} mode {mode!r}"
             )
+            # Records the crashed save had already checkpointed are
+            # recognised as present, not re-applied into a rejection.
+            assert reopened.metrics.counter("wal.replay_failed") == 0
         finally:
             reopened.close()

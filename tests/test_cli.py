@@ -562,27 +562,6 @@ class TestRaceCheck:
         assert code == 1
 
 
-class TestCheckProtocols:
-    def test_all_models_proved(self):
-        code, output = run_cli("check-protocols")
-        assert code == 0
-        assert "0 errors" in output
-
-    def test_bound_truncation_warns_but_does_not_gate(self):
-        import json
-
-        code, output = run_cli(
-            "check-protocols", "wal", "--bound", "3", "--json"
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["counts"] == {"CC000": 1}
-
-    def test_unknown_model_is_a_usage_error(self):
-        code, _ = run_cli("check-protocols", "bogus")
-        assert code == 1
-
-
 class TestAnalyzeDb:
     def test_healthy_database(self, saved_database):
         directory, _ = saved_database
