@@ -61,7 +61,7 @@ class ColorHistogram:
     def of_image(image: Image, quantizer: UniformQuantizer) -> "ColorHistogram":
         """Extract the histogram of ``image`` under ``quantizer``."""
         bins = quantizer.bin_indices(image.pixels.reshape(-1, 3))
-        counts = np.bincount(bins, minlength=quantizer.bin_count).astype(np.int64)
+        counts = np.bincount(bins, minlength=quantizer.bin_count)
         return ColorHistogram(quantizer, counts, image.size)
 
     @staticmethod

@@ -65,19 +65,33 @@ class UniformQuantizer:
 
     def bin_indices(self, rgb_pixels: np.ndarray) -> np.ndarray:
         """Flat bin indices for an ``(..., 3)`` uint8 RGB array."""
+        pixels = np.asarray(rgb_pixels)
+        if self.space == "rgb" and pixels.dtype == np.uint8:
+            # RGB channels quantize independently: one look-up each.
+            red, green, blue = _channel_tables(self)
+            return (
+                red.take(pixels[..., 0])
+                + green.take(pixels[..., 1])
+                + blue.take(pixels[..., 2])
+            )
+        return self._channel_offsets(pixels).sum(axis=-1)
+
+    def _channel_offsets(self, rgb_pixels: np.ndarray) -> np.ndarray:
+        """Each channel's cell times its stride in the flat bin index.
+
+        The one statement of the binning rule: the flat index of a pixel
+        is the sum of its three offsets.
+        """
         coords = convert_pixels(rgb_pixels, self.space)
-        cells = np.empty(coords.shape, dtype=np.int64)
+        offsets = np.empty(coords.shape, dtype=np.int64)
+        stride = self.divisions * self.divisions
         for channel, (low, high) in enumerate(channel_ranges(self.space)):
             span = high - low
             scaled = (coords[..., channel] - low) / span * self.divisions
-            cells[..., channel] = np.clip(
-                np.floor(scaled).astype(np.int64), 0, self.divisions - 1
-            )
-        return (
-            cells[..., 0] * self.divisions * self.divisions
-            + cells[..., 1] * self.divisions
-            + cells[..., 2]
-        )
+            cells = np.clip(np.floor(scaled).astype(np.int64), 0, self.divisions - 1)
+            offsets[..., channel] = cells * stride
+            stride //= self.divisions
+        return offsets
 
     def cell_of(self, bin_index: BinIndex) -> Tuple[int, int, int]:
         """Inverse of the flat indexing: ``(i, j, k)`` cell coordinates."""
@@ -134,3 +148,19 @@ class UniformQuantizer:
 def _bin_of_cached(quantizer: UniformQuantizer, rgb: Tuple[int, int, int]) -> int:
     pixel = np.array([rgb], dtype=np.uint8)
     return int(quantizer.bin_indices(pixel)[0])
+
+
+@lru_cache(maxsize=64)
+def _channel_tables(
+    quantizer: UniformQuantizer,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel offsets of the values 0..255 of an RGB quantizer.
+
+    :meth:`UniformQuantizer._channel_offsets` run once over a gray ramp,
+    whose row ``v`` holds value ``v`` in every channel.
+    """
+    ramp = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
+    red, green, blue = np.ascontiguousarray(quantizer._channel_offsets(ramp).T)
+    for table in (red, green, blue):
+        table.setflags(write=False)
+    return (red, green, blue)

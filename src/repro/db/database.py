@@ -73,7 +73,7 @@ class MultimediaDatabase:
         self.quantizer = quantizer if quantizer is not None else UniformQuantizer(4, "rgb")
         self.fill_color: ColorTuple = validate_color(fill_color)
         self.catalog = Catalog()
-        self.executor = EditExecutor(resolve=self.instantiate, fill_color=self.fill_color)
+        self.executor = EditExecutor(resolve=self._raster, fill_color=self.fill_color)
         self.engine = BoundsEngine(
             self.catalog,
             self.quantizer,
@@ -203,7 +203,18 @@ class MultimediaDatabase:
         record = self.catalog.record(image_id)
         if isinstance(record, BinaryImageRecord):
             return record.image.copy()
-        base = self.instantiate(record.sequence.base_id)
+        return self._raster(image_id)
+
+    def _raster(self, image_id: str) -> Image:
+        """A binary image's stored raster itself, or a fresh instantiation.
+
+        The executor copies its base and only reads Merge targets, so the
+        stored raster is handed to it as is.
+        """
+        record = self.catalog.record(image_id)
+        if isinstance(record, BinaryImageRecord):
+            return record.image
+        base = self._raster(record.sequence.base_id)
         return self.executor.instantiate(base, record.sequence)
 
     def exact_histogram(self, image_id: str) -> ColorHistogram:

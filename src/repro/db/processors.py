@@ -20,17 +20,22 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.color.histogram import ColorHistogram
-from repro.color.similarity import l1_distance, l1_lower_bound
+from repro.color.similarity import histogram_intersection, l1_distance
 from repro.core.bounds import BoundsEngine
 from repro.core.query import QueryResult, QueryStats, RangeQuery
 from repro.db.catalog import Catalog
 from repro.db.records import EditedImageRecord
-from repro.errors import QueryError
+from repro.errors import HistogramError, QueryError
 from repro.images.raster import Image
 
 #: Instantiates an edited image id into a raster.
 Instantiator = Callable[[str], Image]
+
+#: ``(score, image_id)``; tuples order by score, ties by id.
+Scored = Tuple[float, str]
 
 
 class _MaxItem:
@@ -201,9 +206,7 @@ class SimilaritySearch:
         for image_id in self._catalog.edited_ids():
             stats.candidates_considered += 1
             stats.edited_instantiated += 1
-            histogram = ColorHistogram.of_image(
-                self._instantiate(image_id), query.quantizer
-            )
+            histogram = self._exact_histogram(image_id, query)
             scored.append((l1_distance(query, histogram), image_id))
         return KNNResult(tuple(sorted(scored)[:k]), stats)
 
@@ -221,39 +224,8 @@ class SimilaritySearch:
            bound exceeds the current k-th best distance — no remaining
            image can improve the result.
         """
-        self._validate_k(k)
-        stats = KNNStats()
-        query_fractions = query.fractions()
-
-        best = _KBest(k)
-        for image_id in self._catalog.binary_ids():
-            stats.candidates_considered += 1
-            best.push(
-                (l1_distance(query, self._catalog.histogram_of(image_id)), image_id)
-            )
-
-        candidates: List[Tuple[float, str]] = []
-        edited_ids = list(self._catalog.edited_ids())
-        for image_id, (lower, upper) in zip(
-            edited_ids, self._engine.fraction_bounds_all_bins_batch(edited_ids)
-        ):
-            stats.candidates_considered += 1
-            candidates.append(
-                (l1_lower_bound(query_fractions, lower, upper), image_id)
-            )
-        heapq.heapify(candidates)
-
-        while candidates:
-            bound, image_id = heapq.heappop(candidates)
-            if bound > best.threshold:
-                stats.edited_pruned += 1 + len(candidates)
-                break
-            stats.edited_instantiated += 1
-            histogram = ColorHistogram.of_image(
-                self._instantiate(image_id), query.quantizer
-            )
-            best.push((l1_distance(query, histogram), image_id))
-        return KNNResult(tuple(best.sorted_items()), stats)
+        neighbors, stats = self._k_best(query, k, intersection=False)
+        return KNNResult(tuple(neighbors), stats)
 
     def range_search(
         self, query: ColorHistogram, epsilon: float
@@ -268,32 +240,17 @@ class SimilaritySearch:
         """
         if epsilon < 0:
             raise QueryError(f"epsilon must be non-negative, got {epsilon}")
-        stats = KNNStats()
-        query_fractions = query.fractions()
-
-        matches: List[Tuple[float, str]] = []
-        for image_id in self._catalog.binary_ids():
-            stats.candidates_considered += 1
-            distance = l1_distance(query, self._catalog.histogram_of(image_id))
-            if distance <= epsilon:
-                matches.append((distance, image_id))
-
-        edited_ids = list(self._catalog.edited_ids())
-        for image_id, (lower, upper) in zip(
-            edited_ids, self._engine.fraction_bounds_all_bins_batch(edited_ids)
-        ):
-            stats.candidates_considered += 1
-            if l1_lower_bound(query_fractions, lower, upper) > epsilon:
+        binary, edited = self._rank(query, intersection=False)
+        stats = KNNStats(candidates_considered=len(binary) + len(edited))
+        matches = [item for item in binary if item[0] <= epsilon]
+        for bound, image_id in edited:
+            if bound > epsilon:
                 stats.edited_pruned += 1
                 continue
             stats.edited_instantiated += 1
-            histogram = ColorHistogram.of_image(
-                self._instantiate(image_id), query.quantizer
-            )
-            distance = l1_distance(query, histogram)
+            distance = l1_distance(query, self._exact_histogram(image_id, query))
             if distance <= epsilon:
                 matches.append((distance, image_id))
-
         return KNNResult(tuple(sorted(matches)), stats)
 
     def knn_intersection(self, query: ColorHistogram, k: int) -> KNNResult:
@@ -307,50 +264,89 @@ class SimilaritySearch:
         upper bounds) is below the current k-th best similarity cannot
         enter the result.
         """
-        from repro.color.similarity import (
-            histogram_intersection,
-            intersection_upper_bound,
+        neighbors, stats = self._k_best(query, k, intersection=True)
+        return KNNResult(
+            tuple((-negative, image_id) for negative, image_id in neighbors), stats
         )
 
+    # ------------------------------------------------------------------
+    def _k_best(
+        self, query: ColorHistogram, k: int, intersection: bool
+    ) -> Tuple[List[Scored], KNNStats]:
+        """Filter-and-refine over :meth:`_rank`'s smaller-is-better scores."""
         self._validate_k(k)
-        stats = KNNStats()
-        query_fractions = query.fractions()
-
+        binary, edited = self._rank(query, intersection)
+        stats = KNNStats(candidates_considered=len(binary) + len(edited))
         best = _KBest(k)
-        for image_id in self._catalog.binary_ids():
-            stats.candidates_considered += 1
-            similarity = histogram_intersection(
-                query, self._catalog.histogram_of(image_id)
-            )
-            best.push((-similarity, image_id))
-
-        candidates: List[Tuple[float, str]] = []
-        edited_ids = list(self._catalog.edited_ids())
-        for image_id, (_, upper) in zip(
-            edited_ids, self._engine.fraction_bounds_all_bins_batch(edited_ids)
-        ):
-            stats.candidates_considered += 1
-            bound = intersection_upper_bound(query_fractions, upper)
-            candidates.append((-bound, image_id))
-        heapq.heapify(candidates)
-
-        while candidates:
-            negative_bound, image_id = heapq.heappop(candidates)
-            kth_similarity = -best.threshold
-            if -negative_bound < kth_similarity:
-                stats.edited_pruned += 1 + len(candidates)
+        for item in binary:
+            best.push(item)
+        heapq.heapify(edited)
+        while edited:
+            bound, image_id = heapq.heappop(edited)
+            if bound > best.threshold:
+                stats.edited_pruned += 1 + len(edited)
                 break
             stats.edited_instantiated += 1
-            histogram = ColorHistogram.of_image(
-                self._instantiate(image_id), query.quantizer
-            )
-            similarity = histogram_intersection(query, histogram)
-            best.push((-similarity, image_id))
+            histogram = self._exact_histogram(image_id, query)
+            if intersection:
+                best.push((-histogram_intersection(query, histogram), image_id))
+            else:
+                best.push((l1_distance(query, histogram), image_id))
+        return best.sorted_items(), stats
 
-        neighbors = tuple(
-            (-negative, image_id) for negative, image_id in best.sorted_items()
+    def _rank(
+        self, query: ColorHistogram, intersection: bool
+    ) -> Tuple[List[Scored], List[Scored]]:
+        """Score every stored image against ``query`` without instantiating.
+
+        Returns ``(score, id)`` lists in catalog order: binary images
+        scored exactly, edited images by the best score their BOUNDS
+        intervals admit.  Scores are L1 distances and their lower bounds,
+        or — so that smaller is better either way — *negated*
+        intersections and their negated upper bounds.  Each is the
+        row-wise form of the scalar function of the same name in
+        :mod:`repro.color.similarity` and yields the identical doubles.
+        """
+        q = query.fractions()
+        binary_ids = list(self._catalog.binary_ids())
+        edited_ids = list(self._catalog.edited_ids())
+        exact = bound = np.empty(0)
+        if binary_ids:
+            histograms = [self._catalog.histogram_of(i) for i in binary_ids]
+            for histogram in histograms:
+                query.require_compatible(histogram)
+            stored = np.stack([h.counts for h in histograms]) / np.array(
+                [[h.total] for h in histograms], dtype=np.float64
+            )
+            if intersection:
+                exact = -np.minimum(q, stored).sum(axis=1)
+            else:
+                exact = np.abs(q - stored).sum(axis=1)
+        rows = self._engine.fraction_bounds_all_bins_batch(edited_ids)
+        if rows:
+            # The stacked copies are scratch space, overwritten step by
+            # step: each (edited, bins) temporary would be 0.75 MB of
+            # peak memory at 1,500 edited images.
+            upper = np.stack([hi for _, hi in rows])
+            if intersection:
+                np.clip(upper, 0.0, None, out=upper)
+                bound = -np.minimum(q, upper, out=upper).sum(axis=1)
+            else:
+                lower = np.stack([lo for lo, _ in rows])
+                if (lower > upper + 1e-12).any():
+                    raise HistogramError("lower bound exceeds upper bound")
+                np.clip(np.subtract(lower, q, out=lower), 0.0, None, out=lower)
+                np.clip(np.subtract(q, upper, out=upper), 0.0, None, out=upper)
+                lower += upper
+                bound = lower.sum(axis=1)
+        return (
+            list(zip(exact.tolist(), binary_ids)),
+            list(zip(bound.tolist(), edited_ids)),
         )
-        return KNNResult(neighbors, stats)
+
+    def _exact_histogram(self, image_id: str, query: ColorHistogram) -> ColorHistogram:
+        """Refine step: instantiate ``image_id`` and extract its histogram."""
+        return ColorHistogram.of_image(self._instantiate(image_id), query.quantizer)
 
     @staticmethod
     def _validate_k(k: int) -> None:

@@ -838,14 +838,16 @@ class ShardedCatalog:
         query: Union[Image, ColorHistogram],
         task: Callable[[MultimediaDatabase, ColorHistogram], KNNResult],
         limit: Optional[int],
+        descending: bool = False,
     ) -> KNNResult:
         """kNN / similarity-range: ordered merge of the shard lists.
 
         Each shard returns its exact local list ascending by
-        ``(distance, id)``; the first ``limit`` of their ordered merge
-        (all of it when ``None``) is the global answer — identical to
-        the single-catalog result because no excluded local candidate
-        can outrank an included one.
+        ``(distance, id)`` — or, ``descending``, by ``(-similarity, id)``;
+        the first ``limit`` of their merge in that same order (all of it
+        when ``None``) is the global answer — identical to the
+        single-catalog result because no excluded local candidate can
+        outrank an included one.
         """
         histogram = (
             ColorHistogram.of_image(query, self.quantizer)
@@ -861,7 +863,11 @@ class ShardedCatalog:
                 stats.candidates_considered += result.stats.candidates_considered
                 stats.edited_pruned += result.stats.edited_pruned
                 stats.edited_instantiated += result.stats.edited_instantiated
-            ordered = heap_merge(*(result.neighbors for result in results))
+            sign = -1.0 if descending else 1.0
+            ordered = heap_merge(
+                *(result.neighbors for result in results),
+                key=lambda neighbor: (sign * neighbor[0], neighbor[1]),
+            )
             return KNNResult(tuple(islice(ordered, limit)), stats)
 
         return self._query(
@@ -888,6 +894,7 @@ class ShardedCatalog:
                 histogram, k, method=method
             ),
             k,
+            descending=method == "intersection",
         )
 
     def similarity_range(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.color.quantization import UniformQuantizer
+from repro.color.spaces import channel_ranges, convert_pixels
 from repro.errors import ColorError
 
 rgb_strategy = st.tuples(*([st.integers(0, 255)] * 3))
@@ -76,6 +77,60 @@ class TestBinning:
         quantizer = UniformQuantizer(4, "rgb")
         pixels = rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8)
         assert quantizer.bin_indices(pixels).shape == (5, 7)
+
+
+def arithmetic_bin_indices(quantizer, rgb_pixels):
+    """Reference: divide / floor / clip per channel, no look-up tables."""
+    coords = convert_pixels(rgb_pixels, quantizer.space)
+    cells = np.empty(coords.shape, dtype=np.int64)
+    for channel, (low, high) in enumerate(channel_ranges(quantizer.space)):
+        scaled = (coords[..., channel] - low) / (high - low) * quantizer.divisions
+        cells[..., channel] = np.clip(
+            np.floor(scaled).astype(np.int64), 0, quantizer.divisions - 1
+        )
+    d = quantizer.divisions
+    return cells[..., 0] * d * d + cells[..., 1] * d + cells[..., 2]
+
+
+class TestChannelTables:
+    @pytest.mark.parametrize("divisions", [1, 2, 3, 4, 5, 7, 8, 16, 256])
+    def test_rgb_tables_equal_arithmetic_for_every_channel_value(self, divisions, rng):
+        quantizer = UniformQuantizer(divisions, "rgb")
+        values = np.arange(256, dtype=np.uint8)
+        for channel in range(3):
+            pixels = rng.integers(0, 256, size=(256, 3)).astype(np.uint8)
+            pixels[:, channel] = values
+            assert np.array_equal(
+                quantizer.bin_indices(pixels), arithmetic_bin_indices(quantizer, pixels)
+            )
+
+    def test_rgb_image_shaped_and_strided_input(self, rng):
+        quantizer = UniformQuantizer(4, "rgb")
+        pixels = rng.integers(0, 256, size=(9, 11, 3)).astype(np.uint8)
+        for view in (pixels, pixels[2:7, 1:9], pixels[::2, ::3]):
+            assert np.array_equal(
+                quantizer.bin_indices(view), arithmetic_bin_indices(quantizer, view)
+            )
+
+    def test_rgb_wider_dtypes_still_clip_into_the_last_cell(self):
+        quantizer = UniformQuantizer(4, "rgb")
+        pixels = np.array([[300, 0, 255], [-5, 128, 64]], dtype=np.int64)
+        assert np.array_equal(
+            quantizer.bin_indices(pixels), arithmetic_bin_indices(quantizer, pixels)
+        )
+
+    @pytest.mark.parametrize("space", ["hsv", "luv"])
+    @pytest.mark.parametrize("divisions", [1, 3, 4, 8])
+    def test_non_separable_spaces_keep_the_conversion_path(self, space, divisions, rng):
+        quantizer = UniformQuantizer(divisions, space)
+        pixels = rng.integers(0, 256, size=(400, 3)).astype(np.uint8)
+        pixels[:8] = [
+            (0, 0, 0), (255, 255, 255), (255, 0, 0), (0, 255, 0),
+            (0, 0, 255), (128, 128, 128), (255, 255, 0), (1, 0, 1),
+        ]
+        assert np.array_equal(
+            quantizer.bin_indices(pixels), arithmetic_bin_indices(quantizer, pixels)
+        )
 
 
 class TestCellMapping:

@@ -11,6 +11,7 @@ import pytest
 from repro.color.histogram import ColorHistogram
 from repro.color.quantization import UniformQuantizer
 from repro.core.query import ConjunctiveQuery, RangeQuery
+from repro.db.database import KNN_METHODS
 from repro.db.persistence import load_database
 from repro.editing.operations import Define, Merge
 from repro.editing.sequence import EditSequence
@@ -171,6 +172,23 @@ class TestRouterParity:
                 else:
                     oracle.insert_image(payload, item_id)
             _assert_full_parity(sharded, oracle, rng)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("method", KNN_METHODS)
+    def test_knn_parity_for_every_method(self, rng, method):
+        """The shard lists merge in the order they are in: ``intersection``
+        ranks descending by similarity, the others ascending by distance."""
+        sharded, oracle, _ = build_mirrored_pair(
+            rng, shard_count=4, binary_count=12, edited_count=12
+        )
+        try:
+            for _ in range(4):
+                probe = random_image(rng)
+                assert (
+                    sharded.knn(probe, 5, method=method).neighbors
+                    == oracle.knn(probe, 5, method=method).neighbors
+                )
         finally:
             sharded.close()
 
