@@ -1,6 +1,12 @@
 """The paper's contribution: Table 1 rules, BOUNDS, RBM, and BWM."""
 
-from repro.core.bounds import AllBinsBounds, BoundsEngine, BoundsStore, PixelBounds
+from repro.core.bounds import (
+    AllBinsBounds,
+    BoundsEngine,
+    BoundsMatrix,
+    BoundsStore,
+    PixelBounds,
+)
 from repro.core.bwm import BWMProcessor, BWMStructure, OrderedIdSet
 from repro.core.classify import (
     first_non_widening,
@@ -38,6 +44,7 @@ __all__ = [
     "BWMProcessor",
     "BWMStructure",
     "BoundsEngine",
+    "BoundsMatrix",
     "BatchBWMProcessor",
     "BatchRBMProcessor",
     "BatchRuleContext",

@@ -37,6 +37,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -44,6 +45,7 @@ from typing import (
     Set,
     Tuple,
     Union,
+    overload,
 )
 
 import numpy as np
@@ -55,6 +57,7 @@ from repro.core.optable import (
     BatchRuleState,
     OpTableManager,
     apply_rule_batched,
+    stack_rows,
 )
 from repro.core.rules import RuleContext, RuleState, apply_rule
 from repro.editing.sequence import EditSequence
@@ -65,6 +68,105 @@ from repro.images.raster import ColorTuple
 #: ``(lo, hi, height, width)``: read-only int64 count vectors over every
 #: bin plus the exact image dimensions — the all-bins BOUNDS result.
 AllBinsBounds = Tuple[np.ndarray, np.ndarray, int, int]
+
+
+class BoundsMatrix(Sequence[AllBinsBounds]):
+    """All-bins BOUNDS of many images: rows for id consumers, columns
+    for array consumers.
+
+    As a sequence it is what :meth:`BoundsEngine.bounds_all_bins_batch`
+    always returned — element ``i`` is the :data:`AllBinsBounds` of
+    ``image_ids[i]``; indexing, slicing and iteration yield those
+    tuples, whose vectors are read-only.  ``lo`` / ``hi`` are the same
+    intervals as ``(images x bins)`` int64 matrices with ``heights`` /
+    ``widths`` columns aligned to them, so a query compares one column
+    instead of unpacking every row.
+
+    A result that came straight out of one sweep holds the matrices and
+    cuts row views on demand; one assembled per image (memo hits, binary
+    images) holds the rows and stacks them the first time a column is
+    asked for, so callers that only walk rows never pay for a matrix.
+    """
+
+    __slots__ = ("_rows", "_columns", "_bins")
+
+    def __init__(
+        self,
+        bins: int,
+        rows: Optional[List[AllBinsBounds]] = None,
+        columns: Optional[
+            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+        ] = None,
+    ) -> None:
+        if (rows is None) == (columns is None):
+            raise RuleError("a BoundsMatrix is built from rows or from columns")
+        if columns is not None:
+            for column in columns:
+                column.setflags(write=False)
+        self._bins = bins
+        self._rows = rows
+        self._columns = columns
+
+    def _stacked(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self._columns is None:
+            rows = self._rows or []
+            columns = (
+                stack_rows([row[0] for row in rows], self._bins),
+                stack_rows([row[1] for row in rows], self._bins),
+                np.array([row[2] for row in rows], dtype=np.int64),
+                np.array([row[3] for row in rows], dtype=np.int64),
+            )
+            for column in columns:
+                column.setflags(write=False)
+            self._columns = columns
+        return self._columns
+
+    @property
+    def lo(self) -> np.ndarray:
+        """``BOUND_min`` counts, ``(images x bins)``, read-only."""
+        return self._stacked()[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        """``BOUND_max`` counts, ``(images x bins)``, read-only."""
+        return self._stacked()[1]
+
+    @property
+    def heights(self) -> np.ndarray:
+        """Exact image heights, one per row."""
+        return self._stacked()[2]
+
+    @property
+    def widths(self) -> np.ndarray:
+        """Exact image widths, one per row."""
+        return self._stacked()[3]
+
+    def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        return int(self._stacked()[0].shape[0])
+
+    def __iter__(self) -> Iterator[AllBinsBounds]:
+        if self._rows is not None:
+            return iter(self._rows)
+        lo, hi, heights, widths = self._stacked()
+        return iter(zip(lo, hi, heights.tolist(), widths.tolist()))
+
+    @overload
+    def __getitem__(self, index: int) -> AllBinsBounds: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[AllBinsBounds]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[AllBinsBounds, List[AllBinsBounds]]:
+        if self._rows is not None:
+            return self._rows[index]
+        if isinstance(index, slice):
+            return list(self)[index]
+        lo, hi, heights, widths = self._stacked()
+        return (lo[index], hi[index], int(heights[index]), int(widths[index]))
 
 
 class BoundsStore(Protocol):
@@ -375,9 +477,7 @@ class BoundsEngine:
         """The columnar op-table manager, subscribed to the change feed."""
         return self._optable
 
-    def bounds_all_bins_batch(
-        self, image_ids: Sequence[str]
-    ) -> List[AllBinsBounds]:
+    def bounds_all_bins_batch(self, image_ids: Sequence[str]) -> BoundsMatrix:
         """All-bins BOUNDS for many images in one structure-of-arrays sweep.
 
         Bin ``b`` of element ``i`` equals :meth:`bounds`\\
@@ -393,6 +493,11 @@ class BoundsEngine:
         ids are served from and seeded into the vector cache, and
         dependency edges register for everything swept so a targeted
         :meth:`invalidate` drops exactly the affected entries.
+
+        The :class:`BoundsMatrix` returned reads as the list of
+        :data:`AllBinsBounds` tuples and exposes the same intervals as
+        matrices; when every requested id was swept it *is* the sweep's
+        output block, with no per-image unpacking in between.
         """
         results: Dict[str, AllBinsBounds] = {}
         errors: Dict[str, ReproError] = {}
@@ -422,6 +527,8 @@ class BoundsEngine:
                 errors[image_id] = UnknownObjectError(
                     f"unexpected store record for {image_id!r}"
                 )
+        bins = self._quantizer.bin_count
+        block: Optional[BoundsMatrix] = None
         if edited:
             manager = self.optable_manager
             outcome = manager.compute(
@@ -436,33 +543,45 @@ class BoundsEngine:
                         self._dependents.setdefault(referenced, set()).add(
                             swept_id
                         )
-            for image_id in edited:
-                failure = outcome.failures.get(image_id)
-                if failure is not None:
-                    errors[image_id] = failure
-                    continue
-                result = outcome.results[image_id]
-                # Only requested ids are memoized, not swept references.
-                if self.cache_enabled:
-                    self._vec_cache[image_id] = result
-                results[image_id] = result
-        ordered: List[AllBinsBounds] = []
-        for image_id in image_ids:
-            error = errors.get(image_id)
-            if error is not None:
-                raise error
-            ordered.append(results[image_id])
-        return ordered
+            if not outcome.failures and len(edited) == len(image_ids):
+                # Every requested id swept cleanly: the answer is the
+                # sweep's own block, and only a memo wants per-id rows.
+                rows = outcome.rows
+                block = BoundsMatrix(
+                    bins,
+                    columns=(
+                        outcome.lo[rows],
+                        outcome.hi[rows],
+                        outcome.heights[rows],
+                        outcome.widths[rows],
+                    ),
+                )
+            if block is None or self.cache_enabled:
+                for position, image_id in enumerate(edited):
+                    failure = outcome.failures.get(image_id)
+                    if failure is not None:
+                        errors[image_id] = failure
+                        continue
+                    result = outcome.view(position)
+                    # Only requested ids are memoized, not swept references.
+                    if self.cache_enabled:
+                        self._vec_cache[image_id] = result
+                    results[image_id] = result
+        if errors:
+            raise next(errors[i] for i in image_ids if i in errors)
+        if block is not None:
+            return block
+        return BoundsMatrix(
+            bins, rows=[results[image_id] for image_id in image_ids]
+        )
 
     def fraction_bounds_all_bins_batch(
         self, image_ids: Sequence[str]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Batched :meth:`fraction_bounds_all_bins`: same division, one sweep."""
-        fractions: List[Tuple[np.ndarray, np.ndarray]] = []
-        for lo, hi, height, width in self.bounds_all_bins_batch(image_ids):
-            total = float(height * width)
-            fractions.append((lo / total, hi / total))
-        return fractions
+        bounds = self.bounds_all_bins_batch(image_ids)
+        totals = (bounds.heights * bounds.widths).astype(np.float64)[:, None]
+        return list(zip(bounds.lo / totals, bounds.hi / totals))
 
     # ------------------------------------------------------------------
     # Cache maintenance

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -201,6 +201,15 @@ class BatchRuleState:
             int(self.widths[row]),
             _row_to_rect(self.dr[row]),
         )
+
+
+def stack_rows(vectors: Sequence[np.ndarray], bins: int) -> np.ndarray:
+    """Equal-length int64 count vectors as one ``(len(vectors), bins)``
+    matrix (a single concatenate: ``np.stack`` pays Python overhead per
+    row, which is what the callers are getting rid of)."""
+    if not vectors:
+        return np.zeros((0, bins), dtype=np.int64)
+    return np.concatenate(vectors).reshape(len(vectors), bins)
 
 
 def _rect_to_row(rect: Rect) -> np.ndarray:
@@ -842,38 +851,80 @@ class CatalogOpTable:
 class SweepOutcome:
     """Everything one batched sweep produced.
 
-    ``results`` maps image id to a read-only ``(lo, hi, height, width)``
-    matching :data:`repro.core.bounds.AllBinsBounds`; ``failures`` holds
-    the exact per-image error the scalar walk would have raised;
-    ``swept_ids`` lists every row actually computed (requested images
+    ``lo`` / ``hi`` (``table rows x bins``) and ``heights`` / ``widths``
+    are the sweep's read-only state matrices; ``rows[i]`` is the table
+    row of the ``i``-th requested id, so ``lo[rows]`` is the requested
+    block in request order and :meth:`view` hands out one id's
+    ``(lo, hi, height, width)`` —
+    :data:`repro.core.bounds.AllBinsBounds` — on demand.  ``failures``
+    holds the exact per-image error the scalar walk would have raised
+    (a requested id the table has no row for fails too, with ``rows[i]``
+    left at ``-1``); ``swept_ids`` lists every row actually computed (requested images
     plus transitive edited references) for dependency registration;
     ``ops_applied`` counts successful rule applications, the §5 work
     metric.
     """
 
-    results: Dict[str, Tuple[np.ndarray, np.ndarray, int, int]] = field(
-        default_factory=dict
-    )
-    failures: Dict[str, ReproError] = field(default_factory=dict)
-    swept_ids: Tuple[str, ...] = ()
-    ops_applied: int = 0
+    lo: np.ndarray
+    hi: np.ndarray
+    heights: np.ndarray
+    widths: np.ndarray
+    rows: np.ndarray
+    failures: Dict[str, ReproError]
+    swept_ids: Tuple[str, ...]
+    ops_applied: int
+
+    def view(self, position: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """The ``position``-th requested id's interval as read-only views."""
+        row = self.rows[position]
+        return (
+            self.lo[row],
+            self.hi[row],
+            int(self.heights[row]),
+            int(self.widths[row]),
+        )
+
+
+@dataclass
+class _StratumPlan:
+    """One dependency stratum plus the structural split of how it seeds.
+
+    ``binary_rows`` start from a base that has no table row (a binary
+    image, or an id the store will reject): ``binary_ids`` are their
+    distinct base ids and ``binary_src[i]`` indexes the one
+    ``binary_rows[i]`` reads.  ``chained_rows`` start from the finished
+    interval of table row ``chained_base[i]``, whose reference height is
+    ``chained_height[i]`` (inf marks a cycle).
+    """
+
+    rows: np.ndarray
+    binary_rows: np.ndarray
+    binary_ids: Tuple[str, ...]
+    binary_src: np.ndarray
+    chained_rows: np.ndarray
+    chained_base: np.ndarray
+    chained_height: np.ndarray
 
 
 @dataclass
 class _SweepPlan:
-    """Cached scheduling artifacts for one (table version, wanted set).
+    """Cached scheduling artifacts for one (table version, request).
 
-    Reachability and stratification are pure functions of the table
-    structure and the wanted rows, so repeat sweeps — the steady state
-    once the table is compiled — reuse them and go straight to kernel
-    dispatch.  Everything here is read-only during a sweep.
+    Reachability, stratification, how each stratum's rows seed and which
+    row answers which requested id are pure functions of the table
+    structure and the request, so repeat sweeps — the steady state once
+    the table is compiled — reuse them and go straight to fetching base
+    histograms and kernel dispatch.  Nothing here depends on store
+    *data* or on the per-call ``max_depth``; everything is read-only
+    during a sweep.
     """
 
     version: int
-    wanted_rows: FrozenSet[int]
-    rows: List[int]
+    wanted: Tuple[str, ...]
+    wanted_rows: np.ndarray
+    swept_ids: Tuple[str, ...]
     heights: Dict[int, float]
-    strata: List[np.ndarray]
+    strata: List[_StratumPlan]
 
 
 class _Sweep:
@@ -892,7 +943,7 @@ class _Sweep:
         self.store = store
         self.fill_color = fill_color
         self.max_depth = max_depth
-        self.wanted = [w for w in wanted if w in table.row_of]
+        self.wanted = tuple(wanted)
         self.bins = table.quantizer.bin_count
         self.fill_bin = table.quantizer.bin_of(fill_color)
         self.state = BatchRuleState.zeros(table.row_count, self.bins)
@@ -910,7 +961,11 @@ class _Sweep:
         """Rows reachable from the wanted ids through live references."""
         table = self.table
         seen: Set[int] = set()
-        stack = [table.row_of[image_id] for image_id in self.wanted]
+        stack = [
+            table.row_of[image_id]
+            for image_id in self.wanted
+            if image_id in table.row_of
+        ]
         while stack:
             row = stack.pop()
             if row in seen:
@@ -976,7 +1031,7 @@ class _Sweep:
             )
         return memo[row]
 
-    def _strata(self, rows: List[int]) -> List[np.ndarray]:
+    def _strata(self, rows: List[int]) -> List[_StratumPlan]:
         """Dependency-safe batches: references always land in earlier ones."""
         self.heights = self._ref_heights(rows)
         finite: Dict[float, List[int]] = {}
@@ -1010,7 +1065,37 @@ class _Sweep:
             )
             if tail:
                 strata.append(np.array(sorted(tail), dtype=np.int64))
-        return strata
+        return [self._stratum_plan(stratum) for stratum in strata]
+
+    def _stratum_plan(self, rows: np.ndarray) -> _StratumPlan:
+        """Split a stratum by where each row's starting interval comes from."""
+        table = self.table
+        binary_rows: List[int] = []
+        binary_src: List[int] = []
+        binary_slot: Dict[str, int] = {}
+        chained_rows: List[int] = []
+        chained_base: List[int] = []
+        for row in rows.tolist():
+            base_id = table.base_ids[row]
+            base_row = table.row_of.get(base_id)
+            if base_row is None:
+                binary_rows.append(row)
+                binary_src.append(binary_slot.setdefault(base_id, len(binary_slot)))
+            else:
+                chained_rows.append(row)
+                chained_base.append(base_row)
+        return _StratumPlan(
+            rows=rows,
+            binary_rows=np.array(binary_rows, dtype=np.int64),
+            binary_ids=tuple(binary_slot),
+            binary_src=np.array(binary_src, dtype=np.int64),
+            chained_rows=np.array(chained_rows, dtype=np.int64),
+            chained_base=np.array(chained_base, dtype=np.int64),
+            chained_height=np.array(
+                [self.heights.get(base, math.inf) for base in chained_base],
+                dtype=np.float64,
+            ),
+        )
 
     # -- structural error replay ---------------------------------------
     def _fetch_binary(
@@ -1081,104 +1166,128 @@ class _Sweep:
     # -- execution ------------------------------------------------------
     def run(self) -> SweepOutcome:
         table = self.table
-        wanted_rows = frozenset(table.row_of[image_id] for image_id in self.wanted)
         plan = table._sweep_plan
         if (
             plan is None
             or plan.version != table.version
-            or plan.wanted_rows != wanted_rows
+            or plan.wanted != self.wanted
         ):
             rows = self._needed_rows()
             strata = self._strata(rows)
             plan = _SweepPlan(
-                table.version, wanted_rows, rows, self.heights, strata
+                version=table.version,
+                wanted=self.wanted,
+                wanted_rows=np.array(
+                    [table.row_of.get(image_id, -1) for image_id in self.wanted],
+                    dtype=np.int64,
+                ),
+                swept_ids=tuple(table.image_ids[row] for row in rows),
+                heights=self.heights,
+                strata=strata,
             )
             table._sweep_plan = plan
         else:
             self.heights = plan.heights
-        rows = plan.rows
         for stratum in plan.strata:
             self._run_stratum(stratum)
-        outcome = SweepOutcome(ops_applied=self.ops_applied)
-        # The state matrices die with the sweep, so per-row results are
-        # read-only views into them rather than 2·R row copies.
-        self.state.lo.setflags(write=False)
-        self.state.hi.setflags(write=False)
-        heights = self.state.heights
-        widths = self.state.widths
-        swept = []
-        for row in rows:
-            image_id = table.image_ids[row]
-            swept.append(image_id)
-            error = self.failed.get(row)
-            if error is not None:
-                outcome.failures[image_id] = error
-                continue
-            outcome.results[image_id] = (
-                self.state.lo[row],
-                self.state.hi[row],
-                int(heights[row]),
-                int(widths[row]),
-            )
-        outcome.swept_ids = tuple(swept)
-        return outcome
+        # The state matrices outlive the sweep as the outcome, handed out
+        # whole (and as per-row views), so nothing may write to them.
+        state = self.state
+        for column in (state.lo, state.hi, state.heights, state.widths):
+            column.setflags(write=False)
+        failures: Dict[str, ReproError] = {
+            table.image_ids[row]: self.failed[row] for row in sorted(self.failed)
+        }
+        for position in np.nonzero(plan.wanted_rows < 0)[0].tolist():
+            image_id = plan.wanted[position]
+            failures[image_id] = RuleError(f"op table has no row for {image_id!r}")
+        return SweepOutcome(
+            lo=state.lo,
+            hi=state.hi,
+            heights=state.heights,
+            widths=state.widths,
+            rows=plan.wanted_rows,
+            failures=failures,
+            swept_ids=plan.swept_ids,
+            ops_applied=self.ops_applied,
+        )
 
     def _fail(self, row: int, error: ReproError) -> None:
         if row not in self.failed:
             self.failed[row] = error
             self.failed_mask[row] = True
 
-    def _init_rows(self, rows: np.ndarray) -> None:
-        """Seed each row from its base image's interval (or fail it)."""
-        table = self.table
-        by_binary: Dict[str, List[int]] = {}
-        from_rows: List[int] = []
-        base_rows: List[int] = []
-        for row in rows:
-            row_i = int(row)
-            image_id = table.image_ids[row_i]
-            base_id = table.base_ids[row_i]
-            base_row = table.row_of.get(base_id)
-            if base_row is None:
-                if base_id == image_id or self.max_depth < 2:
-                    self._fail_structurally(row_i)
-                else:
-                    by_binary.setdefault(base_id, []).append(row_i)
-            else:
-                base_height = self.heights.get(base_row, math.inf)
-                # The base is walked before any op, so base-chain cycles,
-                # depth overruns, and failed bases surface at init; a
-                # row's *own* cyclic or too-deep Merge targets must wait
-                # for their op rank (scalar raise order).
-                if base_row in self.failed or base_height > self.max_depth - 2:
-                    self._fail_structurally(row_i, inherited_from=base_row)
-                else:
-                    from_rows.append(row_i)
-                    base_rows.append(base_row)
-        for base_id, targets in by_binary.items():
-            fetched = self._fetch_binary(base_id)
-            sub = np.array(targets, dtype=np.int64)
+    def _fetch_counts(
+        self, image_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, ReproError]]:
+        """Stack the stored histograms of ``image_ids``, one fetch each.
+
+        Returns ``(counts, heights, widths, errors)`` aligned with
+        ``image_ids``; an id the store cannot serve as a binary image
+        gets an all-zero row and an entry in ``errors`` by position.
+        """
+        vectors: List[np.ndarray] = []
+        heights: List[int] = []
+        widths: List[int] = []
+        errors: Dict[int, ReproError] = {}
+        for position, image_id in enumerate(image_ids):
+            fetched = self._fetch_binary(image_id)
             if isinstance(fetched, ReproError):
-                for row_i in targets:
-                    self._fail(row_i, fetched)
-                continue
-            counts, height, width = fetched
-            self.state.lo[sub] = counts[None, :]
-            self.state.hi[sub] = counts[None, :]
-            self.state.heights[sub] = height
-            self.state.widths[sub] = width
-            self.state.dr[sub] = np.array([0, 0, height, width], dtype=np.int64)
-        if from_rows:
-            sub = np.array(from_rows, dtype=np.int64)
-            src = np.array(base_rows, dtype=np.int64)
-            self.state.lo[sub] = self.state.lo[src]
-            self.state.hi[sub] = self.state.hi[src]
-            heights = self.state.heights[src]
-            widths = self.state.widths[src]
-            self.state.heights[sub] = heights
-            self.state.widths[sub] = widths
-            zeros = np.zeros_like(heights)
-            self.state.dr[sub] = np.stack([zeros, zeros, heights, widths], axis=1)
+                errors[position] = fetched
+                fetched = (np.zeros(self.bins, dtype=np.int64), 0, 0)
+            vectors.append(fetched[0])
+            heights.append(fetched[1])
+            widths.append(fetched[2])
+        return (
+            stack_rows(vectors, self.bins),
+            np.array(heights, dtype=np.int64),
+            np.array(widths, dtype=np.int64),
+            errors,
+        )
+
+    def _init_rows(self, stratum: _StratumPlan) -> None:
+        """Seed each row from its base image's interval (or fail it).
+
+        The split into binary-based and chained rows is the plan's; what
+        is read here is data: base histograms come from the store on
+        every sweep, and a chained row inherits whatever its base row
+        just computed.
+        """
+        state = self.state
+        rows = stratum.binary_rows
+        if rows.size and self.max_depth < 2:
+            for row in rows.tolist():
+                self._fail_structurally(row)
+        elif rows.size:
+            counts, heights, widths, errors = self._fetch_counts(stratum.binary_ids)
+            src = stratum.binary_src
+            for position, error in errors.items():
+                for row in rows[src == position].tolist():
+                    self._fail(row, error)
+            seeded = counts[src]
+            state.lo[rows] = seeded
+            state.hi[rows] = seeded
+            state.heights[rows] = state.dr[rows, 2] = heights[src]
+            state.widths[rows] = state.dr[rows, 3] = widths[src]
+        rows = stratum.chained_rows
+        if rows.size:
+            # The base is walked before any op, so base-chain cycles,
+            # depth overruns, and failed bases surface at init; a row's
+            # *own* cyclic or too-deep Merge targets must wait for their
+            # op rank (scalar raise order).
+            src = stratum.chained_base
+            bad = self.failed_mask[src] | (
+                stratum.chained_height > self.max_depth - 2
+            )
+            if bad.any():
+                for row, base_row in zip(rows[bad].tolist(), src[bad].tolist()):
+                    self._fail_structurally(row, inherited_from=base_row)
+                rows = rows[~bad]
+                src = src[~bad]
+            state.lo[rows] = state.lo[src]
+            state.hi[rows] = state.hi[src]
+            state.heights[rows] = state.dr[rows, 2] = state.heights[src]
+            state.widths[rows] = state.dr[rows, 3] = state.widths[src]
 
     def _fail_structurally(
         self, row: int, inherited_from: Optional[int] = None
@@ -1193,10 +1302,11 @@ class _Sweep:
             )  # pragma: no cover — defensive; structural walk finds real causes
         self._fail(row, error)
 
-    def _run_stratum(self, rows: np.ndarray) -> None:
+    def _run_stratum(self, stratum: _StratumPlan) -> None:
+        rows = stratum.rows
         if rows.size == 0:
             return
-        self._init_rows(rows)
+        self._init_rows(stratum)
         table = self.table
         lengths = table.offsets[rows + 1] - table.offsets[rows]
         max_len = int(lengths.max())
@@ -1268,62 +1378,76 @@ class _Sweep:
         def resolve(
             live: np.ndarray, positions: np.ndarray
         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            count = live.size
+            # Classify the distinct targets once, then gather: table-row
+            # targets out of the state matrices, binary targets out of
+            # one stack of stored histograms.
+            slots, member_of = np.unique(
+                table.trefs[idx[positions]], return_inverse=True
+            )
+            target_ids = [table.target_ids[slot] for slot in slots.tolist()]
+            from_row: Dict[int, int] = {}
+            from_store: Dict[int, str] = {}
+            for distinct, target_id in enumerate(target_ids):
+                target_row = table.row_of.get(target_id)
+                if target_row is None:
+                    from_store[distinct] = target_id
+                elif (
+                    self.heights.get(target_row, math.inf) <= self.max_depth - 2
+                    and self.done[target_row]
+                    and target_row not in self.failed
+                ):
+                    from_row[distinct] = target_row
+                else:
+                    # Structural replay per source row: the scalar walk
+                    # resolves targets with the *source* image in its
+                    # visiting set.
+                    for row_i in live[member_of == distinct].tolist():
+                        error: Optional[ReproError] = self._structural_error(
+                            target_id,
+                            frozenset({table.image_ids[row_i]}),
+                            self.max_depth - 1,
+                        )
+                        if error is None:
+                            error = self.failed.get(target_row)
+                        if error is None:  # pragma: no cover — defensive
+                            error = RuleError(
+                                f"unresolvable Merge target {target_id!r}"
+                            )
+                        self._fail(row_i, error)
+            count = len(target_ids)
             ok = np.zeros(count, dtype=bool)
             t_lo = np.zeros((count, self.bins), dtype=np.int64)
             t_hi = np.zeros((count, self.bins), dtype=np.int64)
             t_h = np.zeros(count, dtype=np.int64)
             t_w = np.zeros(count, dtype=np.int64)
-            slots = table.trefs[idx[positions]]
-            for slot in np.unique(slots):
-                target_id = table.target_ids[int(slot)]
-                members = np.nonzero(slots == slot)[0]
-                target_row = table.row_of.get(target_id)
-                if target_row is not None:
-                    target_height = self.heights.get(target_row, math.inf)
-                    if (
-                        not math.isinf(target_height)
-                        and target_height <= self.max_depth - 2
-                        and self.done[target_row]
-                        and target_row not in self.failed
-                    ):
-                        ok[members] = True
-                        t_lo[members] = self.state.lo[target_row]
-                        t_hi[members] = self.state.hi[target_row]
-                        t_h[members] = self.state.heights[target_row]
-                        t_w[members] = self.state.widths[target_row]
-                    else:
-                        # Structural replay per source row: the scalar
-                        # walk resolves targets with the *source* image
-                        # in its visiting set.
-                        for member in members:
-                            row_i = int(live[member])
-                            source_id = table.image_ids[row_i]
-                            error: Optional[ReproError] = self._structural_error(
-                                target_id,
-                                frozenset({source_id}),
-                                self.max_depth - 1,
-                            )
-                            if error is None:
-                                error = self.failed.get(target_row)
-                            if error is None:  # pragma: no cover — defensive
-                                error = RuleError(
-                                    f"unresolvable Merge target {target_id!r}"
-                                )
-                            self._fail(row_i, error)
-                else:
-                    fetched = self._fetch_binary(target_id)
-                    if isinstance(fetched, ReproError):
-                        for member in members:
-                            self._fail(int(live[member]), fetched)
-                        continue
-                    counts, height, width = fetched
-                    ok[members] = True
-                    t_lo[members] = counts[None, :]
-                    t_hi[members] = counts[None, :]
-                    t_h[members] = height
-                    t_w[members] = width
-            return (ok, t_lo[ok], t_hi[ok], t_h[ok], t_w[ok])
+            if from_row:
+                dest = np.fromiter(from_row, dtype=np.int64, count=len(from_row))
+                src = np.fromiter(
+                    from_row.values(), dtype=np.int64, count=len(from_row)
+                )
+                ok[dest] = True
+                t_lo[dest] = self.state.lo[src]
+                t_hi[dest] = self.state.hi[src]
+                t_h[dest] = self.state.heights[src]
+                t_w[dest] = self.state.widths[src]
+            if from_store:
+                dest = np.fromiter(from_store, dtype=np.int64, count=len(from_store))
+                counts, heights, widths, errors = self._fetch_counts(
+                    list(from_store.values())
+                )
+                ok[dest] = True
+                t_lo[dest] = counts
+                t_hi[dest] = counts
+                t_h[dest] = heights
+                t_w[dest] = widths
+                for position, fetch_error in errors.items():
+                    distinct = int(dest[position])
+                    ok[distinct] = False
+                    for row_i in live[member_of == distinct].tolist():
+                        self._fail(row_i, fetch_error)
+            resolved = ok[member_of]
+            sel = member_of[resolved]
+            return (resolved, t_lo[sel], t_hi[sel], t_h[sel], t_w[sel])
 
         return resolve
 
@@ -1352,9 +1476,9 @@ def sweep_table(
 ) -> SweepOutcome:
     """Compute all-bins BOUNDS for ``wanted`` rows in one batched sweep.
 
-    ``wanted`` ids without a table row are silently skipped (the engine
-    resolves binary and unknown ids before sweeping); everything else
-    lands in ``results`` or ``failures``.
+    The engine resolves binary and unknown ids before sweeping, so a
+    ``wanted`` id without a table row is a failure like any other; every
+    other id's interval is a row of the outcome's matrices.
     """
     return _Sweep(table, store, fill_color, max_depth, wanted).run()
 
@@ -1379,6 +1503,9 @@ class OpTableManager:
         self._table = CatalogOpTable(quantizer)
         self._dirty: Set[str] = set()
         self._full_dirty = False
+        #: ``(table version, requested ids)`` the coverage fixpoint last
+        #: ran for; while nothing is dirty it need not run for them again.
+        self._covered: Optional[Tuple[int, Tuple[str, ...]]] = None
         self._lock = threading.Lock()
         #: Reconciliation counters for observability and tests.
         self.recompiled = 0
@@ -1401,10 +1528,16 @@ class OpTableManager:
     def refresh(self, requested: Sequence[str]) -> None:
         """Reconcile dirty rows and compile coverage for ``requested``."""
         with self._lock:
-            self._refresh_locked(requested)
+            self._refresh_locked(tuple(requested))
 
-    def _refresh_locked(self, requested: Sequence[str]) -> None:
+    def _refresh_locked(self, requested: Tuple[str, ...]) -> None:
         table = self._table
+        if (
+            not self._full_dirty
+            and not self._dirty
+            and self._covered == (table.version, requested)
+        ):
+            return
         if self._full_dirty:
             table.clear()
             self._full_dirty = False
@@ -1448,6 +1581,7 @@ class OpTableManager:
         if table.dead_count > max(table.live_count, 32):
             table.compact()
             self.compactions += 1
+        self._covered = (table.version, requested)
 
     def compute(
         self,
@@ -1457,11 +1591,12 @@ class OpTableManager:
     ) -> SweepOutcome:
         """Refresh then sweep: all-bins BOUNDS for ``requested`` ids."""
         with self._lock:
-            self._refresh_locked(requested)
+            wanted = tuple(requested)
+            self._refresh_locked(wanted)
             return sweep_table(
                 self._table,
                 self._store,
-                wanted=requested,
+                wanted=wanted,
                 fill_color=fill_color,
                 max_depth=max_depth,
             )

@@ -174,23 +174,28 @@ def verify_integrity(
         problems.append(f"images in both components: {sorted(both)}")
     for placed in scan.placements:
         image_id = placed.image_id
+        # One verdict per filing: naming the cluster keeps the lines of
+        # an id filed under two Main clusters apart.
+        where = placed.component
+        if placed.component == "Main":
+            where = f"Main cluster {placed.cluster!r}"
         if placed.verdict == "missing":
             problems.append(f"edited image {image_id!r} missing from the BWM structure")
         elif placed.verdict == "orphan":
             problems.append(
-                f"BWM {placed.component} member {image_id!r} is not a catalog "
-                "edited image"
+                f"BWM {where} member {image_id!r} is not a catalog edited image"
             )
         else:
             if placed.verdict == "misplaced":
                 wanted = "Unclassified" if placed.component == "Main" else "Main"
                 problems.append(
-                    f"edited image {image_id!r} misplaced in {placed.component} "
+                    f"edited image {image_id!r} misplaced in {where} "
                     f"(classification says {wanted})"
                 )
             if placed.component == "Main" and placed.cluster != placed.base_id:
                 problems.append(
-                    f"edited image {image_id!r} filed under the wrong cluster"
+                    f"edited image {image_id!r} filed under the wrong cluster "
+                    f"{placed.cluster!r}"
                 )
 
     # --- 3: derivation links match sequences ---------------------------

@@ -261,14 +261,17 @@ class CostBasedPlanner:
     #: One op advanced by the columnar batched sweep, all bins at once.
     #: Calibrated in PR 7 from bench_bounds_kernel's 10k-image 64-bin
     #: corpus — warm-table sweep ~2.5us/op against ~17.8us per scalar
-    #: (single-bin) rule — and unchanged since; the current run of that
-    #: bench (results/bounds_kernel.json) gives ~1.5us/op against
-    #: ~10.7us per scalar rule, the same ratio.
+    #: (single-bin) rule — and unchanged since.  The current run of that
+    #: bench (results/bounds_kernel.json) gives ~1.1us/op against ~9.8us
+    #: per scalar rule (ratio 0.12): the sweep got cheaper when seeding
+    #: and result packing became gathers, the value deliberately did not
+    #: move with it (re-calibrating shifts planner shares; its own issue).
     COST_BATCHED_RULE = 0.15
-    #: Fixed per-sweep overhead (state allocation, plan lookup, output
-    #: packing) paid once per batch regardless of catalog size; measured
-    #: ~2.1ms on tiny catalogs ~= 120 scalar rules.  This is what keeps
-    #: tiny catalogs on the classic strategies.
+    #: Fixed per-sweep overhead (state allocation, plan lookup, base
+    #: fetch) paid once per batch regardless of catalog size; calibrated
+    #: at ~2.1ms on tiny catalogs ~= 120 scalar rules, today ~1.0ms for a
+    #: 24-image sweep.  This is what keeps tiny catalogs on the classic
+    #: strategies.
     COST_BATCH_SETUP = 120.0
     #: Serving one memoized all-bins interval from the engine cache.
     COST_CACHE_HIT = 0.05

@@ -53,6 +53,26 @@ class TestInjectedCorruption:
         problems = verify_integrity(database)
         assert any("misplaced" in p for p in problems)
 
+    def test_id_filed_twice_yields_distinguishable_lines(self, database):
+        """One verdict per filing: a non-widening image planted under two
+        Main clusters is reported once per cluster, not as the same line
+        twice."""
+        victim = next(iter(database.bwm_structure.unclassified))
+        first, second = [b for b, _ in database.bwm_structure.clusters()][:2]
+        database.bwm_structure.main[first].append(victim)
+        database.bwm_structure.main[second].append(victim)
+        misplaced = [
+            p
+            for p in verify_integrity(database)
+            if "misplaced in Main" in p and repr(victim) in p
+        ]
+        assert len(misplaced) == 2
+        assert len(set(misplaced)) == 2
+        assert any(repr(first) in p for p in misplaced)
+        assert any(repr(second) in p for p in misplaced)
+        problems = verify_integrity(database)
+        assert len(problems) == len(set(problems))
+
     def test_missing_bwm_entry_detected(self, database):
         victim = next(iter(database.catalog.edited_ids()))
         database.bwm_structure.remove_edited(victim)
