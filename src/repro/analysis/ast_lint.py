@@ -36,6 +36,10 @@ rules the test suite cannot check dynamically because they are about
     that sits *above* the importing one in :data:`PACKAGE_ORDER`
     (``shard`` and ``db`` may not reach into ``service``; nothing but
     the CLI into ``testing``).  ``if TYPE_CHECKING:`` imports are exempt.
+``AL006`` unreachable-statement (ERROR) — all of ``src/repro/``
+    A statement that follows an unconditional ``return`` / ``raise`` /
+    ``continue`` / ``break`` in the same block: a stale copy of live
+    code left behind a ``return`` drifts unnoticed.
 
 Suppression: append ``# repro-lint: disable=AL001`` (comma-separate for
 several codes) to the offending physical line.  ``disable=all`` silences
@@ -105,6 +109,9 @@ PACKAGE_ORDER: Tuple[Tuple[str, ...], ...] = (
 _PACKAGE_LEVEL: Dict[str, int] = {
     name: level for level, names in enumerate(PACKAGE_ORDER) for name in names
 }
+
+#: Statements after which nothing else in the same block can run.
+_BLOCK_EXITS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -179,6 +186,12 @@ LINT_RULES: Dict[str, LintRule] = {
                 "move the shared primitive down to a package both sides "
                 "may import (PACKAGE_ORDER), or pass it in from above"
             ),
+        ),
+        LintRule(
+            code="AL006",
+            summary="statement after an unconditional return/raise/continue/break",
+            path_scope="",
+            fix_hint="delete the dead statements, or move the exit below them",
         ),
     )
 }
@@ -264,6 +277,20 @@ class _Visitor(ast.NodeVisitor):
         self._write_locked_depth = 0
         self._package = package
         self._level = _PACKAGE_LEVEL.get(package) if package else None
+
+    # -- AL006 ---------------------------------------------------------
+    def generic_visit(self, node: ast.AST) -> None:
+        for name in ("body", "orelse", "finalbody"):
+            block = getattr(node, name, None)
+            if not isinstance(block, list):
+                continue
+            for before, after in zip(block, block[1:]):
+                if isinstance(before, _BLOCK_EXITS):
+                    kind = type(before).__name__.lower()
+                    message = f"unreachable: follows the {kind} on line {before.lineno}"
+                    self.raw.append(_RawFinding("AL006", after.lineno, message))
+                    break
+        super().generic_visit(node)
 
     # -- AL005 ---------------------------------------------------------
     def visit_If(self, node: ast.If) -> None:

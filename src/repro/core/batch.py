@@ -9,9 +9,17 @@ columnar sweep
 :mod:`repro.core.optable` structure-of-arrays kernel) shared by every
 query in the batch, whatever bins they target.
 
-Matching is array-shaped too: base histograms are stacked once per call
-and each query compares one column of them, and one column of the
-sweep's ``(images x bins)`` interval matrices, against its range.
+Matching is array-shaped too: each query compares one column of the base
+histograms, and one column of the ``(images x bins)`` interval matrices,
+against its range.  Only where those columns come from depends on the
+engine's memo.  Off, the histograms are stacked and the intervals swept
+for this call alone.  On, both are rows of the memo
+(:meth:`repro.core.bounds.BoundsEngine.bounds_of_rows`), addressed
+through a flattened copy of the catalog / BWM layout that the processor
+keeps between calls and rebuilds after a mutation — a warm query is a
+validity check, a column gather and two compares, which is why
+:class:`repro.db.database.MultimediaDatabase` answers single queries on
+a memoizing engine with a batch of one.
 
 The result sets are identical to running the queries one at a time with
 the same method — property-tested in ``tests/core/test_batch.py`` and,
@@ -22,11 +30,11 @@ edge for edge against the scalar processors, in
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bounds import BoundsEngine
+from repro.core.bounds import BoundsEngine, BoundsMatrix
 from repro.core.bwm import BWMStructure
 from repro.core.optable import stack_rows
 from repro.core.query import CatalogView, QueryResult, QueryStats, RangeQuery
@@ -41,15 +49,31 @@ def _group_by_bin(queries: Sequence[RangeQuery]) -> Dict[int, List[int]]:
     return groups
 
 
-def _stack_histograms(
-    view: CatalogView, image_ids: Sequence[str], bins: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(counts, totals)`` of binary images: each histogram fetched once,
-    stacked into an ``(images x bins)`` matrix and a pixel-count column."""
-    histograms = [view.histogram_of(image_id) for image_id in image_ids]
-    counts = stack_rows([histogram.counts for histogram in histograms], bins)
-    totals = np.array([histogram.total for histogram in histograms], dtype=np.int64)
-    return counts, totals
+class _Images(NamedTuple):
+    """Some stored images in a fixed order: their ids as an object
+    array and, on a memoizing engine, their memo rows."""
+
+    names: np.ndarray
+    rows: Optional[np.ndarray]
+
+    @staticmethod
+    def of(engine: BoundsEngine, image_ids: Sequence[str]) -> "_Images":
+        rows = engine.memo_rows(image_ids) if engine.cache_enabled else None
+        return _Images(np.array(image_ids, dtype=object), rows)
+
+
+def _exact(view: CatalogView, engine: BoundsEngine, images: _Images) -> BoundsMatrix:
+    """Binary images' exact counts: memo rows, or their histograms
+    fetched once and stacked (``lo`` is ``hi``)."""
+    if images.rows is not None:
+        return engine.bounds_of_rows(images.rows)
+    histograms = [view.histogram_of(image_id) for image_id in images.names.tolist()]
+    counts = stack_rows([each.counts for each in histograms], engine.quantizer.bin_count)
+    # A histogram knows its pixel total, not its shape: total x 1.
+    totals = np.array([each.total for each in histograms], dtype=np.int64)
+    return BoundsMatrix(
+        counts, counts, totals, np.ones_like(totals), np.arange(len(totals))
+    )
 
 
 # Both tests divide int64 counts by int64 pixel totals in float64, which
@@ -69,53 +93,156 @@ def _overlapping(
     return (fraction_lo <= query.pct_max) & (fraction_hi >= query.pct_min)
 
 
-class BatchRBMProcessor:
-    """RBM over a batch: one columnar sweep covers every edited image."""
+class _Layout(NamedTuple):
+    """A catalog flattened for array reads: cluster bases with their
+    sizes, the filed members cluster by cluster with the index of the
+    cluster each is filed under, and the stragglers filed nowhere.
+    ``clustered`` is false for RBM's layout, which has no clusters:
+    every binary image a base without members, every edited image a
+    straggler."""
 
-    name = "rbm-batch"
+    bases: _Images
+    sizes: np.ndarray
+    members: _Images
+    member_cluster: np.ndarray
+    stragglers: _Images
+    clustered: bool = True
+
+
+def _match(
+    view: CatalogView,
+    engine: BoundsEngine,
+    layout: _Layout,
+    queries: Sequence[RangeQuery],
+) -> List[QueryResult]:
+    """Figure 2 as a mask, for every query at once (see
+    :class:`BatchBWMProcessor`); results in query order."""
+    if not queries:
+        raise QueryError("empty query batch")
+    groups = _group_by_bin(queries)
+    stats = QueryStats()
+    bases, sizes, members, member_cluster, stragglers, clustered = layout
+
+    # Phase 1: base-histogram short-circuiting decides which members
+    # need BOUNDS at all (pure histogram checks, no rule work).
+    exact = _exact(view, engine, bases)
+    stats.histograms_checked += len(sizes)
+    totals = exact.totals
+    accepted = np.zeros((len(queries), len(sizes)), dtype=bool)
+    for bin_index, positions in groups.items():
+        fraction = exact.column(bin_index)[0] / totals
+        for position in positions:
+            accepted[position] = _satisfied(queries[position], fraction)
+    if clustered:
+        stats.clusters_short_circuited += int(accepted.sum())
+        stats.edited_accepted_without_rules += int((accepted * sizes).sum())
+    member_accepted = accepted[:, member_cluster]
+    found = [
+        [bases.names[cluster_row], members.names[member_row]]
+        for cluster_row, member_row in zip(accepted, member_accepted)
+    ]
+
+    # Phase 2: every member that survived short-circuiting plus the
+    # stragglers pay one shared columnar sweep.
+    wanted = ~member_accepted.all(axis=0)
+    needed = _Images(
+        np.concatenate([members.names[wanted], stragglers.names]),
+        None
+        if members.rows is None or stragglers.rows is None
+        else np.concatenate([members.rows[wanted], stragglers.rows]),
+    )
+    if not len(needed.names):
+        return _results(found, stats)
+    rules_before = engine.rules_applied
+    if needed.rows is not None:
+        bounds = engine.bounds_of_rows(needed.rows)  # dirty rows swept
+    else:
+        bounds = engine.bounds_all_bins_batch(needed.names.tolist())
+    stats.rules_applied += engine.rules_applied - rules_before
+    totals = bounds.totals
+    member_slot = np.cumsum(wanted) - 1
+    straggler_slot = np.arange(
+        len(needed.names) - len(stragglers.names), len(needed.names)
+    )
+    for bin_index, positions in groups.items():
+        lo, hi = bounds.column(bin_index)
+        fraction_lo, fraction_hi = lo / totals, hi / totals
+        # A member's interval for this bin is read once however many
+        # of the bin's queries its cluster failed.
+        failed_here = ~accepted[positions].all(axis=0)
+        stats.bounds_computed += int(sizes[failed_here].sum()) + len(stragglers.names)
+        for position in positions:
+            # The rows this query reads: members of the clusters it
+            # failed, then the stragglers.
+            slots = np.concatenate(
+                [member_slot[~member_accepted[position]], straggler_slot]
+            )
+            hit = _overlapping(
+                queries[position], fraction_lo[slots], fraction_hi[slots]
+            )
+            found[position].append(needed.names[slots[hit]])
+    return _results(found, stats)
+
+
+def _results(found: List[List[np.ndarray]], stats: QueryStats) -> List[QueryResult]:
+    """One result per query from the name arrays it collected."""
+    empty: FrozenSet[str] = frozenset()
+    return [
+        QueryResult(empty.union(*(names.tolist() for names in each)), stats)
+        for each in found
+    ]
+
+
+class _Processor:
+    """What both processors share: the view, the engine, and a layout
+    kept between calls while (and only while) it holds memo rows —
+    without the memo nothing of one call may serve the next."""
 
     def __init__(self, view: CatalogView, engine: BoundsEngine) -> None:
         self._view = view
         self._engine = engine
+        self._kept: Optional[Tuple[Tuple[int, int], _Layout]] = None
+
+    def _version(self) -> int:
+        """Changes whenever :meth:`_flatten` would give another answer
+        without the engine having seen an invalidation."""
+        return 0
+
+    def _flatten(self) -> _Layout:
+        raise NotImplementedError
+
+    def _layout(self) -> _Layout:
+        kept = self._kept
+        key = (self._version(), self._engine.memo_epoch)
+        if kept is None or kept[0] != key:
+            kept = (key, self._flatten())
+            self._kept = kept if self._engine.cache_enabled else None
+        return kept[1]
+
+
+class BatchRBMProcessor(_Processor):
+    """RBM over a batch: one columnar sweep covers every edited image."""
+
+    name = "rbm-batch"
+
+    def _flatten(self) -> _Layout:
+        binary = _Images.of(self._engine, list(self._view.binary_ids()))
+        nothing = np.zeros(0, dtype=np.int64)
+        return _Layout(
+            binary,
+            np.zeros(len(binary.names), dtype=np.int64),
+            _Images.of(self._engine, []),
+            nothing,
+            _Images.of(self._engine, list(self._view.edited_ids())),
+            clustered=False,
+        )
 
     def process_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:
         """Results in query order; identical sets to one-at-a-time RBM."""
-        if not queries:
-            raise QueryError("empty query batch")
-        groups = _group_by_bin(queries)
-        matches: List[Set[str]] = [set() for _ in queries]
-        stats = QueryStats()
-
-        binary_ids = list(self._view.binary_ids())
-        counts, totals = _stack_histograms(
-            self._view, binary_ids, self._engine.quantizer.bin_count
-        )
-        stats.histograms_checked += len(binary_ids)
-        names = np.array(binary_ids, dtype=object)
-        for bin_index, positions in groups.items():
-            fraction = counts[:, bin_index] / totals
-            for position in positions:
-                found = _satisfied(queries[position], fraction)
-                matches[position].update(names[found].tolist())
-
-        edited_ids = list(self._view.edited_ids())
-        rules_before = self._engine.rules_applied
-        bounds = self._engine.bounds_all_bins_batch(edited_ids)
-        stats.rules_applied += self._engine.rules_applied - rules_before
-        totals = bounds.heights * bounds.widths
-        names = np.array(edited_ids, dtype=object)
-        for bin_index, positions in groups.items():
-            fraction_lo = bounds.lo[:, bin_index] / totals
-            fraction_hi = bounds.hi[:, bin_index] / totals
-            stats.bounds_computed += len(edited_ids)
-            for position in positions:
-                found = _overlapping(queries[position], fraction_lo, fraction_hi)
-                matches[position].update(names[found].tolist())
-
-        return [QueryResult(frozenset(found), stats) for found in matches]
+        return _match(self._view, self._engine, self._layout(), queries)
 
 
-class BatchBWMProcessor:
+class BatchBWMProcessor(_Processor):
     """BWM over a batch, sharing one vectorized BOUNDS walk per member.
 
     Figure 2 as a mask: the base histograms are compared against every
@@ -134,109 +261,29 @@ class BatchBWMProcessor:
         view: CatalogView,
         engine: BoundsEngine,
     ) -> None:
+        super().__init__(view, engine)
         self._structure = structure
-        self._view = view
-        self._engine = engine
+
+    def _version(self) -> int:
+        return self._structure.version
+
+    def _flatten(self) -> _Layout:
+        base_ids: List[str] = []
+        member_ids: List[str] = []
+        counts: List[int] = []
+        for base_id, cluster in self._structure.clusters():
+            base_ids.append(base_id)
+            member_ids.extend(cluster)
+            counts.append(len(cluster))
+        sizes = np.array(counts, dtype=np.int64)
+        return _Layout(
+            _Images.of(self._engine, base_ids),
+            sizes,
+            _Images.of(self._engine, member_ids),
+            np.repeat(np.arange(len(sizes)), sizes),
+            _Images.of(self._engine, list(self._structure.unclassified)),
+        )
 
     def process_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:
         """Results in query order; identical sets to one-at-a-time BWM."""
-        if not queries:
-            raise QueryError("empty query batch")
-        groups = _group_by_bin(queries)
-        matches: List[Set[str]] = [set() for _ in queries]
-        stats = QueryStats()
-
-        # Phase 1: base-histogram short-circuiting decides which members
-        # need BOUNDS at all (pure histogram checks, no rule work).
-        clusters = [
-            (base_id, list(cluster)) for base_id, cluster in self._structure.clusters()
-        ]
-        counts, totals = _stack_histograms(
-            self._view,
-            [base_id for base_id, _ in clusters],
-            self._engine.quantizer.bin_count,
-        )
-        stats.histograms_checked += len(clusters)
-        sizes = np.array([len(members) for _, members in clusters], dtype=np.int64)
-        accepted = np.zeros((len(queries), len(clusters)), dtype=bool)
-        for bin_index, positions in groups.items():
-            fraction = counts[:, bin_index] / totals
-            for position in positions:
-                accepted[position] = _satisfied(queries[position], fraction)
-        stats.clusters_short_circuited += int(accepted.sum())
-        stats.edited_accepted_without_rules += int((accepted * sizes).sum())
-        for position, row in enumerate(accepted):
-            found = matches[position]
-            for index in np.nonzero(row)[0].tolist():
-                base_id, members = clusters[index]
-                found.add(base_id)
-                found.update(members)
-
-        # Phase 2: every member that survived short-circuiting plus the
-        # unclassified stragglers pay one shared columnar sweep.
-        filed = [
-            (index, edited_id)
-            for index in np.nonzero(~accepted.all(axis=0))[0].tolist()
-            for edited_id in clusters[index][1]
-        ]
-        unclassified = list(self._structure.unclassified)
-        needed = list(
-            dict.fromkeys([edited_id for _, edited_id in filed] + unclassified)
-        )
-        if not needed:
-            return [QueryResult(frozenset(found), stats) for found in matches]
-        rules_before = self._engine.rules_applied
-        bounds = self._engine.bounds_all_bins_batch(needed)
-        stats.rules_applied += self._engine.rules_applied - rules_before
-
-        totals = bounds.heights * bounds.widths
-        names = np.array(needed, dtype=object)
-        slot_of = {edited_id: slot for slot, edited_id in enumerate(needed)}
-        member_cluster = np.array([index for index, _ in filed], dtype=np.int64)
-        member_slot = np.array([slot_of[e] for _, e in filed], dtype=np.int64)
-        straggler_slot = np.array([slot_of[e] for e in unclassified], dtype=np.int64)
-        for bin_index, positions in groups.items():
-            fraction_lo = bounds.lo[:, bin_index] / totals
-            fraction_hi = bounds.hi[:, bin_index] / totals
-            # A member's interval for this bin is read once however many
-            # of the bin's queries its cluster failed.
-            failed_here = ~accepted[positions].all(axis=0)
-            stats.bounds_computed += int(sizes[failed_here].sum()) + len(unclassified)
-            for position in positions:
-                # The rows this query reads: members of the clusters it
-                # failed, then Unclassified.
-                slots = np.concatenate(
-                    [member_slot[~accepted[position, member_cluster]], straggler_slot]
-                )
-                found = _overlapping(
-                    queries[position], fraction_lo[slots], fraction_hi[slots]
-                )
-                matches[position].update(names[slots[found]].tolist())
-
-        return [QueryResult(frozenset(found), stats) for found in matches]
-        rules_before = self._engine.rules_applied
-        bounds = self._engine.bounds_all_bins_batch(needed)
-        stats.rules_applied += self._engine.rules_applied - rules_before
-
-        totals = bounds.heights * bounds.widths
-        names = np.array(needed, dtype=object)
-        member_slot = np.array(filed_slot, dtype=np.int64)
-        member_cluster = np.array(filed_cluster, dtype=np.int64)
-        straggler_slot = np.array(
-            [slot_of[edited_id] for edited_id in unclassified], dtype=np.int64
-        )
-        for bin_index, positions in groups.items():
-            fraction_lo = bounds.lo[:, bin_index] / totals
-            fraction_hi = bounds.hi[:, bin_index] / totals
-            for position in positions:
-                # The rows this query reads: members of the clusters it
-                # failed, then Unclassified.
-                slots = np.concatenate(
-                    [member_slot[~accepted[position, member_cluster]], straggler_slot]
-                )
-                found = _overlapping(
-                    queries[position], fraction_lo[slots], fraction_hi[slots]
-                )
-                matches[position].update(names[slots[found]].tolist())
-
-        return [QueryResult(frozenset(found), stats) for found in matches]
+        return _match(self._view, self._engine, self._layout(), queries)

@@ -23,15 +23,19 @@ Table 1 is encoded twice, each copy with its own job:
   paths use it, and :meth:`BoundsEngine.bounds_all_bins` is its one-id
   convenience form.
 
-When ``cache_enabled``, results memoize per image with *dependency-aware*
-invalidation: the engine records, while walking, which image each walk
-consulted (base chain + Merge targets), and :meth:`invalidate` drops only
-the entries reachable from a changed image through the reverse dependency
-graph instead of flushing everything.
+When ``cache_enabled``, results memoize per image as rows of one pair of
+``(rows x bins)`` count matrices with *dependency-aware* invalidation:
+the engine records, while walking, which image each walk consulted (base
+chain + Merge targets), and :meth:`invalidate` dirties only the rows
+reachable from a changed image through the reverse dependency graph
+instead of flushing everything.  A bound so has two shapes: a memo row,
+read by column (:meth:`BoundsEngine.bounds_of_rows`), and the public
+return types :class:`PixelBounds` / :data:`AllBinsBounds` cut from it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -79,78 +83,76 @@ class BoundsMatrix(Sequence[AllBinsBounds]):
     ``image_ids[i]``; indexing, slicing and iteration yield those
     tuples, whose vectors are read-only.  ``lo`` / ``hi`` are the same
     intervals as ``(images x bins)`` int64 matrices with ``heights`` /
-    ``widths`` columns aligned to them, so a query compares one column
-    instead of unpacking every row.
+    ``widths`` columns aligned to them.
 
-    A result that came straight out of one sweep holds the matrices and
-    cuts row views on demand; one assembled per image (memo hits, binary
-    images) holds the rows and stacks them the first time a column is
-    asked for, so callers that only walk rows never pay for a matrix.
+    Underneath it is a row selection over storage it does not own — the
+    engine's memo, or the state matrices of one sweep — with ``rows[i]``
+    the storage row of element ``i``.  :meth:`column` gathers one bin of
+    the selected rows (``lo[rows, bin]``, never ``lo[rows]``), which is
+    all a range query reads; a whole matrix is gathered the first time
+    it, or a row of it, is asked for.  A memo-backed matrix reads live
+    rows: consume it before the next catalog mutation.
     """
 
-    __slots__ = ("_rows", "_columns", "_bins")
+    __slots__ = ("_storage", "_rows", "_block")
 
     def __init__(
         self,
-        bins: int,
-        rows: Optional[List[AllBinsBounds]] = None,
-        columns: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        heights: np.ndarray,
+        widths: np.ndarray,
+        rows: np.ndarray,
     ) -> None:
-        if (rows is None) == (columns is None):
-            raise RuleError("a BoundsMatrix is built from rows or from columns")
-        if columns is not None:
-            for column in columns:
-                column.setflags(write=False)
-        self._bins = bins
+        self._storage = (lo, hi, heights, widths)
         self._rows = rows
-        self._columns = columns
+        self._block: List[Optional[np.ndarray]] = [None, None, None, None]
 
-    def _stacked(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._columns is None:
-            rows = self._rows or []
-            columns = (
-                stack_rows([row[0] for row in rows], self._bins),
-                stack_rows([row[1] for row in rows], self._bins),
-                np.array([row[2] for row in rows], dtype=np.int64),
-                np.array([row[3] for row in rows], dtype=np.int64),
-            )
-            for column in columns:
-                column.setflags(write=False)
-            self._columns = columns
-        return self._columns
+    def column(self, bin_index: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(BOUND_min, BOUND_max)`` counts of one bin, one per image."""
+        lo, hi, _, _ = self._storage
+        return lo[self._rows, bin_index], hi[self._rows, bin_index]
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Pixel counts ``height * width``, one per image."""
+        _, _, heights, widths = self._storage
+        return heights[self._rows] * widths[self._rows]
+
+    def _gathered(self, which: int) -> np.ndarray:
+        block = self._block[which]
+        if block is None:
+            block = self._block[which] = self._storage[which][self._rows]
+            block.setflags(write=False)
+        return block
 
     @property
     def lo(self) -> np.ndarray:
         """``BOUND_min`` counts, ``(images x bins)``, read-only."""
-        return self._stacked()[0]
+        return self._gathered(0)
 
     @property
     def hi(self) -> np.ndarray:
         """``BOUND_max`` counts, ``(images x bins)``, read-only."""
-        return self._stacked()[1]
+        return self._gathered(1)
 
     @property
     def heights(self) -> np.ndarray:
         """Exact image heights, one per row."""
-        return self._stacked()[2]
+        return self._gathered(2)
 
     @property
     def widths(self) -> np.ndarray:
         """Exact image widths, one per row."""
-        return self._stacked()[3]
+        return self._gathered(3)
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return int(self._stacked()[0].shape[0])
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[AllBinsBounds]:
-        if self._rows is not None:
-            return iter(self._rows)
-        lo, hi, heights, widths = self._stacked()
-        return iter(zip(lo, hi, heights.tolist(), widths.tolist()))
+        return iter(
+            zip(self.lo, self.hi, self.heights.tolist(), self.widths.tolist())
+        )
 
     @overload
     def __getitem__(self, index: int) -> AllBinsBounds: ...
@@ -161,12 +163,32 @@ class BoundsMatrix(Sequence[AllBinsBounds]):
     def __getitem__(
         self, index: Union[int, slice]
     ) -> Union[AllBinsBounds, List[AllBinsBounds]]:
-        if self._rows is not None:
-            return self._rows[index]
         if isinstance(index, slice):
             return list(self)[index]
-        lo, hi, heights, widths = self._stacked()
-        return (lo[index], hi[index], int(heights[index]), int(widths[index]))
+        height, width = int(self.heights[index]), int(self.widths[index])
+        return (self.lo[index], self.hi[index], height, width)
+
+
+class _MemoArrays:
+    """One generation of the memo's storage.  Growth swaps a new
+    generation in whole, never resizing in place, so a reader keeps
+    reading consistent rows of the one it took."""
+
+    __slots__ = ("lo", "hi", "heights", "widths", "valid")
+
+    def __init__(self, capacity: int, bins: int) -> None:
+        self.lo = np.zeros((capacity, bins), dtype=np.int64)
+        self.hi = np.zeros((capacity, bins), dtype=np.int64)
+        self.heights = np.zeros(capacity, dtype=np.int64)
+        self.widths = np.zeros(capacity, dtype=np.int64)
+        self.valid = np.zeros(capacity, dtype=bool)
+
+    def grown(self, capacity: int) -> "_MemoArrays":
+        """A larger generation holding this one's rows."""
+        bigger = _MemoArrays(capacity, self.lo.shape[1])
+        for name in self.__slots__:
+            getattr(bigger, name)[: len(self.valid)] = getattr(self, name)
+        return bigger
 
 
 class BoundsStore(Protocol):
@@ -269,12 +291,22 @@ class BoundsEngine:
         #: scalar walk's per-bin count for single-bin workloads.
         self.rules_applied = 0
         self.cache_enabled = cache_enabled
-        #: (image_id, bin) -> PixelBounds scalar memo.
-        self._cache: Dict[Tuple[str, int], PixelBounds] = {}
-        #: image_id -> cached scalar bins (so invalidation avoids scans).
-        self._cached_bins: Dict[str, Set[int]] = {}
-        #: image_id -> all-bins (lo, hi, height, width) memo.
-        self._vec_cache: Dict[str, AllBinsBounds] = {}
+        #: The memo: image id -> row of :attr:`_memo`, whose ``valid``
+        #: mask says which rows hold a current result.  Rows are handed
+        #: out on first read, filled by a sweep, dirtied by
+        #: :meth:`invalidate` and recycled through ``_free_rows`` (their
+        #: ``_row_ids`` entry blank) once their image changes or goes.
+        self._memo = _MemoArrays(0, quantizer.bin_count)
+        self._row_of: Dict[str, int] = {}
+        self._row_ids: List[str] = []
+        self._free_rows: List[int] = []
+        #: Guards row allocation, fills and releases; reads of valid
+        #: rows take no lock.
+        self._memo_lock = threading.Lock()
+        #: Bumped by every invalidation (and failed fill): whoever keeps
+        #: memo rows or a list of stored ids between calls re-derives
+        #: them when this moved.
+        self.memo_epoch = 0
         #: Reverse dependency edges observed while walking: referenced
         #: image id -> ids of edited images whose walk consulted it.
         self._dependents: Dict[str, Set[str]] = {}
@@ -305,32 +337,21 @@ class BoundsEngine:
     # Scalar walk (the paper's per-bin BOUNDS; correctness oracle)
     # ------------------------------------------------------------------
     def bounds(self, image_id: str, bin_index: int) -> PixelBounds:
-        """BOUNDS for a stored image (exact for binary, interval for edited)."""
+        """BOUNDS for a stored image (exact for binary, interval for edited).
+
+        With the memo on, an element read of the image's row (filled
+        first, every bin at once, by a one-id sweep when dirty).
+        """
         if not self.cache_enabled:
             return self._bounds_inner(
                 image_id, bin_index, frozenset(), self._max_depth
             )
-        key = (image_id, bin_index)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        vec = self._vec_cache.get(image_id)
-        if vec is not None:
-            self.cache_hits += 1
-            lo, hi, height, width = vec
-            self._quantizer.validate_bin(bin_index)
-            # Promoted to the scalar memo, so the next read of this bin
-            # is the dict hit above, not another column read.
-            result = PixelBounds(int(lo[bin_index]), int(hi[bin_index]), height, width)
-        else:
-            self.cache_misses += 1
-            result = self._bounds_inner(
-                image_id, bin_index, frozenset(), self._max_depth
-            )
-        self._cache[key] = result
-        self._cached_bins.setdefault(image_id, set()).add(bin_index)
-        return result
+        matrix = self.bounds_all_bins_batch((image_id,))
+        self._quantizer.validate_bin(bin_index)
+        (lo,), (hi,) = matrix.column(bin_index)
+        return PixelBounds(
+            int(lo), int(hi), int(matrix.heights[0]), int(matrix.widths[0])
+        )
 
     def sequence_bounds(
         self, sequence: EditSequence, bin_index: int
@@ -444,8 +465,6 @@ class BoundsEngine:
                 f"seeded bounds for {image_id!r} have shapes "
                 f"{lo.shape}/{hi.shape}, expected {expected}"
             )
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         stack: List[str] = [image_id]
         seen: Set[str] = {image_id}
         while stack:
@@ -458,16 +477,24 @@ class BoundsEngine:
                 if referenced not in seen:
                     seen.add(referenced)
                     stack.append(referenced)
-        self._vec_cache[image_id] = (lo, hi, int(height), int(width))
+        with self._memo_lock:
+            row = self._row_of.get(image_id)
+            if row is None:
+                row = self._allocate(image_id)
+            memo = self._memo
+            memo.lo[row], memo.hi[row] = lo, hi
+            memo.heights[row], memo.widths[row] = int(height), int(width)
+            memo.valid[row] = True
 
     def has_cached_bounds(self, image_id: str) -> bool:
         """Whether an all-bins matrix for ``image_id`` is currently memoized.
 
         Lets cache-adjacent book-keeping (the shard compactor's
         materialization ledger) observe invalidation fallout without
-        reaching into the private memo dict.
+        reaching into the private memo.
         """
-        return image_id in self._vec_cache
+        row = self._row_of.get(image_id)
+        return row is not None and bool(self._memo.valid[row])
 
     # ------------------------------------------------------------------
     # Columnar sweep (all images x all bins)
@@ -489,26 +516,24 @@ class BoundsEngine:
         instead of a Python walk per image and bin.  Shared references
         (chained bases, Merge targets) are computed once per sweep, so
         :attr:`rules_applied` grows by at most the summed sequence
-        lengths of the images swept.  With the memo cache on, requested
-        ids are served from and seeded into the vector cache, and
-        dependency edges register for everything swept so a targeted
-        :meth:`invalidate` drops exactly the affected entries.
+        lengths of the images swept.
 
-        The :class:`BoundsMatrix` returned reads as the list of
-        :data:`AllBinsBounds` tuples and exposes the same intervals as
-        matrices; when every requested id was swept it *is* the sweep's
-        output block, with no per-image unpacking in between.
+        With the memo cache on this is :meth:`bounds_of_rows` over the
+        ids' memo rows: only dirty rows are swept, and dependency edges
+        register for everything swept so a targeted :meth:`invalidate`
+        dirties exactly the affected rows.  With it off the result
+        selects from this call's own sweep state and nothing survives.
         """
+        if self.cache_enabled:
+            return self.bounds_of_rows(self.memo_rows(image_ids))
+        return self._sweep(image_ids)
+
+    def _sweep(self, image_ids: Sequence[str]) -> BoundsMatrix:
+        """Compute ``image_ids`` from the store, reading no memo row."""
         results: Dict[str, AllBinsBounds] = {}
         errors: Dict[str, ReproError] = {}
         edited: List[str] = []
         for image_id in dict.fromkeys(image_ids):
-            if self.cache_enabled:
-                cached = self._vec_cache.get(image_id)
-                if cached is not None:
-                    self.cache_hits += 1
-                    results[image_id] = cached
-                    continue
             try:
                 record = self._store.lookup_for_bounds(image_id)
             except ReproError as exc:
@@ -516,19 +541,13 @@ class BoundsEngine:
                 continue
             if isinstance(record, tuple):
                 histogram, height, width = record
-                result = (histogram.counts, histogram.counts, height, width)
-                if self.cache_enabled:
-                    self.cache_misses += 1
-                    self._vec_cache[image_id] = result
-                results[image_id] = result
+                results[image_id] = (histogram.counts, histogram.counts, height, width)
             elif isinstance(record, EditSequence):
                 edited.append(image_id)
             else:
                 errors[image_id] = UnknownObjectError(
                     f"unexpected store record for {image_id!r}"
                 )
-        bins = self._quantizer.bin_count
-        block: Optional[BoundsMatrix] = None
         if edited:
             manager = self.optable_manager
             outcome = manager.compute(
@@ -536,7 +555,6 @@ class BoundsEngine:
             )
             self.rules_applied += outcome.ops_applied
             if self.cache_enabled:
-                self.cache_misses += len(edited)
                 table = manager.table
                 for swept_id in outcome.swept_ids:
                     for referenced in table.refs_of(swept_id):
@@ -544,43 +562,117 @@ class BoundsEngine:
                             swept_id
                         )
             if not outcome.failures and len(edited) == len(image_ids):
-                # Every requested id swept cleanly: the answer is the
-                # sweep's own block, and only a memo wants per-id rows.
-                rows = outcome.rows
-                block = BoundsMatrix(
-                    bins,
-                    columns=(
-                        outcome.lo[rows],
-                        outcome.hi[rows],
-                        outcome.heights[rows],
-                        outcome.widths[rows],
-                    ),
-                )
-            if block is None or self.cache_enabled:
-                for position, image_id in enumerate(edited):
-                    failure = outcome.failures.get(image_id)
-                    if failure is not None:
-                        errors[image_id] = failure
-                        continue
-                    result = outcome.view(position)
-                    # Only requested ids are memoized, not swept references.
-                    if self.cache_enabled:
-                        self._vec_cache[image_id] = result
-                    results[image_id] = result
+                # Every requested id swept cleanly: the answer is a row
+                # selection over the sweep's own state.
+                state = (outcome.lo, outcome.hi, outcome.heights, outcome.widths)
+                return BoundsMatrix(*state, outcome.rows)
+            for position, image_id in enumerate(edited):
+                failure = outcome.failures.get(image_id)
+                if failure is not None:
+                    errors[image_id] = failure
+                else:
+                    results[image_id] = outcome.view(position)
         if errors:
             raise next(errors[i] for i in image_ids if i in errors)
-        if block is not None:
-            return block
+        found = [results[image_id] for image_id in image_ids]
         return BoundsMatrix(
-            bins, rows=[results[image_id] for image_id in image_ids]
+            stack_rows([each[0] for each in found], self._quantizer.bin_count),
+            stack_rows([each[1] for each in found], self._quantizer.bin_count),
+            np.array([each[2] for each in found], dtype=np.int64),
+            np.array([each[3] for each in found], dtype=np.int64),
+            np.arange(len(found)),
         )
+
+    # ------------------------------------------------------------------
+    # The memo: rows, fills
+    # ------------------------------------------------------------------
+    def memo_rows(self, image_ids: Sequence[str]) -> np.ndarray:
+        """The memo rows of ``image_ids``, one per id, in order.
+
+        An id without a row is given a dirty one — nothing is computed
+        here, so rows are allocated on first read and ingest pays
+        nothing.  A row stays its image's until :meth:`invalidate` is
+        called for that image; holders re-ask when :attr:`memo_epoch`
+        moved.
+        """
+        if not self.cache_enabled:
+            raise RuleError("memo_rows requires cache_enabled")
+        row_of = self._row_of
+        try:
+            return np.array([row_of[i] for i in image_ids], dtype=np.int64)
+        except KeyError:
+            with self._memo_lock:
+                rows = [
+                    row_of[i] if i in row_of else self._allocate(i)
+                    for i in image_ids
+                ]
+            return np.array(rows, dtype=np.int64)
+
+    def bounds_of_rows(self, rows: np.ndarray) -> BoundsMatrix:
+        """All-bins BOUNDS of the images at memo ``rows`` (as handed out
+        by :meth:`memo_rows`), dirty rows filled first by one sweep.
+
+        The cached read path: a valid row counts a ``cache_hits``, a
+        filled one a ``cache_misses``, and the result selects ``rows``
+        of the memo itself — nothing is copied until a consumer gathers.
+        """
+        memo = self._memo
+        valid = memo.valid[rows]
+        hits = int(np.count_nonzero(valid))
+        self.cache_hits += hits
+        if hits != len(rows):
+            self.cache_misses += len(rows) - hits
+            memo = self._fill(rows[~valid])
+        return BoundsMatrix(memo.lo, memo.hi, memo.heights, memo.widths, rows)
+
+    def _fill(self, rows: np.ndarray) -> _MemoArrays:
+        """Sweep the still-dirty ones of ``rows`` into the memo; returns
+        the generation that now holds them."""
+        with self._memo_lock:
+            memo = self._memo
+            # Another reader may have filled some since the caller looked.
+            dirty = np.unique(rows[~memo.valid[rows]])
+            if len(dirty):
+                try:
+                    swept = self._sweep([self._row_ids[r] for r in dirty.tolist()])
+                except ReproError:
+                    # Nothing was written; hand the rows back, so an id
+                    # the store does not know cannot pin one for ever.
+                    for row in dirty.tolist():
+                        self._release(row)
+                    self.memo_epoch += 1
+                    raise
+                memo.lo[dirty], memo.hi[dirty] = swept.lo, swept.hi
+                memo.heights[dirty], memo.widths[dirty] = swept.heights, swept.widths
+                memo.valid[dirty] = True  # last: whoever sees it reads whole rows
+            return memo
+
+    def _allocate(self, image_id: str) -> int:
+        """A dirty row for ``image_id`` (lock held)."""
+        if self._free_rows:
+            row = self._free_rows.pop()
+            self._row_ids[row] = image_id
+        else:
+            row = len(self._row_ids)
+            self._row_ids.append(image_id)
+            if row >= len(self._memo.valid):
+                self._memo = self._memo.grown(max(64, 2 * row))
+        self._row_of[image_id] = row
+        return row
+
+    def _release(self, row: int) -> None:
+        """Return an image's ``row`` to the free list (lock held)."""
+        del self._row_of[self._row_ids[row]]
+        self._row_ids[row] = ""
+        self._memo.valid[row] = False
+        self._free_rows.append(row)
 
     def fraction_bounds_all_bins_batch(
         self, image_ids: Sequence[str]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Batched :meth:`fraction_bounds_all_bins`: same division, one sweep."""
         bounds = self.bounds_all_bins_batch(image_ids)
-        totals = (bounds.heights * bounds.widths).astype(np.float64)[:, None]
+        totals = bounds.totals.astype(np.float64)[:, None]
         return list(zip(bounds.lo / totals, bounds.hi / totals))
 
     # ------------------------------------------------------------------
@@ -613,25 +705,36 @@ class BoundsEngine:
             callback(image_id)
 
     def invalidate(self, image_id: str) -> int:
-        """Drop memo entries affected by a change to ``image_id``.
+        """Dirty the memo rows affected by a change to ``image_id``.
 
         Walks the reverse dependency graph recorded during cached walks:
         the changed image itself, every edited image whose walk consulted
         it (as base or Merge target), and so on transitively through
-        chained edits.  Entries for unrelated images survive.  Returns
-        the number of memo entries dropped.
+        chained edits.  Rows of unrelated images stay valid; dependents
+        keep their (now dirty) rows for the next fill; the changed
+        image's own row is released, as the image may be gone.  Returns
+        the number of valid rows dirtied.
         """
         self.cache_invalidation_calls += 1
         dropped = 0
         stack: List[str] = [image_id]
         seen: Set[str] = {image_id}
-        while stack:
-            current = stack.pop()
-            dropped += self._drop_entries(current)
-            for dependent in self._dependents.pop(current, ()):
-                if dependent not in seen:
-                    seen.add(dependent)
-                    stack.append(dependent)
+        with self._memo_lock:
+            valid = self._memo.valid
+            while stack:
+                current = stack.pop()
+                row = self._row_of.get(current)
+                if row is not None and valid[row]:
+                    valid[row] = False
+                    dropped += 1
+                for dependent in self._dependents.pop(current, ()):
+                    if dependent not in seen:
+                        seen.add(dependent)
+                        stack.append(dependent)
+            own = self._row_of.get(image_id)
+            if own is not None:
+                self._release(own)
+            self.memo_epoch += 1
         # Scrub the invalidated ids out of the surviving reverse edges:
         # their walks are gone, so an edge pointing at them would keep a
         # deleted/changed image alive in the graph (stale edges the
@@ -653,10 +756,15 @@ class BoundsEngine:
         have moved.
         """
         self.cache_invalidation_calls += 1
-        self.cache_invalidated_entries += len(self._cache) + len(self._vec_cache)
-        self._cache.clear()
-        self._cached_bins.clear()
-        self._vec_cache.clear()
+        with self._memo_lock:
+            self.cache_invalidated_entries += int(
+                np.count_nonzero(self._memo.valid)
+            )
+            self._memo = _MemoArrays(0, self._quantizer.bin_count)
+            self._row_of.clear()
+            self._row_ids.clear()
+            self._free_rows.clear()
+            self.memo_epoch += 1
         self._dependents.clear()
         self._notify_invalidation(None)
 
@@ -676,25 +784,14 @@ class BoundsEngine:
         )
 
     def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/invalidation counters plus current memo sizes."""
+        """Hit/miss/invalidation counters plus the memo's valid-row count."""
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "invalidation_calls": self.cache_invalidation_calls,
             "invalidated_entries": self.cache_invalidated_entries,
-            "scalar_entries": len(self._cache),
-            "vector_entries": len(self._vec_cache),
+            "vector_entries": int(np.count_nonzero(self._memo.valid)),
         }
-
-    def _drop_entries(self, image_id: str) -> int:
-        """Remove every memo entry for one image; returns the count."""
-        dropped = 0
-        if self._vec_cache.pop(image_id, None) is not None:
-            dropped += 1
-        for bin_index in self._cached_bins.pop(image_id, ()):
-            if self._cache.pop((image_id, bin_index), None) is not None:
-                dropped += 1
-        return dropped
 
     def _register_dependencies(self, image_id: str, sequence: EditSequence) -> None:
         """Record reverse edges from every referenced image to ``image_id``."""

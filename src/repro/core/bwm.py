@@ -101,11 +101,17 @@ class BWMStructure:
     other edited image.  The paper keeps base identifiers sorted to ease
     lookup; a dict gives the same O(1) cluster location directly, and
     :class:`OrderedIdSet` members make removal O(1) as well.
+
+    ``version`` counts the maintenance calls below, so a reader that
+    keeps a flattened copy of the clusters between queries
+    (:class:`repro.core.batch.BatchBWMProcessor`) knows when to rebuild
+    it.
     """
 
     main: Dict[str, OrderedIdSet] = field(default_factory=dict)
     unclassified: OrderedIdSet = field(default_factory=OrderedIdSet)
     _edited_location: Dict[str, str] = field(default_factory=dict)
+    version: int = field(default=0, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     # Maintenance (Figure 1)
@@ -115,6 +121,7 @@ class BWMStructure:
         if image_id in self.main:
             raise DuplicateObjectError(f"binary image {image_id!r} already present")
         self.main[image_id] = OrderedIdSet()
+        self.version += 1
 
     def insert_edited(self, image_id: str, sequence: EditSequence) -> bool:
         """Figure 1: classify and file one edited image.
@@ -130,6 +137,7 @@ class BWMStructure:
         """
         if image_id in self._edited_location:
             raise DuplicateObjectError(f"edited image {image_id!r} already present")
+        self.version += 1
         if sequence_is_bound_widening(sequence) and sequence.base_id in self.main:
             self.main[sequence.base_id].append(image_id)
             self._edited_location[image_id] = sequence.base_id
@@ -143,6 +151,7 @@ class BWMStructure:
         location = self._edited_location.pop(image_id, None)
         if location is None:
             raise UnknownObjectError(f"edited image {image_id!r} not present")
+        self.version += 1
         if location:
             self.main[location].remove(image_id)
         else:
@@ -158,6 +167,7 @@ class BWMStructure:
                 f"cluster of {image_id!r} still holds {len(cluster)} edited images"
             )
         del self.main[image_id]
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,6 +20,7 @@ import numpy as np
 from repro.color.histogram import ColorHistogram
 from repro.color.names import color_by_name
 from repro.color.quantization import UniformQuantizer
+from repro.core.batch import BatchBWMProcessor, BatchRBMProcessor
 from repro.core.bounds import BoundsEngine, PixelBounds
 from repro.core.bwm import BWMProcessor, BWMStructure
 from repro.core.query import ConjunctiveQuery, QueryResult, RangeQuery
@@ -81,11 +82,20 @@ class MultimediaDatabase:
             cache_enabled=bounds_cache,
         )
         self.bwm_structure = BWMStructure()
-        self._rbm = RBMProcessor(self.catalog, self.engine)
-        self._bwm = BWMProcessor(self.bwm_structure, self.catalog, self.engine)
-        self._instantiate_processor = InstantiateProcessor(
-            self.catalog, self.instantiate
-        )
+        #: The paper's processors, one image at a time — and the test
+        #: oracle for the column-compare ones below.
+        self._scalar = {
+            "bwm": BWMProcessor(self.bwm_structure, self.catalog, self.engine),
+            "rbm": RBMProcessor(self.catalog, self.engine),
+            "instantiate": InstantiateProcessor(self.catalog, self.instantiate),
+        }
+        #: The column-compare processors: every batch, and — on a
+        #: memoizing engine, where they read memo rows through a layout
+        #: they keep between calls — single queries too.
+        self._batch = {
+            "bwm": BatchBWMProcessor(self.bwm_structure, self.catalog, self.engine),
+            "rbm": BatchRBMProcessor(self.catalog, self.engine),
+        }
         self._similarity = SimilaritySearch(
             self.catalog, self.engine, self.instantiate
         )
@@ -251,15 +261,16 @@ class MultimediaDatabase:
         image matches, its base image joins the result even if the base's
         own features do not match.
         """
-        processor = {
-            "bwm": self._bwm,
-            "rbm": self._rbm,
-            "instantiate": self._instantiate_processor,
-        }.get(method)
+        processor = self._scalar.get(method)
         if processor is None:
             raise QueryError(f"unknown method {method!r}; expected one of {RANGE_METHODS}")
         self.quantizer.validate_bin(query.bin_index)
-        result = processor.process(query)
+        if self.engine.cache_enabled and method in self._batch:
+            # Same matches and counters as the scalar processor, read
+            # from the memo by column instead of one object per image.
+            result = self._batch[method].process_batch([query])[0]
+        else:
+            result = processor.process(query)
         if not expand_to_bases:
             return result
         return and_merge(self.catalog, [result], expand_to_bases=True)
@@ -287,17 +298,10 @@ class MultimediaDatabase:
         front-end submitting a burst of queries pays each edited image's
         rules at most once per distinct bin.
         """
-        from repro.core.batch import BatchBWMProcessor, BatchRBMProcessor
-
         for query in queries:
             self.quantizer.validate_bin(query.bin_index)
-        if method == "bwm":
-            processor = BatchBWMProcessor(
-                self.bwm_structure, self.catalog, self.engine
-            )
-        elif method == "rbm":
-            processor = BatchRBMProcessor(self.catalog, self.engine)
-        else:
+        processor = self._batch.get(method)
+        if processor is None:
             raise QueryError(
                 f"batch processing supports 'bwm' and 'rbm', not {method!r}"
             )

@@ -322,17 +322,18 @@ class SimilaritySearch:
                 exact = -np.minimum(q, stored).sum(axis=1)
             else:
                 exact = np.abs(q - stored).sum(axis=1)
-        rows = self._engine.fraction_bounds_all_bins_batch(edited_ids)
-        if rows:
-            # The stacked copies are scratch space, overwritten step by
-            # step: each (edited, bins) temporary would be 0.75 MB of
-            # peak memory at 1,500 edited images.
-            upper = np.stack([hi for _, hi in rows])
+        if edited_ids:
+            # The divisions make the (edited, bins) scratch matrices the
+            # steps below overwrite in place; the intervals themselves
+            # are read where they live (memo rows, or the sweep's state).
+            bounds = self._engine.bounds_all_bins_batch(edited_ids)
+            totals = bounds.totals.astype(np.float64)[:, None]
+            upper = bounds.hi / totals
             if intersection:
                 np.clip(upper, 0.0, None, out=upper)
                 bound = -np.minimum(q, upper, out=upper).sum(axis=1)
             else:
-                lower = np.stack([lo for lo, _ in rows])
+                lower = bounds.lo / totals
                 if (lower > upper + 1e-12).any():
                     raise HistogramError("lower bound exceeds upper bound")
                 np.clip(np.subtract(lower, q, out=lower), 0.0, None, out=lower)

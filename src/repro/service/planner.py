@@ -338,13 +338,13 @@ class CostBasedPlanner:
             return 0.5
         return stats.estimate_selectivity(query.pct_min, query.pct_max)
 
-    def _vec_cached_images(self) -> int:
+    def _memoized_images(self) -> int:
         """How many edited images already have a memoized all-bins walk."""
         engine = self._database.engine
         if not engine.cache_enabled:
             return 0
         cached = engine.cache_stats()["vector_entries"]
-        # The vec cache also holds binary images touched as bases/targets;
+        # The memo also holds binary images read as bases/targets;
         # clamp to the edited population the estimate is about.
         return min(cached, self._database.catalog.edited_count)
 
@@ -415,7 +415,7 @@ class CostBasedPlanner:
         )
 
     def _cost_vectorized(self, profile: CatalogProfile) -> PlanAlternative:
-        cached = self._vec_cached_images()
+        cached = self._memoized_images()
         uncached = profile.edited_count - cached
         # Fully-memoized traffic never enters the sweep, so the fixed
         # setup is only charged while some image still needs computing.
@@ -457,7 +457,7 @@ class CostBasedPlanner:
                 search,
                 "point + interval indexes fresh; two spatial lookups",
             )
-        cached = self._vec_cached_images()
+        cached = self._memoized_images()
         uncached = profile.edited_count - cached
         # The interval-index rebuild rides the same columnar sweep.
         rebuild = (

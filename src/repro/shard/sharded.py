@@ -61,6 +61,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -681,12 +682,11 @@ class ShardedCatalog:
 
     @staticmethod
     def _merge_results(results: Sequence[QueryResult]) -> QueryResult:
-        matches: Set[str] = set()
         stats = QueryStats()
         for result in results:
-            matches |= result.matches
             stats.merge(result.stats)
-        return QueryResult(frozenset(matches), stats)
+        empty: FrozenSet[str] = frozenset()
+        return QueryResult(empty.union(*(each.matches for each in results)), stats)
 
     @staticmethod
     def _result_work_units(result: QueryResult) -> float:

@@ -52,7 +52,9 @@ class TestShippedTree:
 
 class TestRuleRegistry:
     def test_registry_covers_the_documented_codes(self):
-        assert set(LINT_RULES) == {"AL001", "AL002", "AL003", "AL004", "AL005"}
+        assert set(LINT_RULES) == {
+            "AL001", "AL002", "AL003", "AL004", "AL005", "AL006",
+        }
 
     def test_scopes(self):
         assert LINT_RULES["AL001"].applies_to("src/repro/service/executor.py")
@@ -60,6 +62,7 @@ class TestRuleRegistry:
         assert LINT_RULES["AL003"].applies_to("src/repro/db/database.py")
         assert not LINT_RULES["AL003"].applies_to("src/repro/db/catalog.py")
         assert LINT_RULES["AL004"].applies_to("src/repro/anything.py")
+        assert LINT_RULES["AL006"].applies_to("src/repro/anything.py")
 
     def test_al002_scope_covers_the_shard_mutators(self):
         rule = LINT_RULES["AL002"]
@@ -390,6 +393,59 @@ class TestAL005UpwardImport:
         from repro.service import QueryService
         """
         assert _lint(code, "benchmarks/bench_service.py") == []
+
+
+class TestAL006UnreachableStatement:
+    def test_stale_copy_behind_a_return_flagged_once(self):
+        # The defect this rule was added for: a second copy of a
+        # function's tail left after its ``return``.
+        code = """
+        def process(queries):
+            found = match(queries)
+            return found
+            found = match_old(queries)
+            return found
+        """
+        findings = _lint(code, "src/repro/core/batch.py")
+        assert [f.code for f in findings] == ["AL006"]
+        assert findings[0].location.endswith(":5")
+        assert "return on line 4" in findings[0].message
+
+    def test_every_block_kind_and_exit_kind(self):
+        code = """
+        def walk(items):
+            for item in items:
+                if item is None:
+                    continue
+                    skipped()
+                try:
+                    raise ValueError(item)
+                    cleanup()
+                except ValueError:
+                    break
+                    note()
+                finally:
+                    pass
+            else:
+                return 0
+                done()
+        """
+        findings = _lint(code, "src/repro/db/x.py")
+        assert {f.code for f in findings} == {"AL006"}
+        lines = sorted(int(f.location.rsplit(":", 1)[1]) for f in findings)
+        assert lines == [6, 9, 12, 17]
+
+    def test_conditional_exits_and_last_statements_clean(self):
+        code = """
+        def pick(items):
+            for item in items:
+                if item:
+                    return item
+                if item is None:
+                    continue
+            raise LookupError("empty")
+        """
+        assert _lint(code, "src/repro/core/x.py") == []
 
 
 class TestHarness:

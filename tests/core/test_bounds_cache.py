@@ -1,17 +1,26 @@
 """Dependency-aware memo cache: targeted invalidation, counters, staleness."""
 
+import sys
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.catalog_lint import analyze_database
 from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
 from repro.core.bounds import BoundsEngine
+from repro.core.bwm import BWMProcessor
 from repro.core.query import RangeQuery
+from repro.core.rbm import RBMProcessor
 from repro.db.database import MultimediaDatabase
 from repro.editing.operations import Combine, Define, Merge
+from repro.editing.recipes import build_variant
 from repro.editing.sequence import EditSequence
-from repro.errors import UnknownObjectError
+from repro.errors import RuleError, UnknownObjectError
 from repro.images.generators import random_palette_image
 from repro.images.geometry import Rect
 from repro.images.raster import Image
@@ -130,25 +139,32 @@ class TestTargetedInvalidation:
         assert engine.cache_invalidation_calls == 2
         assert engine.cache_invalidated_entries == 1
 
-    def test_scalar_entries_dropped_too(self, engine):
-        scalar = engine.bounds("e2", 0)  # scalar memo via scalar walk path
-        # Force a scalar cache entry for an image with no vec entry: e2's
-        # walk registered deps b1 -> e1 -> e2 along the way.
-        dropped = engine.invalidate("b1")
-        assert dropped >= 1
-        assert engine.bounds("e2", 0) == scalar  # recomputed, same value
-
-    def test_bin_read_through_the_all_bins_memo_is_promoted(self, engine, store):
-        engine.bounds_all_bins_batch(["e2"])
-        before = engine.cache_stats()["scalar_entries"]
-        first = engine.bounds("e2", 1)
-        assert engine.bounds("e2", 1) is first
-        assert engine.cache_stats()["scalar_entries"] == before + 1
-        # Both tiers go with the base; the re-walk equals a cache-off answer.
-        engine.invalidate("b1")
-        assert engine.cache_stats()["scalar_entries"] == before
+    def test_row_filled_by_a_scalar_read_is_dirtied(self, engine):
+        scalar = engine.bounds("e2", 0)  # fills e2's row by a one-id sweep
+        # Only the requested id holds a row: e1 and b1 were swept as
+        # references, and their edges b1 -> e1 -> e2 registered.
+        assert engine.has_cached_bounds("e2")
+        assert not engine.has_cached_bounds("e1")
+        assert engine.cache_stats()["vector_entries"] == 1
+        assert engine.invalidate("b1") == 1
         assert not engine.has_cached_bounds("e2")
-        assert engine.bounds("e2", 1) == BoundsEngine(store, Q2).bounds("e2", 1)
+        assert engine.bounds("e2", 0) == scalar  # refilled, same value
+
+    def test_one_fill_serves_every_bin_of_a_row(self, engine, store):
+        first = engine.bounds("e2", 1)
+        rules, misses = engine.rules_applied, engine.cache_misses
+        plain = BoundsEngine(store, Q2)
+        for bin_index in range(Q2.bin_count):
+            assert engine.bounds("e2", bin_index) == plain.bounds("e2", bin_index)
+        assert engine.bounds("e2", 1) == first
+        assert (engine.rules_applied, engine.cache_misses) == (rules, misses)
+        assert engine.cache_stats()["vector_entries"] == 1
+        # The row goes dirty with the base; the refill equals a cache-off answer.
+        engine.invalidate("b1")
+        assert engine.cache_stats()["vector_entries"] == 0
+        assert not engine.has_cached_bounds("e2")
+        assert engine.bounds("e2", 1) == plain.bounds("e2", 1)
+        assert engine.cache_misses == misses + 1
 
     def test_whole_cache_flush_still_available(self, engine):
         warm(engine)
@@ -182,7 +198,9 @@ class TestDatabaseNeverServesStaleBounds:
         assert np.array_equal(after[1], expected[1])
         # The unrelated image's entry was untouched (still a cache hit).
         hits = database.engine.cache_hits
-        assert database.engine.bounds_all_bins(other) is other_before
+        other_after = database.engine.bounds_all_bins(other)
+        assert np.array_equal(other_after[0], other_before[0])
+        assert other_after[2:] == other_before[2:]
         assert database.engine.cache_hits == hits + 1
 
     def test_delete_and_reinsert_edited_chain(self, rng):
@@ -229,3 +247,223 @@ class TestDatabaseNeverServesStaleBounds:
             cached.range_query(query, method="rbm").matches
             == plain.range_query(query, method="rbm").matches
         )
+
+
+class TestMemoRows:
+    """The memo's own bookkeeping: capacity, reuse, nothing kept when off."""
+
+    def _chain_store(self, count):
+        store = DictStore()
+        store.add_binary("b", Image.filled(4, 4, (0, 0, 0)))
+        for index in range(count):
+            store.add_edited(f"e{index}", EditSequence("b", (Combine.box(),)))
+        return store, [f"e{index}" for index in range(count)]
+
+    def test_memo_grows_past_its_first_capacity(self):
+        store, ids = self._chain_store(150)  # first capacity is 64 rows
+        engine = BoundsEngine(store, Q2, cache_enabled=True)
+        first = engine.bounds_all_bins_batch(ids[:10])
+        held = [np.array(first.lo), np.array(first.hi)]
+        everything = engine.bounds_all_bins_batch(ids)  # grows twice
+        assert engine.cache_stats()["vector_entries"] == 150
+        assert (engine.cache_hits, engine.cache_misses) == (10, 150)
+        # Growth swapped the storage; the rows it held moved with it.
+        assert np.array_equal(everything.lo[:10], held[0])
+        assert np.array_equal(everything.hi[:10], held[1])
+        plain = BoundsEngine(store, Q2)
+        for image_id in (ids[0], ids[70], ids[149]):
+            assert engine.bounds(image_id, 0) == plain.bounds(image_id, 0)
+
+    def test_released_rows_are_reused(self):
+        store, ids = self._chain_store(8)
+        engine = BoundsEngine(store, Q2, cache_enabled=True)
+        rows = engine.memo_rows(ids)
+        engine.bounds_of_rows(rows)
+        epoch = engine.memo_epoch
+        del store.records["e3"]
+        assert engine.invalidate("e3") == 1
+        assert engine.memo_epoch > epoch  # holders of rows must re-ask
+        assert not engine.has_cached_bounds("e3")
+        store.add_edited("fresh", EditSequence("b", (Combine.box(),)))
+        assert engine.memo_rows(["fresh"])[0] == rows[3]
+        assert not engine.has_cached_bounds("fresh")  # dirty until read
+        engine.bounds_all_bins("fresh")
+        assert engine.cache_stats()["vector_entries"] == 8
+        # An id the store rejects pins no row either.
+        with pytest.raises(UnknownObjectError):
+            engine.bounds("nowhere", 0)
+        assert len(engine.memo_rows(["again"])) == 1
+        assert engine.memo_rows(["again"])[0] <= 8
+
+    def test_an_uncached_engine_retains_nothing(self, rng):
+        database = MultimediaDatabase()
+        base = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        database.augment(base, rng, 6, FLAG_PALETTE, bound_widening_fraction=0.5)
+        query = RangeQuery.at_least(0, 0.9)
+        engine = database.engine
+        for ask in (
+            lambda: database.range_query(query, method="rbm"),
+            lambda: database.range_query(query, method="bwm"),
+            lambda: database.range_query_batch([query], method="rbm"),
+            lambda: database.range_query_batch([query], method="bwm"),
+            lambda: database.knn(database.catalog.histogram_of(base), 2),
+        ):
+            grew = []
+            for _ in range(2):
+                before = engine.rules_applied
+                ask()
+                grew.append(engine.rules_applied - before)
+            assert grew[0] == grew[1] > 0
+        assert engine.cache_stats()["vector_entries"] == 0
+        assert (engine.cache_hits, engine.cache_misses) == (0, 0)
+        with pytest.raises(RuleError, match="cache_enabled"):
+            engine.memo_rows([base])
+
+
+def _python_calls(function):
+    """How many Python-level calls ``function()`` makes."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+_STEPS = ("insert", "derive", "derive", "update", "delete", "reinsert", "seed")
+
+
+class TestCachedDatabaseIsTheUncachedOne:
+    """Random mutation scripts on a memoizing database and an uncached
+    twin: every read agrees after every step."""
+
+    QUERIES = (RangeQuery.at_least(0, 0.2), RangeQuery(63, 0.0, 0.5))
+    TEXT = "at least 10% red and at most 60% blue"
+
+    def _derive(self, rng, plain):
+        ids = list(plain.ids())
+        base = ids[int(rng.integers(len(ids)))]
+        shape = plain.bounds(base, 0)
+        target = ids[int(rng.integers(len(ids)))]
+        operations = build_variant(
+            rng,
+            shape.height,
+            shape.width,
+            FLAG_PALETTE,
+            bound_widening=bool(rng.integers(2)),
+            merge_target=target,
+        )
+        if rng.integers(3) == 0:
+            operations = [Define(Rect(0, 0, 2, 3)), Merge(target, 1, 1)]
+        return EditSequence(base, tuple(operations))
+
+    def _apply(self, step, rng, cached, plain, counter):
+        catalog = plain.catalog
+        loose = [i for i in catalog.edited_ids() if not catalog.referrers(i)]
+        if step == "insert" or not catalog.binary_count:
+            image = random_palette_image(rng, 6, 8, FLAG_PALETTE)
+            for database in (cached, plain):
+                database.insert_image(image, image_id=f"b{counter}")
+        elif step == "derive":
+            sequence = self._derive(rng, plain)
+            for database in (cached, plain):
+                database.insert_edited(sequence, image_id=f"e{counter}")
+        elif step == "update":
+            binary = list(catalog.binary_ids())
+            victim = binary[int(rng.integers(len(binary)))]
+            image = random_palette_image(rng, 6, 8, FLAG_PALETTE)
+            for database in (cached, plain):
+                database.update_image(victim, image)
+        elif step in ("delete", "reinsert") and loose:
+            victim = loose[int(rng.integers(len(loose)))]
+            for database in (cached, plain):
+                database.delete_edited(victim)
+            if step == "reinsert":
+                sequence = self._derive(rng, plain)
+                for database in (cached, plain):
+                    database.insert_edited(sequence, image_id=victim)
+        elif step == "seed" and catalog.edited_count:
+            edited = list(catalog.edited_ids())
+            image_id = edited[int(rng.integers(len(edited)))]
+            # What the compactor's commit does: drop, then install.
+            cached.engine.invalidate(image_id)
+            cached.engine.seed_bounds(image_id, plain.engine.bounds_all_bins(image_id))
+            assert cached.engine.has_cached_bounds(image_id)
+
+    def _agree(self, rng, cached, plain):
+        scalar = {
+            "bwm": BWMProcessor(cached.bwm_structure, cached.catalog, cached.engine),
+            "rbm": RBMProcessor(cached.catalog, cached.engine),
+        }
+        for method in ("bwm", "rbm"):
+            for query in self.QUERIES:
+                expected = plain.range_query(query, method=method).matches
+                assert cached.range_query(query, method=method).matches == expected
+                warm = cached.range_query(query, method=method)
+                assert warm.matches == expected
+                # Warm, the column compare counts what the scalar walk counts.
+                assert astuple(warm.stats) == astuple(
+                    scalar[method].process(query).stats
+                )
+            batch = cached.range_query_batch(list(self.QUERIES), method=method)
+            assert [r.matches for r in batch] == [
+                r.matches
+                for r in plain.range_query_batch(list(self.QUERIES), method=method)
+            ]
+            assert (
+                cached.text_query(self.TEXT, method=method).matches
+                == plain.text_query(self.TEXT, method=method).matches
+            )
+        probe = plain.catalog.histogram_of(next(iter(plain.catalog.binary_ids())))
+        exact = plain.knn(probe, 3, method="exact").neighbors
+        assert repr(cached.knn(probe, 3).neighbors) == repr(exact)
+        assert repr(cached.knn(probe, 3, method="intersection").neighbors) == repr(
+            plain.knn(probe, 3, method="intersection").neighbors
+        )
+        ids = list(plain.ids())
+        for _ in range(4):
+            image_id = ids[int(rng.integers(len(ids)))]
+            bin_index = int(rng.integers(64))
+            assert cached.bounds(image_id, bin_index) == plain.bounds(
+                image_id, bin_index
+            )
+        assert not analyze_database(cached, with_prune_power=False).by_code("DB005")
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(st.sampled_from(_STEPS), min_size=1, max_size=10),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_read_agrees_after_every_step(self, seed, steps):
+        rng = np.random.default_rng(seed)
+        cached, plain = MultimediaDatabase(bounds_cache=True), MultimediaDatabase()
+        for counter, step in enumerate(["insert", "derive"] + steps):
+            self._apply(step, rng, cached, plain, counter)
+            self._agree(rng, cached, plain)
+
+    def test_a_warm_query_runs_no_python_per_image(self, rng):
+        database = MultimediaDatabase(bounds_cache=True)
+        bases = [
+            database.insert_image(random_palette_image(rng, 6, 8, FLAG_PALETTE))
+            for _ in range(60)
+        ]
+        for base in bases:
+            database.augment(
+                base, rng, 3, FLAG_PALETTE,
+                bound_widening_fraction=0.67, merge_target_pool=bases,
+            )
+        assert len(database) == 240
+        # Cold, the counter does see per-image work (a store lookup each).
+        cold = lambda: database.range_query(self.QUERIES[0], method="rbm")  # noqa: E731
+        assert _python_calls(cold) > len(database)
+        for method in ("rbm", "bwm"):
+            for query in self.QUERIES:
+                ask = lambda: database.range_query(query, method=method)  # noqa: E731
+                ask()
+                assert _python_calls(ask) < 80  # warm: a column compare

@@ -7,6 +7,10 @@ save protocol's two-rename commit window (``catalog`` → ``.old``,
 must observe a *complete* catalog — entirely the old state or entirely
 the new one — never a missing manifest, a half-swapped pointer table, or
 a mixture of the two states' records.
+
+The last class races readers on one *in-memory* database instead: with
+the bounds memo on, concurrent queries allocate and fill memo rows, and
+each dirty row must be swept once and read back whole.
 """
 
 import threading
@@ -14,6 +18,7 @@ import threading
 import numpy as np
 
 from repro.color.names import FLAG_PALETTE
+from repro.core.query import RangeQuery
 from repro.db.database import MultimediaDatabase
 from repro.db.migration import Migrator
 from repro.db.persistence import load_database, save_database
@@ -146,3 +151,52 @@ class TestLoadersVersusMigration:
         assert sorted(
             load_database(root).text_query(QUERY, method="rbm").matches
         ) == oracle
+
+
+class TestReadersFillingTheBoundsMemo:
+    def test_disjoint_and_overlapping_dirty_rows_are_swept_once(self):
+        cached = _make_database(43, bases=30, variants=3)  # 120 rows: the memo grows
+        cached.engine.cache_enabled = True
+        plain = _make_database(43, bases=30, variants=3)
+        ids = list(cached.ids())
+        queries = [RangeQuery.at_least(b, 0.15) for b in (0, 21, 42, 63)]
+        expected = {
+            (method, query): plain.range_query(query, method=method).matches
+            for method in ("bwm", "rbm")
+            for query in queries
+        }
+        engine = cached.engine
+        engine.bounds_all_bins_batch(ids)
+        work = engine.rules_applied  # what sweeping every row once costs
+        failures = []
+
+        def reader(index, start):
+            mine = (ids[:80], ids[50:], ids[20:100])[index]  # overlap in pairs
+            try:
+                start.wait()
+                rows = engine.bounds_all_bins_batch(mine)
+                for image_id, row in zip(mine, rows):
+                    assert row[0][5] == plain.bounds(image_id, 5).lo, image_id
+                for (method, query), matches in expected.items():
+                    got = cached.range_query(query, method=method).matches
+                    assert got == matches, (method, query)
+            except BaseException as exc:  # noqa: BLE001 - recorded for assert
+                failures.append(exc)
+
+        for _ in range(5):
+            engine.invalidate_cache()  # every row dirty, the memo empty again
+            before = engine.rules_applied
+            start = threading.Barrier(3)
+            threads = [
+                threading.Thread(target=reader, args=(index, start))
+                for index in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not failures, failures
+            # Fills are serialized and re-check validity under the lock:
+            # no row was swept twice, whoever got there first.
+            assert engine.rules_applied - before == work
+            assert engine.cache_stats()["vector_entries"] == len(ids)

@@ -145,11 +145,14 @@ class TestStaleness:
                 sharded.materialized_images(),
                 sharded.range_query(query).matches,
             )
+            # The read above may have filled the image's memo row itself,
+            # so the memo's counters are what a seeding would move.
+            memo_before = shard.database.engine.cache_stats()
             stale = _Candidate(0, edited, 1.0, shard.version - 1)
             assert not compactor._materialize(stale, shard.version - 1)
             assert edited not in shard.materialized
             # Rollback-exact: the refused commit left no trace anywhere.
-            assert not shard.database.engine.has_cached_bounds(edited)
+            assert shard.database.engine.cache_stats() == memo_before
             assert before == (
                 shard.version,
                 sharded.wal_depth_by_shard(),
