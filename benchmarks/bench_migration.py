@@ -84,7 +84,7 @@ def measurement(tmp_path_factory):
     rng = np.random.default_rng(BENCH_SEED + 41)
     save_database(build_database(FLAG_PARAMETERS.scaled(SCALE), rng), root)
     database = load_database(root)
-    database.engine.cache_enabled = True
+    database.engine.enable_memo()
     queries = make_query_workload(
         database, np.random.default_rng(BENCH_SEED + 42), QUERY_COUNT
     )

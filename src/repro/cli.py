@@ -497,7 +497,6 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
     from repro.service import QueryService
 
     database = load_database(args.directory)
-    database.engine.cache_enabled = True
     with QueryService(database, max_workers=1) as service:
         if not args.analyze:
             plans = service.explain(args.text, strategy=args.strategy)
@@ -530,9 +529,6 @@ def _cmd_serve_stats(args: argparse.Namespace, out) -> int:
     from repro.workloads.queries import make_query_workload
 
     database = load_database(args.directory)
-    # The serving tier runs with the dependency-aware bounds cache on;
-    # the planner's vectorized/index strategies feed off it.
-    database.engine.cache_enabled = True
     rng = np.random.default_rng(args.seed)
     queries = make_query_workload(database, rng, args.queries)
     trace_on = args.trace or args.trace_out is not None
@@ -653,7 +649,7 @@ def _cmd_analyze_db(args: argparse.Namespace, out) -> int:
         database = load_database(args.directory)
         # The dependency-graph check needs the engine to learn edges, and
         # the prune-power check walks bounds anyway: turn the cache on.
-        database.engine.cache_enabled = True
+        database.engine.enable_memo()
         report = analyze_database(
             database, with_prune_power=not args.no_prune_power
         )

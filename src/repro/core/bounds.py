@@ -23,8 +23,9 @@ Table 1 is encoded twice, each copy with its own job:
   paths use it, and :meth:`BoundsEngine.bounds_all_bins` is its one-id
   convenience form.
 
-When ``cache_enabled``, results memoize per image as rows of one pair of
-``(rows x bins)`` count matrices with *dependency-aware* invalidation:
+With the memo on (:meth:`BoundsEngine.enable_memo`), results memoize
+per image as rows of one pair of ``(rows x bins)`` count matrices with
+*dependency-aware* invalidation:
 the engine records, while walking, which image each walk consulted (base
 chain + Merge targets), and :meth:`invalidate` dirties only the rows
 reachable from a changed image through the reverse dependency graph
@@ -266,8 +267,8 @@ class BoundsEngine:
     max_depth:
         Limit on Merge-target recursion through chains of edited images.
     cache_enabled:
-        Memoize results per image with dependency-aware invalidation.
-        Off by default so the performance evaluation measures the
+        Construct with the memo already on (:meth:`enable_memo`).  Off
+        by default so the performance evaluation measures the
         algorithms, not the cache.
     """
 
@@ -290,7 +291,7 @@ class BoundsEngine:
         #: A swept rule covering every bin counts once, matching the
         #: scalar walk's per-bin count for single-bin workloads.
         self.rules_applied = 0
-        self.cache_enabled = cache_enabled
+        self._memo_on = False
         #: The memo: image id -> row of :attr:`_memo`, whose ``valid``
         #: mask says which rows hold a current result.  Rows are handed
         #: out on first read, filled by a sweep, dirtied by
@@ -327,6 +328,28 @@ class BoundsEngine:
         #: for an empty table.
         self._optable = OpTableManager(store, quantizer)
         self.add_invalidation_listener(self._optable.on_invalidation)
+        if cache_enabled:
+            self.enable_memo()
+
+    @property
+    def cache_enabled(self) -> bool:
+        """Whether results memoize between calls (see :meth:`enable_memo`)."""
+        return self._memo_on
+
+    def enable_memo(self) -> None:
+        """Keep results between calls from now on: idempotent, one-way.
+
+        The one place the memo is turned on — ``cache_enabled=True``,
+        ``MultimediaDatabase(bounds_cache=True)`` and the long-lived
+        front ends (``QueryService``, ``ShardedCatalog``) all come
+        through here.  Off, every call computes from the store and
+        nothing survives it, so there is nothing to carry over; on,
+        reads go through memo rows, fills record the dependency edges
+        :meth:`invalidate` follows, and the column-compare processors
+        keep their layouts.  There is no way back: holders of memo rows
+        rely on them staying addressable.
+        """
+        self._memo_on = True
 
     @property
     def quantizer(self) -> UniformQuantizer:
@@ -342,7 +365,7 @@ class BoundsEngine:
         With the memo on, an element read of the image's row (filled
         first, every bin at once, by a one-id sweep when dirty).
         """
-        if not self.cache_enabled:
+        if not self._memo_on:
             return self._bounds_inner(
                 image_id, bin_index, frozenset(), self._max_depth
             )
@@ -451,7 +474,7 @@ class BoundsEngine:
         :meth:`invalidate` anywhere upstream still drops the seeded
         entry transitively.
         """
-        if not self.cache_enabled:
+        if not self._memo_on:
             raise RuleError(
                 "seed_bounds requires cache_enabled (there is no memo "
                 "cache to seed)"
@@ -524,7 +547,7 @@ class BoundsEngine:
         dirties exactly the affected rows.  With it off the result
         selects from this call's own sweep state and nothing survives.
         """
-        if self.cache_enabled:
+        if self._memo_on:
             return self.bounds_of_rows(self.memo_rows(image_ids))
         return self._sweep(image_ids)
 
@@ -554,7 +577,7 @@ class BoundsEngine:
                 edited, fill_color=self._fill_color, max_depth=self._max_depth
             )
             self.rules_applied += outcome.ops_applied
-            if self.cache_enabled:
+            if self._memo_on:
                 table = manager.table
                 for swept_id in outcome.swept_ids:
                     for referenced in table.refs_of(swept_id):
@@ -595,7 +618,7 @@ class BoundsEngine:
         called for that image; holders re-ask when :attr:`memo_epoch`
         moved.
         """
-        if not self.cache_enabled:
+        if not self._memo_on:
             raise RuleError("memo_rows requires cache_enabled")
         row_of = self._row_of
         try:
@@ -820,7 +843,7 @@ class BoundsEngine:
             self._quantizer.validate_bin(bin_index)
             return PixelBounds.exact(histogram.count(bin_index), height, width)
         if isinstance(record, EditSequence):
-            if self.cache_enabled:
+            if self._memo_on:
                 self._register_dependencies(image_id, record)
             return self._sequence_bounds_inner(
                 record, bin_index, visiting | {image_id}, depth

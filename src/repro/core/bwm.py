@@ -186,7 +186,7 @@ class BWMStructure:
     @property
     def main_edited_count(self) -> int:
         """Edited images filed under Main clusters."""
-        return sum(len(cluster) for cluster in self.main.values())
+        return len(self._edited_location) - len(self.unclassified)
 
     @property
     def unclassified_count(self) -> int:

@@ -34,6 +34,10 @@ class Catalog:
         #: (the other half of "who references this image", beside
         #: ``_children``); lets the removal guards answer in O(1).
         self._merge_users: Dict[str, List[str]] = {}
+        #: Summed sequence length of the edited images, kept by
+        #: ``add_edited`` / ``remove_edited`` — the only two places a
+        #: sequence enters or leaves — so the planner reads it in O(1).
+        self._total_operations = 0
         self._counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -65,6 +69,7 @@ class Catalog:
                     f"image {referenced!r}"
                 )
         self._edited[record.image_id] = record
+        self._total_operations += len(record.sequence)
         self._children.setdefault(record.base_id, []).append(record.image_id)
         for target in set(record.sequence.merge_targets()):
             self._merge_users.setdefault(target, []).append(record.image_id)
@@ -74,6 +79,7 @@ class Catalog:
         record = self.edited_record(image_id)
         self._release(image_id, "edited")
         del self._edited[image_id]
+        self._total_operations -= len(record.sequence)
         self._children[record.base_id].remove(image_id)
         for target in set(record.sequence.merge_targets()):
             self._merge_users[target].remove(image_id)
@@ -152,6 +158,10 @@ class Catalog:
         """True when the id names a stored image of either format."""
         return image_id in self._binary or image_id in self._edited
 
+    def is_binary(self, image_id: str) -> bool:
+        """True when the id names a conventionally stored image."""
+        return image_id in self._binary
+
     def record(self, image_id: str) -> ImageRecord:
         """The record of either format."""
         found = self._binary.get(image_id) or self._edited.get(image_id)
@@ -188,6 +198,11 @@ class Catalog:
     def edited_count(self) -> int:
         """Number of edited images."""
         return len(self._edited)
+
+    @property
+    def total_operations(self) -> int:
+        """Summed length of every stored edit sequence."""
+        return self._total_operations
 
     def __len__(self) -> int:
         return self.binary_count + self.edited_count

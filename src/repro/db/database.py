@@ -61,8 +61,12 @@ class MultimediaDatabase:
     bounds_cache:
         Memoize BOUNDS intervals per image with dependency-aware
         invalidation: a catalog change drops only entries reachable from
-        the changed image through base/Merge references.  Off by default
-        so benchmarks measure the algorithms themselves.
+        the changed image through base/Merge references.  Off by
+        default — nothing survives a call — so benchmarks measure the
+        algorithms themselves; a bare database stays that way, while the
+        long-lived front ends (``QueryService``, ``ShardedCatalog``)
+        turn the memo of the database they serve on, for good
+        (:meth:`repro.core.bounds.BoundsEngine.enable_memo`).
     """
 
     def __init__(

@@ -15,6 +15,8 @@ Quick start::
 
     from repro.service import QueryService
 
+    # Serving turns db's bounds memo on (as ``ShardedCatalog`` does for
+    # its shards); a bare ``MultimediaDatabase()`` keeps it off.
     service = QueryService(db, max_workers=4, prebuild_indexes=True)
     outcome = service.execute("at least 25% blue")
     print(outcome.plans[0].describe(), outcome.result.sorted_ids())

@@ -23,6 +23,14 @@ serving layer:
   mutation is never served after it.
 * **Graceful shutdown** — :meth:`QueryService.shutdown` stops admitting
   new queries immediately but drains everything already admitted.
+* **A memoizing engine** — the service turns the bounds memo of the
+  database it serves on (:meth:`repro.core.bounds.BoundsEngine.enable_memo`),
+  so a result-cache miss reads memo rows by column instead of
+  re-applying Table 1 to the whole catalog, and the first miss after a
+  write fills only the rows that write dirtied.  Invalidation is the
+  database's own (every mutator ends in ``engine.invalidate``), so a
+  write made out of band under :meth:`QueryService.write_locked` keeps
+  the memo right too.
 
 Execution strategies are chosen per query by the cost-based planner (or
 forced via ``strategy=``); every strategy returns the scalar RBM
@@ -164,8 +172,10 @@ class QueryService:
     Parameters
     ----------
     database:
-        The :class:`repro.db.database.MultimediaDatabase` to serve.
-        Mutations **must** go through this service's wrappers
+        The :class:`repro.db.database.MultimediaDatabase` to serve; its
+        engine memoizes from here on (it stays on after
+        :meth:`shutdown`).  Mutations **must** go through this
+        service's wrappers
         (:meth:`insert_image`, :meth:`insert_edited`, ...) while the
         service is live; direct database mutation bypasses the
         readers-writer lock.
@@ -213,6 +223,10 @@ class QueryService:
         if queue_depth < 0:
             raise ServiceError("queue_depth must be non-negative")
         self._database = database
+        # A long-lived front end asks for the memo; up to ``max_workers``
+        # readers then share it under the read lock (fills serialize on
+        # the engine's own lock, valid rows are read lock-free).
+        database.engine.enable_memo()
         self._clock = clock
         self._default_timeout = default_timeout
         self.planner = planner if planner is not None else CostBasedPlanner(database)
@@ -806,9 +820,9 @@ class QueryService:
 
         Shape: ``counters`` / ``histograms`` from the metrics registry,
         plus ``result_cache`` (LRU/TTL hit/miss counters),
-        ``bounds_cache`` (the engine's memo counters including vec-memo
-        occupancy as ``vector_entries``), ``service`` (capacity and
-        load), and ``slow_queries`` (ring-buffer counters).  Every level
+        ``bounds_cache`` (the engine's memo counters, with the number
+        of valid memo rows as ``vector_entries``), ``service`` (capacity
+        and load), and ``slow_queries`` (ring-buffer counters).  Every level
         is key-sorted, so serializing the snapshot is deterministic even
         without ``sort_keys`` — successive scrapes diff cleanly.
         """

@@ -10,7 +10,7 @@ fastest in a different regime:
 * ``VECTORIZED_BATCH`` — one columnar sweep over the whole catalog's
   op table (:mod:`repro.core.optable`): every edited image's interval
   matrix in a single structure-of-arrays pass; with the dependency-aware
-  memo cache warm, repeat traffic degenerates to dictionary lookups.
+  memo warm, repeat traffic is a column gather and two compares.
 * ``INDEX_ASSISTED`` — the PR-2 builders: a point index over binary
   histograms plus a bounds-interval index over edited images turn the
   whole query into two spatial lookups — unbeatable while fresh, but a
@@ -247,11 +247,12 @@ class ExplainedPlan:
 class CostBasedPlanner:
     """Chooses the cheapest strategy for each range query.
 
-    The planner keeps its selectivity statistics and catalog profile
-    cached, and subscribes to the bounds engine's invalidation events so
-    any catalog mutation marks them dirty — the next plan recomputes
-    from the live catalog.  Detach with :meth:`close` when discarding a
-    planner before its database.
+    Planning is O(1) in the catalog: the profile is read from counters
+    the catalog and the BWM structure keep as they change, and the
+    selectivity statistics — a summary of *binary* histograms — are kept
+    until the bounds engine's invalidation events report a change to a
+    binary image (an edited-only write leaves them current).  Detach
+    with :meth:`close` when discarding a planner before its database.
     """
 
     #: One exact histogram check against the query range.
@@ -287,38 +288,40 @@ class CostBasedPlanner:
         self._statistics = (
             statistics if statistics is not None else DatabaseStatistics(database)
         )
-        self._profile: Optional[CatalogProfile] = None
-        self._statistics_fresh = False
+        #: ``binary_count`` when the statistics were last taken; ``None``
+        #: while they are stale.
+        self._summarized_binaries: Optional[int] = None
         database.engine.add_invalidation_listener(self._on_invalidation)
 
     def close(self) -> None:
         """Stop listening to engine invalidation events."""
         self._database.engine.remove_invalidation_listener(self._on_invalidation)
 
-    def _on_invalidation(self, image_id) -> None:
-        self._profile = None
-        self._statistics_fresh = False
+    def _on_invalidation(self, image_id: Optional[str]) -> None:
+        # Stale when a binary image changed: the id is one now (insert,
+        # update) or the count says one went (delete) — or all may have.
+        catalog = self._database.catalog
+        if (
+            image_id is None
+            or catalog.is_binary(image_id)
+            or catalog.binary_count != self._summarized_binaries
+        ):
+            self._summarized_binaries = None
 
     # ------------------------------------------------------------------
     # Model inputs
     # ------------------------------------------------------------------
     def profile(self) -> CatalogProfile:
-        """Current catalog cardinalities (cached until a mutation)."""
-        if self._profile is None:
-            catalog = self._database.catalog
-            structure = self._database.bwm_structure
-            total_operations = sum(
-                len(catalog.sequence_of(edited_id))
-                for edited_id in catalog.edited_ids()
-            )
-            self._profile = CatalogProfile(
-                binary_count=catalog.binary_count,
-                edited_count=catalog.edited_count,
-                total_operations=total_operations,
-                main_edited=structure.main_edited_count,
-                unclassified=structure.unclassified_count,
-            )
-        return self._profile
+        """Current catalog cardinalities, read from running counters."""
+        catalog = self._database.catalog
+        structure = self._database.bwm_structure
+        return CatalogProfile(
+            binary_count=catalog.binary_count,
+            edited_count=catalog.edited_count,
+            total_operations=catalog.total_operations,
+            main_edited=structure.main_edited_count,
+            unclassified=structure.unclassified_count,
+        )
 
     def selectivity(self, query: RangeQuery) -> float:
         """Estimated fraction of binary images matching ``query``.
@@ -327,26 +330,32 @@ class CostBasedPlanner:
         (empty catalog) — both BWM terms then sit mid-range, which keeps
         the decision on the cardinality terms alone.
         """
-        if not self._database.catalog.binary_count:
+        binary_count = self._database.catalog.binary_count
+        if not binary_count:
             return 0.5
-        if not self._statistics_fresh:
+        if self._summarized_binaries is None:
             self._statistics.refresh()
-            self._statistics_fresh = True
+            self._summarized_binaries = binary_count
         try:
             stats = self._statistics.bin_statistics(query.bin_index)
         except QueryError:
             return 0.5
         return stats.estimate_selectivity(query.pct_min, query.pct_max)
 
-    def _memoized_images(self) -> int:
-        """How many edited images already have a memoized all-bins walk."""
+    def _memoized_images(self, profile: CatalogProfile) -> Tuple[int, int]:
+        """How many ``(edited, binary)`` images hold a valid memo row.
+
+        Rows are not tagged by kind and either kind is read by the same
+        column compare, so the split only has to add up: valid rows are
+        credited to the edited population first (the dear ones to miss),
+        the remainder to the binary one.
+        """
         engine = self._database.engine
         if not engine.cache_enabled:
-            return 0
-        cached = engine.cache_stats()["vector_entries"]
-        # The memo also holds binary images read as bases/targets;
-        # clamp to the edited population the estimate is about.
-        return min(cached, self._database.catalog.edited_count)
+            return 0, 0
+        valid = engine.cache_stats()["vector_entries"]
+        edited = min(valid, profile.edited_count)
+        return edited, min(valid - edited, profile.binary_count)
 
     # ------------------------------------------------------------------
     # Costing
@@ -415,16 +424,18 @@ class CostBasedPlanner:
         )
 
     def _cost_vectorized(self, profile: CatalogProfile) -> PlanAlternative:
-        cached = self._memoized_images()
+        cached, cached_binary = self._memoized_images(profile)
         uncached = profile.edited_count - cached
         # Fully-memoized traffic never enters the sweep, so the fixed
         # setup is only charged while some image still needs computing.
         setup = self.COST_BATCH_SETUP if uncached > 0 else 0.0
+        # A memoized binary image is a row of the same matrix, read by
+        # the same column compare as a memoized edited one.
         cost = (
-            profile.binary_count * self.COST_HISTOGRAM
+            (profile.binary_count - cached_binary) * self.COST_HISTOGRAM
             + setup
             + uncached * profile.mean_operations * self.COST_BATCHED_RULE
-            + cached * self.COST_CACHE_HIT
+            + (cached + cached_binary) * self.COST_CACHE_HIT
         )
         return PlanAlternative(
             Strategy.VECTORIZED_BATCH,
@@ -457,7 +468,7 @@ class CostBasedPlanner:
                 search,
                 "point + interval indexes fresh; two spatial lookups",
             )
-        cached = self._memoized_images()
+        cached, _ = self._memoized_images(profile)
         uncached = profile.edited_count - cached
         # The interval-index rebuild rides the same columnar sweep.
         rebuild = (

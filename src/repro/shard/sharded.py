@@ -262,7 +262,7 @@ class ShardedCatalog:
 
     def _attach(self, shard: _Shard) -> None:
         """Subscribe the ingestion listener to a shard's database."""
-        shard.database.engine.cache_enabled = True
+        shard.database.engine.enable_memo()
         shard.database.engine.add_invalidation_listener(
             self._listener_for(shard)
         )

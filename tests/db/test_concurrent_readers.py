@@ -156,7 +156,7 @@ class TestLoadersVersusMigration:
 class TestReadersFillingTheBoundsMemo:
     def test_disjoint_and_overlapping_dirty_rows_are_swept_once(self):
         cached = _make_database(43, bases=30, variants=3)  # 120 rows: the memo grows
-        cached.engine.cache_enabled = True
+        cached.engine.enable_memo()
         plain = _make_database(43, bases=30, variants=3)
         ids = list(cached.ids())
         queries = [RangeQuery.at_least(b, 0.15) for b in (0, 21, 42, 63)]

@@ -364,7 +364,7 @@ class TestLiveService:
         root = tmp_path / "db"
         save_database(database, root)
         database = load_database(root)
-        database.engine.cache_enabled = True
+        database.engine.enable_memo()
         oracle = _oracle(database)
 
         with QueryService(database, max_workers=3) as service:
@@ -413,7 +413,7 @@ class TestLiveService:
         root = tmp_path / "db"
         save_database(database, root)
         database = load_database(root)
-        database.engine.cache_enabled = True
+        database.engine.enable_memo()
         with QueryService(database, max_workers=2) as service:
             service.execute(QUERY)  # warm the result cache
             Migrator(root, batch_size=4, service=service).run()

@@ -5,17 +5,27 @@ clock; blocking behavior (shedding, drain) is driven by events patched
 into the database's ``range_query``, so nothing here sleeps on faith.
 """
 
+import sys
 import threading
+from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
+from repro.color.names import FLAG_PALETTE
 from repro.core.query import RangeQuery
+from repro.db.database import MultimediaDatabase
+from repro.editing.operations import Define, Merge
+from repro.editing.recipes import build_variant
+from repro.editing.sequence import EditSequence
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
     ServiceOverloadedError,
     ServiceShutdownError,
 )
+from repro.images.generators import random_palette_image
+from repro.images.geometry import Rect
 from repro.service import QueryService, Strategy
 
 
@@ -342,3 +352,170 @@ class TestValidationAndMetrics:
         other = RangeQuery(blue_query(small_database).bin_index, 0.0, 0.9)
         service.execute(other, strategy="index_assisted")
         assert service.metrics.counter("index_rebuilds") == 1
+
+
+def rebuilt(database) -> MultimediaDatabase:
+    """An uncached database built from scratch with ``database``'s
+    records (catalog order is a valid insertion order)."""
+    fresh = MultimediaDatabase(database.quantizer, database.fill_color)
+    catalog = database.catalog
+    for image_id in catalog.binary_ids():
+        fresh.insert_image(catalog.binary_record(image_id).image, image_id)
+    for image_id in catalog.edited_ids():
+        fresh.insert_edited(catalog.sequence_of(image_id), image_id)
+    return fresh
+
+
+class TestServesAMemoizingEngine:
+    """The service reads bounds from the memo of the database it serves;
+    the database's own mutators keep that memo right."""
+
+    TEXTS = (
+        "at least 10% red",
+        "at most 40% blue",
+        "at least 10% red and at most 60% blue",
+    )
+    SCRIPT = (
+        "insert", "derive", "derive", "update", "derive", "delete",
+        "insert", "reinsert", "update", "derive", "delete", "reinsert",
+    )
+
+    def _derive(self, rng, database) -> EditSequence:
+        """A variant of any stored image — chained bases included —
+        merging any other in."""
+        ids = list(database.ids())
+        base, target = (ids[int(rng.integers(len(ids)))] for _ in range(2))
+        shape = database.bounds(base, 0)
+        operations = build_variant(
+            rng, shape.height, shape.width, FLAG_PALETTE,
+            bound_widening=bool(rng.integers(2)), merge_target=target,
+        )
+        if rng.integers(3) == 0:
+            operations = [Define(Rect(0, 0, 2, 3)), Merge(target, 1, 1)]
+        return EditSequence(base, tuple(operations))
+
+    def _write(self, step, rng, service, out_of_band, counter):
+        """One write: through the wrappers, or on the database itself
+        under ``write_locked()`` as the migrator does."""
+        database = service.database
+        target = database if out_of_band else service
+        catalog = database.catalog
+        loose = [i for i in catalog.edited_ids() if not catalog.referrers(i)]
+        with service.write_locked() if out_of_band else nullcontext():
+            if step == "insert":
+                image = random_palette_image(rng, 6, 8, FLAG_PALETTE)
+                target.insert_image(image, image_id=f"b{counter}")
+            elif step == "derive":
+                target.insert_edited(self._derive(rng, database), f"e{counter}")
+            elif step == "update":
+                binary = list(catalog.binary_ids())
+                victim = binary[int(rng.integers(len(binary)))]
+                target.update_image(
+                    victim, random_palette_image(rng, 6, 8, FLAG_PALETTE)
+                )
+            elif loose:  # delete / reinsert
+                victim = loose[int(rng.integers(len(loose)))]
+                target.delete_edited(victim)
+                if step == "reinsert":
+                    target.insert_edited(self._derive(rng, database), victim)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_every_strategy_agrees_after_every_write(self, seed):
+        rng = np.random.default_rng(seed)
+        with QueryService(MultimediaDatabase(), max_workers=2) as service:
+            for counter, step in enumerate(("insert", "derive") + self.SCRIPT):
+                self._write(step, rng, service, bool(counter % 2), counter)
+                oracle = rebuilt(service.database)
+                for text in self.TEXTS:
+                    expected = oracle.text_query(text, method="rbm").matches
+                    for strategy in Strategy:
+                        service.cache.clear()  # the key ignores the strategy
+                        outcome = service.execute(text, strategy=strategy)
+                        assert outcome.result.matches == expected, (
+                            seed, counter, step, text, strategy,
+                        )
+
+    def test_a_warm_miss_applies_no_rules(self, service, small_database):
+        engine = small_database.engine
+        service.execute("at least 10% blue", strategy="linear_rbm")  # warms
+        before = engine.rules_applied
+        miss = service.execute("at least 20% red")
+        assert not miss.cache_hit
+        assert miss.result.stats.rules_applied == 0
+        assert engine.rules_applied == before
+        analyzed = service.explain_analyze(
+            "at least 30% white", with_attribution=False
+        )
+        assert analyzed.plans[0].actuals.bounds_cache_hits > 0
+        assert engine.rules_applied == before
+
+    def test_first_miss_after_a_write_fills_only_what_it_dirtied(
+        self, service, small_database
+    ):
+        engine = small_database.engine
+        catalog = small_database.catalog
+        anything = RangeQuery.at_least(blue_query(small_database).bin_index, 0.0)
+        service.execute(anything, strategy="vectorized_batch")
+        middle = next(iter(catalog.edited_ids()))
+        sequence = EditSequence(middle, (Define(Rect(0, 0, 2, 3)),))
+        service.insert_edited(sequence, "leaf")
+        rules, misses = engine.rules_applied, engine.cache_misses
+        outcome = service.execute(anything, strategy="vectorized_batch")
+        assert not outcome.cache_hit and "leaf" in outcome.result.matches
+        assert engine.cache_misses - misses == 1
+        grew = engine.rules_applied - rules
+        assert 0 < grew <= len(sequence) + len(catalog.sequence_of(middle))
+
+    def test_serving_leaves_the_memo_on_and_right(self, small_database, rng):
+        """The converse of ``test_an_uncached_engine_retains_nothing``."""
+        engine = small_database.engine
+        assert not engine.cache_enabled
+        QueryService(small_database).shutdown()
+        assert engine.cache_enabled
+        query = blue_query(small_database)
+        first = small_database.range_query(query, method="rbm")
+        assert first.stats.rules_applied > 0
+        assert small_database.range_query(query, method="rbm").stats.rules_applied == 0
+        base = next(iter(small_database.catalog.binary_ids()))
+        small_database.update_image(
+            base, random_palette_image(rng, 14, 18, FLAG_PALETTE)
+        )
+        for method in ("rbm", "bwm"):
+            assert (
+                small_database.range_query(query, method=method).matches
+                == rebuilt(small_database).range_query(query, method="rbm").matches
+            )
+
+    def test_concurrent_misses_fill_a_cold_memo_once(self, small_database):
+        engine = small_database.engine
+        texts = ("at least 10% blue", "at least 20% red")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(small_database, max_workers=2) as service:
+                service.execute(texts[0], strategy="vectorized_batch")
+                work = engine.rules_applied  # one fill of every row
+                planned = threading.Barrier(2)
+                plan = service.planner.plan
+
+                def plan_together(query, index_fresh=False):
+                    planned.wait(timeout=10)  # both missed, neither filled
+                    return plan(query, index_fresh=index_fresh)
+
+                service.planner.plan = plan_together
+                for _ in range(5):
+                    engine.invalidate_cache()  # flushes the result cache too
+                    before = engine.rules_applied
+                    futures = [
+                        service.submit(text, strategy="vectorized_batch")
+                        for text in texts
+                    ]
+                    got = [future.result(timeout=10) for future in futures]
+                    assert not any(outcome.cache_hit for outcome in got)
+                    assert engine.rules_applied - before == work
+                    for text, outcome in zip(texts, got):
+                        assert outcome.result.matches == rebuilt(
+                            small_database
+                        ).text_query(text, method="rbm").matches
+        finally:
+            sys.setswitchinterval(interval)

@@ -11,7 +11,7 @@ from repro.service import QueryService, Strategy
 
 @pytest.fixture
 def service(small_database):
-    small_database.engine.cache_enabled = True
+    small_database.engine.enable_memo()
     with QueryService(small_database, max_workers=2) as svc:
         yield svc
 
@@ -175,7 +175,7 @@ class TestTracedServicePath:
 
 class TestSlowQueryIntegration:
     def test_zero_threshold_records_every_query_with_trace(self, small_database):
-        small_database.engine.cache_enabled = True
+        small_database.engine.enable_memo()
         with QueryService(
             small_database, max_workers=1, slow_query_threshold=0.0
         ) as svc:

@@ -12,9 +12,13 @@ import pytest
 from repro.color.names import FLAG_PALETTE
 from repro.core.query import RangeQuery
 from repro.db.database import MultimediaDatabase
+from repro.db.statistics import DatabaseStatistics
+from repro.editing.operations import Define, Merge
+from repro.editing.sequence import EditSequence
 from repro.errors import ServiceError
 from repro.images.generators import random_palette_image
-from repro.service import CostBasedPlanner, QueryService, Strategy
+from repro.images.geometry import Rect
+from repro.service import CatalogProfile, CostBasedPlanner, QueryService, Strategy
 
 
 def populated_bin(database):
@@ -99,8 +103,6 @@ class TestCostModel:
         """The measured constants pin the crossover: the columnar sweep
         beats both classic strategies on a 10k-image catalog and loses
         to them on a small one, across the selectivity range."""
-        from repro.service.planner import CatalogProfile
-
         planner = CostBasedPlanner(MultimediaDatabase())
         tiny = CatalogProfile(
             binary_count=4,
@@ -149,6 +151,115 @@ class TestCostModel:
         )
         after = planner.profile()
         assert after.binary_count == before.binary_count + 1
+        planner.close()
+
+    def test_profile_counters_equal_a_recount(
+        self, small_database, rng, monkeypatch
+    ):
+        """The running counters survive every kind of write, a failed
+        one (BWM filing raises, the catalog insert rolls back) included."""
+        database = small_database
+        catalog, structure = database.catalog, database.bwm_structure
+        planner = CostBasedPlanner(database)
+        base = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        DR = Rect(0, 0, 2, 3)
+
+        def recount() -> CatalogProfile:
+            lengths = [len(catalog.sequence_of(i)) for i in catalog.edited_ids()]
+            return CatalogProfile(
+                binary_count=len(list(catalog.binary_ids())),
+                edited_count=len(lengths),
+                total_operations=sum(lengths),
+                main_edited=sum(len(c) for _, c in structure.clusters()),
+                unclassified=len(list(structure.unclassified)),
+            )
+
+        def failing_insert():
+            def refuse(image_id, sequence):
+                raise RuntimeError("filing failed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(structure, "insert_edited", refuse)
+                with pytest.raises(RuntimeError):
+                    database.insert_edited(EditSequence(base, (Define(DR),)))
+
+        script = [
+            lambda: database.augment(base, rng, 3, FLAG_PALETTE, 0.5),
+            lambda: database.insert_edited(
+                EditSequence(base, (Define(DR), Merge(base, 1, 1))), "merged"
+            ),
+            lambda: database.insert_edited(EditSequence("merged"), "chained"),
+            failing_insert,
+            lambda: database.delete_edited("chained"),
+            lambda: database.update_image(
+                base, random_palette_image(rng, 8, 8, FLAG_PALETTE)
+            ),
+            lambda: database.delete_edited("merged"),
+            lambda: database.insert_edited(EditSequence(base, (Define(DR),)), "merged"),
+        ]
+        assert planner.profile() == recount()
+        for step in script:
+            step()
+            assert planner.profile() == recount()
+            assert planner.profile().edited_count > 0
+        planner.close()
+
+    def test_statistics_refresh_only_when_a_binary_image_changed(
+        self, small_database, rng, monkeypatch
+    ):
+        database = small_database
+        statistics = DatabaseStatistics(database)
+        refresh, refreshes = statistics.refresh, []
+
+        def counted_refresh():
+            refreshes.append(1)
+            refresh()
+
+        monkeypatch.setattr(statistics, "refresh", counted_refresh)
+        planner = CostBasedPlanner(database, statistics)
+        query = RangeQuery.at_least(populated_bin(database), 0.2)
+        base = next(iter(database.catalog.binary_ids()))
+
+        def plans_with(expected_refreshes):
+            assert planner.plan(query).selectivity == CostBasedPlanner(
+                database
+            ).selectivity(query)
+            assert len(refreshes) == expected_refreshes
+
+        plans_with(1)
+        leaf = database.insert_edited(EditSequence(base, (Define(Rect(0, 0, 2, 3)),)))
+        plans_with(1)
+        database.delete_edited(leaf)
+        plans_with(1)
+        fresh = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        plans_with(2)
+        database.update_image(fresh, random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        plans_with(3)
+        database.delete_image(fresh)
+        plans_with(4)
+        database.engine.invalidate_cache()
+        plans_with(5)
+        planner.close()
+
+    def test_warm_memo_beats_a_fresh_index(self, rng):
+        """Memoized binary rows are rows of the same matrix: with every
+        row valid, two index searches do not undercut a column compare
+        (60 + 60 images, selectivity ~0: cost 6 against ~40)."""
+        database = MultimediaDatabase(bounds_cache=True)
+        for _ in range(60):
+            base = database.insert_image(
+                random_palette_image(rng, 8, 8, FLAG_PALETTE)
+            )
+            database.augment(base, rng, variants=1, palette=FLAG_PALETTE)
+        planner = CostBasedPlanner(database)
+        query = RangeQuery.at_least(populated_bin(database), 0.99)
+        assert planner.plan(query, index_fresh=True).strategy is Strategy.INDEX_ASSISTED
+        database.range_query(query, method="rbm")  # fills every row
+        plan = planner.plan(query, index_fresh=True)
+        assert plan.strategy is Strategy.VECTORIZED_BATCH
+        assert plan.estimated_cost == pytest.approx(
+            120 * CostBasedPlanner.COST_CACHE_HIT
+        )
         planner.close()
 
     def test_empty_catalog_plans_without_statistics(self):
