@@ -17,7 +17,7 @@ module provides over the reproduction's machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -105,27 +105,41 @@ class DatabaseStatistics:
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Recompute all per-bin statistics from the catalog."""
+        """Recompute all per-bin statistics from the catalog.
+
+        Whole-matrix: each bin is a contiguous row, so its min / max /
+        mean reduce exactly as its column alone would, and one offset
+        ``bincount`` counts every bin's buckets at once.
+        """
         catalog = self._database.catalog
-        fractions: List[np.ndarray] = [
-            catalog.histogram_of(image_id).fractions()
-            for image_id in catalog.binary_ids()
+        histograms = [
+            catalog.histogram_of(image_id) for image_id in catalog.binary_ids()
         ]
         self._bin_stats.clear()
-        if not fractions:
+        if not histograms:
             return
-        matrix = np.stack(fractions)  # images x bins
-        for bin_index in range(self._database.quantizer.bin_count):
-            column = matrix[:, bin_index]
-            buckets = np.clip(
-                (column * _BUCKETS).astype(np.int64), 0, _BUCKETS - 1
-            )
+        # bins x images; the same division ColorHistogram.fractions does.
+        rows = np.stack([h.counts for h in histograms], axis=1) / np.array(
+            [float(h.total) for h in histograms]
+        )
+        bins = rows.shape[0]
+        buckets = np.clip((rows * _BUCKETS).astype(np.int64), 0, _BUCKETS - 1)
+        buckets += np.arange(0, bins * _BUCKETS, _BUCKETS)[:, None]
+        counts = np.bincount(
+            buckets.ravel(), minlength=bins * _BUCKETS
+        ).reshape(bins, _BUCKETS)
+        summaries = zip(
+            rows.min(axis=1).tolist(),
+            rows.max(axis=1).tolist(),
+            rows.mean(axis=1).tolist(),
+        )
+        for bin_index, (minimum, maximum, mean) in enumerate(summaries):
             self._bin_stats[bin_index] = BinStatistics(
                 bin_index=bin_index,
-                minimum=float(column.min()),
-                maximum=float(column.max()),
-                mean=float(column.mean()),
-                bucket_counts=np.bincount(buckets, minlength=_BUCKETS),
+                minimum=minimum,
+                maximum=maximum,
+                mean=mean,
+                bucket_counts=counts[bin_index],
             )
 
     def bin_statistics(self, bin_index: int) -> BinStatistics:

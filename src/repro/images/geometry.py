@@ -120,8 +120,18 @@ class Rect:
     # Transformations
     # ------------------------------------------------------------------
     def clip(self, height: int, width: int) -> "Rect":
-        """Clip to an image of the given dimensions."""
-        return self.intersect(Rect(0, 0, height, width))
+        """Clip to an image of the given dimensions.
+
+        ``intersect(Rect(0, 0, height, width))`` without building that
+        rectangle: the executor and the scalar rules clip per region op.
+        """
+        x1 = max(self.x1, 0)
+        y1 = max(self.y1, 0)
+        x2 = min(self.x2, height)
+        y2 = min(self.y2, width)
+        if x2 <= x1 or y2 <= y1:
+            return EMPTY_RECT
+        return Rect(x1, y1, x2, y2)
 
     def translate(self, dx: int, dy: int) -> "Rect":
         """Return the rectangle shifted by ``(dx, dy)``."""

@@ -29,21 +29,23 @@ served ``q`` queries::
 the estimated fraction of catalog images with meaningful mass in the
 candidate's base dominant bin.  A dense color region means range
 queries on those bins keep visiting the cluster, so its long sequences
-pay off first; a lonely region decays toward the floor weight.
+pay off first; a lonely region decays toward the floor weight.  A base
+that is itself an edited image has no stored histogram and weighs 1.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bounds import BoundsEngine
-from repro.db.records import EditedImageRecord
+from repro.db.catalog import Catalog
 from repro.db.statistics import DatabaseStatistics
-from repro.errors import QueryError, ShardError
+from repro.errors import ShardError
 from repro.obs.trace import maybe_tracer
-from repro.shard.sharded import ShardedCatalog, _Shard
+from repro.shard.sharded import ShardedCatalog
 
 #: §5 cost of one Table 1 rule application, in work units.
 COST_RULE = 1.0
@@ -187,8 +189,7 @@ class Compactor:
         tracer = maybe_tracer("compaction")
         with tracer.span("compaction.cycle"):
             with tracer.span("compaction.score"):
-                candidates = self._score_candidates()
-            chosen = candidates[: self.policy.max_per_cycle]
+                considered, chosen = self._score_candidates()
             materialized: List[str] = []
             skipped_stale = 0
             projected_total = 0.0
@@ -217,7 +218,7 @@ class Compactor:
                 "compaction.skipped_stale", skipped_stale
             )
         report = CompactionReport(
-            candidates_considered=len(candidates),
+            candidates_considered=considered,
             materialized=tuple(materialized),
             skipped_stale=skipped_stale,
             projected_saving=projected_total,
@@ -230,7 +231,7 @@ class Compactor:
             "compaction.cycle",
             subsystem="compactor",
             trace_id=tracer.trace_id,
-            candidates=len(candidates),
+            candidates=considered,
             materialized=len(materialized),
             skipped_stale=skipped_stale,
             projected_saving=round(projected_total, 3),
@@ -283,53 +284,67 @@ class Compactor:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _score_candidates(self) -> List[_Candidate]:
-        candidates: List[_Candidate] = []
+    def _score_candidates(self) -> Tuple[int, List[_Candidate]]:
+        """Count the candidates that pass the policy; return the best.
+
+        Work is done once per distinct value, not per edited image: a
+        demand weight per base, a selectivity per dominant bin (both
+        local to this call), and only the ``max_per_cycle`` winners are
+        built, best score first, ties by shard then id.
+        """
+        policy = self.policy
+        scored: List[Tuple[float, int, str, int]] = []
         for shard in self.catalog._shards:
             with shard.lock.read_locked():
-                if shard.queries_served == 0 and self.policy.require_demand:
+                if shard.queries_served == 0 and policy.require_demand:
                     continue
                 hotness = max(1, shard.queries_served)
+                catalog = shard.database.catalog
                 statistics = DatabaseStatistics(shard.database)
-                for image_id in shard.database.catalog.edited_ids():
+                base_weights: Dict[str, float] = {}
+                bin_weights: Dict[int, float] = {}
+                for image_id in catalog.edited_ids():
                     if image_id in shard.materialized:
                         continue
-                    record = shard.database.catalog.edited_record(image_id)
-                    ops = len(record.sequence)
-                    if ops < self.policy.min_ops:
+                    sequence = catalog.edited_record(image_id).sequence
+                    ops = len(sequence)
+                    if ops < policy.min_ops:
                         continue
-                    weight = self._demand_weight(shard, record, statistics)
+                    base_id = sequence.base_id
+                    weight = base_weights.get(base_id)
+                    if weight is None:
+                        weight = base_weights[base_id] = self._demand_weight(
+                            catalog, base_id, statistics, bin_weights
+                        )
                     score = hotness * ops * COST_RULE * weight
-                    if score < self.policy.min_score:
+                    if score < policy.min_score:
                         continue
-                    candidates.append(
-                        _Candidate(shard.index, image_id, score, shard.version)
-                    )
-        candidates.sort(key=lambda c: (-c.score, c.shard_index, c.image_id))
-        return candidates
+                    scored.append((-score, shard.index, image_id, shard.version))
+        winners = heapq.nsmallest(policy.max_per_cycle, scored)
+        return len(scored), [
+            _Candidate(index, image_id, -negated, version)
+            for negated, index, image_id, version in winners
+        ]
 
     @staticmethod
     def _demand_weight(
-        shard: _Shard,
-        record: EditedImageRecord,
+        catalog: Catalog,
+        base_id: str,
         statistics: DatabaseStatistics,
+        bin_weights: Dict[int, float],
     ) -> float:
-        """How much of the catalog shares the candidate's color region."""
-        try:
-            histogram = shard.database.catalog.histogram_of(
-                record.sequence.base_id
-            )
-        except Exception:  # base may be edited too; fall back to neutral
-            return 1.0
-        fractions = histogram.fractions()
-        dominant = int(fractions.argmax())
-        try:
+        """How much of the catalog shares the base's color region."""
+        if not catalog.is_binary(base_id):
+            return 1.0  # an edited base has no stored histogram: neutral
+        # The dominant bin of the counts is that of the fractions.
+        dominant = int(catalog.histogram_of(base_id).counts.argmax())
+        weight = bin_weights.get(dominant)
+        if weight is None:
             selectivity = statistics.bin_statistics(
                 dominant
             ).estimate_selectivity(_DOMINANT_MASS, 1.0)
-        except QueryError:
-            return 1.0
-        return max(_WEIGHT_FLOOR, float(selectivity))
+            weight = bin_weights[dominant] = max(_WEIGHT_FLOOR, float(selectivity))
+        return weight
 
     # ------------------------------------------------------------------
     # Materialization

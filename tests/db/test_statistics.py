@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.color.quantization import UniformQuantizer
 from repro.core.query import RangeQuery
 from repro.db.database import MultimediaDatabase
 from repro.db.statistics import DatabaseStatistics
@@ -102,3 +103,92 @@ class TestExplain:
         before = database.engine.rules_applied
         statistics.explain(RangeQuery.at_least(0, 0.2))
         assert database.engine.rules_applied == before
+
+
+def _per_column_reference(database):
+    """The refresh the whole-matrix one replaced: one column at a time."""
+    catalog = database.catalog
+    fractions = [
+        catalog.histogram_of(image_id).fractions()
+        for image_id in catalog.binary_ids()
+    ]
+    matrix = np.stack(fractions)  # images x bins
+    reference = {}
+    for bin_index in range(database.quantizer.bin_count):
+        column = matrix[:, bin_index]
+        buckets = np.clip((column * 10).astype(np.int64), 0, 9)
+        reference[bin_index] = (
+            float(column.min()),
+            float(column.max()),
+            float(column.mean()),
+            np.bincount(buckets, minlength=10),
+        )
+    return reference
+
+
+def _assert_bit_identical(database):
+    stats = DatabaseStatistics(database)
+    stats.refresh()
+    for bin_index, (low, high, mean, counts) in _per_column_reference(
+        database
+    ).items():
+        got = stats.bin_statistics(bin_index)
+        assert got.bin_index == bin_index
+        assert [type(v) for v in (got.minimum, got.maximum, got.mean)] == [float] * 3
+        assert (repr(got.minimum), repr(got.maximum), repr(got.mean)) == (
+            repr(low), repr(high), repr(mean)
+        ), bin_index
+        assert got.bucket_counts.dtype == counts.dtype
+        assert got.bucket_counts.shape == counts.shape
+        assert np.array_equal(got.bucket_counts, counts), bin_index
+
+
+def _noise_database(rng, count, quantizer=None, height=7, width=9):
+    database = MultimediaDatabase(quantizer=quantizer)
+    for _ in range(count):
+        pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+        database.insert_image(Image(pixels))
+    return database
+
+
+class TestRefreshIsBitIdentical:
+    """Whole-matrix ``refresh`` against the per-column reference."""
+
+    def test_flag_catalog(self, database):
+        _assert_bit_identical(database)
+
+    @pytest.mark.parametrize("count", [2, 9, 130, 300])
+    def test_noise_catalogs(self, count):
+        # Past 8 and 128 images the mean's pairwise summation changes
+        # shape; a row-by-row reduction would differ in the last bits.
+        _assert_bit_identical(_noise_database(np.random.default_rng(count), count))
+
+    def test_fraction_of_exactly_one_lands_in_the_top_bucket(self):
+        database = _noise_database(np.random.default_rng(3), 5)
+        database.insert_image(Image(np.full((4, 6, 3), 255, dtype=np.uint8)))
+        _assert_bit_identical(database)
+        white = database.quantizer.bin_of((255, 255, 255))
+        stats = DatabaseStatistics(database).bin_statistics(white)
+        assert stats.maximum == 1.0
+        assert int(stats.bucket_counts[-1]) >= 1
+
+    def test_single_image(self):
+        database = _noise_database(np.random.default_rng(4), 1)
+        _assert_bit_identical(database)
+        stats = DatabaseStatistics(database).bin_statistics(0)
+        assert stats.minimum == stats.maximum == stats.mean
+
+    def test_no_binaries_leaves_nothing_to_read(self):
+        stats = DatabaseStatistics(MultimediaDatabase())
+        stats.refresh()
+        with pytest.raises(QueryError):
+            stats.bin_statistics(0)
+
+    @pytest.mark.parametrize("divisions", [2, 3, 5])
+    def test_other_quantizers(self, divisions):
+        quantizer = UniformQuantizer(divisions=divisions)
+        database = _noise_database(np.random.default_rng(divisions), 40, quantizer)
+        _assert_bit_identical(database)
+        stats = DatabaseStatistics(database)
+        stats.refresh()
+        assert stats.bin_statistics(divisions ** 3 - 1).bin_index == divisions ** 3 - 1

@@ -101,6 +101,33 @@ class TestRectSetOps:
     def test_clip(self):
         assert Rect(-3, -3, 5, 99).clip(4, 6) == Rect(0, 0, 4, 6)
 
+    @pytest.mark.parametrize(
+        "rect, height, width",
+        [
+            (Rect(1, 2, 3, 4), 10, 12),  # inside
+            (Rect(0, 0, 10, 12), 10, 12),  # exactly the image
+            (Rect(-3, 5, 4, 20), 10, 12),  # overhanging two sides
+            (Rect(-5, -5, 15, 17), 10, 12),  # overhanging all four
+            (Rect(10, 0, 14, 12), 10, 12),  # outside, touching an edge
+            (Rect(-9, -9, -2, -2), 10, 12),  # outside entirely
+            (Rect(3, 3, 3, 9), 10, 12),  # empty
+            (EMPTY_RECT, 10, 12),
+            (Rect(0, 0, 1, 40), 1, 30),  # 1 x N image
+            (Rect(0, -2, 5, 1), 40, 1),  # N x 1 image
+            (Rect(0, 0, 4, 4), 0, 0),  # 0 x 0 image
+        ],
+    )
+    def test_clip_equals_intersection_with_the_image(self, rect, height, width):
+        expected = rect.intersect(Rect(0, 0, height, width))
+        clipped = rect.clip(height, width)
+        assert clipped == expected
+        if expected.is_empty:
+            assert clipped is EMPTY_RECT
+
+    @given(rect_strategy, st.integers(0, 60), st.integers(0, 60))
+    def test_clip_equals_intersection_property(self, rect, height, width):
+        assert rect.clip(height, width) == rect.intersect(Rect(0, 0, height, width))
+
     def test_translate(self):
         assert Rect(1, 1, 2, 2).translate(3, -1) == Rect(4, 0, 5, 1)
 

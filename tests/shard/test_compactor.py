@@ -1,18 +1,23 @@
 """Compactor: result-preserving materialization, work reduction,
-journaling, rollback, and stale-commit protection."""
+journaling, rollback, stale-commit protection, and scoring against the
+per-candidate reference."""
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.query import RangeQuery
-from repro.errors import ShardError
+from repro.db.statistics import DatabaseStatistics
+from repro.editing.operations import Combine, Define, Merge
+from repro.editing.sequence import EditSequence
+from repro.errors import QueryError, ShardError
 from repro.shard import CompactionPolicy, Compactor, ShardedCatalog
-from repro.shard.compactor import _Candidate
+from repro.shard.compactor import COST_RULE, _Candidate
 
-from tests.shard.conftest import build_mirrored_pair, random_image
+from tests.shard.conftest import build_mirrored_pair, random_image, random_sequence
 
 EAGER = CompactionPolicy(min_ops=1, max_per_cycle=32, min_score=0.0,
                          require_demand=False)
@@ -219,5 +224,221 @@ class TestLifecycle:
             assert gated.run_once().materialized == ()
             sharded.range_query(RangeQuery(0, 0.0, 0.5))
             assert gated.run_once().materialized
+        finally:
+            sharded.close()
+
+
+# ----------------------------------------------------------------------
+# Scoring against the per-candidate reference
+# ----------------------------------------------------------------------
+#: Every step of the differential is checked under each of these: the
+#: eager floor, the shipped default, sequence-length and score cut-offs,
+#: demand gating on and off, one winner up to all of them.
+POLICIES = (
+    EAGER,
+    CompactionPolicy(),
+    CompactionPolicy(min_ops=1, max_per_cycle=3, min_score=0.0),
+    CompactionPolicy(min_ops=3, max_per_cycle=1, min_score=0.0,
+                     require_demand=False),
+    CompactionPolicy(min_ops=1, max_per_cycle=5, min_score=2.5,
+                     require_demand=False),
+    CompactionPolicy(min_ops=2, max_per_cycle=2, min_score=6.0),
+)
+
+
+def _reference_weight(shard, record, statistics):
+    try:
+        histogram = shard.database.catalog.histogram_of(record.sequence.base_id)
+    except Exception:  # base may be edited too; fall back to neutral
+        return 1.0
+    dominant = int(histogram.fractions().argmax())
+    try:
+        selectivity = statistics.bin_statistics(
+            dominant
+        ).estimate_selectivity(0.10, 1.0)
+    except QueryError:
+        return 1.0
+    return max(0.25, float(selectivity))
+
+
+def _reference_ranking(compactor):
+    """Every edited image scored on its own, then one full sort."""
+    policy = compactor.policy
+    candidates = []
+    for shard in compactor.catalog._shards:
+        with shard.lock.read_locked():
+            if shard.queries_served == 0 and policy.require_demand:
+                continue
+            hotness = max(1, shard.queries_served)
+            statistics = DatabaseStatistics(shard.database)
+            for image_id in shard.database.catalog.edited_ids():
+                if image_id in shard.materialized:
+                    continue
+                record = shard.database.catalog.edited_record(image_id)
+                ops = len(record.sequence)
+                if ops < policy.min_ops:
+                    continue
+                weight = _reference_weight(shard, record, statistics)
+                score = hotness * ops * COST_RULE * weight
+                if score < policy.min_score:
+                    continue
+                candidates.append(
+                    _Candidate(shard.index, image_id, score, shard.version)
+                )
+    candidates.sort(key=lambda c: (-c.score, c.shard_index, c.image_id))
+    return candidates
+
+
+def _key(candidates):
+    return [
+        (c.shard_index, c.image_id, repr(c.score), c.shard_version)
+        for c in candidates
+    ]
+
+
+def _leaf_edits(sharded):
+    return [
+        image_id
+        for shard in sharded._shards
+        for image_id in shard.database.catalog.edited_ids()
+        if not shard.database.catalog.referrers(image_id)
+    ]
+
+
+def _churn_step(sharded, rng, ties):
+    """One seeded mutation, query, hotness change, cycle or rollback."""
+    shards = sharded._shards
+    ids = sorted(sharded.placement())
+    roll = int(rng.integers(0, 7))
+    if roll == 0:
+        # Zero-query shards, and equal hotness across shards (ties).
+        for shard in shards:
+            with shard.stats_lock:
+                shard.queries_served = (
+                    3 if ties else int(rng.choice([0, 0, 1, 2, 5]))
+                )
+    elif roll == 1:
+        binaries = [i for i in ids if sharded.shard_database(
+            sharded.shard_of(i)).catalog.is_binary(i)]
+        sharded.update_image(
+            binaries[int(rng.integers(len(binaries)))], random_image(rng)
+        )
+    elif roll == 2:
+        # Based on any image, edited ones included; any Merge targets
+        # the base, so edited Merge targets occur too.
+        base = ids[int(rng.integers(len(ids)))]
+        sharded.insert_edited(random_sequence(rng, base, max_ops=5))
+    elif roll == 3:
+        leaves = _leaf_edits(sharded)
+        if leaves:
+            sharded.delete_edited(leaves[int(rng.integers(len(leaves)))])
+    elif roll == 4:
+        policy = POLICIES[int(rng.integers(len(POLICIES)))]
+        compactor = Compactor(sharded, policy)
+        ranking = _reference_ranking(compactor)
+        chosen = ranking[: policy.max_per_cycle]
+        report = compactor.run_once()
+        assert report.candidates_considered == len(ranking)
+        assert report.materialized == tuple(c.image_id for c in chosen)
+        assert report.skipped_stale == 0
+        assert repr(report.projected_saving) == repr(
+            sum((c.score for c in chosen), 0.0)
+        )
+    elif roll == 5:
+        materialized = sorted(sharded.materialized_images())
+        if materialized:
+            victim = materialized[int(rng.integers(len(materialized)))]
+            assert Compactor(sharded).rollback(victim)
+    else:
+        sharded.range_query(
+            RangeQuery(int(rng.integers(sharded.quantizer.bin_count)), 0.0, 0.4)
+        )
+
+
+class TestScoringDifferential:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_winners_match_per_candidate_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        ties = seed % 2 == 0
+        sharded, _, _ = build_mirrored_pair(
+            rng, shard_count=3, binary_count=8, edited_count=14
+        )
+        try:
+            for step in range(14):
+                _churn_step(sharded, rng, ties)
+                for policy in POLICIES:
+                    compactor = Compactor(sharded, policy)
+                    considered, winners = compactor._score_candidates()
+                    ranking = _reference_ranking(compactor)
+                    assert considered == len(ranking), (step, policy)
+                    assert _key(winners) == _key(
+                        ranking[: policy.max_per_cycle]
+                    ), (step, policy)
+        finally:
+            sharded.close()
+
+    def test_equal_scores_tie_break_by_shard_then_id(self, rng):
+        sharded = ShardedCatalog(3)
+        try:
+            image = random_image(rng)
+            # Identical bases: every shard's statistics agree, so every
+            # two-op edit scores the same.
+            for _ in range(6):
+                base = sharded.insert_image(image)
+                for _ in range(2):
+                    sharded.insert_edited(
+                        EditSequence(base, (Define.of(1, 1, 8, 9), Combine.box()))
+                    )
+            policy = CompactionPolicy(min_ops=1, max_per_cycle=5,
+                                      min_score=0.0, require_demand=False)
+            compactor = Compactor(sharded, policy)
+            considered, winners = compactor._score_candidates()
+            ranking = _reference_ranking(compactor)
+            assert considered == len(ranking) == 12
+            assert len({c.score for c in ranking}) == 1
+            assert len({c.shard_index for c in ranking}) > 1
+            expected = sorted(ranking, key=lambda c: (c.shard_index, c.image_id))
+            assert _key(winners) == _key(expected[:5])
+        finally:
+            sharded.close()
+
+
+class TestDemandWeight:
+    def test_edited_base_weighs_one(self, rng):
+        sharded, _, base_ids = build_mirrored_pair(
+            rng, shard_count=1, binary_count=3, edited_count=3
+        )
+        try:
+            parent = next(iter(sharded._shards[0].database.catalog.edited_ids()))
+            child = sharded.insert_edited(
+                EditSequence(parent, (Define.of(1, 1, 8, 9), Combine.box(),
+                                      Merge(parent, 1, 1)))
+            )
+            considered, winners = Compactor(sharded, EAGER)._score_candidates()
+            scores = {c.image_id: c.score for c in winners}
+            assert considered == 4
+            # No query served: hotness 1; three ops; neutral weight.
+            assert scores[child] == 1 * 3 * COST_RULE * 1.0
+            for image_id, score in scores.items():
+                if image_id != child:
+                    ops = len(sharded.shard_database(0).catalog.sequence_of(image_id))
+                    assert 0.25 * ops <= score <= ops
+        finally:
+            sharded.close()
+
+    def test_unexpected_error_is_not_scored_neutral(self, rng, monkeypatch):
+        sharded, _, _ = build_mirrored_pair(
+            rng, shard_count=1, binary_count=3, edited_count=3
+        )
+        try:
+            catalog = sharded.shard_database(0).catalog
+
+            def broken(image_id):
+                raise RuntimeError(f"histogram of {image_id} unreadable")
+
+            monkeypatch.setattr(catalog, "histogram_of", broken)
+            with pytest.raises(RuntimeError, match="unreadable"):
+                Compactor(sharded, EAGER).run_once()
+            assert not sharded.materialized_images()
         finally:
             sharded.close()
