@@ -34,7 +34,7 @@ from repro.bench.reporting import format_table
 from repro.db.migration import Migrator
 from repro.db.persistence import load_database, save_database
 from repro.service import QueryService
-from repro.service.metrics import percentile
+from repro.obs.metrics import percentile
 from repro.workloads.datasets import build_database
 from repro.workloads.queries import make_query_workload
 from repro.workloads.table2 import FLAG_PARAMETERS

@@ -44,7 +44,7 @@ from repro.editing.operations import Combine, Define, Merge, Modify, Mutate
 from repro.editing.sequence import EditSequence
 from repro.images.generators import random_palette_image
 from repro.obs import HealthMonitor, set_tracing
-from repro.service.metrics import percentile
+from repro.obs.metrics import percentile
 from repro.shard import ShardedCatalog
 
 SCALE = float(os.environ.get("REPRO_BENCH_OBS_SCALE", "1.0"))

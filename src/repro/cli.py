@@ -14,10 +14,10 @@ Subcommands mirror the workflow of the paper's prototype:
               ``--rollback`` to abandon, ``--status`` to inspect)
 ``evaluate``  regenerate Table 2 and the Figure 3/4 series
 ``explain``   EXPLAIN (and with ``--analyze``, EXPLAIN ANALYZE) a query:
-              costed plan alternatives, executed actuals, prune
+              the plan's strategy, executed actuals, prune
               attribution, and the span tree
 ``serve-stats`` drive a query workload through the concurrent service
-              and report planner choices plus service metrics
+              and report the strategies run plus service metrics
               (``--prometheus`` for text exposition, ``--slow`` for the
               slow-query log, ``--trace-out`` for a Chrome trace file)
 ``lint``      run the concurrency/numeric-discipline AST linter plus
@@ -66,6 +66,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 from typing import List, Optional
 
 import numpy as np
@@ -179,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explain = commands.add_parser(
         "explain",
-        help="show the costed plan for a query; --analyze also executes "
+        help="show the plan for a query; --analyze also executes "
         "it and reports actuals, prune attribution, and the trace",
     )
     explain.add_argument("directory")
@@ -188,10 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="execute the plan and attach actuals "
                          "(EXPLAIN ANALYZE)")
     explain.add_argument("--strategy",
-                         choices=("linear_rbm", "bwm", "vectorized_batch",
-                                  "index_assisted"),
+                         choices=("bwm", "vectorized_batch", "index_assisted"),
                          default=None,
-                         help="force a strategy instead of the planner's pick")
+                         help="force a strategy instead of the fixed plan "
+                         "(vectorized_batch)")
     explain.add_argument("--no-attribution", action="store_true",
                          help="skip the per-image prune attribution pass")
     explain.add_argument("--json", action="store_true",
@@ -200,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve-stats",
         help="run a query workload through the concurrent query service "
-        "and print planner choices plus service metrics",
+        "and print the strategies run plus service metrics",
     )
     serve.add_argument("directory")
     serve.add_argument("--queries", type=int, default=24,
@@ -535,14 +536,13 @@ def _cmd_serve_stats(args: argparse.Namespace, out) -> int:
     with QueryService(
         database,
         max_workers=args.workers,
-        prebuild_indexes=True,
         slow_query_threshold=args.slow_threshold,
     ) as service:
         with tracing(trace_on):
             futures = [service.submit(query) for query in queries]
             outcomes = [future.result() for future in futures]
-        plan_counts = service.planner.plan_counts(
-            plan for outcome in outcomes for plan in outcome.plans
+        plan_counts = Counter(
+            plan.strategy.value for outcome in outcomes for plan in outcome.plans
         )
         snapshot = service.metrics_snapshot()
         exposition = service.prometheus_metrics() if args.prometheus else None

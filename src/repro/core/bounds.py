@@ -318,7 +318,7 @@ class BoundsEngine:
         #: Number of :meth:`invalidate` / :meth:`invalidate_cache` calls.
         self.cache_invalidation_calls = 0
         #: Callbacks fired after every invalidation; the serving layer
-        #: (result cache, planner, index manager) subscribes here so one
+        #: (result cache, index manager) subscribes here so one
         #: catalog mutation propagates to every derived structure.
         self._invalidation_listeners: List[Callable[[Optional[str]], None]] = []
         #: Columnar op table driving the all-bins sweep.  Built and

@@ -34,10 +34,6 @@ class Catalog:
         #: (the other half of "who references this image", beside
         #: ``_children``); lets the removal guards answer in O(1).
         self._merge_users: Dict[str, List[str]] = {}
-        #: Summed sequence length of the edited images, kept by
-        #: ``add_edited`` / ``remove_edited`` — the only two places a
-        #: sequence enters or leaves — so the planner reads it in O(1).
-        self._total_operations = 0
         self._counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -69,7 +65,6 @@ class Catalog:
                     f"image {referenced!r}"
                 )
         self._edited[record.image_id] = record
-        self._total_operations += len(record.sequence)
         self._children.setdefault(record.base_id, []).append(record.image_id)
         for target in set(record.sequence.merge_targets()):
             self._merge_users.setdefault(target, []).append(record.image_id)
@@ -79,7 +74,6 @@ class Catalog:
         record = self.edited_record(image_id)
         self._release(image_id, "edited")
         del self._edited[image_id]
-        self._total_operations -= len(record.sequence)
         self._children[record.base_id].remove(image_id)
         for target in set(record.sequence.merge_targets()):
             self._merge_users[target].remove(image_id)
@@ -198,11 +192,6 @@ class Catalog:
     def edited_count(self) -> int:
         """Number of edited images."""
         return len(self._edited)
-
-    @property
-    def total_operations(self) -> int:
-        """Summed length of every stored edit sequence."""
-        return self._total_operations
 
     def __len__(self) -> int:
         return self.binary_count + self.edited_count

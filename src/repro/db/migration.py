@@ -463,8 +463,7 @@ class Migrator:
                 self._write_manifest_v3(manifest, pointers)
             if self.service is not None:
                 # The same change feed every catalog mutation rides:
-                # drops the result cache, dirties planner statistics,
-                # stales the spatial indexes.
+                # drops the result cache, stales the spatial indexes.
                 self.service.database.engine.invalidate_cache()
         self.journal.append(self.plan, "swap", ids=sorted(fresh))
 

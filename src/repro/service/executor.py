@@ -1,7 +1,7 @@
 """`QueryService` — the concurrent query-serving front end of the MMDBMS.
 
-One service object owns a :class:`~repro.service.planner.CostBasedPlanner`,
-a :class:`~repro.service.cache.ResultCache`, a
+One service object owns a :class:`~repro.service.planner.CostBasedPlanner`
+(a fixed plan), a :class:`~repro.service.cache.ResultCache`, a
 :class:`~repro.obs.metrics.MetricsRegistry`, and a bounded thread
 pool, and turns the library's single-threaded query machinery into a
 serving layer:
@@ -18,9 +18,8 @@ serving layer:
   readers-writer lock; catalog mutations go through the service's
   mutation wrappers, which take the write side.  Mutations ride the
   database's dependency-aware ``engine.invalidate`` path, whose events
-  clear the result cache, mark the planner's statistics dirty, and
-  stale the spatial indexes — so a result computed *or cached* before a
-  mutation is never served after it.
+  clear the result cache and stale the spatial indexes — so a result
+  computed *or cached* before a mutation is never served after it.
 * **Graceful shutdown** — :meth:`QueryService.shutdown` stops admitting
   new queries immediately but drains everything already admitted.
 * **A memoizing engine** — the service turns the bounds memo of the
@@ -32,9 +31,9 @@ serving layer:
   write made out of band under :meth:`QueryService.write_locked` keeps
   the memo right too.
 
-Execution strategies are chosen per query by the cost-based planner (or
-forced via ``strategy=``); every strategy returns the scalar RBM
-oracle's exact result set, so the choice affects latency only.
+An unforced constraint runs ``VECTORIZED_BATCH``; ``strategy=`` forces
+``bwm`` or ``index_assisted``.  Every strategy returns the scalar RBM
+oracle's exact result set, so forcing one affects latency only.
 """
 
 from __future__ import annotations
@@ -114,8 +113,8 @@ class AnalyzedQuery:
     """What :meth:`QueryService.explain_analyze` returns.
 
     Every plan carries :class:`~repro.service.planner.PlanActuals`
-    (estimated vs. actual work, the strategy that actually executed,
-    cache hits, latency), ``attribution`` holds one per-constraint
+    (actual work, the strategy that actually executed, cache hits,
+    latency), ``attribution`` holds one per-constraint
     prune-attribution report (or ``None`` per constraint when disabled),
     and ``trace`` is the full span tree — EXPLAIN ANALYZE is always
     traced regardless of the global switch.
@@ -150,8 +149,6 @@ class AnalyzedQuery:
             "plans": [
                 {
                     "strategy": plan.strategy.value,
-                    "estimated_cost": plan.estimated_cost,
-                    "selectivity": plan.selectivity,
                     "actuals": (
                         plan.actuals.to_dict() if plan.actuals else None
                     ),
@@ -196,10 +193,14 @@ class QueryService:
     slow_log_capacity:
         Ring size of the slow-query log.
     prebuild_indexes:
-        Build the point + interval indexes at construction so the
-        planner may choose INDEX_ASSISTED from the first query.
+        Build the point + interval indexes at construction, so a query
+        forced to INDEX_ASSISTED finds them fresh.
     clock:
         Monotonic time source (injectable for deadline/TTL tests).
+
+    Every argument is checked before the database is touched: a refused
+    construction leaves its engine's memo switch and invalidation
+    listeners as it found them.
     """
 
     def __init__(
@@ -214,7 +215,6 @@ class QueryService:
         slow_query_threshold: Optional[float] = None,
         slow_log_capacity: int = 128,
         prebuild_indexes: bool = False,
-        planner: Optional[CostBasedPlanner] = None,
         clock: Callable[[], float] = time.monotonic,
         event_log: Optional[EventLog] = None,
     ) -> None:
@@ -222,6 +222,14 @@ class QueryService:
             raise ServiceError("max_workers must be at least 1")
         if queue_depth < 0:
             raise ServiceError("queue_depth must be non-negative")
+        # Both constructors validate their arguments; neither touches
+        # the engine.
+        self.cache = ResultCache(
+            capacity=cache_capacity, ttl=cache_ttl, clock=clock
+        )
+        self.slow_log = SlowQueryLog(
+            capacity=slow_log_capacity, threshold=slow_query_threshold
+        )
         self._database = database
         # A long-lived front end asks for the memo; up to ``max_workers``
         # readers then share it under the read lock (fills serialize on
@@ -229,20 +237,14 @@ class QueryService:
         database.engine.enable_memo()
         self._clock = clock
         self._default_timeout = default_timeout
-        self.planner = planner if planner is not None else CostBasedPlanner(database)
+        self.planner = CostBasedPlanner(database)
         self.metrics = MetricsRegistry()
         #: Wide-event log for the service tier (slow queries, mutations).
         #: Pass a shared :class:`EventLog` to merge this service's
         #: timeline with a catalog's; by default each service keeps a
         #: private ring so tests stay isolated.
         self.events = event_log if event_log is not None else EventLog(capacity=256)
-        self.cache = ResultCache(
-            capacity=cache_capacity, ttl=cache_ttl, clock=clock
-        )
         self.cache.attach_to_engine(database.engine)
-        self.slow_log = SlowQueryLog(
-            capacity=slow_log_capacity, threshold=slow_query_threshold
-        )
         self._rwlock = ReadWriteLock()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-query"
@@ -282,7 +284,6 @@ class QueryService:
         self._pool.shutdown(wait=wait)
         if not already:
             self.cache.detach()
-            self.planner.close()
             self._database.engine.remove_invalidation_listener(
                 self._on_invalidation
             )
@@ -546,19 +547,8 @@ class QueryService:
     def _plan(
         self, constraint: RangeQuery, forced: Optional[Strategy]
     ) -> ExplainedPlan:
-        plan = self.planner.plan(constraint, index_fresh=self._indexes_fresh)
-        if forced is None or plan.strategy is forced:
-            return plan
-        # Keep the full alternatives list but honor the forced choice.
-        chosen = plan.alternative(forced)
-        return ExplainedPlan(
-            query=plan.query,
-            strategy=forced,
-            estimated_cost=chosen.estimated_cost,
-            selectivity=plan.selectivity,
-            profile=plan.profile,
-            alternatives=plan.alternatives,
-        )
+        plan = self.planner.plan(constraint)
+        return plan if forced is None else ExplainedPlan(constraint, forced)
 
     def _execute_plans(
         self,
@@ -573,15 +563,13 @@ class QueryService:
         return and_merge(self._database.catalog, results, expand_to_bases)
 
     def _execute_one(self, query: RangeQuery, plan: ExplainedPlan) -> QueryResult:
-        if plan.strategy is Strategy.LINEAR_RBM:
-            return self._database.range_query(query, method="rbm")
-        if plan.strategy is Strategy.BWM:
-            return self._database.range_query(query, method="bwm")
-        if plan.strategy is Strategy.VECTORIZED_BATCH:
-            return self._database.range_query_batch([query], method="rbm")[0]
         if plan.strategy is Strategy.INDEX_ASSISTED:
             return self._execute_indexed(query)
-        raise ServiceError(f"unexecutable strategy {plan.strategy!r}")
+        # The served engine memoizes, so either method is one batch of
+        # one through its batch processor (BatchRBMProcessor for
+        # VECTORIZED_BATCH, BatchBWMProcessor for BWM).
+        method = "bwm" if plan.strategy is Strategy.BWM else "rbm"
+        return self._database.range_query(query, method=method)
 
     # ------------------------------------------------------------------
     # EXPLAIN / EXPLAIN ANALYZE
@@ -592,11 +580,11 @@ class QueryService:
         *,
         strategy: Optional[Union[Strategy, str]] = None,
     ) -> Tuple[ExplainedPlan, ...]:
-        """Cost the strategies for ``query`` without executing anything.
+        """Plan ``query`` without executing anything.
 
         One :class:`~repro.service.planner.ExplainedPlan` per normalized
-        constraint, each listing every costed alternative.  Use
-        :meth:`explain_analyze` to also execute and attach actuals.
+        constraint.  Use :meth:`explain_analyze` to also execute and
+        attach actuals.
         """
         constraints = self._normalize(query)
         forced = self._normalize_strategy(strategy)
@@ -614,14 +602,14 @@ class QueryService:
         with_attribution: bool = True,
     ) -> AnalyzedQuery:
         """Plan, execute, and measure one query — the ANALYZE companion
-        to the planner's EXPLAIN.
+        to :meth:`explain`.
 
         Runs synchronously on the calling thread under the read lock
         (it is a diagnostic, so it bypasses admission control and the
         result cache: the point is to measure the *plan*, not the
         cache).  Every returned plan carries
-        :class:`~repro.service.planner.PlanActuals` — estimated vs.
-        actual work units, the strategy that actually executed, latency,
+        :class:`~repro.service.planner.PlanActuals` — actual work
+        units, the strategy that actually executed, latency,
         bounds-memo hits — and, with ``with_attribution`` (default), a
         per-constraint prune-attribution report whose outcome counts sum
         exactly to the candidate images evaluated.  The query is always

@@ -335,7 +335,7 @@ class TestAL004FloatEquality:
 class TestAL005UpwardImport:
     def test_shard_importing_service_flagged(self):
         code = """
-        from repro.service.metrics import MetricsRegistry
+        from repro.service.cache import ResultCache
         """
         findings = _lint(code, "src/repro/shard/x.py")
         assert [f.code for f in findings] == ["AL005"]

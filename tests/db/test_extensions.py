@@ -71,7 +71,7 @@ class TestConjunctiveQueries:
             assert merged.stats == batch[0].stats
         # The service goes through the same merge.
         with QueryService(database, max_workers=1) as service:
-            outcome = service.execute([a, b], strategy="linear_rbm")
+            outcome = service.execute([a, b], strategy="vectorized_batch")
         assert outcome.result.stats.histograms_checked == sum(
             database.range_query(q, method="rbm").stats.histograms_checked
             for q in (a, b)

@@ -34,7 +34,7 @@ from repro.errors import (
     PersistenceError,
 )
 from repro.service import QueryService
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.testing.faults import (
     FAIL_MODES,
     CountingFaults,

@@ -34,7 +34,7 @@ class TestRenderPrometheus:
             snapshot_with(
                 counters={
                     "plans.bwm": 4,
-                    "plans.linear_rbm": 1,
+                    "plans.vectorized_batch": 1,
                     "prune.pruned": 9,
                     "prune.must_check": 2,
                     "prune.widened_by.Modify": 5,
@@ -43,7 +43,7 @@ class TestRenderPrometheus:
             )
         )
         assert 'repro_plans_total{strategy="bwm"} 4' in text
-        assert 'repro_plans_total{strategy="linear_rbm"} 1' in text
+        assert 'repro_plans_total{strategy="vectorized_batch"} 1' in text
         assert 'repro_prune_outcomes_total{outcome="pruned"} 9' in text
         # widened_by must not be swallowed by the shorter prune. prefix.
         assert 'repro_prune_widened_by_total{rule="Modify"} 5' in text

@@ -79,10 +79,10 @@ class TestValidationAndDescribe:
     def test_describe_empty_and_populated(self):
         log = make_log(threshold=0.0)
         assert "empty" in log.describe()
-        log.observe(["'q'"], 0.002, ["linear_rbm"], False)
+        log.observe(["'q'"], 0.002, ["vectorized_batch"], False)
         text = log.describe()
         assert "1 retained" in text
-        assert "linear_rbm" in text
+        assert "vectorized_batch" in text
 
     def test_to_dict_round_trips_through_json(self):
         import json

@@ -154,7 +154,7 @@ def test_stress_forced_strategies_under_mutations(stress_setup):
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"mutator: {exc!r}")
 
-        strategies = ["linear_rbm", "bwm", "vectorized_batch", "index_assisted"]
+        strategies = ["bwm", "vectorized_batch", "index_assisted"]
         threads = [
             threading.Thread(target=query_worker, args=(s,)) for s in strategies
         ] + [threading.Thread(target=mutator)]

@@ -20,6 +20,7 @@ from repro.editing.recipes import build_variant
 from repro.editing.sequence import EditSequence
 from repro.errors import (
     QueryTimeoutError,
+    ReproError,
     ServiceError,
     ServiceOverloadedError,
     ServiceShutdownError,
@@ -173,10 +174,10 @@ class TestAdmissionControl:
         small_database.range_query = blocking_range_query
         query = blue_query(small_database)
         with QueryService(small_database, max_workers=1, queue_depth=0) as service:
-            blocker = service.submit(query, strategy="linear_rbm")
+            blocker = service.submit(query, strategy="vectorized_batch")
             assert started.wait(timeout=10)
             with pytest.raises(ServiceOverloadedError):
-                service.submit(query, strategy="linear_rbm")
+                service.submit(query, strategy="vectorized_batch")
             assert service.metrics.counter("queries_shed") == 1
             release.set()
             assert blocker.result(timeout=30).result.matches
@@ -203,9 +204,9 @@ class TestDeadlines:
         with QueryService(
             small_database, max_workers=1, queue_depth=4, clock=clock
         ) as service:
-            blocker = service.submit(query, strategy="linear_rbm")
+            blocker = service.submit(query, strategy="vectorized_batch")
             assert started.wait(timeout=10)
-            victim = service.submit(query, timeout=5.0, strategy="linear_rbm")
+            victim = service.submit(query, timeout=5.0, strategy="vectorized_batch")
             clock.now = 6.0  # the victim's deadline passes while it queues
             release.set()
             assert blocker.result(timeout=30)
@@ -226,7 +227,7 @@ class TestDeadlines:
         try:
             with QueryService(small_database, max_workers=1) as service:
                 with pytest.raises(QueryTimeoutError, match="deadline"):
-                    service.execute(query, timeout=0.05, strategy="linear_rbm")
+                    service.execute(query, timeout=0.05, strategy="vectorized_batch")
                 release.set()
         finally:
             release.set()
@@ -247,10 +248,10 @@ class TestDeadlines:
         query = blue_query(small_database)
         try:
             with QueryService(small_database, max_workers=1) as service:
-                blocker = service.submit(query, strategy="linear_rbm")
+                blocker = service.submit(query, strategy="vectorized_batch")
                 assert started.wait(timeout=10)
                 with pytest.raises(QueryTimeoutError, match="deadline"):
-                    service.execute(query, timeout=0.05, strategy="linear_rbm")
+                    service.execute(query, timeout=0.05, strategy="vectorized_batch")
                 assert service.metrics.counter("queries_timed_out") == 1
                 release.set()
                 assert blocker.result(timeout=30)
@@ -294,7 +295,7 @@ class TestShutdown:
         small_database.range_query = blocking_range_query
         service = QueryService(small_database, max_workers=1)
         future = service.submit(
-            blue_query(small_database), strategy="linear_rbm"
+            blue_query(small_database), strategy="vectorized_batch"
         )
         assert started.wait(timeout=10)
         drainer = threading.Thread(target=service.shutdown)
@@ -334,14 +335,28 @@ class TestValidationAndMetrics:
         service.execute(query, strategy="bwm")
         assert service.metrics.counter("plans.bwm") == 1
 
-    def test_forced_strategy_keeps_alternatives(self, service, small_database):
-        outcome = service.execute(
-            blue_query(small_database), strategy="index_assisted"
-        )
+    def test_forced_strategy_replaces_the_fixed_plan(
+        self, service, small_database
+    ):
+        query = blue_query(small_database)
+        assert service.execute(query).strategy is Strategy.VECTORIZED_BATCH
+        service.cache.clear()
+        outcome = service.execute(query, strategy="index_assisted")
         assert outcome.strategy is Strategy.INDEX_ASSISTED
-        assert {a.strategy for a in outcome.plans[0].alternatives} == set(
-            Strategy
-        )
+        assert outcome.plans[0].query == query
+
+    @pytest.mark.parametrize(
+        "refused", [{"cache_capacity": 0}, {"cache_ttl": -1}, {"slow_log_capacity": 0}]
+    )
+    def test_refused_construction_leaves_the_engine_alone(
+        self, small_database, refused
+    ):
+        engine = small_database.engine
+        listeners = list(engine._invalidation_listeners)
+        with pytest.raises(ReproError):
+            QueryService(small_database, **refused)
+        assert not engine.cache_enabled
+        assert engine._invalidation_listeners == listeners
 
     def test_index_path_rebuilds_then_stays_fresh(self, service, small_database):
         assert not service.indexes_fresh
@@ -437,7 +452,7 @@ class TestServesAMemoizingEngine:
 
     def test_a_warm_miss_applies_no_rules(self, service, small_database):
         engine = small_database.engine
-        service.execute("at least 10% blue", strategy="linear_rbm")  # warms
+        service.execute("at least 10% blue", strategy="vectorized_batch")  # warms
         before = engine.rules_applied
         miss = service.execute("at least 20% red")
         assert not miss.cache_hit
@@ -498,9 +513,9 @@ class TestServesAMemoizingEngine:
                 planned = threading.Barrier(2)
                 plan = service.planner.plan
 
-                def plan_together(query, index_fresh=False):
+                def plan_together(query):
                     planned.wait(timeout=10)  # both missed, neither filled
-                    return plan(query, index_fresh=index_fresh)
+                    return plan(query)
 
                 service.planner.plan = plan_together
                 for _ in range(5):

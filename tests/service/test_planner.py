@@ -1,9 +1,9 @@
-"""The cost-based planner: model shape, decisions, and strategy parity.
+"""The service's fixed plan, forcing, and strategy parity.
 
 The load-bearing property is at the bottom: on randomized catalogs,
-*every* strategy the planner can choose returns a result set identical
-to the scalar RBM oracle — so whatever the cost model picks, answers
-never change, only latency.
+*every* strategy the service can run returns a result set identical to
+the scalar RBM oracle — so forcing one never changes answers, only
+latency.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.editing.sequence import EditSequence
 from repro.errors import ServiceError
 from repro.images.generators import random_palette_image
 from repro.images.geometry import Rect
-from repro.service import CatalogProfile, CostBasedPlanner, QueryService, Strategy
+from repro.service import CostBasedPlanner, QueryService, Strategy
 
 
 def populated_bin(database):
@@ -28,151 +28,81 @@ def populated_bin(database):
 
 
 class TestExplainedPlan:
-    def test_alternatives_cover_every_strategy(self, small_database):
-        planner = CostBasedPlanner(small_database)
-        plan = planner.plan(RangeQuery.at_least(populated_bin(small_database), 0.2))
-        assert {a.strategy for a in plan.alternatives} == set(Strategy)
-        planner.close()
-
-    def test_chosen_is_cheapest(self, small_database):
-        planner = CostBasedPlanner(small_database)
-        plan = planner.plan(RangeQuery.at_least(populated_bin(small_database), 0.2))
-        costs = [a.estimated_cost for a in plan.alternatives]
-        assert costs == sorted(costs)
-        assert plan.alternatives[0].strategy is plan.strategy
-        assert plan.estimated_cost == costs[0]
-        planner.close()
-
     def test_describe_mentions_every_alternative(self, small_database):
-        planner = CostBasedPlanner(small_database)
-        plan = planner.plan(RangeQuery.at_least(populated_bin(small_database), 0.2))
-        text = plan.describe()
-        for strategy in Strategy:
-            assert strategy.value in text
-        planner.close()
+        """Each strategy the service can run is named by the plan that
+        runs it."""
+        query = RangeQuery.at_least(populated_bin(small_database), 0.2)
+        with QueryService(small_database, max_workers=1) as service:
+            for strategy in Strategy:
+                (plan,) = service.explain(query, strategy=strategy)
+                assert f"strategy: {strategy.value}" in plan.describe()
 
     def test_unconsidered_strategy_lookup_raises(self, small_database):
-        planner = CostBasedPlanner(small_database)
-        plan = planner.plan(RangeQuery.at_least(0, 0.1))
-        with pytest.raises(ServiceError):
-            plan.alternative("nope")
-        planner.close()
+        with QueryService(small_database, max_workers=1) as service:
+            for strategy in ("nope", "linear_rbm"):
+                with pytest.raises(ServiceError, match="unknown strategy"):
+                    service.explain(RangeQuery.at_least(0, 0.1), strategy=strategy)
+
+
+class TestFixedPlan:
+    @pytest.mark.parametrize(
+        "state", ["empty", "one-image", "cold", "warm", "post-binary-write"]
+    )
+    def test_unforced_plan_is_vectorized_batch(self, state, rng, monkeypatch):
+        refreshes = []
+        monkeypatch.setattr(
+            DatabaseStatistics, "refresh", lambda self: refreshes.append(self)
+        )
+        database = MultimediaDatabase()
+        if state != "empty":
+            base = database.insert_image(
+                random_palette_image(rng, 10, 12, FLAG_PALETTE)
+            )
+        if state in ("cold", "warm", "post-binary-write"):
+            database.augment(base, rng, variants=4, palette=FLAG_PALETTE)
+        query = RangeQuery.at_least(0, 0.2)
+        with QueryService(database, max_workers=1) as service:
+            if state == "warm":
+                service.execute(query, strategy="bwm")
+            if state == "post-binary-write":
+                service.execute(query)
+                service.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+            (plan,) = service.explain(query)
+            outcome = service.execute(RangeQuery.at_most(0, 0.9))
+        assert plan.strategy is Strategy.VECTORIZED_BATCH
+        assert outcome.strategy is Strategy.VECTORIZED_BATCH
+        assert refreshes == []
 
 
 class TestCostModel:
-    def test_cold_cacheless_engine_prefers_classic_methods(self, small_database):
-        """Without memo cache or indexes, vectorized/indexed cost more."""
-        planner = CostBasedPlanner(small_database)
-        plan = planner.plan(RangeQuery.at_least(populated_bin(small_database), 0.2))
-        assert plan.strategy in (Strategy.LINEAR_RBM, Strategy.BWM)
-        planner.close()
-
-    def test_fresh_indexes_win_over_linear_scans(self, small_database):
-        planner = CostBasedPlanner(small_database)
-        query = RangeQuery.at_least(populated_bin(small_database), 0.2)
-        stale = planner.plan(query, index_fresh=False)
-        fresh = planner.plan(query, index_fresh=True)
-        assert (
-            fresh.alternative(Strategy.INDEX_ASSISTED).estimated_cost
-            < stale.alternative(Strategy.INDEX_ASSISTED).estimated_cost
-        )
-        # Fresh spatial lookups must undercut the full linear scan (the
-        # globally cheapest plan may still be BWM on a tiny catalog).
-        assert (
-            fresh.alternative(Strategy.INDEX_ASSISTED).estimated_cost
-            < fresh.alternative(Strategy.LINEAR_RBM).estimated_cost
-        )
-        planner.close()
-
-    def test_warm_vec_cache_discounts_vectorized(self, rng):
-        database = MultimediaDatabase(bounds_cache=True)
-        base = database.insert_image(
-            random_palette_image(rng, 10, 12, FLAG_PALETTE)
-        )
-        database.augment(base, rng, variants=4, palette=FLAG_PALETTE)
-        planner = CostBasedPlanner(database)
-        query = RangeQuery.at_least(populated_bin(database), 0.2)
-        cold = planner.plan(query).alternative(Strategy.VECTORIZED_BATCH)
-        for edited_id in database.catalog.edited_ids():
-            database.engine.bounds_all_bins(edited_id)
-        warm = planner.plan(query).alternative(Strategy.VECTORIZED_BATCH)
-        assert warm.estimated_cost < cold.estimated_cost
-        planner.close()
-
-    def test_batched_wins_large_catalogs_loses_tiny_ones(self):
-        """The measured constants pin the crossover: the columnar sweep
-        beats both classic strategies on a 10k-image catalog and loses
-        to them on a small one, across the selectivity range."""
-        planner = CostBasedPlanner(MultimediaDatabase())
-        tiny = CatalogProfile(
-            binary_count=4,
-            edited_count=12,
-            total_operations=50,
-            main_edited=8,
-            unclassified=4,
-        )
-        large = CatalogProfile(
-            binary_count=100,
-            edited_count=10_000,
-            total_operations=50_000,
-            main_edited=7_000,
-            unclassified=3_000,
-        )
-        for selectivity in (0.05, 0.5, 0.95):
-            tiny_batched = planner._cost_vectorized(tiny).estimated_cost
-            assert tiny_batched > planner._cost_linear_rbm(tiny).estimated_cost
-            assert tiny_batched > planner._cost_bwm(tiny, selectivity).estimated_cost
-            large_batched = planner._cost_vectorized(large).estimated_cost
-            assert large_batched < planner._cost_linear_rbm(large).estimated_cost
-            assert (
-                large_batched
-                < planner._cost_bwm(large, selectivity).estimated_cost
-            )
-        planner.close()
-
-    def test_selectivity_steers_bwm_cost(self, small_database):
-        """A near-certain base match short-circuits clusters: BWM gets cheap."""
-        planner = CostBasedPlanner(small_database)
-        bin_index = populated_bin(small_database)
-        broad = planner.plan(RangeQuery.at_least(bin_index, 0.0))
-        narrow = planner.plan(RangeQuery.at_least(bin_index, 0.99))
-        assert broad.selectivity > narrow.selectivity
-        assert (
-            broad.alternative(Strategy.BWM).estimated_cost
-            <= narrow.alternative(Strategy.BWM).estimated_cost
-        )
-        planner.close()
-
     def test_profile_refreshes_after_mutation(self, small_database, rng):
-        planner = CostBasedPlanner(small_database)
-        before = planner.profile()
+        before = small_database.structure_summary()
         small_database.insert_image(
             random_palette_image(rng, 8, 8, FLAG_PALETTE)
         )
-        after = planner.profile()
-        assert after.binary_count == before.binary_count + 1
-        planner.close()
+        after = small_database.structure_summary()
+        assert after["binary_images"] == before["binary_images"] + 1
+        assert after["main_clusters"] == before["main_clusters"] + 1
 
     def test_profile_counters_equal_a_recount(
         self, small_database, rng, monkeypatch
     ):
-        """The running counters survive every kind of write, a failed
-        one (BWM filing raises, the catalog insert rolls back) included."""
+        """The structure summary's counters survive every kind of write,
+        a failed one (BWM filing raises, the catalog insert rolls back)
+        included."""
         database = small_database
         catalog, structure = database.catalog, database.bwm_structure
-        planner = CostBasedPlanner(database)
         base = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
         DR = Rect(0, 0, 2, 3)
 
-        def recount() -> CatalogProfile:
-            lengths = [len(catalog.sequence_of(i)) for i in catalog.edited_ids()]
-            return CatalogProfile(
-                binary_count=len(list(catalog.binary_ids())),
-                edited_count=len(lengths),
-                total_operations=sum(lengths),
-                main_edited=sum(len(c) for _, c in structure.clusters()),
-                unclassified=len(list(structure.unclassified)),
-            )
+        def recount():
+            return {
+                "binary_images": len(list(catalog.binary_ids())),
+                "edited_images": len(list(catalog.edited_ids())),
+                "main_clusters": len(structure.main),
+                "main_edited": sum(len(c) for _, c in structure.clusters()),
+                "unclassified": len(list(structure.unclassified)),
+            }
 
         def failing_insert():
             def refuse(image_id, sequence):
@@ -197,77 +127,17 @@ class TestCostModel:
             lambda: database.delete_edited("merged"),
             lambda: database.insert_edited(EditSequence(base, (Define(DR),)), "merged"),
         ]
-        assert planner.profile() == recount()
+        assert database.structure_summary() == recount()
         for step in script:
             step()
-            assert planner.profile() == recount()
-            assert planner.profile().edited_count > 0
-        planner.close()
-
-    def test_statistics_refresh_only_when_a_binary_image_changed(
-        self, small_database, rng, monkeypatch
-    ):
-        database = small_database
-        statistics = DatabaseStatistics(database)
-        refresh, refreshes = statistics.refresh, []
-
-        def counted_refresh():
-            refreshes.append(1)
-            refresh()
-
-        monkeypatch.setattr(statistics, "refresh", counted_refresh)
-        planner = CostBasedPlanner(database, statistics)
-        query = RangeQuery.at_least(populated_bin(database), 0.2)
-        base = next(iter(database.catalog.binary_ids()))
-
-        def plans_with(expected_refreshes):
-            assert planner.plan(query).selectivity == CostBasedPlanner(
-                database
-            ).selectivity(query)
-            assert len(refreshes) == expected_refreshes
-
-        plans_with(1)
-        leaf = database.insert_edited(EditSequence(base, (Define(Rect(0, 0, 2, 3)),)))
-        plans_with(1)
-        database.delete_edited(leaf)
-        plans_with(1)
-        fresh = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
-        plans_with(2)
-        database.update_image(fresh, random_palette_image(rng, 8, 8, FLAG_PALETTE))
-        plans_with(3)
-        database.delete_image(fresh)
-        plans_with(4)
-        database.engine.invalidate_cache()
-        plans_with(5)
-        planner.close()
-
-    def test_warm_memo_beats_a_fresh_index(self, rng):
-        """Memoized binary rows are rows of the same matrix: with every
-        row valid, two index searches do not undercut a column compare
-        (60 + 60 images, selectivity ~0: cost 6 against ~40)."""
-        database = MultimediaDatabase(bounds_cache=True)
-        for _ in range(60):
-            base = database.insert_image(
-                random_palette_image(rng, 8, 8, FLAG_PALETTE)
-            )
-            database.augment(base, rng, variants=1, palette=FLAG_PALETTE)
-        planner = CostBasedPlanner(database)
-        query = RangeQuery.at_least(populated_bin(database), 0.99)
-        assert planner.plan(query, index_fresh=True).strategy is Strategy.INDEX_ASSISTED
-        database.range_query(query, method="rbm")  # fills every row
-        plan = planner.plan(query, index_fresh=True)
-        assert plan.strategy is Strategy.VECTORIZED_BATCH
-        assert plan.estimated_cost == pytest.approx(
-            120 * CostBasedPlanner.COST_CACHE_HIT
-        )
-        planner.close()
+            assert database.structure_summary() == recount()
+            assert database.structure_summary()["edited_images"] > 0
 
     def test_empty_catalog_plans_without_statistics(self):
         planner = CostBasedPlanner(MultimediaDatabase())
         plan = planner.plan(RangeQuery.at_least(0, 0.25))
-        assert plan.selectivity == 0.5
-        assert plan.estimated_cost >= 0.0
-        planner.close()
+        assert plan.strategy is Strategy.VECTORIZED_BATCH
+        assert plan.actuals is None
 
 
 class TestStrategyParityProperty:
@@ -308,11 +178,27 @@ class TestStrategyParityProperty:
             )
             for _ in range(3)
         ]
+        # The oracle is an uncached twin: the service turns the memo of
+        # the database it serves on.
+        oracle_database = MultimediaDatabase()
+        for image_id in database.catalog.binary_ids():
+            oracle_database.insert_image(
+                database.catalog.binary_record(image_id).image, image_id
+            )
+        for image_id in database.catalog.edited_ids():
+            oracle_database.insert_edited(
+                database.catalog.sequence_of(image_id), image_id
+            )
         with QueryService(database, max_workers=2) as service:
             for query in queries:
-                oracle = database.range_query(query, method="rbm").matches
+                oracle = oracle_database.range_query(query, method="rbm").matches
+                assert service.execute(query).result.matches == oracle, (
+                    seed, "unforced", query,
+                )
                 for strategy in Strategy:
+                    service.cache.clear()  # the key ignores the strategy
                     outcome = service.execute(query, strategy=strategy)
+                    assert outcome.strategy is strategy
                     assert outcome.result.matches == oracle, (
                         seed, strategy, query,
                     )

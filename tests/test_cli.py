@@ -299,14 +299,27 @@ class TestMigrate:
 
 
 class TestExplain:
-    def test_plain_explain_lists_alternatives(self, saved_database):
+    def test_plain_explain_prints_the_plan(self, saved_database):
         directory, _ = saved_database
         code, output = run_cli("explain", str(directory), "at least 10% red")
         assert code == 0
         assert "PLAN" in output
-        assert "chosen:" in output
-        assert "linear_rbm" in output and "bwm" in output
+        assert "strategy: vectorized_batch" in output
         assert "executed:" not in output  # no actuals without --analyze
+
+    def test_json_names_one_strategy_per_constraint(self, saved_database):
+        import json
+
+        directory, _ = saved_database
+        code, output = run_cli(
+            "explain", str(directory), "at least 10% red and at most 50% blue",
+            "--json",
+        )
+        assert code == 0
+        payload = json.loads(output)
+        assert [plan["strategy"] for plan in payload] == ["vectorized_batch"] * 2
+        for plan in payload:
+            assert "alternatives" not in plan and "estimated_cost" not in plan
 
     def test_analyze_reports_actuals_and_attribution(self, saved_database):
         directory, _ = saved_database
@@ -325,12 +338,12 @@ class TestExplain:
         directory, _ = saved_database
         code, output = run_cli(
             "explain", str(directory), "at least 10% red",
-            "--analyze", "--strategy", "linear_rbm", "--json",
+            "--analyze", "--strategy", "bwm", "--json",
         )
         assert code == 0
         payload = json.loads(output)
-        assert payload["plans"][0]["strategy"] == "linear_rbm"
-        assert payload["plans"][0]["actuals"]["executed_strategy"] == "linear_rbm"
+        assert payload["plans"][0]["strategy"] == "bwm"
+        assert payload["plans"][0]["actuals"]["executed_strategy"] == "bwm"
         outcomes = payload["attribution"][0]["outcomes"]
         assert sum(outcomes.values()) == payload["attribution"][0]["candidates"]
 

@@ -83,7 +83,7 @@ class TestSeededRacesPerStructure:
         assert [race.structure for race in races] == ["EventLog._ring"]
 
     def test_metrics_registry_bare_counter_write(self):
-        from repro.service.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         monitor = _monitor()
         registry = MetricsRegistry()
