@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Advanced features tour: the extensions beyond the paper.
 
-Walks through EXPLAIN, batch processing, the bounds cache, conjunctive
-text queries, sequence optimization, BIC signatures, and multi-feature
-retrieval — each with its invariant stated and checked inline.
+Walks through EXPLAIN, batch processing, conjunctive text queries and
+sequence optimization — each with its invariant stated and checked
+inline.
 
 Run: python examples/advanced_features.py
 """
 
 import numpy as np
 
-from repro.color.bic import BICSignature, dlog_distance
 from repro.core import RangeQuery
-from repro.db.multifeature import FeatureWeights, MultiFeatureSearch
 from repro.db.statistics import DatabaseStatistics
 from repro.editing import Modify, optimize_database
 from repro.workloads import FLAG_PARAMETERS, build_database, make_query_workload
@@ -60,27 +58,4 @@ db.delete_edited(edited_id)
 db.insert_edited(padded, image_id=edited_id)
 report = optimize_database(db)
 print(f"optimizer removed {report.ops_removed} operations, "
-      f"saved {report.bytes_saved} bytes\n")
-
-# ----------------------------------------------------------------------
-# BIC signatures: structure-aware color features (paper ref. [21]).
-# ----------------------------------------------------------------------
-ids = list(db.catalog.binary_ids())[:3]
-signatures = {i: BICSignature.of_image(db.instantiate(i), db.quantizer) for i in ids}
-print("BIC dLog distances between the first three flags:")
-for i in ids:
-    row = "  ".join(f"{dlog_distance(signatures[i], signatures[j]):5.1f}" for j in ids)
-    print(f"  {i:>8}: {row}")
-print()
-
-# ----------------------------------------------------------------------
-# Multi-feature retrieval: color + texture + shape.
-# ----------------------------------------------------------------------
-search = MultiFeatureSearch(db)
-probe = db.instantiate(ids[0])
-for name, weights in (
-    ("color only", FeatureWeights(color=1.0)),
-    ("color+texture+shape", FeatureWeights(color=1.0, texture=0.5, shape=0.5)),
-):
-    top = search.knn(probe, 3, weights)
-    print(f"{name:>22}: {[image_id for _, image_id in top]}")
+      f"saved {report.bytes_saved} bytes")

@@ -5,15 +5,13 @@ The paper's flag dataset came from a flags-of-the-world site [9]; this
 example uses the library's catalog of 43 real national-flag layouts to
 show the retrieval behaviour on genuine flag color distributions —
 including the famous failure case (Monaco vs. Indonesia vs. Poland are
-nearly or exactly identical in color histogram space) and how
-structure-aware features resolve it.
+nearly or exactly identical in color histogram space).
 
 Run: python examples/world_flags.py
 """
 
 import numpy as np
 
-from repro.color.bic import BICSignature, dlog_distance
 from repro.color.similarity import l1_distance, quadratic_form_distance
 from repro.db import MultimediaDatabase, augment_with_distortions
 from repro.images.generators import darken
@@ -45,22 +43,12 @@ def main():
     # The color-only ambiguity: Monaco vs Indonesia (identical layout).
     # ------------------------------------------------------------------
     print("\ncolor-histogram L1 distances (0 = indistinguishable):")
-    quantizer = db.quantizer
     pairs = [("monaco", "indonesia"), ("monaco", "poland"), ("monaco", "japan")]
     for a, b in pairs:
         d = l1_distance(db.exact_histogram(a), db.exact_histogram(b))
         print(f"  {a:>9} vs {b:<10} L1 = {d:.4f}")
-
-    print("\nBIC signatures (border/interior structure) on the same pairs:")
-    for a, b in pairs:
-        sig_a = BICSignature.of_image(db.instantiate(a), quantizer)
-        sig_b = BICSignature.of_image(db.instantiate(b), quantizer)
-        print(f"  {a:>9} vs {b:<10} dLog = {dlog_distance(sig_a, sig_b):.1f}")
-    print("  (Monaco/Indonesia/Poland stay indistinguishable even to BIC —")
-    print("   border/interior statistics are orientation-blind, a real "
-          "limitation")
-    print("   of content features that the catalog's identity layer, not "
-          "CBIR, resolves.)")
+    print("  (no color histogram tells Monaco/Indonesia/Poland apart; the")
+    print("   catalog's identity layer, not CBIR, resolves them.)")
 
     # ------------------------------------------------------------------
     # Cross-bin distance: a perceptual refinement over L1.

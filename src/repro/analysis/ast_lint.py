@@ -100,7 +100,7 @@ _BOUND_ATTRS: Set[str] = {"fraction_lo", "fraction_hi", "pct_min", "pct_max"}
 #: edit sequences while ``editing`` rasterizes images, and
 #: ``index.builders`` walks a database that owns its indexes.
 PACKAGE_ORDER: Tuple[Tuple[str, ...], ...] = (
-    ("errors",), ("rwlock",), ("images", "editing"), ("color", "features"),
+    ("errors",), ("rwlock",), ("images", "editing"), ("color",),
     ("core",), ("querylang",), ("obs",), ("db", "index"), ("shard",),
     ("service",), ("workloads",), ("bench",), ("analysis",), ("testing",),
     ("cli",), ("__init__", "__main__"),

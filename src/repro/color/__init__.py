@@ -1,6 +1,5 @@
 """Color-feature substrate: spaces, quantization, histograms, similarity."""
 
-from repro.color.bic import BICSignature, dlog_distance
 from repro.color.histogram import ColorHistogram
 from repro.color.names import (
     FLAG_PALETTE,
@@ -32,7 +31,6 @@ from repro.color.spaces import (
 )
 
 __all__ = [
-    "BICSignature",
     "BinIndex",
     "COLOR_SPACES",
     "ColorHistogram",
@@ -44,7 +42,6 @@ __all__ = [
     "chi_square_distance",
     "color_by_name",
     "convert_pixels",
-    "dlog_distance",
     "histogram_intersection",
     "hsv_to_rgb",
     "intersection_distance",

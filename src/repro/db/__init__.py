@@ -22,7 +22,6 @@ from repro.db.migration import (
     migration_status,
     rollback_migration,
 )
-from repro.db.multifeature import FeatureWeights, MultiFeatureSearch
 from repro.db.persistence import (
     QuarantineEntry,
     SalvageReport,
@@ -62,7 +61,6 @@ __all__ = [
     "DatabaseStatistics",
     "EDITED_FORMAT",
     "EditedImageRecord",
-    "FeatureWeights",
     "ImageRecord",
     "InstantiateProcessor",
     "KNNResult",
@@ -71,7 +69,6 @@ __all__ = [
     "MigrationReport",
     "MigrationStatus",
     "Migrator",
-    "MultiFeatureSearch",
     "MultimediaDatabase",
     "QuarantineEntry",
     "QueryExplanation",

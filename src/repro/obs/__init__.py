@@ -27,7 +27,7 @@ makes the production stack answer the same question about itself:
   ``events.jsonl`` on disk-backed roots.
 * :mod:`repro.obs.health` — per-shard SLO monitors grading latency
   percentiles, lock-wait fractions, WAL depth, replay failures, and
-  compactor backlog into green/yellow/red verdicts.
+  cold-row backlog into green/yellow/red verdicts.
 * :mod:`repro.obs.top` — the ``repro top`` dashboard renderer.
 
 Quick start::

@@ -9,7 +9,7 @@ signals the sharded catalog already measures into exactly that:
   red bound; everything is a plain number so a deployment can tune the
   policy without touching code.
 * :class:`HealthMonitor` — reads a live catalog (histograms from its
-  metrics registry, WAL depth / replay failures / compaction backlog
+  metrics registry, WAL depth / replay failures / cold-row backlog
   from :meth:`~repro.shard.sharded.ShardedCatalog.health_signals`) and
   grades every shard.
 * :class:`ShardHealth` / :class:`HealthReport` — the verdicts, with the
@@ -69,7 +69,7 @@ class SLOPolicy:
     #: WAL records the replayer had to skip as rejected (ever, per open).
     replay_failures_yellow: int = 1
     replay_failures_red: int = 16
-    #: Edited images with no materialized bounds (compactor backlog).
+    #: Edited images whose memo row is not valid (what a cold read sweeps).
     backlog_yellow: int = 512
     backlog_red: int = 4096
     #: Work units per query (p95 of ``shard_work_units.sNN``).

@@ -1210,21 +1210,27 @@ class ShardedCatalog:
         Latency/lock-wait/work-unit distributions are *not* here — the
         monitor reads those from :meth:`metrics_snapshot`'s per-shard
         histograms; this returns the state-shaped signals (WAL depth,
-        replay failures, compaction backlog) that have no histogram.
+        replay failures, backlog) that have no histogram.  ``backlog``
+        counts edited images whose memo row is not valid — the rows a
+        cold read would have to sweep.
         """
         self._ensure_open()
         depths = self.wal_depth_by_shard()
         signals: List[Dict[str, object]] = []
         for shard in self._shards:
             with shard.lock.read_locked():
-                edited = shard.database.catalog.edited_count
+                engine = shard.database.engine
+                backlog = sum(
+                    not engine.has_cached_bounds(each)
+                    for each in shard.database.catalog.edited_ids()
+                )
                 signals.append(
                     {
                         "shard": shard.index,
                         "queries_served": shard.queries_served,
                         "replay_failures": shard.replay_failures,
                         "wal_depth": depths.get(shard.index, 0),
-                        "backlog": max(0, edited - len(shard.materialized)),
+                        "backlog": backlog,
                         "materialized": len(shard.materialized),
                         "last_lsn": shard.last_lsn,
                         "last_compaction": (
@@ -1241,7 +1247,7 @@ class ShardedCatalog:
         with self._recent_lock:
             entries = [dict(entry) for entry in self._recent_queries]
         if count is not None and count >= 0:
-            entries = entries[-count:]
+            entries = entries[-count:] if count else []
         return entries
 
     def metrics_snapshot(self) -> Dict[str, object]:

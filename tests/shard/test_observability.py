@@ -289,6 +289,7 @@ class TestRecentQueriesRing:
                 assert entry["slowest_shard"] in (0, 1)
                 assert set(entry["shard_seconds"]) == {"s00", "s01"}
             assert len(sharded.recent_queries(count=1)) == 1
+            assert sharded.recent_queries(count=0) == []
         finally:
             sharded.close()
 
@@ -314,6 +315,30 @@ class TestRecentQueriesRing:
             assert len(recent) == 40  # ring capacity 64: nothing dropped
             query_events = sharded.events.snapshot(kind="query")
             assert len(query_events) == 40
+        finally:
+            sharded.close()
+
+
+class TestBacklog:
+    def test_backlog_counts_cold_memo_rows_not_compactions(self, rng):
+        # 600 edited images is past the yellow bound (512): a shard that
+        # nobody compacted must still grade green once its rows are warm.
+        sharded, _, base_ids = build_mirrored_pair(
+            rng, shard_count=1, binary_count=10, edited_count=600
+        )
+        try:
+            # RBM reads every row (BWM's Figure 2 shortcut may skip some).
+            sharded.range_query(RangeQuery(0, 0.1, 0.9), method="rbm")
+            [signals] = sharded.health_signals()
+            assert signals["backlog"] == 0
+            assert signals["materialized"] == 0
+            report = HealthMonitor(sharded).report(record=False)
+            assert report.shard(0).verdict == "green"
+            # An update dirties exactly the base's dependents (every
+            # tenth edited image, whose sequences reference only it).
+            sharded.update_image(base_ids[0], random_image(rng))
+            [signals] = sharded.health_signals()
+            assert signals["backlog"] == 60
         finally:
             sharded.close()
 

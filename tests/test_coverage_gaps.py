@@ -16,36 +16,6 @@ class TestConjunctiveQueryProtocol:
         assert list(query) == [a, b]
 
 
-class TestMultiFeatureShapelessImages:
-    def test_uniform_image_has_no_shape(self):
-        from repro.db.multifeature import MultiFeatureSearch
-        from repro.db.database import MultimediaDatabase
-
-        database = MultimediaDatabase()
-        database.insert_image(Image.filled(8, 8, (50, 50, 50)), image_id="flat")
-        search = MultiFeatureSearch(database)
-        features = search.features_of("flat")
-        assert features.shape is None
-
-    def test_shape_weight_penalizes_missing_shape(self):
-        from repro.db.database import MultimediaDatabase
-        from repro.db.multifeature import FeatureWeights, MultiFeatureSearch
-        from repro.images.generators import draw_disc
-
-        database = MultimediaDatabase()
-        database.insert_image(Image.filled(10, 10, (50, 50, 50)), image_id="flat")
-        shaped = Image.filled(10, 10, (255, 255, 255))
-        draw_disc(shaped, 5, 5, 3, (200, 16, 46))
-        database.insert_image(shaped, image_id="disc")
-
-        search = MultiFeatureSearch(database)
-        query = shaped.copy()
-        result = search.knn(query, 2, FeatureWeights(color=0.1, shape=1.0))
-        # The shapeless image takes the maximal shape penalty.
-        assert result[0][1] == "disc"
-        assert result[1][1] == "flat"
-
-
 class TestVAFileBoxInsert:
     def test_point_box_insert_path(self):
         from repro.index.mbr import MBR
