@@ -32,6 +32,10 @@ reachable from a changed image through the reverse dependency graph
 instead of flushing everything.  A bound so has two shapes: a memo row,
 read by column (:meth:`BoundsEngine.bounds_of_rows`), and the public
 return types :class:`PixelBounds` / :data:`AllBinsBounds` cut from it.
+An edited image's row can also hold its *exact* histogram, stored by the
+kNN refinement that instantiated it (:meth:`BoundsEngine.store_exact`):
+that histogram depends on the same base chain and Merge targets as the
+walk, so the same invalidation drops it.
 """
 
 from __future__ import annotations
@@ -74,6 +78,11 @@ from repro.images.raster import ColorTuple
 #: bin plus the exact image dimensions — the all-bins BOUNDS result.
 AllBinsBounds = Tuple[np.ndarray, np.ndarray, int, int]
 
+#: Counts of the memo's exact column: half the bytes of int64, and no
+#: bin of an image under 2**31 pixels overflows it (larger images are
+#: never stored, only refined).
+EXACT_DTYPE = np.int32
+
 
 class BoundsMatrix(Sequence[AllBinsBounds]):
     """All-bins BOUNDS of many images: rows for id consumers, columns
@@ -108,6 +117,11 @@ class BoundsMatrix(Sequence[AllBinsBounds]):
         self._storage = (lo, hi, heights, widths)
         self._rows = rows
         self._block: List[Optional[np.ndarray]] = [None, None, None, None]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Storage row of each element: its memo row when memo-backed."""
+        return self._rows
 
     def column(self, bin_index: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(BOUND_min, BOUND_max)`` counts of one bin, one per image."""
@@ -175,7 +189,7 @@ class _MemoArrays:
     generation in whole, never resizing in place, so a reader keeps
     reading consistent rows of the one it took."""
 
-    __slots__ = ("lo", "hi", "heights", "widths", "valid")
+    __slots__ = ("lo", "hi", "heights", "widths", "valid", "exact", "exact_valid")
 
     def __init__(self, capacity: int, bins: int) -> None:
         self.lo = np.zeros((capacity, bins), dtype=np.int64)
@@ -183,12 +197,36 @@ class _MemoArrays:
         self.heights = np.zeros(capacity, dtype=np.int64)
         self.widths = np.zeros(capacity, dtype=np.int64)
         self.valid = np.zeros(capacity, dtype=bool)
+        #: The exact column: refined histogram counts of edited rows,
+        #: allocated by the first refinement stored, so an engine that
+        #: only serves range queries carries none.  ``exact_valid``
+        #: implies ``valid``: every clear of one clears the other.
+        self.exact: Optional[np.ndarray] = None
+        self.exact_valid: Optional[np.ndarray] = None
+
+    def with_exact(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The exact column, allocated on first use."""
+        if self.exact is None or self.exact_valid is None:
+            # np.zeros, not zeros_like: untouched pages cost no memory.
+            self.exact = np.zeros(self.lo.shape, dtype=EXACT_DTYPE)
+            self.exact_valid = np.zeros(len(self.valid), dtype=bool)
+        return self.exact, self.exact_valid
+
+    def dirty(self, rows: Union[int, np.ndarray]) -> None:
+        """Clear ``rows`` in ``valid`` and in the exact column."""
+        self.valid[rows] = False
+        if self.exact_valid is not None:
+            self.exact_valid[rows] = False
 
     def grown(self, capacity: int) -> "_MemoArrays":
         """A larger generation holding this one's rows."""
         bigger = _MemoArrays(capacity, self.lo.shape[1])
+        if self.exact is not None:
+            bigger.with_exact()
         for name in self.__slots__:
-            getattr(bigger, name)[: len(self.valid)] = getattr(self, name)
+            mine = getattr(self, name)
+            if mine is not None:
+                getattr(bigger, name)[: len(self.valid)] = mine
         return bigger
 
 
@@ -313,6 +351,10 @@ class BoundsEngine:
         self._dependents: Dict[str, Set[str]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+        #: Exact-column rows read by refinements (:meth:`exact_of_rows`)
+        #: and written by them (:meth:`store_exact`).
+        self.exact_hits = 0
+        self.exact_fills = 0
         #: Memo entries dropped by invalidation (targeted or whole-cache).
         self.cache_invalidated_entries = 0
         #: Number of :meth:`invalidate` / :meth:`invalidate_cache` calls.
@@ -665,6 +707,7 @@ class BoundsEngine:
                         self._release(row)
                     self.memo_epoch += 1
                     raise
+                memo.dirty(dirty)  # a refilled row starts with no exact row
                 memo.lo[dirty], memo.hi[dirty] = swept.lo, swept.hi
                 memo.heights[dirty], memo.widths[dirty] = swept.heights, swept.widths
                 memo.valid[dirty] = True  # last: whoever sees it reads whole rows
@@ -687,8 +730,60 @@ class BoundsEngine:
         """Return an image's ``row`` to the free list (lock held)."""
         del self._row_of[self._row_ids[row]]
         self._row_ids[row] = ""
-        self._memo.valid[row] = False
+        self._memo.dirty(row)
         self._free_rows.append(row)
+
+    # ------------------------------------------------------------------
+    # The exact column: refined histograms of edited rows
+    # ------------------------------------------------------------------
+    def exact_of_rows(
+        self, rows: np.ndarray, epoch: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The memoized exact histograms among memo ``rows``.
+
+        Returns ``(positions, counts)``: the indexes into ``rows`` whose
+        row holds its image's exact histogram, and those histograms'
+        counts as a ``(len(positions) x bins)`` matrix, gathered under
+        the memo lock.  Nothing is returned once :attr:`memo_epoch` has
+        moved past ``epoch`` (read before ``rows`` were), as the rows
+        may hold other images by then.
+        """
+        with self._memo_lock:
+            memo = self._memo
+            if self.memo_epoch != epoch or memo.exact_valid is None:
+                positions = np.empty(0, dtype=np.int64)
+                bins = self._quantizer.bin_count
+                return positions, np.empty((0, bins), dtype=EXACT_DTYPE)
+            positions = np.flatnonzero(memo.exact_valid[rows])
+            counts = memo.exact[rows[positions]]  # type: ignore[index]
+            self.exact_hits += len(positions)
+        return positions, counts
+
+    def store_exact(self, rows: np.ndarray, counts: np.ndarray, epoch: int) -> int:
+        """Memoize refined histograms: ``counts[i]`` at memo ``rows[i]``.
+
+        The guard of a fill: written under the memo lock, only while
+        :attr:`memo_epoch` still equals ``epoch`` — read before the
+        histograms were computed — and only into rows whose bounds are
+        valid, so an invalidation that raced the instantiation wins.
+        A stored row is then dropped with its bounds row, by the same
+        dependency edges: an image's exact histogram depends on exactly
+        what its Table 1 walk consulted.  Returns the rows written.
+        """
+        if not self._memo_on:
+            raise RuleError("store_exact requires cache_enabled")
+        with self._memo_lock:
+            if self.memo_epoch != epoch:
+                return 0
+            memo = self._memo
+            fits = counts.sum(axis=1) <= np.iinfo(EXACT_DTYPE).max
+            keep = memo.valid[rows] & fits
+            exact, exact_valid = memo.with_exact()
+            exact[rows[keep]] = counts[keep]
+            exact_valid[rows[keep]] = True
+            written = int(np.count_nonzero(keep))
+            self.exact_fills += written
+        return written
 
     def fraction_bounds_all_bins_batch(
         self, image_ids: Sequence[str]
@@ -743,12 +838,12 @@ class BoundsEngine:
         stack: List[str] = [image_id]
         seen: Set[str] = {image_id}
         with self._memo_lock:
-            valid = self._memo.valid
+            memo = self._memo
             while stack:
                 current = stack.pop()
                 row = self._row_of.get(current)
-                if row is not None and valid[row]:
-                    valid[row] = False
+                if row is not None and memo.valid[row]:
+                    memo.dirty(row)
                     dropped += 1
                 for dependent in self._dependents.pop(current, ()):
                     if dependent not in seen:
@@ -807,13 +902,17 @@ class BoundsEngine:
         )
 
     def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/invalidation counters plus the memo's valid-row count."""
+        """Hit/miss/invalidation counters plus the memo's valid-row count,
+        and the exact column's rows read (``exact_hits``) and written
+        (``exact_fills``) by kNN refinements."""
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "invalidation_calls": self.cache_invalidation_calls,
             "invalidated_entries": self.cache_invalidated_entries,
             "vector_entries": int(np.count_nonzero(self._memo.valid)),
+            "exact_hits": self.exact_hits,
+            "exact_fills": self.exact_fills,
         }
 
     def _register_dependencies(self, image_id: str, sequence: EditSequence) -> None:

@@ -1578,7 +1578,10 @@ class OpTableManager:
                 table.upsert(image_id, record)
                 refs = table.refs_of(image_id)
             stack.extend(ref for ref in refs if ref not in seen)
-        if table.dead_count > max(table.live_count, 32):
+        # An eighth: each tombstone is kept, and copied by every seal,
+        # until compaction; a steady insert/delete churn would otherwise
+        # grow the table to twice its live rows first.
+        if table.dead_count > max(table.live_count // 8, 32):
             table.compact()
             self.compactions += 1
         self._covered = (table.version, requested)

@@ -10,15 +10,18 @@
 * :class:`SimilaritySearch` — kNN over the augmented database (§6 future
   work, experiment A5) with three strategies: binary-only via the
   multidimensional index, exhaustive instantiation, and bounds-based
-  pruning that instantiates only edited images whose BOUNDS intervals
-  cannot be excluded.
+  pruning that refines only edited images whose BOUNDS intervals
+  cannot be excluded.  On a memoizing engine a refinement instantiates
+  an image once per invalidation: its exact histogram is kept in the
+  image's memo row.  The exhaustive strategy never reads it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +39,21 @@ Instantiator = Callable[[str], Image]
 
 #: ``(score, image_id)``; tuples order by score, ties by id.
 Scored = Tuple[float, str]
+
+#: ``(bound, image_id, position)`` of an edited image: ordered like
+#: :data:`Scored` (ids are unique), ``position`` its index in the query's
+#: edited ids.
+Candidate = Tuple[float, str, int]
+
+
+def _row_scores(q: np.ndarray, stored: np.ndarray, intersection: bool) -> np.ndarray:
+    """``l1_distance`` — or the negated ``histogram_intersection`` — of
+    ``q`` against each row of ``stored``, normalized histograms: the
+    row-wise forms of the scalar functions, yielding the identical
+    doubles.  Overwrites ``stored``, which callers pass as scratch."""
+    if intersection:
+        return -np.minimum(q, stored, out=stored).sum(axis=1)
+    return np.abs(np.subtract(q, stored, out=stored), out=stored).sum(axis=1)
 
 
 class _MaxItem:
@@ -84,6 +102,74 @@ class _KBest:
     def sorted_items(self) -> List[Tuple[float, str]]:
         """Held entries ascending by ``(score, image_id)``."""
         return sorted(entry.item for entry in self._heap)
+
+
+class _Refinement:
+    """The refine step of one query: exact scores of its edited candidates.
+
+    On a memoizing engine a candidate whose memo row holds its exact
+    histogram is scored from there — all such candidates together, in
+    one row-wise pass (:func:`_row_scores`).  Any other candidate is
+    instantiated and scored by the scalar function, and :meth:`store`
+    hands its counts to the memo under the epoch read before the query
+    read its bounds.  Off the memo (``rows is None``) every candidate is
+    instantiated and nothing is kept.  ``ids``, ``bound`` and ``rows``
+    are aligned: each candidate's id, bound score and memo row.
+    """
+
+    def __init__(
+        self,
+        engine: BoundsEngine,
+        exact_histogram: Callable[[str], ColorHistogram],
+        query: ColorHistogram,
+        intersection: bool,
+        ids: List[str],
+        bound: np.ndarray,
+        rows: Optional[np.ndarray],
+        epoch: int,
+    ) -> None:
+        self._engine = engine
+        self._exact_histogram = exact_histogram
+        self._query = query
+        self._intersection = intersection
+        self._ids = ids
+        self._bound = bound
+        self._rows = rows
+        self._epoch = epoch
+        self._known: Dict[int, float] = {}
+        self._fresh: List[Tuple[int, np.ndarray]] = []
+
+    def read_memo(self, limit: float) -> None:
+        """Score the memoized candidates whose bound does not exceed
+        ``limit`` — no refinement reaches past it."""
+        if self._rows is None:
+            return
+        wanted = np.flatnonzero(self._bound <= limit)
+        found, counts = self._engine.exact_of_rows(self._rows[wanted], self._epoch)
+        if len(found):
+            stored = counts / counts.sum(axis=1, keepdims=True).astype(np.float64)
+            scores = _row_scores(self._query.fractions(), stored, self._intersection)
+            self._known = dict(zip(wanted[found].tolist(), scores.tolist()))
+
+    def score(self, position: int) -> float:
+        """The exact score of the candidate at ``position``."""
+        known = self._known.get(position)
+        if known is not None:
+            return known
+        histogram = self._exact_histogram(self._ids[position])
+        if self._rows is not None:
+            self._fresh.append((position, histogram.counts))
+        if self._intersection:
+            return -histogram_intersection(self._query, histogram)
+        return l1_distance(self._query, histogram)
+
+    def store(self) -> None:
+        """Memoize what this query instantiated."""
+        if self._rows is not None and self._fresh:
+            positions, counts = zip(*self._fresh)
+            self._engine.store_exact(
+                self._rows[list(positions)], np.stack(counts), self._epoch
+            )
 
 
 class InstantiateProcessor:
@@ -149,7 +235,12 @@ def and_merge(
 
 @dataclass
 class KNNStats:
-    """Work counters for one kNN execution."""
+    """Work counters for one kNN execution.
+
+    ``edited_instantiated`` counts the edited images *refined* to an
+    exact score: instantiated, or read from the memo's exact row.  It so
+    reads the same whether the memo is cold, warm or off.
+    """
 
     candidates_considered: int = 0
     edited_pruned: int = 0
@@ -211,7 +302,7 @@ class SimilaritySearch:
         return KNNResult(tuple(sorted(scored)[:k]), stats)
 
     def knn_bounded(self, query: ColorHistogram, k: int) -> KNNResult:
-        """kNN instantiating only edited images the bounds cannot exclude.
+        """kNN refining only edited images the bounds cannot exclude.
 
         Strategy (the A5 extension):
 
@@ -220,9 +311,10 @@ class SimilaritySearch:
            vectorized sequence walk and an L1 *lower bound* on its
            distance to the query;
         3. process edited images in ascending lower-bound order,
-           instantiating one at a time; stop as soon as the next lower
-           bound exceeds the current k-th best distance — no remaining
-           image can improve the result.
+           refining one at a time (its exact histogram from the memo, or
+           instantiated); stop as soon as the next lower bound exceeds
+           the current k-th best distance — no remaining image can
+           improve the result.
         """
         neighbors, stats = self._k_best(query, k, intersection=False)
         return KNNResult(tuple(neighbors), stats)
@@ -233,24 +325,28 @@ class SimilaritySearch:
         """All images within L1 distance ``epsilon`` of ``query``.
 
         The similarity-range companion to kNN: binary images are checked
-        exactly; an edited image is instantiated only when its per-bin
+        exactly; an edited image is refined only when its per-bin
         BOUNDS intervals admit a distance at or below ``epsilon`` (its
         L1 lower bound does not exceed the threshold).  Returns matches
-        ascending by distance.
+        ascending by distance.  ``epsilon`` may be ``inf``, not NaN: no
+        distance compares true against NaN, so every image would be
+        refined and none returned.
         """
-        if epsilon < 0:
+        if math.isnan(epsilon) or epsilon < 0:
             raise QueryError(f"epsilon must be non-negative, got {epsilon}")
-        binary, edited = self._rank(query, intersection=False)
+        binary, edited, refinement = self._rank(query, intersection=False)
         stats = KNNStats(candidates_considered=len(binary) + len(edited))
         matches = [item for item in binary if item[0] <= epsilon]
-        for bound, image_id in edited:
+        refinement.read_memo(epsilon)
+        for bound, image_id, position in edited:
             if bound > epsilon:
                 stats.edited_pruned += 1
                 continue
             stats.edited_instantiated += 1
-            distance = l1_distance(query, self._exact_histogram(image_id, query))
+            distance = refinement.score(position)
             if distance <= epsilon:
                 matches.append((distance, image_id))
+        refinement.store()
         return KNNResult(tuple(sorted(matches)), stats)
 
     def knn_intersection(self, query: ColorHistogram, k: int) -> KNNResult:
@@ -275,42 +371,45 @@ class SimilaritySearch:
     ) -> Tuple[List[Scored], KNNStats]:
         """Filter-and-refine over :meth:`_rank`'s smaller-is-better scores."""
         self._validate_k(k)
-        binary, edited = self._rank(query, intersection)
+        binary, edited, refinement = self._rank(query, intersection)
         stats = KNNStats(candidates_considered=len(binary) + len(edited))
         best = _KBest(k)
         for item in binary:
             best.push(item)
+        refinement.read_memo(best.threshold)  # the threshold only falls
         heapq.heapify(edited)
         while edited:
-            bound, image_id = heapq.heappop(edited)
+            bound, image_id, position = heapq.heappop(edited)
             if bound > best.threshold:
                 stats.edited_pruned += 1 + len(edited)
                 break
             stats.edited_instantiated += 1
-            histogram = self._exact_histogram(image_id, query)
-            if intersection:
-                best.push((-histogram_intersection(query, histogram), image_id))
-            else:
-                best.push((l1_distance(query, histogram), image_id))
+            best.push((refinement.score(position), image_id))
+        refinement.store()
         return best.sorted_items(), stats
 
     def _rank(
         self, query: ColorHistogram, intersection: bool
-    ) -> Tuple[List[Scored], List[Scored]]:
+    ) -> Tuple[List[Scored], List[Candidate], _Refinement]:
         """Score every stored image against ``query`` without instantiating.
 
-        Returns ``(score, id)`` lists in catalog order: binary images
-        scored exactly, edited images by the best score their BOUNDS
-        intervals admit.  Scores are L1 distances and their lower bounds,
-        or — so that smaller is better either way — *negated*
-        intersections and their negated upper bounds.  Each is the
-        row-wise form of the scalar function of the same name in
-        :mod:`repro.color.similarity` and yields the identical doubles.
+        Returns lists in catalog order — binary images scored exactly,
+        edited images by the best score their BOUNDS intervals admit —
+        and the refine step that scores edited images exactly.  Scores
+        are L1 distances and their lower bounds, or — so that smaller is
+        better either way — *negated* intersections and their negated
+        upper bounds.  Each is the row-wise form of the scalar function
+        of the same name in :mod:`repro.color.similarity` and yields the
+        identical doubles.
         """
         q = query.fractions()
         binary_ids = list(self._catalog.binary_ids())
         edited_ids = list(self._catalog.edited_ids())
         exact = bound = np.empty(0)
+        rows: Optional[np.ndarray] = None
+        # Read before the bounds: exact rows are kept only if no
+        # invalidation came between this and their instantiation.
+        epoch = self._engine.memo_epoch
         if binary_ids:
             histograms = [self._catalog.histogram_of(i) for i in binary_ids]
             for histogram in histograms:
@@ -318,15 +417,14 @@ class SimilaritySearch:
             stored = np.stack([h.counts for h in histograms]) / np.array(
                 [[h.total] for h in histograms], dtype=np.float64
             )
-            if intersection:
-                exact = -np.minimum(q, stored).sum(axis=1)
-            else:
-                exact = np.abs(q - stored).sum(axis=1)
+            exact = _row_scores(q, stored, intersection)
         if edited_ids:
             # The divisions make the (edited, bins) scratch matrices the
             # steps below overwrite in place; the intervals themselves
             # are read where they live (memo rows, or the sweep's state).
             bounds = self._engine.bounds_all_bins_batch(edited_ids)
+            if self._engine.cache_enabled:
+                rows = bounds.rows
             totals = bounds.totals.astype(np.float64)[:, None]
             upper = bounds.hi / totals
             if intersection:
@@ -340,13 +438,25 @@ class SimilaritySearch:
                 np.clip(np.subtract(q, upper, out=upper), 0.0, None, out=upper)
                 lower += upper
                 bound = lower.sum(axis=1)
+        refinement = _Refinement(
+            self._engine,
+            lambda image_id: self._exact_histogram(image_id, query),
+            query,
+            intersection,
+            edited_ids,
+            bound,
+            rows,
+            epoch,
+        )
         return (
             list(zip(exact.tolist(), binary_ids)),
-            list(zip(bound.tolist(), edited_ids)),
+            list(zip(bound.tolist(), edited_ids, range(len(edited_ids)))),
+            refinement,
         )
 
     def _exact_histogram(self, image_id: str, query: ColorHistogram) -> ColorHistogram:
-        """Refine step: instantiate ``image_id`` and extract its histogram."""
+        """Instantiate ``image_id`` and extract its histogram: the ground
+        truth, which never reads the memo's exact column."""
         return ColorHistogram.of_image(self._instantiate(image_id), query.quantizer)
 
     @staticmethod

@@ -89,9 +89,15 @@ class TestCounters:
     def test_cache_stats_shape(self, engine):
         warm(engine)
         stats = engine.cache_stats()
+        assert set(stats) == {
+            "hits", "misses", "invalidation_calls", "invalidated_entries",
+            "vector_entries", "exact_hits", "exact_fills",
+        }
         assert stats["vector_entries"] == 5
         assert stats["misses"] == 5
         assert stats["invalidation_calls"] == 0
+        # Bounds reads alone never touch the exact column.
+        assert stats["exact_hits"] == stats["exact_fills"] == 0
 
     def test_disabled_cache_counts_nothing(self, store):
         engine = BoundsEngine(store, Q2, cache_enabled=False)

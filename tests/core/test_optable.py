@@ -454,7 +454,7 @@ class TestIncrementalMaintenance:
         survivors = [i for i in edited_ids if i not in set(edited_ids[:36])]
         database.engine.bounds_all_bins_batch(survivors)
         assert manager.compactions >= 1
-        assert manager.table.dead_count <= max(manager.table.live_count, 32)
+        assert manager.table.dead_count <= max(manager.table.live_count // 8, 32)
         self._assert_matches_fresh(database)
 
 
