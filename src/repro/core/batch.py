@@ -15,9 +15,10 @@ against its range.  Only where those columns come from depends on the
 engine's memo.  Off, the histograms are stacked and the intervals swept
 for this call alone.  On, both are rows of the memo
 (:meth:`repro.core.bounds.BoundsEngine.bounds_of_rows`), addressed
-through a flattened copy of the catalog / BWM layout that the processor
-keeps between calls and rebuilds after a mutation — a warm query is a
-validity check, a column gather and two compares, which is why
+through one flat order of the catalog / BWM layout (bases, members,
+stragglers) that the processor keeps between calls and rebuilds after a
+mutation — a warm query is a validity check, one column gather per
+queried bin and two compares, which is why
 :class:`repro.db.database.MultimediaDatabase` answers single queries on
 a memoizing engine with a batch of one.
 
@@ -30,7 +31,7 @@ edge for edge against the scalar processors, in
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,25 +50,53 @@ def _group_by_bin(queries: Sequence[RangeQuery]) -> Dict[int, List[int]]:
     return groups
 
 
-class _Images(NamedTuple):
-    """Some stored images in a fixed order: their ids as an object
-    array and, on a memoizing engine, their memo rows."""
+class _Layout(NamedTuple):
+    """A catalog flattened for array reads, in one flat order: the
+    cluster bases, then the filed members cluster by cluster, then the
+    stragglers filed nowhere.  ``names`` holds their ids as an object
+    array and, on a memoizing engine, ``rows`` their memo rows;
+    ``sizes`` counts each cluster's members and ``member_cluster`` gives
+    each member the index of the cluster it is filed under.
+    ``clustered`` is false for RBM's layout, which has no clusters:
+    every binary image a base without members, every edited image a
+    straggler."""
 
     names: np.ndarray
     rows: Optional[np.ndarray]
+    sizes: np.ndarray
+    member_cluster: np.ndarray
+    clustered: bool = True
 
     @staticmethod
-    def of(engine: BoundsEngine, image_ids: Sequence[str]) -> "_Images":
-        rows = engine.memo_rows(image_ids) if engine.cache_enabled else None
-        return _Images(np.array(image_ids, dtype=object), rows)
+    def of(
+        engine: BoundsEngine,
+        clusters: Sequence[Tuple[str, Collection[str]]],
+        stragglers: Sequence[str],
+        clustered: bool = True,
+    ) -> "_Layout":
+        ids = [base_id for base_id, _ in clusters]
+        for _, members in clusters:
+            ids.extend(members)
+        ids.extend(stragglers)
+        sizes = np.array([len(members) for _, members in clusters], dtype=np.int64)
+        return _Layout(
+            np.array(ids, dtype=object),
+            engine.memo_rows(ids) if engine.cache_enabled else None,
+            sizes,
+            np.repeat(np.arange(len(sizes)), sizes),
+            clustered,
+        )
 
 
-def _exact(view: CatalogView, engine: BoundsEngine, images: _Images) -> BoundsMatrix:
-    """Binary images' exact counts: memo rows, or their histograms
-    fetched once and stacked (``lo`` is ``hi``)."""
-    if images.rows is not None:
-        return engine.bounds_of_rows(images.rows)
-    histograms = [view.histogram_of(image_id) for image_id in images.names.tolist()]
+def _exact(view: CatalogView, engine: BoundsEngine, layout: _Layout) -> BoundsMatrix:
+    """The bases' exact counts: memo rows, or their histograms fetched
+    once and stacked (``lo`` is ``hi``)."""
+    bases = len(layout.sizes)
+    if layout.rows is not None:
+        return engine.bounds_of_rows(layout.rows[:bases])
+    histograms = [
+        view.histogram_of(image_id) for image_id in layout.names[:bases].tolist()
+    ]
     counts = stack_rows([each.counts for each in histograms], engine.quantizer.bin_count)
     # A histogram knows its pixel total, not its shape: total x 1.
     totals = np.array([each.total for each in histograms], dtype=np.int64)
@@ -93,22 +122,6 @@ def _overlapping(
     return (fraction_lo <= query.pct_max) & (fraction_hi >= query.pct_min)
 
 
-class _Layout(NamedTuple):
-    """A catalog flattened for array reads: cluster bases with their
-    sizes, the filed members cluster by cluster with the index of the
-    cluster each is filed under, and the stragglers filed nowhere.
-    ``clustered`` is false for RBM's layout, which has no clusters:
-    every binary image a base without members, every edited image a
-    straggler."""
-
-    bases: _Images
-    sizes: np.ndarray
-    members: _Images
-    member_cluster: np.ndarray
-    stragglers: _Images
-    clustered: bool = True
-
-
 def _match(
     view: CatalogView,
     engine: BoundsEngine,
@@ -121,76 +134,67 @@ def _match(
         raise QueryError("empty query batch")
     groups = _group_by_bin(queries)
     stats = QueryStats()
-    bases, sizes, members, member_cluster, stragglers, clustered = layout
+    names, rows, sizes, member_cluster, clustered = layout
+    bases = len(sizes)
+    members = slice(bases, bases + len(member_cluster))
+    stragglers = len(names) - members.stop
 
     # Phase 1: base-histogram short-circuiting decides which members
     # need BOUNDS at all (pure histogram checks, no rule work).
-    exact = _exact(view, engine, bases)
-    stats.histograms_checked += len(sizes)
+    exact = _exact(view, engine, layout)
+    stats.histograms_checked += bases
     totals = exact.totals
-    accepted = np.zeros((len(queries), len(sizes)), dtype=bool)
+    accepted = np.zeros((len(queries), bases), dtype=bool)
     for bin_index, positions in groups.items():
         fraction = exact.column(bin_index)[0] / totals
         for position in positions:
             accepted[position] = _satisfied(queries[position], fraction)
     if clustered:
-        stats.clusters_short_circuited += int(accepted.sum())
+        stats.clusters_short_circuited += int(np.count_nonzero(accepted))
         stats.edited_accepted_without_rules += int((accepted * sizes).sum())
     member_accepted = accepted[:, member_cluster]
-    found = [
-        [bases.names[cluster_row], members.names[member_row]]
-        for cluster_row, member_row in zip(accepted, member_accepted)
-    ]
 
     # Phase 2: every member that survived short-circuiting plus the
-    # stragglers pay one shared columnar sweep.
-    wanted = ~member_accepted.all(axis=0)
-    needed = _Images(
-        np.concatenate([members.names[wanted], stragglers.names]),
-        None
-        if members.rows is None or stragglers.rows is None
-        else np.concatenate([members.rows[wanted], stragglers.rows]),
+    # stragglers — the fill set — pay one shared columnar sweep, and
+    # each queried bin is gathered once over the whole flat order.
+    # Slots outside the fill set read a stand-in (the first filled
+    # row): their values never decide a hit, as ``accepted`` overrides
+    # the bases and accepts the members of the clusters it accepted, so
+    # a dirty or never-filled row is never read.
+    hit = np.zeros((len(queries), len(names)), dtype=bool)
+    fill = np.concatenate(
+        [
+            np.flatnonzero(~member_accepted.all(axis=0)) + bases,
+            np.arange(members.stop, len(names)),
+        ]
     )
-    if not len(needed.names):
-        return _results(found, stats)
-    rules_before = engine.rules_applied
-    if needed.rows is not None:
-        bounds = engine.bounds_of_rows(needed.rows)  # dirty rows swept
-    else:
-        bounds = engine.bounds_all_bins_batch(needed.names.tolist())
-    stats.rules_applied += engine.rules_applied - rules_before
-    totals = bounds.totals
-    member_slot = np.cumsum(wanted) - 1
-    straggler_slot = np.arange(
-        len(needed.names) - len(stragglers.names), len(needed.names)
-    )
-    for bin_index, positions in groups.items():
-        lo, hi = bounds.column(bin_index)
-        fraction_lo, fraction_hi = lo / totals, hi / totals
-        # A member's interval for this bin is read once however many
-        # of the bin's queries its cluster failed.
-        failed_here = ~accepted[positions].all(axis=0)
-        stats.bounds_computed += int(sizes[failed_here].sum()) + len(stragglers.names)
-        for position in positions:
-            # The rows this query reads: members of the clusters it
-            # failed, then the stragglers.
-            slots = np.concatenate(
-                [member_slot[~member_accepted[position]], straggler_slot]
-            )
-            hit = _overlapping(
-                queries[position], fraction_lo[slots], fraction_hi[slots]
-            )
-            found[position].append(needed.names[slots[hit]])
-    return _results(found, stats)
-
-
-def _results(found: List[List[np.ndarray]], stats: QueryStats) -> List[QueryResult]:
-    """One result per query from the name arrays it collected."""
-    empty: FrozenSet[str] = frozenset()
-    return [
-        QueryResult(empty.union(*(names.tolist() for names in each)), stats)
-        for each in found
-    ]
+    if len(fill):
+        rules_before = engine.rules_applied
+        if rows is not None:
+            # Validity and columns from one memo generation: the one
+            # this call checked (and filled the dirty rows of).
+            bounds = engine.bounds_of_rows(rows[fill])
+        else:
+            bounds = engine.bounds_all_bins_batch(names[fill].tolist())
+        stats.rules_applied += engine.rules_applied - rules_before
+        at = np.full(len(names), bounds.rows[0])
+        at[fill] = bounds.rows
+        columns = bounds.over(at)
+        totals = columns.totals
+        for bin_index, positions in groups.items():
+            lo, hi = columns.column(bin_index)
+            fraction_lo, fraction_hi = lo / totals, hi / totals
+            # A member's interval for this bin is read once however many
+            # of the bin's queries its cluster failed.
+            failed_here = ~accepted[positions].all(axis=0)
+            stats.bounds_computed += int(sizes[failed_here].sum()) + stragglers
+            for position in positions:
+                hit[position] = _overlapping(
+                    queries[position], fraction_lo, fraction_hi
+                )
+    hit[:, :bases] = accepted
+    hit[:, members] |= member_accepted
+    return [QueryResult(frozenset(names[each].tolist()), stats) for each in hit]
 
 
 class _Processor:
@@ -226,14 +230,10 @@ class BatchRBMProcessor(_Processor):
     name = "rbm-batch"
 
     def _flatten(self) -> _Layout:
-        binary = _Images.of(self._engine, list(self._view.binary_ids()))
-        nothing = np.zeros(0, dtype=np.int64)
-        return _Layout(
-            binary,
-            np.zeros(len(binary.names), dtype=np.int64),
-            _Images.of(self._engine, []),
-            nothing,
-            _Images.of(self._engine, list(self._view.edited_ids())),
+        return _Layout.of(
+            self._engine,
+            [(base_id, ()) for base_id in self._view.binary_ids()],
+            list(self._view.edited_ids()),
             clustered=False,
         )
 
@@ -268,20 +268,10 @@ class BatchBWMProcessor(_Processor):
         return self._structure.version
 
     def _flatten(self) -> _Layout:
-        base_ids: List[str] = []
-        member_ids: List[str] = []
-        counts: List[int] = []
-        for base_id, cluster in self._structure.clusters():
-            base_ids.append(base_id)
-            member_ids.extend(cluster)
-            counts.append(len(cluster))
-        sizes = np.array(counts, dtype=np.int64)
-        return _Layout(
-            _Images.of(self._engine, base_ids),
-            sizes,
-            _Images.of(self._engine, member_ids),
-            np.repeat(np.arange(len(sizes)), sizes),
-            _Images.of(self._engine, list(self._structure.unclassified)),
+        return _Layout.of(
+            self._engine,
+            list(self._structure.clusters()),
+            list(self._structure.unclassified),
         )
 
     def process_batch(self, queries: Sequence[RangeQuery]) -> List[QueryResult]:

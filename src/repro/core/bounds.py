@@ -98,7 +98,7 @@ class BoundsMatrix(Sequence[AllBinsBounds]):
     Underneath it is a row selection over storage it does not own — the
     engine's memo, or the state matrices of one sweep — with ``rows[i]``
     the storage row of element ``i``.  :meth:`column` gathers one bin of
-    the selected rows (``lo[rows, bin]``, never ``lo[rows]``), which is
+    the selected rows (``lo[:, bin][rows]``, never ``lo[rows]``), which is
     all a range query reads; a whole matrix is gathered the first time
     it, or a row of it, is asked for.  A memo-backed matrix reads live
     rows: consume it before the next catalog mutation.
@@ -123,10 +123,17 @@ class BoundsMatrix(Sequence[AllBinsBounds]):
         """Storage row of each element: its memo row when memo-backed."""
         return self._rows
 
+    def over(self, rows: np.ndarray) -> "BoundsMatrix":
+        """The same storage — one memo generation, or one sweep's
+        state — selected at other ``rows``."""
+        return BoundsMatrix(*self._storage, rows)
+
     def column(self, bin_index: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(BOUND_min, BOUND_max)`` counts of one bin, one per image."""
         lo, hi, _, _ = self._storage
-        return lo[self._rows, bin_index], hi[self._rows, bin_index]
+        # A 1-D gather from the column view is twice as fast as
+        # ``lo[rows, bin_index]``.
+        return lo[:, bin_index][self._rows], hi[:, bin_index][self._rows]
 
     @property
     def totals(self) -> np.ndarray:

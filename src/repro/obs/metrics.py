@@ -24,7 +24,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Union
+from typing import Deque, Dict, Iterable, Tuple, Union
 
 from repro.errors import ServiceError
 
@@ -101,8 +101,10 @@ class LatencyHistogram:
             self._reservoir.append(float(value))
             self._count += 1
             self._total += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
 
     def snapshot(self) -> HistogramSnapshot:
         """Immutable summary; percentiles over the recent reservoir."""
@@ -189,15 +191,27 @@ class MetricsRegistry:
         """Record one observation into a named histogram."""
         self.histogram(name).record(value)
 
+    def observe_many(self, observations: Iterable[Tuple[str, float]]) -> None:
+        """Record ``(name, value)`` observations, taking the registry
+        lock once for all of their histograms."""
+        with self._lock:
+            found = [(self._histogram(name), value) for name, value in observations]
+        for histogram, value in found:
+            histogram.record(value)
+
     def histogram(self, name: str) -> LatencyHistogram:
         """The named histogram, created on first use."""
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                self._claim(name, "histogram")
-                histogram = LatencyHistogram(self._reservoir_size)
-                self._histograms[name] = histogram
-            return histogram
+            return self._histogram(name)
+
+    def _histogram(self, name: str) -> LatencyHistogram:
+        """:meth:`histogram` for a caller holding the lock."""
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            self._claim(name, "histogram")
+            histogram = LatencyHistogram(self._reservoir_size)
+            self._histograms[name] = histogram
+        return histogram
 
     def snapshot(self) -> Dict[str, Dict[str, MetricValue]]:
         """``{"counters": {...}, "histograms": {name: {...}}}``.

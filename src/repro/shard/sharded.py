@@ -36,8 +36,8 @@ the no-crash state (swept by ``tests/shard/test_wal_replay_faults.py``).
 Queries
 -------
 Scatter-gather, through one skeleton (:meth:`ShardedCatalog._query`):
-each query fans out across shards under their read locks (a small
-thread pool), and the per-shard results merge —
+each query visits the shards in order on the calling thread, under each
+shard's read lock in turn, and the per-shard results merge —
 set-union for range/conjunctive results, an ordered ``heapq.merge`` of
 the per-shard k-best lists for kNN (each shard's list is exact and
 sorted, so the first k of the merge are the global k-best, byte for
@@ -52,7 +52,6 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from heapq import merge as heap_merge
 from itertools import islice
@@ -138,6 +137,8 @@ class _Shard:
 
     __slots__ = (
         "index",
+        "key",
+        "histograms",
         "database",
         "lock",
         "version",
@@ -152,6 +153,17 @@ class _Shard:
 
     def __init__(self, index: int, database: MultimediaDatabase) -> None:
         self.index = index
+        #: ``sNN``: the shard's label in metric names and query records.
+        self.key = f"s{index:02d}"
+        #: Its latency, lock-wait and work-unit histogram names.
+        self.histograms = tuple(
+            f"{family}.{self.key}"
+            for family in (
+                "shard_seconds",
+                "shard_lock_wait_seconds",
+                "shard_work_units",
+            )
+        )
         self.database = database
         self.lock = ReadWriteLock()
         #: Shard-local mutation version; each committed mutation is +1.
@@ -237,9 +249,6 @@ class ShardedCatalog:
         self._shards: List[_Shard] = [
             self._make_shard(index) for index in range(shard_count)
         ]
-        self._pool = ThreadPoolExecutor(
-            max_workers=min(shard_count, 8), thread_name_prefix="shard-query"
-        )
         self._wal: Optional[ShardWAL] = None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -606,53 +615,35 @@ class ShardedCatalog:
         self,
         task: Callable[[_Shard], _T],
         tracer: Any,
-    ) -> Tuple[List[_T], List[Tuple[int, float, float]]]:
-        """Run ``task`` on every shard under its read lock; shard order.
+    ) -> Tuple[List[_T], List[Tuple[_Shard, float, float]]]:
+        """Run ``task`` on every shard, in shard order, on the calling
+        thread, each under that shard's read lock.
 
-        Returns ``(results, timings)`` where each timing is ``(shard
-        index, lock-wait seconds, total seconds)``.  Per-shard latency
-        and lock-wait land in the metrics registry unconditionally (the
-        health monitor's feed); when ``tracer`` is live, one
+        Returns ``(results, timings)`` where each timing is ``(shard,
+        lock-wait seconds, total seconds)`` — the shard's own time, as
+        nothing else runs in between.  When ``tracer`` is live, one
         ``shard.execute`` span per shard — carrying its lock-wait,
         last-written LSN, and last-compaction lineage — is attached
-        under the caller's current span.
+        under the caller's current span as the shard finishes.
 
-        The workers only *measure*; span objects are built on the
-        calling thread afterwards, in shard order, because a tracer's
-        span stack is not thread-safe and deterministic child order
-        makes traces diffable.
+        Reads of different client threads still run side by side; one
+        read holds one shard's read lock at a time.  Within a read there
+        is nothing to overlap: the tasks are short numpy calls under the
+        GIL, and a hand-off to worker threads cost more than it saved.
         """
         self._ensure_open()
-
-        def guarded(shard: _Shard) -> Tuple[_T, float, float, float]:
+        parent = tracer.current if tracer else None
+        results: List[_T] = []
+        timings: List[Tuple[_Shard, float, float]] = []
+        for shard in self._shards:
             queued = time.perf_counter()
             with shard.lock.read_locked():
                 acquired = time.perf_counter()
                 with shard.stats_lock:
                     shard.queries_served += 1
-                result = task(shard)
+                results.append(task(shard))
                 finished = time.perf_counter()
-            return result, queued, acquired, finished
-
-        if len(self._shards) == 1:
-            observed = [guarded(self._shards[0])]
-        else:
-            futures = [
-                self._pool.submit(guarded, shard) for shard in self._shards
-            ]
-            observed = [future.result() for future in futures]
-
-        parent = tracer.current if tracer else None
-        results: List[_T] = []
-        timings: List[Tuple[int, float, float]] = []
-        for shard, (result, queued, acquired, finished) in zip(
-            self._shards, observed
-        ):
             lock_wait = acquired - queued
-            total = finished - queued
-            key = f"s{shard.index:02d}"
-            self.metrics.observe(f"shard_seconds.{key}", total)
-            self.metrics.observe(f"shard_lock_wait_seconds.{key}", lock_wait)
             if parent is not None:
                 span = Span("shard.execute", queued, parent=parent)
                 span.end = finished
@@ -676,8 +667,7 @@ class ShardedCatalog:
                 run.end = finished
                 span.children.extend((wait, run))
                 parent.children.append(span)
-            results.append(result)
-            timings.append((shard.index, lock_wait, total))
+            timings.append((shard, lock_wait, finished - queued))
         return results, timings
 
     @staticmethod
@@ -724,15 +714,18 @@ class ShardedCatalog:
         work_units = float(sum(per_shard_work))
         matches = size(merged)
         elapsed = time.perf_counter() - started
-        for (index, _lock_wait, _total), units in zip(timings, per_shard_work):
-            self.metrics.observe(f"shard_work_units.s{index:02d}", units)
+        # Per shard its latency, lock-wait and work units (the health
+        # monitor's feed), and the query's latency: one registry call.
+        observations = [("sharded_query_seconds", elapsed)]
+        for (shard, lock_wait, total), units in zip(timings, per_shard_work):
+            observations += zip(shard.histograms, (total, lock_wait, units))
+        self.metrics.observe_many(observations)
         self.metrics.increment("shard.queries")
-        self.metrics.observe("sharded_query_seconds", elapsed)
         trace_id = tracer.trace_id
         if tracer:
             for span in tracer.finish().iter_spans():
                 self.metrics.increment(f"spans.{span.name}")
-        slowest = max(timings, key=lambda timing: timing[2])[0]
+        slowest = max(timings, key=lambda timing: timing[2])[0].index
         entry: Dict[str, object] = {
             "ts": time.time(),
             "kind": kind,
@@ -742,8 +735,7 @@ class ShardedCatalog:
             "trace_id": trace_id,
             "slowest_shard": slowest,
             "shard_seconds": {
-                f"s{index:02d}": round(total, 6)
-                for index, _lock_wait, total in timings
+                shard.key: round(total, 6) for shard, _lock_wait, total in timings
             },
         }
         with self._recent_lock:
@@ -1260,11 +1252,14 @@ class ShardedCatalog:
         return render_prometheus(self.metrics_snapshot())
 
     def close(self) -> None:
-        """Silence the ingestion listeners and stop the scatter pool."""
+        """Silence the ingestion listeners and close the event log.
+
+        Reads run on their callers' threads, so there is no thread to
+        stop; a read after ``close`` raises :class:`ShardError`.
+        """
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
         self.events.close()
 
     def __enter__(self) -> "ShardedCatalog":

@@ -359,8 +359,12 @@ class TestRacingWriters:
             for thread in threads:
                 thread.start()
             flips, deadline = 0, time.monotonic() + 10
-            # Original last, so the catalog ends as the records built it.
-            while (len(reads) < 200 or flips % 2) and time.monotonic() < deadline:
+            # Original last, so the catalog ends as the records built it;
+            # at least one flip each way, even when the readers have made
+            # their 200 reads before this thread first runs.
+            while (
+                len(reads) < 200 or flips < 2 or flips % 2
+            ) and time.monotonic() < deadline:
                 catalog.update_image("b0", (flipped, original)[flips % 2])
                 flips += 1
             done.set()

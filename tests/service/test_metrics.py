@@ -150,6 +150,19 @@ class TestMetricsRegistry:
         assert list(snap["counters"]) == ["alpha", "mid", "zeta"]
         assert list(snap["histograms"]) == ["h.alpha", "h.mid", "h.zeta"]
 
+    def test_observe_many_is_one_observe_per_pair(self):
+        one, many = MetricsRegistry(), MetricsRegistry()
+        pairs = [("a", 0.5), ("b", 2.0), ("a", 0.25)]
+        for name, value in pairs:
+            one.observe(name, value)
+        many.observe_many(pairs)
+        assert many.snapshot() == one.snapshot()
+        # A name held by another kind refuses the whole call.
+        many.increment("c")
+        with pytest.raises(ServiceError):
+            many.observe_many([("a", 1.0), ("c", 1.0)])
+        assert many.histogram("a").snapshot().count == 2
+
     def test_concurrent_increments_do_not_lose_updates(self):
         registry = MetricsRegistry()
         threads = [

@@ -319,6 +319,147 @@ class TestRecentQueriesRing:
             sharded.close()
 
 
+class TestTelemetryParity:
+    """What the router publishes per read, pinned to the values it had
+    when the fan-out still ran on a thread pool: moving the fan-out onto
+    the calling thread and folding the histogram observations into one
+    registry call changed neither the names nor the counts."""
+
+    SHARD_HISTOGRAMS = (
+        "shard_lock_wait_seconds",
+        "shard_seconds",
+        "shard_work_units",
+    )
+
+    @staticmethod
+    def _reads(sharded, rng):
+        sharded.range_query(RangeQuery(0, 0.1, 0.9))
+        sharded.range_query(RangeQuery(5, 0.0, 0.5), method="rbm")
+        sharded.text_query("at least 10% red and at most 50% blue")
+        sharded.range_query_batch([RangeQuery(0, 0.1, 0.9), RangeQuery(3, 0.2, 1.0)])
+        sharded.knn(random_image(rng), 3)
+        sharded.similarity_range(random_image(rng), 0.8)
+
+    def test_a_fixed_script_publishes_the_same_telemetry(self, rng, tmp_path):
+        threads_before = set(threading.enumerate())
+        sharded, _, _ = build_mirrored_pair(rng, shard_count=3, root=tmp_path)
+        try:
+            self._reads(sharded, rng)
+            snapshot = sharded.metrics_snapshot()
+            assert sorted(snapshot) == ["counters", "events", "gauges", "histograms"]
+            assert snapshot["counters"] == {
+                "shard.mutations": 18,
+                "shard.queries": 6,
+                "wal.appends": 18,
+                "wal.deduped": 18,
+            }
+            assert snapshot["gauges"] == {
+                "compaction.materialized_images": 0.0,
+                "shard.count": 3.0,
+            }
+            expected = {
+                f"{family}.s{index:02d}": 6
+                for family in self.SHARD_HISTOGRAMS
+                for index in range(3)
+            }
+            expected["sharded_query_seconds"] = 6
+            counts = {
+                name: histogram["count"]
+                for name, histogram in snapshot["histograms"].items()
+            }
+            assert counts == expected
+            recent = sharded.recent_queries()
+            assert [entry["kind"] for entry in recent] == [
+                "range_query",
+                "range_query",
+                "conjunctive_query",
+                "range_query_batch",
+                "knn",
+                "similarity_range",
+            ]
+            for entry in recent:
+                assert sorted(entry) == [
+                    "kind",
+                    "matches",
+                    "seconds",
+                    "shard_seconds",
+                    "slowest_shard",
+                    "trace_id",
+                    "ts",
+                    "work_units",
+                ]
+                assert sorted(entry["shard_seconds"]) == ["s00", "s01", "s02"]
+            events = sharded.events.snapshot(kind="query")
+            assert len(events) == 6
+            for event in events:
+                assert sorted(event.detail) == [
+                    "matches",
+                    "query_kind",
+                    "seconds",
+                    "work_units",
+                ]
+            assert snapshot["events"]["emitted"] == 24  # 18 wal.append + 6 query
+            # The router starts no thread of its own.
+            assert not [
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("shard-query")
+            ]
+            assert set(threading.enumerate()) <= threads_before
+        finally:
+            sharded.close()
+
+    def test_traced_reads_fold_the_same_spans(self, rng):
+        sharded, _, _ = build_mirrored_pair(rng, shard_count=3)
+        try:
+            with tracing():
+                sharded.range_query(RangeQuery(0, 0.1, 0.9))
+                sharded.knn(random_image(rng), 3)
+            counters = sharded.metrics_snapshot()["counters"]
+            assert {
+                name: count
+                for name, count in counters.items()
+                if name.startswith("spans.")
+            } == {
+                "spans.fanout": 2,
+                "spans.lock-wait": 6,
+                "spans.merge": 2,
+                "spans.run": 6,
+                "spans.shard.execute": 6,
+                "spans.sharded_query": 2,
+            }
+            assert all(
+                event.trace_id for event in sharded.events.snapshot(kind="query")
+            )
+        finally:
+            sharded.close()
+
+    def test_a_failing_shard_raises_and_leaves_no_lock_held(
+        self, rng, monkeypatch
+    ):
+        sharded, _, _ = build_mirrored_pair(rng, shard_count=3)
+        try:
+            sharded.range_query(RangeQuery(0, 0.1, 0.9))
+
+            def fail(*args, **kwargs):
+                raise RuntimeError("shard 1 is broken")
+
+            monkeypatch.setattr(sharded.shard_database(1), "range_query", fail)
+            with pytest.raises(RuntimeError, match="shard 1 is broken"):
+                sharded.range_query(RangeQuery(0, 0.1, 0.9))
+            for shard in sharded._shards:
+                with shard.lock.write_locked(timeout=1):
+                    pass
+            # The failed read published nothing; the next one does.
+            monkeypatch.undo()
+            sharded.range_query(RangeQuery(0, 0.1, 0.9))
+            histograms = sharded.metrics_snapshot()["histograms"]
+            assert histograms["sharded_query_seconds"]["count"] == 2
+            assert histograms["shard_seconds.s02"]["count"] == 2
+        finally:
+            sharded.close()
+
+
 class TestBacklog:
     def test_backlog_counts_cold_memo_rows_not_compactions(self, rng):
         # 600 edited images is past the yellow bound (512): a shard that
