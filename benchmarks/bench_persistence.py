@@ -1,11 +1,11 @@
 """Durability overhead — save/load wall time and bytes on disk.
 
-The atomic-save protocol (temp-directory swap) and the per-file SHA-256
-checksums both cost something on every save; checksum verification costs
-again on every strict load.  This bench records the gap between
-``checksums=True`` and ``checksums=False`` saves, the strict and salvage
-load paths, and the on-disk footprint, so durability regressions show up
-in ``benchmarks/results/persistence.txt``.
+The atomic-save protocol (temp-directory swap) and the per-record
+SHA-256 segment envelopes cost something on every save; checksum
+verification costs again on every strict load.  This bench records the
+v3 save, the strict and salvage load paths, and the on-disk footprint,
+so durability regressions show up in
+``benchmarks/results/persistence.txt``.
 """
 
 from __future__ import annotations
@@ -50,36 +50,28 @@ def test_report_persistence_overhead(benchmark, helmet_database, tmp_path):
     """Render the durability-overhead table for results/."""
 
     def measure():
-        rows = []
         summary = helmet_database.structure_summary()
-        for label, checksums in (("checksummed", True), ("bare", False)):
-            root = tmp_path / f"db-{label}"
-            save_s, _ = _timed(
-                lambda r=root, c=checksums: save_database(
-                    helmet_database, r, checksums=c
-                )
-            )
-            load_s, loaded = _timed(lambda r=root: load_database(r))
-            salvage_s, (salvaged, report) = _timed(
-                lambda r=root: load_database(r, salvage=True)
-            )
-            assert len(loaded) == len(helmet_database)
-            assert report.clean and len(salvaged) == len(helmet_database)
-            rows.append(
-                (
-                    label,
-                    f"{1000.0 * save_s:.1f}",
-                    f"{1000.0 * load_s:.1f}",
-                    f"{1000.0 * salvage_s:.1f}",
-                    f"{_directory_bytes(root):,}",
-                )
-            )
-            shutil.rmtree(root)
-        return summary, rows
+        root = tmp_path / "db"
+        save_s, _ = _timed(lambda: save_database(helmet_database, root))
+        load_s, loaded = _timed(lambda: load_database(root))
+        salvage_s, (salvaged, report) = _timed(
+            lambda: load_database(root, salvage=True)
+        )
+        assert len(loaded) == len(helmet_database)
+        assert report.clean and len(salvaged) == len(helmet_database)
+        row = (
+            "v3 segments",
+            f"{1000.0 * save_s:.1f}",
+            f"{1000.0 * load_s:.1f}",
+            f"{1000.0 * salvage_s:.1f}",
+            f"{_directory_bytes(root):,}",
+        )
+        shutil.rmtree(root)
+        return summary, [row]
 
     summary, rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     table = format_table(
-        ("manifest", "save ms", "load ms", "salvage ms", "bytes on disk"),
+        ("format", "save ms", "load ms", "salvage ms", "bytes on disk"),
         rows,
     )
     text = (

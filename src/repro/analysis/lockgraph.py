@@ -104,8 +104,8 @@ _IO_NAMES: Set[str] = {"fsync", "rename", "replace"}
 _COMMIT_LOCKS: Set[str] = {"db.root_lock"}
 
 #: Receiver tails of ``*.read_locked()/write_locked()`` that denote the
-#: service tier's one RW lock (the migrator reaches it via its service
-#: handle; the executor owns it as ``_rwlock``).
+#: service tier's one RW lock (an out-of-band writer reaches it via its
+#: service handle; the executor owns it as ``_rwlock``).
 _SERVICE_RW_TAILS: Set[str] = {"_rwlock", "rwlock", "_service", "service"}
 
 #: Condition-variable attribute names to skip (waiting releases them).

@@ -9,9 +9,7 @@ Subcommands mirror the workflow of the paper's prototype:
 ``check``     integrity verification of a saved database
 ``repair``    fix reparable integrity problems and re-save
 ``salvage``   recover the undamaged records of a corrupted database
-``migrate``   migrate a saved database to the v3 segment format in
-              journaled batches (``--resume`` after a crash,
-              ``--rollback`` to abandon, ``--status`` to inspect)
+              (re-saving in place upgrades an older on-disk format)
 ``evaluate``  regenerate Table 2 and the Figure 3/4 series
 ``explain``   EXPLAIN (and with ``--analyze``, EXPLAIN ANALYZE) a query:
               the plan's strategy, executed actuals, prune
@@ -102,10 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--seed", type=int, default=2006)
     build.add_argument("--edited-percentage", type=float, default=None,
                        help="override the binary/edited split (0-100)")
-    build.add_argument("--format", type=int, choices=(2, 3), default=None,
-                       dest="format_version",
-                       help="on-disk format version (default 2; 3 stores "
-                       "each record as a self-verifying segment)")
 
     info = commands.add_parser("info", help="summarize a saved database")
     info.add_argument("directory")
@@ -148,28 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     salvage.add_argument("--output", "-o", default=None,
                          help="write the recovered database here instead of "
                          "back into the source directory")
-
-    migrate = commands.add_parser(
-        "migrate",
-        help="migrate a saved database to the v3 segment format in "
-        "journaled, crash-resumable batches",
-    )
-    migrate.add_argument("directory")
-    migrate.add_argument("--batch-size", type=int, default=16,
-                         help="records rewritten per journal/swap cycle "
-                         "(default 16)")
-    migrate_action = migrate.add_mutually_exclusive_group()
-    migrate_action.add_argument("--resume", action="store_true",
-                                help="continue a migration interrupted by "
-                                "a crash or I/O error")
-    migrate_action.add_argument("--rollback", action="store_true",
-                                help="abandon an unfinished migration, "
-                                "restoring the original format")
-    migrate_action.add_argument("--status", action="store_true",
-                                help="report migration progress without "
-                                "changing anything")
-    migrate.add_argument("--json", action="store_true",
-                         help="emit the report/status as JSON")
 
     evaluate = commands.add_parser(
         "evaluate", help="regenerate Table 2 and the Figure 3/4 series"
@@ -354,9 +326,7 @@ def _cmd_build(args: argparse.Namespace, out) -> int:
     database = build_database(
         params, rng, edited_percentage=args.edited_percentage
     )
-    root = save_database(
-        database, args.directory, format_version=args.format_version
-    )
+    root = save_database(database, args.directory)
     summary = database.structure_summary()
     print(f"built {args.dataset} database at {root}", file=out)
     for key, value in summary.items():
@@ -446,31 +416,6 @@ def _cmd_salvage(args: argparse.Namespace, out) -> int:
         file=out,
     )
     return 0 if report.clean else 2
-
-
-def _cmd_migrate(args: argparse.Namespace, out) -> int:
-    import json
-
-    from repro.db.migration import Migrator
-
-    migrator = Migrator(args.directory, batch_size=args.batch_size)
-    if args.status:
-        status = migrator.status()
-        if args.json:
-            print(json.dumps(status.to_dict(), indent=2, sort_keys=True),
-                  file=out)
-        else:
-            print(status.describe(), file=out)
-        return 0
-    if args.rollback:
-        report = migrator.rollback()
-    else:
-        report = migrator.run(resume=args.resume)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.describe(), file=out)
-    return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace, out) -> int:
@@ -846,7 +791,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "repair": _cmd_repair,
     "salvage": _cmd_salvage,
-    "migrate": _cmd_migrate,
     "info": _cmd_info,
     "query": _cmd_query,
     "knn": _cmd_knn,

@@ -14,14 +14,6 @@ from repro.db.integrity import (
     verify_integrity,
 )
 from repro.db.database import KNN_METHODS, RANGE_METHODS, MultimediaDatabase
-from repro.db.migration import (
-    MigrationReport,
-    MigrationStatus,
-    Migrator,
-    migrate_database,
-    migration_status,
-    rollback_migration,
-)
 from repro.db.persistence import (
     QuarantineEntry,
     SalvageReport,
@@ -31,7 +23,6 @@ from repro.db.persistence import (
 )
 from repro.db.versioning import (
     CURRENT_VERSION,
-    DEFAULT_SAVE_VERSION,
     SUPPORTED_VERSIONS,
     RecordPointer,
 )
@@ -57,7 +48,6 @@ __all__ = [
     "BinStatistics",
     "CURRENT_VERSION",
     "Catalog",
-    "DEFAULT_SAVE_VERSION",
     "DatabaseStatistics",
     "EDITED_FORMAT",
     "EditedImageRecord",
@@ -66,9 +56,6 @@ __all__ = [
     "KNNResult",
     "KNNStats",
     "KNN_METHODS",
-    "MigrationReport",
-    "MigrationStatus",
-    "Migrator",
     "MultimediaDatabase",
     "QuarantineEntry",
     "QueryExplanation",
@@ -84,13 +71,10 @@ __all__ = [
     "has_committed_state",
     "load_database",
     "measure_storage",
-    "migrate_database",
-    "migration_status",
     "plan_distortion_sequences",
     "plan_variant_sequences",
     "repair",
     "require_integrity",
-    "rollback_migration",
     "save_database",
     "verify_integrity",
 ]

@@ -1,13 +1,13 @@
 """The durable-write seam: every persistent side effect goes through a plan.
 
-``save_database``, the online migrator and the shard write-ahead log
-route file writes, journal appends, fsyncs and commit renames through a
-*plan* object.  :class:`NoFaults` is the production plan; the plans that
-turn chosen boundaries into simulated crashes or I/O errors build on it
-in :mod:`repro.testing.faults`.
+``save_database`` and the shard write-ahead log route file writes, log
+appends, fsyncs and commit renames through a *plan* object.
+:class:`NoFaults` is the production plan; the plans that turn chosen
+boundaries into simulated crashes or I/O errors build on it in
+:mod:`repro.testing.faults`.
 
 :class:`ChecksummedLineLog` is the append-only, self-verifying JSONL
-file both logs are (the migration journal, the shard WAL), written once.
+file the shard WAL is.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ logger = logging.getLogger(__name__)
 class NoFaults:
     """The production plan: every side effect succeeds.
 
-    ``fsync`` is deliberately a real fsync: the migration journal's
-    durability claims rest on it.  Plans that cannot fsync a path (e.g.
-    a directory on a filesystem that refuses it) degrade silently, which
-    matches what production code does with best-effort directory syncs.
+    ``fsync`` is deliberately a real fsync: the shard WAL's durability
+    claims rest on it.  Plans that cannot fsync a path (e.g. a directory
+    on a filesystem that refuses it) degrade silently, which matches
+    what production code does with best-effort directory syncs.
     """
 
     def write_bytes(self, path: Path, payload: bytes) -> None:
@@ -63,16 +63,16 @@ class NoFaults:
 class ChecksummedLineLog:
     """An append-only JSONL file whose every line verifies itself.
 
-    The line discipline the migration journal and the shard write-ahead
-    log share: one canonical JSON object per line (sorted keys, compact
-    separators), each carrying ``line_sha256`` over its own canonical
-    form sans that field.  Appends go through a fault plan (append and
-    fsync are separate kill points).  Reading tolerates exactly one
-    damaged line *at the tail* — the torn-append crash shape — and
-    treats damage anywhere else as corruption.
+    The shard write-ahead log's line discipline: one canonical JSON
+    object per line (sorted keys, compact separators), each carrying
+    ``line_sha256`` over its own canonical form sans that field.
+    Appends go through a fault plan (append and fsync are separate kill
+    points).  Reading tolerates exactly one damaged line *at the tail*
+    — the torn-append crash shape — and treats damage anywhere else as
+    corruption.
 
     Not thread-safe; a user with concurrent appenders serializes them.
-    ``noun`` names the log in error messages (``"journal"``, ``"WAL"``).
+    ``noun`` names the log in error messages (``"WAL"``).
     """
 
     def __init__(self, path: Path, noun: str) -> None:

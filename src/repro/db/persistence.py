@@ -5,10 +5,12 @@ no commercial DBMS underneath)::
 
     <root>/
       catalog.json          manifest: config, insertion order, record table
-      binary/<id>.ppm       rasters (binary P6 ppm) — v1/v2 records
-      edited/<id>.eseq      serialized edit sequences — v1/v2 records
-      segments/<id>.seg     self-verifying per-record segments — v3 records
-      migration.journal     present only while an online migration is live
+      segments/<id>.seg     one self-verifying segment per record (v3)
+
+Roots written by older builds may instead hold ``binary/<id>.ppm`` and
+``edited/<id>.eseq`` (v1/v2), or a v3 manifest pointing at a mixture of
+both layouts (and a ``migration.journal``, which loading ignores).
+They all load; the next save rewrites them as pure v3.
 
 Loading replays insertions in the recorded order, so histograms and the
 BWM structure are rebuilt exactly.  Nothing else needs rebuilding: a
@@ -16,40 +18,39 @@ point index over the binary histograms is a front-end structure, built
 from the loaded catalog by :mod:`repro.index.builders` when a front end
 wants one.
 
-Durability protocol (format versions 2 and 3)
----------------------------------------------
+Durability protocol
+-------------------
 :func:`save_database` never mutates the target directory in place.  The
 complete new state is written to a ``<root>.saving`` sibling first, the
-manifest (carrying a SHA-256 per content file plus a whole-manifest
-checksum) is written last inside it, and the result is committed by
-renames: ``<root>`` -> ``<root>.old``, ``<root>.saving`` -> ``<root>``,
-then the backup is pruned.  A crash at any boundary therefore leaves
-either the previous complete state, the new complete state, or a
-``.old`` backup that :func:`load_database` rolls back automatically.
-Orphaned content files from deleted images cannot survive a save, since
-only the current catalog is ever written to the fresh directory.
+manifest (carrying a SHA-256 per record plus a whole-manifest checksum)
+is written last inside it, and the result is committed by renames:
+``<root>`` -> ``<root>.old``, ``<root>.saving`` -> ``<root>``, then the
+backup is pruned.  A crash at any boundary therefore leaves either the
+previous complete state, the new complete state, or a ``.old`` backup
+that :func:`load_database` rolls back automatically.  Orphaned content
+files — deleted images, a legacy layout's directories, a leftover
+journal — cannot survive a save, since only the current catalog is ever
+written to the fresh directory.
 
 Version handling is delegated to :mod:`repro.db.versioning`: the
 manifest declares a format version, every record row carries its own
 segment version stamp, and each stamp resolves through the versioned
-reader registry — so v1, v2, v3, and *mixed-version* catalogs (the
-steady state while :mod:`repro.db.migration` rewrites segments in the
-background) all load through the same code path.
+reader registry — so v1, v2, v3 and mixed-version v3 catalogs all load
+through the same code path.
 
 Every durable side effect is routed through a fault plan
-(:mod:`repro.db.durable`), so the kill-point sweeps in
-``tests/db/test_faults.py`` and ``tests/db/test_migration.py`` can
-crash the protocols at every boundary.  An injected *I/O error*
-(``ENOSPC``/``EIO``) instead of a crash is handled, not propagated raw:
-the scratch directory is pruned, the previous committed state stays
-untouched, and the failure surfaces as :class:`PersistenceError`.
+(:mod:`repro.db.durable`), so the kill-point sweep in
+``tests/db/test_faults.py`` can crash the protocol at every boundary.
+An injected *I/O error* (``ENOSPC``/``EIO``) instead of a crash is
+handled, not propagated raw: the scratch directory is pruned, the
+previous committed state stays untouched, and the failure surfaces as
+:class:`PersistenceError`.
 
 In-process readers and writers of the same root are serialized by a
-per-root commit lock: a loader racing a saver (or the migrator's
-pointer swap) observes either the fully-old or the fully-new catalog,
-never a half-renamed one.  Cross-*process* coordination is out of scope
-(the crash-recovery protocol still protects those readers, at the cost
-of a retry).
+per-root commit lock: a loader racing a saver observes either the
+fully-old or the fully-new catalog, never a half-renamed one.
+Cross-*process* coordination is out of scope (the crash-recovery
+protocol still protects those readers, at the cost of a retry).
 
 :func:`load_database` verifies checksums and wraps any damage in
 :class:`repro.errors.CorruptionError` naming the offending file; with
@@ -74,7 +75,6 @@ from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
 from repro.db.durable import NoFaults
 from repro.db.versioning import (
-    DEFAULT_SAVE_VERSION,
     SUPPORTED_VERSIONS,
     RecordPointer,
     encode_segment,
@@ -98,9 +98,6 @@ logger = logging.getLogger(__name__)
 
 _TMP_SUFFIX = ".saving"
 _OLD_SUFFIX = ".old"
-
-#: Files under a root that are protocol state, not record content.
-_JOURNAL_NAME = "migration.journal"
 
 #: The shard layout manifest marking a *sharded* root (one segment root
 #: per shard underneath).  Defined here so :func:`load_database` can
@@ -126,10 +123,10 @@ _ROOT_LOCKS_GUARD = threading.Lock()
 def root_lock(base: Union[str, Path]) -> threading.Lock:
     """The commit lock for one database root (one lock per absolute path).
 
-    Held across a save's commit renames, a migration's manifest swap,
-    and an entire load.  The registry is tiny (one entry per distinct
-    root this process ever touches) and never pruned — a lock object is
-    ~100 bytes and pruning would race its own users.
+    Held across a save's commit renames and an entire load.  The
+    registry is tiny (one entry per distinct root this process ever
+    touches) and never pruned — a lock object is ~100 bytes and pruning
+    would race its own users.
     """
     key = os.path.abspath(str(base))
     with _ROOT_LOCKS_GUARD:
@@ -190,18 +187,6 @@ class SalvageReport:
 # ----------------------------------------------------------------------
 # Saving
 # ----------------------------------------------------------------------
-def _existing_format_version(base: Path) -> Optional[int]:
-    """The committed manifest's version, or ``None`` when unreadable."""
-    try:
-        manifest = json.loads(
-            (base / "catalog.json").read_text(encoding="utf-8")
-        )
-        version = manifest.get("format_version")
-        return int(version) if isinstance(version, int) else None
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, ValueError):
-        return None
-
-
 def _record_payload(database: MultimediaDatabase, kind: str, image_id: str) -> bytes:
     if kind == "binary":
         return write_ppm(database.catalog.binary_record(image_id).image)
@@ -216,35 +201,18 @@ def save_database(
     database: MultimediaDatabase,
     root: Union[str, Path],
     faults: Optional[NoFaults] = None,
-    checksums: bool = True,
-    format_version: Optional[int] = None,
 ) -> Path:
-    """Atomically write the database under ``root`` (created if missing).
+    """Atomically write the database under ``root`` as v3 segments.
 
-    ``faults`` is the durability seam: every file write and commit
-    rename goes through it (tests inject crashes or I/O errors; the
-    default plan is the production pass-through).  ``checksums=False``
-    skips the SHA-256 bookkeeping — measurably faster on large v2
-    databases, at the price of load-time verification (v3 segments are
-    always checksummed; their envelope needs the digest anyway).
-
-    ``format_version`` selects the on-disk format: ``2`` (the current
-    default), ``3`` (per-record segments), or ``None`` to *preserve* the
-    version already committed at ``root`` — a repair re-save of a
-    migrated catalog must not silently downgrade it.
+    ``root`` is created if missing; a v1 or v2 root (or one an older
+    build left mid-migration) is replaced by the v3 state through the
+    same commit.  ``faults`` is the durability seam: every file write
+    and commit rename goes through it (tests inject crashes or I/O
+    errors; the default plan is the production pass-through).
     """
     plan = faults if faults is not None else NoFaults()
     base = Path(root)
     _recover_interrupted_save(base)
-
-    if format_version is None:
-        existing = _existing_format_version(base)
-        format_version = 3 if existing == 3 else DEFAULT_SAVE_VERSION
-    if format_version not in (2, 3):
-        raise PersistenceError(
-            f"cannot save format version {format_version!r} "
-            "(writable versions: 2, 3)"
-        )
 
     tmp = base.with_name(base.name + _TMP_SUFFIX)
     old = base.with_name(base.name + _OLD_SUFFIX)
@@ -253,10 +221,7 @@ def save_database(
             shutil.rmtree(leftover)
 
     try:
-        if format_version == 3:
-            _write_tree_v3(database, tmp, plan)
-        else:
-            _write_tree_v2(database, tmp, plan, checksums)
+        _write_tree(database, tmp, plan)
     except OSError as exc:
         # Injected or real I/O failure (ENOSPC, EIO): nothing has been
         # committed — prune the scratch tree and surface a typed error.
@@ -285,48 +250,7 @@ def save_database(
     return base
 
 
-def _write_tree_v2(
-    database: MultimediaDatabase, tmp: Path, plan: NoFaults, checksums: bool
-) -> None:
-    """The complete v2 state of ``database`` under the scratch dir."""
-    (tmp / "binary").mkdir(parents=True)
-    (tmp / "edited").mkdir(parents=True)
-
-    files: Dict[str, Dict[str, object]] = {}
-    binary_ids = list(database.catalog.binary_ids())
-    edited_ids = list(database.catalog.edited_ids())
-    for kind, ids in (("binary", binary_ids), ("edited", edited_ids)):
-        for image_id in ids:
-            relative = v2_relpath(kind, image_id)
-            payload = _record_payload(database, kind, image_id)
-            plan.write_bytes(tmp / relative, payload)
-            if checksums:
-                files[relative] = {
-                    "sha256": sha256_hex(payload),
-                    "bytes": len(payload),
-                }
-
-    manifest: Dict[str, object] = {
-        "format_version": 2,
-        "quantizer": {
-            "divisions": database.quantizer.divisions,
-            "space": database.quantizer.space,
-        },
-        "fill_color": list(database.fill_color),
-        "binary_ids": binary_ids,
-        "edited_ids": edited_ids,
-        "files": files,
-    }
-    manifest["manifest_checksum"] = manifest_checksum(manifest)
-    plan.write_bytes(
-        tmp / "catalog.json",
-        json.dumps(manifest, indent=2).encode("utf-8"),
-    )
-
-
-def _write_tree_v3(
-    database: MultimediaDatabase, tmp: Path, plan: NoFaults
-) -> None:
+def _write_tree(database: MultimediaDatabase, tmp: Path, plan: NoFaults) -> None:
     """The complete v3 state: one self-verifying segment per record."""
     (tmp / "segments").mkdir(parents=True)
 
@@ -336,14 +260,17 @@ def _write_tree_v3(
     for kind, ids in (("binary", binary_ids), ("edited", edited_ids)):
         for image_id in ids:
             payload = _record_payload(database, kind, image_id)
+            digest = sha256_hex(payload)
             relative = segment_relpath(image_id)
-            plan.write_bytes(tmp / relative, encode_segment(image_id, kind, payload))
+            plan.write_bytes(
+                tmp / relative, encode_segment(image_id, kind, payload, digest)
+            )
             records[image_id] = RecordPointer(
                 image_id=image_id,
                 kind=kind,
                 segment_version=3,
                 path=relative,
-                sha256=sha256_hex(payload),
+                sha256=digest,
                 size=len(payload),
             ).to_json()
 
@@ -416,8 +343,10 @@ def load_database(
     """Rebuild a database saved by :func:`save_database`.
 
     Reads every supported format — v1, v2, v3, and mixed-version v3
-    catalogs mid-migration — by resolving each record's version stamp
-    through the reader registry in :mod:`repro.db.versioning`.
+    catalogs an older build left mid-migration (a leftover
+    ``migration.journal`` is ignored) — by resolving each record's
+    version stamp through the reader registry in
+    :mod:`repro.db.versioning`.
 
     Strict mode (the default) raises :class:`PersistenceError` — or its
     :class:`CorruptionError` subclass, naming the damaged file — on any
@@ -565,8 +494,11 @@ def _read_manifest(base: Path, salvage: bool) -> Dict[str, object]:
         )
         raise SalvageError(message) if salvage else PersistenceError(message)
 
+    # v1 manifests predate the checksum; every v2/v3 writer recorded
+    # one, so a missing one is damage, not an opt-out.
     recorded = manifest.get("manifest_checksum")
-    if recorded is not None and recorded != manifest_checksum(manifest):
+    verify = recorded is not None or version >= 2
+    if verify and recorded != manifest_checksum(manifest):
         if not salvage:
             raise CorruptionError(
                 f"{manifest_path}: manifest checksum mismatch "

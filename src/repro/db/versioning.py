@@ -1,13 +1,11 @@
 """Versioned on-disk record formats and the reader registry.
 
-The persistence layer is on its third on-disk format, and ROADMAP items
-1–2 (columnar op tables, sharding) will bring a fourth.  This module is
-the seam that lets those land incrementally: every stored record carries
-its own **segment version stamp**, loaders resolve each stamp through a
-**registry** of per-version readers, and a catalog may legally hold a
-*mixture* of versions — which is exactly what a catalog looks like while
-the online migrator (:mod:`repro.db.migration`) is halfway through
-rewriting it.
+Every stored record carries its own **segment version stamp**, loaders
+resolve each stamp through a **registry** of per-version readers, and a
+catalog may legally hold a *mixture* of versions.  Readers are kept
+forever: whatever an older build wrote still loads.  Only v3 is
+written (by :func:`repro.db.persistence.save_database`); a v1 or v2
+root becomes v3 the next time it is saved.
 
 Format versions
 ---------------
@@ -16,21 +14,19 @@ Format versions
     ``binary/<id>.ppm`` and ``edited/<id>.eseq``.  Read-only.
 ``2``
     PR 1.  Same layout plus per-file SHA-256 checksums and a
-    whole-manifest checksum; atomic rename commits.  The default save
-    format until items 1–2 land.
+    whole-manifest checksum; atomic rename commits.  Read-only.
 ``3``
-    This PR.  Per-record **segments** under ``segments/<id>.seg``: a
-    one-line JSON header (version stamp, kind, payload checksum and
-    size) followed by the raw payload bytes.  The manifest carries a
+    Per-record **segments** under ``segments/<id>.seg``: a one-line
+    JSON header (version stamp, kind, payload checksum and size)
+    followed by the raw payload bytes.  The manifest carries a
     ``records`` table of :class:`RecordPointer` entries, each with its
-    *own* ``segment_version`` — so a v3 manifest can point some records
-    at v2-layout files and others at v3 segments.  Future formats add a
-    reader here and a rewrite rule to the migrator; old catalogs keep
-    loading.
+    *own* ``segment_version`` — so a v3 manifest may point some records
+    at v1/v2-layout files and others at v3 segments (older builds
+    left such roots while migrating them in place).  The one format
+    this build writes.
 
 Nothing in this module touches a lock or a service; it is pure
-format knowledge shared by :mod:`repro.db.persistence` (save/load) and
-:mod:`repro.db.migration` (background rewrite).
+format knowledge used by :mod:`repro.db.persistence`.
 """
 
 from __future__ import annotations
@@ -38,20 +34,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import CorruptionError, PersistenceError
 
-#: The newest format this build can read *and* write.
+#: The format :func:`repro.db.persistence.save_database` writes.
 CURRENT_VERSION = 3
-#: What :func:`repro.db.persistence.save_database` writes by default.
-#: Stays at 2 until the columnar/sharded formats (ROADMAP 1–2) make v3
-#: segments the universal carrier; ``format_version=3`` opts in today.
-DEFAULT_SAVE_VERSION = 2
 #: Every manifest version a loader in this build understands.
 SUPPORTED_VERSIONS: Tuple[int, ...] = (1, 2, 3)
-#: Record-level stamps that may appear inside a v3 ``records`` table.
-SUPPORTED_SEGMENT_VERSIONS: Tuple[int, ...] = (1, 2, 3)
 
 #: Record kinds and the v1/v2 layout conventions for each.
 KIND_BINARY = "binary"
@@ -191,12 +181,14 @@ _HEADER_KEYS = ("segment_version", "kind", "image_id", "payload_sha256",
                 "payload_bytes")
 
 
-def encode_segment(image_id: str, kind: str, payload: bytes) -> bytes:
+def encode_segment(image_id: str, kind: str, payload: bytes, digest: str) -> bytes:
     """A v3 segment blob: one JSON header line, then the raw payload.
 
     The header carries the record's own version stamp and payload
-    checksum, so a segment file is self-verifying even when found
-    without its manifest (salvage, forensic tooling).
+    checksum (``digest``, the payload's :func:`sha256_hex`, which the
+    caller also records in the manifest), so a segment file is
+    self-verifying even when found without its manifest (salvage,
+    forensic tooling).
     """
     if kind not in _V2_LAYOUT:
         raise PersistenceError(f"unknown record kind {kind!r}")
@@ -204,7 +196,7 @@ def encode_segment(image_id: str, kind: str, payload: bytes) -> bytes:
         "segment_version": 3,
         "kind": kind,
         "image_id": image_id,
-        "payload_sha256": sha256_hex(payload),
+        "payload_sha256": digest,
         "payload_bytes": len(payload),
     }
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
@@ -269,12 +261,16 @@ def supported_segment_versions() -> Tuple[int, ...]:
     return tuple(sorted(_SEGMENT_READERS))
 
 
-def _read_file(base, pointer: RecordPointer) -> bytes:
-    path = base / pointer.path
-    if not path.is_file():
-        raise PersistenceError(f"missing file {path}")
+def _record_path(base, pointer: RecordPointer) -> str:
+    return f"{base}/{pointer.path}"
+
+
+def _read_file(path: str) -> bytes:
     try:
-        return path.read_bytes()
+        with open(path, "rb") as handle:
+            return handle.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise PersistenceError(f"missing file {path}") from None
     except OSError as exc:
         raise CorruptionError(f"unreadable file {path}: {exc}") from exc
 
@@ -282,17 +278,18 @@ def _read_file(base, pointer: RecordPointer) -> bytes:
 @register_segment_reader(1)
 def _read_record_v1(base, pointer: RecordPointer) -> bytes:
     """v1: raw payload file, nothing to verify against (pre-checksum)."""
-    return _read_file(base, pointer)
+    return _read_file(_record_path(base, pointer))
 
 
 @register_segment_reader(2)
 def _read_record_v2(base, pointer: RecordPointer) -> bytes:
     """v2: raw payload file verified against the manifest's SHA-256."""
-    payload = _read_file(base, pointer)
+    path = _record_path(base, pointer)
+    payload = _read_file(path)
     if pointer.sha256 is not None and sha256_hex(payload) != pointer.sha256:
         raise CorruptionError(
-            f"checksum mismatch for {base / pointer.path} "
-            f"({len(payload)} bytes on disk; file is damaged)"
+            f"checksum mismatch for {path} ({len(payload)} bytes on disk; "
+            "file is damaged)"
         )
     return payload
 
@@ -300,18 +297,16 @@ def _read_record_v2(base, pointer: RecordPointer) -> bytes:
 @register_segment_reader(3)
 def _read_record_v3(base, pointer: RecordPointer) -> bytes:
     """v3: self-verifying segment envelope, cross-checked with the manifest."""
-    blob = _read_file(base, pointer)
-    header, payload = decode_segment(blob, str(base / pointer.path))
+    path = _record_path(base, pointer)
+    header, payload = decode_segment(_read_file(path), path)
     if header["image_id"] != pointer.image_id or header["kind"] != pointer.kind:
         raise CorruptionError(
-            f"{base / pointer.path}: segment header names "
-            f"{header['kind']}/{header['image_id']}, manifest expects "
-            f"{pointer.kind}/{pointer.image_id} (files swapped?)"
+            f"{path}: segment header names {header['kind']}/{header['image_id']}"
+            f", manifest expects {pointer.kind}/{pointer.image_id} (files swapped?)"
         )
     if pointer.sha256 is not None and header["payload_sha256"] != pointer.sha256:
         raise CorruptionError(
-            f"{base / pointer.path}: segment checksum disagrees with the "
-            "manifest (stale segment)"
+            f"{path}: segment checksum disagrees with the manifest (stale segment)"
         )
     return payload
 
@@ -324,24 +319,6 @@ def read_record(base, pointer: RecordPointer) -> bytes:
         raise PersistenceError(
             f"record {pointer.image_id!r} has segment version "
             f"{pointer.segment_version}, but this build only reads "
-            f"versions {known} — upgrade the library or migrate the "
-            "catalog down"
+            f"versions {known} — upgrade the library"
         )
     return reader(base, pointer)
-
-
-def ordered_pointers(
-    pointers: Dict[str, RecordPointer],
-    binary_ids: Iterable[str],
-    edited_ids: Iterable[str],
-) -> List[RecordPointer]:
-    """Pointers in insertion-replay order (bases before derivations)."""
-    ordered: List[RecordPointer] = []
-    for image_id in list(binary_ids) + list(edited_ids):
-        pointer = pointers.get(str(image_id))
-        if pointer is None:
-            raise PersistenceError(
-                f"manifest lists {image_id!r} but has no record pointer for it"
-            )
-        ordered.append(pointer)
-    return ordered

@@ -96,14 +96,6 @@ class SalvageError(PersistenceError):
     reconstructed)."""
 
 
-class MigrationError(PersistenceError):
-    """Raised by the online schema migrator (:mod:`repro.db.migration`)
-    — a migration that cannot start (one is already journaled and
-    neither ``resume`` nor ``rollback`` was requested), a rollback after
-    finalization, or an I/O failure mid-batch.  The previous committed
-    catalog state is always still loadable when this is raised."""
-
-
 class ShardError(DatabaseError):
     """Raised by the sharded catalog tier (:mod:`repro.shard`) — bad
     shard counts, mutations against a closed catalog, or a shard layout

@@ -23,8 +23,8 @@ makes the production stack answer the same question about itself:
   slow queries with their plans and traces.
 * :mod:`repro.obs.events` — the structured wide-event log: one JSONL
   record per mutation, WAL append/replay, checkpoint, compaction, and
-  migration batch, ring-buffered in memory and streamed to
-  ``events.jsonl`` on disk-backed roots.
+  query, ring-buffered in memory and streamed to ``events.jsonl`` on
+  disk-backed roots.
 * :mod:`repro.obs.health` — per-shard SLO monitors grading latency
   percentiles, lock-wait fractions, WAL depth, replay failures, and
   cold-row backlog into green/yellow/red verdicts.

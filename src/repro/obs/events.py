@@ -6,9 +6,9 @@ anything that wants to *join* observations: which compaction preceded
 this slow query?  which WAL record did replay reject, and why?  This
 module replaces that with wide events in the canonical-schema sense:
 one event per meaningful state change (mutation append, replay,
-checkpoint, compaction, migration batch, query), each carrying every
-identity the emitting subsystem knows — shard index, image id, LSN,
-trace id — so questions become filters instead of log archaeology.
+checkpoint, compaction, query), each carrying every identity the
+emitting subsystem knows — shard index, image id, LSN, trace id — so
+questions become filters instead of log archaeology.
 
 Design points:
 
@@ -61,6 +61,7 @@ EVENT_KINDS = (
     "compaction.cycle",
     "compaction.materialized",
     "compaction.rolled_back",
+    # Reserved: nothing emits these; kept so older event logs validate.
     "migration.run",
     "migration.batch",
     "query",
@@ -398,7 +399,7 @@ def write_events_jsonl(
 
 
 #: Process-global log for subsystems with no natural owner to hang one
-#: on (the migrator, ad-hoc scripts).  Ring-only — no sink.
+#: on (ad-hoc scripts).  Ring-only — no sink.
 _default_log: Optional[EventLog] = None
 _default_lock = threading.Lock()
 

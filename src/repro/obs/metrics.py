@@ -1,9 +1,9 @@
 """Lock-safe metrics for the serving tiers.
 
 A serving tier is only operable if it can report what it is doing; this
-module provides the two primitives the query service, the sharded
-catalog and the migrator need — monotonically increasing **counters**
-(queries served, cache hits, queries shed, deadlines missed) and
+module provides the two primitives the query service and the sharded
+catalog need — monotonically increasing **counters** (queries served,
+cache hits, queries shed, deadlines missed) and
 **latency histograms** with percentile snapshots (p50/p95/p99 of query
 seconds).
 
@@ -175,9 +175,9 @@ class MetricsRegistry:
             return self._counters.get(name, 0)
 
     def set_gauge(self, name: str, value: float) -> None:
-        """Set a gauge — a value that can go up *or* down (phase of a
-        background migration, in-flight count).  Unlike counters, a
-        gauge reports its last-set value, not a running total."""
+        """Set a gauge — a value that can go up *or* down (worst health
+        verdict, materialized images).  Unlike counters, a gauge
+        reports its last-set value, not a running total."""
         with self._lock:
             self._claim(name, "gauge")
             self._gauges[name] = float(value)

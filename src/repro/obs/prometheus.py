@@ -21,8 +21,8 @@ CI job (and usable in production smoke tests) so a rendering bug cannot
 silently break the scrape endpoint.
 
 :func:`merge_snapshots` folds several registries' snapshots (service,
-sharded catalog, migration) into one dict so the whole fleet scrapes
-from a single unified exposition instead of per-subsystem fragments.
+sharded catalog) into one dict so the whole fleet scrapes from a single
+unified exposition instead of per-subsystem fragments.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ _LABELED_FAMILIES: Tuple[Tuple[str, str, str], ...] = (
     ("prune.widened_by.", "prune_widened_by_total", "rule"),
     ("prune.", "prune_outcomes_total", "outcome"),
     ("spans.", "spans_total", "span"),
-    ("migration.", "migration_events_total", "event"),
     ("shard.", "shard_events_total", "event"),
     ("wal.", "wal_events_total", "event"),
     ("compaction.", "compaction_events_total", "event"),
@@ -271,9 +270,9 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> Dict[str, Any]:
     """Fold several metrics snapshots into one unified snapshot dict.
 
     This is how the fleet exposes *one* OpenMetrics endpoint: the
-    service registry, the sharded catalog registry, and the migration
-    registry each produce a ``metrics_snapshot()``-shaped dict, and the
-    merge combines them family by family:
+    service registry and the sharded catalog registry each produce a
+    ``metrics_snapshot()``-shaped dict, and the merge combines them
+    family by family:
 
     * **counters** sum — two subsystems bumping ``wal.appends`` describe
       disjoint appends;

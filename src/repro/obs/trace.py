@@ -352,9 +352,8 @@ def current_trace_id() -> Optional[str]:
     Walks from the context-local :func:`current_span` to its root, where
     :class:`Tracer` stamps the id.  This is how subsystems that never
     see the tracer object (the WAL, the compactor's materialization
-    commit, the migration batch loop) inherit lineage: they call this at
-    the moment they write a record, and outside any traced region it
-    cheaply returns ``None``.
+    commit) inherit lineage: they call this at the moment they write a
+    record, and outside any traced region it cheaply returns ``None``.
     """
     span = _current_span.get()
     if span is None:

@@ -426,9 +426,9 @@ class QueryService:
     def write_locked(self):
         """Hold the write side of the service's readers-writer lock.
 
-        For out-of-band catalog mutators — notably the online schema
-        migrator's per-batch pointer swaps — that need the same
-        queries-drained exclusivity the built-in mutation wrappers get.
+        For out-of-band catalog mutators (or a save of the served
+        database) that need the same queries-drained exclusivity the
+        built-in mutation wrappers get.
         Keep the critical section short: every query waits while it is
         held, and writer preference means new readers queue behind it.
         """

@@ -4,13 +4,12 @@ Every :class:`~repro.shard.sharded.ShardedCatalog` mutation is appended
 here **before** it is applied to the owning shard, which is what makes
 streaming ingestion durable: a crash between append and apply replays
 the record on open; a crash mid-append leaves a torn tail that replay
-detects and drops.  The file is the same
-:class:`~repro.db.durable.ChecksummedLineLog` the PR 6 migration journal
-is — canonical JSON per line, each carrying ``line_sha256`` over its own
-canonical form — because ROADMAP item 3's
-read replicas will tail this same file, and a self-verifying line
-protocol is what lets a replica resume from any byte offset it last
-fsynced.
+detects and drops.  The file is a
+:class:`~repro.db.durable.ChecksummedLineLog` — canonical JSON per
+line, each carrying ``line_sha256`` over its own canonical form —
+because ROADMAP item 3's read replicas will tail this same file, and a
+self-verifying line protocol is what lets a replica resume from any
+byte offset it last fsynced.
 
 Record shape
 ------------

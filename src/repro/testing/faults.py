@@ -1,11 +1,11 @@
-"""Fault injection for the persistence and migration layers.
+"""Fault injection for the persistence and write-ahead-log layers.
 
 Crash safety cannot be argued from code inspection alone; it has to be
 demonstrated by actually crashing the save protocol at every boundary
 and checking what a subsequent load makes of the wreckage.  This module
 provides the seam: :func:`repro.db.persistence.save_database` and the
-online migrator (:mod:`repro.db.migration`) route every durable side
-effect — file writes, journal appends, fsyncs, and commit renames —
+shard write-ahead log (:mod:`repro.shard.wal`) route every durable side
+effect — file writes, log appends, fsyncs, and commit renames —
 through a *fault plan* (:class:`repro.db.durable.NoFaults` in production),
 and test plans turn chosen boundaries into simulated crashes or I/O errors.
 
@@ -76,7 +76,7 @@ class WriteEvent:
 class CountingFaults(NoFaults):
     """Succeeds like :class:`NoFaults` but records every boundary.
 
-    Run a save (or migration) through it once to learn how many kill
+    Run a save (or a WAL append) through it once to learn how many kill
     points the protocol has, then sweep ``FaultPlan(fail_at=1..writes)``.
     """
 

@@ -3,10 +3,11 @@
 The per-root commit lock in :mod:`repro.db.persistence` makes the
 save protocol's two-rename commit window (``catalog`` → ``.old``,
 ``.saving`` → ``catalog``) invisible to in-process readers: a
-``load_database`` that races a ``save_database`` or an online migration
-must observe a *complete* catalog — entirely the old state or entirely
-the new one — never a missing manifest, a half-swapped pointer table, or
-a mixture of the two states' records.
+``load_database`` that races a ``save_database`` — including the save
+that upgrades a legacy root to v3 — must observe a *complete* catalog:
+entirely the old state or entirely the new one, never a missing
+manifest, a half-swapped pointer table, or a mixture of the two states'
+records.
 
 The last class races readers on one *in-memory* database instead: with
 the bounds memo on, concurrent queries allocate and fill memo rows, and
@@ -20,11 +21,9 @@ import numpy as np
 from repro.color.names import FLAG_PALETTE
 from repro.core.query import RangeQuery
 from repro.db.database import MultimediaDatabase
-from repro.db.migration import Migrator
 from repro.db.persistence import load_database, save_database
 from repro.images.generators import random_palette_image
-
-QUERY = "at least 25% blue"
+from tests.db.legacy import answers, copy_root, expected, manifest, observed
 
 
 def _make_database(seed, bases=2, variants=2):
@@ -101,24 +100,27 @@ class TestLoadersVersusSave:
         _race(root, writer, legal)
 
     def test_loads_racing_v3_resave(self, tmp_path):
-        database = _make_database(37)
-        root = tmp_path / "db"
-        save_database(database, root)
+        """Loads racing the save that turns the committed v1 root into
+        v3, and the re-saves after it."""
+        root = copy_root("root_v1", tmp_path / "db")
+        database = load_database(root)
         legal = {_fingerprint(database)}
 
         def writer():
-            save_database(database, root, format_version=3)
-            save_database(database, root, format_version=2)
+            for _ in range(3):
+                save_database(database, root)
 
         _race(root, writer, legal)
+        assert manifest(root)["format_version"] == 3
 
 
 class TestLoadersVersusMigration:
     def test_loads_racing_migration_see_consistent_catalogs(self, tmp_path):
-        database = _make_database(41)
-        root = tmp_path / "db"
-        save_database(database, root)
-        oracle = sorted(database.text_query(QUERY, method="rbm").matches)
+        """Loads racing v3 re-saves of the committed v2 root answer like
+        its oracle whichever format they land on."""
+        oracle = expected("root_v2")
+        root = copy_root("root_v2", tmp_path / "db")
+        database = load_database(root)
         failures = []
         start = threading.Barrier(4)
 
@@ -126,16 +128,13 @@ class TestLoadersVersusMigration:
             start.wait()
             for _ in range(10):
                 try:
-                    loaded = load_database(root)
-                    got = sorted(
-                        loaded.text_query(QUERY, method="rbm").matches
-                    )
+                    got = observed(load_database(root), oracle)
                 except Exception as exc:  # noqa: BLE001 - recorded
                     failures.append(exc)
                     return
-                if got != oracle:
+                if got != answers(oracle):
                     failures.append(
-                        AssertionError(f"oracle drift mid-migration: {got}")
+                        AssertionError(f"oracle drift mid-upgrade: {got}")
                     )
                     return
 
@@ -143,14 +142,13 @@ class TestLoadersVersusMigration:
         for thread in threads:
             thread.start()
         start.wait()
-        # Tiny batches maximize the number of swap windows raced over.
-        Migrator(root, batch_size=1).run()
+        for _ in range(4):
+            save_database(database, root)
         for thread in threads:
             thread.join()
         assert not failures, failures
-        assert sorted(
-            load_database(root).text_query(QUERY, method="rbm").matches
-        ) == oracle
+        assert manifest(root)["format_version"] == 3
+        assert observed(load_database(root), oracle) == answers(oracle)
 
 
 class TestReadersFillingTheBoundsMemo:

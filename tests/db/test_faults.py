@@ -6,7 +6,8 @@ after), then asserts the recovery contract: a subsequent strict load
 either yields a complete consistent state (the previous one, or — for
 crashes after the commit point — the new one) or raises a clean
 :class:`PersistenceError`; salvage loading always succeeds and the
-salvaged database passes :func:`verify_integrity`.
+salvaged database passes :func:`verify_integrity`.  The same sweep runs
+over the committed v2 root's upgrade to v3.
 """
 
 import shutil
@@ -20,11 +21,13 @@ from repro.db.persistence import load_database, save_database
 from repro.errors import PersistenceError, SalvageError
 from repro.images.generators import random_palette_image
 from repro.testing.faults import (
+    FAIL_MODES,
     CountingFaults,
     ErrorPlan,
     FaultPlan,
     InjectedCrash,
 )
+from tests.db.legacy import answers, copy_root, expected, manifest, observed
 
 
 def _make_database(seed, bases=2, variants=2):
@@ -136,6 +139,31 @@ class TestKillPointSweep:
                 assert _fingerprint(salvaged) in fingerprints
                 assert report.loaded_binary == salvaged.catalog.binary_count
                 assert report.loaded_edited == salvaged.catalog.edited_count
+
+        self._sweep_upgrade_of_committed_v2_root(tmp_path)
+
+    def _sweep_upgrade_of_committed_v2_root(self, tmp_path):
+        """The committed v2 root as the previous state: its re-save is
+        the v2 -> v3 upgrade.  Every crash leaves a root that loads
+        strictly as either format, with the oracle's answers."""
+        oracle = expected("root_v2")
+        counter = CountingFaults()
+        count_root = copy_root("root_v2", tmp_path / "v2-count")
+        save_database(load_database(count_root), count_root, faults=counter)
+        versions = set()
+        for index in range(1, counter.writes + 1):
+            for mode in FAIL_MODES:
+                root = copy_root("root_v2", tmp_path / f"v2-{index}-{mode}")
+                with pytest.raises(InjectedCrash):
+                    save_database(
+                        load_database(root), root,
+                        faults=FaultPlan(fail_at=index, mode=mode),
+                    )
+                loaded = load_database(root)
+                assert observed(loaded, oracle) == answers(oracle), (index, mode)
+                assert loaded.verify_integrity() == []
+                versions.add(manifest(root)["format_version"])
+        assert versions == {2, 3}
 
     def test_sweep_over_fresh_directory(self, states, tmp_path):
         _, upcoming = states

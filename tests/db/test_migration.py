@@ -1,40 +1,29 @@
-"""Crash-safety and correctness of the online schema migrator.
+"""Legacy roots upgrade to v3 on their next save.
 
-The central proof obligation: at **every** durable boundary of a
-migration (segment writes, journal appends, fsyncs, manifest-swap
-renames) in every crash mode (before / torn / after), killing the
-migrator leaves the catalog (a) strictly loadable, (b) returning
-byte-identical query results to the pre-migration scalar oracle, and
-(c) resumable to a complete, journal-free v3 state.  Plus: rollback
-restores the origin format exactly (and is refused after finalization),
-injected I/O errors surface :class:`MigrationError` without corrupting
-the previous committed state, and a live :class:`QueryService` keeps
-serving correct results throughout a migration.
+There is no migrator: a v1 or v2 root — or a v3 root an older build
+left mid-migration, ``migration.journal`` and all — becomes pure v3 the
+first time it is saved, through the same scratch-directory commit every
+save uses.  These tests pin that upgrade on the committed roots under
+``data/``: it is byte-identical to a fresh v3 save and idempotent; a
+crash at any durable boundary leaves either the origin (byte for byte)
+or the upgraded root, both answering like the oracle, and the next save
+finishes the job; an injected I/O error leaves the origin untouched;
+and a live :class:`QueryService` keeps answering correctly while the
+root beneath it is upgraded.  ``TestJournal`` pins the checksummed line
+log the old journal was written in, which the shard WAL still is.
 """
 
-import json
 import threading
 
 import numpy as np
 import pytest
 
 from repro.color.names import FLAG_PALETTE
-from repro.db.database import MultimediaDatabase
-from repro.db.migration import (
-    MigrationJournal,
-    Migrator,
-    migrate_database,
-    migration_status,
-    rollback_migration,
-)
+from repro.db.durable import ChecksummedLineLog
 from repro.db.persistence import load_database, save_database
-from repro.errors import (
-    CorruptionError,
-    MigrationError,
-    PersistenceError,
-)
+from repro.errors import CorruptionError, PersistenceError
+from repro.images.generators import random_palette_image
 from repro.service import QueryService
-from repro.obs.metrics import MetricsRegistry
 from repro.testing.faults import (
     FAIL_MODES,
     CountingFaults,
@@ -43,329 +32,214 @@ from repro.testing.faults import (
     InjectedCrash,
     NoFaults,
 )
+from tests.db.legacy import DATA, answers, copy_root, expected, manifest, observed
 
 QUERY = "at least 25% blue"
 
 
-def _make_database(seed, bases=2, variants=2):
-    rng = np.random.default_rng(seed)
-    database = MultimediaDatabase()
-    base_ids = [
-        database.insert_image(random_image(rng))
-        for _ in range(bases)
-    ]
-    for base_id in base_ids:
-        database.augment(base_id, rng, variants, FLAG_PALETTE,
-                         merge_target_pool=base_ids)
-    return database
+def _tree(root):
+    """Every file under ``root``, relative path -> bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
-def random_image(rng):
-    from repro.images.generators import random_palette_image
-
-    return random_palette_image(rng, 10, 12, FLAG_PALETTE)
+def _upgrade(root, faults=None):
+    save_database(load_database(root), root, faults=faults)
 
 
-def _oracle(database):
-    """Sorted match ids from the scalar RBM path — the ground truth."""
-    return sorted(database.text_query(QUERY, method="rbm").matches)
+def _is_pure_v3(root):
+    rows = manifest(root)["records"].values()
+    return (
+        manifest(root)["format_version"] == 3
+        and {row["segment_version"] for row in rows} == {3}
+        and sorted(path.name for path in root.iterdir())
+        == ["catalog.json", "segments"]
+    )
 
 
-def _manifest(root):
-    return json.loads((root / "catalog.json").read_text())
-
-
-@pytest.fixture(scope="module")
-def source_database():
-    return _make_database(17)
-
-
-@pytest.fixture(scope="module")
-def oracle(source_database):
-    return _oracle(source_database)
-
-
-def _seed_root(source_database, path):
-    save_database(source_database, path)
-    return path
+def _boundaries(name, tmp_path):
+    root = copy_root(name, tmp_path / "count")
+    counter = CountingFaults()
+    _upgrade(root, faults=counter)
+    return counter
 
 
 class TestForwardMigration:
-    def test_full_migration_round_trip(self, source_database, oracle, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        report = migrate_database(root, batch_size=3)
-        total = (source_database.catalog.binary_count
-                 + source_database.catalog.edited_count)
-        assert report.records_migrated == total
-        assert report.batches == -(-total // 3)
-        manifest = _manifest(root)
-        assert manifest["format_version"] == 3
-        assert all(
-            row["segment_version"] == 3 for row in manifest["records"].values()
-        )
-        assert not (root / "migration.journal").exists()
-        # Obsolete v2 content files are gone; segments carry the data.
-        assert not (root / "binary").exists()
-        assert not (root / "edited").exists()
-        assert _oracle(load_database(root)) == oracle
+    def test_full_migration_round_trip(self, tmp_path):
+        """The half-migrated root finishes by being saved, and its
+        journal (even a damaged one) is never read."""
+        name = "root_mid_migration"
+        oracle = expected(name)
+        root = copy_root(name, tmp_path / "db")
+        (root / "migration.journal").write_bytes(b"not a journal line\n")
+        database = load_database(root)
+        save_database(database, root)
+        assert _is_pure_v3(root)
+        fresh = save_database(database, tmp_path / "fresh")
+        assert _tree(root) == _tree(fresh)
+        assert observed(load_database(root), oracle) == answers(oracle)
 
-    def test_migration_is_idempotent(self, source_database, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        migrate_database(root)
-        report = migrate_database(root)
-        assert report.action == "noop"
-        assert report.records_migrated == 0
-
-    def test_status_reports_progress(self, source_database, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        before = migration_status(root)
-        assert before.phase == "idle"
-        assert before.pending == before.total > 0
-        assert before.migrated == 0
-        # Crash partway; status must say "migrating" with partial counts.
-        plan = FaultPlan(fail_at=20, mode="before")
-        with pytest.raises(InjectedCrash):
-            migrate_database(root, batch_size=2, faults=plan)
-        during = migration_status(root)
-        assert during.phase == "migrating"
-        assert 0 < during.migrated < during.total
-        assert during.batches_committed > 0
-        migrate_database(root, resume=True)
-        after = migration_status(root)
-        assert after.phase == "idle"
-        assert after.pending == 0
-        assert after.migrated == after.total
-
-    def test_second_run_without_resume_flag_refused(
-        self, source_database, tmp_path
-    ):
-        root = _seed_root(source_database, tmp_path / "db")
-        plan = FaultPlan(fail_at=10, mode="after")
-        with pytest.raises(InjectedCrash):
-            migrate_database(root, batch_size=2, faults=plan)
-        with pytest.raises(MigrationError, match="--resume"):
-            migrate_database(root)
-
-    def test_batch_size_validation(self, tmp_path):
-        with pytest.raises(MigrationError):
-            Migrator(tmp_path, batch_size=0)
-
-    def test_metrics_and_phase_gauge(self, source_database, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        metrics = MetricsRegistry()
-        Migrator(root, batch_size=4, metrics=metrics).run()
-        assert metrics.counter("migration.runs") == 1
-        assert metrics.counter("migration.records") == (
-            source_database.catalog.binary_count
-            + source_database.catalog.edited_count
-        )
-        assert metrics.counter("migration.batches") > 1
-        assert metrics.gauge("migration.phase") == 3  # complete
-        assert "gauges" in metrics.snapshot()
+    def test_migration_is_idempotent(self, tmp_path):
+        root = copy_root("root_v2", tmp_path / "db")
+        _upgrade(root)
+        upgraded = _tree(root)
+        _upgrade(root)
+        assert _tree(root) == upgraded
 
 
 class TestKillPointSweep:
-    """Kill the migrator at every boundary; catalog stays serviceable."""
+    """Crash the upgrade at every boundary; the root stays serviceable."""
 
-    def _boundaries(self, source_database, tmp_path):
-        root = _seed_root(source_database, tmp_path / "count")
-        counter = CountingFaults()
-        Migrator(root, batch_size=4, faults=counter).run()
-        return counter
+    def test_sweep_all_boundaries_all_modes(self, tmp_path):
+        name = "root_mid_migration"
+        oracle = expected(name)
+        origin = _tree(DATA / name)
+        counter = _boundaries(name, tmp_path)
+        assert {e.kind for e in counter.events} == {"write", "rename"}
 
-    def test_sweep_all_boundaries_all_modes(
-        self, source_database, oracle, tmp_path
-    ):
-        counter = self._boundaries(source_database, tmp_path)
-        assert counter.writes > 10
-        # The protocol exercises every boundary kind the harness knows.
-        assert {e.kind for e in counter.events} == {
-            "write", "append", "fsync", "rename"
-        }
-
-        for index in range(1, counter.writes + 1):
-            for mode in ("before", "torn", "after"):
-                root = _seed_root(
-                    source_database, tmp_path / f"sweep-{index}-{mode}"
-                )
-                plan = FaultPlan(fail_at=index, mode=mode)
-                with pytest.raises(InjectedCrash):
-                    Migrator(root, batch_size=4, faults=plan).run()
-
-                # (a) strictly loadable, (b) oracle-identical results.
-                wreck = load_database(root)
-                assert _oracle(wreck) == oracle, (index, mode)
-
-                # (c) resumable to a complete, journal-free v3 state.
-                # (A crash before the begin entry landed leaves no
-                # journal, so the "resume" is legitimately a fresh run.)
-                Migrator(root, batch_size=4).run(resume=True)
-                assert _manifest(root)["format_version"] == 3
-                assert not (root / "migration.journal").exists()
-                assert _oracle(load_database(root)) == oracle, (index, mode)
-
-    def test_double_crash_then_resume(self, source_database, oracle, tmp_path):
-        """Crashing the *resume* too still leaves everything recoverable."""
-        root = _seed_root(source_database, tmp_path / "db")
-        with pytest.raises(InjectedCrash):
-            Migrator(root, batch_size=2,
-                     faults=FaultPlan(fail_at=12, mode="torn")).run()
-        with pytest.raises(InjectedCrash):
-            Migrator(root, batch_size=2,
-                     faults=FaultPlan(fail_at=8, mode="torn")).run(resume=True)
-        assert _oracle(load_database(root)) == oracle
-        Migrator(root, batch_size=2).run(resume=True)
-        assert _manifest(root)["format_version"] == 3
-        assert _oracle(load_database(root)) == oracle
-
-
-class TestRollback:
-    def test_rollback_restores_origin_exactly(
-        self, source_database, oracle, tmp_path
-    ):
-        """Kill the migrator at every boundary, then abandon the run:
-        the origin comes back exactly — until ``complete`` is journaled,
-        after which rollback is refused and the v3 catalog stands."""
-        counter = CountingFaults()
-        Migrator(
-            _seed_root(source_database, tmp_path / "count"),
-            batch_size=2, faults=counter,
-        ).run()
         outcomes = set()
         for index in range(1, counter.writes + 1):
             for mode in FAIL_MODES:
-                root = _seed_root(source_database, tmp_path / f"db-{index}-{mode}")
-                pristine = _manifest(root)
+                root = copy_root(name, tmp_path / f"sweep-{index}-{mode}")
                 with pytest.raises(InjectedCrash):
-                    Migrator(root, batch_size=2,
-                             faults=FaultPlan(fail_at=index, mode=mode)).run()
-                finalized = any(
-                    entry.get("event") == "complete"
-                    for entry in MigrationJournal(root).entries()
-                )
-                if finalized:
-                    with pytest.raises(MigrationError, match="refused"):
-                        rollback_migration(root)
-                    outcomes.add("refused")
+                    _upgrade(root, faults=FaultPlan(fail_at=index, mode=mode))
+
+                # Strictly loadable, oracle-identical, and whole: either
+                # the origin byte for byte or the upgraded root.
+                wreck = load_database(root)
+                assert observed(wreck, oracle) == answers(oracle), (index, mode)
+                if _tree(root) == origin:
+                    outcomes.add("origin")
                 else:
-                    outcomes.add(rollback_migration(root).action)
-                    assert _manifest(root) == pristine, (index, mode)
-                    assert not (root / "segments").exists()
-                    # (a torn ``begin`` line may outlive a no-op rollback)
-                    assert not MigrationJournal(root).entries()
-                assert _oracle(load_database(root)) == oracle, (index, mode)
-        # No journal yet, mid-run, and past the point of no return.
-        assert outcomes == {"noop", "rollback", "refused"}
+                    assert _is_pure_v3(root), (index, mode)
+                    outcomes.add("upgraded")
 
-    def test_rollback_refused_after_finalize(self, source_database, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        migrate_database(root)
-        with pytest.raises(MigrationError, match="refused"):
-            rollback_migration(root)
+                _upgrade(root)
+                assert _is_pure_v3(root)
+                assert observed(load_database(root), oracle) == answers(oracle)
+        assert outcomes == {"origin", "upgraded"}
 
-    def test_rollback_without_journal_is_noop(self, source_database, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        report = rollback_migration(root)
-        assert report.action == "noop"
-
-    def test_crashed_rollback_is_resumable(
-        self, source_database, oracle, tmp_path
-    ):
-        root = _seed_root(source_database, tmp_path / "db")
+    def test_double_crash_then_resume(self, tmp_path):
+        """Crashing the save that recovers from a crash still leaves
+        everything recoverable."""
+        name = "root_v2"
+        oracle = expected(name)
+        origin = _tree(DATA / name)
+        first_commit_rename = _boundaries(name, tmp_path).writes - 1
+        root = copy_root(name, tmp_path / "db")
         with pytest.raises(InjectedCrash):
-            Migrator(root, batch_size=2,
-                     faults=FaultPlan(fail_at=25, mode="after")).run()
-        # Kill the rollback itself mid-flight.
+            _upgrade(root, faults=FaultPlan(fail_at=first_commit_rename, mode="after"))
+        assert not root.exists()  # between the two commit renames
         with pytest.raises(InjectedCrash):
-            Migrator(root, faults=FaultPlan(fail_at=3, mode="torn")).rollback()
-        assert _oracle(load_database(root)) == oracle
-        # Forward migration is refused while a rollback is underway.
-        with pytest.raises(MigrationError, match="rollback"):
-            Migrator(root).run(resume=True)
-        rollback_migration(root)
-        assert _manifest(root)["format_version"] == 2
-        assert _oracle(load_database(root)) == oracle
+            _upgrade(root, faults=FaultPlan(fail_at=3, mode="torn"))
+        assert _tree(root) == origin
+        assert observed(load_database(root), oracle) == answers(oracle)
+        _upgrade(root)
+        assert _is_pure_v3(root)
+        assert observed(load_database(root), oracle) == answers(oracle)
+
+
+class TestRollback:
+    def test_rollback_restores_origin_exactly(self, tmp_path):
+        """Until the commit rename lands, a crashed upgrade leaves the
+        v2 root exactly as it was (a crash between the two renames is
+        rolled back by the next load); after it, the v3 root stands."""
+        name = "root_v2"
+        origin = _tree(DATA / name)
+        counter = _boundaries(name, tmp_path)
+        commit = counter.writes
+        assert counter.events[commit - 1].kind == "rename"
+        for index in range(1, counter.writes + 1):
+            for mode in FAIL_MODES:
+                root = copy_root(name, tmp_path / f"db-{index}-{mode}")
+                with pytest.raises(InjectedCrash):
+                    _upgrade(root, faults=FaultPlan(fail_at=index, mode=mode))
+                load_database(root)  # rolls back a half-done commit
+                if index == commit and mode == "after":
+                    assert _is_pure_v3(root)
+                else:
+                    assert _tree(root) == origin, (index, mode)
 
 
 class TestInjectedIOErrors:
-    """ENOSPC/EIO mid-migration: typed error, previous state intact."""
+    """ENOSPC/EIO mid-upgrade: typed error, origin intact."""
 
     @pytest.mark.parametrize("error", ["ENOSPC", "EIO"])
-    def test_error_surfaces_and_catalog_survives(
-        self, source_database, oracle, tmp_path, error
-    ):
-        root = _seed_root(source_database, tmp_path / f"db-{error}")
+    def test_error_surfaces_and_catalog_survives(self, tmp_path, error):
+        name = "root_v2"
+        oracle = expected(name)
+        root = copy_root(name, tmp_path / f"db-{error}")
+        origin = _tree(root)
         plan = ErrorPlan(fail_at=7, error=error)
-        with pytest.raises(MigrationError) as excinfo:
-            migrate_database(root, batch_size=4, faults=plan)
-        assert isinstance(excinfo.value, PersistenceError)
+        with pytest.raises(PersistenceError, match=error):
+            _upgrade(root, faults=plan)
         assert plan.raised is not None
-        assert _oracle(load_database(root)) == oracle
-        report = migrate_database(root, batch_size=4, resume=True)
-        assert _manifest(root)["format_version"] == 3
-        assert _oracle(load_database(root)) == oracle
-
-    def test_error_on_fsync_boundary(self, source_database, oracle, tmp_path):
-        root = _seed_root(source_database, tmp_path / "db")
-        plan = ErrorPlan(fail_at=2, error="EIO", ops=("fsync",))
-        with pytest.raises(MigrationError):
-            migrate_database(root, batch_size=4, faults=plan)
-        assert plan.raised is not None and plan.raised.kind == "fsync"
-        assert _oracle(load_database(root)) == oracle
+        assert _tree(root) == origin
+        assert sorted(p.name for p in root.parent.iterdir()) == [root.name]
+        assert observed(load_database(root), oracle) == answers(oracle)
+        _upgrade(root)
+        assert _is_pure_v3(root)
+        assert observed(load_database(root), oracle) == answers(oracle)
 
 
 class TestJournal:
+    """The self-verifying line log (once the journal, now the WAL)."""
+
+    def _log(self, tmp_path):
+        return ChecksummedLineLog(tmp_path / "shard.wal", "WAL")
+
     def test_entries_round_trip_with_checksums(self, tmp_path):
-        journal = MigrationJournal(tmp_path)
+        log = self._log(tmp_path)
         plan = NoFaults()
-        journal.append(plan, "begin", total=3)
-        journal.append(plan, "batch", ids=["a", "b"])
-        entries = journal.entries()
+        log.append(plan, {"event": "begin", "total": 3})
+        log.append(plan, {"event": "batch", "ids": ["a", "b"]})
+        entries = log.entries()
         assert [e["event"] for e in entries] == ["begin", "batch"]
         assert entries[0]["total"] == 3
         # Checksums were verified and stripped.
         assert all("line_sha256" not in e for e in entries)
 
     def test_torn_tail_tolerated(self, tmp_path):
-        journal = MigrationJournal(tmp_path)
+        log = self._log(tmp_path)
         plan = NoFaults()
-        journal.append(plan, "begin", total=3)
-        journal.append(plan, "batch", ids=["a"])
-        data = journal.path.read_bytes()
-        journal.path.write_bytes(data[:-7])  # tear the last line
-        assert [e["event"] for e in journal.entries()] == ["begin"]
+        log.append(plan, {"event": "begin", "total": 3})
+        log.append(plan, {"event": "batch", "ids": ["a"]})
+        data = log.path.read_bytes()
+        log.path.write_bytes(data[:-7])  # tear the last line
+        assert [e["event"] for e in log.entries()] == ["begin"]
 
     def test_mid_file_damage_is_corruption(self, tmp_path):
-        journal = MigrationJournal(tmp_path)
+        log = self._log(tmp_path)
         plan = NoFaults()
-        journal.append(plan, "begin", total=3)
-        journal.append(plan, "batch", ids=["a"])
-        lines = journal.path.read_bytes().splitlines(keepends=True)
+        log.append(plan, {"event": "begin", "total": 3})
+        log.append(plan, {"event": "batch", "ids": ["a"]})
+        lines = log.path.read_bytes().splitlines(keepends=True)
         lines[0] = b'{"event":"begin","forged":true}\n'
-        journal.path.write_bytes(b"".join(lines))
-        with pytest.raises(CorruptionError, match="journal line 1"):
-            journal.entries()
+        log.path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptionError, match="WAL line 1"):
+            log.entries()
 
     def test_append_heals_torn_tail(self, tmp_path):
-        journal = MigrationJournal(tmp_path)
+        log = self._log(tmp_path)
         plan = NoFaults()
-        journal.append(plan, "begin", total=3)
-        data = journal.path.read_bytes()
-        journal.path.write_bytes(data + b'{"torn prefix')
-        journal.append(plan, "batch", ids=["a"])
-        assert [e["event"] for e in journal.entries()] == ["begin", "batch"]
+        log.append(plan, {"event": "begin", "total": 3})
+        data = log.path.read_bytes()
+        log.path.write_bytes(data + b'{"torn prefix')
+        log.append(plan, {"event": "batch", "ids": ["a"]})
+        assert [e["event"] for e in log.entries()] == ["begin", "batch"]
 
 
 class TestLiveService:
-    """Migration under a serving QueryService: zero downtime, no lies."""
+    """Upgrading the root of a served database: no downtime, no lies."""
 
     def test_queries_stay_correct_throughout(self, tmp_path):
-        database = _make_database(23)
-        root = tmp_path / "db"
-        save_database(database, root)
+        root = copy_root("root_v2", tmp_path / "db")
         database = load_database(root)
         database.engine.enable_memo()
-        oracle = _oracle(database)
+        oracle = sorted(database.text_query(QUERY, method="rbm").matches)
 
         with QueryService(database, max_workers=3) as service:
             stop = threading.Event()
@@ -377,7 +251,7 @@ class TestLiveService:
                         outcome = service.execute(QUERY)
                         if sorted(outcome.result.matches) != oracle:
                             errors.append(
-                                AssertionError("result drift during migration")
+                                AssertionError("result drift during upgrade")
                             )
                             return
                     except Exception as exc:  # noqa: BLE001 - recorded
@@ -388,36 +262,35 @@ class TestLiveService:
             for thread in threads:
                 thread.start()
             try:
-                report = Migrator(root, batch_size=2, service=service).run()
+                for _ in range(3):
+                    # The write side keeps mutations out of a save.
+                    with service.write_locked():
+                        save_database(service.database, root)
             finally:
                 stop.set()
                 for thread in threads:
                     thread.join()
             assert not errors, errors
-            assert report.records_migrated > 0
-
-            snapshot = service.metrics_snapshot()
-            assert snapshot["counters"]["migration.batches"] == report.batches
-            assert snapshot["gauges"]["migration.phase"] == 3
-            exposition = service.prometheus_metrics()
-            assert 'repro_migration_events_total{event="batches"}' in exposition
-            assert "repro_migration_phase" in exposition
-            from repro.obs.prometheus import validate_exposition
-
-            assert validate_exposition(exposition) == []
-        assert _oracle(load_database(root)) == oracle
+        assert _is_pure_v3(root)
+        assert sorted(
+            load_database(root).text_query(QUERY, method="rbm").matches
+        ) == oracle
 
     def test_post_migration_mutations_still_work(self, tmp_path):
-        """The change feed fired: post-swap inserts are queryable."""
-        database = _make_database(29)
-        root = tmp_path / "db"
-        save_database(database, root)
+        root = copy_root("root_v2", tmp_path / "db")
         database = load_database(root)
         database.engine.enable_memo()
         with QueryService(database, max_workers=2) as service:
             service.execute(QUERY)  # warm the result cache
-            Migrator(root, batch_size=4, service=service).run()
-            rng = np.random.default_rng(99)
-            new_id = service.insert_image(random_image(rng))
+            with service.write_locked():
+                save_database(service.database, root)
+            image = random_palette_image(
+                np.random.default_rng(99), 10, 12, FLAG_PALETTE
+            )
+            new_id = service.insert_image(image)
             outcome = service.execute("at least 0% blue")
             assert new_id in outcome.result.matches
+            with service.write_locked():
+                save_database(service.database, root)
+        assert _is_pure_v3(root)
+        assert new_id in set(load_database(root).catalog.binary_ids())

@@ -2,21 +2,40 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
 from repro.db.persistence import load_database, save_database
+from repro.db.versioning import segment_relpath
 from repro.editing.sequence import EditSequence
 from repro.errors import CorruptionError, PersistenceError, SalvageError
 from repro.workloads.queries import make_query_workload
+from tests.db.legacy import (
+    DATA,
+    LEGACY_ROOTS,
+    answers,
+    copy_root,
+    expected,
+    manifest,
+    observed,
+)
 
 
 def _flip_tail(path):
     payload = bytearray(path.read_bytes())
     payload[-1] = (payload[-1] + 90) % 256
     path.write_bytes(bytes(payload))
+
+
+def _segment(root, database, kind):
+    """The segment file of ``database``'s first ``kind`` record."""
+    ids = (
+        database.catalog.binary_ids()
+        if kind == "binary"
+        else database.catalog.edited_ids()
+    )
+    return root / segment_relpath(next(iter(ids)))
 
 
 class TestRoundTrip:
@@ -61,8 +80,10 @@ class TestRoundTrip:
     def test_layout_on_disk(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
         assert (root / "catalog.json").is_file()
-        assert len(list((root / "binary").glob("*.ppm"))) == 4
-        assert len(list((root / "edited").glob("*.eseq"))) == 12
+        assert len(list((root / "segments").glob("*.seg"))) == 4 + 12
+        assert sorted(p.name for p in root.iterdir()) == [
+            "catalog.json", "segments"
+        ]
 
 
 class TestErrors:
@@ -84,44 +105,49 @@ class TestErrors:
 
     def test_missing_raster_file(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
-        victim = next((root / "binary").glob("*.ppm"))
+        victim = _segment(root, small_database, "binary")
         victim.unlink()
-        with pytest.raises(PersistenceError):
+        with pytest.raises(PersistenceError) as excinfo:
             load_database(root)
+        # Missing, not damaged: `repro repair` tells the two apart.
+        assert not isinstance(excinfo.value, CorruptionError)
+        assert str(excinfo.value) == f"missing file {victim}"
 
     def test_missing_sequence_file(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
-        victim = next((root / "edited").glob("*.eseq"))
+        victim = _segment(root, small_database, "edited")
         victim.unlink()
-        with pytest.raises(PersistenceError):
+        with pytest.raises(PersistenceError) as excinfo:
             load_database(root)
+        assert str(victim) in str(excinfo.value)
 
     def test_corrupt_raster_named_in_error(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
-        victim = next((root / "binary").glob("*.ppm"))
+        victim = _segment(root, small_database, "binary")
         _flip_tail(victim)
         with pytest.raises(CorruptionError) as excinfo:
             load_database(root)
-        assert victim.name in str(excinfo.value)
+        assert str(victim) in str(excinfo.value)
 
-    def test_malformed_sequence_named_in_error(self, small_database, tmp_path):
+    def test_malformed_sequence_named_in_error(self, tmp_path):
         """Garbage .eseq content surfaces as CorruptionError, not a raw
-        SequenceError/ValueError leaking out of the parser."""
-        root = save_database(small_database, tmp_path / "db", checksums=False)
-        victim = next((root / "edited").glob("*.eseq"))
+        SequenceError/ValueError leaking out of the parser.  Only an
+        unchecksummed legacy root lets garbage reach the parser."""
+        root = copy_root("root_v2_bare", tmp_path / "db")
+        victim = root / "edited" / "edit-4.eseq"
         victim.write_text("base \nnot an operation", encoding="utf-8")
         with pytest.raises(CorruptionError) as excinfo:
             load_database(root)
-        assert victim.name in str(excinfo.value)
+        assert str(victim) in str(excinfo.value)
 
-    def test_truncated_raster_without_checksums(self, small_database, tmp_path):
-        """Even with checksums off, a torn ppm is a CorruptionError."""
-        root = save_database(small_database, tmp_path / "db", checksums=False)
-        victim = next((root / "binary").glob("*.ppm"))
+    def test_truncated_raster_without_checksums(self, tmp_path):
+        """Even with no checksum to check, a torn ppm is a CorruptionError."""
+        root = copy_root("root_v2_bare", tmp_path / "db")
+        victim = root / "binary" / "img-1.ppm"
         victim.write_bytes(victim.read_bytes()[:20])
         with pytest.raises(CorruptionError) as excinfo:
             load_database(root)
-        assert victim.name in str(excinfo.value)
+        assert str(victim) in str(excinfo.value)
 
     def test_tampered_manifest_detected(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
@@ -133,10 +159,28 @@ class TestErrors:
             load_database(root)
         assert "manifest checksum" in str(excinfo.value)
 
+    def test_missing_manifest_checksum_is_corruption(self, tmp_path):
+        """A v2/v3 writer always recorded the checksum: deleting the
+        field must not turn verification off."""
+        for root in (
+            copy_root("root_v2", tmp_path / "v2"),
+            save_database(load_database(DATA / "root_v2"), tmp_path / "v3"),
+        ):
+            manifest_path = root / "catalog.json"
+            stripped = manifest(root)
+            del stripped["manifest_checksum"]
+            manifest_path.write_text(json.dumps(stripped), encoding="utf-8")
+            with pytest.raises(CorruptionError) as excinfo:
+                load_database(root)
+            assert str(manifest_path) in str(excinfo.value)
+
     def test_raster_file_swap_detected(self, small_database, tmp_path):
         """Two files swapped: sizes fine, checksums catch it."""
         root = save_database(small_database, tmp_path / "db")
-        first, second, *_ = sorted((root / "binary").glob("*.ppm"))
+        first, second = (
+            root / segment_relpath(image_id)
+            for image_id in list(small_database.catalog.binary_ids())[:2]
+        )
         a, b = first.read_bytes(), second.read_bytes()
         first.write_bytes(b)
         second.write_bytes(a)
@@ -159,11 +203,9 @@ class TestOrphanPruning:
         small_database.delete_image(base_victim)
 
         save_database(small_database, root)
-        on_disk_edited = {p.stem for p in (root / "edited").glob("*.eseq")}
-        assert on_disk_edited == set(small_database.catalog.edited_ids())
-        on_disk_binary = {p.stem for p in (root / "binary").glob("*.ppm")}
-        assert base_victim not in on_disk_binary
-        assert on_disk_binary == set(small_database.catalog.binary_ids())
+        on_disk = {p.stem for p in (root / "segments").glob("*.seg")}
+        assert base_victim not in on_disk
+        assert on_disk == set(small_database.ids())
 
         loaded = load_database(root)
         assert loaded.structure_summary() == small_database.structure_summary()
@@ -188,7 +230,7 @@ class TestSalvage:
         self, small_database, tmp_path
     ):
         root = save_database(small_database, tmp_path / "db")
-        victim = next((root / "binary").glob("*.ppm"))
+        victim = _segment(root, small_database, "binary")
         victim_id = victim.stem
         _flip_tail(victim)
 
@@ -218,8 +260,8 @@ class TestSalvage:
         second = database.insert_edited(EditSequence(first))
         third = database.insert_edited(EditSequence(second))
 
-        root = save_database(database, tmp_path / "db", checksums=False)
-        (root / "edited" / f"{first}.eseq").write_text("garbage", encoding="utf-8")
+        root = save_database(database, tmp_path / "db")
+        (root / segment_relpath(first)).write_text("garbage", encoding="utf-8")
 
         salvaged, report = load_database(root, salvage=True)
         assert set(report.quarantined_ids()) == {first, second, third}
@@ -238,6 +280,19 @@ class TestSalvage:
         assert not report.clean
         assert database.verify_integrity() == []
 
+    def test_salvage_without_manifest_checksum_warns(self, tmp_path):
+        root = copy_root("root_v2", tmp_path / "db")
+        stripped = manifest(root)
+        del stripped["manifest_checksum"]
+        (root / "catalog.json").write_text(json.dumps(stripped), encoding="utf-8")
+        database, report = load_database(root, salvage=True)
+        assert report.warnings == [
+            "manifest checksum mismatch; contents unverified"
+        ]
+        assert observed(database, expected("root_v2")) == answers(
+            expected("root_v2")
+        )
+
     def test_salvage_without_manifest_raises_salvage_error(self, tmp_path):
         with pytest.raises(SalvageError):
             load_database(tmp_path, salvage=True)
@@ -250,33 +305,56 @@ class TestSalvage:
 
 
 class TestFormatCompatibility:
-    def test_version_1_directories_still_load(self, small_database, tmp_path):
+    def test_version_1_directories_still_load(self, tmp_path):
         """A pre-checksum (v1) manifest loads without verification."""
-        root = save_database(small_database, tmp_path / "db")
-        manifest_path = root / "catalog.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 1
-        del manifest["files"]
-        del manifest["manifest_checksum"]
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        root = copy_root("root_v1", tmp_path / "db")
+        assert manifest(root)["format_version"] == 1
+        assert "manifest_checksum" not in manifest(root)
+        assert "files" not in manifest(root)
         loaded = load_database(root)
-        assert loaded.structure_summary() == small_database.structure_summary()
+        assert observed(loaded, expected("root_v1")) == answers(expected("root_v1"))
 
     def test_saved_manifest_checksums_every_file(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
-        manifest = json.loads((root / "catalog.json").read_text(encoding="utf-8"))
-        assert manifest["format_version"] == 2
-        content = {
-            f"binary/{i}.ppm" for i in manifest["binary_ids"]
-        } | {f"edited/{i}.eseq" for i in manifest["edited_ids"]}
-        assert set(manifest["files"]) == content
-        for entry in manifest["files"].values():
-            assert len(entry["sha256"]) == 64
-            assert entry["bytes"] > 0
+        saved = manifest(root)
+        assert saved["format_version"] == 3
+        assert set(saved["records"]) == set(small_database.ids())
+        for image_id, row in saved["records"].items():
+            assert row["segment_version"] == 3
+            assert row["path"] == segment_relpath(image_id)
+            assert len(row["sha256"]) == 64
+            assert row["bytes"] > 0
 
-    def test_checksums_off_roundtrips(self, small_database, tmp_path):
-        root = save_database(small_database, tmp_path / "db", checksums=False)
-        manifest = json.loads((root / "catalog.json").read_text(encoding="utf-8"))
-        assert manifest["files"] == {}
+    def test_checksums_off_roundtrips(self, tmp_path):
+        """A v2 root saved without checksums loads; its re-save is
+        checksummed v3."""
+        root = copy_root("root_v2_bare", tmp_path / "db")
+        assert manifest(root)["files"] == {}
+        oracle = answers(expected("root_v2_bare"))
+        assert observed(load_database(root), oracle) == oracle
+        save_database(load_database(root), root)
+        assert all(
+            len(row["sha256"]) == 64 for row in manifest(root)["records"].values()
+        )
+        assert observed(load_database(root), oracle) == oracle
+
+
+class TestLegacyRoots:
+    @pytest.mark.parametrize("name", LEGACY_ROOTS)
+    def test_strict_load_resave_reload(self, name, tmp_path):
+        """Every committed legacy root loads strictly; one save makes
+        it pure v3 with nothing of the old layout left behind."""
+        root = copy_root(name, tmp_path / name)
+        oracle = expected(name)
+        assert manifest(root)["format_version"] == oracle["format_version"]
         loaded = load_database(root)
-        assert loaded.structure_summary() == small_database.structure_summary()
+        assert observed(loaded, oracle) == answers(oracle)
+
+        save_database(loaded, root)
+        upgraded = manifest(root)
+        assert upgraded["format_version"] == 3
+        assert {row["segment_version"] for row in upgraded["records"].values()} == {3}
+        for leftover in ("binary", "edited", "migration.journal"):
+            assert not (root / leftover).exists()
+
+        assert observed(load_database(root), oracle) == answers(oracle)

@@ -4,8 +4,9 @@ Unit-level coverage of :mod:`repro.db.versioning`: segment envelope
 round-trips, torn/corrupt segment detection, pointer-table parsing for
 v1/v2/v3 manifests, and per-record reader dispatch (including the
 "upgrade the library" error for versions from the future).  The
-integration-level behavior — mixed-version catalogs produced by a
-half-finished migration — is exercised in ``test_migration.py``.
+integration-level behavior — the committed legacy roots, mixed-version
+ones included, upgrading on save — is exercised in
+``test_persistence.py`` and ``test_migration.py``.
 """
 
 import json
@@ -18,7 +19,6 @@ from repro.db.database import MultimediaDatabase
 from repro.db.persistence import load_database, save_database
 from repro.db.versioning import (
     CURRENT_VERSION,
-    DEFAULT_SAVE_VERSION,
     KIND_BINARY,
     KIND_EDITED,
     RecordPointer,
@@ -47,10 +47,14 @@ def _make_database(seed, bases=2, variants=2):
     return database
 
 
+def _encode(image_id, kind, payload):
+    return encode_segment(image_id, kind, payload, sha256_hex(payload))
+
+
 class TestSegmentEnvelope:
     def test_round_trip(self):
         payload = b"P6\n10 12\n255\n" + bytes(range(256)) * 2
-        blob = encode_segment("img-1", KIND_BINARY, payload)
+        blob = _encode("img-1", KIND_BINARY, payload)
         header, decoded = decode_segment(blob, "img-1.seg")
         assert decoded == payload
         assert header["image_id"] == "img-1"
@@ -61,23 +65,23 @@ class TestSegmentEnvelope:
 
     def test_payload_may_contain_newlines(self):
         payload = b"line one\nline two\n\nline four"
-        blob = encode_segment("edit-1", KIND_EDITED, payload)
+        blob = _encode("edit-1", KIND_EDITED, payload)
         _, decoded = decode_segment(blob, "x.seg")
         assert decoded == payload
 
     def test_torn_segment_detected(self):
-        blob = encode_segment("img-1", KIND_BINARY, b"x" * 100)
+        blob = _encode("img-1", KIND_BINARY, b"x" * 100)
         with pytest.raises(CorruptionError, match="torn"):
             decode_segment(blob[:-10], "img-1.seg")
 
     def test_flipped_payload_byte_detected(self):
-        blob = bytearray(encode_segment("img-1", KIND_BINARY, b"x" * 100))
+        blob = bytearray(_encode("img-1", KIND_BINARY, b"x" * 100))
         blob[-1] ^= 0xFF
         with pytest.raises(CorruptionError, match="checksum"):
             decode_segment(bytes(blob), "img-1.seg")
 
     def test_damaged_header_detected(self):
-        blob = encode_segment("img-1", KIND_BINARY, b"payload")
+        blob = _encode("img-1", KIND_BINARY, b"payload")
         with pytest.raises(CorruptionError):
             decode_segment(b"not json" + blob, "img-1.seg")
 
@@ -130,7 +134,7 @@ class TestReaderRegistry:
         (tmp_path / "segments").mkdir()
         # A segment whose header claims a different record: stale file
         # recycled under the wrong name.
-        blob = encode_segment("img-2", KIND_BINARY, b"payload")
+        blob = _encode("img-2", KIND_BINARY, b"payload")
         (tmp_path / segment_relpath("img-1")).write_bytes(blob)
         pointer = RecordPointer(
             image_id="img-1", kind=KIND_BINARY, segment_version=3,
@@ -141,14 +145,14 @@ class TestReaderRegistry:
 
 
 class TestFormatSelection:
-    def test_default_save_is_v2(self, tmp_path):
+    def test_save_is_v3(self, tmp_path):
         save_database(_make_database(3), tmp_path / "db")
         manifest = json.loads((tmp_path / "db" / "catalog.json").read_text())
-        assert manifest["format_version"] == DEFAULT_SAVE_VERSION == 2
+        assert manifest["format_version"] == CURRENT_VERSION == 3
 
     def test_v3_save_and_load_round_trip(self, tmp_path):
         database = _make_database(3)
-        save_database(database, tmp_path / "db", format_version=3)
+        save_database(database, tmp_path / "db")
         manifest = json.loads((tmp_path / "db" / "catalog.json").read_text())
         assert manifest["format_version"] == CURRENT_VERSION == 3
         assert "records" in manifest
@@ -163,18 +167,14 @@ class TestFormatSelection:
 
     def test_resave_preserves_v3(self, tmp_path):
         database = _make_database(3)
-        save_database(database, tmp_path / "db", format_version=3)
+        save_database(database, tmp_path / "db")
         save_database(load_database(tmp_path / "db"), tmp_path / "db")
         manifest = json.loads((tmp_path / "db" / "catalog.json").read_text())
         assert manifest["format_version"] == 3
 
-    def test_unwritable_version_rejected(self, tmp_path):
-        with pytest.raises(PersistenceError, match="format version"):
-            save_database(_make_database(3), tmp_path / "db", format_version=7)
-
     def test_v3_flipped_segment_byte_fails_strict_load(self, tmp_path):
         database = _make_database(3)
-        save_database(database, tmp_path / "db", format_version=3)
+        save_database(database, tmp_path / "db")
         victim = sorted(database.catalog.binary_ids())[0]
         target = tmp_path / "db" / segment_relpath(victim)
         blob = bytearray(target.read_bytes())
@@ -185,7 +185,7 @@ class TestFormatSelection:
 
     def test_v3_salvage_quarantines_damaged_segment(self, tmp_path):
         database = _make_database(3)
-        save_database(database, tmp_path / "db", format_version=3)
+        save_database(database, tmp_path / "db")
         victim = sorted(database.catalog.binary_ids())[0]
         target = tmp_path / "db" / segment_relpath(victim)
         blob = bytearray(target.read_bytes())

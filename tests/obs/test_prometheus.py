@@ -222,13 +222,13 @@ class TestMergeSnapshots:
         from repro.obs import merge_snapshots
 
         other = {
-            "counters": {"wal.appends": 4, "migration.runs": 1},
+            "counters": {"wal.appends": 4, "compaction.cycles": 1},
             "histograms": {},
             "gauges": {"health.worst": 2.0},
         }
         merged = merge_snapshots(self.base(), other)
         assert merged["counters"]["wal.appends"] == 7
-        assert merged["counters"]["migration.runs"] == 1
+        assert merged["counters"]["compaction.cycles"] == 1
         assert merged["gauges"]["health.worst"] == 2.0
         assert merged["events"] == {"emitted": 5}
 

@@ -411,7 +411,7 @@ class TestServesAMemoizingEngine:
 
     def _write(self, step, rng, service, out_of_band, counter):
         """One write: through the wrappers, or on the database itself
-        under ``write_locked()`` as the migrator does."""
+        under ``write_locked()`` as an out-of-band writer does."""
         database = service.database
         target = database if out_of_band else service
         catalog = database.catalog

@@ -459,7 +459,8 @@ class TestPersistence:
         shutil.copytree(Path(__file__).parent / "data" / "root_pr16", root)
         assert "index_kind" in json.loads((root / SHARD_MANIFEST_NAME).read_text())
         expected = json.loads((root / "expected.json").read_text())
-        with ShardedCatalog.open(root) as reopened:
+
+        def assert_as_recorded(reopened):
             assert list(reopened.ids()) == expected["ids"]
             assert reopened.placement() == expected["placement"]
             query = RangeQuery.at_least(expected["range_bin"], 0.5)
@@ -471,12 +472,25 @@ class TestPersistence:
                 [distance, image_id]
                 for distance, image_id in reopened.knn(probe, 3).neighbors
             ] == expected["knn"]
-            assert reopened.metrics.counter("wal.replayed") == 2
             for index in range(reopened.shard_count):
                 assert reopened.shard_database(index).verify_integrity() == []
+
+        with ShardedCatalog.open(root) as reopened:
+            assert_as_recorded(reopened)
+            assert reopened.metrics.counter("wal.replayed") == 2
+            shard_count = reopened.shard_count
             reopened.save()
         rewritten = json.loads((root / SHARD_MANIFEST_NAME).read_text())
         assert "index_kind" not in rewritten
+        # The checkpoint rewrote every shard's v2 segment root as v3.
+        for index in range(shard_count):
+            shard_root = root / f"shard-{index:03d}"
+            manifest = json.loads((shard_root / "catalog.json").read_text())
+            assert manifest["format_version"] == 3
+            assert not (shard_root / "binary").exists()
+        with ShardedCatalog.open(root) as reopened:
+            assert_as_recorded(reopened)
+            assert reopened.metrics.counter("wal.replayed") == 0
         with pytest.raises(TypeError):
             ShardedCatalog(2, index_kind="rtree")
 

@@ -16,6 +16,16 @@ def run_cli(*argv):
     return code, buffer.getvalue()
 
 
+def _binary_segment(directory):
+    """The segment file of the first binary image saved under ``directory``."""
+    import json
+
+    from repro.db.versioning import segment_relpath
+
+    manifest = json.loads((directory / "catalog.json").read_text())
+    return directory / segment_relpath(manifest["binary_ids"][0])
+
+
 @pytest.fixture(scope="module")
 def saved_database(tmp_path_factory):
     directory = tmp_path_factory.mktemp("clidb") / "flags"
@@ -133,7 +143,7 @@ class TestCheck:
         directory, _ = saved_database
         corrupted = tmp_path / "corrupt"
         shutil.copytree(directory, corrupted)
-        victim = next((corrupted / "binary").glob("*.ppm"))
+        victim = _binary_segment(corrupted)
         payload = bytearray(victim.read_bytes())
         payload[-1] = (payload[-1] + 90) % 256
         victim.write_bytes(bytes(payload))
@@ -162,7 +172,7 @@ class TestRepair:
         directory, _ = saved_database
         damaged = tmp_path / "damaged"
         shutil.copytree(directory, damaged)
-        victim = next((damaged / "binary").glob("*.ppm"))
+        victim = _binary_segment(damaged)
         payload = bytearray(victim.read_bytes())
         payload[-1] = (payload[-1] + 90) % 256
         victim.write_bytes(bytes(payload))
@@ -178,7 +188,7 @@ class TestSalvage:
 
         damaged = tmp_path / "damaged"
         shutil.copytree(directory, damaged)
-        victim = next((damaged / "binary").glob("*.ppm"))
+        victim = _binary_segment(damaged)
         payload = bytearray(victim.read_bytes())
         payload[-1] = (payload[-1] + 90) % 256
         victim.write_bytes(bytes(payload))
@@ -214,60 +224,34 @@ class TestSalvage:
 
 
 class TestMigrate:
-    @pytest.fixture()
-    def v2_copy(self, saved_database, tmp_path):
-        import shutil
+    """There is no ``migrate`` command: saving upgrades a legacy root."""
 
-        directory, _ = saved_database
-        copy = tmp_path / "v2"
-        shutil.copytree(directory, copy)
-        return copy
-
-    def test_migrate_then_query_round_trip(self, v2_copy):
+    def test_migrate_then_query_round_trip(self, tmp_path):
         import json
 
+        from tests.db.legacy import copy_root
+
+        legacy = copy_root("root_v2", tmp_path / "v2")
         code, oracle_out = run_cli(
-            "query", str(v2_copy), "at least 10% red", "--method", "rbm"
+            "query", str(legacy), "at least 10% red", "--method", "rbm"
         )
         assert code == 0
-        code, output = run_cli(
-            "migrate", str(v2_copy), "--batch-size", "4", "--json"
-        )
+        code, output = run_cli("salvage", str(legacy))
         assert code == 0
-        report = json.loads(output)
-        assert report["action"] == "migrate"
-        assert report["records_migrated"] > 0
-        manifest = json.loads((v2_copy / "catalog.json").read_text())
+        assert "0 quarantined" in output
+        manifest = json.loads((legacy / "catalog.json").read_text())
         assert manifest["format_version"] == 3
+        assert not (legacy / "binary").exists()
         # Every downstream command still works, byte-identically.
-        code, migrated_out = run_cli(
-            "query", str(v2_copy), "at least 10% red", "--method", "rbm"
+        code, upgraded_out = run_cli(
+            "query", str(legacy), "at least 10% red", "--method", "rbm"
         )
         assert code == 0
-        assert migrated_out == oracle_out
-        code, _ = run_cli("check", str(v2_copy))
+        assert upgraded_out == oracle_out
+        code, _ = run_cli("check", str(legacy))
         assert code == 0
-
-    def test_migrate_status(self, v2_copy):
-        code, output = run_cli("migrate", str(v2_copy), "--status")
-        assert code == 0
-        assert "phase=idle" in output
-        run_cli("migrate", str(v2_copy))
-        code, output = run_cli("migrate", str(v2_copy), "--status")
-        assert code == 0
-        assert "phase=idle" in output
-        assert "0 pending" in output
-
-    def test_migrate_rollback_refused_after_completion(self, v2_copy):
-        run_cli("migrate", str(v2_copy))
-        code, _ = run_cli("migrate", str(v2_copy), "--rollback")
-        assert code == 1  # MigrationError -> library error
-
-    def test_migrate_noop_on_migrated_database(self, v2_copy):
-        run_cli("migrate", str(v2_copy))
-        code, output = run_cli("migrate", str(v2_copy))
-        assert code == 0
-        assert "nothing to migrate" in output
+        with pytest.raises(SystemExit):
+            run_cli("migrate", str(legacy))
 
     def test_build_v3_format(self, tmp_path):
         import json
@@ -275,17 +259,15 @@ class TestMigrate:
         directory = tmp_path / "v3"
         code, _ = run_cli(
             "build", str(directory), "--dataset", "flag", "--scale", "0.03",
-            "--seed", "5", "--format", "3",
+            "--seed", "5",
         )
         assert code == 0
         manifest = json.loads((directory / "catalog.json").read_text())
         assert manifest["format_version"] == 3
         code, _ = run_cli("check", str(directory))
         assert code == 0
-        code, output = run_cli("migrate", str(directory), "--status", "--json")
-        assert code == 0
-        status = json.loads(output)
-        assert status["pending"] == 0
+        with pytest.raises(SystemExit):
+            run_cli("build", str(tmp_path / "v2"), "--format", "2")
 
     def test_salvage_on_healthy_database(self, saved_database, tmp_path):
         import shutil
