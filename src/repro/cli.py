@@ -18,13 +18,13 @@ Subcommands mirror the workflow of the paper's prototype:
               and report the strategies run plus service metrics
               (``--prometheus`` for text exposition, ``--slow`` for the
               slow-query log, ``--trace-out`` for a Chrome trace file)
-``lint``      run the concurrency/numeric-discipline AST linter plus
-              the interprocedural lock-order analysis (CC001 cycles,
-              CC002 lock-held-across-fsync) over a source tree
-              (default: the installed ``repro`` package)
+``lint``      run the concurrency/numeric-discipline AST linter (AL
+              rules only) over a source tree (default: the installed
+              ``repro`` package); an unknown ``--rule`` is a usage error
 ``race-check`` drive the instrumented concurrency scenarios (metrics,
-              events, sharded) under the Eraser-style lockset race
-              detector and report CC004 data races
+              events, service, sharded) under the dynamic checker:
+              CC004 data races (Eraser lockset) and CC001 cycles in
+              the lock order the scenarios observed
 ``analyze-db`` static soundness checks over a saved database: dangling
               references, Merge cycles, size underflow, BWM placement,
               cache-dependency agreement, vacuous-bounds diagnostics;
@@ -213,11 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     race = commands.add_parser(
         "race-check",
-        help="run the lockset race detector over instrumented scenarios",
+        help="run the lockset race detector and lock-order check over "
+        "instrumented scenarios",
     )
     race.add_argument("scenarios", nargs="*", default=None,
                       help="scenario names to run (default: all of "
-                      "metrics, events, sharded)")
+                      "metrics, events, service, sharded)")
     race.add_argument("--json", action="store_true",
                       help="emit the findings as JSON")
 
@@ -540,24 +541,23 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis import AnalysisReport, check_lock_order, lint_paths
+    from repro.analysis import LINT_RULES, lint_paths
 
+    unknown = sorted(set(args.rule or ()) - set(LINT_RULES))
+    if unknown:
+        print(
+            f"error: unknown lint rule(s) {', '.join(unknown)}; have "
+            f"{', '.join(sorted(LINT_RULES))}",
+            file=sys.stderr,
+        )
+        return 1
     if args.paths:
         paths = [Path(p) for p in args.paths]
     else:
         import repro
 
         paths = [Path(repro.__file__).parent]
-    lint_report = lint_paths(paths, rules=args.rule)
-    lock_report = check_lock_order(paths, rules=args.rule)
-    # One merged report: the per-line AL rules and the interprocedural
-    # CC lock-order pass walk the same files, share the pragma syntax,
-    # and gate CI together.  Both honour --rule, so filtering to an AL
-    # code silently yields an empty lockgraph half (and vice versa).
-    report = AnalysisReport(pass_name="lint")
-    report.extend(lint_report)
-    report.extend(lock_report)
-    report.subjects_examined = lint_report.subjects_examined
+    report = lint_paths(paths, rules=args.rule)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -572,8 +572,8 @@ def _cmd_race_check(args: argparse.Namespace, out) -> int:
 
     try:
         report = run_race_check(args.scenarios or None)
-    except ValueError as exc:  # unknown scenario name: usage error
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an unknown scenario, or a worker raised or hung
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)

@@ -64,6 +64,7 @@ from typing import (
     Set,
     Tuple,
     Union,
+    cast,
 )
 
 import numpy as np
@@ -508,6 +509,77 @@ def _classify_mutate(op: Mutate) -> Tuple[int, int, int]:
     return (OP_MUTATE_GENERAL, 1, 1)
 
 
+#: The ``params`` / ``floats`` row of an operation that uses neither.
+_NO_PARAMS = (0, 0, 0, 0)
+_NO_FLOATS = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _lower(
+    op: Operation, quantizer: UniformQuantizer
+) -> Tuple[int, Tuple[int, ...], Tuple[float, ...]]:
+    """The one lowering of an operation: its kernel code and its
+    ``params`` / ``floats`` rows, as :meth:`CatalogOpTable._compile`
+    stores them and :func:`apply_rule_batched` broadcasts them."""
+    if isinstance(op, Define):
+        rect = op.rect
+        return OP_DEFINE, (rect.x1, rect.y1, rect.x2, rect.y2), _NO_FLOATS
+    if isinstance(op, Combine):
+        return OP_COMBINE, _NO_PARAMS, _NO_FLOATS
+    if isinstance(op, Modify):
+        old_bin = quantizer.bin_of(op.rgb_old)
+        new_bin = quantizer.bin_of(op.rgb_new)
+        return OP_MODIFY, (old_bin, new_bin, 0, 0), _NO_FLOATS
+    if isinstance(op, Mutate):
+        code, sx, sy = _classify_mutate(op)
+        m = op.matrix
+        return code, (sx, sy, 0, 0), (m.m11, m.m12, m.m13, m.m21, m.m22, m.m23)
+    if isinstance(op, Merge):
+        code = OP_MERGE_CROP if op.is_crop else OP_MERGE_TARGET
+        return code, (op.x, op.y, 0, 0), _NO_FLOATS
+    raise RuleError(f"no rule for operation {op!r}")
+
+
+def _apply_code(
+    state: BatchRuleState,
+    code: int,
+    rows: np.ndarray,
+    params: np.ndarray,
+    floats: np.ndarray,
+    idx: np.ndarray,
+    resolver: Callable[[], BatchTargetResolver],
+    fill_bin: int,
+    fail: FailCallback,
+) -> None:
+    """The one code → kernel dispatch: run op ``code`` on ``rows``, whose
+    lowered rows are ``params[idx]`` / ``floats[idx]``.  Each caller
+    brings its own Merge-target ``resolver`` (built only when needed)."""
+    if code == OP_DEFINE:
+        _kernel_define(state, rows, params[idx])
+    elif code == OP_COMBINE:
+        _kernel_combine(state, rows)
+    elif code == OP_MODIFY:
+        _kernel_modify(state, rows, params[idx, 0], params[idx, 1])
+    elif code == OP_MUTATE_IDENTITY:
+        pass
+    elif code in (OP_MUTATE_SCALE, OP_MUTATE_GENERAL):
+        _kernel_mutate(
+            state,
+            rows,
+            floats[idx],
+            np.full(rows.size, code == OP_MUTATE_SCALE, dtype=bool),
+            params[idx, 0],
+            params[idx, 1],
+        )
+    elif code == OP_MERGE_CROP:
+        _kernel_merge_crop(state, rows, fail)
+    elif code == OP_MERGE_TARGET:
+        _kernel_merge_target(
+            state, rows, params[idx, 0], params[idx, 1], resolver(), fill_bin, fail
+        )
+    else:  # pragma: no cover — lowering assigns only known codes
+        raise RuleError(f"unknown op code {code}")
+
+
 def apply_rule_batched(
     state: BatchRuleState,
     rows: np.ndarray,
@@ -516,115 +588,64 @@ def apply_rule_batched(
 ) -> Dict[int, RuleError]:
     """Apply one operation's batched kernel to ``rows`` of ``state``.
 
-    This is the single-op entry the rule-soundness prover (RS003) and
-    :meth:`repro.core.bounds.BoundsEngine.walk_states` use: it compiles
-    ``op`` exactly as :class:`CatalogOpTable` does and dispatches to the
-    same private kernels the full-catalog sweep uses, so a parity proof
-    over this function covers the shipped sweep arithmetic.  Returns
-    per-row :class:`RuleError` failures keyed by row index (empty when
-    every row applied cleanly); failed rows' state is unspecified,
-    matching the scalar walk where a raise abandons the image.
+    The single-op entry of the rule-soundness prover (RS003) and
+    :meth:`repro.core.bounds.BoundsEngine.walk_states`: ``op`` goes
+    through the sweep's own lowering and dispatch (only the Merge-target
+    resolver is this function's), so a parity proof over it covers the
+    shipped sweep.  Returns per-row :class:`RuleError` failures keyed by
+    row index (empty when every row applied cleanly); failed rows' state
+    is unspecified, matching the scalar walk where a raise abandons the
+    image.
     """
     errors: Dict[int, RuleError] = {}
 
     def fail(row: int, error: RuleError) -> None:
         errors[row] = error
 
-    count = rows.size
-    if isinstance(op, Define):
-        rect4 = np.tile(
-            np.array(
-                [op.rect.x1, op.rect.y1, op.rect.x2, op.rect.y2], dtype=np.int64
-            ),
-            (count, 1),
-        )
-        _kernel_define(state, rows, rect4)
-    elif isinstance(op, Combine):
-        _kernel_combine(state, rows)
-    elif isinstance(op, Modify):
-        old_bins = np.full(count, ctx.quantizer.bin_of(op.rgb_old), dtype=np.int64)
-        new_bins = np.full(count, ctx.quantizer.bin_of(op.rgb_new), dtype=np.int64)
-        _kernel_modify(state, rows, old_bins, new_bins)
-    elif isinstance(op, Mutate):
-        code, sx, sy = _classify_mutate(op)
-        if code != OP_MUTATE_IDENTITY:
-            matrix = op.matrix
-            fmat = np.tile(
-                np.array(
-                    [
-                        matrix.m11,
-                        matrix.m12,
-                        matrix.m13,
-                        matrix.m21,
-                        matrix.m22,
-                        matrix.m23,
-                    ],
-                    dtype=np.float64,
-                ),
-                (count, 1),
-            )
-            _kernel_mutate(
-                state,
-                rows,
-                fmat,
-                np.full(count, code == OP_MUTATE_SCALE, dtype=bool),
-                np.full(count, sx, dtype=np.int64),
-                np.full(count, sy, dtype=np.int64),
-            )
-    elif isinstance(op, Merge):
-        if op.is_crop:
-            _kernel_merge_crop(state, rows, fail)
-        else:
-            bins = state.lo.shape[1]
-
-            def resolve(
-                live: np.ndarray, positions: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-                ok = np.zeros(live.size, dtype=bool)
-                empty = np.zeros((0, bins), dtype=np.int64)
-                none = np.zeros(0, dtype=np.int64)
-                if ctx.resolve_target is None:
-                    for row in live:
-                        fail(
-                            int(row),
-                            RuleError(
-                                f"Merge target {op.target_id!r} requires "
-                                f"a target resolver"
-                            ),
-                        )
-                    return (ok, empty, empty, none, none)
-                try:
-                    t_lo, t_hi, t_height, t_width = ctx.resolve_target(
-                        str(op.target_id)
-                    )
-                except RuleError as exc:
-                    for row in live:
-                        fail(int(row), exc)
-                    return (ok, empty, empty, none, none)
-                ok[:] = True
-                return (
-                    ok,
-                    np.broadcast_to(
-                        np.asarray(t_lo, dtype=np.int64), (live.size, bins)
+    def resolve(
+        live: np.ndarray, positions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        target_id = str(cast(Merge, op).target_id)
+        bins = state.lo.shape[1]
+        ok = np.zeros(live.size, dtype=bool)
+        empty = np.zeros((0, bins), dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        if ctx.resolve_target is None:
+            for row in live:
+                fail(
+                    int(row),
+                    RuleError(
+                        f"Merge target {target_id!r} requires a target resolver"
                     ),
-                    np.broadcast_to(
-                        np.asarray(t_hi, dtype=np.int64), (live.size, bins)
-                    ),
-                    np.full(live.size, int(t_height), dtype=np.int64),
-                    np.full(live.size, int(t_width), dtype=np.int64),
                 )
+            return (ok, empty, empty, none, none)
+        try:
+            t_lo, t_hi, t_height, t_width = ctx.resolve_target(target_id)
+        except RuleError as exc:
+            for row in live:
+                fail(int(row), exc)
+            return (ok, empty, empty, none, none)
+        ok[:] = True
+        return (
+            ok,
+            np.broadcast_to(np.asarray(t_lo, dtype=np.int64), (live.size, bins)),
+            np.broadcast_to(np.asarray(t_hi, dtype=np.int64), (live.size, bins)),
+            np.full(live.size, int(t_height), dtype=np.int64),
+            np.full(live.size, int(t_width), dtype=np.int64),
+        )
 
-            _kernel_merge_target(
-                state,
-                rows,
-                np.full(count, op.x, dtype=np.int64),
-                np.full(count, op.y, dtype=np.int64),
-                resolve,
-                ctx.fill_bin,
-                fail,
-            )
-    else:
-        raise RuleError(f"no rule for operation {op!r}")
+    code, params, floats = _lower(op, ctx.quantizer)
+    _apply_code(
+        state,
+        code,
+        rows,
+        np.array([params], dtype=np.int64),
+        np.array([floats], dtype=np.float64),
+        np.zeros(rows.size, dtype=np.int64),  # every row reads the one op
+        lambda: resolve,
+        ctx.fill_bin,
+        fail,
+    )
     return errors
 
 
@@ -806,41 +827,16 @@ class CatalogOpTable:
         trefs = np.full(count, -1, dtype=np.int32)
         refs: List[str] = [sequence.base_id]
         for rank, op in enumerate(sequence.operations):
-            if isinstance(op, Define):
-                codes[rank] = OP_DEFINE
-                params[rank] = (op.rect.x1, op.rect.y1, op.rect.x2, op.rect.y2)
-            elif isinstance(op, Combine):
-                codes[rank] = OP_COMBINE
-            elif isinstance(op, Modify):
-                codes[rank] = OP_MODIFY
-                params[rank, 0] = self._quantizer.bin_of(op.rgb_old)
-                params[rank, 1] = self._quantizer.bin_of(op.rgb_new)
-            elif isinstance(op, Mutate):
-                code, sx, sy = _classify_mutate(op)
-                codes[rank] = code
-                params[rank, 0] = sx
-                params[rank, 1] = sy
-                matrix = op.matrix
-                floats[rank] = (
-                    matrix.m11,
-                    matrix.m12,
-                    matrix.m13,
-                    matrix.m21,
-                    matrix.m22,
-                    matrix.m23,
-                )
-            elif isinstance(op, Merge):
-                if op.is_crop:
-                    codes[rank] = OP_MERGE_CROP
-                else:
-                    codes[rank] = OP_MERGE_TARGET
-                    target_id = str(op.target_id)
-                    trefs[rank] = self._target_slot(target_id)
-                    refs.append(target_id)
-                params[rank, 0] = op.x
-                params[rank, 1] = op.y
-            else:
-                raise RuleError(f"no rule for operation {op!r}")
+            code, op_params, op_floats = _lower(op, self._quantizer)
+            codes[rank] = code
+            if op_params is not _NO_PARAMS:
+                params[rank] = op_params
+            if op_floats is not _NO_FLOATS:
+                floats[rank] = op_floats
+            if code == OP_MERGE_TARGET:
+                target_id = str(cast(Merge, op).target_id)
+                trefs[rank] = self._target_slot(target_id)
+                refs.append(target_id)
         return (_RowOps(codes, params, floats, trefs), tuple(refs))
 
 
@@ -1333,39 +1329,18 @@ class _Sweep:
 
     def _dispatch(self, code: int, rows: np.ndarray, idx: np.ndarray) -> None:
         table = self.table
-        state = self.state
         before = len(self.failed)
-        if code == OP_DEFINE:
-            _kernel_define(state, rows, table.params[idx])
-        elif code == OP_COMBINE:
-            _kernel_combine(state, rows)
-        elif code == OP_MODIFY:
-            _kernel_modify(state, rows, table.params[idx, 0], table.params[idx, 1])
-        elif code == OP_MUTATE_IDENTITY:
-            pass
-        elif code in (OP_MUTATE_SCALE, OP_MUTATE_GENERAL):
-            _kernel_mutate(
-                state,
-                rows,
-                table.floats[idx],
-                np.full(rows.size, code == OP_MUTATE_SCALE, dtype=bool),
-                table.params[idx, 0],
-                table.params[idx, 1],
-            )
-        elif code == OP_MERGE_CROP:
-            _kernel_merge_crop(state, rows, self._fail)
-        elif code == OP_MERGE_TARGET:
-            _kernel_merge_target(
-                state,
-                rows,
-                table.params[idx, 0],
-                table.params[idx, 1],
-                self._make_target_resolver(rows, idx),
-                self.fill_bin,
-                self._fail,
-            )
-        else:  # pragma: no cover — compile assigns only known codes
-            raise RuleError(f"unknown op code {code}")
+        _apply_code(
+            self.state,
+            code,
+            rows,
+            table.params,
+            table.floats,
+            idx,
+            lambda: self._make_target_resolver(rows, idx),
+            self.fill_bin,
+            self._fail,
+        )
         self.ops_applied += rows.size - (len(self.failed) - before)
 
     def _make_target_resolver(

@@ -951,9 +951,7 @@ class ShardedCatalog:
                 # Shard locks are always taken in ascending shard-index
                 # order here (the only multi-shard acquisition site), so
                 # the self-cycle on the shard lock family cannot deadlock.
-                stack.enter_context(  # repro-lint: disable=CC001
-                    shard.lock.write_locked()
-                )
+                stack.enter_context(shard.lock.write_locked())
             for shard in self._shards:
                 save_database(
                     shard.database,

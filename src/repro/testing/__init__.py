@@ -2,11 +2,12 @@
 
 * :mod:`repro.testing.faults` — deterministic write/fsync fault plans
   for crash-safety verification of the persistence layer.
-* :mod:`repro.testing.racecheck` — an opt-in Eraser-style lockset race
-  detector (with light happens-before tracking for fork/join edges):
-  tracked proxies wrap the shared structures, the RW locks report
-  acquisitions through monitor hooks, and unsynchronized accesses are
-  reported as ``CC004`` findings (``repro race-check``).
+* :mod:`repro.testing.racecheck` — an opt-in dynamic concurrency
+  checker (``repro race-check``): tracked proxies wrap the shared
+  structures and locks, the RW locks report acquisitions through
+  monitor hooks; unsynchronized accesses are ``CC004`` findings (Eraser
+  lockset, light fork/join happens-before) and cycles in the observed
+  lock order ``CC001`` findings.
 """
 
 from repro.testing.faults import (

@@ -1,18 +1,25 @@
-"""Eraser-style lockset race detection for the concurrent tiers.
+"""Dynamic concurrency checking: lock usage and lock order, observed on
+the same instrumented locks.
 
-The lock-order pass (:mod:`repro.analysis.lockgraph`) proves locks are
-*ordered*; this harness checks they are *used*: every shared structure
-must only ever be touched while holding the lock that guards it.  It is
-the dynamic complement — opt-in instrumentation wraps the repo's locks
-and shared structures, records which locks each thread holds at each
-access, and runs the classic Eraser lockset algorithm (Savage et al.):
-a location's *candidate lockset* starts as "whatever the first sharing
-access held" and is intersected at every subsequent access; when it
-goes empty while the location is written by multiple threads, no single
-lock protected it — a data race regardless of whether this particular
-schedule interleaved badly.  That schedule-independence is the point:
-a stress test only catches the races it happens to provoke, while the
-lockset discipline is violated on *every* run of racy code.
+Opt-in instrumentation wraps the repo's locks and shared structures and
+records which locks each thread holds at every acquisition and access.
+
+* **Usage** (``CC004``): the classic Eraser lockset algorithm (Savage et
+  al.).  A location's *candidate lockset* starts as "whatever the first
+  sharing access held" and is intersected at every subsequent access;
+  when it goes empty while the location is written by multiple threads,
+  no single lock protected it — a data race on *every* run of the racy
+  code, not just on the schedules a stress test happens to provoke.
+* **Order** (``CC001``): every acquisition adds an edge from each lock
+  the thread already holds to the one it takes, between lock *instances*
+  (``shard[0].rwlock`` → ``shard[1].rwlock``, so a lock family always
+  taken in index order is acyclic).  A cycle is two orders that can
+  deadlock on some schedule, even though this run did not; a
+  non-reentrant :class:`TrackedLock` re-acquired by its holder is a
+  self-cycle, recorded and raised instead of hanging.  The graph covers
+  the paths the scenarios exercise, callables and listeners included;
+  the ``test_shipped_graph_is_not_vacuous`` floor test pins the edges
+  they must observe.
 
 Refinements over plain Eraser:
 
@@ -20,32 +27,31 @@ Refinements over plain Eraser:
   suppresses single-thread initialization noise.
 * Light happens-before edges: threads spawned through
   :meth:`RaceMonitor.spawn` / joined through :meth:`RaceMonitor.join`
-  transfer exclusive ownership across fork/join (structures built
-  before workers start, or read after they are joined, are not shared).
-  This is a harness, not a vector-clock TSan: edges other than
-  spawn/join (queues, events) are not modeled, and code using them may
-  need its accesses genuinely locked to stay quiet — which is the
-  repo's discipline anyway.
+  transfer exclusive ownership across fork/join.  This is a harness,
+  not a vector-clock TSan: other edges (queues, events) are not
+  modeled, so code using them needs its accesses genuinely locked to
+  stay quiet — which is the repo's discipline anyway.
 * Read accesses intersect against *all* held locks; write accesses only
-  against write-held ones — reading under the read side of a
-  :class:`~repro.rwlock.ReadWriteLock` is synchronized with
-  writers, but writing under the read side is not.
+  against write-held ones — writing under the read side of a
+  :class:`~repro.rwlock.ReadWriteLock` is not synchronization.
 
-Races are reported as ``CC004`` findings (ERROR) through the shared
-:class:`~repro.analysis.findings.AnalysisReport` machinery, carrying
-the structure, both access kinds, and the source site of the access
-that emptied the lockset.  ``repro race-check`` runs the built-in
-stress scenarios (metrics registry, event ring, sharded catalog) and
-must report zero races; the fixture tests seed one unsynchronized
-mutation per tracked structure and assert it is flagged.
+Both report through the shared
+:class:`~repro.analysis.findings.AnalysisReport` machinery.  ``repro
+race-check`` runs the built-in stress scenarios (metrics registry,
+event ring, query service, sharded catalog) and must report neither; a
+worker that raises or outlives its join fails the run.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -53,26 +59,76 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     MutableMapping,
     Optional,
+    Sequence,
     Set,
+    Tuple,
 )
 
+from repro import rwlock as _rwlock_module
+from repro.analysis.ast_lint import LintRule
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 
-_THIS_FILE = __file__
+#: The lock-order rule (same shape as the AST linter's registry).
+LOCK_ORDER_RULE = LintRule(
+    code="CC001",
+    summary="lock-order cycle (potential deadlock)",
+    path_scope="",
+    fix_hint=(
+        "acquire the locks of the cycle in one global order everywhere "
+        "(a family of like locks in ascending index order)"
+    ),
+)
+
+#: Frames skipped when attributing an event to a source site: this
+#: module, and the lock plumbing an instrumented acquisition runs through.
+_PLUMBING_FILES = frozenset(
+    {__file__, _rwlock_module.__file__, contextlib.__file__}
+)
+
+#: ``(holding, acquiring)`` lock ids.
+Edge = Tuple[str, str]
 
 
 def _caller_site() -> str:
-    """``path:line`` of the nearest frame outside this module."""
+    """``path:line`` of the nearest frame outside the lock plumbing."""
     frame = sys._getframe(1)
     while frame is not None:
         filename = frame.f_code.co_filename
-        if filename != _THIS_FILE:
+        if filename not in _PLUMBING_FILES:
             return f"{filename}:{frame.f_lineno}"
         frame = frame.f_back
     return "<unknown>:0"
+
+
+def lock_class(lock_id: str) -> str:
+    """The class of a lock instance id: ``shard[1].rwlock`` → ``shard.rwlock``."""
+    return re.sub(r"\[[^\]]*\]", "", lock_id)
+
+
+def _cycles(edges: Iterable[Edge]) -> List[Tuple[str, ...]]:
+    """The strongly connected components that contain a cycle, each as
+    a sorted tuple, in sorted order (a self-edge is a one-lock cycle)."""
+    successors: Dict[str, Set[str]] = {}
+    for holding, acquiring in edges:
+        successors.setdefault(holding, set()).add(acquiring)
+    reachable: Dict[str, Set[str]] = {}
+    for start in successors:
+        seen: Set[str] = set()
+        stack = list(successors[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(successors.get(node, ()))
+        reachable[start] = seen
+    components = {
+        tuple(sorted(m for m in reachable[node] if node in reachable.get(m, ())))
+        for node in successors
+        if node in reachable[node]
+    }
+    return sorted(components)
 
 
 @dataclass
@@ -100,6 +156,9 @@ class _HeldLocks:
     def any_held(self) -> Set[str]:
         return set(self.read) | set(self.write)
 
+    def holds(self, lock_id: str) -> bool:
+        return lock_id in self.write or lock_id in self.read
+
 
 @dataclass
 class _LocationState:
@@ -122,17 +181,40 @@ class Race:
     site: str
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "structure": self.structure,
-            "operation": self.operation,
-            "thread": self.thread,
-            "first_thread": self.first_thread,
-            "site": self.site,
-        }
+        return asdict(self)
+
+
+@dataclass
+class RaceCheckReport(AnalysisReport):
+    """A race-check report: the findings plus the lock-order edges seen.
+
+    The edges are the evidence that a clean CC001 verdict is not
+    vacuous; ``class_edges`` folds lock instances into their classes.
+    """
+
+    #: ``(holding, acquiring)`` lock ids -> first acquisition site.
+    lock_edges: Dict[Edge, str] = field(default_factory=dict)
+
+    def class_edges(self) -> List[Edge]:
+        return sorted({(lock_class(a), lock_class(b)) for a, b in self.lock_edges})
+
+    def describe(self, limit: Optional[int] = None) -> str:
+        edges = len(self.lock_edges)
+        return f"{super().describe(limit)}\n  lock order: {edges} edges observed"
+
+    def to_dict(self) -> Dict[str, Any]:
+        payload = super().to_dict()
+        payload["lock_edges"] = [
+            {"holding": holding, "acquiring": acquiring, "site": site}
+            for (holding, acquiring), site in sorted(self.lock_edges.items())
+        ]
+        payload["class_edges"] = [f"{a} -> {b}" for a, b in self.class_edges()]
+        return payload
 
 
 class RaceMonitor:
-    """Collects lock and access events; runs the lockset algorithm.
+    """Collects lock and access events; runs the lockset algorithm and
+    keeps the lock-order graph.
 
     One monitor per scenario.  All its own state is guarded by a single
     internal mutex — the monitor serializes tracked accesses, which
@@ -147,8 +229,10 @@ class RaceMonitor:
         self._names: Dict[int, str] = {}
         self._started: Dict[int, int] = {}
         self._joined: Dict[int, int] = {}
+        self._failures: Dict[int, BaseException] = {}
         self._locations: Dict[str, _LocationState] = {}
         self._races: List[Race] = []
+        self._edges: Dict[Edge, str] = {}
         self.accesses = 0
 
     # -- clocks and threads --------------------------------------------
@@ -173,7 +257,8 @@ class RaceMonitor:
         *args: Any,
         name: str,
     ) -> threading.Thread:
-        """Start ``target`` on a new thread with a fork edge recorded."""
+        """Start ``target`` on a new thread with a fork edge recorded;
+        an exception it raises is kept for :meth:`join`."""
         with self._guard:
             birth = self._tick()
 
@@ -182,23 +267,57 @@ class RaceMonitor:
             with self._guard:
                 self._names[ident] = name
                 self._started[ident] = birth
-            target(*args)
+            try:
+                target(*args)
+            except BaseException as exc:  # re-raised by join()
+                with self._guard:
+                    self._failures[ident] = exc
 
         thread = threading.Thread(target=runner, name=name, daemon=True)
         thread.start()
         return thread
 
     def join(self, thread: threading.Thread, timeout: float = 30.0) -> None:
-        """Join ``thread`` with the join edge recorded."""
+        """Join ``thread`` with the join edge recorded; raise what its
+        target raised, or ``RuntimeError`` (recording no edge) when it is
+        still running after ``timeout`` seconds — a deadlock must fail."""
         thread.join(timeout)
+        if thread.is_alive():
+            raise RuntimeError(
+                f"race-check worker {thread.name!r} still running after "
+                f"{timeout:g}s (deadlocked or hung)"
+            )
         ident = thread.ident
-        if ident is not None:
-            with self._guard:
-                self._joined[ident] = self._tick()
+        if ident is None:
+            return
+        with self._guard:
+            self._joined[ident] = self._tick()
+            failure = self._failures.pop(ident, None)
+        if failure is not None:
+            raise failure
 
     # -- lock events (called by instrumented locks) ----------------------
+    def before_mutex_acquire(self, lock_id: str) -> None:
+        """Called before a blocking acquire of a non-reentrant lock: when
+        the thread already holds it, record the self-cycle and raise
+        instead of blocking for ever."""
+        if self._held().holds(lock_id):
+            site = _caller_site()
+            with self._guard:
+                self._edges.setdefault((lock_id, lock_id), site)
+            raise RuntimeError(
+                f"{lock_id} re-acquired by the thread holding it at {site} "
+                f"(self-deadlock on a non-reentrant lock)"
+            )
+
     def on_acquire(self, lock_id: str, mode: str) -> None:
-        self._held().acquire(lock_id, mode)
+        held = self._held()
+        if not held.holds(lock_id):  # re-entry orders nothing
+            with self._guard:
+                for holding in held.any_held():
+                    if (holding, lock_id) not in self._edges:
+                        self._edges[(holding, lock_id)] = _caller_site()
+        held.acquire(lock_id, mode)
 
     def on_release(self, lock_id: str, mode: str) -> None:
         self._held().release(lock_id, mode)
@@ -292,6 +411,12 @@ class RaceMonitor:
         with self._guard:
             return list(self._races)
 
+    @property
+    def lock_edges(self) -> Dict[Edge, str]:
+        """Observed ``(holding, acquiring)`` edges -> first acquisition site."""
+        with self._guard:
+            return dict(self._edges)
+
     def extend_report(self, report: AnalysisReport) -> None:
         report.subjects_examined += len(self._locations)
         for race in self.races:
@@ -314,23 +439,52 @@ class RaceMonitor:
                     details=race.to_dict(),
                 )
             )
+        edges = self.lock_edges
+        for cycle in _cycles(edges):
+            members = set(cycle)
+            sites = [
+                {"holding": holding, "acquiring": acquiring, "site": site}
+                for (holding, acquiring), site in sorted(edges.items())
+                if holding in members and acquiring in members
+            ]
+            report.add(
+                Finding(
+                    code=LOCK_ORDER_RULE.code,
+                    severity=Severity.ERROR,
+                    location=sites[0]["site"],
+                    message=(
+                        f"lock {cycle[0]} re-acquired by the thread holding "
+                        f"it (self-cycle on a non-reentrant lock)"
+                        if len(cycle) == 1
+                        else f"lock-order cycle between {' and '.join(cycle)} "
+                        f"(opposite acquisition orders observed)"
+                    ),
+                    fix_hint=LOCK_ORDER_RULE.fix_hint,
+                    details={"cycle": list(cycle), "sites": sites},
+                )
+            )
 
 
 # ----------------------------------------------------------------------
 # Instrumentation wrappers
 # ----------------------------------------------------------------------
+#: The type of ``threading.RLock()`` objects (``RLock`` is a factory).
+_RLOCK_TYPE = type(threading.RLock())
+
+
 class TrackedLock:
     """Wraps a plain ``Lock``/``RLock``, reporting acquire/release."""
 
-    def __init__(
-        self, inner: Any, lock_id: str, monitor: RaceMonitor
-    ) -> None:
+    def __init__(self, inner: Any, lock_id: str, monitor: RaceMonitor) -> None:
         self._inner = inner
         self._lock_id = lock_id
         self._monitor = monitor
+        self._reentrant = isinstance(inner, _RLOCK_TYPE)
 
-    def acquire(self, *args: Any, **kwargs: Any) -> bool:
-        acquired = self._inner.acquire(*args, **kwargs)
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        if blocking and not self._reentrant:
+            self._monitor.before_mutex_acquire(self._lock_id)
+        acquired = self._inner.acquire(blocking, timeout)
         if acquired:
             self._monitor.on_acquire(self._lock_id, "write")
         return acquired
@@ -494,6 +648,11 @@ class TrackedDeque:
 # ----------------------------------------------------------------------
 # Instrumentation of the real subsystems
 # ----------------------------------------------------------------------
+def _track_lock(owner: Any, attr: str, lock_id: str, monitor: RaceMonitor) -> None:
+    """Wrap ``owner.<attr>`` (a ``Lock``/``RLock``) in a :class:`TrackedLock`."""
+    setattr(owner, attr, TrackedLock(getattr(owner, attr), lock_id, monitor))
+
+
 def instrument_rwlock(lock: Any, lock_id: str, monitor: RaceMonitor) -> None:
     """Hook a :class:`ReadWriteLock`'s built-in monitor attributes."""
     lock._monitor = monitor
@@ -504,7 +663,7 @@ def instrument_metrics(
     registry: Any, monitor: RaceMonitor, name: str = "MetricsRegistry"
 ) -> None:
     """Track the metrics registry's lock and its four tables."""
-    registry._lock = TrackedLock(registry._lock, f"{name}._lock", monitor)
+    _track_lock(registry, "_lock", f"{name}._lock", monitor)
     for attr in ("_counters", "_gauges", "_histograms", "_kinds"):
         setattr(
             registry,
@@ -517,8 +676,33 @@ def instrument_events(
     log: Any, monitor: RaceMonitor, name: str = "EventLog"
 ) -> None:
     """Track the event log's lock and ring buffer."""
-    log._lock = TrackedLock(log._lock, f"{name}._lock", monitor)
+    _track_lock(log, "_lock", f"{name}._lock", monitor)
     log._ring = TrackedDeque(log._ring, f"{name}._ring", monitor)
+
+
+def instrument_database(
+    database: Any, monitor: RaceMonitor, instance: str = ""
+) -> None:
+    """Track a database's bounds-memo and op-table locks; ``instance``
+    (``"[0]"`` for shard 0) tells several databases' locks apart."""
+    engine = database.engine
+    _track_lock(engine, "_memo_lock", f"BoundsEngine{instance}._memo_lock", monitor)
+    _track_lock(
+        engine.optable_manager, "_lock", f"OpTableManager{instance}._lock", monitor
+    )
+
+
+def instrument_service(service: Any, monitor: RaceMonitor) -> None:
+    """Track a :class:`QueryService`'s locks: its RW lock, the lazy
+    index-build lock, the result cache, the slow-query log, its metrics
+    and events, and its database's bounds locks."""
+    instrument_rwlock(service._rwlock, "service.rwlock", monitor)
+    _track_lock(service, "_index_lock", "QueryService._index_lock", monitor)
+    _track_lock(service.cache, "_lock", "ResultCache._lock", monitor)
+    _track_lock(service.slow_log, "_lock", "SlowQueryLog._lock", monitor)
+    instrument_metrics(service.metrics, monitor)
+    instrument_events(service.events, monitor)
+    instrument_database(service.database, monitor)
 
 
 def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
@@ -526,15 +710,14 @@ def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
 
     Per shard: the RW lock (via the built-in hook), the compactor's
     hotness bookkeeping (``materialized``), the WAL-dedupe set
-    (``journaled``), and the catalog dicts of the underlying database.
-    Plus the WAL record lock, the metrics registry, and the event ring.
+    (``journaled``), the catalog dicts and the bounds locks of the
+    underlying database.  Plus the id-allocation lock, the WAL record
+    lock, the metrics registry, and the event ring.
     """
     for shard in catalog._shards:
         index = shard.index
         instrument_rwlock(shard.lock, f"shard[{index}].rwlock", monitor)
-        shard.stats_lock = TrackedLock(
-            shard.stats_lock, f"shard[{index}].stats_lock", monitor
-        )
+        _track_lock(shard, "stats_lock", f"shard[{index}].stats_lock", monitor)
         shard.materialized = TrackedDict(
             shard.materialized, f"shard[{index}].materialized", monitor
         )
@@ -552,16 +735,61 @@ def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
                     monitor,
                 ),
             )
+        instrument_database(shard.database, monitor, f"[{index}]")
+    _track_lock(catalog, "_alloc_lock", "ShardedCatalog._alloc_lock", monitor)
     if catalog._wal is not None:
-        catalog._wal._lock = TrackedLock(
-            catalog._wal._lock, "ShardWAL._lock", monitor
+        _track_lock(catalog._wal, "_lock", "ShardWAL._lock", monitor)
+    instrument_metrics(catalog.metrics, monitor)
+    instrument_events(catalog.events, monitor)
+
+
+@contextlib.contextmanager
+def instrument_persistence(
+    roots: Sequence[Path], monitor: RaceMonitor
+) -> Iterator[None]:
+    """Track the commit locks of ``roots``, the lock-registry guard, and
+    the bounds locks of every database a load builds, inside the block.
+
+    All three are module-level state of :mod:`repro.db.persistence`;
+    each is put back as it was when the block ends.
+    """
+    from repro.db import persistence
+
+    module: Any = persistence
+    guard = module._ROOT_LOCKS_GUARD
+    factory = module.MultimediaDatabase
+    registry = module._ROOT_LOCKS
+    names = {os.path.abspath(str(root)): Path(root).name for root in roots}
+    saved = {key: registry.get(key) for key in names}
+    loads = [0]
+
+    def tracked_database(*args: Any, **kwargs: Any) -> Any:
+        database = factory(*args, **kwargs)
+        instrument_database(database, monitor, f"[load-{loads[0]}]")
+        loads[0] += 1
+        return database
+
+    for key, name in names.items():
+        registry[key] = TrackedLock(
+            module.root_lock(key), f"db.root_lock[{name}]", monitor
         )
-    instrument_metrics(catalog.metrics, monitor, name="shard.metrics")
-    instrument_events(catalog.events, monitor, name="shard.events")
+    _track_lock(module, "_ROOT_LOCKS_GUARD", "persistence._ROOT_LOCKS_GUARD", monitor)
+    module.MultimediaDatabase = tracked_database
+    try:
+        yield
+    finally:
+        module.MultimediaDatabase = factory
+        module._ROOT_LOCKS_GUARD = guard
+        for key, previous in saved.items():
+            if previous is None:
+                registry.pop(key, None)
+            else:
+                registry[key] = previous
 
 
 # ----------------------------------------------------------------------
-# Built-in stress scenarios (the shipped suite must be race-free)
+# Built-in stress scenarios (the shipped suite must be race- and
+# cycle-free)
 # ----------------------------------------------------------------------
 def _scenario_metrics(monitor: RaceMonitor) -> None:
     """Concurrent counters/gauges/histograms on one registry."""
@@ -610,16 +838,77 @@ def _scenario_events(monitor: RaceMonitor) -> None:
     log.stats()
 
 
+def _recolor(base_id: str) -> Any:
+    """A two-op edit of an 8×8 image: enough for a sweep and a compaction."""
+    from repro.color.names import FLAG_PALETTE
+    from repro.editing.operations import Define, Modify
+    from repro.editing.sequence import EditSequence
+
+    return EditSequence(
+        base_id,
+        (Define.of(1, 1, 6, 6), Modify(FLAG_PALETTE[0], FLAG_PALETTE[1])),
+    )
+
+
+def _scenario_service(monitor: RaceMonitor) -> None:
+    """Readers, a writer, index refreshes and an EXPLAIN ANALYZE against
+    one query service."""
+    import numpy as np
+
+    from repro.color.names import FLAG_PALETTE
+    from repro.db.database import MultimediaDatabase
+    from repro.images.generators import random_palette_image
+    from repro.service import QueryService
+
+    rng = np.random.default_rng(11)
+    database = MultimediaDatabase()
+    bases = [
+        database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        for _ in range(4)
+    ]
+    for base in bases[:3]:
+        database.insert_edited(_recolor(base))
+    # Threshold 0: every query is "slow", so each one records.
+    service = QueryService(database, max_workers=2, slow_query_threshold=0.0)
+    instrument_service(service, monitor)
+    try:
+        service.refresh_indexes()  # the first read of the memo
+
+        def reader(strategy: str) -> None:
+            for _ in range(4):
+                service.execute("at least 10% red", strategy=strategy)
+
+        def writer() -> None:
+            service.insert_edited(_recolor(bases[3]))
+
+        threads = [
+            monitor.spawn(reader, "bwm", name="read-0"),
+            monitor.spawn(reader, "vectorized_batch", name="read-1"),
+            monitor.spawn(writer, name="write-0"),
+        ]
+        for thread in threads:
+            monitor.join(thread)
+        # The write left the indexes stale: a text no reader cached
+        # refreshes them under the read lock, and its repeat is a cache
+        # hit, which records into the slow log and the events.
+        for _ in range(2):
+            service.execute("at least 5% blue", strategy="index_assisted")
+        service.explain_analyze("at least 10% red")
+    finally:
+        service.shutdown()
+
+
 def _scenario_sharded(monitor: RaceMonitor) -> None:
-    """Mutators, readers, and a checkpoint against one sharded catalog."""
+    """Mutators and readers, a compaction cycle and its rollback, a
+    checkpoint and a reopen, against one sharded catalog."""
     import tempfile
 
     import numpy as np
 
+    from repro.color.names import FLAG_PALETTE
     from repro.core.query import RangeQuery
     from repro.images.generators import random_palette_image
-    from repro.color.names import FLAG_PALETTE
-    from repro.shard import ShardedCatalog
+    from repro.shard import Compactor, ShardedCatalog, shard_dirname
 
     with tempfile.TemporaryDirectory(prefix="racecheck-") as root:
         catalog = ShardedCatalog(2, root=root)
@@ -627,50 +916,59 @@ def _scenario_sharded(monitor: RaceMonitor) -> None:
         seed_images = [
             random_palette_image(rng, 8, 8, FLAG_PALETTE) for _ in range(8)
         ]
-        for image in seed_images[:4]:
-            catalog.insert_image(image)
+        bases = [catalog.insert_image(image) for image in seed_images[:4]]
         instrument_sharded(catalog, monitor)
+        shard_roots = [Path(root) / shard_dirname(i) for i in range(2)]
 
         def mutator(offset: int) -> None:
             for image in seed_images[4 + offset::2]:
                 catalog.insert_image(image)
+            for base in bases[offset::2]:
+                catalog.insert_edited(_recolor(base))
 
         def reader() -> None:
             query = RangeQuery(0, 0.0, 1.0)
             for _ in range(5):
                 catalog.range_query(query)
 
-        threads = [
-            monitor.spawn(mutator, 0, name="mutate-0"),
-            monitor.spawn(mutator, 1, name="mutate-1"),
-            monitor.spawn(reader, name="read-0"),
-            monitor.spawn(reader, name="read-1"),
-        ]
-        for thread in threads:
-            monitor.join(thread)
-        catalog.save()
-        catalog.close()
+        with instrument_persistence(shard_roots, monitor):
+            threads = [
+                monitor.spawn(mutator, 0, name="mutate-0"),
+                monitor.spawn(mutator, 1, name="mutate-1"),
+                monitor.spawn(reader, name="read-0"),
+                monitor.spawn(reader, name="read-1"),
+            ]
+            for thread in threads:
+                monitor.join(thread)
+            compactor = Compactor(catalog)
+            for image_id in compactor.run_once().materialized:
+                compactor.rollback(image_id)
+            catalog.save()
+            catalog.close()
+            ShardedCatalog.open(root).close()
 
 
 #: Scenario registry for ``repro race-check``.
 SCENARIOS: Dict[str, Callable[[RaceMonitor], None]] = {
     "metrics": _scenario_metrics,
     "events": _scenario_events,
+    "service": _scenario_service,
     "sharded": _scenario_sharded,
 }
 
 
 def run_race_check(
     scenarios: Optional[Iterable[str]] = None,
-) -> AnalysisReport:
+) -> RaceCheckReport:
     """Run the named scenarios (default: all) under fresh monitors.
 
-    ``subjects_examined`` counts tracked locations across scenarios; a
-    zero-finding report over zero subjects would be vacuous, so the CLI
-    surfaces both numbers.
+    ``subjects_examined`` counts tracked locations and ``lock_edges``
+    the lock-order edges observed: a zero-finding report over zero of
+    either would be vacuous, so the CLI surfaces both.  A scenario whose
+    worker raised or hung raises.
     """
     names = sorted(scenarios) if scenarios is not None else sorted(SCENARIOS)
-    report = AnalysisReport(pass_name="racecheck")
+    report = RaceCheckReport(pass_name="racecheck")
     for name in names:
         scenario = SCENARIOS.get(name)
         if scenario is None:
@@ -682,4 +980,6 @@ def run_race_check(
         monitor._names[threading.get_ident()] = "main"
         scenario(monitor)
         monitor.extend_report(report)
+        for edge, site in monitor.lock_edges.items():
+            report.lock_edges.setdefault(edge, site)
     return report

@@ -1,308 +1,231 @@
-"""Tests for the interprocedural lock-order analysis (CC001/CC002).
+"""Tests for the lock-order check (CC001) of ``repro race-check``.
 
-Each seeded-defect fixture is a tiny module written to ``tmp_path`` and
-analyzed in isolation, so the assertions are about the analysis, not
-about the shipped tree — which gets its own "must be clean" test at the
-end (the acceptance gate for ``repro lint``).
+Every acquisition of an instrumented lock adds an edge from each lock
+the thread already holds; cycles are potential deadlocks.  The seeded
+fixtures take :class:`TrackedLock` pairs in chosen orders on threads
+that run one after the other, so no schedule can actually deadlock —
+the point of the check is that it needs none to.  The shipped scenarios
+get their own "must be clean" and "must not be vacuous" tests at the
+end (the acceptance gate for ``repro race-check``).
 """
 
-from pathlib import Path
-
-from repro.analysis import AnalysisReport, build_lock_graph, check_lock_order
-from repro.analysis.findings import Severity
-
-
-def _analyze(tmp_path: Path, source: str, **kwargs) -> AnalysisReport:
-    target = tmp_path / "fixture.py"
-    target.write_text(source, encoding="utf-8")
-    return check_lock_order([target], **kwargs)
-
-
-class TestCycleDetection:
-    def test_opposite_direct_orders_are_a_cycle(self, tmp_path):
-        report = _analyze(
-            tmp_path,
-            """
 import threading
 
+import numpy as np
+import pytest
 
-class Pair:
-    def __init__(self):
-        self._front_lock = threading.Lock()
-        self._back_lock = threading.Lock()
+from repro.analysis import AnalysisReport
+from repro.analysis.findings import Severity
+from repro.color.names import FLAG_PALETTE
+from repro.images.generators import random_palette_image
+from repro.shard import ShardedCatalog
+from repro.testing.racecheck import (
+    RaceMonitor,
+    TrackedLock,
+    instrument_sharded,
+    lock_class,
+    run_race_check,
+)
 
-    def forward(self):
+#: The lock-class edges the shipped scenarios must keep observing: every
+#: real edge of the static lock graph this check replaced (its three
+#: edges into the checker's own guard excluded).
+SHIPPED_CLASS_EDGES = {
+    ("BoundsEngine._memo_lock", "OpTableManager._lock"),
+    ("QueryService._index_lock", "BoundsEngine._memo_lock"),
+    ("QueryService._index_lock", "MetricsRegistry._lock"),
+    ("QueryService._index_lock", "OpTableManager._lock"),
+    ("db.root_lock", "BoundsEngine._memo_lock"),
+    ("service.rwlock", "BoundsEngine._memo_lock"),
+    ("service.rwlock", "EventLog._lock"),
+    ("service.rwlock", "MetricsRegistry._lock"),
+    ("service.rwlock", "OpTableManager._lock"),
+    ("service.rwlock", "QueryService._index_lock"),
+    ("service.rwlock", "ResultCache._lock"),
+    ("service.rwlock", "SlowQueryLog._lock"),
+    ("shard.rwlock", "BoundsEngine._memo_lock"),
+    ("shard.rwlock", "EventLog._lock"),
+    ("shard.rwlock", "MetricsRegistry._lock"),
+    ("shard.rwlock", "OpTableManager._lock"),
+    ("shard.rwlock", "ShardWAL._lock"),
+    ("shard.rwlock", "ShardedCatalog._alloc_lock"),
+    ("shard.rwlock", "db.root_lock"),
+    ("shard.rwlock", "persistence._ROOT_LOCKS_GUARD"),
+    ("shard.rwlock", "shard.rwlock"),
+    ("shard.rwlock", "shard.stats_lock"),
+}
+
+
+def _monitor() -> RaceMonitor:
+    monitor = RaceMonitor()
+    monitor._names[threading.get_ident()] = "main"
+    return monitor
+
+
+def _run(monitor: RaceMonitor, *workers) -> AnalysisReport:
+    """Run ``workers`` one after another, each on its own thread."""
+    for index, worker in enumerate(workers):
+        monitor.join(monitor.spawn(worker, name=f"worker-{index}"))
+    report = AnalysisReport(pass_name="racecheck")
+    monitor.extend_report(report)
+    return report
+
+
+class _Pair:
+    def __init__(self, monitor: RaceMonitor) -> None:
+        self._front_lock = TrackedLock(
+            threading.Lock(), "Pair._front_lock", monitor
+        )
+        self._back_lock = TrackedLock(threading.Lock(), "Pair._back_lock", monitor)
+
+    def forward(self) -> None:
         with self._front_lock:
             with self._back_lock:
                 pass
 
-    def backward(self):
+    def backward(self) -> None:
         with self._back_lock:
             with self._front_lock:
                 pass
-""",
-        )
-        assert [f.code for f in report] == ["CC001"]
-        finding = report.findings[0]
-        assert finding.severity is Severity.ERROR
-        assert set(finding.details["cycle"]) == {
-            "Pair._front_lock",
-            "Pair._back_lock",
-        }
-        assert finding.details["sites"], "evidence sites must be attached"
 
-    def test_interprocedural_cycle_via_self_calls(self, tmp_path):
-        # Neither function nests two with-statements; the cycle only
-        # exists across call edges, which is the point of the pass.
-        report = _analyze(
-            tmp_path,
-            """
-import threading
-
-
-class Pair:
-    def __init__(self):
-        self._front_lock = threading.Lock()
-        self._back_lock = threading.Lock()
-
-    def _take_back(self):
+    def _take_back(self) -> None:
         with self._back_lock:
             pass
 
-    def _take_front(self):
+    def _take_front(self) -> None:
         with self._front_lock:
             pass
 
-    def forward(self):
+    def forward_via_call(self) -> None:
         with self._front_lock:
             self._take_back()
 
-    def backward(self):
+    def backward_via_call(self) -> None:
         with self._back_lock:
             self._take_front()
-""",
-        )
+
+
+class _Nested:
+    def __init__(self, monitor: RaceMonitor, inner_lock) -> None:
+        self._nest_lock = TrackedLock(inner_lock, "Nested._nest_lock", monitor)
+
+    def outer(self) -> None:
+        with self._nest_lock:
+            self.inner()
+
+    def inner(self) -> None:
+        with self._nest_lock:
+            pass
+
+
+class TestCycleDetection:
+    def test_opposite_direct_orders_are_a_cycle(self):
+        monitor = _monitor()
+        pair = _Pair(monitor)
+        report = _run(monitor, pair.forward, pair.backward)
+        assert [f.code for f in report] == ["CC001"]
+        finding = report.findings[0]
+        assert finding.severity is Severity.ERROR
+        assert finding.details["cycle"] == ["Pair._back_lock", "Pair._front_lock"]
+        sites = finding.details["sites"]
+        assert {(s["holding"], s["acquiring"]) for s in sites} == {
+            ("Pair._front_lock", "Pair._back_lock"),
+            ("Pair._back_lock", "Pair._front_lock"),
+        }
+        # Each edge names the line that took its second lock.
+        assert all(s["site"].startswith(__file__ + ":") for s in sites)
+
+    def test_interprocedural_cycle_via_self_calls(self):
+        # Neither method nests two with-statements; the cycle only
+        # exists across the calls, which a dynamic check follows for free.
+        monitor = _monitor()
+        pair = _Pair(monitor)
+        report = _run(monitor, pair.forward_via_call, pair.backward_via_call)
         assert [f.code for f in report] == ["CC001"]
         assert set(report.findings[0].details["cycle"]) == {
             "Pair._front_lock",
             "Pair._back_lock",
         }
 
-    def test_consistent_order_is_clean(self, tmp_path):
-        report = _analyze(
-            tmp_path,
-            """
-import threading
-
-
-class Pair:
-    def __init__(self):
-        self._front_lock = threading.Lock()
-        self._back_lock = threading.Lock()
-
-    def forward(self):
-        with self._front_lock:
-            with self._back_lock:
-                pass
-
-    def also_forward(self):
-        with self._front_lock:
-            with self._back_lock:
-                pass
-""",
-        )
+    def test_consistent_order_is_clean(self):
+        monitor = _monitor()
+        pair = _Pair(monitor)
+        report = _run(monitor, pair.forward, pair.forward_via_call)
         assert report.clean
-        assert report.subjects_examined == 1
+        assert monitor.lock_edges.keys() == {
+            ("Pair._front_lock", "Pair._back_lock")
+        }
 
-    def test_mutex_self_reacquire_is_a_self_cycle(self, tmp_path):
-        report = _analyze(
-            tmp_path,
-            """
-import threading
-
-
-class Nested:
-    def __init__(self):
-        self._nest_lock = threading.Lock()
-
-    def outer(self):
-        with self._nest_lock:
-            self.inner()
-
-    def inner(self):
-        with self._nest_lock:
-            pass
-""",
-        )
+    def test_mutex_self_reacquire_is_a_self_cycle(self):
+        monitor = _monitor()
+        nested = _Nested(monitor, threading.Lock())
+        # Raises instead of hanging: the inner acquire would block for ever.
+        with pytest.raises(RuntimeError, match="re-acquired"):
+            nested.outer()
+        report = AnalysisReport(pass_name="racecheck")
+        monitor.extend_report(report)
         assert [f.code for f in report] == ["CC001"]
         assert report.findings[0].details["cycle"] == ["Nested._nest_lock"]
         assert "re-acquired" in report.findings[0].message
+        # The outer hold was released on the way out.
+        nested.inner()
 
-    def test_rlock_self_reacquire_is_permitted(self, tmp_path):
+    def test_rlock_self_reacquire_is_permitted(self):
         # Identical shape, but the lock is reentrant: no finding.
-        report = _analyze(
-            tmp_path,
-            """
-import threading
-
-
-class Nested:
-    def __init__(self):
-        self._nest_lock = threading.RLock()
-
-    def outer(self):
-        with self._nest_lock:
-            self.inner()
-
-    def inner(self):
-        with self._nest_lock:
-            pass
-""",
-        )
+        monitor = _monitor()
+        nested = _Nested(monitor, threading.RLock())
+        report = _run(monitor, nested.outer)
         assert report.clean
-
-    def test_pragma_on_acquisition_drops_the_edge(self, tmp_path):
-        report = _analyze(
-            tmp_path,
-            """
-import threading
-
-
-class Nested:
-    def __init__(self):
-        self._nest_lock = threading.Lock()
-
-    def outer(self):
-        with self._nest_lock:
-            with self._nest_lock:  # repro-lint: disable=CC001
-                pass
-""",
-        )
-        assert report.clean
-
-
-class TestIOUnderLock:
-    def test_fsync_under_mutex_is_cc002(self, tmp_path):
-        report = _analyze(
-            tmp_path,
-            """
-import os
-import threading
-
-
-class Flusher:
-    def __init__(self):
-        self._flush_lock = threading.Lock()
-
-    def flush(self, fd):
-        with self._flush_lock:
-            os.fsync(fd)
-""",
-        )
-        assert [f.code for f in report] == ["CC002"]
-        finding = report.findings[0]
-        assert finding.severity is Severity.WARNING
-        assert "Flusher._flush_lock" in finding.message
-
-    def test_cc002_pragma_suppresses(self, tmp_path):
-        report = _analyze(
-            tmp_path,
-            """
-import os
-import threading
-
-
-class Flusher:
-    def __init__(self):
-        self._flush_lock = threading.Lock()
-
-    def flush(self, fd):
-        with self._flush_lock:
-            os.fsync(fd)  # repro-lint: disable=CC002
-""",
-        )
-        assert report.clean
-
-    def test_commit_lock_is_exempt(self, tmp_path):
-        # db.root_lock exists to make the fsync-rename commit atomic;
-        # holding it across the I/O is its entire job.
-        report = _analyze(
-            tmp_path,
-            """
-import os
-
-from repro.db.persistence import root_lock
-
-
-def commit(base, fd):
-    with root_lock(base):
-        os.fsync(fd)
-""",
-        )
-        assert report.clean
+        assert monitor.lock_edges == {}
 
 
 class TestRuleFilterAndGraph:
-    CYCLE_AND_IO = """
-import os
-import threading
+    def test_graph_is_deterministic(self):
+        def seeded() -> dict:
+            monitor = _monitor()
+            pair = _Pair(monitor)
+            report = _run(monitor, pair.forward, pair.backward_via_call)
+            return report.to_dict()
 
-
-class Mixed:
-    def __init__(self):
-        self._one_lock = threading.Lock()
-        self._two_lock = threading.Lock()
-
-    def forward(self, fd):
-        with self._one_lock:
-            with self._two_lock:
-                os.fsync(fd)
-
-    def backward(self):
-        with self._two_lock:
-            with self._one_lock:
-                pass
-"""
-
-    def test_rule_filter_restricts_codes(self, tmp_path):
-        full = _analyze(tmp_path, self.CYCLE_AND_IO)
-        assert full.codes() == ["CC001", "CC002"]
-        only_io = _analyze(tmp_path, self.CYCLE_AND_IO, rules=["CC002"])
-        assert only_io.codes() == ["CC002"]
-        only_cycles = _analyze(tmp_path, self.CYCLE_AND_IO, rules=["cc001"])
-        assert only_cycles.codes() == ["CC001"]
-
-    def test_graph_is_deterministic(self, tmp_path):
-        target = tmp_path / "fixture.py"
-        target.write_text(self.CYCLE_AND_IO, encoding="utf-8")
-        first = build_lock_graph([target]).to_dict()
-        second = build_lock_graph([target]).to_dict()
+        first, second = seeded(), seeded()
         assert first == second
-        assert first["nodes"] == {
-            "Mixed._one_lock": "mutex",
-            "Mixed._two_lock": "mutex",
-        }
+        assert first["counts"] == {"CC001": 1}
 
 
 class TestShippedTree:
     def test_shipped_tree_is_clean(self):
-        report = check_lock_order()
+        report = run_race_check()
         assert report.clean, report.describe()
-        assert report.subjects_examined > 50
+        assert not report.by_code("CC001")
 
     def test_shipped_graph_is_not_vacuous(self):
-        # Zero findings must mean "the orders are consistent", not "no
-        # locks were found": the real tree has many lock classes and
-        # interprocedural hold-while-acquiring edges.
-        import repro
+        # Zero CC001 findings must mean "the orders are consistent", not
+        # "no nested acquisition was observed": the scenarios must keep
+        # exercising every lock order the service and shard tiers have.
+        report = run_race_check()
+        observed = set(report.class_edges())
+        assert SHIPPED_CLASS_EDGES <= observed, sorted(
+            SHIPPED_CLASS_EDGES - observed
+        )
+        assert report.to_dict()["class_edges"]
 
-        graph = build_lock_graph([Path(repro.__file__).parent])
-        assert len(graph.nodes) >= 10
-        assert len(graph.edges) >= 10
-        assert "service.rwlock" in graph.nodes
-        assert "shard.rwlock" in graph.nodes
-        assert any(
-            "via call" in site.note
-            for sites in graph.edges.values()
-            for site in sites
-        ), "interprocedural edges must exist"
+    def test_four_shard_save_orders_shard_locks_by_index(self, tmp_path):
+        # The save pins every shard lock in index order: acyclic at
+        # instance level, so it needs no exemption.
+        monitor = _monitor()
+        catalog = ShardedCatalog(4, root=tmp_path / "root")
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            catalog.insert_image(random_palette_image(rng, 6, 6, FLAG_PALETTE))
+        instrument_sharded(catalog, monitor)
+        catalog.save()
+        catalog.close()
+        report = AnalysisReport(pass_name="racecheck")
+        monitor.extend_report(report)
+        assert report.clean, report.describe()
+        shard_pairs = {
+            (int(a[6:-8]), int(b[6:-8]))
+            for a, b in monitor.lock_edges
+            if lock_class(a) == lock_class(b) == "shard.rwlock"
+        }
+        assert shard_pairs == {(i, j) for i in range(4) for j in range(i + 1, 4)}

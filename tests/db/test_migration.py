@@ -10,7 +10,7 @@ or the upgraded root, both answering like the oracle, and the next save
 finishes the job; an injected I/O error leaves the origin untouched;
 and a live :class:`QueryService` keeps answering correctly while the
 root beneath it is upgraded.  ``TestJournal`` pins the checksummed line
-log the old journal was written in, which the shard WAL still is.
+discipline the old journal was written in, which the shard WAL keeps.
 """
 
 import threading
@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from repro.color.names import FLAG_PALETTE
-from repro.db.durable import ChecksummedLineLog
 from repro.db.persistence import load_database, save_database
 from repro.errors import CorruptionError, PersistenceError
 from repro.images.generators import random_palette_image
 from repro.service import QueryService
+from repro.shard.wal import ShardWAL
 from repro.testing.faults import (
     FAIL_MODES,
     CountingFaults,
@@ -188,48 +188,50 @@ class TestInjectedIOErrors:
 class TestJournal:
     """The self-verifying line log (once the journal, now the WAL)."""
 
-    def _log(self, tmp_path):
-        return ChecksummedLineLog(tmp_path / "shard.wal", "WAL")
+    def _append(self, wal, image_id, version):
+        return wal.append(
+            NoFaults(), "delete_edited", shard=0, image_id=image_id, version=version
+        )
 
     def test_entries_round_trip_with_checksums(self, tmp_path):
-        log = self._log(tmp_path)
-        plan = NoFaults()
-        log.append(plan, {"event": "begin", "total": 3})
-        log.append(plan, {"event": "batch", "ids": ["a", "b"]})
-        entries = log.entries()
-        assert [e["event"] for e in entries] == ["begin", "batch"]
-        assert entries[0]["total"] == 3
+        wal = ShardWAL(tmp_path)
+        self._append(wal, "edit-1", 1)
+        wal.append(
+            NoFaults(), "insert_edited", shard=1, image_id="edit-2", version=1,
+            sequence="base img-1\n",
+        )
+        entries = wal.entries()
+        assert [e["image_id"] for e in entries] == ["edit-1", "edit-2"]
+        assert [e["lsn"] for e in entries] == [1, 2]
+        assert entries[1]["sequence"] == "base img-1\n"
         # Checksums were verified and stripped.
         assert all("line_sha256" not in e for e in entries)
 
     def test_torn_tail_tolerated(self, tmp_path):
-        log = self._log(tmp_path)
-        plan = NoFaults()
-        log.append(plan, {"event": "begin", "total": 3})
-        log.append(plan, {"event": "batch", "ids": ["a"]})
-        data = log.path.read_bytes()
-        log.path.write_bytes(data[:-7])  # tear the last line
-        assert [e["event"] for e in log.entries()] == ["begin"]
+        wal = ShardWAL(tmp_path)
+        self._append(wal, "edit-1", 1)
+        self._append(wal, "edit-2", 2)
+        data = wal.path.read_bytes()
+        wal.path.write_bytes(data[:-7])  # tear the last line
+        assert [e["image_id"] for e in wal.entries()] == ["edit-1"]
 
     def test_mid_file_damage_is_corruption(self, tmp_path):
-        log = self._log(tmp_path)
-        plan = NoFaults()
-        log.append(plan, {"event": "begin", "total": 3})
-        log.append(plan, {"event": "batch", "ids": ["a"]})
-        lines = log.path.read_bytes().splitlines(keepends=True)
-        lines[0] = b'{"event":"begin","forged":true}\n'
-        log.path.write_bytes(b"".join(lines))
+        wal = ShardWAL(tmp_path)
+        self._append(wal, "edit-1", 1)
+        self._append(wal, "edit-2", 2)
+        lines = wal.path.read_bytes().splitlines(keepends=True)
+        lines[0] = b'{"image_id":"edit-1","forged":true}\n'
+        wal.path.write_bytes(b"".join(lines))
         with pytest.raises(CorruptionError, match="WAL line 1"):
-            log.entries()
+            wal.entries()
 
     def test_append_heals_torn_tail(self, tmp_path):
-        log = self._log(tmp_path)
-        plan = NoFaults()
-        log.append(plan, {"event": "begin", "total": 3})
-        data = log.path.read_bytes()
-        log.path.write_bytes(data + b'{"torn prefix')
-        log.append(plan, {"event": "batch", "ids": ["a"]})
-        assert [e["event"] for e in log.entries()] == ["begin", "batch"]
+        wal = ShardWAL(tmp_path)
+        self._append(wal, "edit-1", 1)
+        data = wal.path.read_bytes()
+        wal.path.write_bytes(data + b'{"torn prefix')
+        self._append(wal, "edit-2", 2)
+        assert [e["image_id"] for e in wal.entries()] == ["edit-1", "edit-2"]
 
 
 class TestLiveService:

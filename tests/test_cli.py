@@ -497,43 +497,33 @@ class TestLint:
         code, _ = run_cli("lint", str(target), "--rule", "AL004")
         assert code == 0
 
-    def test_lock_order_findings_merged(self, tmp_path):
+    def test_lock_order_findings_merged(self, monkeypatch, capsys):
+        # Lock order is race-check's (CC001), not lint's: an unknown or
+        # non-AL --rule is a usage error, never a silent green.
         import json
-        import textwrap
 
-        target = tmp_path / "repro" / "shard"
-        target.mkdir(parents=True)
-        (target / "cyclic.py").write_text(
-            textwrap.dedent(
-                """
-                import threading
+        from repro.testing.racecheck import SCENARIOS, TrackedLock
 
+        for code in ("AL999", "CC001"):
+            assert run_cli("lint", "--rule", code) == (1, "")
+            assert "AL001" in capsys.readouterr().err
 
-                class Pair:
-                    def __init__(self):
-                        self._one_lock = threading.Lock()
-                        self._two_lock = threading.Lock()
+        def opposite_orders(monitor):
+            import threading
 
-                    def forward(self):
-                        with self._one_lock:
-                            with self._two_lock:
-                                pass
+            one = TrackedLock(threading.Lock(), "Pair._one_lock", monitor)
+            two = TrackedLock(threading.Lock(), "Pair._two_lock", monitor)
+            with one, two:
+                pass
+            with two, one:
+                pass
 
-                    def backward(self):
-                        with self._two_lock:
-                            with self._one_lock:
-                                pass
-                """
-            ),
-            encoding="utf-8",
-        )
-        code, output = run_cli("lint", str(target), "--json")
+        monkeypatch.setitem(SCENARIOS, "seeded", opposite_orders)
+        code, output = run_cli("race-check", "seeded", "--json")
         assert code == 2
         payload = json.loads(output)
         assert payload["counts"] == {"CC001": 1}
-        # --rule gates the lockgraph half too.
-        code, _ = run_cli("lint", str(target), "--rule", "CC002")
-        assert code == 0
+        assert len(payload["lock_edges"]) == 2
 
 
 class TestRaceCheck:

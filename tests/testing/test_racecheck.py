@@ -11,9 +11,13 @@ no fork/join happens-before edge can excuse it.
 import threading
 from collections import deque
 
+import pytest
+
 from repro.analysis.findings import AnalysisReport, Severity
+from repro.cli import main
 from repro.service.executor import ReadWriteLock
 from repro.testing.racecheck import (
+    SCENARIOS,
     RaceMonitor,
     TrackedDeque,
     TrackedDict,
@@ -239,7 +243,43 @@ class TestReporting:
         assert report.subjects_examined > 20, "tracking must be non-vacuous"
 
     def test_unknown_scenario_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError, match="unknown race-check scenario"):
             run_race_check(["bogus"])
+
+
+class TestWorkerFailures:
+    """A scenario whose worker crashes or hangs must fail the check."""
+
+    def test_worker_exception_is_reraised_by_join(self, monkeypatch):
+        def crash() -> None:
+            raise RuntimeError("worker blew up")
+
+        def scenario(monitor: RaceMonitor) -> None:
+            monitor.join(monitor.spawn(crash, name="crash"))
+
+        monitor = _monitor()
+        with pytest.raises(RuntimeError, match="worker blew up"):
+            scenario(monitor)
+        monkeypatch.setitem(SCENARIOS, "crashing", scenario)
+        with pytest.raises(RuntimeError, match="worker blew up"):
+            run_race_check(["crashing"])
+        assert main(["race-check", "crashing"]) == 1
+
+    def test_join_timeout_raises_and_records_no_edge(self, monkeypatch):
+        release = threading.Event()
+
+        def scenario(monitor: RaceMonitor) -> None:
+            thread = monitor.spawn(release.wait, 5, name="stuck")
+            try:
+                monitor.join(thread, timeout=0.05)
+            finally:
+                assert thread.ident not in monitor._joined
+                release.set()
+                thread.join(5)
+
+        monitor = _monitor()
+        with pytest.raises(RuntimeError, match="still running"):
+            scenario(monitor)
+        release.clear()
+        monkeypatch.setitem(SCENARIOS, "hanging", scenario)
+        assert main(["race-check", "hanging"]) == 1
