@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.color.spaces import channel_ranges, convert_pixels, validate_space
 from repro.errors import ColorError
-from repro.images.raster import validate_color
+from repro.images.raster import ColorTuple, validate_color
 
 BinIndex = int
 
@@ -58,10 +58,18 @@ class UniformQuantizer:
     def bin_of(self, color: Iterable[int]) -> BinIndex:
         """Flat bin index of a single RGB color.
 
-        Memoized per (quantizer, color): the Table 1 Modify rule calls
-        this on every rule application, typically over a small palette.
+        Memoized per (quantizer, color): colors come from a small palette.
         """
         return _bin_of_cached(self, validate_color(color))
+
+    def bin_of_valid(self, color: ColorTuple) -> BinIndex:
+        """:meth:`bin_of` for a color :func:`validate_color` already returned.
+
+        The same memoized lookup without normalizing the color again:
+        the Table 1 Modify rule, applied once per Modify of every walk,
+        passes the colors ``Modify`` validated when it was built.
+        """
+        return _bin_of_cached(self, color)
 
     def bin_indices(self, rgb_pixels: np.ndarray) -> np.ndarray:
         """Flat bin indices for an ``(..., 3)`` uint8 RGB array."""

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -415,9 +414,8 @@ class BoundsEngine:
         first, every bin at once, by a one-id sweep when dirty).
         """
         if not self._memo_on:
-            return self._bounds_inner(
-                image_id, bin_index, frozenset(), self._max_depth
-            )
+            walk = _ScalarWalk(self, bin_index)
+            return PixelBounds(*walk.image(image_id, bin_index))
         matrix = self.bounds_all_bins_batch((image_id,))
         self._quantizer.validate_bin(bin_index)
         (lo,), (hi,) = matrix.column(bin_index)
@@ -429,9 +427,7 @@ class BoundsEngine:
         self, sequence: EditSequence, bin_index: int
     ) -> PixelBounds:
         """BOUNDS for an ad-hoc sequence whose base/targets are in the store."""
-        return self._sequence_bounds_inner(
-            sequence, bin_index, frozenset(), self._max_depth
-        )
+        return PixelBounds(*_ScalarWalk(self, bin_index).sequence(sequence))
 
     def fraction_bounds(self, image_id: str, bin_index: int) -> Tuple[float, float]:
         """Convenience: ``(BOUND_min/size, BOUND_max/size)``."""
@@ -927,68 +923,75 @@ class BoundsEngine:
         for referenced in sequence.referenced_ids():
             self._dependents.setdefault(referenced, set()).add(image_id)
 
-    # ------------------------------------------------------------------
-    # Scalar internals
-    # ------------------------------------------------------------------
-    def _bounds_inner(
-        self,
-        image_id: str,
-        bin_index: int,
-        visiting: FrozenSet[str],
-        depth: int,
-    ) -> PixelBounds:
-        if image_id in visiting:
+
+class _ScalarWalk:
+    """One scalar BOUNDS call: Table 1 over a sequence for one bin.
+
+    The walk covers the sequence, its edited bases and its Merge targets.
+    One :class:`RuleContext`, whose resolver is :meth:`image`, serves
+    all of them.  The cycle check and the depth limit read ``visiting``
+    and ``depth``, which always describe the current recursion path:
+    entering an edited image adds it and spends one level, leaving gives
+    both back.  The path order is base first, then targets in op order,
+    which the sweep replays to raise the same errors.
+    """
+
+    __slots__ = ("_engine", "_visiting", "_depth", "_ctx")
+
+    def __init__(self, engine: BoundsEngine, bin_index: int) -> None:
+        self._engine = engine
+        self._visiting: Set[str] = set()
+        self._depth = engine._max_depth
+        # The bin is validated where the walk first needs it, at a binary
+        # leaf: every rule runs after its sequence's base walk got there.
+        self._ctx = RuleContext(
+            quantizer=engine._quantizer,
+            bin_index=bin_index,
+            fill_color=engine._fill_color,
+            resolve_target=self.image,
+        )
+
+    def image(self, image_id: str, bin_index: int) -> Tuple[int, int, int, int]:
+        """``(lo, hi, height, width)`` of a stored image in ``bin_index``.
+
+        Exact for a binary image, walked for an edited one.  The rules
+        and the walk always pass the walk's own bin.
+        """
+        engine = self._engine
+        if image_id in self._visiting:
             raise RuleError(f"cyclic Merge reference through {image_id!r}")
-        if depth <= 0:
+        if self._depth <= 0:
             raise RuleError(
-                f"Merge recursion deeper than {self._max_depth} at {image_id!r}"
+                f"Merge recursion deeper than {engine._max_depth} at {image_id!r}"
             )
-        record = self._store.lookup_for_bounds(image_id)
+        record = engine._store.lookup_for_bounds(image_id)
         if isinstance(record, tuple):
             histogram, height, width = record
-            self._quantizer.validate_bin(bin_index)
-            return PixelBounds.exact(histogram.count(bin_index), height, width)
+            engine._quantizer.validate_bin(bin_index)
+            count = histogram.count(bin_index)
+            return (count, count, height, width)
         if isinstance(record, EditSequence):
-            if self._memo_on:
-                self._register_dependencies(image_id, record)
-            return self._sequence_bounds_inner(
-                record, bin_index, visiting | {image_id}, depth
-            )
+            if engine._memo_on:
+                engine._register_dependencies(image_id, record)
+            self._visiting.add(image_id)
+            result = self.sequence(record)
+            self._visiting.discard(image_id)
+            return result
         raise UnknownObjectError(f"unexpected store record for {image_id!r}")
 
-    def _sequence_bounds_inner(
-        self,
-        sequence: EditSequence,
-        bin_index: int,
-        visiting: FrozenSet[str],
-        depth: int,
-    ) -> PixelBounds:
-        base = self._bounds_inner(sequence.base_id, bin_index, visiting, depth - 1)
+    def sequence(self, sequence: EditSequence) -> Tuple[int, int, int, int]:
+        """Walk ``sequence``'s rules from its base's bounds."""
+        self._depth -= 1
         # A base that is itself an edited image (chained sequences) starts
         # the walk from its interval rather than an exact count; for binary
         # bases lo == hi and this matches initial_state exactly.
-        state = RuleState(
-            lo=base.lo,
-            hi=base.hi,
-            height=base.height,
-            width=base.width,
-            dr=Rect(0, 0, base.height, base.width),
-        )
-
-        def resolve(target_id: str, target_bin: int) -> Tuple[int, int, int, int]:
-            inner = self._bounds_inner(
-                target_id, target_bin, visiting, depth - 1
-            )
-            return (inner.lo, inner.hi, inner.height, inner.width)
-
-        ctx = RuleContext(
-            quantizer=self._quantizer,
-            bin_index=self._quantizer.validate_bin(bin_index),
-            fill_color=self._fill_color,
-            resolve_target=resolve,
-        )
+        ctx = self._ctx
+        lo, hi, height, width = self.image(sequence.base_id, ctx.bin_index)
+        state = RuleState(lo, hi, height, width, Rect(0, 0, height, width))
+        engine = self._engine
         for op in sequence.operations:
             state = apply_rule(state, op, ctx)
-            self.rules_applied += 1
+            engine.rules_applied += 1
+        self._depth += 1
         state.validate()
-        return PixelBounds(state.lo, state.hi, state.height, state.width)
+        return (state.lo, state.hi, state.height, state.width)

@@ -1127,10 +1127,11 @@ class _Sweep:
     ) -> Optional[ReproError]:
         """Replay the scalar walk's structural checks from ``image_id``.
 
-        Mirrors ``BoundsEngine._bounds_inner``'s order — cyclic check,
-        then depth, then store lookup, then base-first/targets-in-op-order
-        recursion — so cycle, depth, and unknown-id failures surface with
-        the exact message the scalar walk raises.  Returns None when the walk is
+        Mirrors the scalar walk's order (``_ScalarWalk.image`` in
+        :mod:`repro.core.bounds`) — cyclic check, then depth, then store
+        lookup, then base-first/targets-in-op-order recursion — so cycle,
+        depth, and unknown-id failures surface with the exact message the
+        scalar walk raises.  Returns None when the walk is
         structurally sound (any remaining failure is a rule error owned
         by some referenced row).
         """

@@ -22,8 +22,9 @@ strictly sound for the executor semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.color.quantization import UniformQuantizer
 from repro.editing.executor import merge_canvas_geometry
@@ -45,15 +46,32 @@ from repro.images.raster import ColorTuple
 TargetBoundsResolver = Callable[[str, int], Tuple[int, int, int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RuleState:
-    """The running bounds state for one (edit sequence, histogram bin)."""
+    """The running bounds state for one (edit sequence, histogram bin).
+
+    Immutable and slotted: every rule builds the next state with one
+    constructor call, which fills the slots through their descriptors
+    (the frozen ``__setattr__`` refuses plain assignment).
+    """
+
+    __slots__ = ("lo", "hi", "height", "width", "dr")
 
     lo: int
     hi: int
     height: int
     width: int
     dr: Rect
+
+    def __init__(self, lo: int, hi: int, height: int, width: int, dr: Rect) -> None:
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_height(self, height)
+        _set_width(self, width)
+        _set_dr(self, dr)
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, int, int, int, Rect]]:
+        return (RuleState, (self.lo, self.hi, self.height, self.width, self.dr))
 
     @property
     def total(self) -> int:
@@ -72,8 +90,7 @@ class RuleState:
 
     def clamped(self, lo: int, hi: int) -> "RuleState":
         """Copy with new bounds clamped into ``[0, total]``."""
-        total = self.total
-        return replace(self, lo=max(0, min(lo, total)), hi=max(0, min(hi, total)))
+        return _clamped(self, lo, hi, self.dr)
 
     def validate(self) -> "RuleState":
         """Internal consistency check (used by tests)."""
@@ -84,6 +101,21 @@ class RuleState:
         return self
 
 
+_set_lo, _set_hi, _set_height, _set_width, _set_dr = (
+    RuleState.__dict__[name].__set__ for name in RuleState.__slots__
+)
+
+
+def _clamped(state: RuleState, lo: int, hi: int, dr: Rect) -> RuleState:
+    """``state`` with bounds clamped into ``[0, total]`` and DR ``dr``."""
+    height = state.height
+    width = state.width
+    total = height * width
+    return RuleState(
+        max(0, min(lo, total)), max(0, min(hi, total)), height, width, dr
+    )
+
+
 @dataclass(frozen=True)
 class RuleContext:
     """Everything a rule may consult besides the state.
@@ -91,7 +123,8 @@ class RuleContext:
     ``quantizer`` maps Modify colors to bins; ``bin_index`` is the queried
     bin ``HB``; ``fill_color`` matches the executor's fill; ``resolve_target``
     provides Merge-target bounds (may be ``None`` when sequences contain no
-    non-NULL Merge).
+    non-NULL Merge).  One context serves a whole walk, edited bases and
+    Merge targets included.
     """
 
     quantizer: UniformQuantizer
@@ -99,7 +132,7 @@ class RuleContext:
     fill_color: ColorTuple = (0, 0, 0)
     resolve_target: Optional[TargetBoundsResolver] = None
 
-    @property
+    @cached_property
     def fill_in_bin(self) -> bool:
         """True when the executor's fill color maps to the queried bin."""
         return self.quantizer.bin_of(self.fill_color) == self.bin_index
@@ -128,7 +161,9 @@ def initial_state(
 # ----------------------------------------------------------------------
 def apply_define(state: RuleState, op: Define, ctx: RuleContext) -> RuleState:
     """Define: selects the DR; the histogram is untouched."""
-    return replace(state, dr=op.rect.clip(state.height, state.width))
+    height = state.height
+    width = state.width
+    return RuleState(state.lo, state.hi, height, width, op.rect.clip(height, width))
 
 
 def apply_combine(state: RuleState, op: Combine, ctx: RuleContext) -> RuleState:
@@ -152,15 +187,18 @@ def apply_modify(state: RuleState, op: Modify, ctx: RuleContext) -> RuleState:
     * both or neither map to HB: recolored pixels stay on the same side
       of the bin — no change.
 
-    Size unchanged.  Bound-widening in every branch.
+    Size unchanged.  Bound-widening in every branch.  ``Modify`` validated
+    both colors when it was built, so they go straight to the
+    quantizer's memoized lookup.
     """
-    dr_area = state.dr.area
-    old_in = ctx.quantizer.bin_of(op.rgb_old) == ctx.bin_index
-    new_in = ctx.quantizer.bin_of(op.rgb_new) == ctx.bin_index
+    quantizer = ctx.quantizer
+    bin_index = ctx.bin_index
+    old_in = quantizer.bin_of_valid(op.rgb_old) == bin_index
+    new_in = quantizer.bin_of_valid(op.rgb_new) == bin_index
     if new_in and not old_in:
-        return state.clamped(state.lo, state.hi + dr_area)
+        return _clamped(state, state.lo, state.hi + state.dr.area, state.dr)
     if old_in and not new_in:
-        return state.clamped(state.lo - dr_area, state.hi)
+        return _clamped(state, state.lo - state.dr.area, state.hi, state.dr)
     return state
 
 
@@ -176,7 +214,8 @@ def apply_mutate(state: RuleState, op: Mutate, ctx: RuleContext) -> RuleState:
       that union's area (DESIGN.md §2 item 2 — the printed ``|DR|`` is
       widened to the union for soundness).  Size unchanged.
     """
-    if state.dr.is_empty:
+    dr = state.dr
+    if dr.is_empty:
         return state
     matrix = op.matrix
     if (
@@ -190,27 +229,27 @@ def apply_mutate(state: RuleState, op: Mutate, ctx: RuleContext) -> RuleState:
         # Identity transform: the executor leaves every pixel in place
         # (both execution paths), so the bounds need not widen at all.
         return state
-    image_bounds = Rect(0, 0, state.height, state.width)
-    if op.is_whole_image_scale(state.dr, image_bounds) and op.matrix.is_integer_scale():
-        sx = int(round(op.matrix.m11))
-        sy = int(round(op.matrix.m22))
+    height = state.height
+    width = state.width
+    if matrix.is_integer_scale() and op.is_whole_image_scale(
+        dr, Rect(0, 0, height, width)
+    ):
+        sx = int(round(matrix.m11))
+        sy = int(round(matrix.m22))
         scale = sx * sy
-        new_height = state.height * sx
-        new_width = state.width * sy
+        new_height = height * sx
+        new_width = width * sy
         return RuleState(
-            lo=state.lo * scale,
-            hi=state.hi * scale,
-            height=new_height,
-            width=new_width,
-            dr=Rect(0, 0, new_height, new_width),
+            state.lo * scale,
+            state.hi * scale,
+            new_height,
+            new_width,
+            Rect(0, 0, new_height, new_width),
         )
 
-    destination = transform_rect_bbox(state.dr, op.matrix).clip(
-        state.height, state.width
-    )
-    affected = state.dr.union_area_upper_bound(destination)
-    widened = state.clamped(state.lo - affected, state.hi + affected)
-    return replace(widened, dr=destination)
+    destination = transform_rect_bbox(dr, matrix).clip(height, width)
+    affected = dr.union_area_upper_bound(destination)
+    return _clamped(state, state.lo - affected, state.hi + affected, destination)
 
 
 def apply_merge(state: RuleState, op: Merge, ctx: RuleContext) -> RuleState:
@@ -246,11 +285,7 @@ def apply_merge(state: RuleState, op: Merge, ctx: RuleContext) -> RuleState:
 
     if op.is_crop:
         return RuleState(
-            lo=dr_lo,
-            hi=dr_hi,
-            height=dr.height,
-            width=dr.width,
-            dr=Rect(0, 0, dr.height, dr.width),
+            dr_lo, dr_hi, dr.height, dr.width, Rect(0, 0, dr.height, dr.width)
         ).validate()
 
     if ctx.resolve_target is None:
@@ -262,37 +297,36 @@ def apply_merge(state: RuleState, op: Merge, ctx: RuleContext) -> RuleState:
         dr.height, dr.width, t_height, t_width, op.x, op.y
     )
     paste_rect = Rect(op.x, op.y, op.x + dr.height, op.y + dr.width)
-    covered = paste_rect.intersect(Rect(0, 0, t_height, t_width)).area
+    covered = paste_rect.clip(t_height, t_width).area
     fill_count = new_height * new_width - dr_area - t_total + covered
     fill_contrib = fill_count if ctx.fill_in_bin else 0
 
     lo = dr_lo + max(0, t_lo - covered) + fill_contrib
     hi = dr_hi + min(t_hi, t_total - covered) + fill_contrib
     return RuleState(
-        lo=lo,
-        hi=hi,
-        height=new_height,
-        width=new_width,
-        dr=Rect(0, 0, new_height, new_width),
+        lo, hi, new_height, new_width, Rect(0, 0, new_height, new_width)
     ).validate()
 
 
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
+#: The rule of each operation class: one look-up per applied rule.
+_RULES: Dict[type, Callable[[RuleState, Any, RuleContext], RuleState]] = {
+    Define: apply_define,
+    Combine: apply_combine,
+    Modify: apply_modify,
+    Mutate: apply_mutate,
+    Merge: apply_merge,
+}
+
+
 def apply_rule(state: RuleState, op: Operation, ctx: RuleContext) -> RuleState:
     """Apply the rule for one operation."""
-    if isinstance(op, Define):
-        return apply_define(state, op, ctx)
-    if isinstance(op, Combine):
-        return apply_combine(state, op, ctx)
-    if isinstance(op, Modify):
-        return apply_modify(state, op, ctx)
-    if isinstance(op, Mutate):
-        return apply_mutate(state, op, ctx)
-    if isinstance(op, Merge):
-        return apply_merge(state, op, ctx)
-    raise RuleError(f"no rule for operation {op!r}")
+    rule = _RULES.get(type(op))
+    if rule is None:
+        raise RuleError(f"no rule for operation {op!r}")
+    return rule(state, op, ctx)
 
 
 def describe_rule(op: Operation) -> Tuple[str, str, str, str]:

@@ -14,6 +14,7 @@ Python slicing, so ``Rect(0, 0, h, w)`` covers an entire ``h x w`` image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -55,7 +56,7 @@ class Rect:
     @property
     def area(self) -> int:
         """Number of pixels covered."""
-        return self.height * self.width
+        return (self.x2 - self.x1) * (self.y2 - self.y1)
 
     @property
     def is_empty(self) -> bool:
@@ -93,9 +94,13 @@ class Rect:
 
         Inclusion-exclusion over two boxes is exact, so despite the name
         (kept for symmetry with rule terminology) this is the true area of
-        ``self | other``.
+        ``self | other``.  The overlap is measured without building the
+        intersection rectangle.
         """
-        return self.area + other.area - self.intersect(other).area
+        rows = min(self.x2, other.x2) - max(self.x1, other.x1)
+        cols = min(self.y2, other.y2) - max(self.y1, other.y1)
+        overlap = rows * cols if rows > 0 and cols > 0 else 0
+        return self.area + other.area - overlap
 
     def contains(self, other: "Rect") -> bool:
         """True when ``other`` lies entirely inside ``self``."""
@@ -124,7 +129,10 @@ class Rect:
 
         ``intersect(Rect(0, 0, height, width))`` without building that
         rectangle: the executor and the scalar rules clip per region op.
+        A non-empty rectangle already inside the image is returned as is.
         """
+        if 0 <= self.x1 < self.x2 <= height and 0 <= self.y1 < self.y2 <= width:
+            return self
         x1 = max(self.x1, 0)
         y1 = max(self.y1, 0)
         x2 = min(self.x2, height)
@@ -181,24 +189,29 @@ def transform_rect_bbox(rect: Rect, matrix: "AffineMatrix") -> Rect:
 
     Used by the Mutate rule to bound the destination region of moved
     pixels without touching the raster.  The box of the transformed
-    corners bounds the transformed set because affine maps preserve
-    convexity.
+    corners (:meth:`Rect.corners`) bounds the transformed set because
+    affine maps preserve convexity.  Each output coordinate is a sum of
+    one term in ``x`` and one in ``y``, and float rounding is monotone,
+    so its extremes over the four corners are the sums of the per-term
+    extremes: the same floats as mapping every corner, with half the
+    products.
     """
     if rect.is_empty:
         return EMPTY_RECT
-    xs = []
-    ys = []
-    for (x, y) in rect.corners():
-        tx, ty = matrix.apply_point(x, y)
-        xs.append(tx)
-        ys.append(ty)
-    import math
-
-    x1 = math.floor(min(xs))
-    y1 = math.floor(min(ys))
-    x2 = math.ceil(max(xs)) + 1
-    y2 = math.ceil(max(ys)) + 1
-    return Rect(x1, y1, x2, y2)
+    x_near, y_near = rect.x1, rect.y1
+    x_far = max(x_near, rect.x2 - 1)
+    y_far = max(y_near, rect.y2 - 1)
+    # x' = m11 x + m12 y + m13 and y' = m21 x + m22 y + m23.
+    x_of_x = (matrix.m11 * x_near, matrix.m11 * x_far)
+    x_of_y = (matrix.m12 * y_near, matrix.m12 * y_far)
+    y_of_x = (matrix.m21 * x_near, matrix.m21 * x_far)
+    y_of_y = (matrix.m22 * y_near, matrix.m22 * y_far)
+    return Rect(
+        math.floor(min(x_of_x) + min(x_of_y) + matrix.m13),
+        math.floor(min(y_of_x) + min(y_of_y) + matrix.m23),
+        math.ceil(max(x_of_x) + max(x_of_y) + matrix.m13) + 1,
+        math.ceil(max(y_of_x) + max(y_of_y) + matrix.m23) + 1,
+    )
 
 
 class AffineMatrix:
@@ -332,8 +345,6 @@ class AffineMatrix:
         rule soundly covers.  Prefer :meth:`rotation_90` when exactness
         matters.
         """
-        import math
-
         c = math.cos(radians)
         s = math.sin(radians)
         return AffineMatrix(c, -s, cx - c * cx + s * cy, s, c, cy - s * cx - c * cy)

@@ -1,15 +1,20 @@
 """Unit tests for the BOUNDS engine (stores, recursion, errors)."""
 
+import numpy as np
 import pytest
 
 from repro.color.histogram import ColorHistogram
+from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
 from repro.core.bounds import BoundsEngine, PixelBounds
-from repro.editing.operations import Combine, Define, Merge
+from repro.db.database import MultimediaDatabase
+from repro.editing.operations import Combine, Define, Merge, Modify
 from repro.editing.sequence import EditSequence
 from repro.errors import RuleError, UnknownObjectError
+from repro.images.generators import random_palette_image
 from repro.images.geometry import Rect
 from repro.images.raster import Image
+from repro.workloads.queries import make_query_workload
 
 Q2 = UniformQuantizer(2, "rgb")
 
@@ -316,3 +321,76 @@ class TestOpTableManagerLifecycle:
             if getattr(callback, "__self__", None) in built
         ]
         assert listeners == [engine.optable_manager.on_invalidation]
+
+
+def _walk_length(catalog, image_id):
+    """Rules one scalar walk of ``image_id`` applies.
+
+    Its own operations plus, recursively, the walks of the edited base
+    and of every edited Merge target (once per Merge naming it).
+    """
+    if catalog.is_binary(image_id):
+        return 0
+    sequence = catalog.sequence_of(image_id)
+    return (
+        len(sequence.operations)
+        + _walk_length(catalog, sequence.base_id)
+        + sum(_walk_length(catalog, target) for target in sequence.merge_targets())
+    )
+
+
+class TestRuleCounts:
+    """The work metric counts every rule the scalar walk applies."""
+
+    @pytest.fixture(params=[7, 2006])
+    def database(self, request):
+        """A seeded augmented database, memo off, with chained edits."""
+        rng = np.random.default_rng(request.param)
+        database = MultimediaDatabase()
+        base_ids = [
+            database.insert_image(random_palette_image(rng, 12, 16, FLAG_PALETTE))
+            for _ in range(4)
+        ]
+        for base_id in base_ids:
+            database.augment(
+                base_id, rng, variants=4, palette=FLAG_PALETTE,
+                merge_target_pool=base_ids,
+            )
+        edited = next(iter(database.catalog.edited_ids()))
+        # One edit of an edited image, and one Merge onto an edited image:
+        # both walks recurse into ``edited``'s own walk.
+        database.insert_edited(
+            EditSequence(
+                edited,
+                (Define(Rect(0, 0, 6, 6)), Modify(FLAG_PALETTE[0], FLAG_PALETTE[1])),
+            )
+        )
+        database.insert_edited(
+            EditSequence(
+                base_ids[1], (Define(Rect(2, 2, 8, 9)), Merge(edited, 1, 3))
+            )
+        )
+        assert not database.engine.cache_enabled
+        return database
+
+    def test_rbm_and_bwm_count_every_walked_rule(self, database):
+        catalog = database.catalog
+        walks = {i: _walk_length(catalog, i) for i in catalog.edited_ids()}
+        total = sum(walks.values())
+        queries = make_query_workload(database, np.random.default_rng(1), 8)
+        for query in queries:
+            before = database.engine.rules_applied
+            rbm = database.range_query(query, method="rbm")
+            assert rbm.stats.rules_applied == database.engine.rules_applied - before
+            assert rbm.stats.rules_applied == total
+
+            skipped = sum(
+                walks[member]
+                for base_id, cluster in database.bwm_structure.clusters()
+                if query.matches_histogram(catalog.histogram_of(base_id))
+                for member in cluster
+            )
+            before = database.engine.rules_applied
+            bwm = database.range_query(query, method="bwm")
+            assert bwm.stats.rules_applied == database.engine.rules_applied - before
+            assert bwm.stats.rules_applied == total - skipped

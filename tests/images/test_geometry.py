@@ -150,6 +150,11 @@ class TestRectSetOps:
         assert box.contains(a) and box.contains(b)
 
     @given(rect_strategy, rect_strategy)
+    def test_union_area_is_inclusion_exclusion(self, a, b):
+        expected = a.area + b.area - a.intersect(b).area
+        assert a.union_area_upper_bound(b) == expected
+
+    @given(rect_strategy, rect_strategy)
     def test_union_area_between_max_and_sum(self, a, b):
         union_area = a.union_area_upper_bound(b)
         assert max(a.area, b.area) <= union_area <= a.area + b.area
@@ -240,6 +245,29 @@ class TestTransformRectBbox:
     def test_translation_moves_box(self):
         box = transform_rect_bbox(Rect(0, 0, 3, 3), AffineMatrix.translation(5, 6))
         assert box.contains(Rect(5, 6, 8, 9))
+
+    @given(
+        rect_strategy,
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_equals_the_box_of_the_mapped_corners(self, rect, entries):
+        matrix = AffineMatrix(*entries)
+        if rect.is_empty:
+            assert transform_rect_bbox(rect, matrix) is EMPTY_RECT
+            return
+        points = [matrix.apply_point(x, y) for x, y in rect.corners()]
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        assert transform_rect_bbox(rect, matrix) == Rect(
+            math.floor(min(xs)),
+            math.floor(min(ys)),
+            math.ceil(max(xs)) + 1,
+            math.ceil(max(ys)) + 1,
+        )
 
     def test_bbox_contains_all_forward_mapped_pixels(self):
         rect = Rect(1, 2, 6, 9)

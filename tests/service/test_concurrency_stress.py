@@ -71,13 +71,19 @@ def test_stress_queries_vs_mutations(stress_setup):
     database, queries, flip_sequence, without, withit = stress_setup
     failures = []
     stop = threading.Event()
+    # Set once the mutator finished its first insert/delete pair.  Every
+    # query worker waits for it halfway through, so at least one pair
+    # lands between queries, however the threads are scheduled.
+    first_pair = threading.Event()
 
     with QueryService(database, max_workers=QUERY_THREADS) as service:
 
         def query_worker(seed: int) -> None:
             rng = np.random.default_rng(seed)
             try:
-                for _ in range(ITERATIONS):
+                for iteration in range(ITERATIONS):
+                    if iteration == ITERATIONS // 2:
+                        first_pair.wait(timeout=JOIN_TIMEOUT)
                     query = queries[int(rng.integers(len(queries)))]
                     matches = service.execute(query, timeout=60.0).result.matches
                     if matches != without[query] and matches != withit[query]:
@@ -93,12 +99,15 @@ def test_stress_queries_vs_mutations(stress_setup):
         def mutator() -> None:
             try:
                 for _ in range(MUTATION_ROUNDS):
-                    if stop.is_set():
-                        break
                     service.insert_edited(flip_sequence, image_id="flip")
                     service.delete_edited("flip")
+                    first_pair.set()
+                    if stop.is_set():
+                        break
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"mutator: {exc!r}")
+            finally:
+                first_pair.set()
 
         threads = [
             threading.Thread(target=query_worker, args=(100 + i,))
