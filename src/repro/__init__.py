@@ -37,7 +37,6 @@ _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 from repro.analysis import (
     AnalysisReport,
     Finding,
-    analyze_database,
     lint_paths,
     prove_rules,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "Strategy",
     "UniformQuantizer",
     "__version__",
-    "analyze_database",
     "is_bound_widening",
     "lint_paths",
     "load_database",

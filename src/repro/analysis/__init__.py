@@ -1,8 +1,8 @@
-"""Static analysis over the rule system, the catalog, and the codebase.
+"""Static analysis over the rule system and the codebase.
 
-Three coordinated passes, all runnable offline (no raster is ever
-instantiated).  Each takes the shipped source tree or a stored catalog
-as its input and carries no copy of the thing it checks:
+Two coordinated passes, both runnable offline (no raster is ever
+instantiated).  Each takes the shipped source tree as its input and
+carries no copy of the thing it checks:
 
 * :mod:`repro.analysis.prover` — an interval abstract interpreter that
   *proves* the §4 bound-widening claims: every rule
@@ -11,22 +11,19 @@ as its input and carries no copy of the thing it checks:
   randomized corpus of abstract states, and the scalar
   (:mod:`repro.core.rules`) and columnar (:mod:`repro.core.optable`)
   kernels must agree byte-identically on every state.
-* :mod:`repro.analysis.catalog_lint` — static checks over an
-  :class:`~repro.editing.sequence.EditSequence` catalog: dangling
-  references, Merge cycles, size underflow, BWM placement consistency,
-  cache-dependency-graph agreement, and vacuous-bounds diagnostics
-  (``repro analyze-db``).  The first, second and fourth are rendered
-  from :func:`repro.db.integrity.scan_catalog`, the one detector
-  ``repro check`` also reports from.
 * :mod:`repro.analysis.ast_lint` — a stdlib-``ast`` linter enforcing the
   repo's concurrency and numeric discipline on ``src/repro/`` itself
   (``repro lint``).
 
-A fourth, dynamic companion lives in :mod:`repro.testing.racecheck`
+A dynamic companion lives in :mod:`repro.testing.racecheck`
 (``repro race-check``): over instrumented scenarios it runs an
 Eraser-style lockset race detector (``CC004``) and records the lock
 order every acquisition observes, reporting its cycles as potential
-deadlocks (``CC001``), through the same machinery.
+deadlocks (``CC001``), through the same machinery.  The stored catalog
+has one checker, :func:`repro.db.integrity.verify_integrity`
+(``repro check``, codes ``DB001``–``DB009``); it lives in ``repro.db``
+because a stored database must be checkable without this package, and
+the CLI renders its problems through the same report.
 
 Every pass reports :class:`~repro.analysis.findings.Finding` objects
 (severity, stable code, location, fix hint) collected into an
@@ -35,7 +32,6 @@ Every pass reports :class:`~repro.analysis.findings.Finding` objects
 """
 
 from repro.analysis.ast_lint import LINT_RULES, lint_paths, lint_source
-from repro.analysis.catalog_lint import analyze_database, check_shard_routing
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.prover import ProverReport, RuleVerdict, prove_rules
 
@@ -46,8 +42,6 @@ __all__ = [
     "ProverReport",
     "RuleVerdict",
     "Severity",
-    "analyze_database",
-    "check_shard_routing",
     "lint_paths",
     "lint_source",
     "prove_rules",

@@ -1,8 +1,8 @@
 """Structured findings shared by every static-analysis pass.
 
 A :class:`Finding` is one defect or diagnostic: a stable code (``RS*``
-for the rule-soundness prover, ``DB*`` for the catalog verifier, ``AL*``
-for the AST linter), a severity, a location (file/line for lint, image
+for the rule-soundness prover, ``DB*`` for the catalog checker, ``AL*``
+for the AST linter, ``CC*`` for the race checker), a severity, a location (file/line for lint, image
 or rule identifier for the semantic passes), a human message, and a fix
 hint.  :class:`AnalysisReport` collects findings and renders them with
 the same ``describe()`` / ``to_dict()`` conventions the observability
@@ -33,10 +33,9 @@ def _location_key(location: str) -> Tuple[str, int]:
 class Severity(enum.Enum):
     """How bad one finding is.
 
-    ``ERROR`` findings gate CI (``repro lint`` / ``repro analyze-db``
-    exit non-zero); ``WARNING`` findings indicate likely problems that
-    do not break soundness; ``INFO`` findings are diagnostics (e.g. the
-    vacuous-bounds prune-power report).
+    ``ERROR`` findings gate CI (``repro lint`` / ``repro check`` exit
+    non-zero); ``WARNING`` findings indicate likely problems that do not
+    break soundness; ``INFO`` findings are diagnostics.
     """
 
     ERROR = "error"

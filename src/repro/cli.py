@@ -6,7 +6,10 @@ Subcommands mirror the workflow of the paper's prototype:
 ``info``      structure summary and storage accounting of a saved database
 ``query``     run a text query ("at least 25% blue") against a saved database
 ``knn``       nearest neighbors of a ppm image against a saved database
-``check``     integrity verification of a saved database
+``check``     the catalog checker: every integrity problem of a saved
+              database, by code (DB001–DB004, DB008, DB009); a sharded
+              root (``shards.json`` present) is checked per shard plus
+              the DB007 routing check
 ``repair``    fix reparable integrity problems and re-save
 ``salvage``   recover the undamaged records of a corrupted database
               (re-saving in place upgrades an older on-disk format)
@@ -25,11 +28,6 @@ Subcommands mirror the workflow of the paper's prototype:
               events, service, sharded) under the dynamic checker:
               CC004 data races (Eraser lockset) and CC001 cycles in
               the lock order the scenarios observed
-``analyze-db`` static soundness checks over a saved database: dangling
-              references, Merge cycles, size underflow, BWM placement,
-              cache-dependency agreement, vacuous-bounds diagnostics;
-              a sharded root (``shards.json`` present) is analyzed
-              per shard plus the DB007 cross-shard routing check
 ``shards``    inspect a sharded catalog root (``--status``) or run one
               synchronous compaction cycle first (``--compact-now``)
 ``top``       live fleet dashboard over a sharded root: per-shard
@@ -45,8 +43,7 @@ Subcommands mirror the workflow of the paper's prototype:
               byte-identical (``--mode full`` for the larger corpus)
 
 Exit codes are uniform across the integrity-facing commands (``check``,
-``repair``, ``salvage``, ``lint``, ``race-check``, ``analyze-db``,
-``prove-rules``):
+``repair``, ``salvage``, ``lint``, ``race-check``, ``prove-rules``):
 **0** clean (or fully healed/recovered), **2** problems remain or the
 input is unrecoverably corrupt, **1** any other library or usage error.
 
@@ -121,10 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
     knn.add_argument("--method", choices=("binary", "exact", "bounded", "intersection"),
                      default="bounded")
 
-    check = commands.add_parser("check", help="verify database integrity")
+    check = commands.add_parser(
+        "check", help="report every integrity problem of a saved database"
+    )
     check.add_argument("directory")
     check.add_argument("--fast", action="store_true",
                        help="skip histogram recomputation")
+    check.add_argument("--json", action="store_true",
+                       help="emit the findings as JSON")
 
     repair = commands.add_parser(
         "repair", help="fix reparable integrity problems and re-save"
@@ -221,17 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       "metrics, events, service, sharded)")
     race.add_argument("--json", action="store_true",
                       help="emit the findings as JSON")
-
-    analyze = commands.add_parser(
-        "analyze-db",
-        help="static soundness checks over a saved database",
-    )
-    analyze.add_argument("directory")
-    analyze.add_argument("--no-prune-power", action="store_true",
-                         help="skip the vacuous-bounds diagnostics (the "
-                         "only check that walks bounds)")
-    analyze.add_argument("--json", action="store_true",
-                         help="emit the findings as JSON")
 
     shards = commands.add_parser(
         "shards",
@@ -373,15 +363,38 @@ def _cmd_knn(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, out) -> int:
-    database = load_database(args.directory)
-    problems = database.verify_integrity(recompute_histograms=not args.fast)
-    if problems:
-        print(f"{len(problems)} integrity problems:", file=out)
-        for problem in problems:
-            print(f"  {problem}", file=out)
+    import json
+    from pathlib import Path
+
+    from repro.analysis import AnalysisReport, Finding, Severity
+    from repro.shard import SHARD_MANIFEST_NAME, ShardedCatalog
+
+    recompute = not args.fast
+    try:
+        if (Path(args.directory) / SHARD_MANIFEST_NAME).is_file():
+            with ShardedCatalog.open(args.directory) as sharded:
+                report = AnalysisReport(
+                    "sharded-catalog", subjects_examined=len(sharded)
+                )
+                problems = sharded.verify_integrity(recompute)
+        else:
+            database = load_database(args.directory)
+            report = AnalysisReport("catalog", subjects_examined=len(database))
+            problems = database.verify_integrity(recompute)
+    except CorruptionError as exc:
+        # Damaged files are salvage's job: exit 2, as repair does.
+        print(f"unrecoverable corruption: {exc}", file=sys.stderr)
+        print("hint: try `repro salvage` to recover undamaged records",
+              file=sys.stderr)
         return 2
-    print("integrity check passed", file=out)
-    return 0
+    report.extend(
+        Finding(p.code, Severity.ERROR, p.location, p.message) for p in problems
+    )
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
+    else:
+        print(report.describe(), file=out)
+    return 0 if report.ok else 2
 
 
 def _cmd_repair(args: argparse.Namespace, out) -> int:
@@ -582,49 +595,6 @@ def _cmd_race_check(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_analyze_db(args: argparse.Namespace, out) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.analysis import analyze_database
-
-    if (Path(args.directory) / "shards.json").is_file():
-        report = _analyze_sharded_root(args)
-    else:
-        database = load_database(args.directory)
-        # The dependency-graph check needs the engine to learn edges, and
-        # the prune-power check walks bounds anyway: turn the cache on.
-        database.engine.enable_memo()
-        report = analyze_database(
-            database, with_prune_power=not args.no_prune_power
-        )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.describe(), file=out)
-    return 0 if report.ok else 2
-
-
-def _analyze_sharded_root(args: argparse.Namespace):
-    """Sharded-root analyze-db: per-shard checks plus DB007 routing."""
-    from repro.analysis import analyze_database, check_shard_routing
-    from repro.analysis.findings import AnalysisReport
-    from repro.shard import ShardedCatalog
-
-    combined = AnalysisReport(pass_name="sharded-catalog")
-    with ShardedCatalog.open(args.directory) as sharded:
-        for index in range(sharded.shard_count):
-            shard_report = analyze_database(
-                sharded.shard_database(index),
-                with_prune_power=not args.no_prune_power,
-            )
-            combined.extend(shard_report.findings)
-            combined.subjects_examined += shard_report.subjects_examined
-        routing = check_shard_routing(sharded)
-        combined.extend(routing.findings)
-    return combined
-
-
 def _cmd_shards(args: argparse.Namespace, out) -> int:
     import json
 
@@ -799,7 +769,6 @@ _COMMANDS = {
     "serve-stats": _cmd_serve_stats,
     "lint": _cmd_lint,
     "race-check": _cmd_race_check,
-    "analyze-db": _cmd_analyze_db,
     "prove-rules": _cmd_prove_rules,
     "shards": _cmd_shards,
     "top": _cmd_top,

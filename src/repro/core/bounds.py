@@ -514,10 +514,10 @@ class BoundsEngine:
 
         Dependency edges register along the image's whole reference
         closure — each node's *direct* references only, matching what a
-        real walk records (the DB005 verifier checks every edge against
-        the dependent's own sequence) — so a targeted
-        :meth:`invalidate` anywhere upstream still drops the seeded
-        entry transitively.
+        real walk records (every edge names a reference of the
+        dependent's own sequence; see :meth:`dependency_edges`) — so a
+        targeted :meth:`invalidate` anywhere upstream still drops the
+        seeded entry transitively.
         """
         if not self._memo_on:
             raise RuleError(
@@ -858,8 +858,8 @@ class BoundsEngine:
             self.memo_epoch += 1
         # Scrub the invalidated ids out of the surviving reverse edges:
         # their walks are gone, so an edge pointing at them would keep a
-        # deleted/changed image alive in the graph (stale edges the
-        # static verifier's DB005 check would flag).
+        # deleted/changed image alive in the graph (a stale edge that
+        # breaks the dependency_edges contract).
         for referenced in list(self._dependents):
             dependents = self._dependents[referenced]
             dependents -= seen
@@ -894,9 +894,13 @@ class BoundsEngine:
 
         Returns sorted ``(referenced_id, dependent_id)`` pairs: the walk
         for ``dependent_id`` consulted ``referenced_id``, so invalidating
-        the former must drop the latter.  Exposed for the static catalog
-        verifier (``repro analyze-db``), which cross-checks these edges
-        against the stored sequences.
+        the former must drop the latter.  Every edge holds against the
+        live catalog: ``dependent_id`` is a stored edited image, its
+        sequence references ``referenced_id``, and ``referenced_id`` is
+        stored — an edge outside that would let targeted invalidation
+        keep stale entries alive (the memo fuzz test in
+        ``tests/core/test_bounds_cache.py`` asserts it after every
+        mutation).
         """
         return sorted(
             (referenced, dependent)

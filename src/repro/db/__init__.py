@@ -8,6 +8,7 @@ from repro.db.augmentation import (
 )
 from repro.db.catalog import Catalog
 from repro.db.integrity import (
+    IntegrityProblem,
     RepairReport,
     repair,
     require_integrity,
@@ -53,6 +54,7 @@ __all__ = [
     "EditedImageRecord",
     "ImageRecord",
     "InstantiateProcessor",
+    "IntegrityProblem",
     "KNNResult",
     "KNNStats",
     "KNN_METHODS",

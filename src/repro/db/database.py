@@ -415,7 +415,8 @@ class MultimediaDatabase:
     def verify_integrity(self, recompute_histograms: bool = True):
         """Cross-check catalog/BWM/histogram consistency.
 
-        Returns a list of problem descriptions (empty when healthy).
+        Returns one coded :class:`~repro.db.integrity.IntegrityProblem`
+        per defect (empty when healthy).
         """
         from repro.db.integrity import verify_integrity
 

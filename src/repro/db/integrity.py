@@ -5,28 +5,39 @@ A database is spread over three structures that must stay mutually
 consistent: the catalog (records and reference links), the BWM
 structure (Main clusters + Unclassified), and the stored histograms
 themselves.  :func:`verify_integrity` cross-checks all of them and
-returns a list of human-readable problems (empty when the database is
-healthy).
+returns one :class:`IntegrityProblem` per defect (empty when the
+database is healthy).  It is the one catalog checker: ``repro check``
+renders its problems, and a sharded root adds the ``DB007`` routing
+check of :meth:`repro.shard.ShardedCatalog.verify_integrity`.
 
-Checks performed:
+Codes (``DB005`` and ``DB006`` are retired and never reused):
 
-1. every catalog edited image appears in exactly one BWM component, and
-   its placement matches its classification (bound-widening with a
-   binary base -> Main; anything else -> Unclassified);
-2. every BWM entry refers to a catalog record of the right format;
-3. derivation links agree with the stored sequences' base references;
-4. every referenced id (bases, Merge targets) exists, every Merge
-   target lists the merging image among its referrers, and the
-   reference graph is acyclic;
-5. stored histograms match their raster (full recomputation — the
-   expensive check, skippable).
+``DB001`` dangling reference
+    An edited image's base or Merge target names an id the catalog does
+    not hold; a BOUNDS walk for the image would fail at query time.
+``DB002`` reference cycle
+    The base + Merge-target graph has a cycle; a BOUNDS walk could
+    never terminate.
+``DB003`` size underflow
+    A geometry-only replay of the sequence (the Table 1 dimension
+    formulas without the intervals) hits a Merge on an empty Defined
+    Region or a zero-pixel image: the rules are inapplicable.
+``DB004`` BWM placement
+    A filing contradicts Figure 1's classification (bound-widening with
+    a binary base -> Main under that base; anything else ->
+    Unclassified), an edited image is missing or filed twice, a listed
+    id is no catalog edited image, or a cluster key is not binary.  A
+    non-widening image in Main makes the Figure 2 shortcut unsound.
+``DB008`` derivation and referrer links
+    The catalog's derivation links or referrer map disagree with the
+    stored sequences.
+``DB009`` stored histogram
+    A binary image's stored histogram does not match its raster (full
+    recomputation — the expensive check, skippable).
 
-The placement verdicts of checks 1 and 2 (missing, misplaced, wrong
-cluster, orphan entry), the missing references and the cycles of check 4
-come from :func:`scan_catalog`, the one detector ``repro analyze-db``
-renders its ``DB004`` / ``DB001`` / ``DB002`` findings from as well; the
-rest (duplicate filings, cluster keys, derivation links, the referrer
-map, histograms) is checked here only.
+The reference, cycle, size and placement verdicts come from
+:func:`scan_catalog`; links and histograms are checked in
+:func:`verify_integrity` itself.
 
 :func:`repair` fixes the reparable subset of those problems by
 reconciling the derived structures (BWM, stored histograms) against the
@@ -37,28 +48,32 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.color.histogram import ColorHistogram
 from repro.core.classify import first_non_widening, sequence_is_bound_widening
-from repro.errors import DatabaseError
+from repro.editing.executor import merge_canvas_geometry
+from repro.editing.operations import Define, Merge, Mutate
+from repro.editing.sequence import EditSequence
+from repro.errors import DatabaseError, RuleError
+from repro.images.geometry import Rect, transform_rect_bbox
 
 logger = logging.getLogger(__name__)
 
 
-# ----------------------------------------------------------------------
-# The one detector behind ``repro check`` and ``repro analyze-db``
-# ----------------------------------------------------------------------
-class PlacementVerdict(NamedTuple):
-    """One BWM filing that disagrees with Figure 1, or a catalog edited
-    image with no filing at all."""
+@dataclass(frozen=True)
+class IntegrityProblem:
+    """One defect :func:`verify_integrity` found."""
 
-    image_id: str
-    verdict: str  # "missing" | "misplaced" | "wrong-cluster" | "orphan"
-    component: str  # where it is filed: "Main" | "Unclassified" | "" (missing)
-    cluster: str  # the Main cluster key it is filed under, else ""
-    base_id: str = ""  # what its sequence references (orphans have none)
-    stop: int = -1  # index of its first non-widening operation, -1 for none
+    #: Stable code, ``DB001`` ... ``DB009`` (see the module docstring).
+    code: str
+    #: The image id (or BWM cluster key) the problem is about.
+    location: str
+    #: What is wrong, in one sentence.
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.code} {self.location}: {self.message}"
 
 
 class CatalogScan(NamedTuple):
@@ -69,20 +84,22 @@ class CatalogScan(NamedTuple):
     dangling: List[Tuple[str, str, str]]
     #: id paths along base + Merge-target edges, first id == last id
     cycles: List[List[str]]
-    placements: List[PlacementVerdict]
+    #: (edited id, what underflows at which operation)
+    underflows: List[Tuple[str, str]]
+    #: (image id or cluster key, how its BWM filing contradicts Figure 1)
+    placements: List[Tuple[str, str]]
 
 
 def scan_catalog(database: "MultimediaDatabase") -> CatalogScan:  # noqa: F821
-    """Dangling references, reference cycles and BWM placement verdicts
-    (rendered by :func:`verify_integrity` and by
-    :func:`repro.analysis.catalog_lint.analyze_database`)."""
+    """Dangling references, reference cycles, size underflows and BWM
+    placement problems: ``DB001`` – ``DB004`` of :func:`verify_integrity`."""
     catalog = database.catalog
     binary_ids = set(catalog.binary_ids())
     sequences = {
         image_id: catalog.sequence_of(image_id)
         for image_id in sorted(catalog.edited_ids())
     }
-    scan = CatalogScan([], [], [])
+    scan = CatalogScan([], [], [], [])
 
     for image_id, sequence in sequences.items():
         for referenced in sequence.referenced_ids():
@@ -111,143 +128,239 @@ def scan_catalog(database: "MultimediaDatabase") -> CatalogScan:  # noqa: F821
         if state[image_id] == WHITE:
             visit(image_id, [])
 
-    # One verdict per filing, not per image: an id the structure lists
-    # twice is judged in each place (the double filing itself is
-    # verify_integrity's to report).
+    # A dangling or cyclic image's size is unknowable, and already reported.
+    unknowable = {image_id for image_id, _, _ in scan.dangling}
+    unknowable.update(image_id for cycle in scan.cycles for image_id in cycle)
+    scan.underflows.extend(
+        _size_underflows(catalog, sequences, binary_ids, unknowable)
+    )
+
+    def misfiled(image_id: str, problem: str) -> None:
+        scan.placements.append((image_id, problem))
+
     structure = database.bwm_structure
     # id -> every (component, cluster key) that lists it
     filings: Dict[str, List[Tuple[str, str]]] = {}
+    in_main: Set[str] = set()
     for base_id, cluster in structure.clusters():
+        if base_id not in binary_ids:
+            misfiled(base_id, f"BWM Main cluster key {base_id!r} is not a binary image")
         for edited_id in cluster:
+            if edited_id in in_main:
+                misfiled(edited_id, f"edited image {edited_id!r} in two Main clusters")
+            in_main.add(edited_id)
             filings.setdefault(edited_id, []).append(("Main", base_id))
     for edited_id in structure.unclassified:
+        if edited_id in in_main:
+            misfiled(edited_id, f"edited image {edited_id!r} in both components")
         filings.setdefault(edited_id, []).append(("Unclassified", ""))
+
+    # One verdict per filing, not per image: an id filed twice is judged
+    # in each place, and naming the cluster keeps those lines apart.
+    def where(component: str, cluster: str) -> str:
+        return f"Main cluster {cluster!r}" if cluster else component
+
     for image_id, sequence in sequences.items():
         stop = first_non_widening(sequence)
         should_be_main = stop == -1 and sequence.base_id in binary_ids
         for component, cluster in filings.pop(image_id, [("", "")]):
             if not component:
-                verdict = "missing"
-            elif (component == "Main") != should_be_main:
-                verdict = "misplaced"
-            elif component == "Main" and cluster != sequence.base_id:
-                verdict = "wrong-cluster"
-            else:
+                missing = f"edited image {image_id!r} missing from the BWM structure"
+                misfiled(image_id, missing)
                 continue
-            scan.placements.append(
-                PlacementVerdict(
-                    image_id, verdict, component, cluster, sequence.base_id, stop
+            if (component == "Main") != should_be_main:
+                wanted = "Main"
+                if component == "Main" and stop == -1:
+                    wanted = f"Unclassified: base {sequence.base_id!r} is not binary"
+                elif component == "Main":
+                    op = type(sequence.operations[stop]).__name__
+                    wanted = (
+                        f"Unclassified: operation {stop} ({op}) is not bound-widening"
+                    )
+                misfiled(
+                    image_id,
+                    f"edited image {image_id!r} misplaced in "
+                    f"{where(component, cluster)} (classification says {wanted})",
                 )
-            )
+            if component == "Main" and cluster != sequence.base_id:
+                misfiled(
+                    image_id,
+                    f"edited image {image_id!r} filed under the wrong cluster "
+                    f"{cluster!r}",
+                )
     for orphan_id, listed in sorted(filings.items()):
         for component, cluster in listed:
-            scan.placements.append(
-                PlacementVerdict(orphan_id, "orphan", component, cluster)
+            misfiled(
+                orphan_id,
+                f"BWM {where(component, cluster)} member {orphan_id!r} is not a "
+                f"catalog edited image",
             )
     return scan
+
+
+def _size_underflows(
+    catalog: "Catalog",  # noqa: F821
+    sequences: Dict[str, EditSequence],
+    binary_ids: Set[str],
+    skip: Set[str],
+) -> List[Tuple[str, str]]:
+    """``(image id, problem)`` for every sequence whose geometry-only
+    replay underflows.
+
+    An image whose size is unknowable — ``skip``ped, or referencing one
+    that is (or whose own walk underflows) — is not reported: the root
+    cause carries its own problem.
+    """
+    # id -> final (height, width), the underflow message, or None while
+    # being walked / when unknowable (which also stops cycles).
+    outcomes: Dict[str, Union[Tuple[int, int], str, None]] = {}
+
+    def dims_of(image_id: str) -> Optional[Tuple[int, int]]:
+        if image_id not in outcomes:
+            outcomes[image_id] = None
+            if image_id in binary_ids:
+                image = catalog.binary_record(image_id).image
+                outcomes[image_id] = (image.height, image.width)
+            elif image_id in sequences and image_id not in skip:
+                outcomes[image_id] = walk(sequences[image_id])
+        outcome = outcomes[image_id]
+        return outcome if isinstance(outcome, tuple) else None
+
+    def walk(sequence: EditSequence) -> Union[Tuple[int, int], str, None]:
+        base_dims = dims_of(sequence.base_id)
+        if base_dims is None:
+            return None
+        height, width = base_dims
+        dr = Rect(0, 0, height, width)
+        for index, op in enumerate(sequence.operations):
+            if isinstance(op, Define):
+                dr = op.rect.clip(height, width)
+            elif isinstance(op, Mutate):
+                if dr.is_empty:
+                    continue
+                image_bounds = Rect(0, 0, height, width)
+                if (
+                    op.is_whole_image_scale(dr, image_bounds)
+                    and op.matrix.is_integer_scale()
+                ):
+                    height *= int(round(op.matrix.m11))
+                    width *= int(round(op.matrix.m22))
+                    dr = Rect(0, 0, height, width)
+                else:
+                    try:
+                        dr = transform_rect_bbox(dr, op.matrix).clip(height, width)
+                    except RuleError:
+                        return f"untransformable DR at op {index}"
+            elif isinstance(op, Merge):
+                if dr.is_empty:
+                    return (
+                        f"Merge at op {index} applies to an empty Defined "
+                        f"Region (size underflow)"
+                    )
+                if op.is_crop:
+                    height, width = dr.height, dr.width
+                else:
+                    target_dims = dims_of(op.target_id)
+                    if target_dims is None:
+                        return None
+                    height, width, _, _ = merge_canvas_geometry(
+                        dr.height, dr.width, *target_dims, op.x, op.y
+                    )
+                dr = Rect(0, 0, height, width)
+            # Combine / Modify never change the geometry.
+            if height <= 0 or width <= 0:
+                return f"zero-size image after op {index} ({height}x{width})"
+        return (height, width)
+
+    underflows = []
+    for image_id in sequences:
+        dims_of(image_id)
+        outcome = outcomes[image_id]
+        if isinstance(outcome, str):
+            underflows.append((image_id, outcome))
+    return underflows
 
 
 def verify_integrity(
     database: "MultimediaDatabase",  # noqa: F821 - facade type, avoids import cycle
     recompute_histograms: bool = True,
-) -> List[str]:
+) -> List[IntegrityProblem]:
     """Cross-check the database's structures; returns found problems."""
-    problems: List[str] = []
     catalog = database.catalog
-    structure = database.bwm_structure
     scan = scan_catalog(database)
+    problems = [
+        IntegrityProblem(
+            "DB001",
+            edited_id,
+            f"edited image {edited_id!r} references missing {kind} {referenced!r}",
+        )
+        for edited_id, referenced, kind in scan.dangling
+    ]
+    problems += [
+        IntegrityProblem("DB002", cycle[0], f"reference cycle: {' -> '.join(cycle)}")
+        for cycle in scan.cycles
+    ]
+    problems += [IntegrityProblem("DB003", *found) for found in scan.underflows]
+    problems += [IntegrityProblem("DB004", *found) for found in scan.placements]
+
+    def report(code: str, location: str, message: str) -> None:
+        problems.append(IntegrityProblem(code, location, message))
 
     binary_ids = set(catalog.binary_ids())
     edited_ids = set(catalog.edited_ids())
 
-    # --- 1 & 2: BWM component placement matches classification --------
-    main_members: Set[str] = set()
-    for base_id, cluster in structure.clusters():
-        if base_id not in binary_ids:
-            problems.append(f"BWM Main cluster key {base_id!r} is not a binary image")
-        for edited_id in cluster:
-            if edited_id in main_members:
-                problems.append(f"edited image {edited_id!r} in two Main clusters")
-            main_members.add(edited_id)
-    both = main_members.intersection(structure.unclassified)
-    if both:
-        problems.append(f"images in both components: {sorted(both)}")
-    for placed in scan.placements:
-        image_id = placed.image_id
-        # One verdict per filing: naming the cluster keeps the lines of
-        # an id filed under two Main clusters apart.
-        where = placed.component
-        if placed.component == "Main":
-            where = f"Main cluster {placed.cluster!r}"
-        if placed.verdict == "missing":
-            problems.append(f"edited image {image_id!r} missing from the BWM structure")
-        elif placed.verdict == "orphan":
-            problems.append(
-                f"BWM {where} member {image_id!r} is not a catalog edited image"
-            )
-        else:
-            if placed.verdict == "misplaced":
-                wanted = "Unclassified" if placed.component == "Main" else "Main"
-                problems.append(
-                    f"edited image {image_id!r} misplaced in {where} "
-                    f"(classification says {wanted})"
-                )
-            if placed.component == "Main" and placed.cluster != placed.base_id:
-                problems.append(
-                    f"edited image {image_id!r} filed under the wrong cluster "
-                    f"{placed.cluster!r}"
-                )
-
-    # --- 3: derivation links match sequences ---------------------------
+    # --- DB008: derivation links and referrers match sequences ----------
     for base_id in binary_ids | edited_ids:
         for child_id in catalog.derived_from(base_id):
             if child_id not in edited_ids:
-                problems.append(
-                    f"derivation link {base_id!r} -> {child_id!r} dangles"
+                report(
+                    "DB008",
+                    child_id,
+                    f"derivation link {base_id!r} -> {child_id!r} dangles",
                 )
             elif catalog.sequence_of(child_id).base_id != base_id:
-                problems.append(
+                report(
+                    "DB008",
+                    child_id,
                     f"derivation link {base_id!r} -> {child_id!r} disagrees "
-                    "with the stored sequence"
+                    "with the stored sequence",
                 )
     for edited_id in edited_ids:
-        base_id = catalog.sequence_of(edited_id).base_id
-        if not catalog.contains(base_id):
-            continue  # a missing reference: check 4 reports it
-        if edited_id not in catalog.derived_from(base_id):
-            problems.append(
-                f"sequence of {edited_id!r} references {base_id!r} but the "
-                "derivation link is missing"
-            )
-
-    # --- 4: references exist and the graph is acyclic ------------------
-    for edited_id, referenced, _ in scan.dangling:
-        problems.append(
-            f"edited image {edited_id!r} references missing {referenced!r}"
-        )
-    for edited_id in edited_ids:
         sequence = catalog.sequence_of(edited_id)
+        base_id = sequence.base_id
+        # A missing base is DB001's to report.
+        if catalog.contains(base_id) and edited_id not in catalog.derived_from(
+            base_id
+        ):
+            report(
+                "DB008",
+                edited_id,
+                f"sequence of {edited_id!r} references {base_id!r} but the "
+                "derivation link is missing",
+            )
         for target in sequence.merge_targets():
             if (
-                target != sequence.base_id  # base links: check 3
+                target != base_id  # base links: checked above
                 and catalog.contains(target)
                 and edited_id not in catalog.referrers(target)
             ):
-                problems.append(
+                report(
+                    "DB008",
+                    edited_id,
                     f"edited image {edited_id!r} is not listed among the "
-                    f"referrers of Merge target {target!r}"
+                    f"referrers of Merge target {target!r}",
                 )
-    for cycle in scan.cycles:
-        problems.append(f"reference cycle: {' -> '.join(cycle)}")
 
-    # --- 5: histograms match rasters ------------------------------------
+    # --- DB009: histograms match rasters ---------------------------------
     if recompute_histograms:
         for image_id in binary_ids:
             record = catalog.binary_record(image_id)
             recomputed = ColorHistogram.of_image(record.image, database.quantizer)
             if recomputed != record.histogram:
-                problems.append(
-                    f"stored histogram of {image_id!r} does not match its raster"
+                report(
+                    "DB009",
+                    image_id,
+                    f"stored histogram of {image_id!r} does not match its raster",
                 )
 
     return problems
@@ -258,7 +371,7 @@ def require_integrity(database: "MultimediaDatabase") -> None:  # noqa: F821
     problems = verify_integrity(database)
     if problems:
         raise DatabaseError(
-            "integrity check failed:\n  " + "\n  ".join(problems)
+            "integrity check failed:\n  " + "\n  ".join(map(str, problems))
         )
 
 
@@ -272,12 +385,12 @@ class RepairReport:
     ``actions`` lists every applied fix; ``remaining`` is the
     post-repair :func:`verify_integrity` output — non-empty only for
     irreparable damage (catalog-level inconsistencies such as broken
-    derivation links, missing references, or reference cycles, which
-    have no safe automatic fix).
+    derivation links, missing references, reference cycles or size
+    underflows, which have no safe automatic fix).
     """
 
     actions: List[str] = field(default_factory=list)
-    remaining: List[str] = field(default_factory=list)
+    remaining: List[IntegrityProblem] = field(default_factory=list)
 
     def note(self, action: str) -> None:
         """Record one applied fix (and warn: repairs mean prior damage)."""
@@ -316,7 +429,7 @@ def repair(
       duplicated entries re-filed between Main and Unclassified.
 
     Catalog-level damage (broken derivation links, references to missing
-    images, cycles) is *not* touched — inventing or deleting primary
+    images, cycles, size underflows) is *not* touched — inventing or deleting primary
     data is an operator decision — and shows up in ``remaining``.
     """
     report = RepairReport()

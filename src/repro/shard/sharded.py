@@ -53,6 +53,7 @@ import threading
 import time
 from collections import deque
 from contextlib import ExitStack
+from dataclasses import replace
 from heapq import merge as heap_merge
 from itertools import islice
 from pathlib import Path
@@ -76,6 +77,7 @@ from repro.color.quantization import UniformQuantizer
 from repro.core.query import ConjunctiveQuery, QueryResult, QueryStats, RangeQuery
 from repro.db.database import MultimediaDatabase
 from repro.db.durable import NoFaults
+from repro.db.integrity import IntegrityProblem
 from repro.db.persistence import (
     SHARD_MANIFEST_NAME,
     has_committed_state,
@@ -385,12 +387,106 @@ class ShardedCatalog:
         return index
 
     def placement(self) -> Dict[str, int]:
-        """A snapshot of the id -> shard map (for the DB007 verifier)."""
+        """A snapshot of the id -> shard map."""
         return dict(self._placement)
 
     def shard_database(self, index: int) -> MultimediaDatabase:
-        """Direct access to one shard's database (verifier / tests)."""
+        """Direct access to one shard's database (checker / tests)."""
         return self._shards[index].database
+
+    def verify_integrity(
+        self, recompute_histograms: bool = True
+    ) -> List[IntegrityProblem]:
+        """Every shard's :func:`~repro.db.integrity.verify_integrity`,
+        each location prefixed with its shard's directory name, plus the
+        ``DB007`` routing check."""
+        problems = [
+            replace(problem, location=f"{shard_dirname(index)}/{problem.location}")
+            for index in range(self.shard_count)
+            for problem in self.shard_database(index).verify_integrity(
+                recompute_histograms
+            )
+        ]
+        return problems + self._routing_problems()
+
+    def _routing_problems(self) -> List[IntegrityProblem]:
+        """``DB007``: the routing invariants, re-derived from the shard
+        databases rather than trusted from the placement map.
+
+        1. every binary image sits on its hash shard;
+        2. the placement map and the shards' holdings agree both ways;
+        3. no edited image's base or Merge target resolves to another
+           shard, or to none — *dangling after routing*: every per-shard
+           ``DB001`` check passes, yet a scatter-gathered BOUNDS walk
+           would fail.
+        """
+        problems: List[IntegrityProblem] = []
+
+        def report(image_id: str, message: str) -> None:
+            problems.append(IntegrityProblem("DB007", image_id, message))
+
+        holdings: Dict[str, int] = {}
+        for index in range(self.shard_count):
+            catalog = self.shard_database(index).catalog
+            for image_id in catalog.binary_ids():
+                holdings[image_id] = index
+                expected = hash_shard(image_id, self.shard_count)
+                if expected != index:
+                    report(
+                        image_id,
+                        f"binary image stored on shard {index} but its id "
+                        f"hashes to shard {expected}; WAL replay in a fresh "
+                        f"process would route it elsewhere",
+                    )
+            for image_id in catalog.edited_ids():
+                holdings[image_id] = index
+
+        placement = self.placement()
+        for image_id, index in sorted(placement.items()):
+            actual = holdings.get(image_id)
+            if actual != index:
+                report(
+                    image_id,
+                    f"placement map says shard {index} but the record "
+                    + (
+                        f"actually lives on shard {actual}"
+                        if actual is not None
+                        else "is not held by any shard"
+                    ),
+                )
+        for image_id, index in sorted(holdings.items()):
+            if image_id not in placement:
+                report(
+                    image_id,
+                    f"shard {index} holds this record but the router's "
+                    f"placement map does not know it; routed reads "
+                    f"(instantiate, delete) would raise UnknownObjectError",
+                )
+
+        for index in range(self.shard_count):
+            catalog = self.shard_database(index).catalog
+            for image_id in sorted(catalog.edited_ids()):
+                sequence = catalog.sequence_of(image_id)
+                for referenced in sequence.referenced_ids():
+                    resolved = holdings.get(referenced)
+                    if resolved == index:
+                        continue
+                    kind = (
+                        "base" if referenced == sequence.base_id else "Merge target"
+                    )
+                    report(
+                        image_id,
+                        f"{kind} reference {referenced!r} "
+                        + (
+                            f"resolves to shard {resolved}, not this image's "
+                            f"shard {index}"
+                            if resolved is not None
+                            else "resolves to no shard at all"
+                        )
+                        + " — dangling after routing; a scatter-gathered "
+                        "BOUNDS walk would fail",
+                    )
+        return problems
 
     def _route_sequence(self, sequence: EditSequence) -> _Shard:
         """The single shard every referenced image lives on."""

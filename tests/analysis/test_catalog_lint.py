@@ -1,5 +1,6 @@
-"""Catalog verifier: clean on healthy databases, catches every seeded
-defect class with its exact code."""
+"""The catalog checker (:func:`repro.db.integrity.verify_integrity`):
+clean on healthy databases, catches every seeded defect class with its
+exact code."""
 
 from __future__ import annotations
 
@@ -8,10 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analysis import Severity, analyze_database
 from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
-from repro.db.records import EditedImageRecord
+from repro.db.integrity import scan_catalog, verify_integrity
 from repro.editing.operations import Combine, Define, Merge, Mutate
 from repro.editing.sequence import EditSequence
 from repro.images.geometry import Rect
@@ -23,6 +23,10 @@ IDENTITY_WEIGHTS = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 def _image(rng, height=8, width=8) -> Image:
     pixels = rng.integers(0, 256, size=(height, width, 3)).astype(np.uint8)
     return Image(pixels)
+
+
+def _by_code(database, code):
+    return [p for p in verify_integrity(database) if p.code == code]
 
 
 def _replace_sequence(database, image_id, sequence) -> None:
@@ -54,14 +58,12 @@ def db():
 class TestHealthyDatabase:
     def test_no_errors(self, db):
         database, _, _ = db
-        report = analyze_database(database)
-        assert report.ok
-        assert not report.by_severity(Severity.ERROR)
-        assert report.subjects_examined == 2
+        assert len(database) == 2
+        assert verify_integrity(database) == []
 
     def test_small_database_fixture_clean(self, small_database):
-        report = analyze_database(small_database)
-        assert report.ok, report.describe()
+        problems = verify_integrity(small_database)
+        assert problems == [], "\n".join(map(str, problems))
 
 
 class TestDanglingReference:
@@ -73,10 +75,9 @@ class TestDanglingReference:
             edited,
             EditSequence(base_id="ghost", operations=record.sequence.operations),
         )
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB001")
+        findings = _by_code(database, "DB001")
         assert [f.location for f in findings] == [edited]
-        assert findings[0].details["referenced"] == "ghost"
+        assert "missing base 'ghost'" in findings[0].message
 
     def test_dangling_merge_target(self, db):
         database, base, edited = db
@@ -88,9 +89,9 @@ class TestDanglingReference:
                 operations=(Define(Rect(0, 0, 4, 4)), Merge("nowhere", 0, 0)),
             ),
         )
-        report = analyze_database(database, with_prune_power=False)
-        assert report.by_code("DB001")
-        assert "Merge target" in report.by_code("DB001")[0].message
+        findings = _by_code(database, "DB001")
+        assert findings
+        assert "missing Merge target 'nowhere'" in findings[0].message
 
 
 class TestMergeCycle:
@@ -110,10 +111,9 @@ class TestMergeCycle:
                 operations=(Define(Rect(0, 0, 4, 4)), Merge(e2, 0, 0)),
             ),
         )
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB002")
+        findings = _by_code(database, "DB002")
         assert len(findings) == 1
-        assert set(findings[0].details["cycle"]) >= {e1, e2}
+        assert e1 in findings[0].message and e2 in findings[0].message
 
     def test_self_cycle(self, db):
         database, _, edited = db
@@ -122,8 +122,7 @@ class TestMergeCycle:
             edited,
             EditSequence(base_id=edited, operations=(Combine(IDENTITY_WEIGHTS),)),
         )
-        report = analyze_database(database, with_prune_power=False)
-        assert report.by_code("DB002")
+        assert _by_code(database, "DB002")
 
 
 class TestSizeUnderflow:
@@ -139,10 +138,9 @@ class TestSizeUnderflow:
                 operations=(Define(Rect(20, 20, 24, 24)), Merge(None)),
             ),
         )
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB003")
+        findings = _by_code(database, "DB003")
         assert findings and findings[0].location == edited
-        assert findings[0].details["op_index"] == 1
+        assert findings[0].message.startswith("Merge at op 1 ")
 
     def test_underflow_not_reported_for_dangling(self, db):
         # An unknowable size (dangling base) must not double-report.
@@ -152,25 +150,22 @@ class TestSizeUnderflow:
             edited,
             EditSequence(base_id="ghost", operations=(Merge(None),)),
         )
-        report = analyze_database(database, with_prune_power=False)
-        assert report.by_code("DB001")
-        assert not report.by_code("DB003")
+        assert _by_code(database, "DB001")
+        assert not _by_code(database, "DB003")
 
 
 class TestBWMPlacement:
     def test_missing_edited_image(self, db):
         database, _, edited = db
         database.bwm_structure.remove_edited(edited)
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB004")
+        findings = _by_code(database, "DB004")
         assert findings and "missing" in findings[0].message
 
     def test_widening_image_left_unclassified(self, db):
         database, _, edited = db
         database.bwm_structure.remove_edited(edited)
         database.bwm_structure.unclassified.append(edited)
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB004")
+        findings = _by_code(database, "DB004")
         assert findings and "Unclassified" in findings[0].message
 
     def test_non_widening_image_filed_main(self, db):
@@ -185,77 +180,41 @@ class TestBWMPlacement:
                 operations=(Define(Rect(0, 0, 4, 4)), Mutate.scale(1.5)),
             ),
         )
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB004")
+        findings = _by_code(database, "DB004")
         assert findings
         assert "not bound-widening" in findings[0].message
 
     def test_stale_structure_entry(self, db):
         database, base, _ = db
         database.bwm_structure.unclassified.append("phantom-1")
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB004")
+        findings = _by_code(database, "DB004")
         assert any(f.location == "phantom-1" for f in findings)
 
 
+class TestLinks:
+    def test_missing_referrer(self, db):
+        database, base, edited = db
+        merging = database.insert_edited(
+            EditSequence(
+                base_id=base,
+                operations=(Define(Rect(0, 0, 4, 4)), Merge(edited, 0, 0)),
+            )
+        )
+        database.catalog._merge_users[edited].remove(merging)
+        findings = _by_code(database, "DB008")
+        assert [f.location for f in findings] == [merging]
+        assert "referrers of Merge target" in findings[0].message
+
+
 class TestDependencyGraph:
-    def test_stale_edge_detected(self, db):
+    def test_clean_after_invalidation(self, db):
+        # The engine's edge contract: an edge names a reference of a
+        # stored dependent, so deleting the dependent scrubs its edges.
         database, base, edited = db
         database.engine.fraction_bounds_all_bins(edited)
         assert database.engine.dependency_edges() == [(base, edited)]
-        record = database.catalog.edited_record(edited)
-        other = database.insert_image(_image(np.random.default_rng(3)))
-        _replace_sequence(
-            database,
-            edited,
-            EditSequence(base_id=other, operations=record.sequence.operations),
-        )
-        report = analyze_database(database, with_prune_power=False)
-        findings = report.by_code("DB005")
-        assert findings and findings[0].details["referenced"] == base
-
-    def test_edge_for_unknown_dependent(self, db):
-        database, base, edited = db
-        database.engine._dependents.setdefault(base, set()).add("phantom-9")
-        report = analyze_database(database, with_prune_power=False)
-        assert any(
-            f.location == "phantom-9" for f in report.by_code("DB005")
-        )
-
-    def test_clean_after_invalidation(self, db):
-        database, base, edited = db
-        database.engine.fraction_bounds_all_bins(edited)
         database.delete_edited(edited)
-        report = analyze_database(database, with_prune_power=False)
-        assert not report.by_code("DB005")
-
-
-class TestVacuousBounds:
-    def test_whole_image_combine_is_vacuous(self, db):
-        database, base, _ = db
-        vacuous = database.insert_edited(
-            EditSequence(
-                base_id=base,
-                operations=(Define(Rect(0, 0, 8, 8)), Combine(IDENTITY_WEIGHTS)),
-            )
-        )
-        report = analyze_database(database)
-        findings = report.by_code("DB006")
-        assert any(f.location == vacuous for f in findings)
-        # Diagnostics, not defects: the report still gates clean.
-        assert report.ok
-        assert all(f.severity is Severity.INFO for f in findings)
-
-    def test_prune_power_skippable(self, db):
-        database, base, _ = db
-        database.insert_edited(
-            EditSequence(
-                base_id=base,
-                operations=(Define(Rect(0, 0, 8, 8)), Combine(IDENTITY_WEIGHTS)),
-            )
-        )
-        report = analyze_database(database, with_prune_power=False)
-        assert not report.by_code("DB006")
+        assert database.engine.dependency_edges() == []
 
 
 def _plant_dangling_base(database, base, edited):
@@ -296,6 +255,18 @@ def _plant_two_node_cycle(database, base, edited):
     return edited
 
 
+def _plant_merge_on_empty_dr(database, base, edited):
+    _replace_sequence(
+        database,
+        edited,
+        EditSequence(
+            base_id=base,
+            operations=(Define(Rect(20, 20, 24, 24)), Merge(None)),
+        ),
+    )
+    return edited
+
+
 def _plant_non_widening_in_main(database, base, edited):
     _replace_sequence(
         database,
@@ -314,15 +285,25 @@ def _plant_widening_in_unclassified(database, base, edited):
     return edited
 
 
+def _plant_non_binary_cluster_key(database, base, edited):
+    database.bwm_structure.main[edited] = []
+    return edited
+
+
+def _plant_both_components(database, base, edited):
+    database.bwm_structure.unclassified.append(edited)
+    return edited
+
+
 def _plant_orphan_entry(database, base, edited):
     database.bwm_structure.unclassified.append("phantom-1")
     return "phantom-1"
 
 
 class TestAgreesWithVerifyIntegrity:
-    """``repro analyze-db`` and ``repro check`` render DB001 / DB002 /
-    DB004 and their problem strings from one scan, so a planted defect
-    shows up in both, under the same id."""
+    """:func:`verify_integrity` renders DB001 – DB004 from one
+    :func:`scan_catalog`, so a planted defect shows up in both, under
+    the same id."""
 
     @pytest.mark.parametrize(
         "plant, code, found_by, problem",
@@ -330,6 +311,7 @@ class TestAgreesWithVerifyIntegrity:
             (_plant_dangling_base, "DB001", "dangling", "references missing"),
             (_plant_dangling_merge_target, "DB001", "dangling", "references missing"),
             (_plant_two_node_cycle, "DB002", "cycles", "reference cycle"),
+            (_plant_merge_on_empty_dr, "DB003", "underflows", "empty Defined Region"),
             (_plant_non_widening_in_main, "DB004", "placements", "misplaced in Main"),
             (
                 _plant_widening_in_unclassified,
@@ -338,22 +320,27 @@ class TestAgreesWithVerifyIntegrity:
                 "misplaced in Unclassified",
             ),
             (_plant_orphan_entry, "DB004", "placements", "not a catalog edited image"),
+            (
+                _plant_non_binary_cluster_key,
+                "DB004",
+                "placements",
+                "is not a binary image",
+            ),
+            (_plant_both_components, "DB004", "placements", "in both components"),
         ],
     )
     def test_planted_defect_reported_by_both(self, db, plant, code, found_by, problem):
-        from repro.db.integrity import scan_catalog, verify_integrity
-
         database, base, edited = db
         planted = plant(database, base, edited)
         scanned = getattr(scan_catalog(database), found_by)
-        # A cycle is an id path; the other two lead with the offending id.
+        # A cycle is an id path; the others lead with the offending id.
         assert any(
             planted in (found if found_by == "cycles" else found[:1])
             for found in scanned
         )
-        findings = analyze_database(database, with_prune_power=False).by_code(code)
+        findings = _by_code(database, code)
         assert planted in [finding.location for finding in findings]
         assert any(
-            problem in line and planted in line
-            for line in verify_integrity(database)
+            problem in finding.message and finding.location == planted
+            for finding in findings
         )

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.catalog_lint import analyze_database
 from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
@@ -439,7 +438,15 @@ class TestCachedDatabaseIsTheUncachedOne:
             assert cached.bounds(image_id, bin_index) == plain.bounds(
                 image_id, bin_index
             )
-        assert not analyze_database(cached, with_prune_power=False).by_code("DB005")
+        # Every learned dependency edge holds against the live catalog:
+        # the dependent is a stored edited image whose sequence references
+        # ``referenced``, and ``referenced`` is stored.
+        catalog = cached.catalog
+        edited = set(catalog.edited_ids())
+        for referenced, dependent in cached.engine.dependency_edges():
+            assert dependent in edited
+            assert referenced in catalog.sequence_of(dependent).referenced_ids()
+            assert catalog.contains(referenced)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

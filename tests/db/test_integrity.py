@@ -1,4 +1,5 @@
-"""Unit tests for the integrity checker, including injected corruption."""
+"""Unit tests for the integrity checker, including injected corruption:
+every problem carries its stable code."""
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestInjectedCorruption:
         victim = cluster.pop()
         database.bwm_structure.unclassified.append(victim)
         problems = verify_integrity(database)
-        assert any("misplaced" in p for p in problems)
+        assert any(p.code == "DB004" and "misplaced" in p.message for p in problems)
 
     def test_id_filed_twice_yields_distinguishable_lines(self, database):
         """One verdict per filing: a non-widening image planted under two
@@ -64,12 +65,13 @@ class TestInjectedCorruption:
         misplaced = [
             p
             for p in verify_integrity(database)
-            if "misplaced in Main" in p and repr(victim) in p
+            if "misplaced in Main" in p.message and p.location == victim
         ]
         assert len(misplaced) == 2
         assert len(set(misplaced)) == 2
-        assert any(repr(first) in p for p in misplaced)
-        assert any(repr(second) in p for p in misplaced)
+        assert all(p.code == "DB004" for p in misplaced)
+        assert any(repr(first) in p.message for p in misplaced)
+        assert any(repr(second) in p.message for p in misplaced)
         problems = verify_integrity(database)
         assert len(problems) == len(set(problems))
 
@@ -77,20 +79,26 @@ class TestInjectedCorruption:
         victim = next(iter(database.catalog.edited_ids()))
         database.bwm_structure.remove_edited(victim)
         problems = verify_integrity(database)
-        assert any("missing from the BWM structure" in p for p in problems)
+        assert any(
+            p.code == "DB004" and "missing from the BWM structure" in p.message
+            for p in problems
+        )
 
     def test_dangling_unclassified_detected(self, database):
         database.bwm_structure.unclassified.append("ghost-1")
         database.bwm_structure._edited_location["ghost-1"] = ""
         problems = verify_integrity(database)
-        assert any("ghost-1" in p for p in problems)
+        assert any(p.code == "DB004" and p.location == "ghost-1" for p in problems)
 
     def test_corrupted_raster_detected(self, database):
         base = next(iter(database.catalog.binary_ids()))
         record = database.catalog.binary_record(base)
         record.image.pixels[0, 0] = (record.image.pixels[0, 0] + 100) % 255
         problems = verify_integrity(database)
-        assert any("does not match its raster" in p for p in problems)
+        assert any(
+            p.code == "DB009" and "does not match its raster" in p.message
+            for p in problems
+        )
         # ...and the cheap mode misses exactly this class of problem.
         assert verify_integrity(database, recompute_histograms=False) == []
 
@@ -99,7 +107,10 @@ class TestInjectedCorruption:
         base = database.catalog.edited_record(edited).base_id
         database.catalog._children[base].remove(edited)
         problems = verify_integrity(database)
-        assert any("derivation link is missing" in p for p in problems)
+        assert any(
+            p.code == "DB008" and "derivation link is missing" in p.message
+            for p in problems
+        )
 
     def test_require_integrity_raises_with_details(self, database):
         victim = next(iter(database.catalog.edited_ids()))
@@ -115,7 +126,7 @@ class TestRepair:
 
     def _assert_repaired(self, database, expected_fragment):
         problems = verify_integrity(database)
-        assert any(expected_fragment in p for p in problems), problems
+        assert any(expected_fragment in p.message for p in problems), problems
         report = repair(database)
         assert report.actions
         assert report.clean, report.describe()
@@ -184,7 +195,9 @@ class TestRepair:
         database.catalog._children[base].remove(edited)
         report = repair(database)
         assert not report.clean
-        assert any("derivation link is missing" in p for p in report.remaining)
+        assert any(
+            "derivation link is missing" in p.message for p in report.remaining
+        )
         assert "not auto-fixable" in report.describe()
 
     def test_repair_is_idempotent(self, database):

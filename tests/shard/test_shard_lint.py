@@ -1,21 +1,21 @@
 """DB007: shard-routing invariants, proved against seeded defects.
 
-Per-shard DB001–DB006 checks cannot see routing damage: each shard's
-database can be internally consistent while a binary image sits on the
-wrong hash shard, the router's placement map has drifted from the disks,
-or an edited image's dependency chain straddles shards (dangling after
+Per-shard checks cannot see routing damage: each shard's database can
+be internally consistent while a binary image sits on the wrong hash
+shard, the router's placement map has drifted from the disks, or an
+edited image's dependency chain straddles shards (dangling after
 routing).  Every test here seeds exactly that kind of corruption by
 mutating a shard database directly — the defect's very premise — and
-asserts :func:`check_shard_routing` names it.
+asserts :meth:`ShardedCatalog.verify_integrity` names it under DB007.
 """
 
 from __future__ import annotations
 
 import io
+import json
 
-from repro.analysis import check_shard_routing
 from repro.cli import main
-from repro.shard import ShardedCatalog, hash_shard
+from repro.shard import ShardedCatalog, hash_shard, shard_dirname
 
 from tests.shard.conftest import build_mirrored_pair, random_image
 
@@ -24,6 +24,15 @@ def _run_cli(*argv):
     buffer = io.StringIO()
     code = main(list(argv), out=buffer)
     return code, buffer.getvalue()
+
+
+def _routing(sharded):
+    """The DB007 problems of ``sharded`` (histograms are not at issue)."""
+    return [
+        p
+        for p in sharded.verify_integrity(recompute_histograms=False)
+        if p.code == "DB007"
+    ]
 
 
 def _id_hashing_to(shard, shard_count, prefix="seed"):
@@ -39,11 +48,8 @@ class TestCleanCatalog:
     def test_clean_catalog_has_no_findings(self, rng):
         sharded, _, _ = build_mirrored_pair(rng, shard_count=3)
         try:
-            report = check_shard_routing(sharded)
-            assert report.pass_name == "shard"
-            assert report.ok
-            assert len(report) == 0
-            assert report.subjects_examined == len(sharded)
+            assert len(sharded) > 0
+            assert sharded.verify_integrity() == []
         finally:
             sharded.close()
 
@@ -59,10 +65,12 @@ class TestSeededDefects:
                 random_image(rng), image_id=rogue
             )
             sharded._placement[rogue] = 2
-            findings = check_shard_routing(sharded).by_code("DB007")
+            findings = _routing(sharded)
             assert len(findings) == 1
             assert findings[0].location == rogue
-            assert findings[0].details == {"shard": 2, "expected_shard": 0}
+            assert findings[0].message.startswith(
+                "binary image stored on shard 2 but its id hashes to shard 0;"
+            )
         finally:
             sharded.close()
 
@@ -72,12 +80,13 @@ class TestSeededDefects:
             image_id = sharded.insert_image(random_image(rng))
             actual = sharded.shard_of(image_id)
             sharded._placement[image_id] = (actual + 1) % 3
-            findings = check_shard_routing(sharded).by_code("DB007")
-            drift = [
-                f for f in findings if f.details.get("placed_shard") is not None
-            ]
+            findings = _routing(sharded)
+            drift = [f for f in findings if "placement map says" in f.message]
             assert len(drift) == 1
-            assert drift[0].details["actual_shard"] == actual
+            assert drift[0].message == (
+                f"placement map says shard {(actual + 1) % 3} but the record "
+                f"actually lives on shard {actual}"
+            )
         finally:
             sharded.close()
 
@@ -86,7 +95,7 @@ class TestSeededDefects:
         try:
             sharded.insert_image(random_image(rng))
             sharded._placement["ghost-1"] = 0
-            findings = check_shard_routing(sharded).by_code("DB007")
+            findings = _routing(sharded)
             assert len(findings) == 1
             assert findings[0].location == "ghost-1"
             assert "not held by any shard" in findings[0].message
@@ -102,7 +111,7 @@ class TestSeededDefects:
             sharded.shard_database(1).insert_image(
                 random_image(rng), image_id=stray
             )
-            findings = check_shard_routing(sharded).by_code("DB007")
+            findings = _routing(sharded)
             assert len(findings) == 1
             assert findings[0].location == stray
             assert "placement map does not know it" in findings[0].message
@@ -129,14 +138,10 @@ class TestSeededDefects:
             catalog._binary.pop(base)
             catalog._children.pop(base, None)
             sharded._placement.pop(base)
-            findings = check_shard_routing(sharded).by_code("DB007")
-            dangling = [
-                f for f in findings if f.details.get("referenced") == base
-            ]
+            findings = _routing(sharded)
+            dangling = [f for f in findings if repr(base) in f.message]
             assert {f.location for f in dangling} == set(dependents)
-            assert all(
-                f.details["referenced_shard"] is None for f in dangling
-            )
+            assert all("resolves to no shard at all" in f.message for f in dangling)
             assert all("dangling after routing" in f.message for f in dangling)
         finally:
             sharded.close()
@@ -155,19 +160,42 @@ class TestSeededDefects:
             sharded.shard_database(home).catalog._children.pop(base, None)
             sharded.shard_database(other).catalog.add_binary(record)
             sharded._placement[base] = other
-            findings = check_shard_routing(sharded).by_code("DB007")
+            findings = _routing(sharded)
             straddling = [
                 f
                 for f in findings
-                if f.details.get("referenced") == base
-                and f.details.get("referenced_shard") == other
+                if f"{base!r} resolves to shard {other}," in f.message
             ]
             assert straddling, "cross-shard reference must be flagged"
             # The transplanted binary is also off its hash shard.
             assert any(
-                f.details == {"shard": other, "expected_shard": home}
+                f.location == base
+                and f"stored on shard {other} but its id hashes to shard {home};"
+                in f.message
                 for f in findings
             )
+        finally:
+            sharded.close()
+
+
+class TestPerShardProblems:
+    def test_per_shard_problem_names_its_shard(self, rng):
+        sharded, _, _ = build_mirrored_pair(
+            rng, shard_count=3, binary_count=4, edited_count=3
+        )
+        try:
+            home = next(
+                index
+                for index in range(3)
+                if sharded.shard_database(index).catalog.edited_count
+            )
+            database = sharded.shard_database(home)
+            victim = next(iter(database.catalog.edited_ids()))
+            database.bwm_structure.remove_edited(victim)
+            problems = sharded.verify_integrity(recompute_histograms=False)
+            assert [(p.code, p.location) for p in problems] == [
+                ("DB004", f"{shard_dirname(home)}/{victim}")
+            ]
         finally:
             sharded.close()
 
@@ -181,14 +209,15 @@ class TestCLIIntegration:
             sharded.save()
         finally:
             sharded.close()
-        code, output = _run_cli("analyze-db", str(tmp_path))
+        code, output = _run_cli("check", str(tmp_path))
         assert code == 0
         assert "sharded-catalog" in output
+        assert "0 errors" in output
 
     def test_analyze_db_flags_seeded_defect(self, rng, tmp_path):
         # A binary saved on the wrong hash shard survives save/reopen
         # (reopen rebuilds placement from disk, legitimizing everything
-        # *except* the hash invariant), so analyze-db must flag it.
+        # *except* the hash invariant), so check must flag it.
         root = tmp_path / "rogue"
         rogue = ShardedCatalog(2, root=root)
         try:
@@ -199,7 +228,10 @@ class TestCLIIntegration:
             rogue.save()
         finally:
             rogue.close()
-        code, output = _run_cli("analyze-db", str(root))
+        code, output = _run_cli("check", str(root), "--json")
         assert code == 2
-        assert "DB007" in output
-        assert victim in output
+        payload = json.loads(output)
+        assert payload["ok"] is False
+        assert [(f["code"], f["location"]) for f in payload["findings"]] == [
+            ("DB007", victim)
+        ]

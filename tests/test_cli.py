@@ -130,7 +130,7 @@ class TestCheck:
         directory, _ = saved_database
         code, output = run_cli("check", str(directory))
         assert code == 0
-        assert "integrity check passed" in output
+        assert "catalog: 32 subjects examined, 0 errors" in output
 
     def test_check_fast_mode(self, saved_database):
         directory, _ = saved_database
@@ -148,9 +148,75 @@ class TestCheck:
         payload[-1] = (payload[-1] + 90) % 256
         victim.write_bytes(bytes(payload))
         # The manifest's per-file checksums catch the damage at load
-        # time, before any recomputed histogram could paper over it.
+        # time, before any recomputed histogram could paper over it:
+        # unrecoverable here (exit 2), as for repair.
         code, _ = run_cli("check", str(corrupted))
-        assert code == 1
+        assert code == 2
+
+    def test_check_reports_size_underflow(self, tmp_path):
+        import dataclasses
+        import json
+
+        from repro.color.quantization import UniformQuantizer
+        from repro.db.database import MultimediaDatabase
+        from repro.db.persistence import save_database
+        from repro.editing.operations import Combine, Define, Merge
+        from repro.editing.sequence import EditSequence
+        from repro.images.geometry import Rect
+
+        rng = np.random.default_rng(3)
+        database = MultimediaDatabase(quantizer=UniformQuantizer(2, "rgb"))
+        base = database.insert_image(make_flag(rng))
+        edited = database.insert_edited(
+            EditSequence(
+                base_id=base,
+                operations=(
+                    Define(Rect(0, 0, 4, 4)),
+                    Combine((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)),
+                ),
+            )
+        )
+        # A Define far outside the image clips to nothing, so the Merge
+        # has an empty Defined Region: Table 1's Merge rule cannot apply.
+        record = database.catalog.edited_record(edited)
+        database.catalog._edited[edited] = dataclasses.replace(
+            record,
+            sequence=EditSequence(
+                base_id=base,
+                operations=(Define(Rect(9000, 9000, 9004, 9004)), Merge(None)),
+            ),
+        )
+        directory = save_database(database, tmp_path / "underflow")
+        code, output = run_cli("check", str(directory), "--json")
+        assert code == 2
+        findings = json.loads(output)["findings"]
+        assert [(f["code"], f["location"]) for f in findings] == [("DB003", edited)]
+        assert "empty Defined Region" in findings[0]["message"]
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "db/data/root_v1",
+            "db/data/root_v2",
+            "db/data/root_v2_bare",
+            "db/data/root_mid_migration",
+            "shard/data/root_pr16",
+        ],
+    )
+    def test_committed_roots_are_clean(self, fixture, tmp_path):
+        import json
+        import shutil
+        from pathlib import Path
+
+        # Check a copy: opening a sharded root appends to its event log.
+        root = tmp_path / "root"
+        shutil.copytree(Path(__file__).parent / fixture, root)
+        code, output = run_cli("check", str(root), "--json")
+        payload = json.loads(output)
+        assert code == 0
+        assert payload["ok"] is True
+        assert payload["findings"] == []
+        assert payload["subjects_examined"] > 0
 
 
 class TestRepair:
@@ -548,9 +614,11 @@ class TestRaceCheck:
 
 
 class TestAnalyzeDb:
+    """The catalog checker's report and exit codes on a plain root."""
+
     def test_healthy_database(self, saved_database):
         directory, _ = saved_database
-        code, output = run_cli("analyze-db", str(directory))
+        code, output = run_cli("check", str(directory))
         assert code == 0
         assert "0 errors" in output
 
@@ -558,16 +626,15 @@ class TestAnalyzeDb:
         import json
 
         directory, _ = saved_database
-        code, output = run_cli(
-            "analyze-db", str(directory), "--no-prune-power", "--json"
-        )
+        code, output = run_cli("check", str(directory), "--fast", "--json")
         assert code == 0
         payload = json.loads(output)
         assert payload["ok"] is True
         assert payload["pass"] == "catalog"
+        assert payload["findings"] == []
 
     def test_missing_directory(self, tmp_path):
-        code, _ = run_cli("analyze-db", str(tmp_path / "nope"))
+        code, _ = run_cli("check", str(tmp_path / "nope"))
         assert code == 1
 
 
