@@ -29,8 +29,8 @@ import logging as _logging
 
 # Standard library etiquette: a library never configures logging for the
 # application.  The NullHandler stops the root logger's last-resort
-# handler from spraying our warnings (salvage, repair, load shedding,
-# slow queries) onto stderr; applications opt in with a real handler —
+# handler from spraying our warnings (salvage, repair, load shedding)
+# onto stderr; applications opt in with a real handler —
 # the CLI's ``-v/--verbose`` flag does exactly that.
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 

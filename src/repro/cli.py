@@ -20,7 +20,8 @@ Subcommands mirror the workflow of the paper's prototype:
 ``serve-stats`` drive a query workload through the concurrent service
               and report the strategies run plus service metrics
               (``--prometheus`` for text exposition, ``--slow`` for the
-              slow-query log, ``--trace-out`` for a Chrome trace file)
+              queries at or over ``--slow-threshold`` in the service's
+              event ring, ``--trace-out`` for a Chrome trace file)
 ``lint``      run the concurrency/numeric-discipline AST linter (AL
               rules only) over a source tree (default: the installed
               ``repro`` package); an unknown ``--rule`` is a usage error
@@ -49,7 +50,7 @@ input is unrecoverably corrupt, **1** any other library or usage error.
 
 The global ``-v/--verbose`` flag attaches a stderr handler to the
 ``repro`` logger (once for INFO, twice for DEBUG), surfacing salvage,
-repair, load-shedding, and slow-query warnings that are otherwise
+repair, and load-shedding warnings that are otherwise
 silent under the library's ``NullHandler``.
 
 All commands are plain functions over the public API, so they double as
@@ -189,11 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the metrics in Prometheus text "
                        "exposition format instead")
     serve.add_argument("--slow", action="store_true",
-                       help="dump the slow-query log after the workload")
-    serve.add_argument("--slow-threshold", type=float, default=None,
+                       help="list the workload's slow queries afterwards")
+    serve.add_argument("--slow-threshold", type=float, default=0.0,
                        metavar="SECONDS",
-                       help="record queries at or over this many seconds "
-                       "into the slow-query log")
+                       help="with --slow, list the queries at or over this "
+                       "many seconds (default 0: every retained query)")
     serve.add_argument("--trace", action="store_true",
                        help="enable span tracing for the workload")
     serve.add_argument("--trace-out", default=None, metavar="FILE",
@@ -492,11 +493,7 @@ def _cmd_serve_stats(args: argparse.Namespace, out) -> int:
     rng = np.random.default_rng(args.seed)
     queries = make_query_workload(database, rng, args.queries)
     trace_on = args.trace or args.trace_out is not None
-    with QueryService(
-        database,
-        max_workers=args.workers,
-        slow_query_threshold=args.slow_threshold,
-    ) as service:
+    with QueryService(database, max_workers=args.workers) as service:
         with tracing(trace_on):
             futures = [service.submit(query) for query in queries]
             outcomes = [future.result() for future in futures]
@@ -505,7 +502,13 @@ def _cmd_serve_stats(args: argparse.Namespace, out) -> int:
         )
         snapshot = service.metrics_snapshot()
         exposition = service.prometheus_metrics() if args.prometheus else None
-        slow_dump = service.slow_log.describe() if args.slow else None
+        slow_dump = None
+        if args.slow:
+            slow = service.slow_queries(args.slow_threshold)
+            slow_dump = "\n".join(
+                [f"slow queries: {len(slow)} at or over {args.slow_threshold}s"]
+                + [f"  {event.describe()}" for event in slow]
+            )
     if args.trace_out is not None:
         traces = [o.trace for o in outcomes if o.trace is not None]
         with open(args.trace_out, "w") as handle:
@@ -541,7 +544,7 @@ def _cmd_serve_stats(args: argparse.Namespace, out) -> int:
             f"p99 {latency['p99'] * 1e3:.2f}ms",
             file=out,
         )
-    for group in ("counters", "result_cache", "bounds_cache", "slow_queries"):
+    for group in ("counters", "result_cache", "bounds_cache", "events"):
         print(f"{group}:", file=out)
         for key, value in sorted(snapshot[group].items()):
             print(f"  {key}: {value}", file=out)

@@ -19,12 +19,12 @@ makes the production stack answer the same question about itself:
 * :mod:`repro.obs.prometheus` — text-exposition rendering of the
   service metrics snapshot (plus a promtool-style validator and
   :func:`merge_snapshots` for fleet-wide rollups).
-* :mod:`repro.obs.slowlog` — threshold-triggered ring-buffer log of
-  slow queries with their plans and traces.
 * :mod:`repro.obs.events` — the structured wide-event log: one JSONL
   record per mutation, WAL append/replay, checkpoint, compaction, and
   query, ring-buffered in memory and streamed to ``events.jsonl`` on
-  disk-backed roots.
+  disk-backed roots.  It is also the query log: each read of either
+  front end is one ``query`` event, and recent or slow queries are
+  filtered reads of the ring.
 * :mod:`repro.obs.health` — per-shard SLO monitors grading latency
   percentiles, lock-wait fractions, WAL depth, replay failures, and
   cold-row backlog into green/yellow/red verdicts.
@@ -53,7 +53,6 @@ from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     Event,
     EventLog,
-    default_event_log,
     read_events_jsonl,
     validate_event_dict,
     write_events_jsonl,
@@ -69,7 +68,6 @@ from repro.obs.prometheus import (
     render_prometheus,
     validate_exposition,
 )
-from repro.obs.slowlog import SlowQuery, SlowQueryLog
 from repro.obs.top import render_top, top_payload
 from repro.obs.trace import (
     NULL_SPAN,
@@ -101,15 +99,12 @@ __all__ = [
     "PruneOutcome",
     "SLOPolicy",
     "ShardHealth",
-    "SlowQuery",
-    "SlowQueryLog",
     "Span",
     "Tracer",
     "attribute_image",
     "attribute_query",
     "current_span",
     "current_trace_id",
-    "default_event_log",
     "maybe_tracer",
     "merge_snapshots",
     "new_trace_id",

@@ -35,6 +35,7 @@ Design points:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -61,13 +62,13 @@ EVENT_KINDS = (
     "compaction.cycle",
     "compaction.materialized",
     "compaction.rolled_back",
+    "query",
+    "mutation",
+    "health.verdict",
     # Reserved: nothing emits these; kept so older event logs validate.
     "migration.run",
     "migration.batch",
-    "query",
     "query.slow",
-    "mutation",
-    "health.verdict",
 )
 
 #: Top-level keys every serialized event carries, in serialization order.
@@ -191,7 +192,9 @@ class EventLog:
     the sink file, when configured, keeps everything.  Opening a log
     whose sink already exists preloads the tail of the file into the
     ring, so a freshly ``ShardedCatalog.open``-ed root serves ``repro
-    top``'s "recent" panels from its previous life.
+    top``'s "recent" panels from its previous life.  A sink whose last
+    line is unterminated (a writer died mid-append) is cut back to its
+    last newline first, so the next append starts a line of its own.
     """
 
     def __init__(
@@ -339,6 +342,16 @@ class EventLog:
         self._sink_handle.flush()
 
     def _preload_sink(self) -> None:
+        # Appending after a torn tail would glue two lines into one
+        # damaged line mid-file, which reading refuses; cut the tail off
+        # first, as ShardWAL does (only the last byte is read unless the
+        # file is already damaged).
+        with open(self._sink_path, "rb+") as handle:
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    handle.seek(0)
+                    handle.truncate(handle.read().rfind(b"\n") + 1)
         # Parse the ring's worth only: the sink keeps every event of the
         # root's life, numbered from 1 without gaps (last seq == count).
         events = read_events_jsonl(self._sink_path, limit=self.capacity)
@@ -397,17 +410,3 @@ def write_events_jsonl(
             count += 1
     return count
 
-
-#: Process-global log for subsystems with no natural owner to hang one
-#: on (ad-hoc scripts).  Ring-only — no sink.
-_default_log: Optional[EventLog] = None
-_default_lock = threading.Lock()
-
-
-def default_event_log() -> EventLog:
-    """The lazily created process-global :class:`EventLog` (ring-only)."""
-    global _default_log
-    with _default_lock:
-        if _default_log is None:
-            _default_log = EventLog(capacity=512)
-        return _default_log

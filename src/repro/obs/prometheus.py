@@ -177,9 +177,7 @@ def render_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
         out.sample(full, gauges[name])
 
     # -- nested gauge groups (caches, service state) ------------------
-    for group in (
-        "result_cache", "bounds_cache", "service", "slow_queries", "events"
-    ):
+    for group in ("result_cache", "bounds_cache", "service", "events"):
         values = snapshot.get(group)
         if not isinstance(values, Mapping):
             continue

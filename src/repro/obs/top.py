@@ -2,13 +2,14 @@
 
 One screen that answers the operator's first four questions in order:
 is the fleet healthy (per-shard verdicts with reasons), where is the
-load (hottest shards), what was slow recently (the recent-query ring,
-with trace ids to pull), and what is the compactor doing (recent
-materializations with their LSN/trace lineage).  Everything renders
-from a live :class:`~repro.shard.sharded.ShardedCatalog` — which an
-on-disk root becomes the moment ``ShardedCatalog.open`` returns — so
-the same code path serves both "attach to the running thing" and
-"post-mortem a root".
+load (hottest shards), what was slow recently (the event ring's
+``query`` events, with trace ids to pull), and what is the compactor
+doing (recent materializations with their LSN/trace lineage).
+Everything renders from a live
+:class:`~repro.shard.sharded.ShardedCatalog` — which an on-disk root
+becomes the moment ``ShardedCatalog.open`` returns — so the same code
+path serves both "attach to the running thing" and "post-mortem a
+root".
 
 The functions here are pure renderers over ``(catalog, HealthReport)``;
 the CLI owns the loop/interval/JSON concerns.

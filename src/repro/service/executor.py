@@ -62,10 +62,9 @@ from repro.index.builders import (
 )
 from repro.index.mbr import MBR
 from repro.obs.attribution import AttributionReport, attribute_query
-from repro.obs.events import EventLog
+from repro.obs.events import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Span, Tracer, maybe_tracer
 from repro.querylang.parser import parse_constraints
 from repro.rwlock import ReadWriteLock
@@ -186,12 +185,6 @@ class QueryService:
         Deadline in seconds applied when a call passes none.
     cache_capacity / cache_ttl:
         Result cache sizing (see :class:`ResultCache`).
-    slow_query_threshold:
-        Seconds beyond which a finished query is recorded into the
-        ring-buffer slow-query log (``None`` disables recording; the
-        hot-path cost of disabled is one comparison).
-    slow_log_capacity:
-        Ring size of the slow-query log.
     prebuild_indexes:
         Build the point + interval indexes at construction, so a query
         forced to INDEX_ASSISTED finds them fresh.
@@ -212,8 +205,6 @@ class QueryService:
         default_timeout: Optional[float] = None,
         cache_capacity: int = 256,
         cache_ttl: Optional[float] = None,
-        slow_query_threshold: Optional[float] = None,
-        slow_log_capacity: int = 128,
         prebuild_indexes: bool = False,
         clock: Callable[[], float] = time.monotonic,
         event_log: Optional[EventLog] = None,
@@ -227,9 +218,6 @@ class QueryService:
         self.cache = ResultCache(
             capacity=cache_capacity, ttl=cache_ttl, clock=clock
         )
-        self.slow_log = SlowQueryLog(
-            capacity=slow_log_capacity, threshold=slow_query_threshold
-        )
         self._database = database
         # A long-lived front end asks for the memo; up to ``max_workers``
         # readers then share it under the read lock (fills serialize on
@@ -239,10 +227,12 @@ class QueryService:
         self._default_timeout = default_timeout
         self.planner = CostBasedPlanner(database)
         self.metrics = MetricsRegistry()
-        #: Wide-event log for the service tier (slow queries, mutations).
-        #: Pass a shared :class:`EventLog` to merge this service's
-        #: timeline with a catalog's; by default each service keeps a
-        #: private ring so tests stay isolated.
+        #: Wide-event log for the service tier: one ``query`` event per
+        #: :meth:`execute` / :meth:`submit` (what :meth:`slow_queries`
+        #: reads) and one ``mutation`` event per write.  Pass a shared
+        #: :class:`EventLog` to merge this service's timeline with a
+        #: catalog's; by default each service keeps a private ring so
+        #: tests stay isolated.
         self.events = event_log if event_log is not None else EventLog(capacity=256)
         self.cache.attach_to_engine(database.engine)
         self._rwlock = ReadWriteLock()
@@ -776,26 +766,19 @@ class QueryService:
     ) -> None:
         self.metrics.increment("queries_total")
         self.metrics.observe("query_seconds", seconds)
-        if self.slow_log.should_record(seconds):
-            self.slow_log.observe(
-                constraints,
-                seconds,
-                (plan.strategy.value for plan in plans),
-                cache_hit,
-                trace=trace.to_dict() if trace is not None else None,
-            )
-            self.events.emit(
-                "query.slow",
-                subsystem="service",
-                trace_id=(
-                    trace.attributes.get("trace_id")
-                    if trace is not None
-                    else None
-                ),
-                seconds=round(seconds, 6),
-                constraints=len(constraints),
-                cache_hit=cache_hit,
-            )
+        # The query log: one event per read, hit or miss.  The span tree
+        # stays on ServiceResult.trace; the event carries its id.
+        self.events.emit(
+            "query",
+            subsystem="service",
+            trace_id=(
+                trace.attributes.get("trace_id") if trace is not None else None
+            ),
+            seconds=round(seconds, 6),
+            cache_hit=cache_hit,
+            strategies=[plan.strategy.value for plan in plans],
+            constraints=[repr(constraint) for constraint in constraints],
+        )
         if cache_hit:
             self.metrics.increment("result_cache_hits")
             return
@@ -803,16 +786,31 @@ class QueryService:
         for plan in plans:
             self.metrics.increment(f"plans.{plan.strategy.value}")
 
+    def slow_queries(self, min_seconds: float = 0.0) -> List[Event]:
+        """The service's retained ``query`` events that took at least
+        ``min_seconds``, oldest-first (``0`` lists every one the event
+        ring still holds)."""
+        if min_seconds < 0:
+            raise ServiceError(
+                f"slow-query threshold must be non-negative, got {min_seconds}"
+            )
+        return [
+            event
+            for event in self.events.snapshot(kind="query")
+            if event.subsystem == "service"
+            and event.detail["seconds"] >= min_seconds
+        ]
+
     def metrics_snapshot(self) -> dict:
-        """One dict with service, cache, engine, and slow-log counters.
+        """One dict with service, cache, engine, and event-log counters.
 
         Shape: ``counters`` / ``histograms`` from the metrics registry,
         plus ``result_cache`` (LRU/TTL hit/miss counters),
         ``bounds_cache`` (the engine's memo counters, with the number
         of valid memo rows as ``vector_entries``), ``service`` (capacity
-        and load), and ``slow_queries`` (ring-buffer counters).  Every level
-        is key-sorted, so serializing the snapshot is deterministic even
-        without ``sort_keys`` — successive scrapes diff cleanly.
+        and load), and ``events`` (the event ring's counters).  Every
+        level is key-sorted, so serializing the snapshot is deterministic
+        even without ``sort_keys`` — successive scrapes diff cleanly.
         """
         snapshot = self.metrics.snapshot()
         snapshot["result_cache"] = dict(sorted(self.cache.stats().items()))
@@ -825,7 +823,6 @@ class QueryService:
             "in_flight": self.in_flight,
             "indexes_fresh": self._indexes_fresh,
         }
-        snapshot["slow_queries"] = dict(sorted(self.slow_log.stats().items()))
         snapshot["events"] = self.events.stats()
         return dict(sorted(snapshot.items()))
 

@@ -51,7 +51,6 @@ import json
 import logging
 import threading
 import time
-from collections import deque
 from contextlib import ExitStack
 from dataclasses import replace
 from heapq import merge as heap_merge
@@ -240,9 +239,6 @@ class ShardedCatalog:
             capacity=1024,
             sink=(self.root / EVENTS_NAME) if self.root is not None else None,
         )
-        #: Most recent scatter-gather queries (``repro top``'s slow list).
-        self._recent_queries: "deque[Dict[str, object]]" = deque(maxlen=64)
-        self._recent_lock = threading.Lock()
         self._placement: Dict[str, int] = {}
         self._id_counters: Dict[str, int] = {}
         self._replaying = False
@@ -795,9 +791,9 @@ class ShardedCatalog:
         folds the shard-ordered results into the answer.  ``work`` (one
         shard result's §5 work units) and ``size`` (the answer's match
         count) feed the telemetry closed here: work-unit and latency
-        histograms, span counters from the trace (when live), the
-        recent-query ring, and one wide ``query`` event — the joinable
-        record that ties the query's trace id to its cost.
+        histograms, span counters from the trace (when live), and one
+        wide ``query`` event — the joinable record that ties the query's
+        trace id to its cost, and what :meth:`recent_queries` reads.
         """
         started = time.perf_counter()
         tracer = maybe_tracer("sharded_query")
@@ -822,20 +818,6 @@ class ShardedCatalog:
             for span in tracer.finish().iter_spans():
                 self.metrics.increment(f"spans.{span.name}")
         slowest = max(timings, key=lambda timing: timing[2])[0].index
-        entry: Dict[str, object] = {
-            "ts": time.time(),
-            "kind": kind,
-            "seconds": elapsed,
-            "work_units": work_units,
-            "matches": matches,
-            "trace_id": trace_id,
-            "slowest_shard": slowest,
-            "shard_seconds": {
-                shard.key: round(total, 6) for shard, _lock_wait, total in timings
-            },
-        }
-        with self._recent_lock:
-            self._recent_queries.append(entry)
         self.events.emit(
             "query",
             subsystem="router",
@@ -845,6 +827,9 @@ class ShardedCatalog:
             seconds=round(elapsed, 6),
             work_units=work_units,
             matches=matches,
+            shard_seconds={
+                shard.key: round(total, 6) for shard, _lock_wait, total in timings
+            },
         )
         return merged
 
@@ -1329,9 +1314,27 @@ class ShardedCatalog:
         return signals
 
     def recent_queries(self, count: Optional[int] = None) -> List[Dict[str, object]]:
-        """The most recent scatter-gather queries, oldest-first."""
-        with self._recent_lock:
-            entries = [dict(entry) for entry in self._recent_queries]
+        """The most recent scatter-gather queries, oldest-first.
+
+        A filtered read of the event ring's ``query`` events, so a
+        reopened root lists its previous session's reads too (the ring
+        preloads the tail of ``events.jsonl``).
+        """
+        entries: List[Dict[str, object]] = [
+            {
+                "kind": event.detail["query_kind"],
+                "matches": event.detail["matches"],
+                "seconds": event.detail["seconds"],
+                # Events written before the field existed carry none.
+                "shard_seconds": dict(event.detail.get("shard_seconds", {})),
+                "slowest_shard": event.shard,
+                "trace_id": event.trace_id,
+                "ts": event.ts,
+                "work_units": event.detail["work_units"],
+            }
+            for event in self.events.snapshot(kind="query")
+            if event.subsystem == "router"
+        ]
         if count is not None and count >= 0:
             entries = entries[-count:] if count else []
         return entries

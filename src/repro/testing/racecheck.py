@@ -694,12 +694,11 @@ def instrument_database(
 
 def instrument_service(service: Any, monitor: RaceMonitor) -> None:
     """Track a :class:`QueryService`'s locks: its RW lock, the lazy
-    index-build lock, the result cache, the slow-query log, its metrics
-    and events, and its database's bounds locks."""
+    index-build lock, the result cache, its metrics and events, and its
+    database's bounds locks."""
     instrument_rwlock(service._rwlock, "service.rwlock", monitor)
     _track_lock(service, "_index_lock", "QueryService._index_lock", monitor)
     _track_lock(service.cache, "_lock", "ResultCache._lock", monitor)
-    _track_lock(service.slow_log, "_lock", "SlowQueryLog._lock", monitor)
     instrument_metrics(service.metrics, monitor)
     instrument_events(service.events, monitor)
     instrument_database(service.database, monitor)
@@ -868,8 +867,7 @@ def _scenario_service(monitor: RaceMonitor) -> None:
     ]
     for base in bases[:3]:
         database.insert_edited(_recolor(base))
-    # Threshold 0: every query is "slow", so each one records.
-    service = QueryService(database, max_workers=2, slow_query_threshold=0.0)
+    service = QueryService(database, max_workers=2)
     instrument_service(service, monitor)
     try:
         service.refresh_indexes()  # the first read of the memo
@@ -890,7 +888,7 @@ def _scenario_service(monitor: RaceMonitor) -> None:
             monitor.join(thread)
         # The write left the indexes stale: a text no reader cached
         # refreshes them under the read lock, and its repeat is a cache
-        # hit, which records into the slow log and the events.
+        # hit, which records its query event under the read lock.
         for _ in range(2):
             service.execute("at least 5% blue", strategy="index_assisted")
         service.explain_analyze("at least 10% red")

@@ -42,7 +42,6 @@ SHIPPED_CLASS_EDGES = {
     ("service.rwlock", "OpTableManager._lock"),
     ("service.rwlock", "QueryService._index_lock"),
     ("service.rwlock", "ResultCache._lock"),
-    ("service.rwlock", "SlowQueryLog._lock"),
     ("shard.rwlock", "BoundsEngine._memo_lock"),
     ("shard.rwlock", "EventLog._lock"),
     ("shard.rwlock", "MetricsRegistry._lock"),

@@ -79,7 +79,7 @@ class TestRenderPrometheus:
                 counters={"a": 1, "plans.bwm": 2, "weird-name": 3},
                 histograms={"lat": [0.5]},
                 service={"in_flight": 0},
-                slow_queries={"recorded": 1, "threshold_seconds": -1.0},
+                events={"emitted": 1, "retained": 1},
             )
         )
         assert validate_exposition(text) == []

@@ -346,7 +346,7 @@ class TestValidationAndMetrics:
         assert outcome.plans[0].query == query
 
     @pytest.mark.parametrize(
-        "refused", [{"cache_capacity": 0}, {"cache_ttl": -1}, {"slow_log_capacity": 0}]
+        "refused", [{"cache_capacity": 0}, {"cache_ttl": -1}]
     )
     def test_refused_construction_leaves_the_engine_alone(
         self, small_database, refused

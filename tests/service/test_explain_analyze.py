@@ -168,7 +168,7 @@ class TestTracedServicePath:
         snapshot = service.metrics_snapshot()
         assert list(snapshot) == sorted(snapshot)
         for group in ("counters", "histograms", "result_cache",
-                      "bounds_cache", "slow_queries"):
+                      "bounds_cache", "events"):
             assert list(snapshot[group]) == sorted(snapshot[group])
         assert "vector_entries" in snapshot["bounds_cache"]
         assert {"hits", "misses"} <= set(snapshot["result_cache"])
@@ -177,16 +177,19 @@ class TestTracedServicePath:
 class TestSlowQueryIntegration:
     def test_zero_threshold_records_every_query_with_trace(self, small_database):
         small_database.engine.enable_memo()
-        with QueryService(
-            small_database, max_workers=1, slow_query_threshold=0.0
-        ) as svc:
+        with QueryService(small_database, max_workers=1) as svc:
             with tracing():
-                svc.execute(QUERY)
-            entries = svc.slow_log.snapshot()
+                outcome = svc.execute(QUERY)
+            entries = svc.slow_queries(0.0)
             assert len(entries) == 1
-            assert entries[0].trace["name"] == "query"
-            assert svc.metrics_snapshot()["slow_queries"]["recorded"] == 1
+            # The span tree stays on the result; the record joins it by id.
+            assert entries[0].trace_id == outcome.trace.attributes["trace_id"]
+            assert svc.metrics_snapshot()["events"]["emitted"] == 1
 
     def test_disabled_by_default(self, service):
-        service.execute(QUERY)
-        assert len(service.slow_log) == 0
+        # Tracing is off by default: the read is still recorded, with no
+        # trace id, as its result carries no trace.
+        outcome = service.execute(QUERY)
+        (entry,) = service.slow_queries()
+        assert outcome.trace is None
+        assert entry.trace_id is None

@@ -8,6 +8,7 @@ exposition, and the ``repro top`` renderer.
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 import time
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from repro.obs import (
     tracing,
     validate_exposition,
 )
-from repro.obs.events import EVENTS_NAME, read_events_jsonl
+from repro.obs.events import EVENTS_NAME, Event, read_events_jsonl
 from repro.shard import CompactionPolicy, Compactor, ShardedCatalog
 from repro.shard import sharded as sharded_module
 
@@ -267,6 +268,31 @@ class TestEventTimeline:
         finally:
             reopened.close()
 
+    def test_a_torn_sink_tail_is_cut_before_the_next_append(self, rng, tmp_path):
+        sharded = ShardedCatalog(2, root=tmp_path)
+        try:
+            sharded.insert_image(random_image(rng))
+            sharded.save()
+        finally:
+            sharded.close()
+        sink = tmp_path / EVENTS_NAME
+        whole = sink.read_text("utf-8")
+        last = whole.splitlines()[-1]
+        with open(sink, "a", encoding="utf-8") as handle:
+            handle.write(last[: len(last) // 2])  # a writer died mid-line
+        reopened = ShardedCatalog.open(tmp_path)
+        try:
+            reopened.range_query(RangeQuery(0, 0.1, 0.9))
+            reopened.range_query(RangeQuery(3, 0.0, 0.5))
+        finally:
+            reopened.close()
+        ShardedCatalog.open(tmp_path).close()  # no damaged line mid-file
+        lines = sink.read_text("utf-8").splitlines()
+        events = [Event.from_dict(json.loads(line)) for line in lines]
+        assert sink.read_text("utf-8").startswith(whole)
+        assert events[-1].seq == len(events)
+        assert [e.kind for e in events].count("query") == 2
+
     def test_ephemeral_catalog_keeps_events_in_memory_only(self, rng):
         sharded = ShardedCatalog(2)
         try:
@@ -316,11 +342,49 @@ class TestRecentQueriesRing:
         try:
             assert errors == []
             recent = sharded.recent_queries()
-            assert len(recent) == 40  # ring capacity 64: nothing dropped
+            assert len(recent) == 40  # one query event per read, none dropped
             query_events = sharded.events.snapshot(kind="query")
             assert len(query_events) == 40
         finally:
             sharded.close()
+
+    def test_every_read_records_exactly_one_query_event(self, rng):
+        sharded, _, _ = build_mirrored_pair(rng, shard_count=2)
+        try:
+            for read in (
+                lambda: sharded.range_query(RangeQuery(0, 0.1, 0.9)),
+                lambda: sharded.range_query_batch(
+                    [RangeQuery(0, 0.1, 0.9), RangeQuery(3, 0.2, 1.0)]
+                ),
+                lambda: sharded.text_query("at least 10% red and at most 50% blue"),
+                lambda: sharded.knn(random_image(rng), 3),
+                lambda: sharded.similarity_range(random_image(rng), 0.8),
+            ):
+                before = len(sharded.events.snapshot(kind="query"))
+                read()
+                assert len(sharded.events.snapshot(kind="query")) == before + 1
+            assert len(sharded.recent_queries()) == 5
+        finally:
+            sharded.close()
+
+    def test_reopened_root_lists_the_previous_sessions_reads(self, rng, tmp_path):
+        sharded = ShardedCatalog(2, root=tmp_path)
+        try:
+            sharded.insert_image(random_image(rng))
+            sharded.range_query(RangeQuery(0, 0.1, 0.9))
+            sharded.knn(random_image(rng), 1)
+            before = sharded.recent_queries()
+        finally:
+            sharded.close()
+        reopened = ShardedCatalog.open(tmp_path)
+        try:
+            assert reopened.recent_queries() == before
+            reopened.range_query(RangeQuery(3, 0.0, 0.5))
+            assert [entry["kind"] for entry in reopened.recent_queries()] == [
+                "range_query", "knn", "range_query",
+            ]
+        finally:
+            reopened.close()
 
 
 class TestTelemetryParity:
@@ -400,6 +464,7 @@ class TestTelemetryParity:
                     "matches",
                     "query_kind",
                     "seconds",
+                    "shard_seconds",
                     "work_units",
                 ]
             assert snapshot["events"]["emitted"] == 24  # 18 wal.append + 6 query

@@ -414,7 +414,7 @@ class TestServeStats:
         assert code == 0
         assert "plans chosen:" in output
         for group in ("counters:", "result_cache:", "bounds_cache:",
-                      "slow_queries:"):
+                      "events:"):
             assert group in output
 
     def test_json_output_is_deterministic_and_complete(self, saved_database):
@@ -429,7 +429,7 @@ class TestServeStats:
         assert output == json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
         assert "vector_entries" in snapshot["bounds_cache"]
         assert {"hits", "misses"} <= set(snapshot["result_cache"])
-        assert "slow_queries" in snapshot
+        assert snapshot["events"]["emitted"] == 4
 
     def test_prometheus_output_validates(self, saved_database):
         from repro.obs import validate_exposition
@@ -449,7 +449,7 @@ class TestServeStats:
             "--slow", "--slow-threshold", "0",
         )
         assert code == 0
-        assert "slow-query log: 4 retained" in output
+        assert "slow queries: 4 at or over 0.0s" in output
 
     def test_trace_out_writes_chrome_trace(self, saved_database, tmp_path):
         import json
