@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.bounds import BoundsEngine, BoundsMatrix
 from repro.core.bwm import BWMStructure
-from repro.core.optable import stack_rows
 from repro.core.query import CatalogView, QueryResult, QueryStats, RangeQuery
 from repro.errors import QueryError
 
@@ -97,12 +96,7 @@ def _exact(view: CatalogView, engine: BoundsEngine, layout: _Layout) -> BoundsMa
     histograms = [
         view.histogram_of(image_id) for image_id in layout.names[:bases].tolist()
     ]
-    counts = stack_rows([each.counts for each in histograms], engine.quantizer.bin_count)
-    # A histogram knows its pixel total, not its shape: total x 1.
-    totals = np.array([each.total for each in histograms], dtype=np.int64)
-    return BoundsMatrix(
-        counts, counts, totals, np.ones_like(totals), np.arange(len(totals))
-    )
+    return BoundsMatrix.of_histograms(histograms, engine.quantizer.bin_count)
 
 
 # Both tests divide int64 counts by int64 pixel totals in float64, which

@@ -117,6 +117,18 @@ class BoundsMatrix(Sequence[AllBinsBounds]):
         self._rows = rows
         self._block: List[Optional[np.ndarray]] = [None, None, None, None]
 
+    @staticmethod
+    def of_histograms(
+        histograms: Sequence[ColorHistogram], bins: int
+    ) -> "BoundsMatrix":
+        """Stored histograms' exact counts, stacked once (``lo`` is ``hi``).
+        A histogram knows its pixel total, not its shape: total x 1."""
+        counts = stack_rows([each.counts for each in histograms], bins)
+        totals = np.array([each.total for each in histograms], dtype=np.int64)
+        return BoundsMatrix(
+            counts, counts, totals, np.ones_like(totals), np.arange(len(totals))
+        )
+
     @property
     def rows(self) -> np.ndarray:
         """Storage row of each element: its memo row when memo-backed."""

@@ -18,16 +18,18 @@
 
 from __future__ import annotations
 
-import heapq
 import math
+import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.color.histogram import ColorHistogram
 from repro.color.similarity import histogram_intersection, l1_distance
-from repro.core.bounds import BoundsEngine
+from repro.core.bounds import BoundsEngine, BoundsMatrix
+from repro.core.optable import stack_rows
 from repro.core.query import QueryResult, QueryStats, RangeQuery
 from repro.db.catalog import Catalog
 from repro.db.records import EditedImageRecord
@@ -40,10 +42,23 @@ Instantiator = Callable[[str], Image]
 #: ``(score, image_id)``; tuples order by score, ties by id.
 Scored = Tuple[float, str]
 
-#: ``(bound, image_id, position)`` of an edited image: ordered like
-#: :data:`Scored` (ids are unique), ``position`` its index in the query's
-#: edited ids.
-Candidate = Tuple[float, str, int]
+#: Rows per step of the bound pass: its two (rows x bins) float scratch
+#: blocks stay cache-resident, where whole-matrix temporaries do not.
+_BLOCK_ROWS = 256
+
+
+def validate_k(k: int) -> int:
+    """``k`` as a positive ``int``.  A ``bool``, or anything without
+    ``__index__`` (``2.5``, ``inf``), is a :class:`QueryError`."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise QueryError(f"k must be an integer, got {k!r}") from None
+    if k <= 0:
+        raise QueryError(f"k must be positive, got {k}")
+    return k
 
 
 def _row_scores(q: np.ndarray, stored: np.ndarray, intersection: bool) -> np.ndarray:
@@ -56,65 +71,51 @@ def _row_scores(q: np.ndarray, stored: np.ndarray, intersection: bool) -> np.nda
     return np.abs(np.subtract(q, stored, out=stored), out=stored).sum(axis=1)
 
 
-class _MaxItem:
-    """Inverts tuple ordering so :mod:`heapq` acts as a max-heap.
+def _bound_scores(
+    q: np.ndarray, bounds: BoundsMatrix, intersection: bool
+) -> np.ndarray:
+    """The best score each row's BOUNDS intervals admit: the row-wise
+    ``l1_lower_bound`` — or negated ``intersection_upper_bound`` — of
+    ``q``, the identical doubles.  A stored histogram's row has ``lo``
+    equal to ``hi``, and there it is the exact score (:func:`_row_scores`).
 
-    ``(distance, image_id)`` tuples cannot be negated wholesale (the id
-    is a string), so the k-best sets below wrap entries in this instead.
+    Reads :data:`_BLOCK_ROWS` rows at a time into reused scratch; no
+    whole ``lo`` / ``hi`` matrix is gathered.
     """
-
-    __slots__ = ("item",)
-
-    def __init__(self, item: Tuple[float, str]) -> None:
-        self.item = item
-
-    def __lt__(self, other: "_MaxItem") -> bool:
-        return other.item < self.item
-
-
-class _KBest:
-    """The k smallest ``(score, image_id)`` tuples seen so far.
-
-    Replaces the re-sort-per-insertion pattern: each push is O(log k)
-    against a max-heap whose root is the current k-th best, which is also
-    the pruning threshold.
-    """
-
-    __slots__ = ("_k", "_heap")
-
-    def __init__(self, k: int) -> None:
-        self._k = k
-        self._heap: List[_MaxItem] = []
-
-    def push(self, item: Tuple[float, str]) -> None:
-        if len(self._heap) < self._k:
-            heapq.heappush(self._heap, _MaxItem(item))
-        elif item < self._heap[0].item:
-            heapq.heapreplace(self._heap, _MaxItem(item))
-
-    @property
-    def threshold(self) -> float:
-        """The k-th best score, or ``+inf`` while fewer than k are held."""
-        if len(self._heap) < self._k:
-            return float("inf")
-        return self._heap[0].item[0]
-
-    def sorted_items(self) -> List[Tuple[float, str]]:
-        """Held entries ascending by ``(score, image_id)``."""
-        return sorted(entry.item for entry in self._heap)
+    rows = bounds.rows
+    scores = np.empty(len(rows))
+    scratch = np.empty((2, min(len(rows), _BLOCK_ROWS), len(q)))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = bounds.over(rows[start : start + _BLOCK_ROWS])
+        totals = block.totals.astype(np.float64)[:, None]
+        upper = np.divide(block.hi, totals, out=scratch[1, : len(block)])
+        if intersection:
+            np.clip(upper, 0.0, None, out=upper)
+            np.minimum(q, upper, out=upper)
+        else:
+            lower = np.divide(block.lo, totals, out=scratch[0, : len(block)])
+            if (lower > upper + 1e-12).any():
+                raise HistogramError("lower bound exceeds upper bound")
+            # Past the check, integer lo <= hi over one total divide to
+            # lower <= upper, where this is clip(lower - q) + clip(q - upper)
+            # bit for bit.
+            np.maximum(lower, q, out=lower)
+            np.subtract(lower, np.minimum(upper, q, out=upper), out=upper)
+        scores[start : start + len(block)] = upper.sum(axis=1)
+    return -scores if intersection else scores
 
 
 class _Refinement:
     """The refine step of one query: exact scores of its edited candidates.
 
-    On a memoizing engine a candidate whose memo row holds its exact
-    histogram is scored from there — all such candidates together, in
-    one row-wise pass (:func:`_row_scores`).  Any other candidate is
-    instantiated and scored by the scalar function, and :meth:`store`
-    hands its counts to the memo under the epoch read before the query
+    ``ids``, ``bound`` and ``rows`` are aligned: each candidate's id,
+    bound score and memo row.  On a memoizing engine :meth:`known`
+    scores the candidates whose memo row holds their exact histogram,
+    in one row-wise pass.  :meth:`score` instantiates any other one and
+    scores it by the scalar function, and :meth:`store` hands the counts
+    it instantiated to the memo under the epoch read before the query
     read its bounds.  Off the memo (``rows is None``) every candidate is
-    instantiated and nothing is kept.  ``ids``, ``bound`` and ``rows``
-    are aligned: each candidate's id, bound score and memo row.
+    instantiated and nothing is kept.
     """
 
     def __init__(
@@ -132,31 +133,28 @@ class _Refinement:
         self._exact_histogram = exact_histogram
         self._query = query
         self._intersection = intersection
-        self._ids = ids
-        self._bound = bound
+        self.ids = ids
+        self.bound = bound
         self._rows = rows
         self._epoch = epoch
-        self._known: Dict[int, float] = {}
         self._fresh: List[Tuple[int, np.ndarray]] = []
 
-    def read_memo(self, limit: float) -> None:
-        """Score the memoized candidates whose bound does not exceed
-        ``limit`` — no refinement reaches past it."""
-        if self._rows is None:
-            return
-        wanted = np.flatnonzero(self._bound <= limit)
-        found, counts = self._engine.exact_of_rows(self._rows[wanted], self._epoch)
-        if len(found):
-            stored = counts / counts.sum(axis=1, keepdims=True).astype(np.float64)
-            scores = _row_scores(self._query.fractions(), stored, self._intersection)
-            self._known = dict(zip(wanted[found].tolist(), scores.tolist()))
+    def known(self, positions: np.ndarray) -> np.ndarray:
+        """Scores of the candidates at ``positions`` that the memo's exact
+        column holds, from one gather; NaN for the others."""
+        scores = np.full(len(positions), np.nan)
+        if self._rows is not None and len(positions):
+            rows = self._rows[positions]
+            found, counts = self._engine.exact_of_rows(rows, self._epoch)
+            if len(found):
+                stored = counts / counts.sum(axis=1, keepdims=True).astype(np.float64)
+                q = self._query.fractions()
+                scores[found] = _row_scores(q, stored, self._intersection)
+        return scores
 
     def score(self, position: int) -> float:
-        """The exact score of the candidate at ``position``."""
-        known = self._known.get(position)
-        if known is not None:
-            return known
-        histogram = self._exact_histogram(self._ids[position])
+        """Instantiate the candidate at ``position``; its exact score."""
+        histogram = self._exact_histogram(self.ids[position])
         if self._rows is not None:
             self._fresh.append((position, histogram.counts))
         if self._intersection:
@@ -167,9 +165,8 @@ class _Refinement:
         """Memoize what this query instantiated."""
         if self._rows is not None and self._fresh:
             positions, counts = zip(*self._fresh)
-            self._engine.store_exact(
-                self._rows[list(positions)], np.stack(counts), self._epoch
-            )
+            stacked = stack_rows(counts, len(counts[0]))
+            self._engine.store_exact(self._rows[list(positions)], stacked, self._epoch)
 
 
 class InstantiateProcessor:
@@ -275,7 +272,7 @@ class SimilaritySearch:
     # ------------------------------------------------------------------
     def knn_binary(self, query: ColorHistogram, k: int) -> KNNResult:
         """kNN over binary images only (the conventional CBIR path)."""
-        self._validate_k(k)
+        k = validate_k(k)
         stats = KNNStats()
         heap: List[Tuple[float, str]] = []
         for image_id in self._catalog.binary_ids():
@@ -286,7 +283,7 @@ class SimilaritySearch:
 
     def knn_exact(self, query: ColorHistogram, k: int) -> KNNResult:
         """Exhaustive kNN over the full augmented database."""
-        self._validate_k(k)
+        k = validate_k(k)
         stats = KNNStats()
         scored: List[Tuple[float, str]] = []
         for image_id in self._catalog.binary_ids():
@@ -310,11 +307,11 @@ class SimilaritySearch:
         2. per edited image, compute every bin's BOUNDS interval in one
            vectorized sequence walk and an L1 *lower bound* on its
            distance to the query;
-        3. process edited images in ascending lower-bound order,
-           refining one at a time (its exact histogram from the memo, or
-           instantiated); stop as soon as the next lower bound exceeds
-           the current k-th best distance — no remaining image can
-           improve the result.
+        3. process edited images in ascending ``(lower bound, id)``
+           order, refining each (its exact histogram from the memo, or
+           instantiated); stop at the first whose lower bound exceeds
+           the k-th best distance so far — no later image can improve
+           the result.
         """
         neighbors, stats = self._k_best(query, k, intersection=False)
         return KNNResult(tuple(neighbors), stats)
@@ -327,26 +324,27 @@ class SimilaritySearch:
         The similarity-range companion to kNN: binary images are checked
         exactly; an edited image is refined only when its per-bin
         BOUNDS intervals admit a distance at or below ``epsilon`` (its
-        L1 lower bound does not exceed the threshold).  Returns matches
-        ascending by distance.  ``epsilon`` may be ``inf``, not NaN: no
-        distance compares true against NaN, so every image would be
-        refined and none returned.
+        L1 lower bound does not exceed the threshold), in catalog order.
+        Returns matches ascending by distance.  ``epsilon`` may be
+        ``inf``, not NaN: no distance compares true against NaN, so every
+        image would be refined and none returned.
         """
         if math.isnan(epsilon) or epsilon < 0:
             raise QueryError(f"epsilon must be non-negative, got {epsilon}")
-        binary, edited, refinement = self._rank(query, intersection=False)
-        stats = KNNStats(candidates_considered=len(binary) + len(edited))
-        matches = [item for item in binary if item[0] <= epsilon]
-        refinement.read_memo(epsilon)
-        for bound, image_id, position in edited:
-            if bound > epsilon:
-                stats.edited_pruned += 1
-                continue
-            stats.edited_instantiated += 1
-            distance = refinement.score(position)
-            if distance <= epsilon:
-                matches.append((distance, image_id))
+        binary_ids, exact, refinement = self._rank(query, intersection=False)
+        within = np.flatnonzero(refinement.bound <= epsilon)
+        scores = refinement.known(within)
+        for index in np.flatnonzero(np.isnan(scores)).tolist():
+            scores[index] = refinement.score(int(within[index]))
         refinement.store()
+        edited = len(refinement.ids)
+        stats = KNNStats(len(binary_ids) + edited, edited - len(within), len(within))
+        matches = [m for m in zip(exact.tolist(), binary_ids) if m[0] <= epsilon]
+        matches += [
+            (score, refinement.ids[position])
+            for score, position in zip(scores.tolist(), within.tolist())
+            if score <= epsilon
+        ]
         return KNNResult(tuple(sorted(matches)), stats)
 
     def knn_intersection(self, query: ColorHistogram, k: int) -> KNNResult:
@@ -369,97 +367,82 @@ class SimilaritySearch:
     def _k_best(
         self, query: ColorHistogram, k: int, intersection: bool
     ) -> Tuple[List[Scored], KNNStats]:
-        """Filter-and-refine over :meth:`_rank`'s smaller-is-better scores."""
-        self._validate_k(k)
-        binary, edited, refinement = self._rank(query, intersection)
-        stats = KNNStats(candidates_considered=len(binary) + len(edited))
-        best = _KBest(k)
-        for item in binary:
-            best.push(item)
-        refinement.read_memo(best.threshold)  # the threshold only falls
-        heapq.heapify(edited)
-        while edited:
-            bound, image_id, position = heapq.heappop(edited)
-            if bound > best.threshold:
-                stats.edited_pruned += 1 + len(edited)
+        """Filter-and-refine over :meth:`_rank`'s smaller-is-better scores.
+
+        Edited candidates go in ascending ``(bound, id)`` order.  With
+        ``T(j)`` the k-th smallest of the binary scores and the first
+        ``j`` refined ones (``+inf`` while fewer than k), candidate ``j``
+        is refined unless ``bound[j] > T(j)``.  ``T`` never rises and the
+        bounds never fall, so the refined candidates are a prefix, ended
+        by the first ``j`` that is not.  A candidate's score comes from
+        the memo's exact column, or it is instantiated when the rule
+        reaches it.
+        """
+        k = validate_k(k)
+        binary_ids, exact, refinement = self._rank(query, intersection)
+        ids, scored = refinement.ids, exact.tolist()
+        best = sorted(scored)[:k]  # the k smallest scores folded in so far
+        # T only falls: a candidate whose bound exceeds T(0) is never reached.
+        limit = best[-1] if len(best) == k else math.inf
+        reachable = np.flatnonzero(refinement.bound <= limit)
+        by_id = np.array([ids[p] for p in reachable.tolist()], dtype=str)
+        order = reachable[np.lexsort((by_id, refinement.bound[reachable]))]
+        bound, positions = refinement.bound[order].tolist(), order.tolist()
+        scores = refinement.known(order).tolist()  # NaN where the memo has none
+        stop = 0  # candidates [0, stop) are refined
+        for j, lowest in enumerate(bound):
+            if bisect_left(best, lowest) >= k:  # bound[j] > T(j)
                 break
-            stats.edited_instantiated += 1
-            best.push((refinement.score(position), image_id))
+            if math.isnan(scores[j]):  # reached: instantiate it
+                scores[j] = refinement.score(positions[j])
+            insort(best, scores[j])
+            del best[k:]
+            stop = j + 1
         refinement.store()
-        return best.sorted_items(), stats
+        limit = best[-1] if len(best) == k else math.inf
+        near = np.flatnonzero(exact <= limit).tolist()
+        kept = [(scored[i], binary_ids[i]) for i in near]
+        refined = zip(scores[:stop], positions[:stop])
+        kept += [(score, ids[p]) for score, p in refined if score <= limit]
+        edited = len(ids)
+        return sorted(kept)[:k], KNNStats(len(binary_ids) + edited, edited - stop, stop)
 
     def _rank(
         self, query: ColorHistogram, intersection: bool
-    ) -> Tuple[List[Scored], List[Candidate], _Refinement]:
+    ) -> Tuple[List[str], np.ndarray, _Refinement]:
         """Score every stored image against ``query`` without instantiating.
 
-        Returns lists in catalog order — binary images scored exactly,
-        edited images by the best score their BOUNDS intervals admit —
-        and the refine step that scores edited images exactly.  Scores
-        are L1 distances and their lower bounds, or — so that smaller is
-        better either way — *negated* intersections and their negated
-        upper bounds.  Each is the row-wise form of the scalar function
-        of the same name in :mod:`repro.color.similarity` and yields the
-        identical doubles.
+        Returns the binary ids, their exact scores, and the refine step
+        of the edited images holding each one's bound: the best score its
+        BOUNDS intervals admit, in catalog order.  Scores are L1
+        distances and their lower bounds, or — so that smaller is better
+        either way — *negated* intersections and their negated upper
+        bounds, all from :func:`_bound_scores`.
         """
-        q = query.fractions()
+        q, engine = query.fractions(), self._engine
         binary_ids = list(self._catalog.binary_ids())
         edited_ids = list(self._catalog.edited_ids())
-        exact = bound = np.empty(0)
-        rows: Optional[np.ndarray] = None
+        histograms = [self._catalog.histogram_of(i) for i in binary_ids]
+        for histogram in histograms:
+            query.require_compatible(histogram)
         # Read before the bounds: exact rows are kept only if no
         # invalidation came between this and their instantiation.
-        epoch = self._engine.memo_epoch
-        if binary_ids:
-            histograms = [self._catalog.histogram_of(i) for i in binary_ids]
-            for histogram in histograms:
-                query.require_compatible(histogram)
-            stored = np.stack([h.counts for h in histograms]) / np.array(
-                [[h.total] for h in histograms], dtype=np.float64
-            )
-            exact = _row_scores(q, stored, intersection)
-        if edited_ids:
-            # The divisions make the (edited, bins) scratch matrices the
-            # steps below overwrite in place; the intervals themselves
-            # are read where they live (memo rows, or the sweep's state).
-            bounds = self._engine.bounds_all_bins_batch(edited_ids)
-            if self._engine.cache_enabled:
-                rows = bounds.rows
-            totals = bounds.totals.astype(np.float64)[:, None]
-            upper = bounds.hi / totals
-            if intersection:
-                np.clip(upper, 0.0, None, out=upper)
-                bound = -np.minimum(q, upper, out=upper).sum(axis=1)
-            else:
-                lower = bounds.lo / totals
-                if (lower > upper + 1e-12).any():
-                    raise HistogramError("lower bound exceeds upper bound")
-                np.clip(np.subtract(lower, q, out=lower), 0.0, None, out=lower)
-                np.clip(np.subtract(q, upper, out=upper), 0.0, None, out=upper)
-                lower += upper
-                bound = lower.sum(axis=1)
+        epoch = engine.memo_epoch
+        bases = BoundsMatrix.of_histograms(histograms, len(q))
+        bounds = engine.bounds_all_bins_batch(edited_ids)
         refinement = _Refinement(
-            self._engine,
+            engine,
             lambda image_id: self._exact_histogram(image_id, query),
             query,
             intersection,
             edited_ids,
-            bound,
-            rows,
+            _bound_scores(q, bounds, intersection),
+            bounds.rows if engine.cache_enabled else None,
             epoch,
         )
-        return (
-            list(zip(exact.tolist(), binary_ids)),
-            list(zip(bound.tolist(), edited_ids, range(len(edited_ids)))),
-            refinement,
-        )
+        return binary_ids, _bound_scores(q, bases, intersection), refinement
 
     def _exact_histogram(self, image_id: str, query: ColorHistogram) -> ColorHistogram:
         """Instantiate ``image_id`` and extract its histogram: the ground
         truth, which never reads the memo's exact column."""
         return ColorHistogram.of_image(self._instantiate(image_id), query.quantizer)
-
-    @staticmethod
-    def _validate_k(k: int) -> None:
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")

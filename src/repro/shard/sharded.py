@@ -83,7 +83,7 @@ from repro.db.persistence import (
     load_database,
     save_database,
 )
-from repro.db.processors import KNNResult, KNNStats
+from repro.db.processors import KNNResult, KNNStats, validate_k
 from repro.db.versioning import sha256_hex
 from repro.editing.sequence import EditSequence
 from repro.errors import (
@@ -958,8 +958,7 @@ class ShardedCatalog:
         method: str = "bounded",
     ) -> KNNResult:
         """Global k nearest neighbors: ordered merge of shard k-bests."""
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
+        k = validate_k(k)
         return self._similarity(
             "knn",
             query,

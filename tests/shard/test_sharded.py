@@ -202,6 +202,24 @@ class TestRouterParity:
         with pytest.raises(QueryError):
             sharded.knn(other, 3)
 
+    @pytest.mark.parametrize("k", [2.5, float("inf"), 1e9, True])
+    def test_knn_rejects_a_k_that_is_not_an_integer_before_fanning_out(
+        self, mirrored_pair, rng, monkeypatch, k
+    ):
+        sharded, oracle, _ = mirrored_pair
+        probe = random_image(rng)
+        def fanned_out(*args, **kwargs):
+            pytest.fail("a shard was asked")
+
+        for index in range(sharded.shard_count):
+            monkeypatch.setattr(sharded.shard_database(index), "knn", fanned_out)
+        for front in (sharded, oracle):
+            with pytest.raises(QueryError):
+                front.knn(probe, k)
+        monkeypatch.undo()
+        expected = oracle.knn(probe, 3).neighbors
+        assert sharded.knn(probe, np.int64(3)).neighbors == expected
+
     def test_instantiate_and_exact_histogram_route(self, mirrored_pair):
         sharded, oracle, _ = mirrored_pair
         for image_id in sharded.ids():
