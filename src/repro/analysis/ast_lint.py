@@ -102,7 +102,7 @@ _BOUND_ATTRS: Set[str] = {"fraction_lo", "fraction_hi", "pct_min", "pct_max"}
 PACKAGE_ORDER: Tuple[Tuple[str, ...], ...] = (
     ("errors",), ("rwlock",), ("images", "editing"), ("color",),
     ("core",), ("querylang",), ("obs",), ("db", "index"), ("shard",),
-    ("service",), ("workloads",), ("bench",), ("analysis",), ("testing",),
+    ("service",), ("workloads",), ("analysis",), ("testing",),
     ("cli",), ("__init__", "__main__"),
 )
 

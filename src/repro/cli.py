@@ -13,7 +13,6 @@ Subcommands mirror the workflow of the paper's prototype:
 ``repair``    fix reparable integrity problems and re-save
 ``salvage``   recover the undamaged records of a corrupted database
               (re-saving in place upgrades an older on-disk format)
-``evaluate``  regenerate Table 2 and the Figure 3/4 series
 ``explain``   EXPLAIN (and with ``--analyze``, EXPLAIN ANALYZE) a query:
               the plan's strategy, executed actuals, prune
               attribution, and the span tree
@@ -67,8 +66,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.reporting import render_figure, render_table2
-from repro.bench.runner import run_figure_sweep
 from repro.db.persistence import load_database, save_database
 from repro.errors import CorruptionError, ReproError, SalvageError
 from repro.images.ppm import read_ppm
@@ -144,13 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     salvage.add_argument("--output", "-o", default=None,
                          help="write the recovered database here instead of "
                          "back into the source directory")
-
-    evaluate = commands.add_parser(
-        "evaluate", help="regenerate Table 2 and the Figure 3/4 series"
-    )
-    evaluate.add_argument("--scale", type=float, default=0.25)
-    evaluate.add_argument("--queries", type=int, default=12)
-    evaluate.add_argument("--seed", type=int, default=2006)
 
     explain = commands.add_parser(
         "explain",
@@ -431,25 +421,6 @@ def _cmd_salvage(args: argparse.Namespace, out) -> int:
         file=out,
     )
     return 0 if report.clean else 2
-
-
-def _cmd_evaluate(args: argparse.Namespace, out) -> int:
-    helmet = HELMET_PARAMETERS.scaled(args.scale)
-    flag = FLAG_PARAMETERS.scaled(args.scale)
-    print(render_table2(helmet, flag), file=out)
-    print(file=out)
-    helmet_sweep = run_figure_sweep(
-        HELMET_PARAMETERS, seed=args.seed, scale=args.scale,
-        queries_per_point=args.queries, repeats=3,
-    )
-    print(render_figure(helmet_sweep, 3), file=out)
-    print(file=out)
-    flag_sweep = run_figure_sweep(
-        FLAG_PARAMETERS, seed=args.seed + 1, scale=args.scale,
-        queries_per_point=args.queries, repeats=3,
-    )
-    print(render_figure(flag_sweep, 4), file=out)
-    return 0
 
 
 def _cmd_explain(args: argparse.Namespace, out) -> int:
@@ -767,7 +738,6 @@ _COMMANDS = {
     "info": _cmd_info,
     "query": _cmd_query,
     "knn": _cmd_knn,
-    "evaluate": _cmd_evaluate,
     "explain": _cmd_explain,
     "serve-stats": _cmd_serve_stats,
     "lint": _cmd_lint,

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import (
+from benchmarks import paper
+from benchmarks.schema import (
     validate_provenance,
     validate_result_file,
     validate_result_payload,
@@ -119,22 +120,8 @@ class TestFiles:
 
 
 class TestWriterIntegration:
-    def test_write_json_result_output_validates(self, tmp_path, monkeypatch):
-        # The benchmark suite's writer must produce artifacts this
-        # validator accepts — import it from the bench conftest.
-        import importlib.util
-        import sys
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_conftest",
-            Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_conftest"] = module
-        try:
-            spec.loader.exec_module(module)
-            monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
-            path = module.write_json_result("probe.json", {"elapsed": 0.25})
-            assert validate_result_file(path) == []
-        finally:
-            sys.modules.pop("bench_conftest", None)
+    def test_write_json_result_output_validates(self, tmp_path):
+        # The paper command's writer must produce artifacts this
+        # validator accepts.
+        path = paper.write_json_result(tmp_path / "probe.json", {"elapsed": 0.25})
+        assert validate_result_file(path) == []

@@ -114,17 +114,6 @@ class TestKNN:
         assert code == 1
 
 
-class TestEvaluate:
-    def test_evaluate_tiny(self):
-        code, output = run_cli(
-            "evaluate", "--scale", "0.05", "--queries", "3"
-        )
-        assert code == 0
-        assert "Table 2" in output
-        assert "Figure 3" in output
-        assert "Figure 4" in output
-
-
 class TestCheck:
     def test_check_passes_on_healthy_database(self, saved_database):
         directory, _ = saved_database

@@ -50,7 +50,7 @@ class TestStorageWithCustomInstantiator:
 
 class TestSweepWithInstantiateMethod:
     def test_three_method_sweep(self):
-        from repro.bench.runner import run_figure_sweep
+        from benchmarks.paper import run_figure_sweep
         from repro.workloads.table2 import HELMET_PARAMETERS
 
         sweep = run_figure_sweep(
