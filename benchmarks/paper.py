@@ -934,7 +934,7 @@ def persistence(run: Run) -> None:
             "A11: a salvage load of an intact root was not clean",
         )
         on_disk = sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
-    row = ("v3 segments", f"{1e3 * save_s:.1f}", f"{1e3 * load_s:.1f}",
+    row = ("v3, one pack", f"{1e3 * save_s:.1f}", f"{1e3 * load_s:.1f}",
            f"{1e3 * salvage_s:.1f}", f"{on_disk:,}")
     run.write(
         "persistence.txt",
@@ -1155,25 +1155,30 @@ def _obs_pass(full: bool, binary: int, edited: int, rounds: int, queries: int, r
         rng = np.random.default_rng(BENCH_SEED + 91)
         weights = 1.0 / np.arange(1, len(base_ids) + 1)
         weights /= weights.sum()
-        latencies, matches, checked = [], [], 0
+        # The first read of a round follows a write (the ingest, then the
+        # round's churn) and re-walks what it invalidated: those reads
+        # are timed apart from the warm ones.
+        firsts, warm, matches, checked = [], [], [], 0
         for _ in range(rounds):
             for _ in range(_OBS_CHURN_PER_ROUND):
                 victim = base_ids[int(rng.choice(len(base_ids), p=weights))]
                 catalog.update_image(victim, random_palette_image(rng, 10, 12, FLAG_PALETTE))
-            for _ in range(queries):
+            for index in range(queries):
                 bin_index = int(rng.integers(0, catalog.quantizer.bin_count))
                 pct_min = float(rng.uniform(0.0, 0.3))
                 query = RangeQuery(bin_index, pct_min, pct_min + 0.4)
                 started = time.perf_counter()
                 result = catalog.range_query(query, method="rbm")
-                latencies.append(time.perf_counter() - started)
+                (warm if index else firsts).append(time.perf_counter() - started)
                 matches.append(result.matches)
                 checked += result.stats.histograms_checked
             if monitor is not None:
                 monitor.report()
         counters = catalog.metrics_snapshot()["counters"]
         return {
-            "latencies": sorted(latencies),
+            "first_read": firsts[0],
+            "after_churn": firsts[1:],
+            "latencies": sorted(warm),
             "matches": matches,
             "histograms_checked": checked,
             "events_emitted": int(catalog.events.stats()["emitted"]),
@@ -1190,13 +1195,20 @@ def observability(run: Run) -> None:
 
     Both modes run the identical workload on fresh roots, interleaved
     (off, full, off, full, ...) so a background hiccup hits both sides
-    alike; each mode keeps its best p95.  The full plane's p95 must stay
-    within ``MAX_P95_OVERHEAD`` plus ``P95_ABS_SLACK`` of the plane off
+    alike; each mode keeps its best p95 over its warm reads.  The first
+    read of each round is reported apart, the first after ingest on its
+    own: it follows a write and re-walks what the write invalidated, at
+    10-60x a warm read, so with 16 reads a pass (``--smoke``) these few
+    reads would be the p95 and the gate would compare their noise, not
+    the plane's cost.  The full plane's warm p95 must stay within
+    ``MAX_P95_OVERHEAD`` plus ``P95_ABS_SLACK`` of the plane off
     (queries here are sub-millisecond, where a relative-only bound just
     measures scheduler noise), and no answer may change.
     """
     scale = run.size(1.0, 0.5)
-    rounds, queries, repeats = run.size(8, 4), run.size(6, 4), run.size(3, 2)
+    # Six reads a round at both sizes: 20 warm reads a pass at --smoke,
+    # so its p95 (nearest rank: the 19th) is not one host hiccup.
+    rounds, queries, repeats = run.size(8, 4), 6, run.size(3, 2)
     binary, edited = max(4, int(20 * scale)), max(4, int(40 * scale))
     passes: Dict[str, List[Dict[str, object]]] = {"off": [], "full": []}
     with tempfile.TemporaryDirectory() as scratch:
@@ -1223,17 +1235,20 @@ def observability(run: Run) -> None:
                 "p95": percentile(p["latencies"], 0.95),
                 "p99": percentile(p["latencies"], 0.99),
                 "mean": float(np.mean(p["latencies"])),
+                "first_read": p["first_read"],
+                "after_churn_p50": percentile(sorted(p["after_churn"]), 0.50),
             }
             for p in runs
         ]
         stats[mode] = {
             "best": min(per_pass, key=lambda s: s["p95"]),
             "per_pass_p95": [s["p95"] for s in per_pass],
+            "per_pass_first_read": [s["first_read"] for s in per_pass],
             "events_emitted": runs[-1]["events_emitted"],
             "spans_folded": runs[-1]["spans_folded"],
         }
     off, full = stats["off"]["best"], stats["full"]["best"]
-    check(off["count"] == full["count"] == rounds * queries, "a pass lost queries")
+    check(off["count"] == full["count"] == rounds * (queries - 1), "a pass lost queries")
     # The plane must actually have been on in full mode, and off in off mode.
     check(stats["full"]["spans_folded"] > 0, "full mode folded no spans")
     check(stats["full"]["events_emitted"] > 0, "full mode emitted no events")
@@ -1243,18 +1258,21 @@ def observability(run: Run) -> None:
     budget = off["p95"] * (1.0 + MAX_P95_OVERHEAD) + P95_ABS_SLACK
     overhead = full["p95"] / off["p95"] - 1.0 if off["p95"] > 0 else 0.0
     rows = [
-        (mode, s["count"], *(f"{s[k] * 1e3:.3f}" for k in ("p50", "p95", "p99", "mean")),
+        (mode, s["count"],
+         *(f"{s[k] * 1e3:.3f}" for k in ("p50", "p95", "p99", "mean", "first_read", "after_churn_p50")),
          stats[mode]["events_emitted"], stats[mode]["spans_folded"])
         for mode, s in (("off", off), ("full", full))
     ]
     run.write(
         "BENCH_observability.txt",
         format_table(
-            ("plane", "queries", "p50 ms", "p95 ms", "p99 ms", "mean ms", "events", "spans"),
+            ("plane", "warm reads", "p50 ms", "p95 ms", "p99 ms", "mean ms",
+             "first after ingest ms", "first after churn p50 ms", "events", "spans"),
             rows,
         )
-        + f"\n\nfull-plane p95 overhead: {overhead:+.1%} "
-        f"(budget {MAX_P95_OVERHEAD:.0%} + {P95_ABS_SLACK * 1e3:.0f}ms slack)",
+        + f"\n\nfull-plane warm-read p95 overhead: {overhead:+.1%} "
+        f"(budget {MAX_P95_OVERHEAD:.0%} + {P95_ABS_SLACK * 1e3:.0f}ms slack; "
+        "the first read of each round, after ingest or churn, is not gated)",
     )
     run.write_json(
         "BENCH_observability.json",
@@ -1272,6 +1290,7 @@ def observability(run: Run) -> None:
             "tracing_off": off,
             "tracing_full": full,
             "per_pass_p95": {mode: stats[mode]["per_pass_p95"] for mode in stats},
+            "per_pass_first_read": {mode: stats[mode]["per_pass_first_read"] for mode in stats},
             "p95_overhead": overhead,
             "events_emitted_full": stats["full"]["events_emitted"],
             "spans_folded_full": stats["full"]["spans_folded"],

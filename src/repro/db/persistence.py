@@ -1,16 +1,22 @@
 """Directory persistence for a :class:`MultimediaDatabase`.
 
-Layout mirrors the paper's prototype (ppm files plus operation lists,
-no commercial DBMS underneath)::
+The paper's prototype kept one ppm file per binary image and one
+operation list per edited image, with no commercial DBMS underneath.
+The records are the same here, but they share one file::
 
     <root>/
-      catalog.json          manifest: config, insertion order, record table
-      segments/<id>.seg     one self-verifying segment per record (v3)
+      catalog.json     manifest: config, insertion order, record table
+      segments.pack    every record's self-verifying envelope, in
+                       manifest order (segment version 4)
 
-Roots written by older builds may instead hold ``binary/<id>.ppm`` and
-``edited/<id>.eseq`` (v1/v2), or a v3 manifest pointing at a mixture of
-both layouts (and a ``migration.journal``, which loading ignores).
-They all load; the next save rewrites them as pure v3.
+Each manifest row names its envelope's byte range in the pack, and its
+payload checksum.  A save creates two files whatever the catalog's
+size.  Roots written by older builds may instead hold
+``binary/<id>.ppm`` and ``edited/<id>.eseq`` (v1/v2),
+``segments/<id>.seg`` (one envelope per file, segment version 3), or a
+v3 manifest pointing at a mixture of those layouts (and a
+``migration.journal``, which loading ignores).  They all load; the next
+save rewrites them as one pack.
 
 Loading replays insertions in the recorded order, so histograms and the
 BWM structure are rebuilt exactly.  Nothing else needs rebuilding: a
@@ -23,14 +29,17 @@ Durability protocol
 :func:`save_database` never mutates the target directory in place.  The
 complete new state is written to a ``<root>.saving`` sibling first, the
 manifest (carrying a SHA-256 per record plus a whole-manifest checksum)
-is written last inside it, and the result is committed by renames:
+is written last inside it, the pack, the manifest and the scratch
+directory are fsynced, and the result is committed by renames:
 ``<root>`` -> ``<root>.old``, ``<root>.saving`` -> ``<root>``, then the
-backup is pruned.  A crash at any boundary therefore leaves either the
-previous complete state, the new complete state, or a ``.old`` backup
-that :func:`load_database` rolls back automatically.  Orphaned content
-files — deleted images, a legacy layout's directories, a leftover
-journal — cannot survive a save, since only the current catalog is ever
-written to the fresh directory.
+parent directory is fsynced and the backup pruned.  A crash at any
+boundary therefore leaves either the previous complete state, the new
+complete state, or a ``.old`` backup that :func:`load_database` rolls
+back automatically; and once :func:`save_database` returns, the new
+state is on stable storage (a caller may truncate its log).  Orphaned
+content — deleted images, a legacy layout's files, a leftover journal —
+cannot survive a save, since only the current catalog is ever written
+to the fresh directory.
 
 Version handling is delegated to :mod:`repro.db.versioning`: the
 manifest declares a format version, every record row carries its own
@@ -75,13 +84,15 @@ from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
 from repro.db.durable import NoFaults
 from repro.db.versioning import (
+    PACK_NAME,
+    PACK_SEGMENT_VERSION,
     SUPPORTED_VERSIONS,
+    RecordFiles,
     RecordPointer,
     encode_segment,
     pointers_from_v2_manifest,
     pointers_from_v3_manifest,
     read_record,
-    segment_relpath,
     sha256_hex,
     v2_relpath,
 )
@@ -202,13 +213,14 @@ def save_database(
     root: Union[str, Path],
     faults: Optional[NoFaults] = None,
 ) -> Path:
-    """Atomically write the database under ``root`` as v3 segments.
+    """Atomically and durably write the database under ``root`` as one pack.
 
-    ``root`` is created if missing; a v1 or v2 root (or one an older
-    build left mid-migration) is replaced by the v3 state through the
-    same commit.  ``faults`` is the durability seam: every file write
-    and commit rename goes through it (tests inject crashes or I/O
-    errors; the default plan is the production pass-through).
+    ``root`` is created if missing; a v1 or v2 root, a per-file v3 root
+    (or one an older build left mid-migration) is replaced by the packed
+    state through the same commit.  ``faults`` is the durability seam:
+    every file write, fsync and commit rename goes through it (tests
+    inject crashes or I/O errors; the default plan is the production
+    pass-through).
     """
     plan = faults if faults is not None else NoFaults()
     base = Path(root)
@@ -233,13 +245,13 @@ def save_database(
     # Commit.  Renames are atomic on POSIX; a crash between them leaves
     # the ``.old`` backup that load-time recovery rolls back.  The
     # per-root lock makes the swap atomic for in-process readers too.
+    # The parent's fsync makes the renames themselves durable.
     try:
         with root_lock(base):
             if base.exists():
                 plan.rename(base, old)
-                plan.rename(tmp, base)
-            else:
-                plan.rename(tmp, base)
+            plan.rename(tmp, base)
+        plan.fsync(base.parent)
     except OSError as exc:
         _recover_interrupted_save(base)  # undo a half-done swap
         shutil.rmtree(tmp, ignore_errors=True)
@@ -251,28 +263,31 @@ def save_database(
 
 
 def _write_tree(database: MultimediaDatabase, tmp: Path, plan: NoFaults) -> None:
-    """The complete v3 state: one self-verifying segment per record."""
-    (tmp / "segments").mkdir(parents=True)
+    """The complete state: one pack of envelopes, then the manifest."""
+    tmp.mkdir(parents=True)
 
     records: Dict[str, Dict[str, object]] = {}
+    pack = bytearray()
     binary_ids = list(database.catalog.binary_ids())
     edited_ids = list(database.catalog.edited_ids())
     for kind, ids in (("binary", binary_ids), ("edited", edited_ids)):
         for image_id in ids:
             payload = _record_payload(database, kind, image_id)
             digest = sha256_hex(payload)
-            relative = segment_relpath(image_id)
-            plan.write_bytes(
-                tmp / relative, encode_segment(image_id, kind, payload, digest)
-            )
+            envelope = encode_segment(image_id, kind, payload, digest)
             records[image_id] = RecordPointer(
                 image_id=image_id,
                 kind=kind,
-                segment_version=3,
-                path=relative,
+                segment_version=PACK_SEGMENT_VERSION,
+                path=PACK_NAME,
                 sha256=digest,
                 size=len(payload),
+                offset=len(pack),
+                length=len(envelope),
             ).to_json()
+            pack += envelope
+    plan.write_bytes(tmp / PACK_NAME, pack)
+    plan.fsync(tmp / PACK_NAME)
 
     manifest: Dict[str, object] = {
         "format_version": 3,
@@ -290,6 +305,8 @@ def _write_tree(database: MultimediaDatabase, tmp: Path, plan: NoFaults) -> None
         tmp / "catalog.json",
         json.dumps(manifest, indent=2).encode("utf-8"),
     )
+    plan.fsync(tmp / "catalog.json")
+    plan.fsync(tmp)
 
 
 def has_committed_state(root: Union[str, Path]) -> bool:
@@ -407,43 +424,45 @@ def _load_locked(
     except ReproError as exc:
         raise _manifest_error(base, exc, salvage) from exc
 
-    available = set()
-    for image_id in binary_ids:
-        pointer = pointers.get(image_id)
-        try:
-            payload = _pointer_payload(base, pointer, image_id, "binary")
-            database.insert_image(read_ppm(payload), image_id=image_id)
-        except (PersistenceError, ReproError, OSError, ValueError) as exc:
-            _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
-            continue
-        available.add(image_id)
-        report.loaded_binary += 1
+    # One open handle per pack serves every record read from it.
+    with RecordFiles(base) as files:
+        available = set()
+        for image_id in binary_ids:
+            pointer = pointers.get(image_id)
+            try:
+                payload = _pointer_payload(files, pointer, image_id, "binary")
+                database.insert_image(read_ppm(payload), image_id=image_id)
+            except (PersistenceError, ReproError, OSError, ValueError) as exc:
+                _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
+                continue
+            available.add(image_id)
+            report.loaded_binary += 1
 
-    for image_id in edited_ids:
-        pointer = pointers.get(image_id)
-        try:
-            payload = _pointer_payload(base, pointer, image_id, "edited")
-            sequence = EditSequence.parse(payload.decode("utf-8"))
-        except (PersistenceError, ReproError, OSError, ValueError) as exc:
-            _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
-            continue
-        missing = [r for r in sequence.referenced_ids() if r not in available]
-        if missing:
-            # Strict mode surfaces the same condition as a corrupt
-            # sequence file; salvage records the transitive loss.
-            exc = CorruptionError(
-                f"{_pointer_path(base, pointer)}: references unrecoverable "
-                f"image(s) {sorted(missing)}"
-            )
-            _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
-            continue
-        try:
-            database.insert_edited(sequence, image_id=image_id)
-        except ReproError as exc:
-            _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
-            continue
-        available.add(image_id)
-        report.loaded_edited += 1
+        for image_id in edited_ids:
+            pointer = pointers.get(image_id)
+            try:
+                payload = _pointer_payload(files, pointer, image_id, "edited")
+                sequence = EditSequence.parse(payload.decode("utf-8"))
+            except (PersistenceError, ReproError, OSError, ValueError) as exc:
+                _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
+                continue
+            missing = [r for r in sequence.referenced_ids() if r not in available]
+            if missing:
+                # Strict mode surfaces the same condition as a corrupt
+                # sequence file; salvage records the transitive loss.
+                exc = CorruptionError(
+                    f"{_pointer_path(base, pointer)}: references unrecoverable "
+                    f"image(s) {sorted(missing)}"
+                )
+                _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
+                continue
+            try:
+                database.insert_edited(sequence, image_id=image_id)
+            except ReproError as exc:
+                _reject(report, image_id, _pointer_path(base, pointer), exc, salvage)
+                continue
+            available.add(image_id)
+            report.loaded_edited += 1
 
     if salvage:
         return database, report
@@ -451,20 +470,20 @@ def _load_locked(
 
 
 def _pointer_payload(
-    base: Path, pointer: Optional[RecordPointer], image_id: str, kind: str
+    files: RecordFiles, pointer: Optional[RecordPointer], image_id: str, kind: str
 ) -> bytes:
     """One record's payload via the registry; missing pointers surface
     as the missing v2-layout file they would have lived in."""
     if pointer is None:
         raise PersistenceError(
-            f"missing file {base / v2_relpath(kind, image_id)}"
+            f"missing file {files.path(v2_relpath(kind, image_id))}"
         )
     if pointer.kind != kind:
         raise CorruptionError(
-            f"{base / pointer.path}: manifest lists {image_id!r} as "
+            f"{files.path(pointer.path)}: manifest lists {image_id!r} as "
             f"{kind} but its record pointer says {pointer.kind}"
         )
-    return read_record(base, pointer)
+    return read_record(files, pointer)
 
 
 def _pointer_path(base: Path, pointer: Optional[RecordPointer]) -> Path:

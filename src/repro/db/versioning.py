@@ -16,14 +16,28 @@ Format versions
     PR 1.  Same layout plus per-file SHA-256 checksums and a
     whole-manifest checksum; atomic rename commits.  Read-only.
 ``3``
-    Per-record **segments** under ``segments/<id>.seg``: a one-line
-    JSON header (version stamp, kind, payload checksum and size)
-    followed by the raw payload bytes.  The manifest carries a
-    ``records`` table of :class:`RecordPointer` entries, each with its
-    *own* ``segment_version`` — so a v3 manifest may point some records
-    at v1/v2-layout files and others at v3 segments (older builds
-    left such roots while migrating them in place).  The one format
-    this build writes.
+    The manifest carries a ``records`` table of :class:`RecordPointer`
+    entries, each with its *own* ``segment_version`` — so a v3 manifest
+    may point some records at v1/v2-layout files and others at segments
+    (older builds left such roots while migrating them in place).  The
+    one manifest format this build writes.
+
+Segment versions (the per-record stamps of a v3 manifest)
+---------------------------------------------------------
+``1``, ``2``
+    A v1/v2-layout payload file, unverified (1) or checked against the
+    pointer's SHA-256 (2).  Read-only.
+``3``
+    A self-verifying **envelope** in a file of its own,
+    ``segments/<id>.seg``: a one-line JSON header (version stamp, kind,
+    id, payload checksum and size) followed by the raw payload bytes.
+    Read-only.
+``4``
+    The same envelope at a byte range of a **pack**
+    (``segments.pack``, one per database root, records in manifest
+    order); the pointer carries the range's ``offset`` and ``length``.
+    The one segment version this build writes.  A build that predates
+    it refuses such a record with "upgrade the library".
 
 Nothing in this module touches a lock or a service; it is pure
 format knowledge used by :mod:`repro.db.persistence`.
@@ -33,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -40,6 +55,10 @@ from repro.errors import CorruptionError, PersistenceError
 
 #: The format :func:`repro.db.persistence.save_database` writes.
 CURRENT_VERSION = 3
+#: The segment version it stamps on every record, and the pack it
+#: writes them into (relative to the database root).
+PACK_SEGMENT_VERSION = 4
+PACK_NAME = "segments.pack"
 #: Every manifest version a loader in this build understands.
 SUPPORTED_VERSIONS: Tuple[int, ...] = (1, 2, 3)
 
@@ -62,11 +81,6 @@ def v2_relpath(kind: str, image_id: str) -> str:
     return f"{directory}/{image_id}{suffix}"
 
 
-def segment_relpath(image_id: str) -> str:
-    """The v3 layout path of a record's segment file."""
-    return f"segments/{image_id}.seg"
-
-
 # ----------------------------------------------------------------------
 # Record pointers — one manifest row per stored record
 # ----------------------------------------------------------------------
@@ -77,6 +91,8 @@ class RecordPointer:
     ``segment_version`` selects the reader; ``sha256`` is ``None`` only
     for v1 records (the pre-checksum era), in which case loading skips
     verification exactly as the v1 manifest reader always has.
+    ``size`` is the payload's byte count; ``offset`` and ``length`` are
+    the envelope's byte range within a pack (segment version 4 only).
     """
 
     image_id: str
@@ -85,6 +101,8 @@ class RecordPointer:
     path: str  # relative to the database root
     sha256: Optional[str] = None
     size: Optional[int] = None
+    offset: Optional[int] = None
+    length: Optional[int] = None
 
     def to_json(self) -> Dict[str, object]:
         row: Dict[str, object] = {
@@ -96,6 +114,10 @@ class RecordPointer:
             row["sha256"] = self.sha256
         if self.size is not None:
             row["bytes"] = self.size
+        if self.offset is not None:
+            row["offset"] = self.offset
+        if self.length is not None:
+            row["length"] = self.length
         return row
 
     @staticmethod
@@ -104,6 +126,10 @@ class RecordPointer:
             kind = str(row["kind"])
             version = int(row["segment_version"])  # type: ignore[arg-type]
             path = str(row["path"])
+            size, offset, length = (
+                None if row.get(key) is None else int(row[key])  # type: ignore[arg-type]
+                for key in ("bytes", "offset", "length")
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(
                 f"malformed record pointer for {image_id!r}: {exc}"
@@ -113,14 +139,15 @@ class RecordPointer:
                 f"record {image_id!r} has unknown kind {kind!r}"
             )
         sha = row.get("sha256")
-        size = row.get("bytes")
         return RecordPointer(
             image_id=image_id,
             kind=kind,
             segment_version=version,
             path=path,
             sha256=str(sha) if sha is not None else None,
-            size=int(size) if size is not None else None,  # type: ignore[arg-type]
+            size=size,
+            offset=offset,
+            length=length,
         )
 
 
@@ -186,7 +213,7 @@ def encode_segment(image_id: str, kind: str, payload: bytes, digest: str) -> byt
 
     The header carries the record's own version stamp and payload
     checksum (``digest``, the payload's :func:`sha256_hex`, which the
-    caller also records in the manifest), so a segment file is
+    caller also records in the manifest), so an envelope is
     self-verifying even when found without its manifest (salvage,
     forensic tooling).
     """
@@ -235,9 +262,63 @@ def decode_segment(blob: bytes, path: str = "<segment>") -> Tuple[Dict[str, obje
 # ----------------------------------------------------------------------
 # The reader registry
 # ----------------------------------------------------------------------
-#: A segment reader takes (database root, pointer) and returns the raw
-#: record payload, fully verified for its version's guarantees.
-SegmentReader = Callable[[object, RecordPointer], bytes]
+class RecordFiles:
+    """A database root opened for reading, with one handle per pack.
+
+    A load reads every record of a pack by its byte range through the
+    same open descriptor (``os.pread``), never the whole pack into one
+    buffer: the transient cost of a load stays one record, not one
+    shard.  Use as a context manager; :meth:`close` releases the
+    handles.
+    """
+
+    def __init__(self, base: object) -> None:
+        self.base = base
+        self._packs: Dict[str, int] = {}
+
+    def path(self, relative: str) -> str:
+        return f"{self.base}/{relative}"
+
+    def read_range(self, relative: str, offset: int, length: int) -> bytes:
+        """Exactly ``length`` bytes at ``offset`` of a pack, or an error:
+        :class:`PersistenceError` when the pack is missing,
+        :class:`CorruptionError` when it ends before the range does."""
+        fd = self._packs.get(relative)
+        path = self.path(relative)
+        if fd is None:
+            try:
+                fd = os.open(path, os.O_RDONLY)
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                raise PersistenceError(f"missing file {path}") from None
+            except OSError as exc:
+                raise CorruptionError(f"unreadable file {path}: {exc}") from exc
+            self._packs[relative] = fd
+        try:
+            blob = os.pread(fd, length, offset)
+        except OSError as exc:
+            raise CorruptionError(f"unreadable file {path}: {exc}") from exc
+        if len(blob) != length:
+            raise CorruptionError(
+                f"{path}: pack ends at byte {offset + len(blob)}, before the "
+                f"record's range [{offset}, {offset + length}) (truncated pack)"
+            )
+        return blob
+
+    def close(self) -> None:
+        for fd in self._packs.values():
+            os.close(fd)
+        self._packs.clear()
+
+    def __enter__(self) -> "RecordFiles":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+#: A segment reader takes (opened database root, pointer) and returns
+#: the raw record payload, fully verified for its version's guarantees.
+SegmentReader = Callable[[RecordFiles, RecordPointer], bytes]
 
 _SEGMENT_READERS: Dict[int, SegmentReader] = {}
 
@@ -261,10 +342,6 @@ def supported_segment_versions() -> Tuple[int, ...]:
     return tuple(sorted(_SEGMENT_READERS))
 
 
-def _record_path(base, pointer: RecordPointer) -> str:
-    return f"{base}/{pointer.path}"
-
-
 def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
@@ -276,15 +353,15 @@ def _read_file(path: str) -> bytes:
 
 
 @register_segment_reader(1)
-def _read_record_v1(base, pointer: RecordPointer) -> bytes:
+def _read_record_v1(files: RecordFiles, pointer: RecordPointer) -> bytes:
     """v1: raw payload file, nothing to verify against (pre-checksum)."""
-    return _read_file(_record_path(base, pointer))
+    return _read_file(files.path(pointer.path))
 
 
 @register_segment_reader(2)
-def _read_record_v2(base, pointer: RecordPointer) -> bytes:
+def _read_record_v2(files: RecordFiles, pointer: RecordPointer) -> bytes:
     """v2: raw payload file verified against the manifest's SHA-256."""
-    path = _record_path(base, pointer)
+    path = files.path(pointer.path)
     payload = _read_file(path)
     if pointer.sha256 is not None and sha256_hex(payload) != pointer.sha256:
         raise CorruptionError(
@@ -294,24 +371,43 @@ def _read_record_v2(base, pointer: RecordPointer) -> bytes:
     return payload
 
 
-@register_segment_reader(3)
-def _read_record_v3(base, pointer: RecordPointer) -> bytes:
-    """v3: self-verifying segment envelope, cross-checked with the manifest."""
-    path = _record_path(base, pointer)
-    header, payload = decode_segment(_read_file(path), path)
+def _verified_envelope(blob: bytes, where: str, pointer: RecordPointer) -> bytes:
+    """An envelope's payload, cross-checked with the manifest's pointer."""
+    header, payload = decode_segment(blob, where)
     if header["image_id"] != pointer.image_id or header["kind"] != pointer.kind:
         raise CorruptionError(
-            f"{path}: segment header names {header['kind']}/{header['image_id']}"
+            f"{where}: segment header names {header['kind']}/{header['image_id']}"
             f", manifest expects {pointer.kind}/{pointer.image_id} (files swapped?)"
         )
     if pointer.sha256 is not None and header["payload_sha256"] != pointer.sha256:
         raise CorruptionError(
-            f"{path}: segment checksum disagrees with the manifest (stale segment)"
+            f"{where}: segment checksum disagrees with the manifest (stale segment)"
         )
     return payload
 
 
-def read_record(base, pointer: RecordPointer) -> bytes:
+@register_segment_reader(3)
+def _read_record_v3(files: RecordFiles, pointer: RecordPointer) -> bytes:
+    """v3: a self-verifying envelope in a file of its own."""
+    path = files.path(pointer.path)
+    return _verified_envelope(_read_file(path), path, pointer)
+
+
+@register_segment_reader(PACK_SEGMENT_VERSION)
+def _read_record_v4(files: RecordFiles, pointer: RecordPointer) -> bytes:
+    """v4: the v3 envelope at a byte range of a pack."""
+    if pointer.offset is None or pointer.length is None:
+        raise CorruptionError(
+            f"{files.path(pointer.path)}: record pointer for "
+            f"{pointer.image_id!r} has no byte range"
+        )
+    end = pointer.offset + pointer.length
+    where = f"{files.path(pointer.path)}[{pointer.offset}:{end}]"
+    blob = files.read_range(pointer.path, pointer.offset, pointer.length)
+    return _verified_envelope(blob, where, pointer)
+
+
+def read_record(files: RecordFiles, pointer: RecordPointer) -> bytes:
     """Read one record's payload through the versioned reader registry."""
     reader = _SEGMENT_READERS.get(pointer.segment_version)
     if reader is None:
@@ -321,4 +417,4 @@ def read_record(base, pointer: RecordPointer) -> bytes:
             f"{pointer.segment_version}, but this build only reads "
             f"versions {known} — upgrade the library"
         )
-    return reader(base, pointer)
+    return reader(files, pointer)

@@ -27,7 +27,8 @@ Out-of-band mutations (someone poking a shard's database directly)
 reach the listener with no registered key and are captured as
 payload-free ``change`` records.
 :meth:`ShardedCatalog.save` checkpoints every shard into its own
-segment root (one atomic v2/v3 save each) and truncates the WAL;
+segment root (one atomic, fsynced save each: a v3 manifest over one
+pack) and only then truncates the WAL;
 :meth:`ShardedCatalog.open` loads the shard roots and replays whatever
 the WAL holds beyond them.  Replay is idempotent, so a crash anywhere
 — mid-append, between append and apply, mid-checkpoint — converges to
@@ -1015,10 +1016,11 @@ class ShardedCatalog:
         """Checkpoint every shard and truncate the WAL.
 
         Each shard saves through the normal atomic tmp+rename path into
-        its own segment root, the manifest is rewritten, and only then
-        is the WAL reset.  A crash anywhere leaves the tree loadable:
-        un-checkpointed shards replay the WAL's records idempotently on
-        the next :meth:`open`.
+        its own segment root, which is on stable storage when
+        :func:`~repro.db.persistence.save_database` returns; the
+        manifest is rewritten, and only then is the WAL reset.  A crash
+        anywhere leaves the tree loadable: un-checkpointed shards replay
+        the WAL's records idempotently on the next :meth:`open`.
         """
         self._ensure_open()
         if self.root is None:
@@ -1040,7 +1042,7 @@ class ShardedCatalog:
                 )
             self._write_manifest()
             assert self._wal is not None
-            truncated = len(self._wal.entries())
+            truncated = self._wal.record_count()
             self._wal.reset(self.faults)
         self.metrics.increment("shard.checkpoints")
         self.events.emit(
@@ -1236,7 +1238,7 @@ class ShardedCatalog:
                         "replay_failures": shard.replay_failures,
                     }
                 )
-        wal_entries = len(self._wal.entries()) if self._wal is not None else 0
+        wal_entries = self._wal.record_count() if self._wal is not None else 0
         return {
             "root": str(self.root) if self.root is not None else None,
             "shard_count": len(self._shards),

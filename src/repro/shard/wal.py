@@ -76,6 +76,9 @@ class ShardWAL:
     def __init__(self, base: Path) -> None:
         self.path = Path(base) / WAL_NAME
         self._next_lsn: Optional[int] = None
+        # Records in the log, once known: set by every full read and by
+        # reset, bumped by every append, so counting never re-reads.
+        self._records: Optional[int] = None
         # Reentrant because _allocate_lsn bootstraps the counter by
         # calling entries() from inside the append critical section.
         self._lock = threading.RLock()
@@ -114,6 +117,8 @@ class ShardWAL:
             }
             entry["line_sha256"] = sha256_hex(_canonical(entry))
             plan.append_bytes(self.path, _canonical(entry) + b"\n")
+            if self._records is not None:
+                self._records += 1
             plan.fsync(self.path)
             return entry
 
@@ -121,6 +126,7 @@ class ShardWAL:
         """Verified WAL entries in append order; a torn final line is dropped."""
         with self._lock:
             if not self.exists():
+                self._records = 0
                 return []
             try:
                 raw_lines = self.path.read_bytes().split(b"\n")
@@ -144,7 +150,17 @@ class ShardWAL:
                         f"{len(lines)} (not a torn tail; refusing to guess)"
                     )
                 entries.append(entry)
+            self._records = len(entries)
             return entries
+
+    def record_count(self) -> int:
+        """How many records the log holds, from bookkeeping: only the
+        first call on a log this instance has never read reads it."""
+        with self._lock:
+            if self._records is None:
+                self.entries()
+            assert self._records is not None
+            return self._records
 
     def reset(self, plan: NoFaults) -> None:
         """Truncate the log after a checkpoint made every entry durable.
@@ -156,6 +172,7 @@ class ShardWAL:
         """
         with self._lock:
             plan.write_bytes(self.path, b"")
+            self._records = 0
             # The truncate must not race an in-flight append: a record
             # fsynced after the truncate's fsync but before _next_lsn is
             # reset would survive with a stale LSN.

@@ -1,7 +1,7 @@
 """Crash-safety: the kill-point sweep and mutator rollback tests.
 
 The sweep crashes ``save_database`` at *every* durable boundary (file
-writes and commit renames) in every failure mode (before / torn /
+writes, fsyncs and commit renames) in every failure mode (before / torn /
 after), then asserts the recovery contract: a subsequent strict load
 either yields a complete consistent state (the previous one, or — for
 crashes after the commit point — the new one) or raises a clean
@@ -56,19 +56,27 @@ class TestFaultPlans:
         database = _make_database(7)
         counter = CountingFaults()
         save_database(database, tmp_path / "db", faults=counter)
-        kinds = [event.kind for event in counter.events]
-        # One write per content file, one for the manifest, one commit
-        # rename (fresh directory).
-        files = database.catalog.binary_count + database.catalog.edited_count
-        assert kinds == ["write"] * (files + 1) + ["rename"]
-        assert counter.writes == files + 2
+        tmp = tmp_path / "db.saving"
+        # The pack and the manifest, each written then fsynced, the
+        # scratch directory fsynced, one commit rename (fresh
+        # directory), then the parent fsynced — whatever the catalog's
+        # size.
+        assert [(e.kind, e.path) for e in counter.events] == [
+            ("write", tmp / "segments.pack"),
+            ("fsync", tmp / "segments.pack"),
+            ("write", tmp / "catalog.json"),
+            ("fsync", tmp / "catalog.json"),
+            ("fsync", tmp),
+            ("rename", tmp_path / "db"),
+            ("fsync", tmp_path),
+        ]
 
     def test_resave_adds_backup_rename(self, tmp_path):
         database = _make_database(7)
         save_database(database, tmp_path / "db")
         counter = CountingFaults()
         save_database(database, tmp_path / "db", faults=counter)
-        assert [e.kind for e in counter.events[-2:]] == ["rename", "rename"]
+        assert [e.kind for e in counter.events[-3:]] == ["rename", "rename", "fsync"]
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -101,13 +109,16 @@ class TestKillPointSweep:
         upcoming.delete_edited(victim)
         return previous, upcoming
 
-    def _boundaries(self, states, tmp_path):
+    def _counter(self, states, tmp_path):
         previous, upcoming = states
         root = tmp_path / "count"
         save_database(previous, root)
         counter = CountingFaults()
         save_database(upcoming, root, faults=counter)
-        return counter.writes
+        return counter
+
+    def _boundaries(self, states, tmp_path):
+        return self._counter(states, tmp_path).writes
 
     def test_sweep_over_existing_state(self, states, tmp_path):
         previous, upcoming = states
@@ -194,8 +205,9 @@ class TestKillPointSweep:
         previous, upcoming = states
         root = tmp_path / "resume"
         save_database(previous, root)
-        boundaries = self._boundaries(states, tmp_path / "resume-count")
-        plan = FaultPlan(fail_at=boundaries - 1, mode="after")  # first rename
+        events = self._counter(states, tmp_path / "resume-count").events
+        first_rename = next(e.index for e in events if e.kind == "rename")
+        plan = FaultPlan(fail_at=first_rename, mode="after")
         with pytest.raises(InjectedCrash):
             save_database(upcoming, root, faults=plan)
         assert not root.exists()  # crashed between the two commit renames

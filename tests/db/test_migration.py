@@ -20,6 +20,7 @@ import pytest
 
 from repro.color.names import FLAG_PALETTE
 from repro.db.persistence import load_database, save_database
+from repro.db.versioning import PACK_NAME, PACK_SEGMENT_VERSION
 from repro.errors import CorruptionError, PersistenceError
 from repro.images.generators import random_palette_image
 from repro.service import QueryService
@@ -51,13 +52,18 @@ def _upgrade(root, faults=None):
 
 
 def _is_pure_v3(root):
+    """A v3 manifest over one pack, and nothing else in the root."""
     rows = manifest(root)["records"].values()
     return (
         manifest(root)["format_version"] == 3
-        and {row["segment_version"] for row in rows} == {3}
+        and {row["segment_version"] for row in rows} == {PACK_SEGMENT_VERSION}
         and sorted(path.name for path in root.iterdir())
-        == ["catalog.json", "segments"]
+        == ["catalog.json", PACK_NAME]
     )
+
+
+def _first_commit_rename(counter):
+    return next(e.index for e in counter.events if e.kind == "rename")
 
 
 def _boundaries(name, tmp_path):
@@ -98,7 +104,7 @@ class TestKillPointSweep:
         oracle = expected(name)
         origin = _tree(DATA / name)
         counter = _boundaries(name, tmp_path)
-        assert {e.kind for e in counter.events} == {"write", "rename"}
+        assert {e.kind for e in counter.events} == {"write", "fsync", "rename"}
 
         outcomes = set()
         for index in range(1, counter.writes + 1):
@@ -128,7 +134,7 @@ class TestKillPointSweep:
         name = "root_v2"
         oracle = expected(name)
         origin = _tree(DATA / name)
-        first_commit_rename = _boundaries(name, tmp_path).writes - 1
+        first_commit_rename = _first_commit_rename(_boundaries(name, tmp_path))
         root = copy_root(name, tmp_path / "db")
         with pytest.raises(InjectedCrash):
             _upgrade(root, faults=FaultPlan(fail_at=first_commit_rename, mode="after"))
@@ -150,7 +156,7 @@ class TestRollback:
         name = "root_v2"
         origin = _tree(DATA / name)
         counter = _boundaries(name, tmp_path)
-        commit = counter.writes
+        commit = _first_commit_rename(counter) + 1
         assert counter.events[commit - 1].kind == "rename"
         for index in range(1, counter.writes + 1):
             for mode in FAIL_MODES:
@@ -158,7 +164,7 @@ class TestRollback:
                 with pytest.raises(InjectedCrash):
                     _upgrade(root, faults=FaultPlan(fail_at=index, mode=mode))
                 load_database(root)  # rolls back a half-done commit
-                if index == commit and mode == "after":
+                if index > commit or (index == commit and mode == "after"):
                     assert _is_pure_v3(root)
                 else:
                     assert _tree(root) == origin, (index, mode)

@@ -6,8 +6,8 @@ import pytest
 
 from repro.color.quantization import UniformQuantizer
 from repro.db.database import MultimediaDatabase
-from repro.db.persistence import load_database, save_database
-from repro.db.versioning import segment_relpath
+from repro.db.persistence import load_database, manifest_checksum, save_database
+from repro.db.versioning import PACK_NAME, PACK_SEGMENT_VERSION
 from repro.editing.sequence import EditSequence
 from repro.errors import CorruptionError, PersistenceError, SalvageError
 from repro.workloads.queries import make_query_workload
@@ -20,22 +20,17 @@ from tests.db.legacy import (
     manifest,
     observed,
 )
+from tests.db.packs import dependents, envelope, flip_envelope_byte, pack_ids
 
 
-def _flip_tail(path):
-    payload = bytearray(path.read_bytes())
-    payload[-1] = (payload[-1] + 90) % 256
-    path.write_bytes(bytes(payload))
-
-
-def _segment(root, database, kind):
-    """The segment file of ``database``'s first ``kind`` record."""
+def _first(database, kind):
+    """The id of ``database``'s first ``kind`` record."""
     ids = (
         database.catalog.binary_ids()
         if kind == "binary"
         else database.catalog.edited_ids()
     )
-    return root / segment_relpath(next(iter(ids)))
+    return next(iter(ids))
 
 
 class TestRoundTrip:
@@ -80,9 +75,9 @@ class TestRoundTrip:
     def test_layout_on_disk(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
         assert (root / "catalog.json").is_file()
-        assert len(list((root / "segments").glob("*.seg"))) == 4 + 12
+        assert len(pack_ids(root)) == 4 + 12
         assert sorted(p.name for p in root.iterdir()) == [
-            "catalog.json", "segments"
+            "catalog.json", PACK_NAME
         ]
 
 
@@ -105,7 +100,7 @@ class TestErrors:
 
     def test_missing_raster_file(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
-        victim = _segment(root, small_database, "binary")
+        victim = root / PACK_NAME
         victim.unlink()
         with pytest.raises(PersistenceError) as excinfo:
             load_database(root)
@@ -114,17 +109,19 @@ class TestErrors:
         assert str(excinfo.value) == f"missing file {victim}"
 
     def test_missing_sequence_file(self, small_database, tmp_path):
+        """A pack cut off where the edited records begin: the binary
+        images load, the first sequence's range is named as lost."""
         root = save_database(small_database, tmp_path / "db")
-        victim = _segment(root, small_database, "edited")
-        victim.unlink()
+        victim, offset, _ = envelope(root, _first(small_database, "edited"))
+        victim.write_bytes(victim.read_bytes()[:offset])
         with pytest.raises(PersistenceError) as excinfo:
             load_database(root)
         assert str(victim) in str(excinfo.value)
+        assert "truncated pack" in str(excinfo.value)
 
     def test_corrupt_raster_named_in_error(self, small_database, tmp_path):
         root = save_database(small_database, tmp_path / "db")
-        victim = _segment(root, small_database, "binary")
-        _flip_tail(victim)
+        victim = flip_envelope_byte(root, _first(small_database, "binary"))
         with pytest.raises(CorruptionError) as excinfo:
             load_database(root)
         assert str(victim) in str(excinfo.value)
@@ -175,16 +172,17 @@ class TestErrors:
             assert str(manifest_path) in str(excinfo.value)
 
     def test_raster_file_swap_detected(self, small_database, tmp_path):
-        """Two files swapped: sizes fine, checksums catch it."""
+        """Two byte ranges swapped in a manifest whose checksum was
+        re-stamped: every range is whole, the envelope headers catch it."""
         root = save_database(small_database, tmp_path / "db")
-        first, second = (
-            root / segment_relpath(image_id)
-            for image_id in list(small_database.catalog.binary_ids())[:2]
-        )
-        a, b = first.read_bytes(), second.read_bytes()
-        first.write_bytes(b)
-        second.write_bytes(a)
-        with pytest.raises(CorruptionError):
+        first, second = list(small_database.catalog.binary_ids())[:2]
+        swapped = manifest(root)
+        rows = swapped["records"]
+        for key in ("offset", "length"):
+            rows[first][key], rows[second][key] = rows[second][key], rows[first][key]
+        swapped["manifest_checksum"] = manifest_checksum(swapped)
+        (root / "catalog.json").write_text(json.dumps(swapped), encoding="utf-8")
+        with pytest.raises(CorruptionError, match="swapped"):
             load_database(root)
 
 
@@ -203,9 +201,11 @@ class TestOrphanPruning:
         small_database.delete_image(base_victim)
 
         save_database(small_database, root)
-        on_disk = {p.stem for p in (root / "segments").glob("*.seg")}
+        on_disk = pack_ids(root)
         assert base_victim not in on_disk
-        assert on_disk == set(small_database.ids())
+        assert on_disk == list(small_database.catalog.binary_ids()) + list(
+            small_database.catalog.edited_ids()
+        )
 
         loaded = load_database(root)
         assert loaded.structure_summary() == small_database.structure_summary()
@@ -230,9 +230,8 @@ class TestSalvage:
         self, small_database, tmp_path
     ):
         root = save_database(small_database, tmp_path / "db")
-        victim = _segment(root, small_database, "binary")
-        victim_id = victim.stem
-        _flip_tail(victim)
+        victim_id = _first(small_database, "binary")
+        flip_envelope_byte(root, victim_id)
 
         database, report = load_database(root, salvage=True)
         lost = set(report.quarantined_ids())
@@ -261,7 +260,7 @@ class TestSalvage:
         third = database.insert_edited(EditSequence(second))
 
         root = save_database(database, tmp_path / "db")
-        (root / segment_relpath(first)).write_text("garbage", encoding="utf-8")
+        flip_envelope_byte(root, first, at=0)  # its header line
 
         salvaged, report = load_database(root, salvage=True)
         assert set(report.quarantined_ids()) == {first, second, third}
@@ -319,11 +318,16 @@ class TestFormatCompatibility:
         saved = manifest(root)
         assert saved["format_version"] == 3
         assert set(saved["records"]) == set(small_database.ids())
-        for image_id, row in saved["records"].items():
-            assert row["segment_version"] == 3
-            assert row["path"] == segment_relpath(image_id)
+        end = 0
+        for row in saved["records"].values():  # manifest order = pack order
+            assert row["segment_version"] == PACK_SEGMENT_VERSION
+            assert row["path"] == PACK_NAME
             assert len(row["sha256"]) == 64
             assert row["bytes"] > 0
+            assert row["offset"] == end
+            assert row["length"] > row["bytes"]  # header line + payload
+            end += row["length"]
+        assert end == (root / PACK_NAME).stat().st_size
 
     def test_checksums_off_roundtrips(self, tmp_path):
         """A v2 root saved without checksums loads; its re-save is
@@ -343,7 +347,7 @@ class TestLegacyRoots:
     @pytest.mark.parametrize("name", LEGACY_ROOTS)
     def test_strict_load_resave_reload(self, name, tmp_path):
         """Every committed legacy root loads strictly; one save makes
-        it pure v3 with nothing of the old layout left behind."""
+        it one pack with nothing of the old layout left behind."""
         root = copy_root(name, tmp_path / name)
         oracle = expected(name)
         assert manifest(root)["format_version"] == oracle["format_version"]
@@ -353,8 +357,104 @@ class TestLegacyRoots:
         save_database(loaded, root)
         upgraded = manifest(root)
         assert upgraded["format_version"] == 3
-        assert {row["segment_version"] for row in upgraded["records"].values()} == {3}
-        for leftover in ("binary", "edited", "migration.journal"):
-            assert not (root / leftover).exists()
+        assert {row["segment_version"] for row in upgraded["records"].values()} == {
+            PACK_SEGMENT_VERSION
+        }
+        # Nothing of the old layout is left (nor the oracle's file).
+        assert sorted(p.name for p in root.iterdir()) == ["catalog.json", PACK_NAME]
 
         assert observed(load_database(root), oracle) == answers(oracle)
+
+
+class TestPack:
+    """One pack per root: its size, its byte ranges, damage to it."""
+
+    @pytest.mark.parametrize("bases,variants", [(0, 0), (1, 0), (3, 2), (12, 4)])
+    def test_a_save_creates_two_files_whatever_the_size(
+        self, bases, variants, tmp_path, rng
+    ):
+        from repro.color.names import FLAG_PALETTE
+        from repro.images.generators import random_palette_image
+
+        database = MultimediaDatabase()
+        base_ids = [
+            database.insert_image(random_palette_image(rng, 6, 8, FLAG_PALETTE))
+            for _ in range(bases)
+        ]
+        for base_id in base_ids:
+            database.augment(base_id, rng, variants, FLAG_PALETTE)
+        root = save_database(database, tmp_path / "db")
+        assert sorted(p.name for p in root.rglob("*")) == ["catalog.json", PACK_NAME]
+        assert len(pack_ids(root)) == len(database) == bases * (1 + variants)
+        loaded = load_database(root)
+        assert loaded.structure_summary() == database.structure_summary()
+
+    def test_envelopes_are_read_by_range_not_as_one_buffer(
+        self, small_database, tmp_path, monkeypatch
+    ):
+        """A load opens the pack once and never reads more than one
+        envelope at a time."""
+        import os
+
+        root = save_database(small_database, tmp_path / "db")
+        lengths = [row["length"] for row in manifest(root)["records"].values()]
+        reads, opens = [], []
+        real_pread, real_open = os.pread, os.open
+        monkeypatch.setattr(
+            os, "pread", lambda fd, n, at: reads.append(n) or real_pread(fd, n, at)
+        )
+        monkeypatch.setattr(
+            os, "open", lambda path, *a: opens.append(path) or real_open(path, *a)
+        )
+        load_database(root)
+        assert reads == lengths
+        assert opens == [f"{root}/{PACK_NAME}"]
+
+    @pytest.mark.parametrize("at", [0, "middle", -1])
+    def test_one_flipped_byte_quarantines_that_record_and_its_dependents(
+        self, small_database, tmp_path, at
+    ):
+        """Damage anywhere in one envelope — its header, its payload's
+        middle, its last byte — costs that record and what derives from
+        it, and nothing else; the survivors answer as before."""
+        ids = list(small_database.catalog.binary_ids()) + list(
+            small_database.catalog.edited_ids()
+        )
+        for victim in (ids[1], ids[len(ids) // 2], ids[-1]):
+            root = save_database(small_database, tmp_path / f"db-{victim}")
+            _, _, length = envelope(root, victim)
+            flip_envelope_byte(root, victim, length // 2 if at == "middle" else at)
+            with pytest.raises(CorruptionError):
+                load_database(root)
+            salvaged, report = load_database(root, salvage=True)
+            lost = dependents(small_database, {victim})
+            assert set(report.quarantined_ids()) == lost
+            assert set(salvaged.ids()) == set(ids) - lost
+            assert salvaged.verify_integrity() == []
+            for image_id in salvaged.catalog.edited_ids():
+                assert salvaged.catalog.sequence_of(
+                    image_id
+                ) == small_database.catalog.sequence_of(image_id)
+
+    def test_truncated_pack_quarantines_its_tail_records(self, small_database, tmp_path):
+        """Cut the pack anywhere: the records whose range runs past the
+        cut are lost (with their dependents), every earlier one loads."""
+        rows = manifest(save_database(small_database, tmp_path / "count"))["records"]
+        cuts = sorted({rows[i]["offset"] for i in rows} | {
+            rows[i]["offset"] + rows[i]["length"] // 3 for i in rows
+        })
+        for cut in cuts[1::3]:
+            root = save_database(small_database, tmp_path / f"db-{cut}")
+            pack = root / PACK_NAME
+            pack.write_bytes(pack.read_bytes()[:cut])
+            with pytest.raises(CorruptionError, match="truncated pack"):
+                load_database(root)
+            salvaged, report = load_database(root, salvage=True)
+            tail = {i for i, row in rows.items() if row["offset"] + row["length"] > cut}
+            assert set(report.quarantined_ids()) == dependents(small_database, tail)
+            assert all(
+                "truncated pack" in entry.reason
+                for entry in report.quarantined
+                if entry.image_id in tail
+            )
+            assert salvaged.verify_integrity() == []

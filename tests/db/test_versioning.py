@@ -1,9 +1,10 @@
-"""The v3 segment format and the versioned reader registry.
+"""The segment envelope, the pack, and the versioned reader registry.
 
 Unit-level coverage of :mod:`repro.db.versioning`: segment envelope
 round-trips, torn/corrupt segment detection, pointer-table parsing for
-v1/v2/v3 manifests, and per-record reader dispatch (including the
-"upgrade the library" error for versions from the future).  The
+v1/v2/v3 manifests (pack pointers and their byte ranges included), and
+per-record reader dispatch (including the "upgrade the library" error
+for versions from the future).  The
 integration-level behavior — the committed legacy roots, mixed-version
 ones included, upgrading on save — is exercised in
 ``test_persistence.py`` and ``test_migration.py``.
@@ -21,17 +22,24 @@ from repro.db.versioning import (
     CURRENT_VERSION,
     KIND_BINARY,
     KIND_EDITED,
+    PACK_NAME,
+    PACK_SEGMENT_VERSION,
+    RecordFiles,
     RecordPointer,
     decode_segment,
     encode_segment,
     pointers_from_v2_manifest,
+    pointers_from_v3_manifest,
     read_record,
-    segment_relpath,
     sha256_hex,
     v2_relpath,
 )
 from repro.errors import CorruptionError, PersistenceError
 from repro.images.generators import random_palette_image
+from tests.db.packs import flip_envelope_byte
+
+#: Where a per-file (segment version 3) envelope of ``img-1`` lives.
+SEG_PATH = "segments/img-1.seg"
 
 
 def _make_database(seed, bases=2, variants=2):
@@ -94,9 +102,27 @@ class TestRecordPointer:
     def test_json_round_trip(self):
         pointer = RecordPointer(
             image_id="img-1", kind=KIND_BINARY, segment_version=3,
-            path=segment_relpath("img-1"), sha256="ab" * 32, size=123,
+            path=SEG_PATH, sha256="ab" * 32, size=123,
         )
         assert RecordPointer.from_json("img-1", pointer.to_json()) == pointer
+
+    def test_pack_pointer_round_trips_its_byte_range(self):
+        pointer = RecordPointer(
+            image_id="img-1", kind=KIND_BINARY,
+            segment_version=PACK_SEGMENT_VERSION, path=PACK_NAME,
+            sha256="ab" * 32, size=123, offset=4096, length=250,
+        )
+        row = pointer.to_json()
+        assert (row["offset"], row["length"], row["bytes"]) == (4096, 250, 123)
+        assert RecordPointer.from_json("img-1", json.loads(json.dumps(row))) == pointer
+        manifest = {"records": {"img-1": row}}
+        assert pointers_from_v3_manifest(manifest) == {"img-1": pointer}
+
+    def test_malformed_byte_range_is_a_persistence_error(self):
+        row = {"kind": KIND_BINARY, "segment_version": PACK_SEGMENT_VERSION,
+               "path": PACK_NAME, "offset": "far", "length": 10}
+        with pytest.raises(PersistenceError, match="malformed record pointer"):
+            RecordPointer.from_json("img-1", row)
 
     def test_v2_manifest_pointers(self):
         manifest = {
@@ -125,23 +151,62 @@ class TestReaderRegistry:
         (tmp_path / "segments").mkdir()
         pointer = RecordPointer(
             image_id="img-1", kind=KIND_BINARY, segment_version=99,
-            path=segment_relpath("img-1"),
+            path=SEG_PATH,
         )
         with pytest.raises(PersistenceError, match="upgrade"):
-            read_record(tmp_path, pointer)
+            read_record(RecordFiles(tmp_path), pointer)
 
     def test_v3_reader_cross_checks_header_identity(self, tmp_path):
         (tmp_path / "segments").mkdir()
         # A segment whose header claims a different record: stale file
         # recycled under the wrong name.
         blob = _encode("img-2", KIND_BINARY, b"payload")
-        (tmp_path / segment_relpath("img-1")).write_bytes(blob)
+        (tmp_path / SEG_PATH).write_bytes(blob)
         pointer = RecordPointer(
             image_id="img-1", kind=KIND_BINARY, segment_version=3,
-            path=segment_relpath("img-1"),
+            path=SEG_PATH,
         )
         with pytest.raises(CorruptionError, match="img-2"):
-            read_record(tmp_path, pointer)
+            read_record(RecordFiles(tmp_path), pointer)
+
+    def test_pack_reader_reads_its_range_and_cross_checks_identity(self, tmp_path):
+        first = _encode("img-1", KIND_BINARY, b"first payload")
+        second = _encode("img-2", KIND_BINARY, b"second")
+        (tmp_path / PACK_NAME).write_bytes(first + second)
+
+        def pointer(image_id, offset, length):
+            return RecordPointer(
+                image_id=image_id, kind=KIND_BINARY,
+                segment_version=PACK_SEGMENT_VERSION, path=PACK_NAME,
+                offset=offset, length=length,
+            )
+
+        with RecordFiles(tmp_path) as files:
+            assert read_record(files, pointer("img-2", len(first), len(second))) == b"second"
+            # The right range under the wrong name: the header catches it.
+            with pytest.raises(CorruptionError, match="img-1"):
+                read_record(files, pointer("img-2", 0, len(first)))
+            with pytest.raises(CorruptionError, match="truncated pack"):
+                read_record(files, pointer("img-2", len(first), len(second) + 1))
+            with pytest.raises(CorruptionError, match="no byte range"):
+                read_record(files, pointer("img-2", None, None))
+        (tmp_path / PACK_NAME).unlink()
+        with RecordFiles(tmp_path) as files:
+            with pytest.raises(PersistenceError, match="missing file"):
+                read_record(files, pointer("img-1", 0, len(first)))
+
+    def test_a_build_without_the_pack_reader_asks_for_an_upgrade(
+        self, tmp_path, monkeypatch
+    ):
+        """An older build's registry stops at 3: it refuses a packed root
+        by asking for an upgrade, not by calling the root corrupt."""
+        from repro.db import versioning
+
+        save_database(_make_database(3), tmp_path / "db")
+        monkeypatch.delitem(versioning._SEGMENT_READERS, PACK_SEGMENT_VERSION)
+        with pytest.raises(PersistenceError, match="upgrade the library") as excinfo:
+            load_database(tmp_path / "db")
+        assert not isinstance(excinfo.value, CorruptionError)
 
 
 class TestFormatSelection:
@@ -156,7 +221,8 @@ class TestFormatSelection:
         manifest = json.loads((tmp_path / "db" / "catalog.json").read_text())
         assert manifest["format_version"] == CURRENT_VERSION == 3
         assert "records" in manifest
-        assert (tmp_path / "db" / "segments").is_dir()
+        assert (tmp_path / "db" / PACK_NAME).is_file()
+        assert not (tmp_path / "db" / "segments").exists()
         loaded = load_database(tmp_path / "db")
         assert sorted(loaded.catalog.binary_ids()) == sorted(
             database.catalog.binary_ids()
@@ -176,10 +242,7 @@ class TestFormatSelection:
         database = _make_database(3)
         save_database(database, tmp_path / "db")
         victim = sorted(database.catalog.binary_ids())[0]
-        target = tmp_path / "db" / segment_relpath(victim)
-        blob = bytearray(target.read_bytes())
-        blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
+        flip_envelope_byte(tmp_path / "db", victim)
         with pytest.raises(CorruptionError):
             load_database(tmp_path / "db")
 
@@ -187,10 +250,7 @@ class TestFormatSelection:
         database = _make_database(3)
         save_database(database, tmp_path / "db")
         victim = sorted(database.catalog.binary_ids())[0]
-        target = tmp_path / "db" / segment_relpath(victim)
-        blob = bytearray(target.read_bytes())
-        blob[-1] ^= 0xFF
-        target.write_bytes(bytes(blob))
+        flip_envelope_byte(tmp_path / "db", victim)
         loaded, report = load_database(tmp_path / "db", salvage=True)
         assert not report.clean
         assert victim in {entry.image_id for entry in report.quarantined}

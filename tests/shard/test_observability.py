@@ -238,6 +238,40 @@ class TestEventTimeline:
         finally:
             sharded.close()
 
+    def test_checkpoint_count_comes_from_the_wals_bookkeeping(
+        self, rng, tmp_path, monkeypatch
+    ):
+        """``wal_records_truncated`` is right after live appends, after
+        an open that replayed the log with nothing appended since, and
+        after a reset — and no save re-reads the log to count it."""
+        from repro.shard.wal import ShardWAL
+
+        def save_without_rereading(catalog):
+            with monkeypatch.context() as patch:
+                patch.setattr(ShardWAL, "entries", _no_reread)
+                catalog.save()
+            return catalog.events.snapshot(kind="checkpoint")[-1].detail[
+                "wal_records_truncated"
+            ]
+
+        sharded = ShardedCatalog(2, root=tmp_path)
+        try:
+            for _ in range(3):
+                sharded.insert_image(random_image(rng))
+        finally:
+            sharded.close()  # no checkpoint: three records to replay
+        reopened = ShardedCatalog.open(tmp_path)
+        try:
+            assert reopened.metrics.counter("wal.replayed") == 3
+            assert save_without_rereading(reopened) == 3  # replayed
+            assert save_without_rereading(reopened) == 0  # reset
+            reopened.insert_image(random_image(rng))
+            reopened.insert_image(random_image(rng))
+            assert save_without_rereading(reopened) == 2  # appended
+            assert reopened.status()["wal_entries"] == 0
+        finally:
+            reopened.close()
+
     def test_events_stream_to_the_root_sink_and_survive_reopen(
         self, rng, tmp_path
     ):
@@ -640,3 +674,7 @@ class TestTopRenderer:
             assert "none since this root opened" in text
         finally:
             sharded.close()
+
+
+def _no_reread(self):
+    raise AssertionError("the WAL was re-read to count its records")

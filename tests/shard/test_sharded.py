@@ -377,6 +377,44 @@ class TestPersistence:
         finally:
             reopened.close()
 
+    def test_four_shard_answers_are_byte_identical_after_save_and_open(
+        self, rng, tmp_path
+    ):
+        """Each shard checkpoints into one pack, and the reopened
+        catalog answers every read exactly as the live one did."""
+        from repro.db.versioning import PACK_NAME
+
+        sharded, _, _ = build_mirrored_pair(
+            rng, shard_count=4, binary_count=16, edited_count=24, root=tmp_path
+        )
+        queries = _sample_queries(rng, sharded.quantizer.bin_count)
+        probe = random_image(rng)
+
+        def answers(catalog):
+            return (
+                list(catalog.ids()),
+                sorted(catalog.placement().items()),
+                [catalog.range_query(q, method=m).matches
+                 for q in queries for m in ("rbm", "bwm")],
+                catalog.knn(probe, 7).neighbors,
+                catalog.similarity_range(probe, 0.8).neighbors,
+                [catalog.instantiate(i) for i in catalog.ids()],
+            )
+
+        try:
+            sharded.save()
+            before = answers(sharded)
+        finally:
+            sharded.close()
+        for index in range(4):
+            shard_root = tmp_path / f"shard-{index:03d}"
+            assert sorted(p.name for p in shard_root.iterdir()) == [
+                "catalog.json", PACK_NAME
+            ]
+        with ShardedCatalog.open(tmp_path) as reopened:
+            assert reopened.metrics.counter("wal.replayed") == 0
+            assert answers(reopened) == before
+
     def test_unsaved_tail_replays_from_wal(self, rng, tmp_path):
         sharded, oracle, base_ids = build_mirrored_pair(rng, root=tmp_path)
         try:
@@ -500,12 +538,15 @@ class TestPersistence:
             reopened.save()
         rewritten = json.loads((root / SHARD_MANIFEST_NAME).read_text())
         assert "index_kind" not in rewritten
-        # The checkpoint rewrote every shard's v2 segment root as v3.
+        # The checkpoint rewrote every shard's v2 segment root as a v3
+        # manifest over one pack.
         for index in range(shard_count):
             shard_root = root / f"shard-{index:03d}"
             manifest = json.loads((shard_root / "catalog.json").read_text())
             assert manifest["format_version"] == 3
-            assert not (shard_root / "binary").exists()
+            assert sorted(p.name for p in shard_root.iterdir()) == [
+                "catalog.json", "segments.pack"
+            ]
         with ShardedCatalog.open(root) as reopened:
             assert_as_recorded(reopened)
             assert reopened.metrics.counter("wal.replayed") == 0

@@ -16,14 +16,15 @@ def run_cli(*argv):
     return code, buffer.getvalue()
 
 
-def _binary_segment(directory):
-    """The segment file of the first binary image saved under ``directory``."""
-    import json
+def _corrupt_first_binary(directory):
+    """Change the last byte of the first binary image's envelope in the
+    pack saved under ``directory``; returns that image's id."""
+    from tests.db.legacy import manifest
+    from tests.db.packs import flip_envelope_byte
 
-    from repro.db.versioning import segment_relpath
-
-    manifest = json.loads((directory / "catalog.json").read_text())
-    return directory / segment_relpath(manifest["binary_ids"][0])
+    victim = manifest(directory)["binary_ids"][0]
+    flip_envelope_byte(directory, victim)
+    return victim
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +133,8 @@ class TestCheck:
         directory, _ = saved_database
         corrupted = tmp_path / "corrupt"
         shutil.copytree(directory, corrupted)
-        victim = _binary_segment(corrupted)
-        payload = bytearray(victim.read_bytes())
-        payload[-1] = (payload[-1] + 90) % 256
-        victim.write_bytes(bytes(payload))
-        # The manifest's per-file checksums catch the damage at load
+        _corrupt_first_binary(corrupted)
+        # The per-record checksums catch the damage at load
         # time, before any recomputed histogram could paper over it:
         # unrecoverable here (exit 2), as for repair.
         code, _ = run_cli("check", str(corrupted))
@@ -227,10 +225,7 @@ class TestRepair:
         directory, _ = saved_database
         damaged = tmp_path / "damaged"
         shutil.copytree(directory, damaged)
-        victim = _binary_segment(damaged)
-        payload = bytearray(victim.read_bytes())
-        payload[-1] = (payload[-1] + 90) % 256
-        victim.write_bytes(bytes(payload))
+        _corrupt_first_binary(damaged)
         # A damaged content file fails the strict load repair depends
         # on: exit 2 (unrecoverable here), pointing at salvage.
         code, _ = run_cli("repair", str(damaged))
@@ -243,11 +238,8 @@ class TestSalvage:
 
         damaged = tmp_path / "damaged"
         shutil.copytree(directory, damaged)
-        victim = _binary_segment(damaged)
-        payload = bytearray(victim.read_bytes())
-        payload[-1] = (payload[-1] + 90) % 256
-        victim.write_bytes(bytes(payload))
-        return damaged, victim.stem
+        victim_id = _corrupt_first_binary(damaged)
+        return damaged, victim_id
 
     def test_salvage_recovers_into_new_directory(self, saved_database, tmp_path):
         directory, _ = saved_database
