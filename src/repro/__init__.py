@@ -38,7 +38,6 @@ from repro.analysis import (
     AnalysisReport,
     Finding,
     lint_paths,
-    prove_rules,
 )
 from repro.color import ColorHistogram, UniformQuantizer
 from repro.core import (
@@ -110,7 +109,6 @@ __all__ = [
     "is_bound_widening",
     "lint_paths",
     "load_database",
-    "prove_rules",
     "read_ppm",
     "save_database",
     "sequence_is_bound_widening",

@@ -1,19 +1,14 @@
 """Static analysis over the rule system and the codebase.
 
-Two coordinated passes, both runnable offline (no raster is ever
-instantiated).  Each takes the shipped source tree as its input and
-carries no copy of the thing it checks:
-
-* :mod:`repro.analysis.prover` — an interval abstract interpreter that
-  *proves* the §4 bound-widening claims: every rule
-  :func:`repro.core.classify.is_bound_widening` marks as widening must be
-  monotone on the percentage interval over a systematic grid plus a
-  randomized corpus of abstract states, and the scalar
-  (:mod:`repro.core.rules`) and columnar (:mod:`repro.core.optable`)
-  kernels must agree byte-identically on every state.
-* :mod:`repro.analysis.ast_lint` — a stdlib-``ast`` linter enforcing the
-  repo's concurrency and numeric discipline on ``src/repro/`` itself
-  (``repro lint``).
+One static pass, runnable offline, that takes the shipped source tree
+as its input: :mod:`repro.analysis.ast_lint`, a stdlib-``ast`` linter
+enforcing the repo's concurrency and numeric discipline on
+``src/repro/`` itself (``repro lint``).  The §4 soundness claims — every
+rule :func:`repro.core.classify.is_bound_widening` marks as widening
+only grows the percentage interval, and the scalar
+(:mod:`repro.core.rules`) and columnar (:mod:`repro.core.optable`)
+kernels agree — are deterministic properties of the test suite
+(``tests/core/rule_properties.py``), not a pass of this package.
 
 A dynamic companion lives in :mod:`repro.testing.racecheck`
 (``repro race-check``): over instrumented scenarios it runs an
@@ -33,16 +28,12 @@ Every pass reports :class:`~repro.analysis.findings.Finding` objects
 
 from repro.analysis.ast_lint import LINT_RULES, lint_paths, lint_source
 from repro.analysis.findings import AnalysisReport, Finding, Severity
-from repro.analysis.prover import ProverReport, RuleVerdict, prove_rules
 
 __all__ = [
     "AnalysisReport",
     "Finding",
     "LINT_RULES",
-    "ProverReport",
-    "RuleVerdict",
     "Severity",
     "lint_paths",
     "lint_source",
-    "prove_rules",
 ]

@@ -1,13 +1,15 @@
 """Structured findings shared by every static-analysis pass.
 
-A :class:`Finding` is one defect or diagnostic: a stable code (``RS*``
-for the rule-soundness prover, ``DB*`` for the catalog checker, ``AL*``
-for the AST linter, ``CC*`` for the race checker), a severity, a location (file/line for lint, image
-or rule identifier for the semantic passes), a human message, and a fix
-hint.  :class:`AnalysisReport` collects findings and renders them with
-the same ``describe()`` / ``to_dict()`` conventions the observability
-layer (:mod:`repro.obs`) established, so CLI consumers and CI gates
-treat every pass uniformly.
+A :class:`Finding` is one defect or diagnostic: a stable code (``DB*``
+for the catalog checker, ``AL*`` for the AST linter, ``CC*`` for the
+race checker; the retired ``RS*`` codes named the rule-soundness checks
+that are now the ``tests/core`` widening and kernel-parity properties),
+a severity, a location (``path:line`` for lint and the race checker,
+an image id for the catalog checker), a human message, and a fix hint.
+:class:`AnalysisReport` collects findings and renders them with the same
+``describe()`` / ``to_dict()`` conventions the observability layer
+(:mod:`repro.obs`) established, so CLI consumers and CI gates treat
+every pass uniformly.
 """
 
 from __future__ import annotations
@@ -52,18 +54,18 @@ class Severity(enum.Enum):
 class Finding:
     """One defect or diagnostic reported by an analysis pass."""
 
-    #: Stable machine-readable code (``RS001``, ``DB003``, ``AL002``...).
+    #: Stable machine-readable code (``DB003``, ``AL002``, ``CC004``...).
     code: str
     severity: Severity
-    #: Where: ``path:line`` for lint findings, an image id or rule-case
-    #: name for the semantic passes.
+    #: Where: ``path:line`` for lint and race findings, an image id for
+    #: the catalog checker.
     location: str
     #: What is wrong, in one sentence.
     message: str
     #: How to fix it (or why it may be acceptable), in one sentence.
     fix_hint: str = ""
-    #: Pass-specific structured payload (e.g. the prover's minimal
-    #: counterexample state); values must be JSON-serializable.
+    #: Pass-specific structured payload (e.g. the race checker's race
+    #: record or lock cycle); values must be JSON-serializable.
     details: Dict[str, Any] = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -88,10 +90,10 @@ class Finding:
 class AnalysisReport:
     """Findings from one analysis pass plus derived aggregates."""
 
-    #: Which pass produced the report (``prover`` / ``catalog`` / ``lint``).
+    #: Which pass produced the report (``catalog`` / ``lint`` / ``racecheck``).
     pass_name: str
     findings: List[Finding] = field(default_factory=list)
-    #: How many subjects the pass examined (states, images, or files) —
+    #: How many subjects the pass examined (tracked locations, images, or files) —
     #: context for "zero findings" being meaningful rather than vacuous.
     subjects_examined: int = 0
 

@@ -38,12 +38,9 @@ Subcommands mirror the workflow of the paper's prototype:
               validated unified exposition)
 ``events``    dump or follow the structured wide-event log
               (``events.jsonl``) of a sharded root
-``prove-rules`` prove every classified bound-widening rule monotone on
-              the percentage interval and the scalar/columnar kernels
-              byte-identical (``--mode full`` for the larger corpus)
 
 Exit codes are uniform across the integrity-facing commands (``check``,
-``repair``, ``salvage``, ``lint``, ``race-check``, ``prove-rules``):
+``repair``, ``salvage``, ``lint``, ``race-check``):
 **0** clean (or fully healed/recovered), **2** problems remain or the
 input is unrecoverably corrupt, **1** any other library or usage error.
 
@@ -285,17 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stop --follow after N polls (default: "
                         "run until interrupted)")
 
-    prove = commands.add_parser(
-        "prove-rules",
-        help="prove the Table 1 bound-widening rules monotone and the "
-        "scalar/columnar kernels identical",
-    )
-    prove.add_argument("--mode", choices=("fast", "full"), default="fast",
-                       help="corpus size (full adds more random states and "
-                       "operation variants)")
-    prove.add_argument("--seed", type=int, default=2006)
-    prove.add_argument("--json", action="store_true",
-                       help="emit verdicts and findings as JSON")
     return parser
 
 
@@ -715,21 +701,6 @@ def _cmd_events(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_prove_rules(args: argparse.Namespace, out) -> int:
-    import json
-
-    from repro.analysis import prove_rules
-
-    result = prove_rules(mode=args.mode, seed=args.seed)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(result.verdict_table(), file=out)
-        print(file=out)
-        print(result.report.describe(), file=out)
-    return 0 if result.ok else 2
-
-
 _COMMANDS = {
     "build": _cmd_build,
     "check": _cmd_check,
@@ -742,7 +713,6 @@ _COMMANDS = {
     "serve-stats": _cmd_serve_stats,
     "lint": _cmd_lint,
     "race-check": _cmd_race_check,
-    "prove-rules": _cmd_prove_rules,
     "shards": _cmd_shards,
     "top": _cmd_top,
     "events": _cmd_events,

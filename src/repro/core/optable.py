@@ -38,8 +38,8 @@ Table-1 rule per op code to every active row at once.  The arithmetic
 reproduces :mod:`repro.core.rules` branch for branch — including IEEE
 evaluation order for Mutate corner transforms — so bin ``b`` of the
 resulting ``(images x bins)`` interval matrix is byte-identical to the
-scalar walk for ``b``, which remains the oracle (property-tested, and
-machine-checked by the RS003 prover pass in :mod:`repro.analysis.prover`).
+scalar walk for ``b``, which remains the oracle (the kernel-parity
+property of ``tests/core/rule_properties.py`` checks every rule case).
 
 :class:`OpTableManager` keeps the table fresh incrementally off the
 :meth:`repro.core.bounds.BoundsEngine.add_invalidation_listener` change
@@ -110,7 +110,7 @@ OP_CODE_NAMES: Dict[int, str] = {
 
 #: ``fail(row, error)``: a per-row rule failure during a batched kernel.
 #: The row index is the *global* table row; the sweep maps it back to an
-#: image id, the prover keeps it as a state index.
+#: image id, :func:`apply_rule_batched` keeps it as a state index.
 FailCallback = Callable[[int, RuleError], None]
 
 #: Resolver used by the Merge-target kernel: maps the surviving rows of
@@ -588,13 +588,14 @@ def apply_rule_batched(
 ) -> Dict[int, RuleError]:
     """Apply one operation's batched kernel to ``rows`` of ``state``.
 
-    The single-op entry of the rule-soundness prover (RS003) and
-    :meth:`repro.core.bounds.BoundsEngine.walk_states`: ``op`` goes
-    through the sweep's own lowering and dispatch (only the Merge-target
-    resolver is this function's), so a parity proof over it covers the
-    shipped sweep.  Returns per-row :class:`RuleError` failures keyed by
-    row index (empty when every row applied cleanly); failed rows' state
-    is unspecified, matching the scalar walk where a raise abandons the
+    The single-op entry of
+    :meth:`repro.core.bounds.BoundsEngine.walk_states` and of the
+    kernel-parity property in ``tests/core``: ``op`` goes through the
+    sweep's own lowering and dispatch (only the Merge-target resolver is
+    this function's), so parity checked over it covers the shipped
+    sweep.  Returns per-row :class:`RuleError` failures keyed by row
+    index (empty when every row applied cleanly); failed rows' state is
+    unspecified, matching the scalar walk where a raise abandons the
     image.
     """
     errors: Dict[int, RuleError] = {}

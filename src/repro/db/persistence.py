@@ -303,7 +303,7 @@ def _write_tree(database: MultimediaDatabase, tmp: Path, plan: NoFaults) -> None
     manifest["manifest_checksum"] = manifest_checksum(manifest)
     plan.write_bytes(
         tmp / "catalog.json",
-        json.dumps(manifest, indent=2).encode("utf-8"),
+        json.dumps(manifest, separators=(",", ":")).encode("utf-8"),
     )
     plan.fsync(tmp / "catalog.json")
     plan.fsync(tmp)

@@ -6,7 +6,6 @@ percentage interval containing the original one.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,7 @@ from repro.editing.operations import Combine, Define, Merge, Modify, Mutate
 from repro.editing.random_edits import random_operation
 from repro.editing.sequence import EditSequence
 from repro.images.geometry import AffineMatrix, Rect
+from tests.core.rule_properties import RULE_CASES, widening_violations
 
 Q2 = UniformQuantizer(2, "rgb")
 
@@ -115,38 +115,23 @@ class TestIdentityEdgeCases:
 
 
 class TestProverParity:
-    """The offline prover and the runtime classifier agree per rule."""
+    """The runtime classifier agrees with §4's claim for every rule case,
+    and every claim it makes holds on the state corpus."""
 
-    @pytest.fixture(scope="class")
-    def prover_report(self):
-        from repro.analysis import prove_rules
-
-        return prove_rules(mode="fast")
-
-    def test_classifier_verdicts_match_prover(self, prover_report):
-        from repro.analysis.prover import default_rule_cases
-
-        for case in default_rule_cases():
-            verdict = prover_report.verdict_for(case.name)
+    def test_classifier_verdicts_match_prover(self):
+        for case in RULE_CASES:
             expected = all(is_bound_widening(op) for op in case.operations)
-            assert verdict.classified_widening == expected, case.name
+            assert case.expect_widening == expected, case.name
 
-    def test_sequence_classifier_agrees_with_verified_cases(self, prover_report):
-        from repro.analysis.prover import default_rule_cases
-
-        verified = set(prover_report.widening_cases())
-        for case in default_rule_cases():
+    def test_sequence_classifier_agrees_with_verified_cases(self):
+        for case in RULE_CASES:
             seq = EditSequence("b", tuple(case.operations))
-            if case.name in verified:
-                assert sequence_is_bound_widening(seq), case.name
-            else:
-                assert not sequence_is_bound_widening(seq), case.name
+            assert sequence_is_bound_widening(seq) == case.expect_widening, case.name
 
-    def test_every_widening_claim_is_machine_verified(self, prover_report):
-        # No rule the classifier marks widening escaped the prover.
-        for verdict in prover_report.verdicts:
-            if verdict.classified_widening:
-                assert verdict.monotone is True, verdict.case
+    def test_every_widening_claim_is_machine_verified(self):
+        # RS001 on every rule case and the seeded random operations:
+        # exact integer comparison, no float tolerance.
+        assert widening_violations() == []
 
 
 def random_consistent_state(rng) -> RuleState:
@@ -183,5 +168,6 @@ class TestWideningProperty:
             return
         context = RuleContext(quantizer=Q2, bin_index=int(rng.integers(8)))
         out = apply_rule(state, op, context)
-        assert out.fraction_lo <= state.fraction_lo + 1e-12, (op, state, out)
-        assert out.fraction_hi >= state.fraction_hi - 1e-12, (op, state, out)
+        # Cross-multiplied, so the comparison is exact.
+        assert out.lo * state.total <= state.lo * out.total, (op, state, out)
+        assert out.hi * state.total >= state.hi * out.total, (op, state, out)

@@ -22,8 +22,7 @@ from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
 from repro.core.bounds import BoundsEngine
-from repro.core.optable import BatchRuleContext, BatchRuleState, apply_rule_batched
-from repro.core.rules import RuleContext, RuleState, apply_rule
+from repro.core.optable import BatchRuleState
 from repro.db.database import MultimediaDatabase
 from repro.editing.operations import Combine, Define, Merge, Modify, Mutate
 from repro.editing.random_edits import random_sequence
@@ -31,6 +30,7 @@ from repro.editing.sequence import EditSequence
 from repro.errors import ReproError, UnknownObjectError
 from repro.images.generators import random_palette_image
 from repro.images.geometry import Rect
+from tests.core.rule_properties import parity_divergences
 
 
 class _DictStore:
@@ -512,7 +512,8 @@ class TestCacheLayering:
 
 
 class TestBatchRuleState:
-    """The prover-facing single-op columnar entry point."""
+    """The single-op columnar entry point (``apply_rule_batched``) against
+    the scalar rules: the RS003 kernel-parity property."""
 
     def test_stack_and_row_state_roundtrip(self):
         lo = np.array([0, 1, 2], dtype=np.int64)
@@ -539,37 +540,13 @@ class TestBatchRuleState:
         ids=lambda op: type(op).__name__,
     )
     def test_apply_rule_batched_matches_vec(self, op, quantizer):
-        """One heterogeneous batch vs the scalar rule applied to every
-        bin of every row (the test id predates the removal of the
-        per-image vector kernel it used to compare against)."""
-        rng = np.random.default_rng(13)
-        ctx = BatchRuleContext(quantizer=quantizer, fill_color=(0, 0, 0))
-        rows = []
-        for _ in range(6):
-            height, width = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-            image = random_palette_image(rng, height, width, FLAG_PALETTE)
-            counts = ColorHistogram.of_image(image, quantizer).counts
-            rows.append((counts, counts, height, width, Rect(0, 0, height, width)))
-        batch = BatchRuleState.stack(rows)
-        errors = apply_rule_batched(
-            batch, np.arange(len(rows), dtype=np.int64), op, ctx
-        )
-        for row, (counts, _, height, width, dr) in enumerate(rows):
-            lo, hi, out_height, out_width, out_dr = batch.row_state(row)
-            for bin_index in range(quantizer.bin_count):
-                state = RuleState(
-                    int(counts[bin_index]), int(counts[bin_index]), height, width, dr
-                )
-                try:
-                    expected = apply_rule(
-                        state, op, RuleContext(quantizer, bin_index, (0, 0, 0))
-                    )
-                except ReproError as exc:
-                    assert str(errors[row]) == str(exc)
-                    continue
-                assert row not in errors
-                assert (int(lo[bin_index]), int(hi[bin_index])) == (
-                    expected.lo, expected.hi
-                )
-                assert (out_height, out_width) == (expected.height, expected.width)
-                assert out_dr == expected.dr
+        """One heterogeneous batch — partial, one-axis and empty DRs
+        included — vs the scalar rule applied to every bin of every row
+        (the test id predates the removal of the per-image vector kernel
+        it used to compare against)."""
+        assert parity_divergences([op], quantizer=quantizer) == []
+
+    def test_every_rule_case_matches_scalar(self):
+        # Every case of every classifier branch, general affine and Merge
+        # with a target included, plus seeded random operations.
+        assert parity_divergences() == []

@@ -79,6 +79,9 @@ class TestRoundTrip:
         assert sorted(p.name for p in root.iterdir()) == [
             "catalog.json", PACK_NAME
         ]
+        # Compact JSON: no indentation, so the C encoder writes it.
+        text = (root / "catalog.json").read_text(encoding="utf-8")
+        assert "\n" not in text and ": " not in text
 
 
 class TestErrors:

@@ -98,6 +98,12 @@ class TestExplain:
         assert "EXPLAIN" in text
         assert "rule applications" in text
 
+    def test_database_explain_is_the_statistics_explain(self, database, statistics):
+        query = RangeQuery.at_least(0, 0.2)
+        before = database.engine.rules_applied
+        assert database.explain(query) == statistics.explain(query)
+        assert database.engine.rules_applied == before
+
     def test_explain_is_cheap(self, database, statistics):
         """EXPLAIN must not run any BOUNDS walks."""
         before = database.engine.rules_applied

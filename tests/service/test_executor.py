@@ -142,6 +142,22 @@ class TestResultCaching:
         assert not after.cache_hit
         assert edited_id not in after.result.matches
 
+    def test_delete_image_through_service_flushes_the_entry(
+        self, service, small_database, rng
+    ):
+        query = RangeQuery.at_least(blue_query(small_database).bin_index, 0.0)
+        image_id = service.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        assert image_id in service.execute(query).result.matches
+        assert len(service.cache) == 1
+        invalidations = service.cache.stats()["invalidations"]
+        service.delete_image(image_id)
+        assert len(service.cache) == 0
+        assert service.cache.stats()["invalidations"] > invalidations
+        after = service.execute(query)
+        assert not after.cache_hit
+        assert image_id not in after.result.matches
+        assert not small_database.catalog.contains(image_id)
+        assert service.metrics.counter("mutations") == 2
 
     def test_delete_edited_refused_while_edits_build_on_it(
         self, service, small_database

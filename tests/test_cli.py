@@ -619,26 +619,6 @@ class TestAnalyzeDb:
         assert code == 1
 
 
-class TestProveRules:
-    def test_fast_mode_verdict_table(self):
-        code, output = run_cli("prove-rules")
-        assert code == 0
-        assert "monotone proved" in output
-        assert "REFUTED" not in output
-        assert "merge-null" in output
-
-    def test_json_output(self):
-        import json
-
-        code, output = run_cli("prove-rules", "--json", "--seed", "7")
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["ok"] is True
-        assert {v["case"] for v in payload["verdicts"]} >= {
-            "define", "combine", "modify", "merge-null",
-        }
-
-
 @pytest.fixture(scope="module")
 def sharded_root(tmp_path_factory):
     """A small on-disk sharded root with queries and events behind it."""
@@ -692,6 +672,34 @@ class TestTop:
 
     def test_missing_root_fails_cleanly(self, tmp_path):
         code, _ = run_cli("top", str(tmp_path / "nope"))
+        assert code == 1
+
+
+class TestShards:
+    def test_status_lists_every_shard(self, sharded_root):
+        code, output = run_cli("shards", str(sharded_root))
+        assert code == 0
+        assert "3 shard(s)" in output
+        assert "shard 2:" in output
+
+    def test_compact_now_reports_the_cycle_as_json(self, sharded_root, tmp_path):
+        import json
+        import shutil
+
+        # Compaction appends to the WAL, so it runs on a copy.
+        root = tmp_path / "fleet"
+        shutil.copytree(sharded_root, root)
+        code, output = run_cli("shards", str(root), "--compact-now", "--json")
+        assert code == 0
+        payload = json.loads(output)
+        assert payload["shard_count"] == 3
+        materialized = payload["compaction"]["materialized"]
+        assert materialized
+        ledger = {i for shard in payload["shards"] for i in shard["materialized"]}
+        assert set(materialized) <= ledger
+
+    def test_missing_root_fails_cleanly(self, tmp_path):
+        code, _ = run_cli("shards", str(tmp_path / "nope"))
         assert code == 1
 
 
