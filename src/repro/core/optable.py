@@ -235,28 +235,26 @@ def _totals(state: BatchRuleState, rows: np.ndarray) -> np.ndarray:
 def _validate_rows(
     state: BatchRuleState, rows: np.ndarray, fail: FailCallback
 ) -> np.ndarray:
-    """``0 <= lo <= hi <= total`` per bin, per row; returns the survivors."""
+    """``0 <= lo <= hi <= total`` per bin, per row; returns the survivors.
+
+    A failing row gets :meth:`repro.core.rules.RuleState.validate`'s
+    message for its first offending bin — the bin the scalar walk, which
+    runs bin by bin, raises on.
+    """
     if rows.size == 0:
         return rows
     lo = state.lo[rows]
     hi = state.hi[rows]
     total = _totals(state, rows)
-    ok = (
-        (lo.min(axis=1) >= 0)
-        & ((hi - lo).min(axis=1) >= 0)
-        & (hi.max(axis=1) <= total)
-    )
-    for row in rows[~ok]:
-        row_i = int(row)
+    bad = (lo < 0) | (lo > hi) | (hi > total[:, None])
+    ok = ~bad.any(axis=1)
+    for position in np.flatnonzero(~ok):
+        column = int(bad[position].argmax())
         fail(
-            row_i,
+            int(rows[position]),
             RuleError(
-                f"inconsistent batched rule state "
-                f"(total={int(state.heights[row_i] * state.widths[row_i])}): "
-                f"lo range [{int(state.lo[row_i].min())}, "
-                f"{int(state.lo[row_i].max())}], "
-                f"hi range [{int(state.hi[row_i].min())}, "
-                f"{int(state.hi[row_i].max())}]"
+                f"inconsistent rule state lo={int(lo[position, column])} "
+                f"hi={int(hi[position, column])} total={int(total[position])}"
             ),
         )
     return rows[ok]

@@ -3,8 +3,8 @@
 Two families:
 
 * :func:`build_binary_histogram_index` — the conventional §3.1 access
-  method over binary-image histogram points (R-tree via STR bulk load,
-  VA-file, or the linear baseline).
+  method over binary-image histogram points (R-tree, VA-file, or the
+  linear baseline).
 * :func:`build_edited_bounds_index` — an *interval* index over edited
   images: each image contributes the box
   ``[fraction_lo, fraction_hi]^bins`` from one all-bins BOUNDS sweep
@@ -14,6 +14,9 @@ Two families:
   lookup.  VA-files approximate points only, so interval indexes support
   ``"rtree"`` and ``"linear"``.
 
+Both R-trees are packed in one STR pass over the snapshot's corner
+arrays (:meth:`repro.index.rtree.RTree.bulk_load_boxes`; points are
+boxes whose ``lo == hi``), never built by one-at-a-time insertion.
 Rebuild rather than maintain: these builders snapshot the catalog (e.g.
 for a read-mostly serving tier or the benchmark harness).
 """
@@ -21,6 +24,8 @@ for a read-mostly serving tier or the benchmark harness).
 from __future__ import annotations
 
 from typing import List, Union
+
+import numpy as np
 
 from repro.core.bounds import BoundsEngine
 from repro.core.query import RangeQuery
@@ -50,9 +55,9 @@ def build_binary_histogram_index(
 ) -> AnyIndex:
     """Index every binary image's histogram fractions as a point.
 
-    The R-tree path uses STR bulk loading (one packed build instead of
-    n root-to-leaf insertions); VA-file and linear insert point by point,
-    which is already linear time for those structures.
+    The R-tree is packed by :meth:`RTree.bulk_load`; VA-file and linear
+    insert point by point, which is already linear time for those
+    structures.
     """
     ids = list(catalog.binary_ids())
     if kind == "rtree":
@@ -85,21 +90,24 @@ def build_edited_bounds_index(
     The box for image ``E`` spans ``[BOUND_min/size, BOUND_max/size]``
     in every bin dimension, so a single-bin query slab intersects it iff
     the §3.2 pruning test accepts ``E`` — see
-    :func:`edited_range_candidates`.
+    :func:`edited_range_candidates`.  The R-tree is packed from the
+    sweep's rows by :meth:`RTree.bulk_load_boxes`.
     """
-    if kind == "rtree":
-        index: IntervalIndex = RTree(max_entries=max_entries)
-    elif kind == "linear":
-        index = LinearIndex()
-    else:
+    if kind not in INTERVAL_INDEX_KINDS:
         raise IndexError_(
             f"unknown interval index kind {kind!r}; "
             f"expected one of {INTERVAL_INDEX_KINDS}"
         )
     edited_ids = list(catalog.edited_ids())
-    for image_id, (lower, upper) in zip(
-        edited_ids, engine.fraction_bounds_all_bins_batch(edited_ids)
-    ):
+    bounds = engine.fraction_bounds_all_bins_batch(edited_ids)
+    if kind == "rtree":
+        if not edited_ids:
+            return RTree(max_entries=max_entries)
+        lows = np.stack([lower for lower, _ in bounds])
+        highs = np.stack([upper for _, upper in bounds])
+        return RTree.bulk_load_boxes(lows, highs, edited_ids, max_entries)
+    index = LinearIndex()
+    for image_id, (lower, upper) in zip(edited_ids, bounds):
         index.insert(MBR(lower, upper), image_id)
     return index
 

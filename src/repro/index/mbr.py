@@ -56,6 +56,17 @@ class MBR:
         highs[axis] = hi
         return MBR(lows, highs)
 
+    @staticmethod
+    def trusted(lo: np.ndarray, hi: np.ndarray) -> "MBR":
+        """A box over float64 corners the caller has already checked.
+
+        No copy, no shape or ``lo <= hi`` check: for builders that
+        validate a whole ``(n, d)`` corner array at once.
+        """
+        box = MBR.__new__(MBR)
+        box.lo, box.hi = lo, hi
+        return box
+
     @property
     def dimensions(self) -> int:
         """Dimensionality of the box."""
@@ -73,9 +84,10 @@ class MBR:
 
     def union(self, other: "MBR") -> "MBR":
         """Smallest box covering both operands."""
-        box = MBR.__new__(MBR)  # valid operands, valid box: no re-check
-        box.lo, box.hi = np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
-        return box
+        # Valid operands, valid box: no re-check.
+        return MBR.trusted(
+            np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
+        )
 
     def margin_volume(self) -> float:
         """Product of side lengths (the R-tree 'area' heuristic)."""

@@ -6,22 +6,32 @@ numerous variants."  §4 models BWM on the same pruning idea: "quickly
 identifying sections of the multidimensional space that cannot contain
 any histograms of images that satisfy the given query."
 
-This is a from-scratch dynamic R-tree with Guttman's quadratic split:
+This is a from-scratch R-tree built one of two ways, with one node
+structure and one search:
 
-* entries are ``(MBR, payload)`` pairs; point data uses degenerate boxes;
-* ``search(box)`` returns payloads whose MBRs intersect the query box —
-  a single-bin range query is an :meth:`repro.index.mbr.MBR.slab`;
-* ``nearest(point, k)`` is best-first kNN with the MINDIST bound.
+* dynamically — :meth:`RTree.insert` with Guttman's quadratic split, and
+  deletion by the classic condense-and-reinsert strategy;
+* packed — :meth:`RTree.bulk_load_boxes` builds a whole snapshot with
+  Sort-Tile-Recursive (STR) packing, vectorized over ``(n, d)`` corner
+  arrays; :meth:`RTree.bulk_load` is the same load for points.  A packed
+  tree keeps accepting inserts and deletes.
 
-Deletion uses the classic condense-and-reinsert strategy.  The linear
-scan in :mod:`repro.index.linear` shares the interface for the A4 bench.
+Entries are ``(MBR, payload)`` pairs; point data uses degenerate boxes.
+``search(box)`` returns payloads whose MBRs intersect the query box — a
+single-bin range query is an :meth:`repro.index.mbr.MBR.slab` — and
+``nearest(point, k)`` is best-first kNN with the MINDIST bound.  The
+linear scan in :mod:`repro.index.linear` shares the interface for the A4
+bench.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import IndexError_
 from repro.index.mbr import MBR
@@ -43,7 +53,7 @@ class _Node:
 
 
 class RTree:
-    """Dynamic R-tree with quadratic split.
+    """R-tree with quadratic split, built by insertion or STR packing.
 
     Parameters
     ----------
@@ -106,69 +116,92 @@ class RTree:
         payloads: Sequence[object],
         max_entries: int = 8,
     ) -> "RTree":
-        """Build a packed tree with Sort-Tile-Recursive (STR) bulk loading.
-
-        STR sorts the points by the first coordinate, tiles them into
-        vertical slabs of ``~sqrt(n/M)`` leaves each, sorts each slab by
-        the second coordinate, and packs runs of ``M`` entries per leaf;
-        upper levels pack the same way over child MBR centers.  The
-        result answers queries identically to one-at-a-time insertion
-        but with near-100% node utilization (fewer nodes, tighter boxes).
-        """
-        import numpy as np
-
+        """Pack point data: :meth:`bulk_load_boxes` with ``lo == hi``."""
         matrix = np.asarray(points, dtype=np.float64)
         if matrix.ndim != 2:
             raise IndexError_(f"expected (n, d) points, got shape {matrix.shape}")
-        if matrix.shape[0] != len(payloads):
-            raise IndexError_(
-                f"{matrix.shape[0]} points but {len(payloads)} payloads"
-            )
-        tree = cls(max_entries=max_entries)
-        if matrix.shape[0] == 0:
-            return tree
-        tree._dimensions = int(matrix.shape[1])
+        return cls.bulk_load_boxes(matrix, matrix, payloads, max_entries)
 
-        entries: List[Tuple[MBR, object]] = [
-            (MBR.point(matrix[i]), payloads[i]) for i in range(matrix.shape[0])
-        ]
-        nodes = tree._pack_level(entries, leaf=True)
+    @classmethod
+    def bulk_load_boxes(
+        cls,
+        lo,
+        hi,
+        payloads: Sequence[object],
+        max_entries: int = 8,
+    ) -> "RTree":
+        """Build a packed tree over boxes with Sort-Tile-Recursive (STR).
+
+        Box ``i`` spans ``[lo[i], hi[i]]``.  Each level orders its
+        entries by box centre on the first axis (stable), tiles them into
+        ``~sqrt(P)`` slabs of consecutive nodes, orders each slab on the
+        second axis, and cuts the ``P = ceil(n / M)`` nodes so their sizes
+        differ by at most one — every non-root node holds at least
+        ``M // 2`` entries, so the result passes :meth:`check_invariants`.
+        A node's box is the min/max over its children's rows.  The tree
+        answers queries exactly as one built by :meth:`insert`, with
+        near-full nodes and often one level fewer.
+        """
+        lows = np.asarray(lo, dtype=np.float64)
+        highs = np.asarray(hi, dtype=np.float64)
+        if lows.ndim != 2 or lows.shape != highs.shape:
+            raise IndexError_(
+                f"expected two (n, d) corner arrays, got shapes {lows.shape} "
+                f"and {highs.shape}"
+            )
+        if lows.shape[0] != len(payloads):
+            raise IndexError_(f"{lows.shape[0]} boxes but {len(payloads)} payloads")
+        if (lows > highs).any():
+            raise IndexError_("MBR lower bound exceeds upper bound")
+        tree = cls(max_entries=max_entries)
+        if lows.shape[0] == 0:
+            return tree
+        tree._dimensions = int(lows.shape[1])
+        nodes, lows, highs = tree._pack_level(lows, highs, list(payloads), leaf=True)
         while len(nodes) > 1:
-            level_entries = [(node.mbr(), node) for node in nodes]
-            nodes = tree._pack_level(level_entries, leaf=False)
+            nodes, lows, highs = tree._pack_level(lows, highs, nodes, leaf=False)
         tree._root = nodes[0]
-        tree._size = matrix.shape[0]
+        tree._size = len(payloads)
         return tree
 
     def _pack_level(
-        self, entries: List[Tuple[MBR, object]], leaf: bool
-    ) -> List["_Node"]:
-        """Pack one STR level into nodes of up to ``max_entries``."""
-        import math
-
-        capacity = self._max
-        leaf_count = math.ceil(len(entries) / capacity)
-        slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
-        per_slab = math.ceil(len(entries) / slab_count) if entries else 0
-
-        def center(box: MBR, axis: int) -> float:
-            return float(box.lo[axis] + box.hi[axis]) / 2.0
-
-        ordered = sorted(entries, key=lambda entry: center(entry[0], 0))
+        self, lows: np.ndarray, highs: np.ndarray, items: List, leaf: bool
+    ) -> Tuple[List["_Node"], np.ndarray, np.ndarray]:
+        """Pack one STR level; returns its nodes and their boxes' corners."""
+        count, dimensions = lows.shape
+        node_count = -(-count // self._max)
+        slab_count = math.ceil(math.sqrt(node_count))
+        sizes = np.full(node_count, count // node_count)
+        sizes[: count % node_count] += 1
+        nodes_per_slab = np.full(slab_count, node_count // slab_count)
+        nodes_per_slab[: node_count % slab_count] += 1
+        slab_of_entry = np.repeat(
+            np.repeat(np.arange(slab_count), nodes_per_slab), sizes
+        )
+        centres = (lows + highs) / 2.0
+        by_first = np.argsort(centres[:, 0], kind="stable")
+        order = by_first[
+            np.lexsort((centres[by_first, 1 % dimensions], slab_of_entry))
+        ]
+        lows, highs = lows[order], highs[order]
+        boxes = [MBR.trusted(low, high) for low, high in zip(lows, highs)]
+        ordered = [items[index] for index in order.tolist()]
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         nodes: List[_Node] = []
-        for slab_start in range(0, len(ordered), max(1, per_slab)):
-            slab = sorted(
-                ordered[slab_start:slab_start + per_slab],
-                key=lambda entry: center(entry[0], 1 % entry[0].dimensions),
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            node = _Node(leaf=leaf)
+            node.entries = list(
+                zip(boxes[start:start + size], ordered[start:start + size])
             )
-            for start in range(0, len(slab), capacity):
-                node = _Node(leaf=leaf)
-                node.entries = list(slab[start:start + capacity])
-                if not leaf:
-                    for _, child in node.entries:
-                        child.parent = node  # type: ignore[union-attr]
-                nodes.append(node)
-        return nodes
+            if not leaf:
+                for child in ordered[start:start + size]:
+                    child.parent = node
+            nodes.append(node)
+        return (
+            nodes,
+            np.minimum.reduceat(lows, starts, axis=0),
+            np.maximum.reduceat(highs, starts, axis=0),
+        )
 
     def delete(self, box: MBR, payload: object) -> bool:
         """Remove the entry matching ``payload`` (and box); True if found."""

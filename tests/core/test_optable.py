@@ -22,12 +22,13 @@ from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
 from repro.core.bounds import BoundsEngine
-from repro.core.optable import BatchRuleState
+from repro.core.optable import BatchRuleState, _validate_rows
+from repro.core.rules import RuleState
 from repro.db.database import MultimediaDatabase
 from repro.editing.operations import Combine, Define, Merge, Modify, Mutate
 from repro.editing.random_edits import random_sequence
 from repro.editing.sequence import EditSequence
-from repro.errors import ReproError, UnknownObjectError
+from repro.errors import ReproError, RuleError, UnknownObjectError
 from repro.images.generators import random_palette_image
 from repro.images.geometry import Rect
 from tests.core.rule_properties import parity_divergences
@@ -545,6 +546,37 @@ class TestBatchRuleState:
         (the test id predates the removal of the per-image vector kernel
         it used to compare against)."""
         assert parity_divergences([op], quantizer=quantizer) == []
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ([0, 3, 5, 1], [2, 2, 4, 1]),  # lo > hi at bins 1 and 2
+            ([0, -1, 0, 0], [1, 1, 1, 1]),  # negative lo
+            ([0, 0, 0, 0], [1, 1, 1, 7]),  # hi past the total
+        ],
+    )
+    def test_inconsistent_row_reports_the_scalar_message(self, lo, hi):
+        """The columnar validate names the first offending bin exactly as
+        the scalar walk, which raises bin by bin, does."""
+        dr = Rect(0, 0, 2, 3)
+        lo_row = np.array(lo, dtype=np.int64)
+        hi_row = np.array(hi, dtype=np.int64)
+        good = np.zeros(4, dtype=np.int64)
+        state = BatchRuleState.stack(
+            [(good, good, 2, 3, dr), (lo_row, hi_row, 2, 3, dr)]
+        )
+        failures = []
+        survivors = _validate_rows(
+            state, np.arange(2), lambda row, error: failures.append((row, error))
+        )
+        assert survivors.tolist() == [0]
+        scalar = []
+        for bin_lo, bin_hi in zip(lo, hi):
+            try:
+                RuleState(bin_lo, bin_hi, 2, 3, dr).validate()
+            except RuleError as error:
+                scalar.append(str(error))
+        assert [(row, str(error)) for row, error in failures] == [(1, scalar[0])]
 
     def test_every_rule_case_matches_scalar(self):
         # Every case of every classifier branch, general affine and Merge

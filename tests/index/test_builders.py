@@ -17,6 +17,7 @@ from repro.index import (
     build_edited_bounds_index,
     edited_range_candidates,
 )
+from repro.service import QueryService, Strategy
 
 
 @pytest.fixture
@@ -94,3 +95,59 @@ class TestEditedBoundsIndex:
         assert isinstance(
             build_binary_histogram_index(db.catalog, "vafile"), VAFile
         )
+
+
+@pytest.fixture(scope="module")
+def large_database():
+    """320 edited images: enough for the interval R-tree to have levels."""
+    rng = np.random.default_rng(44)
+    db = MultimediaDatabase()
+    for seed in range(80):
+        base = db.insert_image(random_palette_image(rng, 8, 10, FLAG_PALETTE))
+        db.augment(base, np.random.default_rng(seed), 4, FLAG_PALETTE)
+    return db
+
+
+class TestEditedBoundsIndexAtSize:
+    def test_packed_tree_has_levels_and_valid_structure(self, large_database):
+        assert large_database.catalog.edited_count >= 300
+        index = build_edited_bounds_index(
+            large_database.catalog, large_database.engine, "rtree"
+        )
+        assert isinstance(index, RTree)
+        assert len(index) == large_database.catalog.edited_count
+        assert index.height > 1
+        index.check_invariants()
+
+    def test_candidates_equal_linear_and_rbm_on_every_bin(self, large_database):
+        db = large_database
+        rtree = build_edited_bounds_index(db.catalog, db.engine, "rtree")
+        linear = build_edited_bounds_index(db.catalog, db.engine, "linear")
+        bins = db.quantizer.bin_count
+        edited_ids = list(db.catalog.edited_ids())
+        for bin_index in range(bins):
+            bounds = [(i, db.engine.bounds(i, bin_index)) for i in edited_ids]
+            for pct_min, pct_max in ((0.0, 0.05), (0.1, 0.3), (0.25, 1.0), (0.6, 0.9)):
+                query = RangeQuery(bin_index, pct_min, pct_max)
+                candidates = edited_range_candidates(rtree, bins, query)
+                assert candidates == edited_range_candidates(linear, bins, query)
+                accepted = sorted(
+                    edited_id
+                    for edited_id, pixel_bounds in bounds
+                    if pixel_bounds.overlaps(pct_min, pct_max)
+                )
+                assert candidates == accepted
+
+    def test_forced_index_assisted_matches_vectorized_batch(self, large_database):
+        matched = 0
+        with QueryService(large_database, max_workers=1) as service:
+            for bin_index in range(large_database.quantizer.bin_count):
+                query = RangeQuery.at_least(bin_index, 0.1)
+                indexed = service.execute(query, strategy="index_assisted")
+                service.cache.clear()
+                swept = service.execute(query, strategy="vectorized_batch")
+                service.cache.clear()
+                assert indexed.strategy is Strategy.INDEX_ASSISTED
+                assert indexed.result.matches == swept.result.matches
+                matched += len(swept.result.matches)
+        assert matched > 0

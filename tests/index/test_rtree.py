@@ -211,17 +211,26 @@ class TestBulkLoad:
             incremental.insert_point(point, index)
         # Packed trees are at least as shallow as incrementally built ones.
         assert packed.height <= incremental.height
-        # Every leaf is at the same depth (invariant checker tolerates
-        # STR's last partially-filled node per level).
-        depths = set()
-        stack = [(packed._root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.leaf:
-                depths.add(depth)
+        # Balanced, and every non-root node holds [M // 2, M] entries:
+        # STR cuts each level into nodes whose sizes differ by at most one.
+        packed.check_invariants()
+
+    @pytest.mark.parametrize("max_entries", [4, 6, 8])
+    @pytest.mark.parametrize("shape", ["points", "boxes"])
+    def test_packed_tree_passes_invariants_at_every_size(self, max_entries, shape):
+        rng = np.random.default_rng(max_entries)
+        for count in range(301):
+            lows = random_points(rng, count, dims=2)
+            if shape == "points":
+                tree = RTree.bulk_load(lows, list(range(count)), max_entries)
             else:
-                stack.extend((child, depth + 1) for _, child in node.entries)
-        assert len(depths) == 1
+                highs = lows + rng.uniform(0.0, 0.3, size=lows.shape)
+                tree = RTree.bulk_load_boxes(
+                    lows, highs, list(range(count)), max_entries
+                )
+            tree.check_invariants()
+            assert len(tree) == count
+            assert sorted(tree.search(MBR([0, 0], [2, 2]))) == list(range(count))
 
     def test_bulk_load_supports_further_inserts_and_deletes(self, rng):
         points = random_points(rng, 60)
@@ -236,6 +245,30 @@ class TestBulkLoad:
             RTree.bulk_load(np.zeros((3, 2)), ["a"])  # payload mismatch
         with pytest.raises(IndexError_):
             RTree.bulk_load(np.zeros(5), ["a"] * 5)  # not (n, d)
+
+    def test_bulk_load_boxes_validation(self):
+        lows = np.zeros((3, 2))
+        with pytest.raises(IndexError_, match="payloads"):
+            RTree.bulk_load_boxes(lows, lows + 1, ["a"])
+        with pytest.raises(IndexError_, match="corner arrays"):
+            RTree.bulk_load_boxes(lows, np.ones((3, 3)), ["a"] * 3)
+        with pytest.raises(IndexError_, match="lower bound exceeds"):
+            RTree.bulk_load_boxes(lows, lows - 1, ["a"] * 3)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 150))
+    @settings(max_examples=20, deadline=None)
+    def test_bulk_load_boxes_matches_incremental(self, seed, count):
+        rng = np.random.default_rng(seed)
+        lows = random_points(rng, count)
+        highs = lows + rng.uniform(0.0, 0.2, size=lows.shape)
+        packed = RTree.bulk_load_boxes(lows, highs, list(range(count)), 5)
+        incremental = RTree(max_entries=5)
+        for index in range(count):
+            incremental.insert(MBR(lows[index], highs[index]), index)
+        for _ in range(4):
+            axis, low = int(rng.integers(3)), float(rng.uniform(0.0, 1.0))
+            slab = MBR.slab(3, axis, low, low + 0.1)
+            assert sorted(packed.search(slab)) == sorted(incremental.search(slab))
 
     def test_bulk_load_empty(self):
         tree = RTree.bulk_load(np.zeros((0, 4)), [])
