@@ -12,6 +12,9 @@ the claim it prints; a failed check makes the command exit non-zero::
 ``benchmarks/results/smoke/`` (never over the committed artifacts).  A
 gate that holds only at full size — a timing claim that needs the full
 workload to rise above scheduler noise — is skipped there and named.
+Beside each timed BWM-vs-RBM gate sits the work count that the paper's
+mechanism implies (:func:`check_rule_work`); it is deterministic and
+runs at every size.
 
 The timing rule is :func:`best_of`: one warm-up call, then the best of
 N.  :func:`measure_methods` times RBM and BWM that way taking turns
@@ -185,6 +188,29 @@ def measure_methods(
         )
     _check_equivalence(answers)
     return measurements
+
+
+def check_rule_work(measurements: Dict[str, MethodMeasurement], where: str) -> None:
+    """The work half of a BWM-vs-RBM timing claim.
+
+    BWM walks the Table 1 rules of every image RBM walks, minus the
+    edited images a Main-cluster short-circuit accepts unwalked: it never
+    applies more rules than RBM, and applies fewer wherever such a
+    short-circuit accepted an edited image.
+    """
+    rbm, bwm = measurements["rbm"].stats, measurements["bwm"].stats
+    check(
+        bwm.rules_applied <= rbm.rules_applied,
+        f"{where}: BWM applied more rules than RBM "
+        f"({bwm.rules_applied} > {rbm.rules_applied})",
+    )
+    if bwm.edited_accepted_without_rules:
+        check(
+            bwm.rules_applied < rbm.rules_applied,
+            f"{where}: {bwm.edited_accepted_without_rules} edited images were "
+            f"short-circuited, yet BWM applied as many rules as RBM "
+            f"({rbm.rules_applied})",
+        )
 
 
 def _check_equivalence(answers: Dict[str, List[FrozenSet[str]]]) -> None:
@@ -558,6 +584,11 @@ def _figure(run: Run, number: int, params: DatasetParameters, seed: int) -> None
         render_figure(result, number) + "\n\n" + render_ascii_chart(result),
     )
     run.write(f"figure{number}.csv", render_series_csv(result))
+    for point in result.points:
+        check_rule_work(
+            point.measurements,
+            f"Figure {number} at {point.edited_percentage:.0f}% edited",
+        )
     # The paper's qualitative claims: BWM wins on average, and never
     # loses badly at any single point.
     run.full_size_gate(
@@ -605,6 +636,7 @@ def ablation_unclassified(run: Run) -> None:
             edited_percentage=60.0, bound_widening_fraction=fraction,
         )
         m = measure_methods(database, queries, repeats=run.size(5, 1))
+        check_rule_work(m, f"A1 at BW fraction {fraction:.1f}")
         rbm, bwm = m["rbm"].mean_seconds, m["bwm"].mean_seconds
         rows.append(
             (
@@ -642,7 +674,7 @@ def ablation_ops_per_image(run: Run) -> None:
         m = measure_methods(database, queries, repeats=run.size(5, 1))
         rbm, bwm = m["rbm"].mean_seconds * 1e3, m["bwm"].mean_seconds * 1e3
         rbm_rules, bwm_rules = m["rbm"].stats.rules_applied, m["bwm"].stats.rules_applied
-        check(bwm_rules <= rbm_rules, f"A2: BWM applied more rules than RBM at {ops} ops")
+        check_rule_work(m, f"A2 at {ops} ops")
         rows.append(
             (ops, f"{rbm:.3f}", f"{bwm:.3f}", f"{percent_faster(rbm, bwm):+.2f}%",
              rbm_rules, bwm_rules)

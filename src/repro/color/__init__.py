@@ -1,4 +1,9 @@
-"""Color-feature substrate: spaces, quantization, histograms, similarity."""
+"""Color-feature substrate: spaces, quantization, histograms, similarity.
+
+The similarity functions are the paper's equations (1)–(2) plus the QBIC
+quadratic form; the interval bounds that prune kNN candidates are
+computed row-wise in :mod:`repro.db.processors`.
+"""
 
 from repro.color.histogram import ColorHistogram
 from repro.color.names import (
@@ -11,12 +16,9 @@ from repro.color.names import (
 from repro.color.quantization import BinIndex, UniformQuantizer
 from repro.color.similarity import (
     bin_similarity_matrix,
-    chi_square_distance,
     histogram_intersection,
     intersection_distance,
-    intersection_upper_bound,
     l1_distance,
-    l1_lower_bound,
     l2_distance,
     lp_distance,
     quadratic_form_distance,
@@ -39,16 +41,13 @@ __all__ = [
     "NAMED_COLORS",
     "UniformQuantizer",
     "bin_similarity_matrix",
-    "chi_square_distance",
     "color_by_name",
     "convert_pixels",
     "histogram_intersection",
     "hsv_to_rgb",
     "intersection_distance",
-    "intersection_upper_bound",
     "is_known_color",
     "l1_distance",
-    "l1_lower_bound",
     "l2_distance",
     "lp_distance",
     "quadratic_form_distance",

@@ -16,7 +16,7 @@ rule arithmetic exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -64,17 +64,6 @@ class ColorHistogram:
         counts = np.bincount(bins, minlength=quantizer.bin_count)
         return ColorHistogram(quantizer, counts, image.size)
 
-    @staticmethod
-    def from_counts(
-        quantizer: UniformQuantizer, sparse: Dict[int, int], total: int
-    ) -> "ColorHistogram":
-        """Build from a sparse ``{bin: count}`` mapping (for persistence)."""
-        counts = np.zeros(quantizer.bin_count, dtype=np.int64)
-        for bin_index, count in sparse.items():
-            quantizer.validate_bin(int(bin_index))
-            counts[int(bin_index)] = int(count)
-        return ColorHistogram(quantizer, counts, total)
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -90,15 +79,6 @@ class ColorHistogram:
     def fractions(self) -> np.ndarray:
         """The normalized histogram vector (sums to 1)."""
         return self.counts / float(self.total)
-
-    def nonzero_bins(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(bin, count)`` for occupied bins, ascending by bin."""
-        for bin_index in np.nonzero(self.counts)[0]:
-            yield (int(bin_index), int(self.counts[bin_index]))
-
-    def to_sparse(self) -> Dict[int, int]:
-        """Sparse ``{bin: count}`` form (for persistence)."""
-        return {int(b): int(c) for b, c in self.nonzero_bins()}
 
     def dominant_bins(self, k: int = 3) -> Tuple[int, ...]:
         """The ``k`` most populated bins, most populated first."""

@@ -110,35 +110,6 @@ class UniformQuantizer:
         k = bin_index % self.divisions
         return (i, j, k)
 
-    def representative_rgb(self, bin_index: BinIndex) -> Tuple[int, int, int]:
-        """An RGB color guaranteed to map to ``bin_index``.
-
-        For the RGB space the cell center is exact.  For HSV/Luv the cell
-        center may be outside the RGB gamut, so this searches a coarse
-        RGB lattice for a color landing in the bin and raises
-        :class:`ColorError` when the bin is empty of RGB colors (possible
-        for out-of-gamut Luv cells).
-        """
-        self.validate_bin(bin_index)
-        if self.space == "rgb":
-            i, j, k = self.cell_of(bin_index)
-            cell_width = 256.0 / self.divisions
-            color = tuple(
-                min(255, int((axis + 0.5) * cell_width)) for axis in (i, j, k)
-            )
-            return color  # type: ignore[return-value]
-        lattice = np.linspace(0, 255, num=16, dtype=np.uint8)
-        grid = np.stack(np.meshgrid(lattice, lattice, lattice, indexing="ij"), axis=-1)
-        flat = grid.reshape(-1, 3)
-        bins = self.bin_indices(flat)
-        matches = np.nonzero(bins == bin_index)[0]
-        if matches.size == 0:
-            raise ColorError(
-                f"bin {bin_index} of {self.space} quantizer contains no RGB colors"
-            )
-        r, g, b = flat[matches[0]]
-        return (int(r), int(g), int(b))
-
     def validate_bin(self, bin_index: int) -> int:
         """Raise unless ``bin_index`` addresses a real bin."""
         if not 0 <= bin_index < self.bin_count:

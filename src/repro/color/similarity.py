@@ -7,13 +7,14 @@ Section 3.1 lists the two families the evaluation builds on:
   ``[0, 1]`` with 1 meaning identical distributions.
 * **L_p distances** [15] — equation (2): ``(sum_i |x_i - y_i|^p)^(1/p)``.
 
-The kNN extension (experiment A5) also needs distance *lower bounds* given
-per-bin fraction intervals, so those live here too.
+The kNN extension (experiment A5) ranks with row-wise forms of these and
+prunes with their bounds over BOUNDS intervals; both live in
+:mod:`repro.db.processors`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,23 +64,6 @@ def l2_distance(a: ColorHistogram, b: ColorHistogram) -> float:
     return lp_distance(a, b, p=2.0)
 
 
-def chi_square_distance(a: ColorHistogram, b: ColorHistogram) -> float:
-    """Chi-square histogram distance (one of the "additional functions
-    for comparing histograms" the paper points to via [6]).
-
-    ``sum_i (x_i - y_i)^2 / (x_i + y_i)`` over normalized histograms,
-    with empty-in-both bins contributing zero.  Symmetric, in
-    ``[0, 2]``, and zero iff the normalized histograms are identical.
-    """
-    a.require_compatible(b)
-    x = a.fractions()
-    y = b.fractions()
-    denom = x + y
-    diff = x - y
-    mask = denom > 0
-    return float(((diff[mask] ** 2) / denom[mask]).sum())
-
-
 def bin_similarity_matrix(quantizer, sigma: float = 1.0) -> np.ndarray:
     """The QBIC-style bin-similarity matrix ``A`` for a quantizer.
 
@@ -127,49 +111,3 @@ def quadratic_form_distance(
     value = float(diff @ matrix @ diff)
     return float(np.sqrt(max(0.0, value)))
 
-
-# ----------------------------------------------------------------------
-# Interval-based lower bounds (kNN over bounded edited images, exp. A5)
-# ----------------------------------------------------------------------
-def l1_lower_bound(
-    query_fractions: np.ndarray,
-    lower: Sequence[float],
-    upper: Sequence[float],
-) -> float:
-    """Smallest possible L1 distance from ``query_fractions`` to any
-    histogram whose per-bin fractions lie within ``[lower_i, upper_i]``.
-
-    Used to prune edited images in kNN search: if the lower bound already
-    exceeds the current k-th best distance, the image cannot enter the
-    result without being instantiated.  The bound treats bins
-    independently, which is valid (relaxation can only shrink the
-    distance) though not tight.
-    """
-    q = np.asarray(query_fractions, dtype=np.float64)
-    lo = np.asarray(lower, dtype=np.float64)
-    hi = np.asarray(upper, dtype=np.float64)
-    if not (q.shape == lo.shape == hi.shape):
-        raise HistogramError("query/lower/upper must have matching shapes")
-    if (lo > hi + 1e-12).any():
-        raise HistogramError("lower bound exceeds upper bound")
-    below = np.clip(lo - q, 0.0, None)
-    above = np.clip(q - hi, 0.0, None)
-    return float((below + above).sum())
-
-
-def intersection_upper_bound(
-    query_fractions: np.ndarray,
-    upper: Sequence[float],
-) -> float:
-    """Largest possible histogram intersection with the query given
-    per-bin fraction upper bounds.
-
-    Symmetric pruning helper for similarity (rather than distance)
-    ranking: an edited image whose upper bound is below the k-th best
-    similarity can be skipped.
-    """
-    q = np.asarray(query_fractions, dtype=np.float64)
-    hi = np.asarray(upper, dtype=np.float64)
-    if q.shape != hi.shape:
-        raise HistogramError("query/upper must have matching shapes")
-    return float(np.minimum(q, np.clip(hi, 0.0, None)).sum())

@@ -441,11 +441,6 @@ class BoundsEngine:
         """BOUNDS for an ad-hoc sequence whose base/targets are in the store."""
         return PixelBounds(*_ScalarWalk(self, bin_index).sequence(sequence))
 
-    def fraction_bounds(self, image_id: str, bin_index: int) -> Tuple[float, float]:
-        """Convenience: ``(BOUND_min/size, BOUND_max/size)``."""
-        result = self.bounds(image_id, bin_index)
-        return (result.fraction_lo, result.fraction_hi)
-
     # ------------------------------------------------------------------
     # All bins of one image (one-id form of the columnar sweep)
     # ------------------------------------------------------------------
@@ -501,17 +496,6 @@ class BoundsEngine:
                 raise errors[0]
             states.append(state.row_state(0)[:4])
         return record, states
-
-    def fraction_bounds_all_bins(
-        self, image_id: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-bin fraction intervals ``(lo/size, hi/size)`` as float64 vectors.
-
-        The division matches :attr:`PixelBounds.fraction_lo` /
-        ``fraction_hi`` bit for bit, so pruning decisions built on these
-        vectors are identical to the scalar path's.
-        """
-        return self.fraction_bounds_all_bins_batch((image_id,))[0]
 
     def seed_bounds(self, image_id: str, bounds: AllBinsBounds) -> None:
         """Install a precomputed all-bins matrix into the memo cache.
@@ -803,7 +787,13 @@ class BoundsEngine:
     def fraction_bounds_all_bins_batch(
         self, image_ids: Sequence[str]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Batched :meth:`fraction_bounds_all_bins`: same division, one sweep."""
+        """Per-bin fraction intervals ``(lo/size, hi/size)`` of each image,
+        as float64 vectors, from one sweep.
+
+        The division matches :attr:`PixelBounds.fraction_lo` /
+        ``fraction_hi`` bit for bit, so pruning decisions built on these
+        vectors are identical to the scalar path's.
+        """
         bounds = self.bounds_all_bins_batch(image_ids)
         totals = bounds.totals.astype(np.float64)[:, None]
         return list(zip(bounds.lo / totals, bounds.hi / totals))

@@ -718,11 +718,6 @@ class CatalogOpTable:
         """Tombstoned rows awaiting compaction."""
         return self.row_count - self.live_count
 
-    @property
-    def op_count(self) -> int:
-        """Total compiled operations across all rows (sealed or not)."""
-        return sum(len(ops.codes) for ops in self._row_ops)
-
     def upsert(self, image_id: str, sequence: EditSequence) -> int:
         """Insert or replace ``image_id``'s row; returns the new row index."""
         self.remove(image_id)

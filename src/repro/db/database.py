@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.color.histogram import ColorHistogram
-from repro.color.names import color_by_name
 from repro.color.quantization import UniformQuantizer
 from repro.core.batch import BatchBWMProcessor, BatchRBMProcessor
 from repro.core.bounds import BoundsEngine, PixelBounds
@@ -278,19 +277,6 @@ class MultimediaDatabase:
         if not expand_to_bases:
             return result
         return and_merge(self.catalog, [result], expand_to_bases=True)
-
-    def range_query_color(
-        self,
-        color: Union[str, Sequence[int]],
-        pct_min: float,
-        pct_max: float = 1.0,
-        method: str = "bwm",
-        expand_to_bases: bool = False,
-    ) -> QueryResult:
-        """Range query by color name or RGB triple ("at least 25% blue")."""
-        rgb = color_by_name(color) if isinstance(color, str) else validate_color(color)
-        query = RangeQuery(self.quantizer.bin_of(rgb), pct_min, pct_max)
-        return self.range_query(query, method=method, expand_to_bases=expand_to_bases)
 
     def range_query_batch(
         self, queries: Sequence[RangeQuery], method: str = "bwm"

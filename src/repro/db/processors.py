@@ -74,9 +74,9 @@ def _row_scores(q: np.ndarray, stored: np.ndarray, intersection: bool) -> np.nda
 def _bound_scores(
     q: np.ndarray, bounds: BoundsMatrix, intersection: bool
 ) -> np.ndarray:
-    """The best score each row's BOUNDS intervals admit: the row-wise
-    ``l1_lower_bound`` — or negated ``intersection_upper_bound`` — of
-    ``q``, the identical doubles.  A stored histogram's row has ``lo``
+    """The best score each row's BOUNDS intervals admit: the smallest L1
+    distance — or the negated largest intersection — from ``q`` to any
+    histogram inside the intervals.  A stored histogram's row has ``lo``
     equal to ``hi``, and there it is the exact score (:func:`_row_scores`).
 
     Reads :data:`_BLOCK_ROWS` rows at a time into reused scratch; no

@@ -39,7 +39,6 @@ from typing import List, Tuple
 from repro.editing.operations import (
     Combine,
     Define,
-    Merge,
     Modify,
     Mutate,
     Operation,

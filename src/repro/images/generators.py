@@ -7,7 +7,7 @@ so experiments are reproducible from a seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -55,25 +55,6 @@ def vertical_bands(height: int, width: int, colors: Sequence[Sequence[int]]) -> 
         y2 = width if index == len(colors) - 1 else (index + 1) * band_width
         image.pixels[:, y1:y2] = validate_color(color)
     return image
-
-
-def checkerboard(
-    height: int,
-    width: int,
-    cell: int,
-    color_a: Sequence[int],
-    color_b: Sequence[int],
-) -> Image:
-    """A checkerboard with ``cell x cell`` squares."""
-    if cell <= 0:
-        raise WorkloadError("cell size must be positive")
-    rows = (np.arange(height) // cell)[:, None]
-    cols = (np.arange(width) // cell)[None, :]
-    mask = ((rows + cols) % 2).astype(bool)
-    arr = np.empty((height, width, 3), dtype=np.uint8)
-    arr[~mask] = validate_color(color_a)
-    arr[mask] = validate_color(color_b)
-    return Image(arr, copy=False)
 
 
 def draw_rect(image: Image, rect: Rect, color: Sequence[int]) -> Image:
@@ -146,25 +127,6 @@ def random_palette_image(
         color = colors[int(rng.integers(len(colors)))]
         draw_rect(image, Rect(x1, y1, x2, y2), color)
     return image
-
-
-def random_noise_image(
-    rng: np.random.Generator,
-    height: int,
-    width: int,
-    levels: int = 256,
-) -> Image:
-    """Uniform random noise, optionally quantized to ``levels`` per channel.
-
-    Used by property tests as the adversarial opposite of flat-color
-    images: histograms are spread across many bins.
-    """
-    if not 2 <= levels <= 256:
-        raise WorkloadError("levels must be in [2, 256]")
-    raw = rng.integers(0, levels, size=(height, width, 3))
-    if levels != 256:
-        raw = raw * 255 // (levels - 1)
-    return Image(raw.astype(np.uint8), copy=False)
 
 
 def darken(image: Image, factor: float) -> Image:

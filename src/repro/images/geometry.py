@@ -2,9 +2,9 @@
 
 The editing-operation algebra of the paper manipulates a *Defined Region*
 (DR): an axis-aligned rectangle of pixels selected by the ``Define``
-operation.  The same rectangle arithmetic (intersection, union, area,
+operation.  The same rectangle arithmetic (containment, union area,
 clipping, affine transform of corners) is needed by the Table 1 rules and
-by the R-tree index, so it lives in one shared module.
+by the executor, so it lives in one shared module.
 
 Coordinates follow numpy convention: ``x`` is the row index (top to
 bottom), ``y`` is the column index (left to right).  A :class:`Rect` is
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import GeometryError
 
@@ -66,29 +66,6 @@ class Rect:
     # ------------------------------------------------------------------
     # Set-like operations
     # ------------------------------------------------------------------
-    def intersect(self, other: "Rect") -> "Rect":
-        """Return the intersection; empty rectangles normalize to (0,0,0,0)."""
-        x1 = max(self.x1, other.x1)
-        y1 = max(self.y1, other.y1)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
-            return EMPTY_RECT
-        return Rect(x1, y1, x2, y2)
-
-    def union_bbox(self, other: "Rect") -> "Rect":
-        """Return the smallest rectangle containing both operands."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Rect(
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )
-
     def union_area_upper_bound(self, other: "Rect") -> int:
         """Exact pixel count of the union of the two rectangles.
 
@@ -112,14 +89,6 @@ class Rect:
             and self.x2 >= other.x2
             and self.y2 >= other.y2
         )
-
-    def contains_point(self, x: int, y: int) -> bool:
-        """True when pixel ``(x, y)`` lies inside the rectangle."""
-        return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
-
-    def overlaps(self, other: "Rect") -> bool:
-        """True when the rectangles share at least one pixel."""
-        return not self.intersect(other).is_empty
 
     # ------------------------------------------------------------------
     # Transformations
@@ -145,39 +114,9 @@ class Rect:
         """Return the rectangle shifted by ``(dx, dy)``."""
         return Rect(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
-    def corners(self) -> Tuple[Tuple[int, int], ...]:
-        """The four corner points, inclusive coordinates."""
-        return (
-            (self.x1, self.y1),
-            (self.x1, max(self.y1, self.y2 - 1)),
-            (max(self.x1, self.x2 - 1), self.y1),
-            (max(self.x1, self.x2 - 1), max(self.y1, self.y2 - 1)),
-        )
-
-    def iter_pixels(self) -> Iterator[Tuple[int, int]]:
-        """Yield every ``(x, y)`` pixel coordinate in row-major order."""
-        for x in range(self.x1, self.x2):
-            for y in range(self.y1, self.y2):
-                yield (x, y)
-
     def as_tuple(self) -> Tuple[int, int, int, int]:
         """Return ``(x1, y1, x2, y2)``."""
         return (self.x1, self.y1, self.x2, self.y2)
-
-    @staticmethod
-    def from_tuple(values: Iterable[int]) -> "Rect":
-        """Build a rectangle from an ``(x1, y1, x2, y2)`` iterable."""
-        vals = list(values)
-        if len(vals) != 4:
-            raise GeometryError(f"expected 4 coordinates, got {len(vals)}")
-        return Rect(*(int(v) for v in vals))
-
-    @staticmethod
-    def full(height: int, width: int) -> "Rect":
-        """The rectangle covering an entire ``height x width`` image."""
-        if height < 0 or width < 0:
-            raise GeometryError("image dimensions must be non-negative")
-        return Rect(0, 0, height, width)
 
 
 #: Canonical empty rectangle.  All empty intersections normalize to this.
@@ -189,7 +128,7 @@ def transform_rect_bbox(rect: Rect, matrix: "AffineMatrix") -> Rect:
 
     Used by the Mutate rule to bound the destination region of moved
     pixels without touching the raster.  The box of the transformed
-    corners (:meth:`Rect.corners`) bounds the transformed set because
+    corners bounds the transformed set because
     affine maps preserve convexity.  Each output coordinate is a sum of
     one term in ``x`` and one in ``y``, and float rounding is monotone,
     so its extremes over the four corners are the sums of the per-term
@@ -295,22 +234,6 @@ class AffineMatrix:
             and abs(self.m11 - round(self.m11)) <= tol
             and abs(self.m22 - round(self.m22)) <= tol
         )
-
-    def invert(self) -> "AffineMatrix":
-        """Return the inverse affine matrix.
-
-        Raises :class:`GeometryError` for singular matrices.
-        """
-        det = self.determinant
-        if abs(det) < 1e-12:
-            raise GeometryError("singular Mutate matrix cannot be inverted")
-        inv11 = self.m22 / det
-        inv12 = -self.m12 / det
-        inv21 = -self.m21 / det
-        inv22 = self.m11 / det
-        inv13 = -(inv11 * self.m13 + inv12 * self.m23)
-        inv23 = -(inv21 * self.m13 + inv22 * self.m23)
-        return AffineMatrix(inv11, inv12, inv13, inv21, inv22, inv23)
 
     # ------------------------------------------------------------------
     # Constructors for common transforms

@@ -1,8 +1,10 @@
 """Multidimensional access methods: R-tree, VA-file, linear baseline.
 
-:mod:`repro.index.builders` adds catalog-level builders: bulk-loaded
-point indexes over binary histograms and interval indexes over edited
-images' vectorized BOUNDS boxes.
+Each inserts and searches; none deletes.  :mod:`repro.index.builders`
+adds catalog-level builders that index a whole snapshot at once:
+bulk-loaded point indexes over binary histograms and interval indexes
+over edited images' vectorized BOUNDS boxes.  A front end that writes
+rebuilds them rather than editing them in place.
 """
 
 from repro.index.builders import (

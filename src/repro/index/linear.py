@@ -33,14 +33,6 @@ class LinearIndex:
         """Append a point datum."""
         self.insert(MBR.point(coords), payload)
 
-    def delete(self, box: MBR, payload: object) -> bool:
-        """Remove the first entry matching ``(box, payload)``."""
-        for index, (entry_box, entry_payload) in enumerate(self._entries):
-            if entry_payload == payload and entry_box == box:
-                del self._entries[index]
-                return True
-        return False
-
     def search(self, box: MBR) -> List[object]:
         """Payloads of all entries intersecting ``box``."""
         return [payload for entry_box, payload in self._entries if entry_box.intersects(box)]

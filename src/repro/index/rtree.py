@@ -9,12 +9,14 @@ any histograms of images that satisfy the given query."
 This is a from-scratch R-tree built one of two ways, with one node
 structure and one search:
 
-* dynamically — :meth:`RTree.insert` with Guttman's quadratic split, and
-  deletion by the classic condense-and-reinsert strategy;
+* incrementally — :meth:`RTree.insert` with Guttman's quadratic split;
 * packed — :meth:`RTree.bulk_load_boxes` builds a whole snapshot with
   Sort-Tile-Recursive (STR) packing, vectorized over ``(n, d)`` corner
   arrays; :meth:`RTree.bulk_load` is the same load for points.  A packed
-  tree keeps accepting inserts and deletes.
+  tree keeps accepting inserts.
+
+Nothing deletes: the index builders rebuild from a snapshot after a
+write, and A4 inserts and searches.
 
 Entries are ``(MBR, payload)`` pairs; point data uses degenerate boxes.
 ``search(box)`` returns payloads whose MBRs intersect the query box — a
@@ -203,20 +205,6 @@ class RTree:
             np.maximum.reduceat(highs, starts, axis=0),
         )
 
-    def delete(self, box: MBR, payload: object) -> bool:
-        """Remove the entry matching ``payload`` (and box); True if found."""
-        found = self._find_leaf(self._root, box, payload)
-        if found is None:
-            return False
-        leaf, position = found
-        del leaf.entries[position]
-        self._size -= 1
-        self._condense(leaf)
-        if not self._root.leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0][1]  # type: ignore[assignment]
-            self._root.parent = None
-        return True
-
     def search(self, box: MBR) -> List[object]:
         """Payloads of all entries whose MBR intersects ``box``."""
         results: List[object] = []
@@ -386,51 +374,6 @@ class RTree:
                     results.append(item)
                 else:
                     self._search_node(item, box, results)  # type: ignore[arg-type]
-
-    def _find_leaf(
-        self, node: _Node, box: MBR, payload: object
-    ) -> Optional[Tuple[_Node, int]]:
-        if node.leaf:
-            for index, (entry_box, item) in enumerate(node.entries):
-                if item == payload and entry_box == box:
-                    return (node, index)
-            return None
-        for entry_box, child in node.entries:
-            if entry_box.intersects(box):
-                found = self._find_leaf(child, box, payload)  # type: ignore[arg-type]
-                if found is not None:
-                    return found
-        return None
-
-    def _condense(self, node: _Node) -> None:
-        orphans: List[Tuple[MBR, object]] = []
-        while node.parent is not None:
-            parent = node.parent
-            if len(node.entries) < self._min:
-                for index, (_, child) in enumerate(parent.entries):
-                    if child is node:
-                        del parent.entries[index]
-                        break
-                if node.leaf:
-                    orphans.extend(node.entries)
-                else:
-                    for _, child in node.entries:
-                        stack = [child]
-                        while stack:
-                            current = stack.pop()
-                            if current.leaf:  # type: ignore[union-attr]
-                                orphans.extend(current.entries)  # type: ignore[union-attr]
-                            else:
-                                stack.extend(
-                                    grandchild
-                                    for _, grandchild in current.entries  # type: ignore[union-attr]
-                                )
-            else:
-                self._replace_child_box(parent, node)
-            node = parent
-        for box, payload in orphans:
-            self._size -= 1
-            self.insert(box, payload)
 
     def _check_node(
         self, node: _Node, depth: int, depths: set, is_root: bool

@@ -68,19 +68,9 @@ class VAFile:
     def __len__(self) -> int:
         return len(self._payloads)
 
-    @property
-    def bits_per_dimension(self) -> int:
-        """Approximation precision."""
-        return self._bits
-
     def _cell_of(self, values: np.ndarray) -> np.ndarray:
         scaled = (values - self._lo) / (self._hi - self._lo) * self._cells
         return np.clip(scaled.astype(np.int64), 0, self._cells - 1)
-
-    def _cell_bounds(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        width = (self._hi - self._lo) / self._cells
-        lows = self._lo + cells * width
-        return lows, lows + width
 
     # ------------------------------------------------------------------
     def insert_point(self, coords: Sequence[float], payload: object) -> None:
@@ -109,19 +99,6 @@ class VAFile:
         if not np.array_equal(box.lo, box.hi):
             raise IndexError_("VA-files index points, not extended boxes")
         self.insert_point(box.lo, payload)
-
-    def delete(self, box: MBR, payload: object) -> bool:
-        """Remove the first matching (point, payload) entry."""
-        for index, (vector, existing) in enumerate(
-            zip(self._vectors, self._payloads)
-        ):
-            if existing == payload and np.array_equal(vector, box.lo):
-                del self._vectors[index]
-                del self._approximations[index]
-                del self._payloads[index]
-                self._approx_matrix = None
-                return True
-        return False
 
     def _approximation_matrix(self) -> np.ndarray:
         if self._approx_matrix is None:

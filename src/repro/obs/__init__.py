@@ -17,8 +17,7 @@ makes the production stack answer the same question about itself:
 * :mod:`repro.obs.metrics` — the lock-safe counter / gauge / latency-
   histogram registry every serving tier records into.
 * :mod:`repro.obs.prometheus` — text-exposition rendering of the
-  service metrics snapshot (plus a promtool-style validator and
-  :func:`merge_snapshots` for fleet-wide rollups).
+  service metrics snapshot, plus a promtool-style validator.
 * :mod:`repro.obs.events` — the structured wide-event log: one JSONL
   record per mutation, WAL append/replay, checkpoint, compaction, and
   query, ring-buffered in memory and streamed to ``events.jsonl`` on
@@ -55,7 +54,6 @@ from repro.obs.events import (
     EventLog,
     read_events_jsonl,
     validate_event_dict,
-    write_events_jsonl,
 )
 from repro.obs.health import (
     HealthMonitor,
@@ -64,7 +62,6 @@ from repro.obs.health import (
     SLOPolicy,
 )
 from repro.obs.prometheus import (
-    merge_snapshots,
     render_prometheus,
     validate_exposition,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "current_span",
     "current_trace_id",
     "maybe_tracer",
-    "merge_snapshots",
     "new_trace_id",
     "read_events_jsonl",
     "render_prometheus",
@@ -118,5 +114,4 @@ __all__ = [
     "tracing_enabled",
     "validate_event_dict",
     "validate_exposition",
-    "write_events_jsonl",
 ]

@@ -41,7 +41,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ObservabilityError
 from repro.obs.trace import current_trace_id
@@ -221,10 +221,6 @@ class EventLog:
             self._preload_sink()
 
     # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
     def set_enabled(self, enabled: bool) -> bool:
         """Toggle emission; returns the previous setting."""
         with self._lock:
@@ -309,11 +305,6 @@ class EventLog:
                 "retained": len(self._ring),
             }
 
-    def clear(self) -> None:
-        """Drop the ring (the sink file is left alone)."""
-        with self._lock:
-            self._ring.clear()
-
     def close(self) -> None:
         with self._lock:
             if self._sink_handle is not None:
@@ -395,18 +386,4 @@ def read_events_jsonl(
     if limit is not None and 0 <= limit < len(events):
         events = events[len(events) - limit:]
     return events
-
-
-def write_events_jsonl(
-    events: Iterable[Event], path: Union[str, Path]
-) -> int:
-    """Export events as JSONL (for artifact uploads); returns the count."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
-            count += 1
-    return count
 

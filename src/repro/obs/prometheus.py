@@ -19,10 +19,6 @@ metrics`` accepts:
 :func:`validate_exposition` is a promtool-style line checker used by the
 CI job (and usable in production smoke tests) so a rendering bug cannot
 silently break the scrape endpoint.
-
-:func:`merge_snapshots` folds several registries' snapshots (service,
-sharded catalog) into one dict so the whole fleet scrapes from a single
-unified exposition instead of per-subsystem fragments.
 """
 
 from __future__ import annotations
@@ -260,69 +256,3 @@ def validate_exposition(text: str) -> List[str]:
             )
     return problems
 
-
-# ----------------------------------------------------------------------
-# snapshot merging (the unified fleet registry)
-# ----------------------------------------------------------------------
-def merge_snapshots(*snapshots: Mapping[str, Any]) -> Dict[str, Any]:
-    """Fold several metrics snapshots into one unified snapshot dict.
-
-    This is how the fleet exposes *one* OpenMetrics endpoint: the
-    service registry and the sharded catalog registry each produce a
-    ``metrics_snapshot()``-shaped dict, and the merge combines them
-    family by family:
-
-    * **counters** sum — two subsystems bumping ``wal.appends`` describe
-      disjoint appends;
-    * **gauges** and nested gauge groups last-wins — a gauge is a level,
-      and later snapshots are assumed fresher;
-    * **histograms** combine exactly for ``count`` / ``total`` / ``min``
-      / ``max``; the percentiles take the elementwise max, a documented
-      *upper-bound* approximation (raw reservoirs are not exported, and
-      for SLO alerting an over-estimate errs on the honest side).
-
-    Key order is sorted at every level, so equal inputs merge to
-    byte-equal output — the determinism the snapshot tests pin down.
-    """
-    counters: Dict[str, Any] = {}
-    gauges: Dict[str, Any] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    groups: Dict[str, Dict[str, Any]] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            gauges[name] = value
-        for name, data in snapshot.get("histograms", {}).items():
-            held = histograms.get(name)
-            if held is None:
-                histograms[name] = dict(data)
-                continue
-            count = held.get("count", 0) + data.get("count", 0)
-            total = held.get("total", 0.0) + data.get("total", 0.0)
-            merged = {
-                "count": count,
-                "total": total,
-                "mean": (total / count) if count else 0.0,
-                "min": min(held.get("min", 0.0), data.get("min", 0.0)),
-                "max": max(held.get("max", 0.0), data.get("max", 0.0)),
-            }
-            for key in ("p50", "p95", "p99"):
-                merged[key] = max(held.get(key, 0.0), data.get(key, 0.0))
-            histograms[name] = merged
-        for group, values in snapshot.items():
-            if group in ("counters", "gauges", "histograms"):
-                continue
-            if not isinstance(values, Mapping):
-                continue
-            held_group = groups.setdefault(group, {})
-            held_group.update(values)
-    merged_out: Dict[str, Any] = {
-        "counters": {name: counters[name] for name in sorted(counters)},
-        "histograms": {name: histograms[name] for name in sorted(histograms)},
-    }
-    if gauges:
-        merged_out["gauges"] = {name: gauges[name] for name in sorted(gauges)}
-    for group in sorted(groups):
-        merged_out[group] = {key: groups[group][key] for key in sorted(groups[group])}
-    return merged_out

@@ -16,7 +16,7 @@ pct_min, pct_max)`` triple the database maps onto a histogram bin:
 Grammar (case-insensitive; the ``retrieve``/``images that are`` preamble
 is optional noise)::
 
-    query    := preamble? constraint
+    query    := preamble? constraint ("and" constraint)*
     constraint := ("at least" | "more than" | "at most" | "less than"
                   | "no more than" | "exactly") percent color
                 | "between" percent "and" percent color
@@ -89,24 +89,13 @@ def _to_fraction(number_text: str, percent_sign: str) -> float:
     return value
 
 
-def parse_query(text: str) -> ParsedQuery:
-    """Parse a text query into a :class:`ParsedQuery`.
-
-    Raises :class:`ParseError` with a pointed message for malformed
-    input or unknown color words.
-    """
-    if not text or not text.strip():
-        raise ParseError("empty query")
-    body = _PREAMBLE.sub("", text.strip(), count=1).strip().rstrip(".?!")
-    return _parse_constraint(body, text)
-
-
 def parse_conjunctive_query(text: str) -> Tuple[ParsedQuery, ...]:
     """Parse a conjunction: "at least 20% red and at most 10% blue".
 
     Splits on the word ``and`` *between* constraints (the ``between X and
-    Y`` form keeps its internal ``and``) and parses each constraint like
-    :func:`parse_query`.  A single constraint parses to a 1-tuple.
+    Y`` form keeps its internal ``and``) and parses each constraint.  A
+    single constraint parses to a 1-tuple.  Raises :class:`ParseError`
+    with a pointed message for malformed input or unknown color words.
     """
     if not text or not text.strip():
         raise ParseError("empty query")

@@ -547,7 +547,6 @@ class ShardedCatalog:
         wide event is emitted per journaled mutation.
         """
         self._ensure_open()
-        shard.journaled.add((image_id, version))
         lsn: Optional[int] = None
         trace_id = current_trace_id()
         if trace_id is None and tracing_enabled():
@@ -566,6 +565,10 @@ class ShardedCatalog:
             lsn = int(entry["lsn"])  # type: ignore[arg-type]
             shard.last_lsn = lsn
             self.metrics.increment("wal.appends")
+        # Registered only once the record is durable: a failed append
+        # raises above, and a key left behind would swallow the next
+        # out-of-band change at this version.
+        shard.journaled.add((image_id, version))
         self.events.emit(
             "wal.append",
             subsystem="wal",

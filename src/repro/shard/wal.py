@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.db.durable import NoFaults
 from repro.db.versioning import sha256_hex
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, PersistenceError
 from repro.shard.records import RECORD_KINDS
 
 logger = logging.getLogger(__name__)
@@ -98,7 +98,13 @@ class ShardWAL:
         **payload: object,
     ) -> Dict[str, object]:
         """Durably append one mutation record; returns the full entry
-        (its checksum included)."""
+        (its checksum included).
+
+        A failed write or fsync (a full disk, a failing device) raises
+        :class:`~repro.errors.PersistenceError` and leaves the log as it
+        was: the record is cut back off and its LSN is reused, so the
+        caller can refuse the mutation and replay never applies it.
+        """
         if op not in RECORD_KINDS and op != "change":
             raise CorruptionError(f"unknown WAL record kind {op!r}")
         # The append-before-apply discipline requires fsyncs to land in
@@ -107,8 +113,9 @@ class ShardWAL:
         # durability ahead of this one's.
         with self._lock:
             self._truncate_torn_tail()
+            lsn = self._allocate_lsn()
             entry: Dict[str, object] = {
-                "lsn": self._allocate_lsn(),
+                "lsn": lsn,
                 "op": op,
                 "shard": shard,
                 "image_id": image_id,
@@ -116,10 +123,27 @@ class ShardWAL:
                 **payload,
             }
             entry["line_sha256"] = sha256_hex(_canonical(entry))
-            plan.append_bytes(self.path, _canonical(entry) + b"\n")
-            if self._records is not None:
-                self._records += 1
-            plan.fsync(self.path)
+            line = _canonical(entry) + b"\n"
+            written = False
+            try:
+                plan.append_bytes(self.path, line)
+                written = True
+                if self._records is not None:
+                    self._records += 1
+                plan.fsync(self.path)
+            except OSError as exc:
+                if written:
+                    # Written but not durable, and the caller will not
+                    # apply the mutation: take the record back so replay
+                    # cannot apply it either.
+                    with open(self.path, "r+b") as handle:
+                        handle.truncate(handle.seek(0, os.SEEK_END) - len(line))
+                    if self._records is not None:
+                        self._records -= 1
+                self._next_lsn = lsn
+                raise PersistenceError(
+                    f"WAL append to {self.path} failed: {exc}"
+                ) from exc
             return entry
 
     def entries(self) -> List[Dict[str, object]]:

@@ -14,7 +14,7 @@ from repro.workloads.flag_catalog import (
 )
 from repro.workloads.flags import FLAG_STYLES, make_flag, make_flag_collection
 from repro.workloads.helmets import make_helmet, make_helmet_collection
-from repro.workloads.queries import describe_workload, make_query_workload
+from repro.workloads.queries import make_query_workload
 from repro.workloads.table2 import (
     FLAG_PARAMETERS,
     HELMET_PARAMETERS,
@@ -31,7 +31,6 @@ __all__ = [
     "build_database",
     "build_flag_database",
     "build_helmet_database",
-    "describe_workload",
     "flag_names",
     "make_flag",
     "make_flag_collection",

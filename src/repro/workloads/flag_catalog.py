@@ -20,7 +20,7 @@ Layout vocabulary (colors are :mod:`repro.color.names` words):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.color.names import color_by_name
 from repro.errors import WorkloadError

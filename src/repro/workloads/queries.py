@@ -14,7 +14,7 @@ query distribution; we use a mix the prototype plausibly saw:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -74,13 +74,3 @@ def make_query_workload(
             queries.append(RangeQuery.at_least(bin_index, float(rng.uniform(0.6, 0.95))))
     return queries
 
-
-def describe_workload(queries: Sequence[RangeQuery]) -> str:
-    """One-line summary used by bench reports."""
-    if not queries:
-        return "empty workload"
-    widths = [q.pct_max - q.pct_min for q in queries]
-    return (
-        f"{len(queries)} range queries over {len({q.bin_index for q in queries})} "
-        f"bins, mean range width {float(np.mean(widths)):.3f}"
-    )

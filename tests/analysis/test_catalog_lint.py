@@ -211,7 +211,7 @@ class TestDependencyGraph:
         # The engine's edge contract: an edge names a reference of a
         # stored dependent, so deleting the dependent scrubs its edges.
         database, base, edited = db
-        database.engine.fraction_bounds_all_bins(edited)
+        database.engine.bounds_all_bins(edited)
         assert database.engine.dependency_edges() == [(base, edited)]
         database.delete_edited(edited)
         assert database.engine.dependency_edges() == []

@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.color.histogram import ColorHistogram
 from repro.color.quantization import UniformQuantizer
 from repro.errors import HistogramError
-from repro.images.generators import random_noise_image
 from repro.images.raster import Image
+from tests.images.builders import random_noise_image
 
 
 @pytest.fixture
@@ -24,7 +22,7 @@ class TestExtraction:
         assert histogram.total == 20
         assert histogram.count(0) == 20
         assert histogram.fraction(0) == 1.0
-        assert sum(c for _, c in histogram.nonzero_bins()) == 20
+        assert int(histogram.counts.sum()) == 20
 
     def test_two_color_split(self, q2):
         image = Image.filled(2, 2, (0, 0, 0))
@@ -70,24 +68,6 @@ class TestValidation:
     def test_empty_total_rejected(self, q2):
         with pytest.raises(HistogramError):
             ColorHistogram(q2, np.zeros(8, dtype=np.int64), 0)
-
-
-class TestSparseRoundTrip:
-    @given(
-        st.dictionaries(st.integers(0, 7), st.integers(1, 50), min_size=1, max_size=8)
-    )
-    @settings(max_examples=40)
-    def test_sparse_round_trip(self, sparse):
-        q2 = UniformQuantizer(2, "rgb")
-        total = sum(sparse.values())
-        histogram = ColorHistogram.from_counts(q2, sparse, total)
-        assert histogram.to_sparse() == sparse
-
-    def test_from_counts_bad_bin(self, q2):
-        from repro.errors import ColorError
-
-        with pytest.raises(ColorError):
-            ColorHistogram.from_counts(q2, {99: 3}, 3)
 
 
 class TestQueries:

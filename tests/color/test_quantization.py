@@ -155,24 +155,6 @@ class TestCellMapping:
             quantizer.validate_bin(8)
 
 
-class TestRepresentativeColors:
-    @pytest.mark.parametrize("space,divisions", [("rgb", 2), ("rgb", 4), ("hsv", 2)])
-    def test_representative_maps_back_to_bin(self, space, divisions):
-        quantizer = UniformQuantizer(divisions, space)
-        hit = 0
-        for bin_index in range(quantizer.bin_count):
-            try:
-                color = quantizer.representative_rgb(bin_index)
-            except ColorError:
-                continue  # out-of-gamut cell (possible for non-RGB spaces)
-            hit += 1
-            assert quantizer.bin_of(color) == bin_index
-        assert hit >= quantizer.bin_count // 2
-
-    def test_rgb_representative_always_exists(self):
-        quantizer = UniformQuantizer(8, "rgb")
-        for bin_index in range(0, quantizer.bin_count, 37):
-            assert quantizer.bin_of(quantizer.representative_rgb(bin_index)) == bin_index
-
+class TestDescribe:
     def test_describe(self):
         assert UniformQuantizer(4, "rgb").describe() == "rgb/4^3=64 bins"

@@ -1,4 +1,5 @@
-"""Unit and property tests for histogram similarity functions."""
+"""Unit and property tests for histogram similarity functions, and for
+the scalar interval bounds the kNN parity tests use as oracles."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from repro.color.quantization import UniformQuantizer
 from repro.color.similarity import (
     histogram_intersection,
     intersection_distance,
-    intersection_upper_bound,
     l1_distance,
-    l1_lower_bound,
     l2_distance,
     lp_distance,
 )
 from repro.errors import HistogramError
+from tests.oracles import intersection_upper_bound, l1_lower_bound
 
 Q2 = UniformQuantizer(2, "rgb")
 
@@ -156,40 +156,6 @@ class TestIntervalBounds:
     def test_intersection_upper_bound_shape_mismatch(self):
         with pytest.raises(HistogramError):
             intersection_upper_bound(np.zeros(8), np.zeros(9))
-
-
-class TestChiSquare:
-    def test_identity(self):
-        from repro.color.similarity import chi_square_distance
-
-        h = histogram_from_counts([4, 4, 0, 0, 0, 0, 0, 0])
-        assert chi_square_distance(h, h) == 0.0
-
-    def test_disjoint_maximal(self):
-        from repro.color.similarity import chi_square_distance
-
-        a = histogram_from_counts([8, 0, 0, 0, 0, 0, 0, 0])
-        b = histogram_from_counts([0, 8, 0, 0, 0, 0, 0, 0])
-        assert chi_square_distance(a, b) == pytest.approx(2.0)
-
-    @given(counts_strategy, counts_strategy)
-    @settings(max_examples=40)
-    def test_symmetric_and_bounded(self, xs, ys):
-        from repro.color.similarity import chi_square_distance
-
-        a, b = histogram_from_counts(xs), histogram_from_counts(ys)
-        assert chi_square_distance(a, b) == pytest.approx(chi_square_distance(b, a))
-        assert 0.0 <= chi_square_distance(a, b) <= 2.0 + 1e-12
-
-    def test_incompatible_rejected(self):
-        from repro.color.similarity import chi_square_distance
-
-        a = histogram_from_counts([1] * 8)
-        other = ColorHistogram(
-            UniformQuantizer(4, "rgb"), np.ones(64, dtype=np.int64), 64
-        )
-        with pytest.raises(HistogramError):
-            chi_square_distance(a, other)
 
 
 class TestQuadraticForm:

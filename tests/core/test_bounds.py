@@ -105,8 +105,8 @@ class TestEngineBasics:
 
     def test_fraction_bounds_helper(self, engine, store):
         store.add_edited("e1", EditSequence("base", (Combine.box(),)))
-        lo, hi = engine.fraction_bounds("e1", 0)
-        assert (lo, hi) == (0.0, 1.0)
+        bounds = engine.bounds("e1", 0)
+        assert (bounds.fraction_lo, bounds.fraction_hi) == (0.0, 1.0)
 
     def test_sequence_bounds_ad_hoc(self, engine):
         seq = EditSequence("base", (Define(Rect(0, 0, 1, 1)), Merge(None)))
@@ -170,7 +170,7 @@ class TestMergeResolution:
 
 
 class TestOneIdAllBins:
-    """``bounds_all_bins`` / ``fraction_bounds_all_bins`` against the
+    """``bounds_all_bins`` / ``fraction_bounds_all_bins_batch`` against the
     scalar walk (more corpora in ``tests/core/test_optable.py``)."""
 
     def test_merge_onto_edited_target_matches_scalar(self, engine, store):
@@ -187,7 +187,7 @@ class TestOneIdAllBins:
         store.add_edited(
             "e1", EditSequence("base", (Define(Rect(0, 0, 2, 3)), Combine.box()))
         )
-        lower, upper = engine.fraction_bounds_all_bins("e1")
+        lower, upper = engine.fraction_bounds_all_bins_batch(("e1",))[0]
         for bin_index in range(Q2.bin_count):
             scalar = engine.bounds("e1", bin_index)
             assert lower[bin_index] == scalar.fraction_lo  # bitwise, not approx

@@ -192,8 +192,8 @@ class TestEngineSurface:
         colors = [tuple(int(v) for v in c) for c in FLAG_PALETTE]
         store.add_edited("e", random_sequence(rng, "base", 6, 8, colors))
         engine = BoundsEngine(store, quantizer)
-        lower, upper = engine.fraction_bounds_all_bins("e")
+        lower, upper = engine.fraction_bounds_all_bins_batch(("e",))[0]
         for bin_index in range(quantizer.bin_count):
-            lo_frac, hi_frac = engine.fraction_bounds("e", bin_index)
-            assert lower[bin_index] == lo_frac  # bitwise, not approx
-            assert upper[bin_index] == hi_frac
+            scalar = engine.bounds("e", bin_index)
+            assert lower[bin_index] == scalar.fraction_lo  # bitwise, not approx
+            assert upper[bin_index] == scalar.fraction_hi

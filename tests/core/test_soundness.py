@@ -20,7 +20,8 @@ from repro.editing.executor import EditExecutor
 from repro.editing.random_edits import random_sequence
 from repro.editing.recipes import BOUND_WIDENING_RECIPES, NON_WIDENING_RECIPES
 from repro.editing.sequence import EditSequence
-from repro.images.generators import random_noise_image, random_palette_image
+from repro.images.generators import random_palette_image
+from tests.images.builders import random_noise_image
 
 
 class MapStore:

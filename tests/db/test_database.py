@@ -140,13 +140,14 @@ class TestRangeQueries:
     def test_color_query_by_name(self):
         database = MultimediaDatabase()
         database.insert_image(Image.filled(4, 4, (0, 40, 104)), image_id="navy-flag")
-        result = database.range_query_color("blue", 0.9)
+        result = database.text_query("at least 90% blue")
         assert "navy-flag" in result.matches
 
     def test_color_query_by_rgb(self):
         database = MultimediaDatabase()
         database.insert_image(Image.filled(4, 4, (0, 40, 104)), image_id="navy-flag")
-        result = database.range_query_color((0, 40, 104), 0.9, 1.0)
+        bin_index = database.quantizer.bin_of((0, 40, 104))
+        result = database.range_query(RangeQuery(bin_index, 0.9, 1.0))
         assert "navy-flag" in result.matches
 
     def test_text_query_end_to_end(self):

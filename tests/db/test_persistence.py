@@ -174,6 +174,32 @@ class TestErrors:
                 load_database(root)
             assert str(manifest_path) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: m["quantizer"].update(divisions=0),
+            lambda m: m.pop("fill_color"),
+            lambda m: m.update(fill_color=[255, 255]),
+        ],
+        ids=["bad-quantizer", "no-fill-color", "short-fill-color"],
+    )
+    def test_malformed_manifest_with_a_valid_checksum(
+        self, small_database, tmp_path, damage
+    ):
+        """A manifest that verifies but describes no loadable database:
+        strict load says so as a PersistenceError, salvage as a
+        SalvageError (there is nothing to anchor recovery on)."""
+        root = save_database(small_database, tmp_path / "db")
+        damaged = manifest(root)
+        damage(damaged)
+        damaged["manifest_checksum"] = manifest_checksum(damaged)
+        (root / "catalog.json").write_text(json.dumps(damaged), encoding="utf-8")
+        with pytest.raises(PersistenceError, match="malformed manifest") as excinfo:
+            load_database(root)
+        assert type(excinfo.value) is PersistenceError
+        with pytest.raises(SalvageError, match="malformed manifest"):
+            load_database(root, salvage=True)
+
     def test_raster_file_swap_detected(self, small_database, tmp_path):
         """Two byte ranges swapped in a manifest whose checksum was
         re-stamped: every range is whole, the envelope headers catch it."""

@@ -19,16 +19,12 @@ import pytest
 
 from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
-from repro.color.similarity import (
-    histogram_intersection,
-    intersection_upper_bound,
-    l1_distance,
-    l1_lower_bound,
-)
+from repro.color.similarity import histogram_intersection, l1_distance
 from repro.db.database import MultimediaDatabase
 from repro.db.processors import _BLOCK_ROWS, KNNStats, SimilaritySearch
 from repro.errors import QueryError
 from repro.images.generators import random_palette_image
+from tests.oracles import intersection_upper_bound, l1_lower_bound
 
 
 class Reference(NamedTuple):
@@ -372,7 +368,8 @@ class TestArrayPathEdges:
                     else:
                         assert score == l1_distance(query, histogram)
                 for image_id, bound in zip(refinement.ids, refinement.bound.tolist()):
-                    lower, upper = database.engine.fraction_bounds_all_bins(image_id)
+                    engine = database.engine
+                    (lower, upper), = engine.fraction_bounds_all_bins_batch((image_id,))
                     if intersection:
                         assert bound == -intersection_upper_bound(q, upper)
                     else:

@@ -15,18 +15,14 @@ import pytest
 
 from repro.color.histogram import ColorHistogram
 from repro.color.names import FLAG_PALETTE
-from repro.color.similarity import (
-    histogram_intersection,
-    intersection_upper_bound,
-    l1_distance,
-    l1_lower_bound,
-)
+from repro.color.similarity import histogram_intersection, l1_distance
 from repro.db.database import MultimediaDatabase
 from repro.editing.operations import Combine, Define, Modify, Mutate
 from repro.editing.sequence import EditSequence
 from repro.images.generators import random_palette_image
 from repro.images.raster import Image
 from repro.workloads.datasets import build_flag_database
+from tests.oracles import intersection_upper_bound, l1_lower_bound
 
 
 def exact_histogram(database, image_id, query):

@@ -6,18 +6,17 @@ import pytest
 from repro.errors import WorkloadError
 from repro.images.generators import (
     box_blur,
-    checkerboard,
     darken,
     draw_cross,
     draw_disc,
     draw_rect,
     horizontal_bands,
-    random_noise_image,
     random_palette_image,
     solid,
     vertical_bands,
 )
 from repro.images.geometry import Rect
+from tests.images.builders import checkerboard, random_noise_image
 from repro.images.raster import Image
 
 

@@ -116,17 +116,7 @@ class TestApproximationEffectiveness:
         assert vafile.last_refinements < count
 
 
-class TestDelete:
-    def test_delete_round_trip(self, rng):
-        vafile = VAFile()
-        points = random_points(rng, 20, dims=3)
-        for index, point in enumerate(points):
-            vafile.insert_point(point, index)
-        assert vafile.delete(MBR.point(points[7]), 7)
-        assert not vafile.delete(MBR.point(points[7]), 7)
-        assert len(vafile) == 19
-        assert 7 not in vafile.search(MBR([0, 0, 0], [1, 1, 1]))
-
+class TestItems:
     def test_items(self):
         vafile = VAFile()
         vafile.insert_point([0.25, 0.5], "a")

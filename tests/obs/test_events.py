@@ -14,7 +14,6 @@ from repro.obs.events import (
     EventLog,
     read_events_jsonl,
     validate_event_dict,
-    write_events_jsonl,
 )
 
 
@@ -186,15 +185,6 @@ class TestSink:
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_events_jsonl(tmp_path / "nope.jsonl") == []
-
-    def test_write_events_jsonl_round_trips(self, tmp_path):
-        events = [
-            Event(seq=i, ts=float(i), kind="mutation", subsystem="service")
-            for i in range(1, 4)
-        ]
-        path = tmp_path / "export" / "out.jsonl"
-        assert write_events_jsonl(events, path) == 3
-        assert read_events_jsonl(path) == events
 
 
 class TestKinds:

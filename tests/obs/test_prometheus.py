@@ -202,62 +202,3 @@ class TestFamilyDedupe:
             in p
             for p in problems
         )
-
-
-class TestMergeSnapshots:
-    def base(self):
-        return {
-            "counters": {"wal.appends": 3, "shard.queries": 2},
-            "histograms": {
-                "query_seconds": {
-                    "count": 2, "total": 0.4, "mean": 0.2, "min": 0.1,
-                    "max": 0.3, "p50": 0.2, "p95": 0.3, "p99": 0.3,
-                },
-            },
-            "gauges": {"health.worst": 0.0},
-            "events": {"emitted": 5},
-        }
-
-    def test_counters_sum_and_gauges_last_win(self):
-        from repro.obs import merge_snapshots
-
-        other = {
-            "counters": {"wal.appends": 4, "compaction.cycles": 1},
-            "histograms": {},
-            "gauges": {"health.worst": 2.0},
-        }
-        merged = merge_snapshots(self.base(), other)
-        assert merged["counters"]["wal.appends"] == 7
-        assert merged["counters"]["compaction.cycles"] == 1
-        assert merged["gauges"]["health.worst"] == 2.0
-        assert merged["events"] == {"emitted": 5}
-
-    def test_histograms_combine_exact_counts_and_upper_bound_quantiles(self):
-        from repro.obs import merge_snapshots
-
-        other = {
-            "counters": {},
-            "histograms": {
-                "query_seconds": {
-                    "count": 3, "total": 1.1, "mean": 1.1 / 3, "min": 0.05,
-                    "max": 0.9, "p50": 0.3, "p95": 0.9, "p99": 0.9,
-                },
-            },
-        }
-        merged = merge_snapshots(self.base(), other)
-        data = merged["histograms"]["query_seconds"]
-        assert data["count"] == 5
-        assert data["total"] == pytest.approx(1.5)
-        assert data["mean"] == pytest.approx(0.3)
-        assert data["min"] == 0.05
-        assert data["max"] == 0.9
-        assert data["p95"] == 0.9  # elementwise max: upper bound
-
-    def test_merge_is_deterministic_and_renders_validly(self):
-        from repro.obs import merge_snapshots
-
-        one = merge_snapshots(self.base(), self.base())
-        two = merge_snapshots(self.base(), self.base())
-        assert one == two
-        assert list(one["counters"]) == sorted(one["counters"])
-        assert validate_exposition(render_prometheus(one)) == []

@@ -20,7 +20,6 @@ from repro.core.query import RangeQuery
 from repro.errors import DatabaseError
 from repro.obs import (
     HealthMonitor,
-    merge_snapshots,
     render_top,
     top_payload,
     tracing,
@@ -611,32 +610,6 @@ class TestUnifiedExposition:
             assert validate_exposition(exposition) == []
             assert "repro_health_worst" in exposition
             assert "repro_shard_seconds_s00" in exposition
-        finally:
-            sharded.close()
-
-    def test_merge_snapshots_rolls_up_shard_and_service_planes(self, rng):
-        from repro.db.database import MultimediaDatabase
-        from repro.service import QueryService
-
-        sharded, _, _ = build_mirrored_pair(rng, shard_count=2)
-        database = MultimediaDatabase(quantizer=sharded.quantizer)
-        database.insert_image(random_image(rng))
-        try:
-            sharded.range_query(RangeQuery(0, 0.1, 0.9))
-            with QueryService(database, max_workers=1) as service:
-                service.execute("at least 10% red")
-                merged = merge_snapshots(
-                    sharded.metrics_snapshot(), service.metrics_snapshot()
-                )
-            assert merged["counters"]["shard.queries"] >= 1
-            assert merged["counters"]["queries_total"] >= 1
-            assert "shard_seconds.s00" in merged["histograms"]
-            assert "query_seconds" in merged["histograms"]
-            assert validate_exposition(
-                __import__(
-                    "repro.obs.prometheus", fromlist=["render_prometheus"]
-                ).render_prometheus(merged)
-            ) == []
         finally:
             sharded.close()
 

@@ -24,7 +24,9 @@ from repro.errors import (
     ShardError,
     UnknownObjectError,
 )
+from repro.db.durable import NoFaults
 from repro.shard import SHARD_MANIFEST_NAME, ShardedCatalog, hash_shard
+from repro.testing.faults import ErrorPlan
 
 from tests.shard.conftest import build_mirrored_pair, random_image, random_sequence
 
@@ -354,6 +356,75 @@ class TestWALDedupe:
             assert sharded.metrics.counter("wal.out_of_band") == 1
         finally:
             sharded.close()
+
+
+def _state(catalog):
+    """Every stored id with its exact histogram counts."""
+    return {
+        image_id: catalog.exact_histogram(image_id).counts.tolist()
+        for image_id in sorted(catalog.ids())
+    }
+
+
+class TestWALAppendErrors:
+    """A full disk or failing device at a WAL boundary refuses the
+    mutation with a typed error and leaves no trace of it: not in the
+    catalog, not in the log, and not in the dedupe set, where a stale
+    ``(image_id, version)`` key would swallow the next out-of-band
+    change at that version."""
+
+    @pytest.mark.parametrize("boundary", ["append", "fsync"])
+    @pytest.mark.parametrize("op", ["insert_image", "update_image", "delete_image"])
+    def test_failed_append_refuses_the_mutation_cleanly(
+        self, rng, tmp_path, op, boundary
+    ):
+        sharded, _, base_ids = build_mirrored_pair(
+            rng, shard_count=2, binary_count=4, edited_count=0, root=tmp_path
+        )
+        target = "fresh-0" if op == "insert_image" else base_ids[0]
+        try:
+            before, records = _state(sharded), len(sharded._wal.entries())
+            sharded.faults = ErrorPlan(fail_at=1, ops=(boundary,))
+            with pytest.raises(PersistenceError, match="injected ENOSPC"):
+                if op == "delete_image":
+                    sharded.delete_image(target)
+                elif op == "update_image":
+                    sharded.update_image(target, random_image(rng))
+                else:
+                    sharded.insert_image(random_image(rng), image_id=target)
+            sharded.faults = NoFaults()
+            assert _state(sharded) == before
+            assert len(sharded._wal.entries()) == records
+            assert all(not shard.journaled for shard in sharded._shards)
+
+            # A direct shard-database change to the same id at the same
+            # version is out of band, and journaled as such.  Each pair
+            # leaves the state as it was.
+            database = sharded.shard_database(hash_shard(target, 2))
+            deduped = sharded.metrics.counter("wal.deduped")
+            if op == "insert_image":
+                database.insert_image(random_image(rng), target)
+                database.delete_image(target)
+                changes = 2
+            else:
+                database.update_image(target, sharded.instantiate(target))
+                changes = 1
+            assert sharded.metrics.counter("wal.out_of_band") == changes
+            assert sharded.metrics.counter("wal.deduped") == deduped
+            entries = sharded._wal.entries()
+            assert [entry["op"] for entry in entries[records:]] == ["change"] * changes
+            assert {entry["image_id"] for entry in entries[records:]} == {target}
+
+            sharded.insert_image(random_image(rng), image_id="after-0")
+            live = _state(sharded)
+            assert set(live) == set(before) | {"after-0"}
+        finally:
+            sharded.close()
+        reopened = ShardedCatalog.open(tmp_path)
+        try:
+            assert _state(reopened) == live
+        finally:
+            reopened.close()
 
 
 # ----------------------------------------------------------------------

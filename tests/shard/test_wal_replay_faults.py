@@ -89,7 +89,7 @@ def _fingerprint(catalog):
     """Observable state: ids, exact histograms, and query answers."""
     ids = sorted(catalog.ids())
     histograms = {
-        image_id: catalog.exact_histogram(image_id).to_sparse()
+        image_id: catalog.exact_histogram(image_id).counts.tolist()
         for image_id in ids
     }
     answers = []

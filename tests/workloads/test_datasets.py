@@ -10,7 +10,7 @@ from repro.workloads.datasets import (
     build_flag_database,
     build_helmet_database,
 )
-from repro.workloads.queries import describe_workload, make_query_workload
+from repro.workloads.queries import make_query_workload
 from repro.workloads.table2 import FLAG_PARAMETERS, HELMET_PARAMETERS
 
 
@@ -100,9 +100,3 @@ class TestQueryWorkloads:
 
         with pytest.raises(WorkloadError):
             make_query_workload(MultimediaDatabase(), rng, 3)
-
-    def test_describe(self, small_database, rng):
-        queries = make_query_workload(small_database, rng, 6)
-        text = describe_workload(queries)
-        assert "6 range queries" in text
-        assert describe_workload([]) == "empty workload"
