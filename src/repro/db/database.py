@@ -13,7 +13,7 @@ does, for its ``INDEX_ASSISTED`` strategy).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,6 +102,11 @@ class MultimediaDatabase:
         self._similarity = SimilaritySearch(
             self.catalog, self.engine, self.instantiate
         )
+        #: Called on entry to every mutator; raises to refuse the write
+        #: before anything changes.  ``None`` on a standalone database;
+        #: a ``ShardedCatalog`` installs one so that only its router
+        #: writes a shard.
+        self._write_guard: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Insertion
@@ -113,6 +118,8 @@ class MultimediaDatabase:
         is rolled back, so the catalog and the BWM structure never
         diverge on a failed insert.
         """
+        if self._write_guard is not None:
+            self._write_guard()
         assigned = image_id if image_id is not None else self.catalog.allocate_id("img")
         histogram = ColorHistogram.of_image(image, self.quantizer)
         self.catalog.add_binary(BinaryImageRecord(assigned, image.copy(), histogram))
@@ -135,6 +142,8 @@ class MultimediaDatabase:
         Exception-safe: if the BWM filing fails the catalog insert is
         rolled back.
         """
+        if self._write_guard is not None:
+            self._write_guard()
         assigned = image_id if image_id is not None else self.catalog.allocate_id("edit")
         self.catalog.add_edited(EditedImageRecord(assigned, sequence))
         try:
@@ -151,6 +160,8 @@ class MultimediaDatabase:
         Fails (leaving everything intact) while other edited images use
         it as their base or as a Merge target — delete those first.
         """
+        if self._write_guard is not None:
+            self._write_guard()
         record = self.catalog.remove_edited(image_id)
         try:
             self.bwm_structure.remove_edited(image_id)
@@ -166,6 +177,8 @@ class MultimediaDatabase:
         targets still reference it — delete those first.  Exception-safe:
         a failure in the BWM removal restores the catalog record.
         """
+        if self._write_guard is not None:
+            self._write_guard()
         record = self.catalog.remove_binary(image_id)
         try:
             self.bwm_structure.remove_binary(image_id)
@@ -183,6 +196,8 @@ class MultimediaDatabase:
         identity, not content).  Exception-safe: the new histogram and
         raster copy exist before the record is touched.
         """
+        if self._write_guard is not None:
+            self._write_guard()
         record = self.catalog.binary_record(image_id)
         histogram = ColorHistogram.of_image(image, self.quantizer)
         record.image, record.histogram = image.copy(), histogram

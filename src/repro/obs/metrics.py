@@ -199,6 +199,13 @@ class MetricsRegistry:
         for histogram, value in found:
             histogram.record(value)
 
+    def observations(self, name: str) -> int:
+        """How many values histogram ``name`` recorded (0 for a
+        never-observed name, which this does not create)."""
+        with self._lock:
+            histogram = self._histograms.get(name)
+        return histogram._count if histogram is not None else 0
+
     def histogram(self, name: str) -> LatencyHistogram:
         """The named histogram, created on first use."""
         with self._lock:

@@ -40,10 +40,9 @@ class ReadWriteLock:
     def write_held_by_current_thread(self) -> bool:
         """Whether the calling thread is the active writer.
 
-        The lock is not reentrant, so code that may run either under an
-        already-held write lock or standalone (the sharded catalog's
-        invalidation listener) uses this to decide whether acquiring
-        :meth:`write_locked` would self-deadlock.
+        The sharded catalog's write guard uses this to let a shard
+        database's mutators run only on the thread that holds its
+        shard's write lock.
         """
         return self._writer_thread == threading.get_ident()
 

@@ -296,9 +296,10 @@ class Compactor:
         scored: List[Tuple[float, int, str, int]] = []
         for shard in self.catalog._shards:
             with shard.lock.read_locked():
-                if shard.queries_served == 0 and policy.require_demand:
+                served = self.catalog._queries_served(shard)
+                if served == 0 and policy.require_demand:
                     continue
-                hotness = max(1, shard.queries_served)
+                hotness = max(1, served)
                 catalog = shard.database.catalog
                 statistics = DatabaseStatistics(shard.database)
                 base_weights: Dict[str, float] = {}

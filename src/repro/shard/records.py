@@ -19,8 +19,10 @@ what a mutation *is*.  Per kind it holds
 
 ``ShardedCatalog._commit`` (live: journal → apply → settle) and the
 replayer (decode → apply → settle) both go through this table, so a
-record replays exactly as it was applied.  ``change`` — the out-of-band
-capture — is the one kind outside it: no payload, nothing to apply.
+record replays exactly as it was applied.  ``change`` is the one kind
+outside it: a payload-free record that earlier releases wrote for a
+direct shard-database write.  Nothing writes it now, replay skips it,
+and the name stays reserved.
 """
 
 from __future__ import annotations

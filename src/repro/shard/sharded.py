@@ -18,14 +18,11 @@ of :mod:`repro.shard.records`: the five public mutators and the
 compactor's two commits go through :meth:`ShardedCatalog._commit`
 (journal → apply → settle → bump the shard version), and replay runs
 the *same* appliers and the same :meth:`ShardedCatalog._settle`, so it
-cannot drift from the live path.  The bounds engine's invalidation
-change feed is the ingestion spine: ``_commit`` registers each
-mutation's ``(image_id, version)`` key before applying, and the
-per-shard feed listener dedupes the echo — so one logical mutation
-writes exactly one WAL record even though the feed also observes it.
-Out-of-band mutations (someone poking a shard's database directly)
-reach the listener with no registered key and are captured as
-payload-free ``change`` records.
+cannot drift from the live path.  The router is the only writer of a
+shard database: the database's mutators accept a write only while the
+router applies a record on that shard, so a direct call to
+``shard_database(i).insert_image(...)`` raises :class:`ShardError`
+before anything is stored.  One mutation is one WAL record.
 :meth:`ShardedCatalog.save` checkpoints every shard into its own
 segment root (one atomic, fsynced save each: a v3 manifest over one
 pack) and only then truncates the WAL;
@@ -66,7 +63,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TypeVar,
     Union,
@@ -135,7 +131,7 @@ def shard_dirname(index: int) -> str:
 
 
 class _Shard:
-    """One shard: a database, its lock, and its ingestion bookkeeping."""
+    """One shard: a database, its lock, and its router bookkeeping."""
 
     __slots__ = (
         "index",
@@ -144,9 +140,7 @@ class _Shard:
         "database",
         "lock",
         "version",
-        "journaled",
-        "queries_served",
-        "stats_lock",
+        "applying",
         "materialized",
         "last_lsn",
         "last_compaction",
@@ -170,16 +164,10 @@ class _Shard:
         self.lock = ReadWriteLock()
         #: Shard-local mutation version; each committed mutation is +1.
         self.version = 0
-        #: ``(image_id, version)`` keys of in-flight wrapper mutations,
-        #: consumed by the feed listener so the WAL never records the
-        #: same mutation twice (the dedupe satellite).
-        self.journaled: Set[Tuple[str, int]] = set()
-        #: Queries this shard served (the compactor's hotness signal).
-        #: Incremented under :attr:`stats_lock`, not the shard lock:
-        #: queries hold only the *read* side, so concurrent readers
-        #: bumping this unprotected would lose updates.
-        self.queries_served = 0
-        self.stats_lock = threading.Lock()
+        #: True while the router runs a record's applier on this shard
+        #: (write lock held): the only time :attr:`database` accepts a
+        #: write.
+        self.applying = False
         #: image_id -> projected per-query work-unit saving of its
         #: materialized BOUNDS matrix (the compactor's commits).
         self.materialized: Dict[str, float] = {}
@@ -235,14 +223,13 @@ class ShardedCatalog:
         self.metrics = MetricsRegistry()
         #: The wide-event log: ring-buffered, and (with a root) mirrored
         #: to ``events.jsonl`` for ``repro events`` and post-mortems.
-        #: Constructed before the shards so replay/listeners can emit.
+        #: Constructed before the shards so replay can emit.
         self.events = EventLog(
             capacity=1024,
             sink=(self.root / EVENTS_NAME) if self.root is not None else None,
         )
         self._placement: Dict[str, int] = {}
         self._id_counters: Dict[str, int] = {}
-        self._replaying = False
         self._closed = False
         self._alloc_lock = threading.Lock()
         self._shards: List[_Shard] = [
@@ -269,69 +256,19 @@ class ShardedCatalog:
         return shard
 
     def _attach(self, shard: _Shard) -> None:
-        """Subscribe the ingestion listener to a shard's database."""
+        """Turn a shard database's memo on and make the router its only
+        writer: a mutator called outside :meth:`_apply` on that shard,
+        by any thread, raises before it changes anything."""
         shard.database.engine.enable_memo()
-        shard.database.engine.add_invalidation_listener(
-            self._listener_for(shard)
-        )
 
-    def _listener_for(self, shard: _Shard) -> Callable[[Optional[str]], None]:
-        def _on_invalidation(image_id: Optional[str]) -> None:
-            if image_id is None:
-                return  # whole-cache flush, not a catalog mutation
-            if shard.lock.write_held_by_current_thread():
-                # The wrapper/compactor/replay paths invalidate with the
-                # shard write lock already held on this thread;
-                # re-acquiring the non-reentrant lock would deadlock.
-                self._observe_invalidation(shard, image_id)
-            else:
-                # Out-of-band caller: take the write lock so the version
-                # read/bump cannot interleave with a wrapper mutation on
-                # the same shard and mis-dedupe its journaled key.
-                with shard.lock.write_locked():
-                    self._observe_invalidation(shard, image_id)
+        def guard() -> None:
+            if not (shard.applying and shard.lock.write_held_by_current_thread()):
+                raise ShardError(
+                    f"shard {shard.index}'s database is written only through "
+                    f"its ShardedCatalog; use the catalog's mutators"
+                )
 
-        return _on_invalidation
-
-    def _observe_invalidation(self, shard: _Shard, image_id: str) -> None:
-        """Handle one invalidation event (shard write lock held)."""
-        key = (image_id, shard.version + 1)
-        if key in shard.journaled:
-            # The wrapper path journaled this mutation before applying
-            # it; the feed echo must not journal it again.
-            shard.journaled.discard(key)
-            self.metrics.increment("wal.deduped")
-            return
-        if self._replaying or self._closed:
-            return
-        # Out-of-band change (a direct shard-database mutation that
-        # bypassed the wrapper): capture it so WAL consumers learn
-        # to drop caches, even though there is no payload to replay.
-        version = shard.version + 1
-        lsn: Optional[int] = None
-        if self._wal is not None:
-            entry = self._wal.append(
-                self.faults,
-                "change",
-                shard=shard.index,
-                image_id=image_id,
-                version=version,
-            )
-            lsn = int(entry["lsn"])  # type: ignore[arg-type]
-            shard.last_lsn = lsn
-            self.metrics.increment("wal.appends")
-        shard.version = version
-        self.metrics.increment("wal.out_of_band")
-        self.events.emit(
-            "wal.append",
-            subsystem="wal",
-            shard=shard.index,
-            image_id=image_id,
-            lsn=lsn,
-            op="change",
-            version=version,
-            out_of_band=True,
-        )
+        shard.database._write_guard = guard
 
     def _check_or_write_manifest(self) -> None:
         assert self.root is not None
@@ -388,7 +325,8 @@ class ShardedCatalog:
         return dict(self._placement)
 
     def shard_database(self, index: int) -> MultimediaDatabase:
-        """Direct access to one shard's database (checker / tests)."""
+        """Read access to one shard's database (checker / tests); its
+        mutators raise :class:`ShardError`."""
         return self._shards[index].database
 
     def verify_integrity(
@@ -565,10 +503,6 @@ class ShardedCatalog:
             lsn = int(entry["lsn"])  # type: ignore[arg-type]
             shard.last_lsn = lsn
             self.metrics.increment("wal.appends")
-        # Registered only once the record is durable: a failed append
-        # raises above, and a key left behind would swallow the next
-        # out-of-band change at this version.
-        shard.journaled.add((image_id, version))
         self.events.emit(
             "wal.append",
             subsystem="wal",
@@ -591,26 +525,29 @@ class ShardedCatalog:
         """Commit one mutation of a table kind (shard write lock held).
 
         Journal → apply → settle → bump the shard version; returns the
-        record's LSN.  When the applier fails, the dedupe key
-        :meth:`_journal` registered is retired so the next mutation at
-        the same version number is not silently swallowed by the feed
-        listener.  The WAL record stays: replay re-attempts the apply
-        and, when it fails the same way, skips the record — converging
-        with the live outcome.
+        record's LSN.  When the applier fails, the WAL record stays:
+        replay re-attempts the apply and, when it fails the same way,
+        skips the record — converging with the live outcome.
         """
         kind = RECORD_KINDS[op]
         version = shard.version + 1
         lsn, trace_id = self._journal(
             shard, op, image_id, version, kind.encode(subject)
         )
-        try:
-            kind.apply(shard, image_id, subject)
-        except BaseException:
-            shard.journaled.discard((image_id, version))
-            raise
+        self._apply(shard, op, image_id, subject)
         self._settle(shard, op, image_id, lsn, trace_id)
         shard.version = version
         return lsn
+
+    @staticmethod
+    def _apply(shard: _Shard, op: str, image_id: str, subject: object) -> None:
+        """Run ``op``'s applier (shard write lock held): the one window
+        in which the shard's database accepts a write."""
+        shard.applying = True
+        try:
+            RECORD_KINDS[op].apply(shard, image_id, subject)
+        finally:
+            shard.applying = False
 
     def _settle(
         self,
@@ -735,8 +672,6 @@ class ShardedCatalog:
             queued = time.perf_counter()
             with shard.lock.read_locked():
                 acquired = time.perf_counter()
-                with shard.stats_lock:
-                    shard.queries_served += 1
                 results.append(task(shard))
                 finished = time.perf_counter()
             lock_wait = acquired - queued
@@ -1121,51 +1056,47 @@ class ShardedCatalog:
         entries = self._wal.entries()
         if not entries:
             return
-        self._replaying = True
         replayed = skipped = failed = 0
-        try:
-            for entry in entries:
-                shard = self._shards[int(entry["shard"])]  # type: ignore[arg-type]
-                op, image_id = str(entry["op"]), str(entry["image_id"])
-                lsn = int(entry["lsn"])  # type: ignore[arg-type]
-                with shard.lock.write_locked():
-                    try:
-                        applied = self._replay_entry(shard, op, image_id, lsn, entry)
-                    except DatabaseError as exc:
-                        failed += 1
-                        shard.replay_failures += 1
-                        logger.warning(
-                            "WAL replay: record lsn=%s (%s %r) failed to "
-                            "apply (%s); skipping — the live apply was "
-                            "rejected the same way",
-                            lsn,
-                            op,
-                            image_id,
-                            exc,
-                        )
-                        # The structured twin of the warning above: the
-                        # record's full identity — shard, LSN, op, and
-                        # the rejecting error — lands in the event log
-                        # where it is filterable and joinable.
-                        self.events.emit(
-                            "wal.replay_failed",
-                            subsystem="wal",
-                            shard=shard.index,
-                            image_id=image_id,
-                            lsn=lsn,
-                            trace_id=entry.get("trace_id"),  # type: ignore[arg-type]
-                            op=op,
-                            error=str(exc),
-                        )
+        for entry in entries:
+            shard = self._shards[int(entry["shard"])]  # type: ignore[arg-type]
+            op, image_id = str(entry["op"]), str(entry["image_id"])
+            lsn = int(entry["lsn"])  # type: ignore[arg-type]
+            with shard.lock.write_locked():
+                try:
+                    applied = self._replay_entry(shard, op, image_id, lsn, entry)
+                except DatabaseError as exc:
+                    failed += 1
+                    shard.replay_failures += 1
+                    logger.warning(
+                        "WAL replay: record lsn=%s (%s %r) failed to "
+                        "apply (%s); skipping — the live apply was "
+                        "rejected the same way",
+                        lsn,
+                        op,
+                        image_id,
+                        exc,
+                    )
+                    # The structured twin of the warning above: the
+                    # record's full identity — shard, LSN, op, and
+                    # the rejecting error — lands in the event log
+                    # where it is filterable and joinable.
+                    self.events.emit(
+                        "wal.replay_failed",
+                        subsystem="wal",
+                        shard=shard.index,
+                        image_id=image_id,
+                        lsn=lsn,
+                        trace_id=entry.get("trace_id"),  # type: ignore[arg-type]
+                        op=op,
+                        error=str(exc),
+                    )
+                else:
+                    if applied:
+                        replayed += 1
                     else:
-                        if applied:
-                            replayed += 1
-                        else:
-                            skipped += 1
-                    shard.version = max(shard.version, int(entry["version"]))  # type: ignore[arg-type]
-                    shard.last_lsn = lsn
-        finally:
-            self._replaying = False
+                        skipped += 1
+                shard.version = max(shard.version, int(entry["version"]))  # type: ignore[arg-type]
+                shard.last_lsn = lsn
         self.metrics.increment("wal.replayed", replayed)
         self.metrics.increment("wal.replay_skipped", skipped)
         self.metrics.increment("wal.replay_failed", failed)
@@ -1200,12 +1131,12 @@ class ShardedCatalog:
         the same applier and the same :meth:`_settle` as its live commit.
         """
         if op == "change":
-            # Out-of-band capture: nothing to re-apply (no payload), but
-            # surface it — the change itself was lost with the process.
+            # Written by earlier releases for a direct shard-database
+            # write; it has no payload, so there is nothing to re-apply.
             self.metrics.increment("wal.unreplayable")
             logger.warning(
                 "WAL change record for %r (shard %d) has no payload to "
-                "replay; the out-of-band mutation did not survive the "
+                "replay; the direct write it recorded did not survive the "
                 "crash",
                 image_id,
                 shard.index,
@@ -1216,13 +1147,18 @@ class ShardedCatalog:
             raise ShardError(f"unknown WAL record kind {op!r} during replay")
         if kind.done(shard, image_id):
             return False
-        kind.apply(shard, image_id, kind.decode(entry))
+        self._apply(shard, op, image_id, kind.decode(entry))
         self._settle(shard, op, image_id, lsn, entry.get("trace_id"))
         return True
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
+    def _queries_served(self, shard: _Shard) -> int:
+        """Reads that reached ``shard`` (the compactor's hotness signal):
+        every read visits every shard and observes its latency once."""
+        return self.metrics.observations(shard.histograms[0])
+
     def status(self) -> Dict[str, object]:
         """What ``repro shards --status`` reports."""
         shards: List[Dict[str, object]] = []
@@ -1235,7 +1171,7 @@ class ShardedCatalog:
                         "binary_images": summary["binary_images"],
                         "edited_images": summary["edited_images"],
                         "version": shard.version,
-                        "queries_served": shard.queries_served,
+                        "queries_served": self._queries_served(shard),
                         "materialized": sorted(shard.materialized),
                         "last_lsn": shard.last_lsn,
                         "replay_failures": shard.replay_failures,
@@ -1302,7 +1238,7 @@ class ShardedCatalog:
                 signals.append(
                     {
                         "shard": shard.index,
-                        "queries_served": shard.queries_served,
+                        "queries_served": self._queries_served(shard),
                         "replay_failures": shard.replay_failures,
                         "wal_depth": depths.get(shard.index, 0),
                         "backlog": backlog,
@@ -1353,7 +1289,7 @@ class ShardedCatalog:
         return render_prometheus(self.metrics_snapshot())
 
     def close(self) -> None:
-        """Silence the ingestion listeners and close the event log.
+        """Close the event log.
 
         Reads run on their callers' threads, so there is no thread to
         stop; a read after ``close`` raises :class:`ShardError`.

@@ -27,9 +27,11 @@ applied and replayed are specified once, by the table in
 ``sequence`` (its text serialization), ``compact`` carries ``lo`` /
 ``hi`` int lists plus ``height`` / ``width``, the deletes and
 ``decompact`` carry nothing.  The one kind outside the table is
-``change``: an out-of-band catalog change observed through the bounds
-engine's invalidation feed — recorded so replicas learn to drop caches,
-but carrying no payload to re-apply.
+``change``, a payload-free record that earlier releases wrote for a
+direct write to a shard database.  Nothing writes it now (a shard
+database refuses writes that bypass its router), but readers still
+decode it and replay counts it as unreplayable; the name stays
+reserved and no new kind may reuse it.
 
 Appends go through a fault plan (:mod:`repro.db.durable`): append
 and fsync are separate kill points, and ``tests/shard/
@@ -65,12 +67,12 @@ class ShardWAL:
 
     Reading tolerates exactly one damaged line *at the tail* — the
     torn-append crash shape — and treats damage anywhere else as
-    corruption.  Thread-safe: mutations on different shards hold different per-shard
-    write locks but share this one log, and the compactor and the
-    out-of-band listener append from their own threads, so appends,
-    resets, and the LSN counter serialize on an internal lock — LSNs
-    stay unique and monotonic, and no append can interleave with the
-    torn-tail truncation of another.
+    corruption.  Thread-safe: mutations on different shards hold
+    different per-shard write locks but share this one log, and the
+    compactor appends from its own thread, so appends, resets, and the
+    LSN counter serialize on an internal lock — LSNs stay unique and
+    monotonic, and no append can interleave with the torn-tail
+    truncation of another.
     """
 
     def __init__(self, base: Path) -> None:

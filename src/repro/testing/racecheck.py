@@ -708,20 +708,15 @@ def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
     """Track a :class:`ShardedCatalog`'s locks and shared structures.
 
     Per shard: the RW lock (via the built-in hook), the compactor's
-    hotness bookkeeping (``materialized``), the WAL-dedupe set
-    (``journaled``), the catalog dicts and the bounds locks of the
-    underlying database.  Plus the id-allocation lock, the WAL record
+    ledger (``materialized``), the catalog dicts and the bounds locks of
+    the underlying database.  Plus the id-allocation lock, the WAL record
     lock, the metrics registry, and the event ring.
     """
     for shard in catalog._shards:
         index = shard.index
         instrument_rwlock(shard.lock, f"shard[{index}].rwlock", monitor)
-        _track_lock(shard, "stats_lock", f"shard[{index}].stats_lock", monitor)
         shard.materialized = TrackedDict(
             shard.materialized, f"shard[{index}].materialized", monitor
-        )
-        shard.journaled = TrackedSet(
-            shard.journaled, f"shard[{index}].journaled", monitor
         )
         inner_catalog = shard.database.catalog
         for attr in ("_binary", "_edited", "_children", "_merge_users"):

@@ -51,7 +51,6 @@ SHIPPED_CLASS_EDGES = {
     ("shard.rwlock", "db.root_lock"),
     ("shard.rwlock", "persistence._ROOT_LOCKS_GUARD"),
     ("shard.rwlock", "shard.rwlock"),
-    ("shard.rwlock", "shard.stats_lock"),
 }
 
 

@@ -2,8 +2,8 @@
 
 The stress suite exercises throughput; these tests pin the *contract*:
 writer preference under a reader flood, the
-``write_held_by_current_thread`` dispatch the sharded catalog's
-out-of-band invalidation listener depends on, and the bounded-wait /
+``write_held_by_current_thread`` answer the sharded catalog's write
+guard depends on, and the bounded-wait /
 abandon behavior (a timed-out acquisition must leave the lock exactly
 as if the attempt had never been made).
 """
@@ -104,10 +104,9 @@ class TestWriteHeldByCurrentThread:
         assert not lock.write_held_by_current_thread()
 
     def test_listener_dispatch_under_held_lock_does_not_deadlock(self):
-        # The sharded catalog's invalidation listener runs either with
-        # the shard write lock already held (wrapper path) or standalone
-        # (out-of-band path); it uses write_held_by_current_thread() to
-        # decide whether acquiring would self-deadlock.  Model both.
+        # Code that runs either with the write lock already held or
+        # standalone can use write_held_by_current_thread() to decide
+        # whether acquiring would self-deadlock.  Model both.
         lock = ReadWriteLock()
         observed = []
 

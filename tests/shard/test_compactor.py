@@ -14,6 +14,7 @@ from repro.db.statistics import DatabaseStatistics
 from repro.editing.operations import Combine, Define, Merge
 from repro.editing.sequence import EditSequence
 from repro.errors import QueryError, ShardError
+from repro.obs.metrics import MetricsRegistry
 from repro.shard import CompactionPolicy, Compactor, ShardedCatalog
 from repro.shard.compactor import COST_RULE, _Candidate
 
@@ -267,9 +268,10 @@ def _reference_ranking(compactor):
     candidates = []
     for shard in compactor.catalog._shards:
         with shard.lock.read_locked():
-            if shard.queries_served == 0 and policy.require_demand:
+            served = compactor.catalog._queries_served(shard)
+            if served == 0 and policy.require_demand:
                 continue
-            hotness = max(1, shard.queries_served)
+            hotness = max(1, served)
             statistics = DatabaseStatistics(shard.database)
             for image_id in shard.database.catalog.edited_ids():
                 if image_id in shard.materialized:
@@ -311,12 +313,14 @@ def _churn_step(sharded, rng, ties):
     ids = sorted(sharded.placement())
     roll = int(rng.integers(0, 7))
     if roll == 0:
-        # Zero-query shards, and equal hotness across shards (ties).
+        # Zero-query shards, and equal hotness across shards (ties): a
+        # shard's demand is its latency histogram's count, so start a
+        # fresh registry and observe each shard that many times.
+        sharded.metrics = MetricsRegistry()
         for shard in shards:
-            with shard.stats_lock:
-                shard.queries_served = (
-                    3 if ties else int(rng.choice([0, 0, 1, 2, 5]))
-                )
+            served = 3 if ties else int(rng.choice([0, 0, 1, 2, 5]))
+            for _ in range(served):
+                sharded.metrics.observe(shard.histograms[0], 0.0)
     elif roll == 1:
         binaries = [i for i in ids if sharded.shard_database(
             sharded.shard_of(i)).catalog.is_binary(i)]

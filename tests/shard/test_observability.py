@@ -452,7 +452,6 @@ class TestTelemetryParity:
                 "shard.mutations": 18,
                 "shard.queries": 6,
                 "wal.appends": 18,
-                "wal.deduped": 18,
             }
             assert snapshot["gauges"] == {
                 "compaction.materialized_images": 0.0,

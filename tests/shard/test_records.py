@@ -59,14 +59,14 @@ def _assert_ledger_is_cached(catalog):
 
 def test_table_is_the_whole_vocabulary():
     assert set(wal_record_kinds()) == set(RECORD_KINDS) | {"change"}
-    # One journal site for the table kinds, one for the out-of-band
-    # ``change``: nobody else writes the log.
+    # One journal site, for the table kinds: nobody else writes the log,
+    # and nothing writes the reserved ``change`` kind any more.
     appends = [
         path.name
         for path in sorted(Path(repro.shard.__file__).parent.glob("*.py"))
         for _ in re.finditer(r"_wal\.append\(", path.read_text("utf-8"))
     ]
-    assert appends == ["sharded.py", "sharded.py"]
+    assert appends == ["sharded.py"]
 
 
 def test_ledger_after_replay_matches_live(rng, tmp_path):
@@ -116,21 +116,6 @@ def test_ledger_after_chained_compaction(rng):
 # ----------------------------------------------------------------------
 # Differential: random interleavings of all seven table kinds
 # ----------------------------------------------------------------------
-def _leaves(catalog, edited):
-    """Edited ids nothing else derives from.
-
-    (``MultimediaDatabase.delete_edited`` does not refuse an edit that
-    other edits build on — a database-layer gap outside this tier — so
-    the walk only deletes leaves.)
-    """
-    referenced = set()
-    for image_id in edited:
-        database = catalog.shard_database(catalog.shard_of(image_id))
-        sequence = database.catalog.edited_record(image_id).sequence
-        referenced.update(sequence.referenced_ids())
-    return [image_id for image_id in edited if image_id not in referenced]
-
-
 def _random_step(rng, catalog, compactor):
     """One random mutation; rejected ones stay in the WAL, as live."""
     binary = [i for i in catalog.ids() if i.startswith("img")]
@@ -147,8 +132,9 @@ def _random_step(rng, catalog, compactor):
             target = binary[int(rng.integers(0, len(binary)))]
             catalog.update_image(target, random_image(rng, 6, 7))
         elif roll == 4 and edited:
-            leaves = _leaves(catalog, edited)
-            catalog.delete_edited(leaves[int(rng.integers(0, len(leaves)))])
+            # Any edited id: one that others build on is refused, live
+            # and again on replay.
+            catalog.delete_edited(edited[int(rng.integers(0, len(edited)))])
         elif roll == 5:
             catalog.delete_image(binary[int(rng.integers(0, len(binary)))])
         elif roll == 6:
@@ -158,7 +144,7 @@ def _random_step(rng, catalog, compactor):
             if warm:
                 compactor.rollback(warm[int(rng.integers(0, len(warm)))])
     except DatabaseError:
-        pass  # e.g. deleting an image that still has derived edits
+        pass  # e.g. deleting an image that others still build on
 
 
 def _observable(catalog, queries, probe):
@@ -205,6 +191,8 @@ def test_reopened_catalog_equals_live_one(shard_count, tmp_path):
     try:
         _assert_ledger_is_cached(reopened)
         assert _observable(reopened, queries, probe) == expected
+        rejected = reopened.events.snapshot(kind="wal.replay_failed")
+        assert "delete_edited" in {event.detail["op"] for event in rejected}
     finally:
         reopened.close()
 
@@ -265,3 +253,37 @@ def test_replays_a_wal_built_from_the_documented_payloads(rng, tmp_path):
             assert catalog.range_query(query).matches == oracle.range_query(query).matches
     finally:
         catalog.close()
+
+
+def test_a_change_record_of_an_earlier_release_replays_as_a_no_op(rng, tmp_path):
+    """Earlier releases journaled a direct shard-database write as a
+    payload-free ``change`` record.  Nothing writes one now, but a WAL
+    holding one still opens: the table records around it replay, and the
+    ``change`` is counted as unreplayable."""
+    ShardedCatalog(1, root=tmp_path).close()  # manifest only
+    image = random_image(rng, 6, 7)
+    sequence = EditSequence("b", _ops(3))
+    oracle = MultimediaDatabase()
+    oracle.insert_image(image, "b")
+    oracle.insert_edited(sequence, "x")
+    ppm = base64.b64encode(write_ppm(image)).decode("ascii")
+    lines = [
+        _wal_line(1, "insert_image", "b", 1, ppm=ppm),
+        _wal_line(2, "change", "rogue", 2),
+        _wal_line(3, "insert_edited", "x", 3, sequence=sequence.serialize()),
+    ]
+    (tmp_path / WAL_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with ShardedCatalog.open(tmp_path) as catalog:
+        assert catalog.metrics.counter("wal.replayed") == 2
+        assert catalog.metrics.counter("wal.replay_skipped") == 1
+        assert catalog.metrics.counter("wal.unreplayable") == 1
+        assert catalog.placement() == {"b": 0, "x": 0}
+        assert catalog.status()["shards"][0]["version"] == 3
+        for image_id in ("b", "x"):
+            assert (
+                catalog.exact_histogram(image_id).counts.tolist()
+                == oracle.exact_histogram(image_id).counts.tolist()
+            )
+        for bin_index in range(0, catalog.quantizer.bin_count, 7):
+            query = RangeQuery(bin_index, 0.0, 0.4)
+            assert catalog.range_query(query).matches == oracle.range_query(query).matches

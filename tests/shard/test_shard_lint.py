@@ -4,9 +4,10 @@ Per-shard checks cannot see routing damage: each shard's database can
 be internally consistent while a binary image sits on the wrong hash
 shard, the router's placement map has drifted from the disks, or an
 edited image's dependency chain straddles shards (dangling after
-routing).  Every test here seeds exactly that kind of corruption by
-mutating a shard database directly — the defect's very premise — and
-asserts :meth:`ShardedCatalog.verify_integrity` names it under DB007.
+routing).  Every test here seeds exactly that kind of corruption below
+the database API — in a shard's catalog and BWM structure, since a shard
+database's own mutators accept only the router's writes — and asserts
+:meth:`ShardedCatalog.verify_integrity` names it under DB007.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import io
 import json
 
 from repro.cli import main
+from repro.color.histogram import ColorHistogram
+from repro.db.records import BinaryImageRecord
 from repro.shard import ShardedCatalog, hash_shard, shard_dirname
 
 from tests.shard.conftest import build_mirrored_pair, random_image
@@ -33,6 +36,14 @@ def _routing(sharded):
         for p in sharded.verify_integrity(recompute_histograms=False)
         if p.code == "DB007"
     ]
+
+
+def _plant_binary(database, image, image_id):
+    """Store a binary image in ``database``'s catalog and BWM structure
+    without going through its mutators: a write the router never saw."""
+    histogram = ColorHistogram.of_image(image, database.quantizer)
+    database.catalog.add_binary(BinaryImageRecord(image_id, image, histogram))
+    database.bwm_structure.insert_binary(image_id)
 
 
 def _id_hashing_to(shard, shard_count, prefix="seed"):
@@ -61,9 +72,7 @@ class TestSeededDefects:
             rogue = _id_hashing_to(0, 3)
             # Stored on shard 2 though the id hashes to shard 0; the
             # placement map colludes so only the hash check can object.
-            sharded.shard_database(2).insert_image(
-                random_image(rng), image_id=rogue
-            )
+            _plant_binary(sharded.shard_database(2), random_image(rng), rogue)
             sharded._placement[rogue] = 2
             findings = _routing(sharded)
             assert len(findings) == 1
@@ -108,9 +117,7 @@ class TestSeededDefects:
             stray = _id_hashing_to(1, 3, prefix="stray")
             # Correct hash shard, but inserted behind the router's back:
             # the placement map never learns it.
-            sharded.shard_database(1).insert_image(
-                random_image(rng), image_id=stray
-            )
+            _plant_binary(sharded.shard_database(1), random_image(rng), stray)
             findings = _routing(sharded)
             assert len(findings) == 1
             assert findings[0].location == stray
@@ -222,9 +229,7 @@ class TestCLIIntegration:
         rogue = ShardedCatalog(2, root=root)
         try:
             victim = _id_hashing_to(0, 2, prefix="victim")
-            rogue.shard_database(1).insert_image(
-                random_image(rng), image_id=victim
-            )
+            _plant_binary(rogue.shard_database(1), random_image(rng), victim)
             rogue.save()
         finally:
             rogue.close()

@@ -1,5 +1,5 @@
 """ShardedCatalog: router parity vs the single-catalog oracle, routing
-invariants, WAL dedupe, and shard-aware persistence."""
+invariants, the one write path, and shard-aware persistence."""
 
 from __future__ import annotations
 
@@ -291,8 +291,61 @@ class TestRouting:
 
 
 # ----------------------------------------------------------------------
-# WAL dedupe (the double-invalidation satellite)
+# One write path: the router journals every mutation, once, and a shard
+# database refuses any write that bypasses it
 # ----------------------------------------------------------------------
+def _state(catalog):
+    """Every stored id with its exact histogram counts."""
+    return {
+        image_id: catalog.exact_histogram(image_id).counts.tolist()
+        for image_id in sorted(catalog.ids())
+    }
+
+
+def _snapshot(sharded):
+    """Everything a refused direct write must leave as it was."""
+    return (
+        _state(sharded),
+        sharded._wal.entries(),
+        sharded.placement(),
+        [shard.version for shard in sharded._shards],
+        [
+            (shard.database.bwm_structure.version, repr(shard.database.bwm_structure))
+            for shard in sharded._shards
+        ],
+        [
+            sorted(
+                image_id
+                for image_id in shard.database.catalog.edited_ids()
+                if shard.database.engine.has_cached_bounds(image_id)
+            )
+            for shard in sharded._shards
+        ],
+        sharded.metrics_snapshot()["counters"],
+    )
+
+
+def _direct_writes(sharded, rng):
+    """One direct call to each of a shard database's five mutators,
+    aimed at records the shard really holds."""
+    index = next(
+        index
+        for index in range(sharded.shard_count)
+        if sharded.shard_database(index).catalog.edited_count
+    )
+    database = sharded.shard_database(index)
+    edited = next(iter(database.catalog.edited_ids()))
+    binary = next(iter(database.catalog.binary_ids()))
+    base = database.catalog.sequence_of(edited).base_id
+    return database, [
+        lambda: database.insert_image(random_image(rng), "rogue-1"),
+        lambda: database.insert_edited(EditSequence(base), "rogue-2"),
+        lambda: database.delete_edited(edited),
+        lambda: database.delete_image(binary),
+        lambda: database.update_image(binary, random_image(rng)),
+    ]
+
+
 class TestWALDedupe:
     def test_one_wal_record_per_wrapper_mutation(self, rng, tmp_path):
         sharded, oracle, base_ids = build_mirrored_pair(
@@ -305,73 +358,118 @@ class TestWALDedupe:
             mutations += 1
             entries = sharded._wal.entries()
             assert len(entries) == mutations
-            # Every mutation's invalidation-feed echo was consumed by the
-            # dedupe set rather than journaled a second time.
-            assert sharded.metrics.counter("wal.deduped") == mutations
             assert sharded.metrics.counter("wal.appends") == mutations
         finally:
             sharded.close()
 
     def test_out_of_band_mutation_logged_as_change(self, rng, tmp_path):
+        """A direct write through any of the five mutators is refused
+        before anything is stored, whether or not the WAL would have
+        accepted an append: nothing reaches the shard, the log, the
+        placement map, the memo or the counters, and the checker finds
+        nothing."""
         sharded, _, _ = build_mirrored_pair(
-            rng, shard_count=2, binary_count=4, edited_count=0, root=tmp_path
+            rng, shard_count=2, binary_count=4, edited_count=4, root=tmp_path
         )
         try:
-            before = len(sharded._wal.entries())
-            # Bypass the wrapper: mutate a shard database directly.  The
-            # invalidation feed still observes it, and the listener has
-            # no journaled key to consume.
-            sharded.shard_database(0).insert_image(random_image(rng), "rogue-1")
-            entries = sharded._wal.entries()
-            assert len(entries) == before + 1
-            assert entries[-1]["op"] == "change"
-            assert entries[-1]["image_id"] == "rogue-1"
-            assert sharded.metrics.counter("wal.out_of_band") == 1
+            sharded.range_query(RangeQuery(0, 0.0, 0.5))  # warm the memo
+            before = _snapshot(sharded)
+            database, writes = _direct_writes(sharded, rng)
+            for faults in (ErrorPlan(fail_at=1, ops=("append",)), NoFaults()):
+                sharded.faults = faults
+                for write in writes:
+                    with pytest.raises(ShardError, match="written only through"):
+                        write()
+                    assert _snapshot(sharded) == before
+            assert "rogue-1" not in database.catalog.binary_ids()
+            assert sharded.verify_integrity() == []
         finally:
             sharded.close()
 
     def test_out_of_band_under_held_write_lock_does_not_deadlock(
         self, rng, tmp_path
     ):
-        """The listener's lock acquisition must be reentrancy-guarded.
+        """Holding the shard's write lock does not open the write path.
 
-        A direct shard-database mutation performed while already holding
-        the shard's write lock fires the invalidation feed on the same
-        thread; the listener must record the change inline instead of
-        re-acquiring the non-reentrant lock and deadlocking.
+        A direct write made while the caller holds ``shard.lock`` is
+        refused like any other, and refusing it takes no lock, so it
+        cannot deadlock on the non-reentrant lock already held.
         """
         sharded, _, _ = build_mirrored_pair(
-            rng, shard_count=2, binary_count=2, edited_count=0, root=tmp_path
+            rng, shard_count=2, binary_count=4, edited_count=4, root=tmp_path
         )
         try:
-            shard = sharded._shards[0]
-            with shard.lock.write_locked():
-                assert shard.lock.write_held_by_current_thread()
-                sharded.shard_database(0).insert_image(
-                    random_image(rng), "rogue-held-1"
-                )
-            entries = sharded._wal.entries()
-            assert entries[-1]["op"] == "change"
-            assert entries[-1]["image_id"] == "rogue-held-1"
-            assert sharded.metrics.counter("wal.out_of_band") == 1
+            before = _snapshot(sharded)
+            database, writes = _direct_writes(sharded, rng)
+            shard = next(s for s in sharded._shards if s.database is database)
+            refused = []
+
+            def held_writes():
+                with shard.lock.write_locked():
+                    assert shard.lock.write_held_by_current_thread()
+                    for write in writes:
+                        try:
+                            write()
+                        except ShardError:
+                            refused.append(write)
+
+            worker = threading.Thread(target=held_writes, daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive(), "direct write deadlocked"
+            assert refused == writes
+            assert _snapshot(sharded) == before
+            assert sharded.verify_integrity() == []
         finally:
             sharded.close()
 
 
-def _state(catalog):
-    """Every stored id with its exact histogram counts."""
-    return {
-        image_id: catalog.exact_histogram(image_id).counts.tolist()
-        for image_id in sorted(catalog.ids())
-    }
+    def test_direct_write_refused_while_the_router_applies(self, rng, tmp_path):
+        """The router's apply window opens no door for other threads: a
+        direct write made mid-apply on the same shard, by a thread that
+        does not hold the shard's write lock, is refused too."""
+        sharded, _, base_ids = build_mirrored_pair(
+            rng, shard_count=1, binary_count=2, edited_count=0, root=tmp_path
+        )
+        try:
+            database = sharded.shard_database(0)
+            before = sharded.exact_histogram(base_ids[0]).counts.tolist()
+            inside, release = threading.Event(), threading.Event()
+            insert_binary = database.bwm_structure.insert_binary
+
+            def paused(image_id):
+                inside.set()
+                assert release.wait(timeout=30)
+                insert_binary(image_id)
+
+            database.bwm_structure.insert_binary = paused
+            worker = threading.Thread(
+                target=sharded.insert_image,
+                args=(random_image(rng), "routed-1"),
+                daemon=True,
+            )
+            worker.start()
+            try:
+                assert inside.wait(timeout=30)
+                assert sharded._shards[0].applying
+                with pytest.raises(ShardError, match="written only through"):
+                    database.update_image(base_ids[0], random_image(rng))
+            finally:
+                release.set()
+                worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert sharded.contains("routed-1")
+            assert sharded.exact_histogram(base_ids[0]).counts.tolist() == before
+            assert sharded.verify_integrity() == []
+        finally:
+            sharded.close()
 
 
 class TestWALAppendErrors:
     """A full disk or failing device at a WAL boundary refuses the
     mutation with a typed error and leaves no trace of it: not in the
-    catalog, not in the log, and not in the dedupe set, where a stale
-    ``(image_id, version)`` key would swallow the next out-of-band
-    change at that version."""
+    catalog and not in the log.  A direct shard-database write of the
+    same id is refused too, so the failed append cannot be got round."""
 
     @pytest.mark.parametrize("boundary", ["append", "fsync"])
     @pytest.mark.parametrize("op", ["insert_image", "update_image", "delete_image"])
@@ -395,25 +493,20 @@ class TestWALAppendErrors:
             sharded.faults = NoFaults()
             assert _state(sharded) == before
             assert len(sharded._wal.entries()) == records
-            assert all(not shard.journaled for shard in sharded._shards)
 
-            # A direct shard-database change to the same id at the same
-            # version is out of band, and journaled as such.  Each pair
-            # leaves the state as it was.
+            # The same write made directly on the shard's database is
+            # refused before it stores anything, and journals nothing.
             database = sharded.shard_database(hash_shard(target, 2))
-            deduped = sharded.metrics.counter("wal.deduped")
-            if op == "insert_image":
-                database.insert_image(random_image(rng), target)
-                database.delete_image(target)
-                changes = 2
-            else:
-                database.update_image(target, sharded.instantiate(target))
-                changes = 1
-            assert sharded.metrics.counter("wal.out_of_band") == changes
-            assert sharded.metrics.counter("wal.deduped") == deduped
-            entries = sharded._wal.entries()
-            assert [entry["op"] for entry in entries[records:]] == ["change"] * changes
-            assert {entry["image_id"] for entry in entries[records:]} == {target}
+            with pytest.raises(ShardError, match="written only through"):
+                if op == "delete_image":
+                    database.delete_image(target)
+                elif op == "update_image":
+                    database.update_image(target, random_image(rng))
+                else:
+                    database.insert_image(random_image(rng), target)
+            assert _state(sharded) == before
+            assert len(sharded._wal.entries()) == records
+            assert sharded.verify_integrity() == []
 
             sharded.insert_image(random_image(rng), image_id="after-0")
             live = _state(sharded)
@@ -555,7 +648,7 @@ class TestPersistence:
             assert sharded.placement() == {b: home, x: home, y: home}
             assert sharded.shard_database(home).verify_integrity() == []
             # A later, legal mutation lands at the version the refused
-            # one would have taken; it must not be swallowed as its echo.
+            # one would have taken, and is journaled like any other.
             z = sharded.insert_edited(EditSequence(y))
             expected = (sharded.placement(), sharded.instantiate(z))
             assert len(sharded._wal.entries()) == 5
