@@ -10,11 +10,11 @@ only grows the percentage interval, and the scalar
 kernels agree — are deterministic properties of the test suite
 (``tests/core/rule_properties.py``), not a pass of this package.
 
-A dynamic companion lives in :mod:`repro.testing.racecheck`
-(``repro race-check``): over instrumented scenarios it runs an
-Eraser-style lockset race detector (``CC004``) and records the lock
-order every acquisition observes, reporting its cycles as potential
-deadlocks (``CC001``), through the same machinery.  The stored catalog
+A dynamic companion lives in :mod:`repro.testing.racecheck`, run by
+the tier-1 suite: over instrumented scenarios it runs an Eraser-style
+lockset race detector (``CC004``) and records the lock order every
+acquisition observes, reporting its cycles as potential deadlocks
+(``CC001``), through the same machinery.  The stored catalog
 has one checker, :func:`repro.db.integrity.verify_integrity`
 (``repro check``, codes ``DB001``–``DB009``); it lives in ``repro.db``
 because a stored database must be checkable without this package, and

@@ -4,13 +4,6 @@ Pure stdlib-``ast`` analysis (no third-party linter needed) enforcing
 rules the test suite cannot check dynamically because they are about
 *which* code path takes a lock, not what the code computes:
 
-``AL001`` raw-lock (ERROR) — scope ``repro/service/``
-    ``threading.Lock()`` / ``threading.RLock()`` constructed inside the
-    service layer, where the writer-preferring
-    :class:`repro.rwlock.ReadWriteLock` is the mandated discipline.  The
-    handful of legitimate short-critical-section locks (cache
-    bookkeeping, admission gate, lazy index builds) carry an inline
-    ``# repro-lint: disable=AL001`` pragma explaining themselves.
 ``AL002`` unlocked-mutation (ERROR) — scopes ``repro/service/``,
     ``repro/shard/sharded.py``, ``repro/shard/records.py``,
     ``repro/shard/compactor.py``
@@ -20,11 +13,6 @@ rules the test suite cannot check dynamically because they are about
     not lexically inside a ``with ...write_locked():`` block.
     Mutating the catalog while readers hold bounds walks is the exact
     race the RW lock exists to prevent.
-``AL003`` mutation-without-invalidate (ERROR) — scope ``repro/db/database.py``
-    A function that calls a catalog mutator (``add_edited``,
-    ``remove_binary``, ...) without also calling the bounds engine's
-    ``invalidate`` / ``invalidate_cache`` in the same function body —
-    the memo cache and dependency graph would go stale silently.
 ``AL004`` float-eq-on-bounds (ERROR) — all of ``src/repro/``
     ``==`` / ``!=`` on a percentage-bound value (``fraction_lo``,
     ``fraction_hi``, ``pct_min``, ``pct_max``).  Bounds comparisons must
@@ -41,7 +29,12 @@ rules the test suite cannot check dynamically because they are about
     ``continue`` / ``break`` in the same block: a stale copy of live
     code left behind a ``return`` drifts unnoticed.
 
-Suppression: append ``# repro-lint: disable=AL001`` (comma-separate for
+``AL001`` (raw lock in the service layer) and ``AL003`` (catalog
+mutation without invalidation) are retired: neither caught a seeded
+defect that no other check caught (EXPERIMENTS.md, C1).  Their codes are
+reserved and never reused.
+
+Suppression: append ``# repro-lint: disable=AL002`` (comma-separate for
 several codes) to the offending physical line.  ``disable=all`` silences
 every rule on that line.  A pragma on a ``def`` line suppresses those
 codes for the whole function body — for functions whose contract is
@@ -136,16 +129,6 @@ LINT_RULES: Dict[str, LintRule] = {
     rule.code: rule
     for rule in (
         LintRule(
-            code="AL001",
-            summary="raw threading.Lock/RLock in the service layer",
-            path_scope="repro/service/",
-            fix_hint=(
-                "use repro.rwlock.ReadWriteLock (read_locked()/"
-                "write_locked()); if a plain mutex is genuinely right, "
-                "say why on the line and add # repro-lint: disable=AL001"
-            ),
-        ),
-        LintRule(
             code="AL002",
             summary="database/catalog mutation outside write_locked()",
             path_scope=(
@@ -156,16 +139,6 @@ LINT_RULES: Dict[str, LintRule] = {
                 "wrap the mutator call in `with self._rwlock."
                 "write_locked():` (service) or `with shard.lock."
                 "write_locked():` (shard tier) like the mutation wrappers"
-            ),
-        ),
-        LintRule(
-            code="AL003",
-            summary="catalog mutation without cache invalidation",
-            path_scope="repro/db/database.py",
-            fix_hint=(
-                "call self.engine.invalidate(image_id) (or "
-                "invalidate_cache()) in the same function as the catalog "
-                "mutation"
             ),
         ),
         LintRule(
@@ -316,7 +289,7 @@ class _Visitor(ast.NodeVisitor):
 
     visit_Import = visit_ImportFrom = _check_import
 
-    # -- AL001 / AL002 -------------------------------------------------
+    # -- AL002 ---------------------------------------------------------
     def visit_With(self, node: ast.With) -> None:
         if _is_write_locked_with(node):
             self._write_locked_depth += 1
@@ -326,16 +299,6 @@ class _Visitor(ast.NodeVisitor):
             self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted in ("threading.Lock", "threading.RLock"):
-            self.raw.append(
-                _RawFinding(
-                    "AL001",
-                    node.lineno,
-                    f"{dotted}() constructed where the RW-lock discipline "
-                    f"applies",
-                )
-            )
         if (
             isinstance(node.func, ast.Attribute)
             and self._write_locked_depth == 0
@@ -360,39 +323,6 @@ class _Visitor(ast.NodeVisitor):
                         f"write_locked() block",
                     )
                 )
-        self.generic_visit(node)
-
-    # -- AL003 ---------------------------------------------------------
-    def _check_invalidate_pairing(self, node: ast.AST) -> None:
-        mutations: List[Tuple[str, int]] = []
-        invalidates = False
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Call):
-                continue
-            func = child.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr in CATALOG_MUTATORS:
-                mutations.append((func.attr, child.lineno))
-            if func.attr in ("invalidate", "invalidate_cache"):
-                invalidates = True
-        if mutations and not invalidates:
-            for name, line in mutations:
-                self.raw.append(
-                    _RawFinding(
-                        "AL003",
-                        line,
-                        f"catalog mutation {name}() with no engine "
-                        f"invalidate in the same function",
-                    )
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_invalidate_pairing(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_invalidate_pairing(node)
         self.generic_visit(node)
 
     # -- AL004 ---------------------------------------------------------

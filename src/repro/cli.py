@@ -24,10 +24,6 @@ Subcommands mirror the workflow of the paper's prototype:
 ``lint``      run the concurrency/numeric-discipline AST linter (AL
               rules only) over a source tree (default: the installed
               ``repro`` package); an unknown ``--rule`` is a usage error
-``race-check`` drive the instrumented concurrency scenarios (metrics,
-              events, service, sharded) under the dynamic checker:
-              CC004 data races (Eraser lockset) and CC001 cycles in
-              the lock order the scenarios observed
 ``shards``    inspect a sharded catalog root (``--status``) or run one
               synchronous compaction cycle first (``--compact-now``)
 ``top``       live fleet dashboard over a sharded root: per-shard
@@ -40,7 +36,7 @@ Subcommands mirror the workflow of the paper's prototype:
               (``events.jsonl``) of a sharded root
 
 Exit codes are uniform across the integrity-facing commands (``check``,
-``repair``, ``salvage``, ``lint``, ``race-check``):
+``repair``, ``salvage``, ``lint``):
 **0** clean (or fully healed/recovered), **2** problems remain or the
 input is unrecoverably corrupt, **1** any other library or usage error.
 
@@ -198,17 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--rule", action="append", default=None, metavar="CODE",
                       help="restrict to specific rule codes (repeatable)")
     lint.add_argument("--json", action="store_true",
-                      help="emit the findings as JSON")
-
-    race = commands.add_parser(
-        "race-check",
-        help="run the lockset race detector and lock-order check over "
-        "instrumented scenarios",
-    )
-    race.add_argument("scenarios", nargs="*", default=None,
-                      help="scenario names to run (default: all of "
-                      "metrics, events, service, sharded)")
-    race.add_argument("--json", action="store_true",
                       help="emit the findings as JSON")
 
     shards = commands.add_parser(
@@ -538,23 +523,6 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_race_check(args: argparse.Namespace, out) -> int:
-    import json
-
-    from repro.testing.racecheck import run_race_check
-
-    try:
-        report = run_race_check(args.scenarios or None)
-    except Exception as exc:  # an unknown scenario, or a worker raised or hung
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.describe(), file=out)
-    return 0 if report.ok else 2
-
-
 def _cmd_shards(args: argparse.Namespace, out) -> int:
     import json
 
@@ -712,7 +680,6 @@ _COMMANDS = {
     "explain": _cmd_explain,
     "serve-stats": _cmd_serve_stats,
     "lint": _cmd_lint,
-    "race-check": _cmd_race_check,
     "shards": _cmd_shards,
     "top": _cmd_top,
     "events": _cmd_events,

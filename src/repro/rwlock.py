@@ -31,8 +31,8 @@ class ReadWriteLock:
         self._writer_active = False
         self._writers_waiting = 0
         self._writer_thread: Optional[int] = None
-        #: Opt-in racecheck instrumentation
-        #: (:mod:`repro.testing.racecheck` sets both); ``None`` in
+        #: Lock-order instrumentation, set only by the tier-1 race
+        #: check (:mod:`repro.testing.racecheck`); ``None`` in
         #: production, so the hot path pays one attribute load.
         self._monitor: Optional[object] = None
         self._monitor_id: str = "rwlock"

@@ -82,7 +82,7 @@ class ResultCache:
         self._ttl = ttl
         self._clock = clock
         # Guards only the cache's own OrderedDict; no catalog access.
-        self._lock = threading.Lock()  # repro-lint: disable=AL001
+        self._lock = threading.Lock()
         #: key -> (value, stored_at); OrderedDict gives LRU order.
         self._entries: "OrderedDict[Hashable, Tuple[Any, float]]" = OrderedDict()
         self._engine = None

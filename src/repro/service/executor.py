@@ -244,12 +244,12 @@ class QueryService:
             max_workers=max_workers, thread_name_prefix="repro-query"
         )
         # Admission counter only; never held across catalog access.
-        self._admission = threading.Lock()  # repro-lint: disable=AL001
+        self._admission = threading.Lock()
         self._in_flight = 0
         self._capacity = max_workers + queue_depth
         self._closed = False
         # Guards lazy index builds, which already run under the read lock.
-        self._index_lock = threading.Lock()  # repro-lint: disable=AL001
+        self._index_lock = threading.Lock()
         self._point_index = None
         self._interval_index = None
         self._indexes_fresh = False

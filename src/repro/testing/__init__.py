@@ -3,9 +3,10 @@
 * :mod:`repro.testing.faults` — deterministic write/fsync fault plans
   for crash-safety verification of the persistence layer.
 * :mod:`repro.testing.racecheck` — an opt-in dynamic concurrency
-  checker (``repro race-check``): tracked proxies wrap the shared
-  structures and locks, the RW locks report acquisitions through
-  monitor hooks; unsynchronized accesses are ``CC004`` findings (Eraser
+  checker that the tier-1 suite runs (:func:`run_race_check`): tracked
+  proxies wrap the metrics tables, the event ring and the result
+  cache, tracked locks and the RW locks' monitor hooks report
+  acquisitions; unsynchronized accesses are ``CC004`` findings (Eraser
   lockset, light fork/join happens-before) and cycles in the observed
   lock order ``CC001`` findings.
 """

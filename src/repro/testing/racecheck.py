@@ -36,10 +36,14 @@ Refinements over plain Eraser:
   :class:`~repro.rwlock.ReadWriteLock` is not synchronization.
 
 Both report through the shared
-:class:`~repro.analysis.findings.AnalysisReport` machinery.  ``repro
-race-check`` runs the built-in stress scenarios (metrics registry,
-event ring, query service, sharded catalog) and must report neither; a
-worker that raises or outlives its join fails the run.
+:class:`~repro.analysis.findings.AnalysisReport` machinery.
+:func:`run_race_check` runs the built-in stress scenarios (metrics
+registry, event ring, query service, sharded catalog), and the tier-1
+suite asserts it reports neither; a worker that raises or outlives its
+join fails the run.  The lockset watches the structures it has been
+shown to catch races on — the metrics registry's tables, the event
+ring and the result cache's entries; the shard tier's catalog races are
+caught by tier-1's own concurrency tests (EXPERIMENTS.md, C1).
 """
 
 from __future__ import annotations
@@ -197,19 +201,6 @@ class RaceCheckReport(AnalysisReport):
 
     def class_edges(self) -> List[Edge]:
         return sorted({(lock_class(a), lock_class(b)) for a, b in self.lock_edges})
-
-    def describe(self, limit: Optional[int] = None) -> str:
-        edges = len(self.lock_edges)
-        return f"{super().describe(limit)}\n  lock order: {edges} edges observed"
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        payload["lock_edges"] = [
-            {"holding": holding, "acquiring": acquiring, "site": site}
-            for (holding, acquiring), site in sorted(self.lock_edges.items())
-        ]
-        payload["class_edges"] = [f"{a} -> {b}" for a, b in self.class_edges()]
-        return payload
 
 
 class RaceMonitor:
@@ -502,7 +493,8 @@ class TrackedLock:
 
 
 class TrackedDict(MutableMapping):
-    """A dict proxy reporting per-key reads/writes to the monitor."""
+    """A dict proxy reporting per-key reads/writes to the monitor; the
+    ``OrderedDict`` reorderings are writes of the whole structure."""
 
     def __init__(
         self, inner: Dict[Any, Any], name: str, monitor: RaceMonitor
@@ -539,79 +531,13 @@ class TrackedDict(MutableMapping):
         self._monitor.on_access(self._name, None, True)
         self._inner.clear()
 
-
-class TrackedSet:
-    """A set proxy reporting membership reads and mutations."""
-
-    def __init__(
-        self, inner: Set[Any], name: str, monitor: RaceMonitor
-    ) -> None:
-        self._inner = inner
-        self._name = name
-        self._monitor = monitor
-
-    def add(self, item: Any) -> None:
+    def move_to_end(self, key: Any, last: bool = True) -> None:
         self._monitor.on_access(self._name, None, True)
-        self._inner.add(item)
+        self._inner.move_to_end(key, last)
 
-    def discard(self, item: Any) -> None:
+    def popitem(self, last: bool = True) -> Tuple[Any, Any]:
         self._monitor.on_access(self._name, None, True)
-        self._inner.discard(item)
-
-    def remove(self, item: Any) -> None:
-        self._monitor.on_access(self._name, None, True)
-        self._inner.remove(item)
-
-    def clear(self) -> None:
-        self._monitor.on_access(self._name, None, True)
-        self._inner.clear()
-
-    def __contains__(self, item: Any) -> bool:
-        self._monitor.on_access(self._name, None, False)
-        return item in self._inner
-
-    def __iter__(self) -> Iterator[Any]:
-        self._monitor.on_access(self._name, None, False)
-        return iter(set(self._inner))
-
-    def __len__(self) -> int:
-        self._monitor.on_access(self._name, None, False)
-        return len(self._inner)
-
-    def __bool__(self) -> bool:
-        self._monitor.on_access(self._name, None, False)
-        return bool(self._inner)
-
-
-class TrackedList:
-    """A list proxy (whole-structure grain) for op-table columns."""
-
-    def __init__(
-        self, inner: List[Any], name: str, monitor: RaceMonitor
-    ) -> None:
-        self._inner = inner
-        self._name = name
-        self._monitor = monitor
-
-    def append(self, item: Any) -> None:
-        self._monitor.on_access(self._name, None, True)
-        self._inner.append(item)
-
-    def __getitem__(self, index: Any) -> Any:
-        self._monitor.on_access(self._name, None, False)
-        return self._inner[index]
-
-    def __setitem__(self, index: Any, value: Any) -> None:
-        self._monitor.on_access(self._name, None, True)
-        self._inner[index] = value
-
-    def __iter__(self) -> Iterator[Any]:
-        self._monitor.on_access(self._name, None, False)
-        return iter(list(self._inner))
-
-    def __len__(self) -> int:
-        self._monitor.on_access(self._name, None, False)
-        return len(self._inner)
+        return self._inner.popitem(last)
 
 
 class TrackedDeque:
@@ -694,41 +620,31 @@ def instrument_database(
 
 def instrument_service(service: Any, monitor: RaceMonitor) -> None:
     """Track a :class:`QueryService`'s locks: its RW lock, the lazy
-    index-build lock, the result cache, its metrics and events, and its
-    database's bounds locks."""
+    index-build lock, the result cache and its entries, its metrics and
+    events, and its database's bounds locks."""
     instrument_rwlock(service._rwlock, "service.rwlock", monitor)
     _track_lock(service, "_index_lock", "QueryService._index_lock", monitor)
-    _track_lock(service.cache, "_lock", "ResultCache._lock", monitor)
+    cache = service.cache
+    _track_lock(cache, "_lock", "ResultCache._lock", monitor)
+    cache._entries = TrackedDict(cache._entries, "ResultCache._entries", monitor)
     instrument_metrics(service.metrics, monitor)
     instrument_events(service.events, monitor)
     instrument_database(service.database, monitor)
 
 
 def instrument_sharded(catalog: Any, monitor: RaceMonitor) -> None:
-    """Track a :class:`ShardedCatalog`'s locks and shared structures.
+    """Track a :class:`ShardedCatalog`'s locks: per shard the RW lock
+    (via the built-in hook) and the bounds locks of its database, plus
+    the id-allocation lock, the WAL record lock, the metrics registry
+    and the event ring.
 
-    Per shard: the RW lock (via the built-in hook), the compactor's
-    ledger (``materialized``), the catalog dicts and the bounds locks of
-    the underlying database.  Plus the id-allocation lock, the WAL record
-    lock, the metrics registry, and the event ring.
+    The shard catalogs and the compactor's ledger are not tracked: no
+    seeded race on them was caught by the lockset alone (EXPERIMENTS.md,
+    C1).
     """
     for shard in catalog._shards:
         index = shard.index
         instrument_rwlock(shard.lock, f"shard[{index}].rwlock", monitor)
-        shard.materialized = TrackedDict(
-            shard.materialized, f"shard[{index}].materialized", monitor
-        )
-        inner_catalog = shard.database.catalog
-        for attr in ("_binary", "_edited", "_children", "_merge_users"):
-            setattr(
-                inner_catalog,
-                attr,
-                TrackedDict(
-                    getattr(inner_catalog, attr),
-                    f"shard[{index}].catalog.{attr}",
-                    monitor,
-                ),
-            )
         instrument_database(shard.database, monitor, f"[{index}]")
     _track_lock(catalog, "_alloc_lock", "ShardedCatalog._alloc_lock", monitor)
     if catalog._wal is not None:
@@ -941,7 +857,7 @@ def _scenario_sharded(monitor: RaceMonitor) -> None:
             ShardedCatalog.open(root).close()
 
 
-#: Scenario registry for ``repro race-check``.
+#: Scenario registry for :func:`run_race_check`.
 SCENARIOS: Dict[str, Callable[[RaceMonitor], None]] = {
     "metrics": _scenario_metrics,
     "events": _scenario_events,
@@ -957,8 +873,8 @@ def run_race_check(
 
     ``subjects_examined`` counts tracked locations and ``lock_edges``
     the lock-order edges observed: a zero-finding report over zero of
-    either would be vacuous, so the CLI surfaces both.  A scenario whose
-    worker raised or hung raises.
+    either would be vacuous, so the tier-1 tests floor both.  A scenario
+    whose worker raised or hung raises.
     """
     names = sorted(scenarios) if scenarios is not None else sorted(SCENARIOS)
     report = RaceCheckReport(pass_name="racecheck")

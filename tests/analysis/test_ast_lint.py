@@ -3,6 +3,7 @@ violations, pragma escape hatch honoured."""
 
 from __future__ import annotations
 
+import re
 import textwrap
 from pathlib import Path
 
@@ -27,17 +28,18 @@ class TestShippedTree:
         assert report.subjects_examined > 50
 
     def test_pragmas_are_load_bearing(self):
-        # Removing the escape hatch must resurface the three documented
-        # raw-Lock sites — otherwise the pragmas are dead weight.  (The
-        # metrics registry's two mutexes left the rule's scope with the
-        # registry, to repro.obs.metrics.)
+        # Removing every escape hatch in the shipped tree must resurface
+        # exactly the five record-kind appliers' AL002 sites — otherwise
+        # some pragma is dead weight.
         flagged = []
-        for file in sorted((SRC_ROOT / "service").glob("*.py")):
-            source = file.read_text(encoding="utf-8").replace(
-                "# repro-lint: disable=AL001", ""
-            )
-            flagged.extend(lint_source(source, str(file)))
-        assert len([f for f in flagged if f.code == "AL001"]) == 3
+        for file in sorted(SRC_ROOT.rglob("*.py")):
+            source = file.read_text(encoding="utf-8")
+            stripped = re.sub(r"#\s*repro-lint:\s*disable=\S+", "", source)
+            flagged.extend(lint_source(stripped, str(file)))
+        assert sorted(
+            (f.code, Path(f.location).parent.name, Path(f.location).name.split(":")[0])
+            for f in flagged
+        ) == [("AL002", "shard", "records.py")] * 5
 
     def test_every_shipped_package_has_a_place_in_the_order(self):
         # A package missing from PACKAGE_ORDER would escape AL005.
@@ -52,15 +54,14 @@ class TestShippedTree:
 
 class TestRuleRegistry:
     def test_registry_covers_the_documented_codes(self):
-        assert set(LINT_RULES) == {
-            "AL001", "AL002", "AL003", "AL004", "AL005", "AL006",
-        }
+        # AL001 and AL003 are retired; their codes are never reused.
+        assert set(LINT_RULES) == {"AL002", "AL004", "AL005", "AL006"}
 
     def test_scopes(self):
-        assert LINT_RULES["AL001"].applies_to("src/repro/service/executor.py")
-        assert not LINT_RULES["AL001"].applies_to("src/repro/core/rules.py")
-        assert LINT_RULES["AL003"].applies_to("src/repro/db/database.py")
-        assert not LINT_RULES["AL003"].applies_to("src/repro/db/catalog.py")
+        assert LINT_RULES["AL002"].applies_to("src/repro/service/executor.py")
+        assert not LINT_RULES["AL002"].applies_to("src/repro/db/database.py")
+        assert LINT_RULES["AL005"].applies_to("src/repro/db/catalog.py")
+        assert not LINT_RULES["AL005"].applies_to("benchmarks/paper.py")
         assert LINT_RULES["AL004"].applies_to("src/repro/anything.py")
         assert LINT_RULES["AL006"].applies_to("src/repro/anything.py")
 
@@ -72,38 +73,6 @@ class TestRuleRegistry:
         # ...but not the whole shard package: the WAL and manifest
         # modules never touch a catalog.
         assert not rule.applies_to("src/repro/shard/wal.py")
-
-
-class TestAL001RawLock:
-    CODE = """
-    import threading
-
-    class Executor:
-        def __init__(self):
-            self._lock = threading.Lock()
-    """
-
-    def test_flagged_in_service_scope(self):
-        findings = _lint(self.CODE, "src/repro/service/executor.py")
-        assert [f.code for f in findings] == ["AL001"]
-        assert findings[0].severity is Severity.ERROR
-        assert findings[0].location.endswith(":6")
-
-    def test_out_of_scope_path_ignored(self):
-        assert _lint(self.CODE, "src/repro/core/bounds.py") == []
-
-    def test_rlock_also_flagged(self):
-        code = self.CODE.replace("threading.Lock", "threading.RLock")
-        assert [f.code for f in _lint(code, "src/repro/service/x.py")] == [
-            "AL001"
-        ]
-
-    def test_pragma_suppresses(self):
-        code = self.CODE.replace(
-            "threading.Lock()",
-            "threading.Lock()  # repro-lint: disable=AL001",
-        )
-        assert _lint(code, "src/repro/service/executor.py") == []
 
 
 class TestAL002UnlockedMutation:
@@ -247,54 +216,13 @@ class TestFunctionLevelPragma:
 
     def test_pragma_only_suppresses_its_codes(self):
         code = """
-        import threading
-
         class Service:
             def replay(self, entry):  # repro-lint: disable=AL002
-                self._lock = threading.Lock()
                 self._database.insert_image(entry.image)
+                return entry.fraction_lo == 0.5
         """
         findings = _lint(code, "src/repro/service/executor.py")
-        assert [f.code for f in findings] == ["AL001"]
-
-
-class TestAL003MutationWithoutInvalidate:
-    def test_unpaired_mutation_flagged(self):
-        code = """
-        class Database:
-            def insert(self, record):
-                self.catalog.add_edited(record)
-        """
-        findings = _lint(code, "src/repro/db/database.py")
-        assert [f.code for f in findings] == ["AL003"]
-        assert "add_edited" in findings[0].message
-
-    def test_paired_mutation_clean(self):
-        code = """
-        class Database:
-            def insert(self, record):
-                self.catalog.add_edited(record)
-                self.engine.invalidate(record.image_id)
-        """
-        assert _lint(code, "src/repro/db/database.py") == []
-
-    def test_invalidate_cache_also_pairs(self):
-        code = """
-        class Database:
-            def rebuild(self, records):
-                for record in records:
-                    self.catalog.add_edited(record)
-                self.engine.invalidate_cache()
-        """
-        assert _lint(code, "src/repro/db/database.py") == []
-
-    def test_out_of_scope_module_ignored(self):
-        code = """
-        class Helper:
-            def insert(self, record):
-                self.catalog.add_edited(record)
-        """
-        assert _lint(code, "src/repro/db/catalog.py") == []
+        assert [f.code for f in findings] == ["AL004"]
 
 
 class TestAL004FloatEquality:
@@ -451,21 +379,20 @@ class TestAL006UnreachableStatement:
 class TestHarness:
     def test_rules_filter(self):
         code = """
-        import threading
-
         class S:
-            def __init__(self):
-                self._lock = threading.Lock()
+            def check(self, state):
+                return state.fraction_lo == 0.5
             def go(self, image):
                 self._database.insert_image(image)
         """
-        only_lock = _lint_with_rules(code, ["AL001"])
-        assert [f.code for f in only_lock] == ["AL001"]
+        only_float = _lint_with_rules(code, ["AL004"])
+        assert [f.code for f in only_float] == ["AL004"]
 
     def test_disable_all_pragma(self):
         code = """
-        import threading
-        lock = threading.Lock()  # repro-lint: disable=all
+        class S:
+            def go(self, image):
+                self._database.insert_image(image)  # repro-lint: disable=all
         """
         assert _lint(code, "src/repro/service/x.py") == []
 

@@ -1,4 +1,4 @@
-"""Tests for the lock-order check (CC001) of ``repro race-check``.
+"""Tests for the lock-order check (CC001) of :func:`run_race_check`.
 
 Every acquisition of an instrumented lock adds an edge from each lock
 the thread already holds; cycles are potential deadlocks.  The seeded
@@ -6,7 +6,7 @@ fixtures take :class:`TrackedLock` pairs in chosen orders on threads
 that run one after the other, so no schedule can actually deadlock —
 the point of the check is that it needs none to.  The shipped scenarios
 get their own "must be clean" and "must not be vacuous" tests at the
-end (the acceptance gate for ``repro race-check``).
+end, over one session-wide run (the gate CI applies to race-check).
 """
 
 import threading
@@ -24,12 +24,11 @@ from repro.testing.racecheck import (
     TrackedLock,
     instrument_sharded,
     lock_class,
-    run_race_check,
 )
 
 #: The lock-class edges the shipped scenarios must keep observing: every
-#: real edge of the static lock graph this check replaced (its three
-#: edges into the checker's own guard excluded).
+#: nested acquisition of the service and shard tiers that the scenarios
+#: reach.  A scenario that stops exercising one fails here.
 SHIPPED_CLASS_EDGES = {
     ("BoundsEngine._memo_lock", "OpTableManager._lock"),
     ("QueryService._index_lock", "BoundsEngine._memo_lock"),
@@ -191,21 +190,19 @@ class TestRuleFilterAndGraph:
 
 
 class TestShippedTree:
-    def test_shipped_tree_is_clean(self):
-        report = run_race_check()
+    def test_shipped_tree_is_clean(self, shipped_race_report):
+        report = shipped_race_report
         assert report.clean, report.describe()
         assert not report.by_code("CC001")
 
-    def test_shipped_graph_is_not_vacuous(self):
+    def test_shipped_graph_is_not_vacuous(self, shipped_race_report):
         # Zero CC001 findings must mean "the orders are consistent", not
         # "no nested acquisition was observed": the scenarios must keep
         # exercising every lock order the service and shard tiers have.
-        report = run_race_check()
-        observed = set(report.class_edges())
+        observed = set(shipped_race_report.class_edges())
         assert SHIPPED_CLASS_EDGES <= observed, sorted(
             SHIPPED_CLASS_EDGES - observed
         )
-        assert report.to_dict()["class_edges"]
 
     def test_four_shard_save_orders_shard_locks_by_index(self, tmp_path):
         # The save pins every shard lock in index order: acyclic at

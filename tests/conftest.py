@@ -75,3 +75,12 @@ def search_binary_index():
         return set(index.search(slab))
 
     return search
+
+
+@pytest.fixture(scope="session")
+def shipped_race_report():
+    """One run of every race-check scenario on the shipped tree, shared
+    by the tests that assert on it (clean, and not vacuous)."""
+    from repro.testing.racecheck import run_race_check
+
+    return run_race_check()

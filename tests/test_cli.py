@@ -506,6 +506,14 @@ class TestBrokenPipe:
         assert code == 0
 
 
+#: A service-layer catalog mutation outside ``write_locked()`` (AL002).
+UNLOCKED_MUTATION = """\
+class Service:
+    def insert(self, image):
+        return self._database.insert_image(image)
+"""
+
+
 class TestLint:
     def test_shipped_tree_clean(self):
         code, output = run_cli("lint")
@@ -515,45 +523,38 @@ class TestLint:
     def test_violations_exit_nonzero(self, tmp_path):
         target = tmp_path / "repro" / "service"
         target.mkdir(parents=True)
-        (target / "bad.py").write_text(
-            "import threading\nlock = threading.Lock()\n", encoding="utf-8"
-        )
+        (target / "bad.py").write_text(UNLOCKED_MUTATION, encoding="utf-8")
         code, output = run_cli("lint", str(target))
         assert code == 2
-        assert "AL001" in output
+        assert "AL002" in output
 
     def test_json_output(self, tmp_path):
         import json
 
         target = tmp_path / "repro" / "service"
         target.mkdir(parents=True)
-        (target / "bad.py").write_text(
-            "import threading\nlock = threading.Lock()\n", encoding="utf-8"
-        )
+        (target / "bad.py").write_text(UNLOCKED_MUTATION, encoding="utf-8")
         code, output = run_cli("lint", str(target), "--json")
         assert code == 2
         payload = json.loads(output)
-        assert payload["counts"] == {"AL001": 1}
+        assert payload["counts"] == {"AL002": 1}
 
     def test_rule_filter(self, tmp_path):
         target = tmp_path / "repro" / "service"
         target.mkdir(parents=True)
-        (target / "bad.py").write_text(
-            "import threading\nlock = threading.Lock()\n", encoding="utf-8"
-        )
+        (target / "bad.py").write_text(UNLOCKED_MUTATION, encoding="utf-8")
         code, _ = run_cli("lint", str(target), "--rule", "AL004")
         assert code == 0
 
     def test_lock_order_findings_merged(self, monkeypatch, capsys):
         # Lock order is race-check's (CC001), not lint's: an unknown or
-        # non-AL --rule is a usage error, never a silent green.
-        import json
-
-        from repro.testing.racecheck import SCENARIOS, TrackedLock
+        # non-AL --rule is a usage error, never a silent green.  The
+        # cycle is reported by run_race_check, which tier-1 runs.
+        from repro.testing.racecheck import SCENARIOS, TrackedLock, run_race_check
 
         for code in ("AL999", "CC001"):
             assert run_cli("lint", "--rule", code) == (1, "")
-            assert "AL001" in capsys.readouterr().err
+            assert "AL002" in capsys.readouterr().err
 
         def opposite_orders(monitor):
             import threading
@@ -566,32 +567,10 @@ class TestLint:
                 pass
 
         monkeypatch.setitem(SCENARIOS, "seeded", opposite_orders)
-        code, output = run_cli("race-check", "seeded", "--json")
-        assert code == 2
-        payload = json.loads(output)
-        assert payload["counts"] == {"CC001": 1}
-        assert len(payload["lock_edges"]) == 2
-
-
-class TestRaceCheck:
-    def test_metrics_scenario_clean(self):
-        code, output = run_cli("race-check", "metrics")
-        assert code == 0
-        assert "0 errors" in output
-
-    def test_json_output(self):
-        import json
-
-        code, output = run_cli("race-check", "metrics", "--json")
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["pass"] == "racecheck"
-        assert payload["ok"] is True
-        assert payload["subjects_examined"] > 0
-
-    def test_unknown_scenario_is_a_usage_error(self):
-        code, _ = run_cli("race-check", "bogus")
-        assert code == 1
+        report = run_race_check(["seeded"])
+        assert not report.ok
+        assert report.to_dict()["counts"] == {"CC001": 1}
+        assert len(report.lock_edges) == 2
 
 
 class TestAnalyzeDb:

@@ -14,19 +14,17 @@ from collections import deque
 import pytest
 
 from repro.analysis.findings import AnalysisReport, Severity
-from repro.cli import main
 from repro.service.executor import ReadWriteLock
 from repro.testing.racecheck import (
     SCENARIOS,
     RaceMonitor,
     TrackedDeque,
     TrackedDict,
-    TrackedList,
     TrackedLock,
-    TrackedSet,
     instrument_events,
     instrument_metrics,
     instrument_rwlock,
+    instrument_service,
     run_race_check,
 )
 
@@ -64,20 +62,6 @@ class TestSeededRacesPerStructure:
         races = _provoke(monitor, lock, lambda: tracked.__setitem__("k", 1))
         assert [race.structure for race in races] == ["catalog._binary['k']"]
         assert races[0].operation == "write"
-
-    def test_tracked_set_mutation(self):
-        monitor = _monitor()
-        lock = TrackedLock(threading.Lock(), "guard", monitor)
-        tracked = TrackedSet(set(), "shard.journaled", monitor)
-        races = _provoke(monitor, lock, lambda: tracked.add("entry"))
-        assert [race.structure for race in races] == ["shard.journaled"]
-
-    def test_tracked_list_append(self):
-        monitor = _monitor()
-        lock = TrackedLock(threading.Lock(), "guard", monitor)
-        tracked = TrackedList([], "optable.column", monitor)
-        races = _provoke(monitor, lock, lambda: tracked.append(7))
-        assert [race.structure for race in races] == ["optable.column"]
 
     def test_tracked_deque_append(self):
         monitor = _monitor()
@@ -131,6 +115,38 @@ class TestSeededRacesPerStructure:
         assert any(
             race.structure == "EventLog._ring" for race in monitor.races
         )
+
+    def test_result_cache_bare_reorder(self):
+        # A cache hit reorders the LRU list: a hit that skips the cache's
+        # lock is an unsynchronized write of the whole structure.
+        from repro.db.database import MultimediaDatabase
+        from repro.service import QueryService
+
+        monitor = _monitor()
+        service = QueryService(MultimediaDatabase(), max_workers=1)
+        try:
+            instrument_service(service, monitor)
+            cache = service.cache
+            cache.put("a", 1)
+            cache.put("b", 2)
+            release = threading.Event()
+            done = threading.Event()
+
+            def rogue() -> None:
+                release.wait(5)
+                cache._entries.move_to_end("a")  # bypasses _lock
+                done.set()
+
+            thread = monitor.spawn(rogue, name="rogue")
+            assert cache.get("a") == 1  # disciplined (locks inside)
+            release.set()
+            assert done.wait(5)
+            monitor.join(thread)
+        finally:
+            service.shutdown()
+        assert [race.structure for race in monitor.races] == [
+            "ResultCache._entries"
+        ]
 
     def test_write_under_read_side_only_is_a_race(self):
         # Reading under the read side is synchronized with writers;
@@ -237,8 +253,8 @@ class TestReporting:
         assert findings[0].details["structure"] == "catalog._binary['k']"
         assert report.subjects_examined >= 1
 
-    def test_shipped_scenarios_are_race_free(self):
-        report = run_race_check()
+    def test_shipped_scenarios_are_race_free(self, shipped_race_report):
+        report = shipped_race_report
         assert report.clean, report.describe()
         assert report.subjects_examined > 20, "tracking must be non-vacuous"
 
@@ -263,7 +279,6 @@ class TestWorkerFailures:
         monkeypatch.setitem(SCENARIOS, "crashing", scenario)
         with pytest.raises(RuntimeError, match="worker blew up"):
             run_race_check(["crashing"])
-        assert main(["race-check", "crashing"]) == 1
 
     def test_join_timeout_raises_and_records_no_edge(self, monkeypatch):
         release = threading.Event()
@@ -282,4 +297,5 @@ class TestWorkerFailures:
             scenario(monitor)
         release.clear()
         monkeypatch.setitem(SCENARIOS, "hanging", scenario)
-        assert main(["race-check", "hanging"]) == 1
+        with pytest.raises(RuntimeError, match="still running"):
+            run_race_check(["hanging"])
