@@ -16,8 +16,8 @@ engine's memo.  Off, the histograms are stacked and the intervals swept
 for this call alone.  On, both are rows of the memo
 (:meth:`repro.core.bounds.BoundsEngine.bounds_of_rows`), addressed
 through one flat order of the catalog / BWM layout (bases, members,
-stragglers) that the processor keeps between calls and rebuilds after a
-mutation — a warm query is a validity check, one column gather per
+stragglers) that the processor keeps between calls and rebuilds after an
+insert or a delete — a warm query is a validity check, one column gather per
 queried bin and two compares, which is why
 :class:`repro.db.database.MultimediaDatabase` answers single queries on
 a memoizing engine with a batch of one.
@@ -192,26 +192,33 @@ def _match(
 
 
 class _Processor:
-    """What both processors share: the view, the engine, and a layout
-    kept between calls while (and only while) it holds memo rows —
-    without the memo nothing of one call may serve the next."""
+    """What both processors share: the structure, the view, the engine,
+    and a layout kept between calls while (and only while) it holds memo
+    rows — without the memo nothing of one call may serve the next.
 
-    def __init__(self, view: CatalogView, engine: BoundsEngine) -> None:
+    A kept layout is current while the catalog's membership and every
+    memo row's owner are: the key is the BWM structure's ``version``,
+    which every insert and delete bumps, and the engine's
+    ``owner_epoch``, which moves when a row is released or the memo
+    flushed.  An in-place update (``update_image``, a compaction and its
+    roll-back) only dirties rows, which the next read fills through the
+    same layout.
+    """
+
+    def __init__(
+        self, structure: BWMStructure, view: CatalogView, engine: BoundsEngine
+    ) -> None:
+        self._structure = structure
         self._view = view
         self._engine = engine
         self._kept: Optional[Tuple[Tuple[int, int], _Layout]] = None
-
-    def _version(self) -> int:
-        """Changes whenever :meth:`_flatten` would give another answer
-        without the engine having seen an invalidation."""
-        return 0
 
     def _flatten(self) -> _Layout:
         raise NotImplementedError
 
     def _layout(self) -> _Layout:
         kept = self._kept
-        key = (self._version(), self._engine.memo_epoch)
+        key = (self._structure.version, self._engine.owner_epoch)
         if kept is None or kept[0] != key:
             kept = (key, self._flatten())
             self._kept = kept if self._engine.cache_enabled else None
@@ -219,7 +226,11 @@ class _Processor:
 
 
 class BatchRBMProcessor(_Processor):
-    """RBM over a batch: one columnar sweep covers every edited image."""
+    """RBM over a batch: one columnar sweep covers every edited image.
+
+    It reads no clusters; the structure is there for its ``version``,
+    which keys the kept layout on the catalog's membership.
+    """
 
     name = "rbm-batch"
 
@@ -248,18 +259,6 @@ class BatchBWMProcessor(_Processor):
     """
 
     name = "bwm-batch"
-
-    def __init__(
-        self,
-        structure: BWMStructure,
-        view: CatalogView,
-        engine: BoundsEngine,
-    ) -> None:
-        super().__init__(view, engine)
-        self._structure = structure
-
-    def _version(self) -> int:
-        return self._structure.version
 
     def _flatten(self) -> _Layout:
         return _Layout.of(

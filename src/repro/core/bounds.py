@@ -248,6 +248,12 @@ class _MemoArrays:
         return bigger
 
 
+class _ThreadHits(threading.local):
+    """Memo hits counted on the current thread."""
+
+    hits = 0
+
+
 class BoundsStore(Protocol):
     """What the bounds engine needs from the database catalog.
 
@@ -352,7 +358,7 @@ class BoundsEngine:
         #: mask says which rows hold a current result.  Rows are handed
         #: out on first read, filled by a sweep, dirtied by
         #: :meth:`invalidate` and recycled through ``_free_rows`` (their
-        #: ``_row_ids`` entry blank) once their image changes or goes.
+        #: ``_row_ids`` entry blank) once their image leaves the store.
         self._memo = _MemoArrays(0, quantizer.bin_count)
         self._row_of: Dict[str, int] = {}
         self._row_ids: List[str] = []
@@ -360,15 +366,26 @@ class BoundsEngine:
         #: Guards row allocation, fills and releases; reads of valid
         #: rows take no lock.
         self._memo_lock = threading.Lock()
-        #: Bumped by every invalidation (and failed fill): whoever keeps
-        #: memo rows or a list of stored ids between calls re-derives
-        #: them when this moved.
+        #: Bumped by every invalidation (and failed fill): a result
+        #: computed from memo rows before it moved may be stale, which
+        #: is what guards the exact column (:meth:`store_exact`).
         self.memo_epoch = 0
+        #: Bumped only when a memo row changes owner — a release (its
+        #: image left the store, or a fill failed) or
+        #: :meth:`invalidate_cache`: whoever keeps memo rows between
+        #: calls re-asks for them when this moved.  An in-place change
+        #: dirties rows but keeps every owner.
+        self.owner_epoch = 0
         #: Reverse dependency edges observed while walking: referenced
         #: image id -> ids of edited images whose walk consulted it.
         self._dependents: Dict[str, Set[str]] = {}
+        #: The same edges by dependent: image id -> the ids it was
+        #: registered under in ``_dependents``, so :meth:`invalidate`
+        #: scrubs the edges of the ids it dropped and no others.
+        self._references: Dict[str, Tuple[str, ...]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+        self._thread_hits = _ThreadHits()
         #: Exact-column rows read by refinements (:meth:`exact_of_rows`)
         #: and written by them (:meth:`store_exact`).
         self.exact_hits = 0
@@ -536,7 +553,7 @@ class BoundsEngine:
             record = self._store.lookup_for_bounds(current)
             if not isinstance(record, EditSequence):
                 continue
-            self._register_dependencies(current, record)
+            self._register_dependencies(current, record.referenced_ids())
             for referenced in record.referenced_ids():
                 if referenced not in seen:
                     seen.add(referenced)
@@ -621,10 +638,7 @@ class BoundsEngine:
             if self._memo_on:
                 table = manager.table
                 for swept_id in outcome.swept_ids:
-                    for referenced in table.refs_of(swept_id):
-                        self._dependents.setdefault(referenced, set()).add(
-                            swept_id
-                        )
+                    self._register_dependencies(swept_id, table.refs_of(swept_id))
             if not outcome.failures and len(edited) == len(image_ids):
                 # Every requested id swept cleanly: the answer is a row
                 # selection over the sweep's own state.
@@ -655,9 +669,9 @@ class BoundsEngine:
 
         An id without a row is given a dirty one — nothing is computed
         here, so rows are allocated on first read and ingest pays
-        nothing.  A row stays its image's until :meth:`invalidate` is
-        called for that image; holders re-ask when :attr:`memo_epoch`
-        moved.
+        nothing.  A row stays its image's until the image leaves the
+        store (:meth:`invalidate` then releases it) or a fill of it
+        fails; holders re-ask when :attr:`owner_epoch` moved.
         """
         if not self._memo_on:
             raise RuleError("memo_rows requires cache_enabled")
@@ -684,10 +698,18 @@ class BoundsEngine:
         valid = memo.valid[rows]
         hits = int(np.count_nonzero(valid))
         self.cache_hits += hits
+        self._thread_hits.hits += hits
         if hits != len(rows):
             self.cache_misses += len(rows) - hits
             memo = self._fill(rows[~valid])
         return BoundsMatrix(memo.lo, memo.hi, memo.heights, memo.widths, rows)
+
+    @property
+    def thread_cache_hits(self) -> int:
+        """The ``cache_hits`` counted by :meth:`bounds_of_rows` calls on
+        the calling thread: what one caller's own reads found valid,
+        whatever other threads read meanwhile."""
+        return self._thread_hits.hits
 
     def _fill(self, rows: np.ndarray) -> _MemoArrays:
         """Sweep the still-dirty ones of ``rows`` into the memo; returns
@@ -705,6 +727,7 @@ class BoundsEngine:
                     for row in dirty.tolist():
                         self._release(row)
                     self.memo_epoch += 1
+                    self.owner_epoch += 1
                     raise
                 memo.dirty(dirty)  # a refilled row starts with no exact row
                 memo.lo[dirty], memo.hi[dirty] = swept.lo, swept.hi
@@ -726,7 +749,8 @@ class BoundsEngine:
         return row
 
     def _release(self, row: int) -> None:
-        """Return an image's ``row`` to the free list (lock held)."""
+        """Return an image's ``row`` to the free list (lock held); the
+        caller bumps :attr:`owner_epoch`."""
         del self._row_of[self._row_ids[row]]
         self._row_ids[row] = ""
         self._memo.dirty(row)
@@ -833,10 +857,12 @@ class BoundsEngine:
         Walks the reverse dependency graph recorded during cached walks:
         the changed image itself, every edited image whose walk consulted
         it (as base or Merge target), and so on transitively through
-        chained edits.  Rows of unrelated images stay valid; dependents
-        keep their (now dirty) rows for the next fill; the changed
-        image's own row is released, as the image may be gone.  Returns
-        the number of valid rows dirtied.
+        chained edits.  Rows of unrelated images stay valid; the changed
+        image and its dependents keep their (now dirty) rows for the
+        next fill.  The changed image's own row is released only when
+        the store no longer holds the image, so an in-place change moves
+        :attr:`memo_epoch` but not :attr:`owner_epoch`.  Returns the
+        number of valid rows dirtied.
         """
         self.cache_invalidation_calls += 1
         dropped = 0
@@ -854,19 +880,22 @@ class BoundsEngine:
                     if dependent not in seen:
                         seen.add(dependent)
                         stack.append(dependent)
+            # Scrub the invalidated ids out of the surviving reverse
+            # edges: their walks are gone, so an edge pointing at them
+            # would keep a deleted/changed image alive in the graph (a
+            # stale edge that breaks the dependency_edges contract).
+            for dependent in seen:
+                for referenced in self._references.pop(dependent, ()):
+                    dependents = self._dependents.get(referenced)
+                    if dependents is not None:
+                        dependents.discard(dependent)
+                        if not dependents:
+                            del self._dependents[referenced]
             own = self._row_of.get(image_id)
-            if own is not None:
+            if own is not None and not self._stored(image_id):
                 self._release(own)
+                self.owner_epoch += 1
             self.memo_epoch += 1
-        # Scrub the invalidated ids out of the surviving reverse edges:
-        # their walks are gone, so an edge pointing at them would keep a
-        # deleted/changed image alive in the graph (a stale edge that
-        # breaks the dependency_edges contract).
-        for referenced in list(self._dependents):
-            dependents = self._dependents[referenced]
-            dependents -= seen
-            if not dependents:
-                del self._dependents[referenced]
         self.cache_invalidated_entries += dropped
         self._notify_invalidation(image_id)
         return dropped
@@ -888,7 +917,9 @@ class BoundsEngine:
             self._row_ids.clear()
             self._free_rows.clear()
             self.memo_epoch += 1
+            self.owner_epoch += 1
         self._dependents.clear()
+        self._references.clear()
         self._notify_invalidation(None)
 
     def dependency_edges(self) -> List[Tuple[str, str]]:
@@ -924,10 +955,25 @@ class BoundsEngine:
             "exact_fills": self.exact_fills,
         }
 
-    def _register_dependencies(self, image_id: str, sequence: EditSequence) -> None:
-        """Record reverse edges from every referenced image to ``image_id``."""
-        for referenced in sequence.referenced_ids():
+    def _register_dependencies(self, image_id: str, refs: Tuple[str, ...]) -> None:
+        """Record reverse edges from every image of ``refs`` to ``image_id``."""
+        for referenced in refs:
             self._dependents.setdefault(referenced, set()).add(image_id)
+        known = self._references.get(image_id)
+        if known != refs:
+            # Another set of references before an invalidation dropped
+            # the first: keep both, so the scrub finds every edge.
+            self._references[image_id] = (
+                refs if known is None else tuple(dict.fromkeys(known + refs))
+            )
+
+    def _stored(self, image_id: str) -> bool:
+        """Whether the store still holds ``image_id``."""
+        try:
+            self._store.lookup_for_bounds(image_id)
+        except ReproError:
+            return False
+        return True
 
 
 class _ScalarWalk:
@@ -978,7 +1024,7 @@ class _ScalarWalk:
             return (count, count, height, width)
         if isinstance(record, EditSequence):
             if engine._memo_on:
-                engine._register_dependencies(image_id, record)
+                engine._register_dependencies(image_id, record.referenced_ids())
             self._visiting.add(image_id)
             result = self.sequence(record)
             self._visiting.discard(image_id)

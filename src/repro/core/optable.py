@@ -23,7 +23,6 @@ column            dtype / shape           contents
 ``floats``        float64 ``(ops, 6)``    affine matrix ``m11 m12 m13 m21 m22 m23``
 ``trefs``         int32 ``(ops,)``        Merge-target slot in ``target_ids``
 ``offsets``       int64 ``(rows + 1,)``   row ``r`` owns ``codes[offsets[r]:offsets[r+1]]``
-``alive``         bool ``(rows,)``        tombstone flag (false = dead row)
 ================  ======================  =====================================
 
 Modify colors are pre-quantized to bin indices at compile time and Mutate
@@ -109,19 +108,20 @@ OP_CODE_NAMES: Dict[int, str] = {
 }
 
 #: ``fail(row, error)``: a per-row rule failure during a batched kernel.
-#: The row index is the *global* table row; the sweep maps it back to an
-#: image id, :func:`apply_rule_batched` keeps it as a state index.
+#: The row index is a state row; the sweep maps it back to an image id,
+#: :func:`apply_rule_batched` keeps it as is.
 FailCallback = Callable[[int, RuleError], None]
 
 #: Resolver used by the Merge-target kernel: maps the surviving rows of
 #: one batched group (plus their positions in the kernel's original
 #: ``rows`` argument) to target interval matrices.  Returns a boolean
-#: "resolved" mask aligned with the input rows plus the target columns
-#: for the resolved subset; unresolved rows must have been reported
-#: through the fail callback already.
+#: "resolved" mask aligned with the input rows plus, for the resolved
+#: subset, the targets' ``lo`` / ``hi`` rows and ``(height, width)``
+#: pairs; unresolved rows must have been reported through the fail
+#: callback already.
 BatchTargetResolver = Callable[
     [np.ndarray, np.ndarray],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
 
 #: Returns ``(lo, hi, height, width)`` for a Merge target over all bins
@@ -149,32 +149,35 @@ class BatchRuleContext:
         return self.quantizer.bin_of(self.fill_color)
 
 
-@dataclass
 class BatchRuleState:
     """Interval-walk state for many images at once (SoA mirror of
     :class:`repro.core.rules.RuleState` over every bin).
 
-    ``lo``/``hi`` are ``(rows, bins)`` int64 matrices; ``heights``,
-    ``widths`` are ``(rows,)`` int64 vectors; ``dr`` is ``(rows, 4)``
-    int64 holding ``(x1, y1, x2, y2)`` with empty regions normalized to
-    all zeros, exactly like :data:`repro.images.geometry.EMPTY_RECT`.
+    ``lo``/``hi`` are ``(rows, bins)`` int64 matrices.  ``geometry`` is
+    ``(rows, 6)`` int64: the Defined Region ``(x1, y1, x2, y2)``, with
+    empty regions normalized to all zeros exactly like
+    :data:`repro.images.geometry.EMPTY_RECT`, then the image ``(height,
+    width)``.  ``dr``, ``heights`` and ``widths`` are views of it, so a
+    kernel reads a row's whole geometry with one gather.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    heights: np.ndarray
-    widths: np.ndarray
-    dr: np.ndarray
+    __slots__ = ("lo", "hi", "geometry", "dr", "heights", "widths")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, geometry: np.ndarray) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.geometry = geometry
+        self.dr = geometry[:, :4]
+        self.heights = geometry[:, 4]
+        self.widths = geometry[:, 5]
 
     @classmethod
     def zeros(cls, rows: int, bins: int) -> "BatchRuleState":
         """An all-zero state block for ``rows`` images over ``bins`` bins."""
         return cls(
-            lo=np.zeros((rows, bins), dtype=np.int64),
-            hi=np.zeros((rows, bins), dtype=np.int64),
-            heights=np.zeros(rows, dtype=np.int64),
-            widths=np.zeros(rows, dtype=np.int64),
-            dr=np.zeros((rows, 4), dtype=np.int64),
+            np.zeros((rows, bins), dtype=np.int64),
+            np.zeros((rows, bins), dtype=np.int64),
+            np.zeros((rows, 6), dtype=np.int64),
         )
 
     @classmethod
@@ -223,13 +226,32 @@ def _row_to_rect(row: np.ndarray) -> Rect:
     return Rect(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
 
 
-def _dr_areas(state: BatchRuleState, rows: np.ndarray) -> np.ndarray:
-    d = state.dr[rows]
-    return (d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1])
+def _areas(extent: np.ndarray) -> np.ndarray:
+    """``height * width`` of ``(n, 2)`` extents: DR sizes or image dims."""
+    return extent[:, 0] * extent[:, 1]
 
 
-def _totals(state: BatchRuleState, rows: np.ndarray) -> np.ndarray:
-    return state.heights[rows] * state.widths[rows]
+def _canvas(dims: np.ndarray) -> np.ndarray:
+    """Geometry rows of ``(n, 2)`` new image dims whose DR is the whole
+    image (what Mutate-scale and both Merges leave behind)."""
+    return np.concatenate((np.zeros_like(dims), dims, dims), axis=1)
+
+
+def _widen(
+    state: BatchRuleState, rows: np.ndarray, amount: np.ndarray, total: np.ndarray
+) -> None:
+    """``lo - amount`` / ``hi + amount``, each clipped to ``[0, total]``
+    (``np.clip``'s ``min(max(x, 0), total)``, in place)."""
+    lo = state.lo[rows]
+    lo -= amount
+    np.maximum(lo, 0, out=lo)
+    np.minimum(lo, total, out=lo)
+    state.lo[rows] = lo
+    hi = state.hi[rows]
+    hi += amount
+    np.maximum(hi, 0, out=hi)
+    np.minimum(hi, total, out=hi)
+    state.hi[rows] = hi
 
 
 def _validate_rows(
@@ -245,9 +267,11 @@ def _validate_rows(
         return rows
     lo = state.lo[rows]
     hi = state.hi[rows]
-    total = _totals(state, rows)
+    total = _areas(state.geometry[rows, 4:])
     bad = (lo < 0) | (lo > hi) | (hi > total[:, None])
     ok = ~bad.any(axis=1)
+    if ok.all():
+        return rows
     for position in np.flatnonzero(~ok):
         column = int(bad[position].argmax())
         fail(
@@ -263,32 +287,29 @@ def _validate_rows(
 # ----------------------------------------------------------------------
 # Masked batched Table-1 kernels
 #
-# Each kernel mutates `state` in place for `rows` (global row indices)
+# Each kernel mutates `state` in place for `rows` (state row indices)
 # with per-row parameter columns, reproducing the matching scalar rule's
 # branch arithmetic exactly for every bin — same clip bounds, same int64
-# promotion, same IEEE float evaluation order.
+# promotion, same IEEE float evaluation order.  They are written for few
+# numpy calls: a sweep after a write runs them over a handful of rows,
+# where each call costs more than its arithmetic.
 # ----------------------------------------------------------------------
 def _kernel_define(
     state: BatchRuleState, rows: np.ndarray, rect4: np.ndarray
 ) -> None:
     """Define: ``dr = rect.clip(height, width)``, bins untouched."""
-    h = state.heights[rows]
-    w = state.widths[rows]
-    x1 = np.maximum(rect4[:, 0], 0)
-    y1 = np.maximum(rect4[:, 1], 0)
-    x2 = np.minimum(rect4[:, 2], h)
-    y2 = np.minimum(rect4[:, 3], w)
-    out = np.stack([x1, y1, x2, y2], axis=1)
-    out[(x2 <= x1) | (y2 <= y1)] = 0
-    state.dr[rows] = out
+    low = np.maximum(rect4[:, :2], 0)
+    high = np.minimum(rect4[:, 2:], state.geometry[rows, 4:])
+    dr = np.concatenate((low, high), axis=1)
+    dr[(high <= low).any(axis=1)] = 0
+    state.dr[rows] = dr
 
 
 def _kernel_combine(state: BatchRuleState, rows: np.ndarray) -> None:
     """Combine: every DR pixel may enter or leave any bin."""
-    area = _dr_areas(state, rows)[:, None]
-    total = _totals(state, rows)[:, None]
-    state.lo[rows] = np.clip(state.lo[rows] - area, 0, total)
-    state.hi[rows] = np.clip(state.hi[rows] + area, 0, total)
+    geometry = state.geometry[rows]
+    area = _areas(geometry[:, 2:4] - geometry[:, :2])
+    _widen(state, rows, area[:, None], _areas(geometry[:, 4:])[:, None])
 
 
 def _kernel_modify(
@@ -299,166 +320,145 @@ def _kernel_modify(
 ) -> None:
     """Modify: two-element update per row; same-bin rows are no-ops."""
     moved = old_bins != new_bins
-    sub = rows[moved]
-    if sub.size == 0:
-        return
-    area = _dr_areas(state, sub)
-    total = _totals(state, sub)
-    nb = new_bins[moved]
-    ob = old_bins[moved]
-    state.hi[sub, nb] = np.minimum(state.hi[sub, nb] + area, total)
-    state.lo[sub, ob] = np.maximum(state.lo[sub, ob] - area, 0)
+    if not moved.all():
+        rows, old_bins, new_bins = rows[moved], old_bins[moved], new_bins[moved]
+        if rows.size == 0:
+            return
+    geometry = state.geometry[rows]
+    area = _areas(geometry[:, 2:4] - geometry[:, :2])
+    total = _areas(geometry[:, 4:])
+    state.hi[rows, new_bins] = np.minimum(state.hi[rows, new_bins] + area, total)
+    state.lo[rows, old_bins] = np.maximum(state.lo[rows, old_bins] - area, 0)
+
+
+#: A DR's four corners ``(x, y)`` as ``transform_rect_bbox`` lists them:
+#: ``x1`` / ``x2 - 1`` against ``y1`` / ``y2 - 1``, as columns of the DR
+#: and the offsets subtracted from them.
+_CORNER_X, _CORNER_DX = [0, 0, 2, 2], np.array([0, 0, 1, 1])
+_CORNER_Y, _CORNER_DY = [1, 3, 1, 3], np.array([0, 1, 0, 1])
 
 
 def _kernel_mutate(
     state: BatchRuleState,
     rows: np.ndarray,
     fmat: np.ndarray,
-    int_scale: np.ndarray,
-    sx: np.ndarray,
-    sy: np.ndarray,
+    scale: Optional[np.ndarray],
 ) -> None:
     """Mutate: scale / general branches, selected per row at runtime.
 
-    ``int_scale`` marks rows whose matrix is an integer axis scale; the
+    ``scale`` holds the integer ``(sx, sy)`` factors of rows whose matrix
+    is an integer axis scale, ``None`` for general matrices; the
     whole-image test (``dr.contains(image_bounds)``) depends on the
     evolving DR, so it is evaluated here, not at compile time.  Identity
     matrices never reach this kernel (``OP_MUTATE_IDENTITY`` is a no-op
     at dispatch), matching the scalar early return.
     """
-    d = state.dr[rows]
-    active = (d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1]) > 0
-    if not active.any():
-        return
-    rows = rows[active]
-    d = d[active]
-    fmat = fmat[active]
-    int_scale = int_scale[active]
-    h = state.heights[rows]
-    w = state.widths[rows]
-    whole = (d[:, 0] <= 0) & (d[:, 1] <= 0) & (d[:, 2] >= h) & (d[:, 3] >= w)
-    scale_sel = int_scale & whole
-
-    if scale_sel.any():
-        sub = rows[scale_sel]
-        fx = sx[active][scale_sel]
-        fy = sy[active][scale_sel]
-        factor = (fx * fy)[:, None]
-        state.lo[sub] = state.lo[sub] * factor
-        state.hi[sub] = state.hi[sub] * factor
-        nh = h[scale_sel] * fx
-        nw = w[scale_sel] * fy
-        state.heights[sub] = nh
-        state.widths[sub] = nw
-        zeros = np.zeros_like(nh)
-        state.dr[sub] = np.stack([zeros, zeros, nh, nw], axis=1)
-
-    general = ~scale_sel
-    if general.any():
-        sub = rows[general]
-        dg = d[general]
-        hg = h[general]
-        wg = w[general]
-        # Corner fan-out of transform_rect_bbox: the DR is non-empty here,
-        # so the scalar max(x1, x2 - 1) clamps never fire.
-        cx = np.stack([dg[:, 0], dg[:, 0], dg[:, 2] - 1, dg[:, 2] - 1], axis=1)
-        cy = np.stack([dg[:, 1], dg[:, 3] - 1, dg[:, 1], dg[:, 3] - 1], axis=1)
-        fg = fmat[general]
-        # Same association as AffineMatrix.apply_point: (m*x + m*y) + m13.
-        tx = fg[:, 0][:, None] * cx + fg[:, 1][:, None] * cy + fg[:, 2][:, None]
-        ty = fg[:, 3][:, None] * cx + fg[:, 4][:, None] * cy + fg[:, 5][:, None]
-        bx1 = np.floor(tx.min(axis=1)).astype(np.int64)
-        by1 = np.floor(ty.min(axis=1)).astype(np.int64)
-        bx2 = np.ceil(tx.max(axis=1)).astype(np.int64) + 1
-        by2 = np.ceil(ty.max(axis=1)).astype(np.int64) + 1
-        # .clip(height, width) of the bbox.
-        dx1 = np.maximum(bx1, 0)
-        dy1 = np.maximum(by1, 0)
-        dx2 = np.minimum(bx2, hg)
-        dy2 = np.minimum(by2, wg)
-        dest = np.stack([dx1, dy1, dx2, dy2], axis=1)
-        dest[(dx2 <= dx1) | (dy2 <= dy1)] = 0
-        dest_area = (dest[:, 2] - dest[:, 0]) * (dest[:, 3] - dest[:, 1])
-        # union_area_upper_bound: exact inclusion-exclusion.
-        ix1 = np.maximum(dg[:, 0], dest[:, 0])
-        iy1 = np.maximum(dg[:, 1], dest[:, 1])
-        ix2 = np.minimum(dg[:, 2], dest[:, 2])
-        iy2 = np.minimum(dg[:, 3], dest[:, 3])
-        inter = np.where(
-            (ix2 > ix1) & (iy2 > iy1), (ix2 - ix1) * (iy2 - iy1), 0
+    geometry = state.geometry[rows]
+    area = _areas(geometry[:, 2:4] - geometry[:, :2])
+    active = area > 0
+    if not active.all():
+        if not active.any():
+            return
+        rows, geometry, area, fmat = (
+            rows[active], geometry[active], area[active], fmat[active]
         )
-        dr_area = (dg[:, 2] - dg[:, 0]) * (dg[:, 3] - dg[:, 1])
-        affected = (dr_area + dest_area - inter)[:, None]
-        total = (hg * wg)[:, None]
-        state.lo[sub] = np.clip(state.lo[sub] - affected, 0, total)
-        state.hi[sub] = np.clip(state.hi[sub] + affected, 0, total)
-        state.dr[sub] = dest
+        scale = None if scale is None else scale[active]
+    dims = geometry[:, 4:]
+    if scale is not None:
+        whole = ((geometry[:, :2] <= 0) & (geometry[:, 2:4] >= dims)).all(axis=1)
+        if whole.any():
+            sub = rows[whole]
+            factors = scale[whole]
+            factor = (factors[:, 0] * factors[:, 1])[:, None]
+            state.lo[sub] = state.lo[sub] * factor
+            state.hi[sub] = state.hi[sub] * factor
+            state.geometry[sub] = _canvas(dims[whole] * factors)
+            if whole.all():
+                return
+            general = ~whole
+            rows, geometry, area, fmat = (
+                rows[general], geometry[general], area[general], fmat[general]
+            )
+            dims = geometry[:, 4:]
+
+    dr = geometry[:, :4]
+    # Corner fan-out of transform_rect_bbox: the DR is non-empty here,
+    # so the scalar max(x1, x2 - 1) clamps never fire.
+    cx = (dr[:, _CORNER_X] - _CORNER_DX)[:, None, :]
+    cy = (dr[:, _CORNER_Y] - _CORNER_DY)[:, None, :]
+    # Rows of the matrix against the corners, (rows, 2, 4): the same
+    # association as AffineMatrix.apply_point, (m*x + m*y) + m13.
+    m = fmat.reshape(-1, 2, 3)
+    moved = m[:, :, :1] * cx + m[:, :, 1:2] * cy + m[:, :, 2:]
+    low = np.floor(moved.min(axis=2)).astype(np.int64)
+    high = np.ceil(moved.max(axis=2)).astype(np.int64) + 1
+    # .clip(height, width) of the bbox.
+    np.maximum(low, 0, out=low)
+    np.minimum(high, dims, out=high)
+    empty = (high <= low).any(axis=1)
+    if empty.any():
+        low[empty] = 0
+        high[empty] = 0
+    # union_area_upper_bound: exact inclusion-exclusion.
+    overlap = np.minimum(dr[:, 2:], high) - np.maximum(dr[:, :2], low)
+    np.maximum(overlap, 0, out=overlap)
+    affected = area + _areas(high - low) - _areas(overlap)
+    _widen(state, rows, affected[:, None], _areas(dims)[:, None])
+    state.dr[rows] = np.concatenate((low, high), axis=1)
 
 
 def _kernel_merge_crop(
     state: BatchRuleState, rows: np.ndarray, fail: FailCallback
 ) -> int:
     """Merge with NULL target; returns the number of rows applied."""
-    live, _ = _merge_live_rows(state, rows, fail)
+    live, _, size, area, total = _merge_live_rows(state, rows, fail)
     if live.size == 0:
         return 0
-    d = state.dr[live]
-    area = (d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1])
-    outside = _totals(state, live) - area
-    state.lo[live] = np.maximum(state.lo[live] - outside[:, None], 0)
+    outside = (total - area)[:, None]
+    state.lo[live] = np.maximum(state.lo[live] - outside, 0)
     state.hi[live] = np.minimum(state.hi[live], area[:, None])
-    nh = d[:, 2] - d[:, 0]
-    nw = d[:, 3] - d[:, 1]
-    state.heights[live] = nh
-    state.widths[live] = nw
-    zeros = np.zeros_like(nh)
-    state.dr[live] = np.stack([zeros, zeros, nh, nw], axis=1)
+    state.geometry[live] = _canvas(size)
     return int(_validate_rows(state, live, fail).size)
 
 
 def _kernel_merge_target(
     state: BatchRuleState,
     rows: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+    paste: np.ndarray,
     resolve: BatchTargetResolver,
     fill_bin: int,
     fail: FailCallback,
 ) -> int:
-    """Merge onto resolved targets; returns the number of rows applied.
+    """Merge onto resolved targets at ``paste`` ``(x, y)``; returns the
+    number of rows applied.
 
     The empty-DR check precedes target resolution, matching the scalar
     rule's raise order; ``resolve`` reports per-row resolution failures
     through ``fail`` itself and returns the surviving subset.
     """
-    live, live_pos = _merge_live_rows(state, rows, fail)
+    live, live_pos, size, area, total = _merge_live_rows(state, rows, fail)
     if live.size == 0:
         return 0
-    ok, t_lo, t_hi, t_h, t_w = resolve(live, live_pos)
-    sub = live[ok]
-    if sub.size == 0:
-        return 0
-    sub_pos = live_pos[ok]
-    x = x[sub_pos]
-    y = y[sub_pos]
-    d = state.dr[sub]
-    dr_h = d[:, 2] - d[:, 0]
-    dr_w = d[:, 3] - d[:, 1]
-    area = dr_h * dr_w
-    outside = _totals(state, sub) - area
-    dr_lo = np.maximum(state.lo[sub] - outside[:, None], 0)
+    ok, t_lo, t_hi, t_dims = resolve(live, live_pos)
+    sub = live
+    if not ok.all():
+        sub, live_pos, size, area, total = (
+            live[ok], live_pos[ok], size[ok], area[ok], total[ok]
+        )
+        if sub.size == 0:
+            return 0
+    paste = paste[live_pos]
+    dr_lo = np.maximum(state.lo[sub] - (total - area)[:, None], 0)
     dr_hi = np.minimum(state.hi[sub], area[:, None])
-    t_total = t_h * t_w
-    # merge_canvas_geometry over rows.
-    nh = np.maximum(x + dr_h, t_h) - np.minimum(x, 0)
-    nw = np.maximum(y + dr_w, t_w) - np.minimum(y, 0)
-    # covered = paste_rect.intersect(target bounds).area
-    ix1 = np.maximum(x, 0)
-    iy1 = np.maximum(y, 0)
-    ix2 = np.minimum(x + dr_h, t_h)
-    iy2 = np.minimum(y + dr_w, t_w)
-    covered = np.where((ix2 > ix1) & (iy2 > iy1), (ix2 - ix1) * (iy2 - iy1), 0)
-    fill_count = nh * nw - area - t_total + covered
+    t_total = _areas(t_dims)
+    # merge_canvas_geometry over rows, and the part of the target the
+    # pasted DR covers (paste_rect.intersect(target bounds).area).
+    far = paste + size
+    canvas = np.maximum(far, t_dims) - np.minimum(paste, 0)
+    overlap = np.minimum(far, t_dims) - np.maximum(paste, 0)
+    np.maximum(overlap, 0, out=overlap)
+    covered = _areas(overlap)
+    fill_count = _areas(canvas) - area - t_total + covered
     lo = dr_lo + np.maximum(t_lo - covered[:, None], 0)
     hi = dr_hi + np.minimum(t_hi, (t_total - covered)[:, None])
     # Adding zero is the vectorized form of the scalar `if fill_count:`.
@@ -466,28 +466,31 @@ def _kernel_merge_target(
     hi[:, fill_bin] += fill_count
     state.lo[sub] = lo
     state.hi[sub] = hi
-    state.heights[sub] = nh
-    state.widths[sub] = nw
-    zeros = np.zeros_like(nh)
-    state.dr[sub] = np.stack([zeros, zeros, nh, nw], axis=1)
+    state.geometry[sub] = _canvas(canvas)
     return int(_validate_rows(state, sub, fail).size)
 
 
 def _merge_live_rows(
     state: BatchRuleState, rows: np.ndarray, fail: FailCallback
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fail the empty-DR rows of a Merge group.
 
-    Returns ``(live, live_pos)``: the surviving rows and their positions
-    within the original ``rows`` argument (so aligned per-op columns can
-    be sliced without searching).
+    Returns ``(live, live_pos, size, area, total)``: the surviving rows,
+    their positions within the original ``rows`` argument (so aligned
+    per-op columns can be sliced without searching), and their DR
+    ``(height, width)``, DR area and pixel total.
     """
-    areas = _dr_areas(state, rows)
-    empty = areas == 0
-    for row in rows[empty]:
-        fail(int(row), RuleError("Merge rule requires a non-empty Defined Region"))
-    live_pos = np.nonzero(~empty)[0]
-    return rows[live_pos], live_pos
+    geometry = state.geometry[rows]
+    size = geometry[:, 2:4] - geometry[:, :2]
+    area = _areas(size)
+    total = _areas(geometry[:, 4:])
+    empty = area == 0
+    if not empty.any():
+        return rows, np.arange(rows.size), size, area, total
+    for row in rows[empty].tolist():
+        fail(row, RuleError("Merge rule requires a non-empty Defined Region"))
+    live_pos = np.flatnonzero(~empty)
+    return rows[live_pos], live_pos, size[live_pos], area[live_pos], total[live_pos]
 
 
 def _classify_mutate(op: Mutate) -> Tuple[int, int, int]:
@@ -556,23 +559,19 @@ def _apply_code(
     elif code == OP_COMBINE:
         _kernel_combine(state, rows)
     elif code == OP_MODIFY:
-        _kernel_modify(state, rows, params[idx, 0], params[idx, 1])
+        lowered = params[idx]
+        _kernel_modify(state, rows, lowered[:, 0], lowered[:, 1])
     elif code == OP_MUTATE_IDENTITY:
         pass
-    elif code in (OP_MUTATE_SCALE, OP_MUTATE_GENERAL):
-        _kernel_mutate(
-            state,
-            rows,
-            floats[idx],
-            np.full(rows.size, code == OP_MUTATE_SCALE, dtype=bool),
-            params[idx, 0],
-            params[idx, 1],
-        )
+    elif code == OP_MUTATE_SCALE:
+        _kernel_mutate(state, rows, floats[idx], params[idx, :2])
+    elif code == OP_MUTATE_GENERAL:
+        _kernel_mutate(state, rows, floats[idx], None)
     elif code == OP_MERGE_CROP:
         _kernel_merge_crop(state, rows, fail)
     elif code == OP_MERGE_TARGET:
         _kernel_merge_target(
-            state, rows, params[idx, 0], params[idx, 1], resolver(), fill_bin, fail
+            state, rows, params[idx, :2], resolver(), fill_bin, fail
         )
     else:  # pragma: no cover — lowering assigns only known codes
         raise RuleError(f"unknown op code {code}")
@@ -603,12 +602,12 @@ def apply_rule_batched(
 
     def resolve(
         live: np.ndarray, positions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         target_id = str(cast(Merge, op).target_id)
         bins = state.lo.shape[1]
         ok = np.zeros(live.size, dtype=bool)
         empty = np.zeros((0, bins), dtype=np.int64)
-        none = np.zeros(0, dtype=np.int64)
+        none = np.zeros((0, 2), dtype=np.int64)
         if ctx.resolve_target is None:
             for row in live:
                 fail(
@@ -617,20 +616,22 @@ def apply_rule_batched(
                         f"Merge target {target_id!r} requires a target resolver"
                     ),
                 )
-            return (ok, empty, empty, none, none)
+            return (ok, empty, empty, none)
         try:
             t_lo, t_hi, t_height, t_width = ctx.resolve_target(target_id)
         except RuleError as exc:
             for row in live:
                 fail(int(row), exc)
-            return (ok, empty, empty, none, none)
+            return (ok, empty, empty, none)
         ok[:] = True
         return (
             ok,
             np.broadcast_to(np.asarray(t_lo, dtype=np.int64), (live.size, bins)),
             np.broadcast_to(np.asarray(t_hi, dtype=np.int64), (live.size, bins)),
-            np.full(live.size, int(t_height), dtype=np.int64),
-            np.full(live.size, int(t_width), dtype=np.int64),
+            np.broadcast_to(
+                np.array([int(t_height), int(t_width)], dtype=np.int64),
+                (live.size, 2),
+            ),
         )
 
     code, params, floats = _lower(op, ctx.quantizer)
@@ -665,12 +666,12 @@ class CatalogOpTable:
     """Append-friendly structure-of-arrays over every edit sequence.
 
     Rows are append-only with tombstones: an insert appends a compiled
-    row, a delete flips ``alive`` off, and a resave is
-    tombstone-then-append (``row_of`` always points at the live row).
-    :meth:`seal` materializes the contiguous columns, concatenating only
-    rows added since the previous seal; :meth:`compact` rebuilds from
-    live rows once tombstones dominate.  ``version`` bumps on every
-    structural change so sweep plans can be cached against it.
+    row, a delete drops the id from ``row_of`` (its row stays, dead),
+    and a resave is tombstone-then-append (``row_of`` always points at
+    the live row).  :meth:`seal` materializes the contiguous columns,
+    copying only rows added since the previous seal; :meth:`compact`
+    rebuilds from live rows once tombstones dominate.  ``version`` bumps
+    on every structural change so sweep plans can be cached against it.
     """
 
     def __init__(self, quantizer: UniformQuantizer) -> None:
@@ -681,19 +682,22 @@ class CatalogOpTable:
         self.target_ids: List[str] = []
         self._target_index: Dict[str, int] = {}
         self._refs: List[Tuple[str, ...]] = []
-        self._alive: List[bool] = []
+        self._sequences: List[EditSequence] = []
         self._row_ops: List[_RowOps] = []
         self.version = 0
         #: Total sequence compilations ever — the append-friendliness
         #: metric (an insert must cost exactly one compile).
         self.compiled_rows = 0
         self._sealed_rows = 0
+        #: The columns are prefix views of buffers with spare room (a
+        #: quarter more when one fills), so a seal after one upsert
+        #: copies that row's ops and not the whole table.
+        self._buffers: Dict[str, np.ndarray] = {}
         self.codes = np.zeros(0, dtype=np.int8)
         self.params = np.zeros((0, 4), dtype=np.int64)
         self.floats = np.zeros((0, 6), dtype=np.float64)
         self.trefs = np.zeros(0, dtype=np.int32)
         self.offsets = np.zeros(1, dtype=np.int64)
-        self.alive = np.zeros(0, dtype=bool)
         #: Single-slot scheduling cache: repeat sweeps over an unchanged
         #: table and wanted set skip the reachability/stratification work.
         self._sweep_plan: Optional["_SweepPlan"] = None
@@ -726,7 +730,7 @@ class CatalogOpTable:
         self.image_ids.append(image_id)
         self.base_ids.append(sequence.base_id)
         self._refs.append(refs)
-        self._alive.append(True)
+        self._sequences.append(sequence)
         self._row_ops.append(row_ops)
         self.row_of[image_id] = row
         self.version += 1
@@ -735,10 +739,8 @@ class CatalogOpTable:
 
     def remove(self, image_id: str) -> bool:
         """Tombstone ``image_id``'s row; False when it has no live row."""
-        row = self.row_of.pop(image_id, None)
-        if row is None:
+        if self.row_of.pop(image_id, None) is None:
             return False
-        self._alive[row] = False
         self.version += 1
         return True
 
@@ -748,6 +750,13 @@ class CatalogOpTable:
         if row is None:
             raise UnknownObjectError(f"no op-table row for {image_id!r}")
         return self._refs[row]
+
+    def sequence_of(self, image_id: str) -> EditSequence:
+        """The sequence ``image_id``'s live row was compiled from."""
+        row = self.row_of.get(image_id)
+        if row is None:
+            raise UnknownObjectError(f"no op-table row for {image_id!r}")
+        return self._sequences[row]
 
     def refs_of_row(self, row: int) -> Tuple[str, ...]:
         """Like :meth:`refs_of` by row index (tombstoned rows included)."""
@@ -763,25 +772,48 @@ class CatalogOpTable:
 
     def seal(self) -> None:
         """Materialize the contiguous columns for rows added since last seal."""
-        if self._sealed_rows < len(self._row_ops):
-            fresh = self._row_ops[self._sealed_rows :]
-            self.codes = np.concatenate([self.codes] + [r.codes for r in fresh])
-            self.params = np.concatenate([self.params] + [r.params for r in fresh])
-            self.floats = np.concatenate([self.floats] + [r.floats for r in fresh])
-            self.trefs = np.concatenate([self.trefs] + [r.trefs for r in fresh])
-            lengths = np.array([len(r.codes) for r in fresh], dtype=np.int64)
-            self.offsets = np.concatenate(
-                [self.offsets, self.offsets[-1] + np.cumsum(lengths)]
-            )
-            self._sealed_rows = len(self._row_ops)
-        self.alive = np.array(self._alive, dtype=bool)
+        if self._sealed_rows == len(self._row_ops):
+            return
+        fresh = self._row_ops[self._sealed_rows :]
+        self.codes = self._extend("codes", self.codes, [r.codes for r in fresh])
+        self.params = self._extend("params", self.params, [r.params for r in fresh])
+        self.floats = self._extend("floats", self.floats, [r.floats for r in fresh])
+        self.trefs = self._extend("trefs", self.trefs, [r.trefs for r in fresh])
+        lengths = np.array([len(r.codes) for r in fresh], dtype=np.int64)
+        self.offsets = self._extend(
+            "offsets", self.offsets, [self.offsets[-1] + np.cumsum(lengths)]
+        )
+        self._sealed_rows = len(self._row_ops)
+
+    def _extend(
+        self, name: str, column: np.ndarray, blocks: List[np.ndarray]
+    ) -> np.ndarray:
+        """``column`` with ``blocks`` appended, as a prefix view of its
+        buffer.  Views handed out earlier stay valid: they end where the
+        new rows begin, and a grown buffer is a new array."""
+        used = len(column)
+        block = np.concatenate(blocks)
+        end = used + len(block)
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < end:
+            capacity = max(end + end // 4, 64)
+            buffer = np.empty((capacity,) + column.shape[1:], column.dtype)
+            buffer[:used] = column
+            self._buffers[name] = buffer
+        buffer[used:end] = block
+        return buffer[:end]
 
     def compact(self) -> None:
         """Rebuild the table from live rows, dropping tombstones."""
         live = [
-            (self.image_ids[row], self.base_ids[row], self._refs[row], ops)
-            for row, ops in enumerate(self._row_ops)
-            if self._alive[row]
+            (
+                self.image_ids[row],
+                self.base_ids[row],
+                self._refs[row],
+                self._sequences[row],
+                self._row_ops[row],
+            )
+            for row in sorted(self.row_of.values())
         ]
         quantizer = self._quantizer
         target_ids = self.target_ids
@@ -792,12 +824,12 @@ class CatalogOpTable:
         self.target_ids = target_ids
         self._target_index = target_index
         self.compiled_rows = compiled
-        for image_id, base_id, refs, ops in live:
+        for image_id, base_id, refs, sequence, ops in live:
             row = len(self.image_ids)
             self.image_ids.append(image_id)
             self.base_ids.append(base_id)
             self._refs.append(refs)
-            self._alive.append(True)
+            self._sequences.append(sequence)
             self._row_ops.append(ops)
             self.row_of[image_id] = row
         self.version = version + 1
@@ -841,18 +873,19 @@ class CatalogOpTable:
 class SweepOutcome:
     """Everything one batched sweep produced.
 
-    ``lo`` / ``hi`` (``table rows x bins``) and ``heights`` / ``widths``
-    are the sweep's read-only state matrices; ``rows[i]`` is the table
-    row of the ``i``-th requested id, so ``lo[rows]`` is the requested
-    block in request order and :meth:`view` hands out one id's
-    ``(lo, hi, height, width)`` —
+    ``lo`` / ``hi`` (``swept rows x bins``) and ``heights`` / ``widths``
+    are the sweep's read-only state matrices, one row per image the
+    sweep computed (``swept_ids``, in table order); ``rows[i]`` is the
+    state row of the ``i``-th requested id, so ``lo[rows]`` is the
+    requested block in request order and :meth:`view` hands out one
+    id's ``(lo, hi, height, width)`` —
     :data:`repro.core.bounds.AllBinsBounds` — on demand.  ``failures``
     holds the exact per-image error the scalar walk would have raised
     (a requested id the table has no row for fails too, with ``rows[i]``
-    left at ``-1``); ``swept_ids`` lists every row actually computed (requested images
-    plus transitive edited references) for dependency registration;
-    ``ops_applied`` counts successful rule applications, the §5 work
-    metric.
+    left at ``-1``); ``swept_ids`` lists every row actually computed
+    (requested images plus transitive edited references) for dependency
+    registration; ``ops_applied`` counts successful rule applications,
+    the §5 work metric.
     """
 
     lo: np.ndarray
@@ -875,16 +908,23 @@ class SweepOutcome:
         )
 
 
+#: One dispatch of a stratum: op ``code`` applied to state ``rows``,
+#: whose ops sit at ``idx`` in the table columns.
+_OpGroup = Tuple[int, np.ndarray, np.ndarray]
+
+
 @dataclass
 class _StratumPlan:
-    """One dependency stratum plus the structural split of how it seeds.
+    """One dependency stratum: how each row seeds and which ops it runs.
 
+    Rows here are *state* rows of the sweep, not table rows.
     ``binary_rows`` start from a base that has no table row (a binary
     image, or an id the store will reject): ``binary_ids`` are their
     distinct base ids and ``binary_src[i]`` indexes the one
     ``binary_rows[i]`` reads.  ``chained_rows`` start from the finished
-    interval of table row ``chained_base[i]``, whose reference height is
-    ``chained_height[i]`` (inf marks a cycle).
+    interval of state row ``chained_base[i]``, whose reference height is
+    ``chained_height[i]`` (inf marks a cycle).  ``groups`` are the
+    stratum's ops, rank by rank and, within a rank, by op code.
     """
 
     rows: np.ndarray
@@ -894,16 +934,20 @@ class _StratumPlan:
     chained_rows: np.ndarray
     chained_base: np.ndarray
     chained_height: np.ndarray
+    groups: List[_OpGroup]
 
 
 @dataclass
 class _SweepPlan:
-    """Cached scheduling artifacts for one (table version, request).
+    """Scheduling artifacts of one (table version, request).
 
-    Reachability, stratification, how each stratum's rows seed and which
-    row answers which requested id are pure functions of the table
-    structure and the request, so repeat sweeps — the steady state once
-    the table is compiled — reuse them and go straight to fetching base
+    The sweep computes only the rows its request reaches, so its state
+    has one row per ``swept_ids`` entry (table order) and ``row_of``
+    maps an id to its state row.  Reachability, stratification, how
+    each stratum's rows seed, its op groups and which row answers which
+    requested id are pure functions of the table structure and the
+    request, so a repeat sweep — the steady state once the table is
+    compiled — reuses them and goes straight to fetching base
     histograms and kernel dispatch.  Nothing here depends on store
     *data* or on the per-call ``max_depth``; everything is read-only
     during a sweep.
@@ -913,12 +957,203 @@ class _SweepPlan:
     wanted: Tuple[str, ...]
     wanted_rows: np.ndarray
     swept_ids: Tuple[str, ...]
-    heights: Dict[int, float]
+    row_of: Dict[str, int]
+    heights: np.ndarray
     strata: List[_StratumPlan]
 
 
+def _plan_sweep(table: CatalogOpTable, wanted: Tuple[str, ...]) -> _SweepPlan:
+    """The plan of a sweep for ``wanted`` over ``table`` (sealed)."""
+    rows = _needed_rows(table, wanted)
+    swept_ids = tuple(table.image_ids[row] for row in rows)
+    row_of = {image_id: state_row for state_row, image_id in enumerate(swept_ids)}
+    refs = [table.refs_of_row(row) for row in rows]
+    # Each row's references that are themselves swept, as state rows.
+    children = [[row_of[ref] for ref in each if ref in row_of] for each in refs]
+    heights = _ref_heights(children)
+    table_rows = np.array(rows, dtype=np.int64)
+    strata = [
+        _stratum_plan(table, stratum, table_rows[stratum], refs, row_of, heights)
+        for stratum in _strata(refs, row_of, heights)
+    ]
+    return _SweepPlan(
+        version=table.version,
+        wanted=wanted,
+        wanted_rows=np.array([row_of.get(i, -1) for i in wanted], dtype=np.int64),
+        swept_ids=swept_ids,
+        row_of=row_of,
+        heights=heights,
+        strata=strata,
+    )
+
+
+def _needed_rows(table: CatalogOpTable, wanted: Sequence[str]) -> List[int]:
+    """Table rows reachable from the wanted ids through live references."""
+    seen: Set[int] = set()
+    stack = [table.row_of[image_id] for image_id in wanted if image_id in table.row_of]
+    while stack:
+        row = stack.pop()
+        if row in seen:
+            continue
+        seen.add(row)
+        for ref in table.refs_of_row(row):
+            ref_row = table.row_of.get(ref)
+            if ref_row is not None and ref_row not in seen:
+                stack.append(ref_row)
+    return sorted(seen)
+
+
+def _ref_heights(children: List[List[int]]) -> np.ndarray:
+    """Longest ref-path (edges) to a leaf per row; inf marks cycles."""
+    waiting = [len(each) for each in children]
+    dependents: Dict[int, List[int]] = {}
+    for row, each in enumerate(children):
+        for child in each:
+            dependents.setdefault(child, []).append(row)
+    heights = np.full(len(children), math.inf)
+    ready = [row for row, count in enumerate(waiting) if count == 0]
+    while ready:
+        row = ready.pop()
+        below = (heights[child] for child in children[row])
+        heights[row] = 1.0 + max(below, default=0.0)
+        for dependent in dependents.get(row, ()):
+            waiting[dependent] -= 1
+            if waiting[dependent] == 0:
+                ready.append(dependent)
+    return heights
+
+
+def _base_chain_height(
+    row: int,
+    refs: List[Tuple[str, ...]],
+    row_of: Dict[str, int],
+    memo: Dict[int, float],
+) -> float:
+    """Height along base edges only; inf for base-chain cycles."""
+    chain: List[int] = []
+    on_chain: Set[int] = set()
+    current: Optional[int] = row
+    while current is not None and current not in memo:
+        if current in on_chain:
+            for member in chain:
+                memo[member] = math.inf
+            break
+        chain.append(current)
+        on_chain.add(current)
+        current = row_of.get(refs[current][0])
+    for member in reversed(chain):
+        if member in memo:
+            continue
+        base_row = row_of.get(refs[member][0])
+        memo[member] = 1.0 if base_row is None else 1.0 + memo.get(base_row, math.inf)
+    return memo[row]
+
+
+def _strata(
+    refs: List[Tuple[str, ...]], row_of: Dict[str, int], heights: np.ndarray
+) -> List[np.ndarray]:
+    """Dependency-safe batches of state rows: references always land in
+    earlier ones."""
+    finite: Dict[float, List[int]] = {}
+    infinite: List[int] = []
+    for row, height in enumerate(heights.tolist()):
+        if math.isinf(height):
+            infinite.append(row)
+        else:
+            finite.setdefault(height, []).append(row)
+    strata = [np.array(finite[height], dtype=np.int64) for height in sorted(finite)]
+    if infinite:
+        # Rows above reference cycles still need their base values in
+        # order, so batch them by base-chain height; base-cycle rows
+        # fail at init and can share the final batch.
+        memo: Dict[int, float] = {}
+        buckets: Dict[float, List[int]] = {}
+        tail: List[int] = []
+        for row in infinite:
+            chain_height = _base_chain_height(row, refs, row_of, memo)
+            if math.isinf(chain_height):
+                tail.append(row)
+            else:
+                buckets.setdefault(chain_height, []).append(row)
+        strata.extend(
+            np.array(buckets[height], dtype=np.int64) for height in sorted(buckets)
+        )
+        if tail:
+            strata.append(np.array(tail, dtype=np.int64))
+    return strata
+
+
+def _stratum_plan(
+    table: CatalogOpTable,
+    rows: np.ndarray,
+    table_rows: np.ndarray,
+    refs: List[Tuple[str, ...]],
+    row_of: Dict[str, int],
+    heights: np.ndarray,
+) -> _StratumPlan:
+    """Split a stratum by where each row's starting interval comes from,
+    and group its ops for dispatch."""
+    binary_rows: List[int] = []
+    binary_src: List[int] = []
+    binary_slot: Dict[str, int] = {}
+    chained_rows: List[int] = []
+    chained_base: List[int] = []
+    for row in rows.tolist():
+        base_id = refs[row][0]
+        base_row = row_of.get(base_id)
+        if base_row is None:
+            binary_rows.append(row)
+            binary_src.append(binary_slot.setdefault(base_id, len(binary_slot)))
+        else:
+            chained_rows.append(row)
+            chained_base.append(base_row)
+    chained = np.array(chained_base, dtype=np.int64)
+    return _StratumPlan(
+        rows=rows,
+        binary_rows=np.array(binary_rows, dtype=np.int64),
+        binary_ids=tuple(binary_slot),
+        binary_src=np.array(binary_src, dtype=np.int64),
+        chained_rows=np.array(chained_rows, dtype=np.int64),
+        chained_base=chained,
+        chained_height=heights[chained],
+        groups=_op_groups(table, rows, table_rows),
+    )
+
+
+def _op_groups(
+    table: CatalogOpTable, rows: np.ndarray, table_rows: np.ndarray
+) -> List[_OpGroup]:
+    """Every op of ``rows`` grouped by (rank, code), ranks in order.
+
+    One stable sort of the flattened ops on ``rank * codes + code``: the
+    groups come out rank by rank and code by code, rows in order within
+    each, so the sweep dispatches them as they come.
+    """
+    starts = table.offsets[table_rows]
+    lengths = table.offsets[table_rows + 1] - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return []
+    rank = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    idx = np.repeat(starts, lengths) + rank
+    codes = table.codes[idx]
+    key = rank * len(OP_CODE_NAMES) + codes
+    order = np.argsort(key, kind="stable")
+    key, idx, op_rows = key[order], idx[order], np.repeat(rows, lengths)[order]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), total]
+    return [
+        (int(key[start]) % len(OP_CODE_NAMES), op_rows[start:end], idx[start:end])
+        for start, end in zip(cuts, cuts[1:])
+    ]
+
+
 class _Sweep:
-    """One sweep execution: scheduling, init, rank dispatch, errors."""
+    """One sweep execution: init, rank dispatch, errors.
+
+    Its state holds only the rows the request reaches (the plan's
+    ``swept_ids``), so a sweep over a few rows pays for those rows,
+    not for the table.
+    """
 
     def __init__(
         self,
@@ -931,161 +1166,23 @@ class _Sweep:
         table.seal()
         self.table = table
         self.store = store
-        self.fill_color = fill_color
         self.max_depth = max_depth
-        self.wanted = tuple(wanted)
         self.bins = table.quantizer.bin_count
         self.fill_bin = table.quantizer.bin_of(fill_color)
-        self.state = BatchRuleState.zeros(table.row_count, self.bins)
+        wanted = tuple(wanted)
+        plan = table._sweep_plan
+        if plan is None or plan.version != table.version or plan.wanted != wanted:
+            plan = table._sweep_plan = _plan_sweep(table, wanted)
+        self.plan = plan
+        rows = len(plan.swept_ids)
+        self.state = BatchRuleState.zeros(rows, self.bins)
         self.failed: Dict[int, ReproError] = {}
-        self.failed_mask = np.zeros(table.row_count, dtype=bool)
-        self.done = np.zeros(table.row_count, dtype=bool)
-        self.heights: Dict[int, float] = {}
+        self.failed_mask = np.zeros(rows, dtype=bool)
+        self.done = np.zeros(rows, dtype=bool)
         self.ops_applied = 0
         self._binary_memo: Dict[
             str, Union[Tuple[np.ndarray, int, int], ReproError]
         ] = {}
-
-    # -- scheduling ----------------------------------------------------
-    def _needed_rows(self) -> List[int]:
-        """Rows reachable from the wanted ids through live references."""
-        table = self.table
-        seen: Set[int] = set()
-        stack = [
-            table.row_of[image_id]
-            for image_id in self.wanted
-            if image_id in table.row_of
-        ]
-        while stack:
-            row = stack.pop()
-            if row in seen:
-                continue
-            seen.add(row)
-            for ref in table.refs_of_row(row):
-                ref_row = table.row_of.get(ref)
-                if ref_row is not None and ref_row not in seen:
-                    stack.append(ref_row)
-        return sorted(seen)
-
-    def _ref_heights(self, rows: Sequence[int]) -> Dict[int, float]:
-        """Longest ref-path (edges) to a leaf per row; inf marks cycles."""
-        table = self.table
-        children: Dict[int, List[int]] = {}
-        waiting: Dict[int, int] = {}
-        dependents: Dict[int, List[int]] = {}
-        for row in rows:
-            refs = [
-                table.row_of[ref]
-                for ref in table.refs_of_row(row)
-                if ref in table.row_of
-            ]
-            children[row] = refs
-            waiting[row] = len(refs)
-            for ref_row in refs:
-                dependents.setdefault(ref_row, []).append(row)
-        heights: Dict[int, float] = {}
-        ready = [row for row in rows if waiting[row] == 0]
-        while ready:
-            row = ready.pop()
-            heights[row] = 1.0 + max(
-                (heights[child] for child in children[row]), default=0.0
-            )
-            for dependent in dependents.get(row, ()):
-                waiting[dependent] -= 1
-                if waiting[dependent] == 0:
-                    ready.append(dependent)
-        for row in rows:
-            heights.setdefault(row, math.inf)
-        return heights
-
-    def _base_chain_height(self, row: int, memo: Dict[int, float]) -> float:
-        """Height along base edges only; inf for base-chain cycles."""
-        table = self.table
-        chain: List[int] = []
-        on_chain: Set[int] = set()
-        current: Optional[int] = row
-        while current is not None and current not in memo:
-            if current in on_chain:
-                for member in chain:
-                    memo[member] = math.inf
-                break
-            chain.append(current)
-            on_chain.add(current)
-            current = table.row_of.get(table.base_ids[current])
-        for member in reversed(chain):
-            if member in memo:
-                continue
-            base_row = table.row_of.get(table.base_ids[member])
-            memo[member] = (
-                1.0 if base_row is None else 1.0 + memo.get(base_row, math.inf)
-            )
-        return memo[row]
-
-    def _strata(self, rows: List[int]) -> List[_StratumPlan]:
-        """Dependency-safe batches: references always land in earlier ones."""
-        self.heights = self._ref_heights(rows)
-        finite: Dict[float, List[int]] = {}
-        infinite: List[int] = []
-        for row in rows:
-            height = self.heights[row]
-            if math.isinf(height):
-                infinite.append(row)
-            else:
-                finite.setdefault(height, []).append(row)
-        strata = [
-            np.array(sorted(finite[height]), dtype=np.int64)
-            for height in sorted(finite)
-        ]
-        if infinite:
-            # Rows above reference cycles still need their base values in
-            # order, so batch them by base-chain height; base-cycle rows
-            # fail at init and can share the final batch.
-            memo: Dict[int, float] = {}
-            buckets: Dict[float, List[int]] = {}
-            tail: List[int] = []
-            for row in infinite:
-                chain_height = self._base_chain_height(row, memo)
-                if math.isinf(chain_height):
-                    tail.append(row)
-                else:
-                    buckets.setdefault(chain_height, []).append(row)
-            strata.extend(
-                np.array(sorted(buckets[height]), dtype=np.int64)
-                for height in sorted(buckets)
-            )
-            if tail:
-                strata.append(np.array(sorted(tail), dtype=np.int64))
-        return [self._stratum_plan(stratum) for stratum in strata]
-
-    def _stratum_plan(self, rows: np.ndarray) -> _StratumPlan:
-        """Split a stratum by where each row's starting interval comes from."""
-        table = self.table
-        binary_rows: List[int] = []
-        binary_src: List[int] = []
-        binary_slot: Dict[str, int] = {}
-        chained_rows: List[int] = []
-        chained_base: List[int] = []
-        for row in rows.tolist():
-            base_id = table.base_ids[row]
-            base_row = table.row_of.get(base_id)
-            if base_row is None:
-                binary_rows.append(row)
-                binary_src.append(binary_slot.setdefault(base_id, len(binary_slot)))
-            else:
-                chained_rows.append(row)
-                chained_base.append(base_row)
-        return _StratumPlan(
-            rows=rows,
-            binary_rows=np.array(binary_rows, dtype=np.int64),
-            binary_ids=tuple(binary_slot),
-            binary_src=np.array(binary_src, dtype=np.int64),
-            chained_rows=np.array(chained_rows, dtype=np.int64),
-            chained_base=np.array(chained_base, dtype=np.int64),
-            chained_height=np.array(
-                [self.heights.get(base, math.inf) for base in chained_base],
-                dtype=np.float64,
-            ),
-        )
 
     # -- structural error replay ---------------------------------------
     def _fetch_binary(
@@ -1156,29 +1253,7 @@ class _Sweep:
 
     # -- execution ------------------------------------------------------
     def run(self) -> SweepOutcome:
-        table = self.table
-        plan = table._sweep_plan
-        if (
-            plan is None
-            or plan.version != table.version
-            or plan.wanted != self.wanted
-        ):
-            rows = self._needed_rows()
-            strata = self._strata(rows)
-            plan = _SweepPlan(
-                version=table.version,
-                wanted=self.wanted,
-                wanted_rows=np.array(
-                    [table.row_of.get(image_id, -1) for image_id in self.wanted],
-                    dtype=np.int64,
-                ),
-                swept_ids=tuple(table.image_ids[row] for row in rows),
-                heights=self.heights,
-                strata=strata,
-            )
-            table._sweep_plan = plan
-        else:
-            self.heights = plan.heights
+        plan = self.plan
         for stratum in plan.strata:
             self._run_stratum(stratum)
         # The state matrices outlive the sweep as the outcome, handed out
@@ -1187,9 +1262,9 @@ class _Sweep:
         for column in (state.lo, state.hi, state.heights, state.widths):
             column.setflags(write=False)
         failures: Dict[str, ReproError] = {
-            table.image_ids[row]: self.failed[row] for row in sorted(self.failed)
+            plan.swept_ids[row]: self.failed[row] for row in sorted(self.failed)
         }
-        for position in np.nonzero(plan.wanted_rows < 0)[0].tolist():
+        for position in np.flatnonzero(plan.wanted_rows < 0).tolist():
             image_id = plan.wanted[position]
             failures[image_id] = RuleError(f"op table has no row for {image_id!r}")
         return SweepOutcome(
@@ -1210,16 +1285,16 @@ class _Sweep:
 
     def _fetch_counts(
         self, image_ids: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, ReproError]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, ReproError]]:
         """Stack the stored histograms of ``image_ids``, one fetch each.
 
-        Returns ``(counts, heights, widths, errors)`` aligned with
-        ``image_ids``; an id the store cannot serve as a binary image
-        gets an all-zero row and an entry in ``errors`` by position.
+        Returns ``(counts, dims, errors)`` aligned with ``image_ids``,
+        ``dims`` as ``(height, width)`` rows; an id the store cannot
+        serve as a binary image gets all-zero rows and an entry in
+        ``errors`` by position.
         """
         vectors: List[np.ndarray] = []
-        heights: List[int] = []
-        widths: List[int] = []
+        dims: List[Tuple[int, int]] = []
         errors: Dict[int, ReproError] = {}
         for position, image_id in enumerate(image_ids):
             fetched = self._fetch_binary(image_id)
@@ -1227,12 +1302,10 @@ class _Sweep:
                 errors[position] = fetched
                 fetched = (np.zeros(self.bins, dtype=np.int64), 0, 0)
             vectors.append(fetched[0])
-            heights.append(fetched[1])
-            widths.append(fetched[2])
+            dims.append(fetched[1:])
         return (
             stack_rows(vectors, self.bins),
-            np.array(heights, dtype=np.int64),
-            np.array(widths, dtype=np.int64),
+            np.array(dims, dtype=np.int64).reshape(-1, 2),
             errors,
         )
 
@@ -1250,7 +1323,7 @@ class _Sweep:
             for row in rows.tolist():
                 self._fail_structurally(row)
         elif rows.size:
-            counts, heights, widths, errors = self._fetch_counts(stratum.binary_ids)
+            counts, dims, errors = self._fetch_counts(stratum.binary_ids)
             src = stratum.binary_src
             for position, error in errors.items():
                 for row in rows[src == position].tolist():
@@ -1258,8 +1331,7 @@ class _Sweep:
             seeded = counts[src]
             state.lo[rows] = seeded
             state.hi[rows] = seeded
-            state.heights[rows] = state.dr[rows, 2] = heights[src]
-            state.widths[rows] = state.dr[rows, 3] = widths[src]
+            state.geometry[rows] = _canvas(dims[src])
         rows = stratum.chained_rows
         if rows.size:
             # The base is walked before any op, so base-chain cycles,
@@ -1277,13 +1349,12 @@ class _Sweep:
                 src = src[~bad]
             state.lo[rows] = state.lo[src]
             state.hi[rows] = state.hi[src]
-            state.heights[rows] = state.dr[rows, 2] = state.heights[src]
-            state.widths[rows] = state.dr[rows, 3] = state.widths[src]
+            state.geometry[rows] = _canvas(state.geometry[src, 4:])
 
     def _fail_structurally(
         self, row: int, inherited_from: Optional[int] = None
     ) -> None:
-        image_id = self.table.image_ids[row]
+        image_id = self.plan.swept_ids[row]
         error = self._structural_error(image_id, frozenset(), self.max_depth)
         if error is None and inherited_from is not None:
             error = self.failed.get(inherited_from)
@@ -1294,33 +1365,21 @@ class _Sweep:
         self._fail(row, error)
 
     def _run_stratum(self, stratum: _StratumPlan) -> None:
-        rows = stratum.rows
-        if rows.size == 0:
-            return
         self._init_rows(stratum)
-        table = self.table
-        lengths = table.offsets[rows + 1] - table.offsets[rows]
-        max_len = int(lengths.max())
-        self._complete(rows[(lengths == 0) & ~self.failed_mask[rows]])
-        for rank in range(max_len):
-            active = rows[(lengths > rank) & ~self.failed_mask[rows]]
-            if active.size == 0:
-                continue
-            idx = table.offsets[active] + rank
-            codes = table.codes[idx]
-            for code in np.unique(codes):
-                group_sel = codes == code
-                self._dispatch(int(code), active[group_sel], idx[group_sel])
-            self._complete(
-                rows[(lengths == rank + 1) & ~self.failed_mask[rows]]
-            )
-
-    def _complete(self, rows: np.ndarray) -> None:
-        """End-of-sequence validate (the walk's final ``state.validate()``)."""
-        if rows.size == 0:
-            return
-        surviving = _validate_rows(self.state, rows, self._fail)
-        self.done[surviving] = True
+        for code, rows, idx in stratum.groups:
+            if self.failed:
+                # A row that failed (at init or an earlier rank) is done.
+                keep = ~self.failed_mask[rows]
+                rows, idx = rows[keep], idx[keep]
+                if rows.size == 0:
+                    continue
+            self._dispatch(code, rows, idx)
+        # The walk's final ``state.validate()``, once per stratum: no row
+        # of a stratum reads another's result before the stratum ends.
+        rows = stratum.rows
+        if self.failed:
+            rows = rows[~self.failed_mask[rows]]
+        self.done[_validate_rows(self.state, rows, self._fail)] = True
 
     def _dispatch(self, code: int, rows: np.ndarray, idx: np.ndarray) -> None:
         table = self.table
@@ -1332,94 +1391,92 @@ class _Sweep:
             table.params,
             table.floats,
             idx,
-            lambda: self._make_target_resolver(rows, idx),
+            lambda: self._make_target_resolver(idx),
             self.fill_bin,
             self._fail,
         )
         self.ops_applied += rows.size - (len(self.failed) - before)
 
-    def _make_target_resolver(
-        self, rows: np.ndarray, idx: np.ndarray
-    ) -> BatchTargetResolver:
-        """Resolver over the table's computed rows and binary store data."""
+    def _make_target_resolver(self, idx: np.ndarray) -> BatchTargetResolver:
+        """Resolver over the sweep's computed rows and binary store data."""
         table = self.table
-        del rows  # positions passed to resolve index into ``idx`` directly
+        plan = self.plan
 
         def resolve(
             live: np.ndarray, positions: np.ndarray
-        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            # Classify the distinct targets once, then gather: table-row
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            # Classify the distinct targets once, then gather: swept
             # targets out of the state matrices, binary targets out of
-            # one stack of stored histograms.
-            slots, member_of = np.unique(
-                table.trefs[idx[positions]], return_inverse=True
+            # the store, one row per distinct target that resolves.
+            distinct: Dict[int, int] = {}
+            member_of = np.array(
+                [
+                    distinct.setdefault(slot, len(distinct))
+                    for slot in table.trefs[idx[positions]].tolist()
+                ],
+                dtype=np.int64,
             )
-            target_ids = [table.target_ids[slot] for slot in slots.tolist()]
-            from_row: Dict[int, int] = {}
-            from_store: Dict[int, str] = {}
-            for distinct, target_id in enumerate(target_ids):
-                target_row = table.row_of.get(target_id)
-                if target_row is None:
-                    from_store[distinct] = target_id
+            state = self.state
+            at = np.full(len(distinct), -1, dtype=np.int64)
+            lows: List[np.ndarray] = []
+            highs: List[np.ndarray] = []
+            dims: List[Tuple[int, int]] = []
+            for index, slot in enumerate(distinct):
+                target_id = table.target_ids[slot]
+                target = plan.row_of.get(target_id)
+                error: Optional[ReproError] = None
+                if target is None:
+                    fetched = self._fetch_binary(target_id)
+                    if isinstance(fetched, ReproError):
+                        error = fetched
+                    else:
+                        counts, height, width = fetched
+                        at[index] = len(lows)
+                        lows.append(counts)
+                        highs.append(counts)
+                        dims.append((height, width))
                 elif (
-                    self.heights.get(target_row, math.inf) <= self.max_depth - 2
-                    and self.done[target_row]
-                    and target_row not in self.failed
+                    plan.heights[target] <= self.max_depth - 2
+                    and self.done[target]
+                    and target not in self.failed
                 ):
-                    from_row[distinct] = target_row
-                else:
-                    # Structural replay per source row: the scalar walk
-                    # resolves targets with the *source* image in its
-                    # visiting set.
-                    for row_i in live[member_of == distinct].tolist():
-                        error: Optional[ReproError] = self._structural_error(
-                            target_id,
-                            frozenset({table.image_ids[row_i]}),
-                            self.max_depth - 1,
-                        )
+                    at[index] = len(lows)
+                    lows.append(state.lo[target])
+                    highs.append(state.hi[target])
+                    height, width = state.geometry[target, 4:].tolist()
+                    dims.append((height, width))
+                if at[index] < 0:
+                    for row in live[member_of == index].tolist():
                         if error is None:
-                            error = self.failed.get(target_row)
-                        if error is None:  # pragma: no cover — defensive
-                            error = RuleError(
-                                f"unresolvable Merge target {target_id!r}"
-                            )
-                        self._fail(row_i, error)
-            count = len(target_ids)
-            ok = np.zeros(count, dtype=bool)
-            t_lo = np.zeros((count, self.bins), dtype=np.int64)
-            t_hi = np.zeros((count, self.bins), dtype=np.int64)
-            t_h = np.zeros(count, dtype=np.int64)
-            t_w = np.zeros(count, dtype=np.int64)
-            if from_row:
-                dest = np.fromiter(from_row, dtype=np.int64, count=len(from_row))
-                src = np.fromiter(
-                    from_row.values(), dtype=np.int64, count=len(from_row)
-                )
-                ok[dest] = True
-                t_lo[dest] = self.state.lo[src]
-                t_hi[dest] = self.state.hi[src]
-                t_h[dest] = self.state.heights[src]
-                t_w[dest] = self.state.widths[src]
-            if from_store:
-                dest = np.fromiter(from_store, dtype=np.int64, count=len(from_store))
-                counts, heights, widths, errors = self._fetch_counts(
-                    list(from_store.values())
-                )
-                ok[dest] = True
-                t_lo[dest] = counts
-                t_hi[dest] = counts
-                t_h[dest] = heights
-                t_w[dest] = widths
-                for position, fetch_error in errors.items():
-                    distinct = int(dest[position])
-                    ok[distinct] = False
-                    for row_i in live[member_of == distinct].tolist():
-                        self._fail(row_i, fetch_error)
-            resolved = ok[member_of]
-            sel = member_of[resolved]
-            return (resolved, t_lo[sel], t_hi[sel], t_h[sel], t_w[sel])
+                            self._fail(row, self._target_error(target_id, target, row))
+                        else:
+                            self._fail(row, error)
+            sel = at[member_of]
+            resolved = sel >= 0
+            sel = sel[resolved]
+            return (
+                resolved,
+                stack_rows(lows, self.bins)[sel],
+                stack_rows(highs, self.bins)[sel],
+                np.array(dims, dtype=np.int64).reshape(-1, 2)[sel],
+            )
 
         return resolve
+
+    def _target_error(
+        self, target_id: str, target: Optional[int], row: int
+    ) -> ReproError:
+        """Why state ``row`` cannot read swept ``target``: the structural
+        replay, which the scalar walk runs with the *source* image in its
+        visiting set, else the target's own failure."""
+        error = self._structural_error(
+            target_id, frozenset({self.plan.swept_ids[row]}), self.max_depth - 1
+        )
+        if error is None and target is not None:
+            error = self.failed.get(target)
+        if error is None:  # pragma: no cover — defensive
+            error = RuleError(f"unresolvable Merge target {target_id!r}")
+        return error
 
 
 class BoundsStoreLike:
@@ -1459,8 +1516,10 @@ class OpTableManager:
     Subscribe :meth:`on_invalidation` via
     :meth:`repro.core.bounds.BoundsEngine.add_invalidation_listener`;
     every catalog mutation then marks the image dirty and the next
-    :meth:`compute` reconciles just those rows — recompile on resave,
-    tombstone on delete, full reset on a whole-cache flush — before
+    :meth:`compute` reconciles just those rows — recompile on resave
+    (not when the sequence is the one compiled: an in-place change such
+    as a compaction commit leaves the row as it is), tombstone on
+    delete, full reset on a whole-cache flush — before
     extending coverage to any newly referenced sequences and sweeping.
     Thread-safe for concurrent readers: the service serializes writers,
     but multiple query threads may trigger coverage compiles at once.
@@ -1521,8 +1580,9 @@ class OpTableManager:
                 except ReproError:
                     record = None
                 if isinstance(record, EditSequence):
-                    table.upsert(image_id, record)
-                    self.recompiled += 1
+                    if record != table.sequence_of(image_id):
+                        table.upsert(image_id, record)
+                        self.recompiled += 1
                 else:
                     table.remove(image_id)
                     self.tombstoned += 1

@@ -97,7 +97,7 @@ class MultimediaDatabase:
         #: they keep between calls — single queries too.
         self._batch = {
             "bwm": BatchBWMProcessor(self.bwm_structure, self.catalog, self.engine),
-            "rbm": BatchRBMProcessor(self.catalog, self.engine),
+            "rbm": BatchRBMProcessor(self.bwm_structure, self.catalog, self.engine),
         }
         self._similarity = SimilaritySearch(
             self.catalog, self.engine, self.instantiate

@@ -626,7 +626,9 @@ class QueryService:
             for index, (constraint, plan) in enumerate(
                 zip(constraints, base_plans)
             ):
-                hits_before = engine.cache_hits
+                # This thread's hits only: a concurrent reader's
+                # would be counted too in ``engine.cache_hits``.
+                hits_before = engine.thread_cache_hits
                 started = self._clock()
                 with tracer.span(
                     "execute", constraint=index, strategy=plan.strategy.value
@@ -646,7 +648,7 @@ class QueryService:
                     actual_work_units=PlanActuals.work_units(result.stats),
                     matches=len(result),
                     cache_hit=False,
-                    bounds_cache_hits=engine.cache_hits - hits_before,
+                    bounds_cache_hits=engine.thread_cache_hits - hits_before,
                     stats=result.stats,
                     images_pruned=(
                         report.outcome_counts()["pruned"]

@@ -68,7 +68,9 @@ class TestBatchValidation:
             database.range_query_batch([RangeQuery.at_least(0, 0.5)], method="instantiate")
 
     def test_direct_processor_empty_batch(self, database):
-        rbm = BatchRBMProcessor(database.catalog, database.engine)
+        rbm = BatchRBMProcessor(
+            database.bwm_structure, database.catalog, database.engine
+        )
         with pytest.raises(QueryError):
             rbm.process_batch([])
         bwm = BatchBWMProcessor(

@@ -341,7 +341,7 @@ class TestColumnCompareIsTheScalarPath:
         queries = _grid_queries(rng, database)
         processors = {
             "rbm": (
-                BatchRBMProcessor(view, engine),
+                BatchRBMProcessor(structure, view, engine),
                 RBMProcessor(view, engine),
                 lambda: _loop_rbm(view, engine, queries),
             ),

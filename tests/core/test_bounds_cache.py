@@ -480,3 +480,149 @@ class TestCachedDatabaseIsTheUncachedOne:
                 ask = lambda: database.range_query(query, method=method)  # noqa: E731
                 ask()
                 assert _python_calls(ask) < 80  # warm: a column compare
+
+
+class TestRowsOutliveInPlaceChanges:
+    """A memo row changes owner only when its image leaves the store."""
+
+    def test_update_dirties_and_keeps_the_row(self, rng):
+        database = MultimediaDatabase(bounds_cache=True)
+        base = database.insert_image(random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        edited = database.augment(base, rng, 3, FLAG_PALETTE)
+        engine = database.engine
+        rows = engine.memo_rows([base] + edited)
+        engine.bounds_of_rows(rows)
+        owners, epoch = engine.owner_epoch, engine.memo_epoch
+        database.update_image(base, random_palette_image(rng, 8, 8, FLAG_PALETTE))
+        assert engine.memo_epoch > epoch  # exact-column refinements restart
+        assert engine.owner_epoch == owners  # ...but every row keeps its image
+        assert np.array_equal(engine.memo_rows([base] + edited), rows)
+        assert not any(engine.has_cached_bounds(i) for i in [base] + edited)
+        plain = BoundsEngine(database.catalog, database.quantizer)
+        for image_id in [base] + edited:
+            assert engine.bounds(image_id, 5) == plain.bounds(image_id, 5)
+        # A compaction commit and its roll-back keep the row too.
+        engine.invalidate(edited[0])
+        engine.seed_bounds(edited[0], plain.bounds_all_bins(edited[0]))
+        engine.invalidate(edited[0])
+        assert engine.owner_epoch == owners
+        database.delete_edited(edited[2])
+        assert engine.owner_epoch == owners + 1
+        assert edited[2] not in engine._row_of
+
+
+def _oracle_edges(engine, image_id):
+    """What invalidating ``image_id`` leaves of the graph, by the full
+    scan: the walk from it over the reverse edges drops every edge whose
+    either end it reached."""
+    edges = engine.dependency_edges()
+    reached = {image_id}
+    stack = [image_id]
+    while stack:
+        current = stack.pop()
+        for referenced, dependent in edges:
+            if referenced == current and dependent not in reached:
+                reached.add(dependent)
+                stack.append(dependent)
+    return [(r, d) for r, d in edges if r not in reached and d not in reached]
+
+
+class TestTargetedScrubIsTheFullScan:
+    @pytest.mark.parametrize("seed", [3, 17, 48])
+    def test_edges_after_seeded_churn(self, seed):
+        rng = np.random.default_rng(seed)
+        database = MultimediaDatabase(bounds_cache=True)
+        engine = database.engine
+        bases = [
+            database.insert_image(random_palette_image(rng, 6, 8, FLAG_PALETTE))
+            for _ in range(4)
+        ]
+        edited = []
+        checked = 0
+        for step in range(60):
+            catalog = database.catalog
+            loose = [i for i in edited if not catalog.referrers(i)]
+            ids = bases + edited
+            kind = int(rng.integers(5))
+            if kind <= 1 or not loose:
+                base = ids[int(rng.integers(len(ids)))]
+                target = ids[int(rng.integers(len(ids)))]
+                shape = engine.bounds(base, 0)
+                sequence = EditSequence(
+                    base,
+                    (Define(Rect(0, 0, shape.height, shape.width)), Combine.box())
+                    if kind == 0
+                    else (Define(Rect(0, 0, 2, 3)), Merge(target, 1, 1)),
+                )
+                image_id = f"e{step}"
+                database.insert_edited(sequence, image_id)
+                edited.append(image_id)
+                changed = image_id
+            elif kind == 2:
+                changed = loose[int(rng.integers(len(loose)))]
+                expected = _oracle_edges(engine, changed)
+                database.delete_edited(changed)
+                edited.remove(changed)
+            else:
+                changed = bases[int(rng.integers(len(bases)))]
+                expected = _oracle_edges(engine, changed)
+                database.update_image(
+                    changed, random_palette_image(rng, 6, 8, FLAG_PALETTE)
+                )
+            if kind >= 2:
+                assert engine.dependency_edges() == expected, (seed, step)
+                checked += 1
+            # Refill a random part of the memo, registering edges again.
+            live = bases + edited
+            picks = rng.choice(len(live), size=min(len(live), 6), replace=False)
+            engine.bounds_all_bins_batch([live[int(i)] for i in picks])
+        assert checked > 20
+        assert engine.dependency_edges()
+
+
+class TestRBMLayoutFollowsMembership:
+    """The RBM processor keeps no clusters, so only the structure's
+    version tells it that an image came or went."""
+
+    QUERY = RangeQuery(0, 0.0, 1.0)  # every stored image matches
+
+    def test_rbm_after_every_kind_of_change(self, rng):
+        cached, plain = MultimediaDatabase(bounds_cache=True), MultimediaDatabase()
+        both = (cached, plain)
+        for database in both:
+            for index in range(3):
+                image = random_palette_image(
+                    np.random.default_rng(index), 6, 8, FLAG_PALETTE
+                )
+                database.insert_image(image, f"b{index}")
+            database.insert_edited(EditSequence("b0", (Combine.box(),)), "e0")
+
+        def agree():
+            for method in ("rbm", "bwm"):
+                expected = plain.range_query(self.QUERY, method=method).matches
+                assert cached.range_query(self.QUERY, method=method).matches == expected
+            assert cached.range_query(self.QUERY, method="rbm").matches == set(
+                plain.ids()
+            )
+
+        agree()
+        for database in both:
+            database.insert_edited(EditSequence("b1", (Combine.box(),)), "e1")
+        agree()
+        for database in both:
+            database.delete_edited("e0")
+        agree()
+        image = random_palette_image(rng, 6, 8, FLAG_PALETTE)
+        for database in both:
+            database.update_image("b2", image)
+        agree()
+        with pytest.raises(UnknownObjectError):
+            cached.engine.bounds("ghost", 0)  # a failed fill releases its row
+        for database in both:
+            database.insert_edited(EditSequence("b2", (Combine.box(),)), "e2")
+        agree()
+        cached.engine.invalidate_cache()
+        agree()
+        for database in both:
+            database.insert_image(image, "b3")
+        agree()

@@ -12,11 +12,14 @@ still read as the list of tuples it replaced.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.color.names import FLAG_PALETTE
 from repro.color.quantization import UniformQuantizer
+from repro.core import optable
 from repro.core.bounds import BoundsEngine, BoundsMatrix
 from repro.db.database import MultimediaDatabase
 from repro.editing.operations import Combine, Define, Merge, Modify
@@ -24,7 +27,9 @@ from repro.editing.sequence import EditSequence
 from repro.errors import ReproError, RuleError, UnknownObjectError
 from repro.images.generators import random_palette_image
 from tests.core.test_optable import (
+    _add_binary,
     _assert_matches_scalar,
+    _DictStore,
     _error_stores,
     _random_corpus,
     _scalar_engine,
@@ -357,3 +362,126 @@ class TestBoundsMatrixReadsAsTheListItReplaced:
                 assert lower[bin_index] == cell.fraction_lo
                 assert upper[bin_index] == cell.fraction_hi
         assert engine.fraction_bounds_all_bins_batch([]) == []
+
+
+def _subset_store():
+    """Bases, chained edits, edited Merge targets, a Merge cycle, a base
+    cycle and a chain too deep for ``max_depth=8``, over 8 bins."""
+    quantizer = UniformQuantizer(2, "rgb")
+    rng = np.random.default_rng(48)
+    store = _DictStore()
+    _add_binary(store, rng, "bin", 8, 9, quantizer)
+    _add_binary(store, rng, "tgt", 4, 5, quantizer)
+    records = store.records
+    records["plain"] = EditSequence("bin", (Define.of(0, 0, 4, 5), Combine.box()))
+    records["chained"] = EditSequence(
+        "plain", (Define.of(1, 1, 3, 4), Modify(RED, BLUE))
+    )
+    records["onto-edited"] = EditSequence(
+        "bin", (Define.of(0, 0, 3, 3), Merge("chained", 1, 2))
+    )
+    records["onto-base"] = EditSequence(
+        "chained", (Define.of(0, 0, 4, 4), Merge("tgt", 2, 1), Combine.box())
+    )
+    for name, other in (("cycle-a", "cycle-b"), ("cycle-b", "cycle-a")):
+        records[name] = EditSequence("bin", (Define.of(0, 0, 4, 4), Merge(other, 0, 0)))
+    records["above-cycle"] = EditSequence("cycle-a", (Combine.box(),))
+    records["loop-a"] = EditSequence("loop-b", (Combine.box(),))
+    records["loop-b"] = EditSequence("loop-a", (Combine.box(),))
+    previous = "bin"
+    for level in range(9):
+        records[f"deep{level}"] = EditSequence(previous, (Define.of(0, 0, 2, 2),))
+        previous = f"deep{level}"
+    records["onto-deep"] = EditSequence(
+        "bin", (Define.of(0, 0, 4, 4), Merge("deep6", 0, 0))
+    )
+    records["empty-merge"] = EditSequence(
+        "bin", (Define.of(20, 20, 25, 25), Merge(None))
+    )
+    ids = [
+        "plain", "chained", "onto-edited", "onto-base", "cycle-a",
+        "above-cycle", "loop-a", "deep5", "deep6", "deep8", "onto-deep",
+        "empty-merge",
+    ]
+    return store, quantizer, ids
+
+
+class TestSmallSweepsAreTheFullOne:
+    """A sweep sized to its few rows is the same sweep as the whole
+    table's, and the scalar walk, for every 1-, 2- and 3-id request."""
+
+    @staticmethod
+    def _answers(outcome, ids):
+        answers = {}
+        for position, image_id in enumerate(ids):
+            failure = outcome.failures.get(image_id)
+            if failure is not None:
+                answers[image_id] = (type(failure), str(failure))
+            else:
+                lo, hi, height, width = outcome.view(position)
+                answers[image_id] = (lo.tobytes(), hi.tobytes(), height, width)
+        return answers
+
+    def test_every_small_subset(self):
+        store, quantizer, ids = _subset_store()
+        scalar = BoundsEngine(store, quantizer)
+        expected = {}
+        for image_id in ids:
+            error = _scalar_error(scalar, image_id)
+            if error is not None:
+                expected[image_id] = (type(error), str(error))
+                continue
+            cells = [scalar.bounds(image_id, b) for b in range(quantizer.bin_count)]
+            expected[image_id] = (
+                np.array([c.lo for c in cells], dtype=np.int64).tobytes(),
+                np.array([c.hi for c in cells], dtype=np.int64).tobytes(),
+                cells[0].height,
+                cells[0].width,
+            )
+        assert sum(isinstance(e[0], type) for e in expected.values()) >= 6
+        manager = BoundsEngine(store, quantizer).optable_manager
+        full = self._answers(manager.compute(ids), ids)
+        assert full == expected
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(ids, size):
+                outcome = manager.compute(subset)
+                assert len(outcome.lo) < manager.table.row_count
+                assert self._answers(outcome, subset) == {
+                    image_id: full[image_id] for image_id in subset
+                }, subset
+                engine = BoundsEngine(store, quantizer)
+                failing = (i for i in subset if isinstance(expected[i][0], type))
+                first = next(failing, None)
+                if first is None:
+                    swept = engine.bounds_all_bins_batch(list(subset))
+                    for image_id, row in zip(subset, swept):
+                        assert (row[0].tobytes(), row[1].tobytes(), *row[2:]) == (
+                            expected[image_id]
+                        )
+                else:
+                    with pytest.raises(ReproError) as raised:
+                        engine.bounds_all_bins_batch(list(subset))
+                    assert (type(raised.value), str(raised.value)) == expected[first]
+
+    def test_a_one_row_sweep_allocates_one_row(self, rng, monkeypatch):
+        database = _database(rng, bounds_cache=False)
+        for index in range(40):
+            database.insert_edited(
+                EditSequence("b1", (Define.of(0, 0, 3, 3), Combine.box())), f"x{index}"
+            )
+        engine = database.engine
+        engine.bounds_all_bins_batch(list(database.catalog.edited_ids()))
+        table = engine.optable_manager.table
+        assert table.row_count > 40
+        sizes = []
+        real = optable.BatchRuleState.zeros.__func__
+
+        def zeros(cls, rows, bins):
+            sizes.append(rows)
+            return real(cls, rows, bins)
+
+        monkeypatch.setattr(optable.BatchRuleState, "zeros", classmethod(zeros))
+        outcome = engine.optable_manager.compute(["x7"])
+        assert sizes == [1]
+        assert outcome.lo.shape == (1, database.quantizer.bin_count)
+        _assert_matches_scalar(outcome.view(0), _scalar_engine(engine), "x7")

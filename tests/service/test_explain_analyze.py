@@ -1,6 +1,7 @@
 """EXPLAIN / EXPLAIN ANALYZE and the traced query path end to end."""
 
 import json
+import threading
 
 import pytest
 
@@ -172,6 +173,40 @@ class TestTracedServicePath:
             assert list(snapshot[group]) == sorted(snapshot[group])
         assert "vector_entries" in snapshot["bounds_cache"]
         assert {"hits", "misses"} <= set(snapshot["result_cache"])
+
+
+class TestBoundsHitsAreThisCallsOwn:
+    def test_a_concurrent_memo_reader_adds_nothing(
+        self, service, small_database, monkeypatch
+    ):
+        """Another thread reads the memo in the middle of the call (the
+        service's read lock admits both): the reported hits are those of
+        the same call run alone."""
+        engine = small_database.engine
+        edited = list(small_database.catalog.edited_ids())
+        service.explain_analyze(QUERY)  # warm the memo and the layout
+        solo = service.explain_analyze(QUERY).plans[0].actuals.bounds_cache_hits
+        assert solo > 0
+        real = engine.bounds_of_rows
+        caller = threading.get_ident()
+        crowd = []
+
+        def read_elsewhere():
+            crowd.append(len(engine.bounds_all_bins_batch(edited)))
+
+        def interleaved(rows):
+            if threading.get_ident() == caller and not crowd:
+                other = threading.Thread(target=read_elsewhere)
+                other.start()
+                other.join()
+            return real(rows)
+
+        monkeypatch.setattr(engine, "bounds_of_rows", interleaved)
+        hits_before = engine.cache_hits
+        crowded = service.explain_analyze(QUERY).plans[0].actuals.bounds_cache_hits
+        assert crowd == [len(edited)] and len(edited) > 0
+        assert engine.cache_hits - hits_before == solo + len(edited)
+        assert crowded == solo
 
 
 class TestSlowQueryIntegration:
