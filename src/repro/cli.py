@@ -25,7 +25,9 @@ Subcommands mirror the workflow of the paper's prototype:
               rules only) over a source tree (default: the installed
               ``repro`` package); an unknown ``--rule`` is a usage error
 ``shards``    inspect a sharded catalog root (``--status``) or run one
-              synchronous compaction cycle first (``--compact-now``)
+              synchronous compaction cycle first (``--compact-now``:
+              it shows the winners and warms this process's memo only;
+              nothing is journaled)
 ``top``       live fleet dashboard over a sharded root: per-shard
               health verdicts, hottest shards, slowest recent queries
               (with trace ids), and recent compactions
@@ -203,11 +205,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shards.add_argument("directory")
     shards.add_argument("--status", action="store_true",
                         help="report per-shard record counts, versions, "
-                        "served queries, and materializations (default "
-                        "action)")
+                        "served queries, and the compactor's ledger "
+                        "(default action)")
     shards.add_argument("--compact-now", action="store_true",
                         help="run one synchronous compaction cycle before "
-                        "reporting")
+                        "reporting: it picks the winners and fills their "
+                        "memo rows in this process only (nothing is "
+                        "journaled: the WAL is left as it was)")
     shards.add_argument("--min-ops", type=int, default=2, metavar="N",
                         help="compaction policy: minimum sequence length "
                         "worth materializing (default 2)")

@@ -200,7 +200,7 @@ class _Processor:
     memo row's owner are: the key is the BWM structure's ``version``,
     which every insert and delete bumps, and the engine's
     ``owner_epoch``, which moves when a row is released or the memo
-    flushed.  An in-place update (``update_image``, a compaction and its
+    flushed.  An in-place update (``update_image``, a compactor
     roll-back) only dirties rows, which the next read fills through the
     same layout.
     """

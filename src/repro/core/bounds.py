@@ -514,59 +514,6 @@ class BoundsEngine:
             states.append(state.row_state(0)[:4])
         return record, states
 
-    def seed_bounds(self, image_id: str, bounds: AllBinsBounds) -> None:
-        """Install a precomputed all-bins matrix into the memo cache.
-
-        The shard compactor (:mod:`repro.shard.compactor`) materializes
-        hot sequences in the background and commits the result here, so
-        the next query serves the matrix as a cache hit instead of
-        re-walking the rules.  The caller is responsible for ``bounds``
-        being exactly what :meth:`bounds_all_bins` would compute —
-        parity is property-tested, and results are unchanged either way
-        because the memo cache is transparent.
-
-        Dependency edges register along the image's whole reference
-        closure — each node's *direct* references only, matching what a
-        real walk records (every edge names a reference of the
-        dependent's own sequence; see :meth:`dependency_edges`) — so a
-        targeted :meth:`invalidate` anywhere upstream still drops the
-        seeded entry transitively.
-        """
-        if not self._memo_on:
-            raise RuleError(
-                "seed_bounds requires cache_enabled (there is no memo "
-                "cache to seed)"
-            )
-        lo_in, hi_in, height, width = bounds
-        expected = (self._quantizer.bin_count,)
-        lo = np.array(lo_in, dtype=np.int64)
-        hi = np.array(hi_in, dtype=np.int64)
-        if lo.shape != expected or hi.shape != expected:
-            raise RuleError(
-                f"seeded bounds for {image_id!r} have shapes "
-                f"{lo.shape}/{hi.shape}, expected {expected}"
-            )
-        stack: List[str] = [image_id]
-        seen: Set[str] = {image_id}
-        while stack:
-            current = stack.pop()
-            record = self._store.lookup_for_bounds(current)
-            if not isinstance(record, EditSequence):
-                continue
-            self._register_dependencies(current, record.referenced_ids())
-            for referenced in record.referenced_ids():
-                if referenced not in seen:
-                    seen.add(referenced)
-                    stack.append(referenced)
-        with self._memo_lock:
-            row = self._row_of.get(image_id)
-            if row is None:
-                row = self._allocate(image_id)
-            memo = self._memo
-            memo.lo[row], memo.hi[row] = lo, hi
-            memo.heights[row], memo.widths[row] = int(height), int(width)
-            memo.valid[row] = True
-
     def has_cached_bounds(self, image_id: str) -> bool:
         """Whether an all-bins matrix for ``image_id`` is currently memoized.
 

@@ -1518,7 +1518,7 @@ class OpTableManager:
     every catalog mutation then marks the image dirty and the next
     :meth:`compute` reconciles just those rows — recompile on resave
     (not when the sequence is the one compiled: an in-place change such
-    as a compaction commit leaves the row as it is), tombstone on
+    as a compactor roll-back leaves the row as it is), tombstone on
     delete, full reset on a whole-cache flush — before
     extending coverage to any newly referenced sequences and sweeping.
     Thread-safe for concurrent readers: the service serializes writers,

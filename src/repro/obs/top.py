@@ -4,7 +4,7 @@ One screen that answers the operator's first four questions in order:
 is the fleet healthy (per-shard verdicts with reasons), where is the
 load (hottest shards), what was slow recently (the event ring's
 ``query`` events, with trace ids to pull), and what is the compactor
-doing (recent materializations with their LSN/trace lineage).
+doing (recent materializations with their cycle's trace id).
 Everything renders from a live
 :class:`~repro.shard.sharded.ShardedCatalog` — which an on-disk root
 becomes the moment ``ShardedCatalog.open`` returns — so the same code
@@ -164,12 +164,11 @@ def render_top(
     if compactions:
         lines.extend(
             _table(
-                ("image", "shard", "lsn", "saving", "trace"),
+                ("image", "shard", "saving", "trace"),
                 [
                     (
                         event.image_id or "?",
                         event.shard if event.shard is not None else "-",
-                        event.lsn if event.lsn is not None else "-",
                         f"{float(event.detail.get('projected_saving', 0.0)):.0f}",
                         event.trace_id or "-",
                     )

@@ -56,11 +56,10 @@ def new_trace_id() -> str:
     """A fresh process-unique trace id (``trace-00000007``-style).
 
     Trace ids are the cross-subsystem lineage key: the sharded catalog
-    stamps them onto WAL records and compaction materializations, the
-    wide-event log carries them on every event, and the per-shard query
-    spans echo the last compaction's id — so a slow query, the WAL
-    record behind it, and the background work that preceded it all join
-    on one value.
+    stamps them onto WAL records, and the wide-event log carries them on
+    every event (a compaction cycle's events all carry the cycle's id) —
+    so a slow query, the WAL record behind it, and the background work
+    that preceded it all join on one value.
     """
     return f"trace-{next(_trace_ids):08d}"
 
@@ -351,8 +350,8 @@ def current_trace_id() -> Optional[str]:
 
     Walks from the context-local :func:`current_span` to its root, where
     :class:`Tracer` stamps the id.  This is how subsystems that never
-    see the tracer object (the WAL, the compactor's materialization
-    commit) inherit lineage: they call this at the moment they write a
+    see the tracer object (the WAL, the compactor's per-image events)
+    inherit lineage: they call this at the moment they write a
     record, and outside any traced region it cheaply returns ``None``.
     """
     span = _current_span.get()

@@ -21,8 +21,8 @@ class ReadWriteLock:
     Writer preference keeps a steady query stream from starving
     mutations (the regime the concurrency stress test exercises).
     In the sharded catalog (:mod:`repro.shard`) scatter-gather queries
-    take the read side per shard, WAL-journaled mutations and
-    compaction swaps the write side.
+    take the read side per shard (as do compaction fills),
+    WAL-journaled mutations and compaction roll-backs the write side.
     """
 
     def __init__(self) -> None:

@@ -9,10 +9,8 @@ mutation durable through a write-ahead log *before* it is applied
 their appliers are one table, :mod:`repro.shard.records`), fans queries
 out across shards
 merging k-best results (:class:`ShardedCatalog`), and runs a
-cost-aware background :class:`Compactor` that materializes the BOUNDS
-matrices of hot/long edit sequences — trading the paper's storage
-savings back for query-time speed once a sequence is walked often
-enough.
+cost-aware background :class:`Compactor` that fills the memo rows of
+hot/long edit sequences ahead of the reads that would walk them.
 """
 
 from repro.shard.compactor import (

@@ -1,22 +1,22 @@
-"""Cost-aware background compaction of hot, long edit sequences.
+"""Cost-aware background warming of hot, long edit sequences.
 
 The §5 cost model says an edited image costs its sequence length in
 Table 1 rule applications every time a query's BOUNDS walk reaches it
-cold.  The compactor turns that recurring cost into a one-time one: it
-picks the sequences worth the space — long chains on shards that are
-actually serving queries, in color regions the catalog is dense in —
-computes their exact all-bins BOUNDS matrices off the query path, and
-swaps each matrix into the owning shard's engine cache under the shard
-write lock.  The swap is journaled to the WAL (a ``compact`` record
-carrying the matrix) so a re-opened catalog is warm immediately, fires
-the invalidation feed so planners and result caches drop stale state,
-and is rollbackable (``decompact``).
+cold.  The compactor pays that walk ahead of the reads: it picks the
+sequences worth warming — long chains on shards that are actually
+serving queries, in color regions the catalog is dense in — and fills
+each winner's memo row with the owning shard's own engine, under the
+shard's read lock: the one-id all-bins sweep a read would run, so a row
+that is already valid costs nothing.  The winner is then recorded in the
+shard's in-memory ``materialized`` ledger.  Nothing is journaled: the
+row is derived state, recomputed by the next read after a reopen.
+:meth:`Compactor.rollback` dirties the row again and drops it from the
+ledger.
 
-Materialization never changes results: the engine's vector cache is
-consulted transparently by both the scalar and all-bins query paths,
-and the matrix seeded is the exact one a cold sweep would compute — the
-parity tests in ``tests/shard/test_compactor.py`` assert byte-identical
-query results with the compactor on and off.
+Warming never changes results: the memo is consulted transparently by
+both the scalar and all-bins query paths, and the fill is the one a
+read does — the parity tests in ``tests/shard/test_compactor.py``
+assert byte-identical query results with the compactor on and off.
 
 Scoring
 -------
@@ -40,7 +40,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.bounds import BoundsEngine
 from repro.db.catalog import Catalog
 from repro.db.statistics import DatabaseStatistics
 from repro.errors import ShardError
@@ -61,27 +60,27 @@ _DOMINANT_MASS = 0.10
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """What the compactor considers worth materializing.
+    """What the compactor considers worth warming.
 
     Parameters
     ----------
     min_ops:
-        Sequences shorter than this are never materialized — a one-op
+        Sequences shorter than this are never warmed — a one-op
         sequence costs one rule per walk, which the memo cache already
         amortizes well.
     max_per_cycle:
-        Materializations per :meth:`Compactor.run_once` across all
-        shards, so one cycle's write-lock time stays bounded.
+        Fills per :meth:`Compactor.run_once` across all shards, so one
+        cycle's time stays bounded.
     min_score:
         Candidates scoring below this are left alone (a shard that has
         served no queries scores 0 — nothing compacts until demand
         exists).
     require_demand:
         When True (default), shards that have served no queries are not
-        compacted at all — the background loop only spends write-lock
-        time where reads are happening.  ``repro shards --compact-now``
-        sets it False: an operator asking for a cycle wants the matrices
-        built now, ahead of the demand.
+        compacted at all — the background loop only spends time where
+        reads are happening.  ``repro shards --compact-now``
+        sets it False: an operator asking for a cycle wants the rows
+        filled now, ahead of the demand.
     """
 
     min_ops: int = 2
@@ -113,7 +112,6 @@ class _Candidate:
     shard_index: int
     image_id: str
     score: float
-    shard_version: int
 
 
 @dataclass
@@ -131,10 +129,10 @@ class Compactor:
     cycles synchronously with :meth:`run_once` (what the CLI's
     ``repro shards --compact-now`` and the benchmarks do).
 
-    Every commit happens under the owning shard's write lock and only
-    after re-checking the shard version recorded when the candidate was
-    scored — a mutation that slipped in between invalidates the scratch
-    matrix, so the commit is skipped rather than published stale.
+    Each fill runs under the owning shard's read lock, so it always
+    computes the current state; the one staleness left is a winner
+    deleted between scoring and fill, which is skipped
+    (``skipped_stale``).
     """
 
     def __init__(
@@ -185,7 +183,7 @@ class Compactor:
     # One cycle
     # ------------------------------------------------------------------
     def run_once(self) -> CompactionReport:
-        """Score, materialize, commit — one bounded compaction cycle."""
+        """Score, then fill the winners' rows — one bounded cycle."""
         tracer = maybe_tracer("compaction")
         with tracer.span("compaction.cycle"):
             with tracer.span("compaction.score"):
@@ -193,25 +191,17 @@ class Compactor:
             materialized: List[str] = []
             skipped_stale = 0
             projected_total = 0.0
-            # Our own commits bump shard versions; track them so later
-            # same-shard candidates in this cycle are not self-staled.
-            own_bumps: Dict[int, int] = {}
             for candidate in chosen:
-                expected = candidate.shard_version + own_bumps.get(
-                    candidate.shard_index, 0
-                )
                 with tracer.span(
                     "compaction.materialize", image_id=candidate.image_id
                 ):
-                    committed = self._materialize(candidate, expected)
-                if committed:
-                    own_bumps[candidate.shard_index] = (
-                        own_bumps.get(candidate.shard_index, 0) + 1
-                    )
+                    filled = self._materialize(candidate)
+                if filled:
                     materialized.append(candidate.image_id)
                     projected_total += candidate.score
                 else:
                     skipped_stale += 1
+        self.catalog._gauge_ledger()
         self.catalog.metrics.increment("compaction.runs")
         if skipped_stale:
             self.catalog.metrics.increment(
@@ -224,9 +214,9 @@ class Compactor:
             projected_saving=projected_total,
         )
         # One wide event per cycle, carrying the cycle's trace id — the
-        # same id the per-image ``compaction.materialized`` events and
-        # ``compact`` WAL records were stamped with, so the whole cycle
-        # reassembles from the event log alone.
+        # same id the per-image ``compaction.materialized`` events were
+        # stamped with, so the whole cycle reassembles from the event
+        # log alone.
         self.catalog.events.emit(
             "compaction.cycle",
             subsystem="compactor",
@@ -243,22 +233,21 @@ class Compactor:
         return report
 
     def rollback(self, image_id: str) -> bool:
-        """Retract one materialization; True if it existed."""
+        """Dirty one warmed row and drop it from the ledger; True if it
+        was in the ledger.  Journals nothing."""
         shard = self.catalog._owning_shard(image_id)
         with shard.lock.write_locked():
             if image_id not in shard.materialized:
                 return False
-            lsn = self.catalog._commit(shard, "decompact", image_id)
+            shard.database.engine.invalidate(image_id)
+            self.catalog._prune_ledger(shard)
             self._note(
-                "compaction.rolled_back",
-                shard=shard.index,
-                image_id=image_id,
-                lsn=lsn,
+                "compaction.rolled_back", shard=shard.index, image_id=image_id
             )
         return True
 
     def _note(self, kind: str, **fields: Any) -> None:
-        """Count and emit one committed swap or retraction."""
+        """Count and emit one fill or retraction."""
         self.catalog.metrics.increment(kind)
         self.catalog.events.emit(kind, subsystem="compactor", **fields)
 
@@ -293,7 +282,7 @@ class Compactor:
         built, best score first, ties by shard then id.
         """
         policy = self.policy
-        scored: List[Tuple[float, int, str, int]] = []
+        scored: List[Tuple[float, int, str]] = []
         for shard in self.catalog._shards:
             with shard.lock.read_locked():
                 served = self.catalog._queries_served(shard)
@@ -320,11 +309,11 @@ class Compactor:
                     score = hotness * ops * COST_RULE * weight
                     if score < policy.min_score:
                         continue
-                    scored.append((-score, shard.index, image_id, shard.version))
+                    scored.append((-score, shard.index, image_id))
         winners = heapq.nsmallest(policy.max_per_cycle, scored)
         return len(scored), [
-            _Candidate(index, image_id, -negated, version)
-            for negated, index, image_id, version in winners
+            _Candidate(index, image_id, -negated)
+            for negated, index, image_id in winners
         ]
 
     @staticmethod
@@ -350,36 +339,21 @@ class Compactor:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def _materialize(self, candidate: _Candidate, expected_version: int) -> bool:
-        """Compute off-path, re-check the version, commit under lock."""
+    def _materialize(self, candidate: _Candidate) -> bool:
+        """Fill the winner's memo row, as a read would; False when the
+        winner was deleted after scoring."""
         shard = self.catalog._shards[candidate.shard_index]
-        # Scratch engine: exact, uncached one-id sweep against the live
-        # catalog, under the read lock so no mutation shifts the ground
-        # mid-sweep (and the shard engine's own op table stays untouched).
         with shard.lock.read_locked():
-            if shard.version != expected_version:
+            if not shard.database.catalog.contains(candidate.image_id):
                 return False
-            scratch = BoundsEngine(
-                shard.database.catalog,
-                self.catalog.quantizer,
-                fill_color=self.catalog.fill_color,
-                cache_enabled=False,
-            )
-            bounds = scratch.bounds_all_bins(candidate.image_id)
-        with shard.lock.write_locked():
-            if shard.version != expected_version:
-                # A writer slipped in between our read and write locks;
-                # the matrix may describe a history that no longer
-                # exists.  Drop it — the next cycle re-scores.
-                return False
-            lsn = self.catalog._commit(
-                shard, "compact", candidate.image_id, (bounds, candidate.score)
-            )
+            shard.database.engine.bounds_all_bins_batch((candidate.image_id,))
+            # Recorded under the same read lock: no writer can dirty the
+            # row before it is in the ledger.
+            shard.materialized[candidate.image_id] = float(candidate.score)
             self._note(
                 "compaction.materialized",
                 shard=shard.index,
                 image_id=candidate.image_id,
-                lsn=lsn,
                 projected_saving=float(candidate.score),
             )
         return True

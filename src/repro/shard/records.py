@@ -19,21 +19,18 @@ what a mutation *is*.  Per kind it holds
 
 ``ShardedCatalog._commit`` (live: journal → apply → settle) and the
 replayer (decode → apply → settle) both go through this table, so a
-record replays exactly as it was applied.  ``change`` is the one kind
-outside it: a payload-free record that earlier releases wrote for a
-direct shard-database write.  Nothing writes it now, replay skips it,
-and the name stays reserved.
+record replays exactly as it was applied.  :data:`RETIRED_KINDS` are
+the kinds outside it: earlier releases wrote them, nothing writes them
+now, readers still decode them and replay skips them.  Their names stay
+reserved.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping
 
-import numpy as np
-
-from repro.core.bounds import AllBinsBounds
 from repro.editing.sequence import EditSequence
 from repro.images.ppm import read_ppm, write_ppm
 from repro.images.raster import Image
@@ -45,11 +42,6 @@ Payload = Dict[str, object]
 Entry = Mapping[str, object]
 
 ENTERS, LEAVES, KEEPS = "enters", "leaves", "keeps"
-
-#: A ``compact`` subject: the matrix plus its projected per-query
-#: saving.  The saving is live-only scoring telemetry — it is not
-#: journaled, so a replayed materialization carries 0.0.
-Materialization = Tuple[AllBinsBounds, float]
 
 
 @dataclass(frozen=True)
@@ -78,26 +70,6 @@ def _encode_sequence(sequence: EditSequence) -> Payload:
 
 def _decode_sequence(entry: Entry) -> EditSequence:
     return EditSequence.parse(str(entry["sequence"]))
-
-
-def _encode_bounds(subject: Materialization) -> Payload:
-    (lo, hi, height, width), _saving = subject
-    return {
-        "lo": [int(value) for value in lo],
-        "hi": [int(value) for value in hi],
-        "height": int(height),
-        "width": int(width),
-    }
-
-
-def _decode_bounds(entry: Entry) -> Materialization:
-    bounds: AllBinsBounds = (
-        np.array(entry["lo"], dtype=np.int64),
-        np.array(entry["hi"], dtype=np.int64),
-        int(entry["height"]),  # type: ignore[arg-type]
-        int(entry["width"]),  # type: ignore[arg-type]
-    )
-    return bounds, 0.0
 
 
 def _no_payload(_subject: None) -> Payload:
@@ -142,38 +114,14 @@ def _update_image(  # repro-lint: disable=AL002
     shard.database.update_image(image_id, image)
 
 
-def _compact(shard: _Shard, image_id: str, subject: Materialization) -> None:
-    """Swap a materialized BOUNDS matrix in.
-
-    The invalidation fires first (dropping the image's stale memo
-    entries and notifying result caches), and only then is the engine's
-    vector cache seeded — so a query racing the commit sees either the
-    old walk-on-demand state or the fully seeded one, never a mix.
-    """
-    bounds, saving = subject
-    engine = shard.database.engine
-    engine.invalidate(image_id)
-    engine.seed_bounds(image_id, bounds)
-    shard.materialized[image_id] = float(saving)
-
-
-def _decompact(shard: _Shard, image_id: str, _subject: None) -> None:
-    shard.database.engine.invalidate(image_id)
-    shard.materialized.pop(image_id, None)
-
-
 # -- idempotence rules ---------------------------------------------------
 def _present(shard: _Shard, image_id: str) -> bool:
     return shard.database.catalog.contains(image_id)
 
 
 def _absent(shard: _Shard, image_id: str) -> bool:
-    """The subject is gone: nothing left to delete, update or warm."""
+    """The subject is gone: nothing left to delete or update."""
     return not shard.database.catalog.contains(image_id)
-
-
-def _unmaterialized(shard: _Shard, image_id: str) -> bool:
-    return image_id not in shard.materialized
 
 
 RECORD_KINDS: Dict[str, RecordKind] = {
@@ -192,10 +140,16 @@ RECORD_KINDS: Dict[str, RecordKind] = {
     "update_image": RecordKind(
         _encode_ppm, _decode_ppm, _update_image, KEEPS, _absent
     ),
-    "compact": RecordKind(
-        _encode_bounds, _decode_bounds, _compact, KEEPS, _absent
-    ),
-    "decompact": RecordKind(
-        _no_payload, _no_subject, _decompact, KEEPS, _unmaterialized
-    ),
+}
+
+#: Kinds earlier releases wrote and nothing writes now.  Replay skips
+#: each as a no-op; the value says whether the record stood for a write
+#: that is lost with it (``change``: a direct shard-database write,
+#: counted as ``wal.unreplayable``) or only for derived memo state that
+#: a read recomputes (``compact`` / ``decompact``: the compactor's
+#: journaled BOUNDS matrices and their retractions).
+RETIRED_KINDS: Dict[str, bool] = {
+    "change": True,
+    "compact": False,
+    "decompact": False,
 }

@@ -14,13 +14,13 @@ Durability
 Every mutation appends to the WAL (:class:`~repro.shard.wal.ShardWAL`)
 **before** it is applied to the owning shard, under that shard's write
 lock.  What a mutation *is* is written once, in the record-kind table
-of :mod:`repro.shard.records`: the five public mutators and the
-compactor's two commits go through :meth:`ShardedCatalog._commit`
-(journal → apply → settle → bump the shard version), and replay runs
-the *same* appliers and the same :meth:`ShardedCatalog._settle`, so it
-cannot drift from the live path.  The router is the only writer of a
-shard database: the database's mutators accept a write only while the
-router applies a record on that shard, so a direct call to
+of :mod:`repro.shard.records`: the five public mutators go through
+:meth:`ShardedCatalog._commit` (journal → apply → settle → bump the
+shard version), and replay runs the *same* appliers and the same
+:meth:`ShardedCatalog._settle`, so it cannot drift from the live path.
+The router is the only writer of a shard database: the database's
+mutators accept a write only while the router applies a record on that
+shard, so a direct call to
 ``shard_database(i).insert_image(...)`` raises :class:`ShardError`
 before anything is stored.  One mutation is one WAL record.
 :meth:`ShardedCatalog.save` checkpoints every shard into its own
@@ -105,7 +105,7 @@ from repro.obs.trace import (
 )
 from repro.querylang.parser import parse_constraints
 from repro.rwlock import ReadWriteLock
-from repro.shard.records import ENTERS, LEAVES, RECORD_KINDS
+from repro.shard.records import ENTERS, LEAVES, RECORD_KINDS, RETIRED_KINDS
 from repro.shard.wal import ShardWAL
 
 logger = logging.getLogger(__name__)
@@ -143,7 +143,6 @@ class _Shard:
         "applying",
         "materialized",
         "last_lsn",
-        "last_compaction",
         "replay_failures",
     )
 
@@ -168,16 +167,13 @@ class _Shard:
         #: (write lock held): the only time :attr:`database` accepts a
         #: write.
         self.applying = False
-        #: image_id -> projected per-query work-unit saving of its
-        #: materialized BOUNDS matrix (the compactor's commits).
+        #: image_id -> projected per-query work-unit saving, for the
+        #: images whose memo row the compactor filled (in memory only).
         self.materialized: Dict[str, float] = {}
         #: LSN of the last WAL record this shard wrote or replayed —
         #: stamped onto per-shard query spans so a slow query is
         #: attributable to the write activity that preceded it.
         self.last_lsn: Optional[int] = None
-        #: Lineage of the most recent compaction commit touching this
-        #: shard: ``{"image_id", "lsn", "trace_id"}`` (or ``None``).
-        self.last_compaction: Optional[Dict[str, object]] = None
         #: WAL records the replayer had to skip as rejected (a health
         #: signal: a growing count means the log disagrees with state).
         self.replay_failures = 0
@@ -473,16 +469,16 @@ class ShardedCatalog:
         image_id: str,
         version: int,
         payload: Dict[str, object],
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """Journal one mutation; returns ``(lsn, trace_id)``.
+    ) -> None:
+        """Journal one mutation (nothing is written when ephemeral).
 
-        ``lsn`` is None when ephemeral.  The record is stamped with the
-        enclosing trace's id (if any) — that is the WAL half of lineage:
-        given a slow query's trace id, ``grep`` of the WAL finds every
-        record it wrote, and given a suspicious WAL record, the trace
-        that produced it.  With tracing on but no enclosing span, a
-        fresh id is minted so the record is still attributable.  One
-        wide event is emitted per journaled mutation.
+        The record is stamped with the enclosing trace's id (if any) —
+        that is the WAL half of lineage: given a slow query's trace id,
+        ``grep`` of the WAL finds every record it wrote, and given a
+        suspicious WAL record, the trace that produced it.  With tracing
+        on but no enclosing span, a fresh id is minted so the record is
+        still attributable.  One wide event is emitted per journaled
+        mutation.
         """
         self._ensure_open()
         lsn: Optional[int] = None
@@ -513,7 +509,6 @@ class ShardedCatalog:
             op=op,
             version=version,
         )
-        return lsn, trace_id
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -521,23 +516,20 @@ class ShardedCatalog:
 
     def _commit(
         self, shard: _Shard, op: str, image_id: str, subject: object = None
-    ) -> Optional[int]:
+    ) -> None:
         """Commit one mutation of a table kind (shard write lock held).
 
-        Journal → apply → settle → bump the shard version; returns the
-        record's LSN.  When the applier fails, the WAL record stays:
-        replay re-attempts the apply and, when it fails the same way,
-        skips the record — converging with the live outcome.
+        Journal → apply → settle → bump the shard version.  When the
+        applier fails, the WAL record stays: replay re-attempts the
+        apply and, when it fails the same way, skips the record —
+        converging with the live outcome.
         """
         kind = RECORD_KINDS[op]
         version = shard.version + 1
-        lsn, trace_id = self._journal(
-            shard, op, image_id, version, kind.encode(subject)
-        )
+        self._journal(shard, op, image_id, version, kind.encode(subject))
         self._apply(shard, op, image_id, subject)
-        self._settle(shard, op, image_id, lsn, trace_id)
+        self._settle(shard, op, image_id)
         shard.version = version
-        return lsn
 
     @staticmethod
     def _apply(shard: _Shard, op: str, image_id: str, subject: object) -> None:
@@ -549,26 +541,13 @@ class ShardedCatalog:
         finally:
             shard.applying = False
 
-    def _settle(
-        self,
-        shard: _Shard,
-        op: str,
-        image_id: str,
-        lsn: Optional[int],
-        trace_id: object,
-    ) -> None:
+    def _settle(self, shard: _Shard, op: str, image_id: str) -> None:
         """Book-keeping after a record's applier ran (write lock held).
 
         Shared by the live commit and replay, so the two cannot disagree
-        about what a committed record leaves behind.  The placement map
-        and the id counters follow the kind's ``placement``.  The
-        materialization ledger stays a subset of the engine's cached
-        matrices: an applier's transitive invalidation can evict the
-        matrices of *other* images (dependents of the mutated one, or of
-        a base the compactor just swapped in), and a ledger that kept
-        them would have the compactor consider them warm for ever.  A
-        ``compact`` records the shard's compaction lineage, and the
-        ``compaction.materialized_images`` gauge follows the ledger.
+        about what a committed record leaves behind: the placement map
+        and the id counters follow the kind's ``placement``, and the
+        ledger is pruned (:meth:`_prune_ledger`).
         """
         placement = RECORD_KINDS[op].placement
         if placement == ENTERS:
@@ -576,16 +555,24 @@ class ShardedCatalog:
             self._note_allocated(image_id)
         elif placement == LEAVES:
             self._placement.pop(image_id, None)
+        self._prune_ledger(shard)
+
+    def _prune_ledger(self, shard: _Shard) -> None:
+        """Keep the materialization ledger a subset of the engine's
+        valid memo rows (write lock held).
+
+        An invalidation dirties the rows of *other* images too (the
+        dependents of the changed one), and a ledger that kept them
+        would have the compactor consider them warm for ever.
+        """
         engine = shard.database.engine
         for each in list(shard.materialized):
             if not engine.has_cached_bounds(each):
                 del shard.materialized[each]
-        if op == "compact":
-            shard.last_compaction = {
-                "image_id": image_id,
-                "lsn": lsn,
-                "trace_id": trace_id,
-            }
+        self._gauge_ledger()
+
+    def _gauge_ledger(self) -> None:
+        """The ``compaction.materialized_images`` gauge follows the ledger."""
         total = sum(len(each.materialized) for each in self._shards)
         self.metrics.set_gauge("compaction.materialized_images", total)
 
@@ -635,7 +622,8 @@ class ShardedCatalog:
         self._mutate(shard, "update_image", image_id, image)
 
     def materialized_images(self) -> Dict[str, float]:
-        """Every materialized image id and its projected per-query saving."""
+        """Every image id in the compactor's ledger, with its projected
+        per-query saving."""
         combined: Dict[str, float] = {}
         for shard in self._shards:
             combined.update(shard.materialized)
@@ -655,8 +643,8 @@ class ShardedCatalog:
         Returns ``(results, timings)`` where each timing is ``(shard,
         lock-wait seconds, total seconds)`` — the shard's own time, as
         nothing else runs in between.  When ``tracer`` is live, one
-        ``shard.execute`` span per shard — carrying its lock-wait,
-        last-written LSN, and last-compaction lineage — is attached
+        ``shard.execute`` span per shard — carrying its lock-wait and
+        last-written LSN — is attached
         under the caller's current span as the shard finishes.
 
         Reads of different client threads still run side by side; one
@@ -685,13 +673,6 @@ class ShardedCatalog:
                         "last_lsn": shard.last_lsn,
                     }
                 )
-                if shard.last_compaction is not None:
-                    span.attributes["last_compaction_lsn"] = (
-                        shard.last_compaction.get("lsn")
-                    )
-                    span.attributes["last_compaction_trace"] = (
-                        shard.last_compaction.get("trace_id")
-                    )
                 wait = Span("lock-wait", queued, parent=span)
                 wait.end = acquired
                 run = Span("run", acquired, parent=span)
@@ -1063,7 +1044,7 @@ class ShardedCatalog:
             lsn = int(entry["lsn"])  # type: ignore[arg-type]
             with shard.lock.write_locked():
                 try:
-                    applied = self._replay_entry(shard, op, image_id, lsn, entry)
+                    applied = self._replay_entry(shard, op, image_id, entry)
                 except DatabaseError as exc:
                     failed += 1
                     shard.replay_failures += 1
@@ -1120,27 +1101,29 @@ class ShardedCatalog:
         shard: _Shard,
         op: str,
         image_id: str,
-        lsn: int,
         entry: Dict[str, object],
     ) -> bool:
         """Apply one WAL record to its shard; False when a no-op.
 
         Must only be called with ``shard.lock``'s write side held (the
-        replayer's loop does this).  A table kind whose effect is
-        already present is skipped; otherwise the record goes through
-        the same applier and the same :meth:`_settle` as its live commit.
+        replayer's loop does this).  A retired kind is skipped, and
+        counted as unreplayable when it stood for a write.  A table kind
+        whose effect is already present is skipped; otherwise the record
+        goes through the same applier and the same :meth:`_settle` as
+        its live commit.
         """
-        if op == "change":
-            # Written by earlier releases for a direct shard-database
-            # write; it has no payload, so there is nothing to re-apply.
-            self.metrics.increment("wal.unreplayable")
-            logger.warning(
-                "WAL change record for %r (shard %d) has no payload to "
-                "replay; the direct write it recorded did not survive the "
-                "crash",
-                image_id,
-                shard.index,
-            )
+        lost_write = RETIRED_KINDS.get(op)
+        if lost_write is not None:
+            if lost_write:
+                self.metrics.increment("wal.unreplayable")
+                logger.warning(
+                    "WAL %s record for %r (shard %d) has no payload to "
+                    "replay; the direct write it recorded did not survive "
+                    "the crash",
+                    op,
+                    image_id,
+                    shard.index,
+                )
             return False
         kind = RECORD_KINDS.get(op)
         if kind is None:
@@ -1148,7 +1131,7 @@ class ShardedCatalog:
         if kind.done(shard, image_id):
             return False
         self._apply(shard, op, image_id, kind.decode(entry))
-        self._settle(shard, op, image_id, lsn, entry.get("trace_id"))
+        self._settle(shard, op, image_id)
         return True
 
     # ------------------------------------------------------------------
@@ -1244,11 +1227,6 @@ class ShardedCatalog:
                         "backlog": backlog,
                         "materialized": len(shard.materialized),
                         "last_lsn": shard.last_lsn,
-                        "last_compaction": (
-                            dict(shard.last_compaction)
-                            if shard.last_compaction is not None
-                            else None
-                        ),
                     }
                 )
         return signals

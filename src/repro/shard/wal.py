@@ -24,14 +24,17 @@ plus an op-specific payload.  The kinds, their payloads and how each is
 applied and replayed are specified once, by the table in
 :mod:`repro.shard.records`: ``insert_image`` / ``update_image`` carry
 ``ppm`` (base64 of the binary PPM), ``insert_edited`` carries
-``sequence`` (its text serialization), ``compact`` carries ``lo`` /
-``hi`` int lists plus ``height`` / ``width``, the deletes and
-``decompact`` carry nothing.  The one kind outside the table is
-``change``, a payload-free record that earlier releases wrote for a
-direct write to a shard database.  Nothing writes it now (a shard
-database refuses writes that bypass its router), but readers still
-decode it and replay counts it as unreplayable; the name stays
-reserved and no new kind may reuse it.
+``sequence`` (its text serialization), the deletes carry nothing.
+
+The retired kinds (:data:`repro.shard.records.RETIRED_KINDS`) are
+outside the table.  Earlier releases wrote them; nothing writes them
+now, readers still decode them, replay skips them, and no new kind may
+reuse their names.  ``change`` (payload-free) recorded a direct write
+to a shard database, which a shard database now refuses; replay counts
+it as unreplayable.  ``compact`` (``lo`` / ``hi`` int lists plus
+``height`` / ``width``) and ``decompact`` (payload-free) journaled the
+compactor's BOUNDS matrices and their retractions: derived memo state
+that a read recomputes, so skipping them loses no write.
 
 Appends go through a fault plan (:mod:`repro.db.durable`): append
 and fsync are separate kill points, and ``tests/shard/
@@ -50,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.db.durable import NoFaults
 from repro.db.versioning import sha256_hex
 from repro.errors import CorruptionError, PersistenceError
-from repro.shard.records import RECORD_KINDS
+from repro.shard.records import RECORD_KINDS, RETIRED_KINDS
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +62,7 @@ WAL_NAME = "shard.wal"
 
 def wal_record_kinds() -> Tuple[str, ...]:
     """The record kinds a WAL consumer must handle (for replicas)."""
-    return (*RECORD_KINDS, "change")
+    return (*RECORD_KINDS, *RETIRED_KINDS)
 
 
 class ShardWAL:
@@ -68,11 +71,10 @@ class ShardWAL:
     Reading tolerates exactly one damaged line *at the tail* — the
     torn-append crash shape — and treats damage anywhere else as
     corruption.  Thread-safe: mutations on different shards hold
-    different per-shard write locks but share this one log, and the
-    compactor appends from its own thread, so appends, resets, and the
-    LSN counter serialize on an internal lock — LSNs stay unique and
-    monotonic, and no append can interleave with the torn-tail
-    truncation of another.
+    different per-shard write locks but share this one log, so appends,
+    resets, and the LSN counter serialize on an internal lock — LSNs
+    stay unique and monotonic, and no append can interleave with the
+    torn-tail truncation of another.
     """
 
     def __init__(self, base: Path) -> None:
@@ -107,7 +109,7 @@ class ShardWAL:
         was: the record is cut back off and its LSN is reused, so the
         caller can refuse the mutation and replay never applies it.
         """
-        if op not in RECORD_KINDS and op != "change":
+        if op not in RECORD_KINDS and op not in RETIRED_KINDS:
             raise CorruptionError(f"unknown WAL record kind {op!r}")
         # The append-before-apply discipline requires fsyncs to land in
         # LSN order, so the lock is held across the append+fsync;

@@ -396,9 +396,10 @@ class TestCachedDatabaseIsTheUncachedOne:
         elif step == "seed" and catalog.edited_count:
             edited = list(catalog.edited_ids())
             image_id = edited[int(rng.integers(len(edited)))]
-            # What the compactor's commit does: drop, then install.
+            # What a compactor roll-back and its next fill do: dirty the
+            # row, then refill it with the one-id sweep a read runs.
             cached.engine.invalidate(image_id)
-            cached.engine.seed_bounds(image_id, plain.engine.bounds_all_bins(image_id))
+            cached.engine.bounds_all_bins_batch((image_id,))
             assert cached.engine.has_cached_bounds(image_id)
 
     def _agree(self, rng, cached, plain):
@@ -501,9 +502,9 @@ class TestRowsOutliveInPlaceChanges:
         plain = BoundsEngine(database.catalog, database.quantizer)
         for image_id in [base] + edited:
             assert engine.bounds(image_id, 5) == plain.bounds(image_id, 5)
-        # A compaction commit and its roll-back keep the row too.
-        engine.invalidate(edited[0])
-        engine.seed_bounds(edited[0], plain.bounds_all_bins(edited[0]))
+        # A compactor fill and its roll-back keep the row too.
+        engine.bounds_all_bins_batch((edited[0],))
+        assert engine.has_cached_bounds(edited[0])
         engine.invalidate(edited[0])
         assert engine.owner_epoch == owners
         database.delete_edited(edited[2])

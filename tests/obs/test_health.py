@@ -33,7 +33,6 @@ def idle_shard(index=0, **overrides):
     raw = {
         "shard": index, "queries_served": 0, "replay_failures": 0,
         "wal_depth": 0, "backlog": 0, "materialized": 0, "last_lsn": None,
-        "last_compaction": None,
     }
     raw.update(overrides)
     return raw

@@ -1,10 +1,12 @@
-"""Compactor: result-preserving materialization, work reduction,
-journaling, rollback, stale-commit protection, and scoring against the
-per-candidate reference."""
+"""Compactor: result-preserving warming, work reduction, nothing
+journaled, rollback, deleted winners skipped, fills and scoring under the
+shard's read lock, and scoring against the per-candidate reference."""
 
 from __future__ import annotations
 
+import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -96,37 +98,44 @@ class TestMaterialization:
 
 class TestJournaling:
     def test_compact_and_decompact_records(self, rng, tmp_path):
+        """A cycle and its roll-back journal nothing: a warmed row is
+        derived state, so the WAL and the shard versions stay put."""
         sharded, _, _ = build_mirrored_pair(
             rng, shard_count=2, binary_count=4, edited_count=3, root=tmp_path
         )
         try:
+
+            def durable():
+                versions = [shard["version"] for shard in sharded.status()["shards"]]
+                return sharded._wal.entries(), versions
+
+            before = durable()
             compactor = Compactor(sharded, EAGER)
             report = compactor.run_once()
             assert report.materialized
-            ops = [entry["op"] for entry in sharded._wal.entries()]
-            assert ops.count("compact") == len(report.materialized)
             victim = report.materialized[0]
+            engine = sharded.shard_database(sharded.shard_of(victim)).engine
+            assert engine.has_cached_bounds(victim)
             assert compactor.rollback(victim)
             assert not compactor.rollback(victim)  # already retracted
-            entries = sharded._wal.entries()
-            assert entries[-1]["op"] == "decompact"
-            assert entries[-1]["image_id"] == victim
+            assert not engine.has_cached_bounds(victim)
+            assert victim not in sharded.materialized_images()
+            assert durable() == before
         finally:
             sharded.close()
 
-    def test_materializations_replay_warm(self, rng, tmp_path):
+    def test_a_reopen_after_a_cycle_starts_cold(self, rng, tmp_path):
         sharded, oracle, _ = build_mirrored_pair(
             rng, shard_count=2, binary_count=4, edited_count=4, root=tmp_path
         )
         try:
-            compactor = Compactor(sharded, EAGER)
-            materialized = compactor.run_once().materialized
-            assert materialized
+            assert Compactor(sharded, EAGER).run_once().materialized
         finally:
-            sharded.close()  # no save: compact records stay in the WAL
+            sharded.close()  # no save: the WAL holds the inserts only
         reopened = ShardedCatalog.open(tmp_path)
         try:
-            assert set(reopened.materialized_images()) == set(materialized)
+            assert reopened.materialized_images() == {}
+            assert sum(s["backlog"] for s in reopened.health_signals()) == 4
             for bin_index in (0, 9, 21):
                 query = RangeQuery(bin_index, 0.0, 0.4)
                 assert (
@@ -138,12 +147,17 @@ class TestJournaling:
 
 
 class TestStaleness:
-    def test_stale_version_commit_skipped(self, rng, tmp_path):
+    def test_stale_version_commit_skipped(self, rng, tmp_path, monkeypatch):
+        """A winner deleted between scoring and fill is skipped, counted,
+        and leaves no trace."""
         sharded, oracle, _ = build_mirrored_pair(rng, shard_count=1, root=tmp_path)
         try:
             compactor = Compactor(sharded, EAGER)
             shard = sharded._shards[0]
-            edited = next(iter(shard.database.catalog.edited_ids()))
+            scored = compactor._score_candidates()
+            victim = scored[1][0]
+            sharded.delete_edited(victim.image_id)
+            oracle.delete_edited(victim.image_id)
             query = RangeQuery(3, 0.0, 0.4)
             before = (
                 shard.version,
@@ -151,13 +165,8 @@ class TestStaleness:
                 sharded.materialized_images(),
                 sharded.range_query(query).matches,
             )
-            # The read above may have filled the image's memo row itself,
-            # so the memo's counters are what a seeding would move.
             memo_before = shard.database.engine.cache_stats()
-            stale = _Candidate(0, edited, 1.0, shard.version - 1)
-            assert not compactor._materialize(stale, shard.version - 1)
-            assert edited not in shard.materialized
-            # Rollback-exact: the refused commit left no trace anywhere.
+            assert not compactor._materialize(victim)
             assert shard.database.engine.cache_stats() == memo_before
             assert before == (
                 shard.version,
@@ -166,6 +175,13 @@ class TestStaleness:
                 sharded.range_query(query).matches,
             )
             assert before[3] == oracle.range_query(query).matches
+            # Through a cycle scored before the delete: counted, not filled.
+            monkeypatch.setattr(compactor, "_score_candidates", lambda: scored)
+            report = compactor.run_once()
+            assert report.skipped_stale == 1
+            assert victim.image_id not in report.materialized
+            assert len(report.materialized) == len(scored[1]) - 1
+            assert sharded.metrics.counter("compaction.skipped_stale") == 1
         finally:
             sharded.close()
 
@@ -176,10 +192,37 @@ class TestStaleness:
         try:
             compactor = Compactor(sharded, EAGER)
             report = compactor.run_once()
-            # All same-shard candidates commit in one cycle; none are
-            # staled by the cycle's own version bumps.
+            # All same-shard candidates fill in one cycle; the cycle's
+            # own fills stale none of them.
             assert report.skipped_stale == 0
             assert len(report.materialized) == 6
+        finally:
+            sharded.close()
+
+
+class TestLocking:
+    """Scoring and the fill read a shard under its read lock, so a
+    writer holding the shard's write lock holds both off."""
+
+    @pytest.mark.parametrize("step", ["score", "fill"])
+    def test_a_held_write_lock_holds_the_step_off(self, rng, step):
+        sharded, _, _ = build_mirrored_pair(
+            rng, shard_count=1, binary_count=3, edited_count=3
+        )
+        try:
+            compactor = Compactor(sharded, EAGER)
+            winner = compactor._score_candidates()[1][0]
+            call = {
+                "score": compactor._score_candidates,
+                "fill": partial(compactor._materialize, winner),
+            }[step]
+            done = threading.Event()
+            worker = threading.Thread(target=lambda: (call(), done.set()))
+            with sharded._shards[0].lock.write_locked():
+                worker.start()
+                assert not done.wait(0.2), f"{step} ran under a writer"
+            worker.join(5.0)
+            assert done.is_set()
         finally:
             sharded.close()
 
@@ -284,18 +327,13 @@ def _reference_ranking(compactor):
                 score = hotness * ops * COST_RULE * weight
                 if score < policy.min_score:
                     continue
-                candidates.append(
-                    _Candidate(shard.index, image_id, score, shard.version)
-                )
+                candidates.append(_Candidate(shard.index, image_id, score))
     candidates.sort(key=lambda c: (-c.score, c.shard_index, c.image_id))
     return candidates
 
 
 def _key(candidates):
-    return [
-        (c.shard_index, c.image_id, repr(c.score), c.shard_version)
-        for c in candidates
-    ]
+    return [(c.shard_index, c.image_id, repr(c.score)) for c in candidates]
 
 
 def _leaf_edits(sharded):

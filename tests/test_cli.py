@@ -665,10 +665,13 @@ class TestShards:
         import json
         import shutil
 
-        # Compaction appends to the WAL, so it runs on a copy.
+        # Opening a root appends to its event log, so it runs on a copy.
+        # The cycle itself journals nothing: the WAL is left as it was.
         root = tmp_path / "fleet"
         shutil.copytree(sharded_root, root)
+        wal = (root / "shard.wal").read_bytes()
         code, output = run_cli("shards", str(root), "--compact-now", "--json")
+        assert (root / "shard.wal").read_bytes() == wal
         assert code == 0
         payload = json.loads(output)
         assert payload["shard_count"] == 3
